@@ -5,7 +5,11 @@
      E2  fig4_scheduling      paper Fig. 4  (level insertion on 5 ALUs)
      E3  fig5_allocation      paper Fig. 5  (heuristic allocation, window)
      E4  tile_resource_usage  paper Fig. 1  (hardware limits respected)
-     E5  phase_complexity     Section VI    (linear-time phases, Bechamel)
+     E5  phase_complexity     Section VI    (linear-time phases, Bechamel;
+                                              writes BENCH_complexity.json,
+                                              gated in CI: us/cluster may
+                                              grow at most 4x from 300 to
+                                              3000 ops)
      E6  speedup               Section VII  ("maximum parallelism")
      E7  locality_ablation     Section VII  ("locality of reference")
      E8  unroll_sweep          Section V    (unrolling as the enabler)
@@ -233,9 +237,16 @@ let tile_resource_usage () =
 (* E5 - Section VI: the phases are linear in the number of clusters.   *)
 (* ------------------------------------------------------------------ *)
 
+(* The CI gate: per phase, us/cluster at the largest size may be at most
+   this multiple of its value at [gate_base] ops. A linear phase keeps the
+   ratio near 1 (cache effects drift it upwards); a quadratic one grows
+   it roughly tenfold from 300 to 3000 ops. *)
+let complexity_growth_limit = 4.0
+
 let phase_complexity () =
   section "E5 phase_complexity (Section VI linearity, Bechamel)";
   let sizes = [ 100; 300; 1000; 3000 ] in
+  let gate_base = 300 and gate_top = 3000 in
   (* timing experiment: enlarge the memories so capacity artefacts (scratch
      space for thousands of intermediate values) do not interfere *)
   let tile = { Arch.paper_tile with Arch.memory_size = 16384 } in
@@ -264,32 +275,91 @@ let phase_complexity () =
         match Analyze.OLS.estimates est with Some [ v ] -> v | _ -> acc)
       analyzed 0.0
   in
-  let rows =
+  let phases = [ "cluster"; "validate"; "schedule"; "allocate" ] in
+  (* (phase, ops, clusters, us/run) *)
+  let measured =
     List.concat_map
       (fun (ops, g, clustering, sched) ->
         let clusters = Array.length clustering.Mapping.Cluster.clusters in
         let measure phase f =
-          let nanos = bench (Printf.sprintf "%s/%d" phase ops) f in
-          [
-            Printf.sprintf "%s/%d" phase ops;
-            string_of_int clusters;
-            Printf.sprintf "%.0f" (nanos /. 1000.0);
-            Printf.sprintf "%.3f" (nanos /. 1000.0 /. float_of_int clusters);
-          ]
+          (phase, ops, clusters, bench (Printf.sprintf "%s/%d" phase ops) f /. 1000.0)
         in
         [
           measure "cluster" (fun () -> ignore (Mapping.Cluster.run g));
+          measure "validate" (fun () ->
+              Mapping.Cluster.validate clustering Arch.paper_alu;
+              Mapping.Sched.validate sched ~alu_count:5);
           measure "schedule" (fun () ->
               ignore (Mapping.Sched.run ~alu_count:5 clustering));
           measure "allocate" (fun () -> ignore (Mapping.Alloc.run ~tile sched));
         ])
       prepared
   in
+  let per_cluster (_, _, clusters, us) = us /. float_of_int clusters in
+  let at phase ops =
+    List.find (fun (p, o, _, _) -> String.equal p phase && o = ops) measured
+  in
+  let growth =
+    List.map
+      (fun phase ->
+        (phase, per_cluster (at phase gate_top) /. per_cluster (at phase gate_base)))
+      phases
+  in
+  let pass = List.for_all (fun (_, r) -> r <= complexity_growth_limit) growth in
   Fpfa_util.Tablefmt.print
     ~header:[ "phase/ops"; "clusters"; "us/run"; "us/cluster" ]
-    rows;
+    (List.concat_map
+       (fun phase ->
+         List.map
+           (fun ops ->
+             let ((_, _, clusters, us) as m) = at phase ops in
+             [
+               Printf.sprintf "%s/%d" phase ops;
+               string_of_int clusters;
+               Printf.sprintf "%.0f" us;
+               Printf.sprintf "%.3f" (per_cluster m);
+             ])
+           sizes)
+       phases);
+  List.iter
+    (fun (phase, r) ->
+      Printf.printf "%-9s us/cluster %d -> %d ops: %.2fx (limit %.0fx)\n" phase
+        gate_base gate_top r complexity_growth_limit)
+    growth;
   Printf.printf
-    "linearity shows as a roughly constant us/cluster column per phase.\n"
+    "linearity shows as a roughly constant us/cluster column per phase.\n";
+  let module Json = Fpfa_util.Json in
+  let json =
+    Json.Obj
+      [
+        ("experiment", Json.Str "E5 phase_complexity");
+        ("graph_seed", Json.Int 11);
+        ("alu_count", Json.Int 5);
+        ( "rows",
+          Json.List
+            (List.map
+               (fun ((phase, ops, clusters, us) as m) ->
+                 Json.Obj
+                   [
+                     ("phase", Json.Str phase);
+                     ("ops", Json.Int ops);
+                     ("clusters", Json.Int clusters);
+                     ("us_per_run", Json.Float us);
+                     ("us_per_cluster", Json.Float (per_cluster m));
+                   ])
+               measured) );
+        ("gate_base_ops", Json.Int gate_base);
+        ("gate_top_ops", Json.Int gate_top);
+        ("growth_limit", Json.Float complexity_growth_limit);
+        ("growth", Json.Obj (List.map (fun (p, r) -> (p, Json.Float r)) growth));
+        ("pass", Json.Bool pass);
+      ]
+  in
+  let oc = open_out "BENCH_complexity.json" in
+  output_string oc (Json.to_string json ^ "\n");
+  close_out oc;
+  Printf.printf "\nwrote BENCH_complexity.json (%s)\n"
+    (if pass then "pass" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
 (* E6 - Section VII: speed-up over the sequential and unit baselines.  *)

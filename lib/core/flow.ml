@@ -649,6 +649,20 @@ let verify ?(memory_init = []) result =
   Cdfg.Eval.equal_result expected minimised
   && Fpfa_sim.Sim.conforms ~memory_init result.job
 
+let conforms_to_interp ?(memory_init = []) result =
+  Obs.span ~cat:"flow" "verify-interp" @@ fun () ->
+  let program =
+    Cfront.Inline.program (Cfront.Parser.parse_program result.source)
+  in
+  match Cfront.Interp.run_main ~array_init:memory_init program with
+  | exception Cfront.Interp.Runtime_error _ -> false
+  | state ->
+    let memory, _ = Fpfa_sim.Sim.run ~memory_init result.job in
+    (* The tile leaves a return value in memory under no fixed name; the
+       evaluator's named outputs stand in for it. *)
+    let named = (Cdfg.Eval.run ~memory_init result.graph).Cdfg.Eval.named in
+    Cdfg.Eval.conforms_to_interp ~memory_init state { Cdfg.Eval.memory; named }
+
 let pp_summary fmt r =
   Format.fprintf fmt
     "@[<v>%s: %d nodes -> %d nodes, %d clusters, %d levels (cp %d), %a@]"

@@ -215,7 +215,18 @@ val audit :
 
 val verify :
   ?memory_init:(string * int array) list -> result -> bool
-(** Triple conformance on the given inputs: reference interpreter vs CDFG
-    evaluator (before and after minimisation) vs tile simulator. *)
+(** Conformance on the given inputs: the CDFG evaluator before and after
+    minimisation agree, and the tile simulator's memory matches the
+    evaluator's. The reference interpreter is not run; see
+    {!conforms_to_interp}. *)
+
+val conforms_to_interp :
+  ?memory_init:(string * int array) list -> result -> bool
+(** The reference-interpreter leg: runs [main] of the inlined
+    [result.source] in {!Cfront.Interp} and compares its final state with
+    the tile simulator's memory ({!Cdfg.Eval.conforms_to_interp}); a
+    return value is compared with the evaluator's named output. [false]
+    when the interpreter faults. Meaningful only when [main] is the mapped
+    function. *)
 
 val pp_summary : Format.formatter -> result -> unit

@@ -21,61 +21,60 @@ exception Allocation_error of string
 let errorf fmt = Format.kasprintf (fun msg -> raise (Allocation_error msg)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Resource bookkeeping: counters per cycle with a plan/commit split so
-   that a failed level attempt leaves no trace.                         *)
+(* Resource bookkeeping. A level attempt reserves resources directly and
+   logs each reservation, so a failed attempt is undone from its log and
+   leaves no trace.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-module Counter = struct
-  type 'k t = ('k, int) Hashtbl.t
+(* Per-cycle use of a resource with [slots] instances per cycle (a port
+   per PP memory, a write port per register bank, ...): one count per
+   (cycle, slot), in an array grown by doubling as later cycles are
+   reached. *)
+module Usage = struct
+  type t = { slots : int; mutable counts : int array }
 
-  let create () = Hashtbl.create 64
-  let get tbl key = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0
-  let bump tbl key = Hashtbl.replace tbl key (get tbl key + 1)
+  let create slots = { slots; counts = Array.make (64 * slots) 0 }
 
-  let merge ~into src =
-    Hashtbl.iter (fun k v -> Hashtbl.replace into k (get into k + v)) src
+  let get t ~cycle slot =
+    let i = (cycle * t.slots) + slot in
+    if i < Array.length t.counts then t.counts.(i) else 0
+
+  (* Returns the cell it incremented, for the undo log. *)
+  let bump t ~cycle slot =
+    let i = (cycle * t.slots) + slot in
+    let len = Array.length t.counts in
+    if i >= len then begin
+      let rec grow n = if i < n then n else grow (2 * n) in
+      let counts = Array.make (grow (2 * len)) 0 in
+      Array.blit t.counts 0 counts 0 len;
+      t.counts <- counts
+    end;
+    t.counts.(i) <- t.counts.(i) + 1;
+    i
 end
 
-(* Register banks: interval allocation per (pp, bank, index). *)
+(* Register banks. An operand occupies its register from its move cycle
+   through the execute cycle of its level. Levels are placed at increasing
+   cycles, so every earlier occupation starts before the level being
+   placed executes, and a register is free for a move at cycle [lo]
+   exactly when the last operand it held executed before [lo]. *)
 module Regs = struct
-  type t = {
-    regs_per_bank : int;
-    committed : (int * int * int, (int * int) list) Hashtbl.t;
-        (** (pp, bank, index) -> busy [lo, hi] intervals *)
-  }
+  type t = { banks : int; regs_per_bank : int; busy_until : int array }
 
-  let create regs_per_bank = { regs_per_bank; committed = Hashtbl.create 64 }
+  let create (tile : Arch.tile) =
+    let banks = tile.Arch.banks_per_pp and regs_per_bank = tile.Arch.regs_per_bank in
+    { banks; regs_per_bank;
+      busy_until = Array.make (tile.Arch.alu_count * banks * regs_per_bank) (-1) }
 
-  let overlaps (lo1, hi1) (lo2, hi2) = lo1 <= hi2 && lo2 <= hi1
+  let slot t ~pp ~bank index = (((pp * t.banks) + bank) * t.regs_per_bank) + index
 
-  let free_index t plan ~pp ~bank ~lo ~hi =
-    let busy index =
-      let key = (pp, bank, index) in
-      let committed =
-        match Hashtbl.find_opt t.committed key with Some l -> l | None -> []
-      in
-      let planned =
-        List.filter_map
-          (fun (k, interval) -> if k = key then Some interval else None)
-          plan
-      in
-      List.exists (overlaps (lo, hi)) (committed @ planned)
-    in
+  let free_index t ~pp ~bank ~lo =
     let rec search index =
       if index >= t.regs_per_bank then None
-      else if busy index then search (index + 1)
+      else if t.busy_until.(slot t ~pp ~bank index) >= lo then search (index + 1)
       else Some index
     in
     search 0
-
-  let commit t plan =
-    List.iter
-      (fun (key, interval) ->
-        let old =
-          match Hashtbl.find_opt t.committed key with Some l -> l | None -> []
-        in
-        Hashtbl.replace t.committed key (interval :: old))
-      plan
 end
 
 (* ------------------------------------------------------------------ *)
@@ -87,12 +86,14 @@ type state = {
   sched : Sched.t;
   clustering : Cluster.t;
   pp_of : int array;
+  versions : Legalize.versions;
   (* resources *)
-  bus : int Counter.t;  (* cycle -> transfers *)
-  read_port : (int * int * int) Counter.t;  (* (cycle, pp, mem) -> reads *)
-  write_port : (int * int * int) Counter.t;
-  bank_write : (int * int * int) Counter.t;
-      (* (cycle, pp, bank) -> register-bank writes; one port per bank *)
+  bus : Usage.t;  (* cycle -> transfers *)
+  read_port : Usage.t;  (* (cycle, pp * memories + mem) -> reads *)
+  write_port : Usage.t;
+  bank_write : Usage.t;
+      (* (cycle, pp * banks + bank) -> register-bank writes; one port per
+         bank *)
   regs : Regs.t;
   cell_last_write : (int * int * int, int) Hashtbl.t;  (* cell -> cycle *)
   (* placement *)
@@ -112,8 +113,6 @@ type state = {
   exec_of_cluster : int array;
   root_has_external : bool array;
   consumers : (G.id, (G.id * int) list) Hashtbl.t;
-  overwriters_of : (G.id, G.id list) Hashtbl.t;
-      (** fetch -> first same-cell store/delete downstream of its token *)
   endangered_by : (G.id, G.id list) Hashtbl.t;
       (** store/delete -> fetches of the value it destroys *)
   preserve_of : (G.id, Job.mem_loc * int) Hashtbl.t;
@@ -123,19 +122,27 @@ type state = {
 
 let cell_key (loc : Job.mem_loc) = (loc.Job.mpp, loc.Job.mem, loc.Job.addr)
 
+let memory_slot st pp mem = (pp * st.tile.Arch.memories_per_pp) + mem
+let bank_slot st pp bank = (pp * st.tile.Arch.banks_per_pp) + bank
+
 (* --------------------------- region homes -------------------------- *)
 
-let region_static_size g region info =
-  let max_offset =
-    G.fold g ~init:(-1) ~f:(fun acc n ->
-        match n.G.kind with
-        | G.Fe r | G.St r | G.Del r when String.equal r region ->
-          max acc (Legalize.const_offset g n.G.id)
-        | _ -> acc)
-  in
-  match info.G.size with
-  | Some size -> size
-  | None -> max 1 (max_offset + 1)
+(* Words of every region: its declared size, else one past the highest
+   offset it is accessed at (one graph scan for all regions). *)
+let region_sizes st =
+  let max_offset = Hashtbl.create 16 in
+  G.iter_ids st.graph (fun id ->
+      match G.kind st.graph id with
+      | G.Fe r | G.St r | G.Del r ->
+        let offset = Legalize.offset st.versions id in
+        if offset > Option.value ~default:(-1) (Hashtbl.find_opt max_offset r)
+        then Hashtbl.replace max_offset r offset
+      | _ -> ());
+  fun region info ->
+    match info.G.size with
+    | Some size -> size
+    | None ->
+      max 1 (Option.value ~default:(-1) (Hashtbl.find_opt max_offset region) + 1)
 
 let alloc_words st ~preferred_pp words =
   let tile = st.tile in
@@ -213,9 +220,10 @@ let assign_homes st =
         Hashtbl.replace first_touch region pp)
     (List.rev !order);
   let counter = ref 0 in
+  let region_size = region_sizes st in
   List.iter
     (fun (region, info) ->
-      let words = region_static_size g region info in
+      let words = region_size region info in
       let preferred_pp =
         if st.options.locality then
           match Hashtbl.find_opt first_touch region with
@@ -283,51 +291,31 @@ let source_of st input =
     let cell, ready = Hashtbl.find st.preserve_of input in
     In_memory (cell, ready, max_int)
   | G.Fe region -> (
-    let offset = Legalize.const_offset g input in
-    let cell = home_cell st region offset in
-    (* Resolve which version the fetch reads by walking the token chain
-       with constant offsets. *)
+    let cell = home_cell st region (Legalize.offset st.versions input) in
     (* The cell becomes unreadable once an already-committed overwriting
        write-back lands: the move must happen no later than that cycle
-       (reads precede the end-of-cycle write commit). Overwriters allocated
-       at later levels cannot land before this level's moves. *)
+       (reads precede the end-of-cycle write commit). An overwriter not yet
+       allocated executes at a later level and cannot land before this
+       level's moves. *)
     let deadline =
-      match Hashtbl.find_opt st.overwriters_of input with
+      match Legalize.overwriter st.versions input with
+      | Some d -> (
+        match Hashtbl.find_opt st.writeback_of d with
+        | Some wb -> wb
+        | None -> max_int)
       | None -> max_int
-      | Some overwriters ->
-        List.fold_left
-          (fun acc d ->
-            (* overwriters not yet allocated execute at later cycles and
-               cannot land before this level's moves *)
-            match Hashtbl.find_opt st.writeback_of d with
-            | Some wb -> min acc wb
-            | None -> acc)
-          max_int overwriters
     in
-    let rec walk token =
-      match G.kind g token with
-      | G.St _ ->
-        let st_offset = Legalize.const_offset g token in
-        if st_offset = offset then
-          let wb =
-            match Hashtbl.find_opt st.writeback_of token with
-            | Some wb -> wb
-            | None ->
-              errorf "fetch %d reads store %d that is not yet allocated" input
-                token
-          in
-          In_memory (cell, wb + 1, deadline)
-        else walk (List.nth (G.inputs g token) 0)
-      | G.Del _ ->
-        let del_offset = Legalize.const_offset g token in
-        if del_offset = offset then
-          errorf "fetch %d reads a deleted tuple" input
-        else walk (List.nth (G.inputs g token) 0)
-      | G.Ss_in _ -> In_memory (cell, 0, deadline)
-      | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
-        errorf "malformed token chain at node %d" token
-    in
-    walk (List.nth (G.inputs g input) 0))
+    (* The version the fetch reads. *)
+    match Legalize.latest_version st.versions input with
+    | None -> In_memory (cell, 0, deadline)
+    | Some m -> (
+      match G.kind g m with
+      | G.St _ -> (
+        match Hashtbl.find_opt st.writeback_of m with
+        | Some wb -> In_memory (cell, wb + 1, deadline)
+        | None ->
+          errorf "fetch %d reads store %d that is not yet allocated" input m)
+      | _ -> errorf "fetch %d reads a deleted tuple" input))
   | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
     errorf "node %d cannot be a cluster operand" input
 
@@ -367,37 +355,44 @@ let micros_of_cluster st (c : Cluster.cluster) =
 
 (* ------------------------------ planning --------------------------- *)
 
+type undo =
+  | Use of Usage.t * int  (* cell incremented *)
+  | Reg of int * int  (* register slot, its previous [busy_until] *)
+
 type plan = {
-  p_bus : int Counter.t;
-  p_read : (int * int * int) Counter.t;
-  p_bank_write : (int * int * int) Counter.t;
-  mutable p_regs : ((int * int * int) * (int * int)) list;
+  mutable undo : undo list;  (* reservations made, newest first *)
+  mutable p_regs : int;  (* registers reserved *)
   mutable p_moves : (int * Job.move) list;
   mutable p_forwards : (int * (int * Job.reg)) list;  (* producer cid, dest *)
-  mutable p_port_regs : (int, (int * Job.reg) list) Hashtbl.t option;
+  mutable p_port_regs : (int * (int * Job.reg)) list;
+      (* consumer cid, (port, register) *)
 }
 
 let new_plan () =
-  {
-    p_bus = Counter.create ();
-    p_read = Counter.create ();
-    p_bank_write = Counter.create ();
-    p_regs = [];
-    p_moves = [];
-    p_forwards = [];
-    p_port_regs = None;
-  }
+  { undo = []; p_regs = 0; p_moves = []; p_forwards = []; p_port_regs = [] }
 
-let bus_free st plan cycle =
-  Counter.get st.bus cycle + Counter.get plan.p_bus cycle < st.tile.Arch.buses
+let reserve plan usage ~cycle slot =
+  plan.undo <- Use (usage, Usage.bump usage ~cycle slot) :: plan.undo
 
-let read_free st plan key =
-  Counter.get st.read_port key + Counter.get plan.p_read key < 1
+let reserve_reg st plan ~pp ~bank index ~until =
+  let slot = Regs.slot st.regs ~pp ~bank index in
+  plan.undo <- Reg (slot, st.regs.Regs.busy_until.(slot)) :: plan.undo;
+  st.regs.Regs.busy_until.(slot) <- until;
+  plan.p_regs <- plan.p_regs + 1
+
+let rollback st plan =
+  List.iter
+    (function
+      | Use (usage, i) -> usage.Usage.counts.(i) <- usage.Usage.counts.(i) - 1
+      | Reg (slot, until) -> st.regs.Regs.busy_until.(slot) <- until)
+    plan.undo
+
+let bus_free st cycle = Usage.get st.bus ~cycle 0 < st.tile.Arch.buses
 
 (* Each register bank has a single write port (paper VI-C lists it among
    the allocation challenges). *)
-let bank_write_free st plan key =
-  Counter.get st.bank_write key + Counter.get plan.p_bank_write key < 1
+let bank_write_free st cycle ~pp ~bank =
+  Usage.get st.bank_write ~cycle (bank_slot st pp bank) < 1
 
 (* Finds a register move for one operand of a cluster executing at [exec]
    on [pp], bank [port]. Paper order: window steps before first, then
@@ -418,92 +413,64 @@ let plan_operand st plan ~exec ~pp ~port ~cluster input =
           t_p >= 0
           && exec - t_p >= 1
           && exec - t_p <= st.tile.Arch.move_window
-          && bus_free st plan t_p
+          && bus_free st t_p
           &&
           match
-            ( bank_write_free st plan (t_p, pp, port),
-              Regs.free_index st.regs plan.p_regs ~pp ~bank:port ~lo:t_p
-                ~hi:exec )
+            ( bank_write_free st t_p ~pp ~bank:port,
+              Regs.free_index st.regs ~pp ~bank:port ~lo:t_p )
           with
           | true, Some index ->
             let reg = { Job.pp; bank = port; index } in
-            Counter.bump plan.p_bus t_p;
-            Counter.bump plan.p_bank_write (t_p, pp, port);
-            plan.p_regs <- (((pp, port, index), (t_p, exec)) :: plan.p_regs);
+            reserve plan st.bus ~cycle:t_p 0;
+            reserve plan st.bank_write ~cycle:t_p (bank_slot st pp port);
+            reserve_reg st plan ~pp ~bank:port index ~until:exec;
             plan.p_forwards <- (pcid, (t_p, reg)) :: plan.p_forwards;
-            (match plan.p_port_regs with
-            | Some tbl ->
-              let old =
-                match Hashtbl.find_opt tbl cluster with Some l -> l | None -> []
-              in
-              Hashtbl.replace tbl cluster ((port, reg) :: old)
-            | None -> ());
+            plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
             true
           | _, _ -> false)
         | _ -> false
     in
+    let read_slot = memory_slot st src.Job.mpp src.Job.mem in
     let try_move_at u =
-      let dbg = Sys.getenv_opt "FPFA_DEBUG_ALLOC" <> None in
-      let trace cond what =
-        if (not cond) && dbg then
-          Printf.eprintf "  u=%d blocked by %s\n" u what;
-        cond
-      in
-      trace (bus_free st plan u) "bus"
-      && trace (read_free st plan (u, src.Job.mpp, src.Job.mem)) "read-port"
-      && trace (bank_write_free st plan (u, pp, port)) "bank-write-port"
+      bus_free st u
+      && Usage.get st.read_port ~cycle:u read_slot < 1
+      && bank_write_free st u ~pp ~bank:port
       &&
-      match
-        (let r = Regs.free_index st.regs plan.p_regs ~pp ~bank:port ~lo:u ~hi:exec in
-         ignore (trace (r <> None) "register");
-         r)
-      with
+      match Regs.free_index st.regs ~pp ~bank:port ~lo:u with
       | Some index ->
         let reg = { Job.pp; bank = port; index } in
-        Counter.bump plan.p_bus u;
-        Counter.bump plan.p_read (u, src.Job.mpp, src.Job.mem);
-        Counter.bump plan.p_bank_write (u, pp, port);
-        plan.p_regs <- ((pp, port, index), (u, exec)) :: plan.p_regs;
+        reserve plan st.bus ~cycle:u 0;
+        reserve plan st.read_port ~cycle:u read_slot;
+        reserve plan st.bank_write ~cycle:u (bank_slot st pp port);
+        reserve_reg st plan ~pp ~bank:port index ~until:exec;
         plan.p_moves <-
           (u, { Job.src; dst = reg; carried = input; for_cluster = cluster })
           :: plan.p_moves;
-        (match plan.p_port_regs with
-        | Some tbl ->
-          let old =
-            match Hashtbl.find_opt tbl cluster with Some l -> l | None -> []
-          in
-          Hashtbl.replace tbl cluster ((port, reg) :: old)
-        | None -> ());
+        plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
         true
       | None -> false
     in
     try_forward ()
     ||
     let window = st.tile.Arch.move_window in
-    let hi = min (exec - 1) deadline in
+    (* Feasible move cycles: the value is readable and not yet
+       overwritten, and the move precedes the execute cycle. *)
+    let lo = max 0 avail and hi = min (exec - 1) deadline in
+    let rec upwards u last = u <= last && (try_move_at u || upwards (u + 1) last) in
+    let rec downwards u last =
+      u >= last && (try_move_at u || downwards (u - 1) last)
+    in
     (* Candidate move cycles, in preference order:
        1. the paper's window (4, 3, 2, 1 steps before the execute cycle);
-       2. widening: progressively earlier cycles — these are the "inserted
-          clock cycles before the current one" of Fig. 5, with registers
-          simply holding their operand longer;
+       2. widening: up to 64 progressively earlier cycles — these are the
+          "inserted clock cycles before the current one" of Fig. 5, with
+          registers simply holding their operand longer;
        3. when an already-committed overwrite imposes a deadline earlier
-          than the window, cycles just before the deadline.
+          than the window, up to 64 cycles just before the deadline.
        All bounded so allocation stays linear. *)
-    let in_window = List.init window (fun k -> exec - window + k) in
-    let widened = List.init 64 (fun k -> exec - window - 1 - k) in
-    let before_deadline =
-      if hi < exec - window then List.init 64 (fun k -> hi - k) else []
-    in
-    let feasible u = u >= 0 && u >= avail && u <= hi in
-    let ok =
-      List.exists try_move_at
-        (List.filter feasible (in_window @ widened @ before_deadline))
-    in
-    if (not ok) && Sys.getenv_opt "FPFA_DEBUG_ALLOC" <> None then
-      Printf.eprintf
-        "operand fail: input=%d cluster=%d exec=%d avail=%d deadline=%d hi=%d\n"
-        input cluster exec avail deadline hi;
-    ok
+    upwards (max lo (exec - window)) hi
+    || downwards (min hi (exec - window - 1)) (max lo (exec - window - 64))
+    || (hi < exec - window && downwards hi (max lo (hi - 63)))
 
 (* Copies the current word of [cell] to a fresh scratch cell before it is
    overwritten, for every fetch of the old value whose consumers sit at
@@ -553,16 +520,16 @@ let preserve_endangered st ~exec mutator cell =
             let rec search p =
               if p > floor + 1000 then
                 errorf "preservation copy search exceeded bound";
-              let read_key = (p, cell.Job.mpp, cell.Job.mem) in
-              let write_key = (p, scratch.Job.mpp, scratch.Job.mem) in
+              let read_slot = memory_slot st cell.Job.mpp cell.Job.mem in
+              let write_slot = memory_slot st scratch.Job.mpp scratch.Job.mem in
               if
-                Counter.get st.read_port read_key < 1
-                && Counter.get st.write_port write_key < 1
-                && Counter.get st.bus p < st.tile.Arch.buses
+                Usage.get st.read_port ~cycle:p read_slot < 1
+                && Usage.get st.write_port ~cycle:p write_slot < 1
+                && bus_free st p
               then begin
-                Counter.bump st.read_port read_key;
-                Counter.bump st.write_port write_key;
-                Counter.bump st.bus p;
+                ignore (Usage.bump st.read_port ~cycle:p read_slot);
+                ignore (Usage.bump st.write_port ~cycle:p write_slot);
+                ignore (Usage.bump st.bus ~cycle:p 0);
                 Hashtbl.replace st.cell_last_write (cell_key scratch) p;
                 p
               end
@@ -589,13 +556,12 @@ let commit_write st ~earliest (cell : Job.mem_loc) =
     | Some last -> max earliest (last + 1)
     | None -> earliest
   in
+  let port = memory_slot st cell.Job.mpp cell.Job.mem in
   let rec search cycle =
     if cycle > floor + 1000 then errorf "write-back search exceeded bound";
-    let port_key = (cycle, cell.Job.mpp, cell.Job.mem) in
-    if Counter.get st.write_port port_key < 1 && Counter.get st.bus cycle < st.tile.Arch.buses
-    then begin
-      Counter.bump st.write_port port_key;
-      Counter.bump st.bus cycle;
+    if Usage.get st.write_port ~cycle port < 1 && bus_free st cycle then begin
+      ignore (Usage.bump st.write_port ~cycle port);
+      ignore (Usage.bump st.bus ~cycle 0);
       Hashtbl.replace st.cell_last_write key cycle;
       cycle
     end
@@ -610,11 +576,11 @@ let commit_delete st ~earliest (cell : Job.mem_loc) =
     | Some last -> max earliest (last + 1)
     | None -> earliest
   in
+  let port = memory_slot st cell.Job.mpp cell.Job.mem in
   let rec search cycle =
     if cycle > floor + 1000 then errorf "delete search exceeded bound";
-    let port_key = (cycle, cell.Job.mpp, cell.Job.mem) in
-    if Counter.get st.write_port port_key < 1 then begin
-      Counter.bump st.write_port port_key;
+    if Usage.get st.write_port ~cycle port < 1 then begin
+      ignore (Usage.bump st.write_port ~cycle port);
       Hashtbl.replace st.cell_last_write key cycle;
       cycle
     end
@@ -629,32 +595,34 @@ let alu_clusters_of_level st level_cids =
     (fun cid -> Sched.uses_alu st.clustering.Cluster.clusters.(cid))
     level_cids
 
+(* Plans the operand moves of a level executing at [exec], reserving as it
+   goes; a failed attempt is rolled back. *)
 let try_level st ~exec level_cids =
   let plan = new_plan () in
-  plan.p_port_regs <- Some (Hashtbl.create 8);
   let ok =
     List.for_all
       (fun cid ->
-        let c = st.clustering.Cluster.clusters.(cid) in
         let pp = st.pp_of.(cid) in
-        List.for_all
-          (fun (input, port) -> plan_operand st plan ~exec ~pp ~port ~cluster:cid input)
-          (List.mapi (fun i input -> (input, i)) c.Cluster.cinputs
-          |> List.filter (fun (input, _) ->
-                 match G.kind st.graph input with
-                 | G.Const _ -> false
-                 | _ -> true)))
+        let rec operands port = function
+          | [] -> true
+          | input :: rest ->
+            (match G.kind st.graph input with
+            | G.Const _ -> true
+            | _ -> plan_operand st plan ~exec ~pp ~port ~cluster:cid input)
+            && operands (port + 1) rest
+        in
+        operands 0 st.clustering.Cluster.clusters.(cid).Cluster.cinputs)
       (alu_clusters_of_level st level_cids)
   in
-  if ok then Some plan else None
+  if ok then Some plan
+  else begin
+    rollback st plan;
+    None
+  end
 
 let commit_level st ~exec ~level level_cids plan =
   let g = st.graph in
-  Obs.add c_reg_hits (List.length plan.p_regs);
-  Counter.merge ~into:st.bus plan.p_bus;
-  Counter.merge ~into:st.read_port plan.p_read;
-  Counter.merge ~into:st.bank_write plan.p_bank_write;
-  Regs.commit st.regs plan.p_regs;
+  Obs.add c_reg_hits plan.p_regs;
   st.rec_moves <- plan.p_moves @ st.rec_moves;
   List.iter
     (fun (pcid, dest) ->
@@ -664,9 +632,6 @@ let commit_level st ~exec ~level level_cids plan =
       Hashtbl.replace st.forwards pcid (dest :: old))
     plan.p_forwards;
   st.exec_of_level.(level) <- exec;
-  let port_regs_tbl =
-    match plan.p_port_regs with Some tbl -> tbl | None -> assert false
-  in
   List.iter
     (fun cid ->
       let c = st.clustering.Cluster.clusters.(cid) in
@@ -699,13 +664,14 @@ let commit_level st ~exec ~level level_cids plan =
           else writes
         in
         let port_regs =
-          match Hashtbl.find_opt port_regs_tbl cid with
-          | Some l -> List.sort compare l
-          | None -> []
+          List.filter_map
+            (fun (consumer, port_reg) ->
+              if consumer = cid then Some port_reg else None)
+            plan.p_port_regs
+          |> List.sort compare
         in
         let port_imms =
-          List.filteri (fun _ _ -> true) c.Cluster.cinputs
-          |> List.mapi (fun i input -> (i, input))
+          List.mapi (fun i input -> (i, input)) c.Cluster.cinputs
           |> List.filter_map (fun (i, input) ->
                  match G.kind g input with
                  | G.Const v -> Some (i, v)
@@ -766,8 +732,7 @@ let assign_delete_pps st =
         | [] -> ())
     st.clustering.Cluster.clusters
 
-let compute_root_externals clustering g =
-  let consumers = G.consumers g in
+let compute_root_externals clustering consumers =
   Array.map
     (fun (c : Cluster.cluster) ->
       match c.Cluster.root with
@@ -788,6 +753,8 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
   let g = clustering.Cluster.graph in
   Legalize.check g;
   let n = Array.length clustering.Cluster.clusters in
+  let consumers = G.consumers g in
+  let memories = tile.Arch.alu_count * tile.Arch.memories_per_pp in
   let st =
     {
       tile;
@@ -796,11 +763,12 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       sched;
       clustering;
       pp_of = Array.make n 0;
-      bus = Counter.create ();
-      read_port = Counter.create ();
-      write_port = Counter.create ();
-      bank_write = Counter.create ();
-      regs = Regs.create tile.Arch.regs_per_bank;
+      versions = Legalize.versions g;
+      bus = Usage.create 1;
+      read_port = Usage.create memories;
+      write_port = Usage.create memories;
+      bank_write = Usage.create (tile.Arch.alu_count * tile.Arch.banks_per_pp);
+      regs = Regs.create tile;
       cell_last_write = Hashtbl.create 64;
       homes = [];
       sizes = [];
@@ -814,47 +782,27 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       forwards = Hashtbl.create 16;
       exec_of_level = Array.make (Sched.level_count sched) (-1);
       exec_of_cluster = Array.make n (-1);
-      root_has_external = compute_root_externals clustering g;
-      consumers = G.consumers g;
-      overwriters_of = Hashtbl.create 64;
+      root_has_external = compute_root_externals clustering consumers;
+      consumers;
       endangered_by = Hashtbl.create 64;
       preserve_of = Hashtbl.create 16;
       rec_copies = [];
     }
   in
   (* A fetch's value dies at the first same-cell store/delete downstream of
-     its token (chains are linear: one token, one consuming mutator). *)
-  let token_successor =
-    let succ = Hashtbl.create 64 in
-    G.iter g (fun n ->
-        match n.G.kind with
-        | G.St _ | G.Del _ -> (
-          match Array.to_list n.G.inputs with
-          | token :: _ -> Hashtbl.replace succ token n.G.id
-          | [] -> ())
-        | _ -> ());
-    fun token -> Hashtbl.find_opt succ token
-  in
-  G.iter g (fun n ->
-      match n.G.kind with
-      | G.Fe _ ->
-        let offset = Legalize.const_offset g n.G.id in
-        let rec down token =
-          match token_successor token with
-          | Some next ->
-            if Legalize.const_offset g next = offset then begin
-              Hashtbl.replace st.overwriters_of n.G.id [ next ];
-              let old =
-                match Hashtbl.find_opt st.endangered_by next with
-                | Some l -> l
-                | None -> []
-              in
-              Hashtbl.replace st.endangered_by next (n.G.id :: old)
-            end
-            else down next
-          | None -> ()
-        in
-        down n.G.inputs.(0)
+     its token. *)
+  G.iter_ids g (fun fe ->
+      match G.kind g fe with
+      | G.Fe _ -> (
+        match Legalize.overwriter st.versions fe with
+        | Some next ->
+          let old =
+            match Hashtbl.find_opt st.endangered_by next with
+            | Some l -> l
+            | None -> []
+          in
+          Hashtbl.replace st.endangered_by next (fe :: old)
+        | None -> ())
       | _ -> ());
   assign_pps st;
   assign_homes st;

@@ -22,8 +22,11 @@
     memory's write port busy are deferred to the next free cycle (cell
     write order is preserved).
 
-    The allocation is linear in the number of clusters (paper VI-C),
-    modulo the bounded window/conflict searches. *)
+    The allocation is linear in the number of clusters (paper VI-C): a
+    level is attempted at most 200 times, an operand tries at most
+    [move_window] + 128 candidate cycles, and each candidate is checked
+    against dense per-cycle resource tables in O([regs_per_bank]) time.
+    Region placement adds one scan of the graph. *)
 
 type options = {
   locality : bool;

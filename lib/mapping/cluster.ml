@@ -34,28 +34,32 @@ let is_mult_class g id =
   | G.Binop op -> Op.is_multiplier_class op
   | _ -> false
 
+(* Position of every live node in [topo] (-1 for ids not in it). *)
+let topo_positions g topo =
+  let pos = Array.make (G.id_bound g) (-1) in
+  List.iteri (fun i id -> pos.(id) <- i) topo;
+  pos
+
+(* Member ids in ascending topo position. Positions are unique, so the
+   pairs sort without an id tie-break. *)
+let in_topo_order topo_pos ids =
+  List.map (fun id -> (topo_pos.(id), id)) ids
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
 (* Distinct external operands of a member set, in deterministic first-use
    order (scanning members in ascending topo position, ports left to
    right). *)
 let external_inputs g topo_pos members =
-  (* Look the topo position up once per member, not twice per comparison;
-     positions are unique, so sorting the pairs needs no id tie-break. *)
-  let member_list =
-    G.Id_set.elements members
-    |> List.map (fun id -> (Hashtbl.find topo_pos id, id))
-    |> List.sort compare |> List.map snd
-  in
-  let seen = Hashtbl.create 8 in
+  let member_list = in_topo_order topo_pos (G.Id_set.elements members) in
+  (* a data path has a handful of operands: a list is the cheapest set *)
   let acc = ref [] in
   List.iter
     (fun m ->
       List.iter
         (fun input ->
-          if (not (G.Id_set.mem input members)) && not (Hashtbl.mem seen input)
-          then begin
-            Hashtbl.replace seen input ();
-            acc := input :: !acc
-          end)
+          if (not (G.Id_set.mem input members)) && not (List.mem input !acc)
+          then acc := input :: !acc)
         (G.inputs g m))
     member_list;
   List.rev !acc
@@ -89,24 +93,26 @@ type proto = {
 (* Shared context of the partitioning algorithms. *)
 type ctx = {
   cg : G.t;
-  topo_pos : (G.id, int) Hashtbl.t;
+  topo : G.id list;
+  topo_pos : int array;
   consumers : (G.id, (G.id * int) list) Hashtbl.t;
   named_output_ids : G.Id_set.t;
+  versions : Legalize.versions;
 }
 
 let make_ctx g =
   Legalize.check g;
   let topo = G.topo_order g in
-  let topo_pos = Hashtbl.create (List.length topo) in
-  List.iteri (fun i id -> Hashtbl.replace topo_pos id i) topo;
   {
     cg = g;
-    topo_pos;
+    topo;
+    topo_pos = topo_positions g topo;
     consumers = G.consumers g;
     named_output_ids =
       List.fold_left
         (fun s (_, id) -> G.Id_set.add id s)
         G.Id_set.empty (G.outputs g);
+    versions = Legalize.versions g;
   }
 
 (* Greedy data-path template partitioning (the paper's phase 1). *)
@@ -160,14 +166,9 @@ let partition_greedy ctx caps =
       { p_ops = !members; p_root = root; p_stores = []; p_deletes = [] }
       :: !protos
   in
-  let rev_topo =
-    List.sort
-      (fun a b -> compare (Hashtbl.find topo_pos b) (Hashtbl.find topo_pos a))
-      (G.node_ids g)
-  in
   List.iter
     (fun id -> if is_value_op g id && not (Hashtbl.mem clustered id) then grow id)
-    rev_topo;
+    (List.rev ctx.topo);
   !protos
 
 (* Sarkar-style edge zeroing: start from unit clusters and merge along data
@@ -178,7 +179,7 @@ let partition_greedy ctx caps =
 let partition_sarkar ctx caps =
   let g = ctx.cg in
   let topo_pos = ctx.topo_pos in
-  let find_pos id = Hashtbl.find topo_pos id in
+  let find_pos id = topo_pos.(id) in
   let cluster_ref : (G.id, G.id) Hashtbl.t = Hashtbl.create 64 in
   let members_of : (G.id, G.Id_set.t) Hashtbl.t = Hashtbl.create 64 in
   let roots : (G.id, G.id) Hashtbl.t = Hashtbl.create 64 in
@@ -230,8 +231,7 @@ let partition_sarkar ctx caps =
         let merged = G.Id_set.union mv mu in
         if external_ok && satisfies_caps g topo_pos caps merged then begin
           Hashtbl.replace cluster_ref cv cu;
-          Hashtbl.replace members_of cu merged;
-          Hashtbl.replace roots cu (Hashtbl.find roots cu)
+          Hashtbl.replace members_of cu merged
         end
       end)
     edges;
@@ -245,6 +245,31 @@ let partition_sarkar ctx caps =
         p_deletes = [];
       })
     reps
+
+(* Kahn's algorithm over cluster edges: which of [n] clusters are reached
+   from the sources without passing through a cycle. *)
+let kahn n edges =
+  let indeg = Array.make n 0 in
+  let succs = Array.make n [] in
+  List.iter
+    (fun e ->
+      indeg.(e.dst) <- indeg.(e.dst) + 1;
+      (* an edge from outside the clusters is never released *)
+      if e.src >= 0 && e.src < n then succs.(e.src) <- e.dst :: succs.(e.src))
+    edges;
+  let queue = Queue.create () in
+  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+  let seen = Array.make n false in
+  while not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    seen.(c) <- true;
+    List.iter
+      (fun dst ->
+        indeg.(dst) <- indeg.(dst) - 1;
+        if indeg.(dst) = 0 then Queue.add dst queue)
+      succs.(c)
+  done;
+  seen
 
 (* Attaches stores/deletes, numbers clusters and derives dependence edges
    from a value-op partition. *)
@@ -294,30 +319,27 @@ let rec assemble ctx ~detached value_protos =
       | G.Fe _ ->
         ());
   (* Deterministic numbering: by minimum topo position over all attached
-     nodes. *)
+     nodes. The sort is stable: pass-through clusters of one fetched value
+     share their position. *)
   let position p =
-    let nodes =
-      G.Id_set.elements p.p_ops @ p.p_stores @ p.p_deletes
-      @ (if G.Id_set.is_empty p.p_ops then [ p.p_root ] else [])
-    in
-    List.fold_left
-      (fun acc id ->
-        match Hashtbl.find_opt topo_pos id with
-        | Some pos -> min acc pos
-        | None -> acc)
-      max_int nodes
+    let pos = ref max_int in
+    let see id = if topo_pos.(id) >= 0 then pos := min !pos topo_pos.(id) in
+    G.Id_set.iter see p.p_ops;
+    List.iter see p.p_stores;
+    List.iter see p.p_deletes;
+    if G.Id_set.is_empty p.p_ops then see p.p_root;
+    !pos
   in
-  let ordered = List.sort (fun a b -> compare (position a) (position b)) !protos in
+  let ordered =
+    List.map (fun p -> (position p, p)) !protos
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
   let clusters =
     Array.of_list
       (List.mapi
          (fun cid p ->
-           let ops =
-             List.sort
-               (fun a b ->
-                 compare (Hashtbl.find topo_pos a) (Hashtbl.find topo_pos b))
-               (G.Id_set.elements p.p_ops)
-           in
+           let ops = in_topo_order topo_pos (G.Id_set.elements p.p_ops) in
            let root =
              if p.p_deletes <> [] && G.Id_set.is_empty p.p_ops then None
              else Some p.p_root
@@ -397,46 +419,25 @@ let rec assemble ctx ~detached value_protos =
         end)
       (List.rev !soft_candidates)
   in
-  let cluster_of_value v dst_cid =
-    (* the cluster producing value v, if any (Fe/Const produce none) *)
-    match Hashtbl.find_opt cluster_of v with
-    | Some cid -> Some cid
-    | None ->
-      (* v may be a pass-through root handled by its own cluster, but
-         pass-through roots are Fe/Const sources, not producers *)
-      ignore dst_cid;
-      None
-  in
-  (* Walks a token chain towards Ss_in and links [dst_cid] after the
-     cluster of the first store/delete touching [offset] (the version the
-     access interacts with). Stores to other cells of the region are
-     temporally independent: their write-backs are ordered per cell by the
-     allocator, so they impose no level constraint. *)
-  let version_edge token ~offset dst_cid =
-    let rec walk token =
-      match G.kind g token with
-      | G.St _ | G.Del _ ->
-        if Legalize.const_offset g token = offset then
-          match Hashtbl.find_opt cluster_of token with
-          | Some src -> add_edge src dst_cid 1
-          | None -> errorf "unclustered store/delete %d" token
-        else walk (List.nth (G.inputs g token) 0)
-      | G.Ss_in _ -> ()
-      | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
-        errorf "node %d is not a token producer" token
-    in
-    walk token
+  (* Links [dst_cid] after the cluster of the store/delete that made the
+     version of the cell an access interacts with. Stores to other cells of
+     the region are temporally independent: their write-backs are ordered
+     per cell by the allocator, so they impose no level constraint. *)
+  let version_edge access dst_cid =
+    match Legalize.latest_version ctx.versions access with
+    | Some m -> (
+      match Hashtbl.find_opt cluster_of m with
+      | Some src -> add_edge src dst_cid 1
+      | None -> errorf "unclustered store/delete %d" m)
+    | None -> ()
   in
   let input_edges dst_cid input =
     match G.kind g input with
     | G.Binop _ | G.Unop _ | G.Mux -> (
-      match cluster_of_value input dst_cid with
+      match Hashtbl.find_opt cluster_of input with
       | Some src -> add_edge src dst_cid 1
       | None -> errorf "unclustered value op %d" input)
-    | G.Fe _ ->
-      version_edge
-        (List.nth (G.inputs g input) 0)
-        ~offset:(Legalize.const_offset g input) dst_cid
+    | G.Fe _ -> version_edge input dst_cid
     | G.Const _ -> ()
     | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
       errorf "node %d cannot be a cluster operand" input
@@ -444,46 +445,18 @@ let rec assemble ctx ~detached value_protos =
   Array.iter
     (fun c ->
       List.iter (input_edges c.cid) c.cinputs;
-      let mutation_edges node =
-        match G.inputs g node with
-        | token :: _ ->
-          version_edge token ~offset:(Legalize.const_offset g node) c.cid
-        | [] -> ()
-      in
-      List.iter mutation_edges c.stores;
-      List.iter mutation_edges c.deletes)
+      List.iter (fun node -> version_edge node c.cid) c.stores;
+      List.iter (fun node -> version_edge node c.cid) c.deletes)
     clusters;
   (* Anti-dependences: a fetch must not be overtaken by the first
-     subsequent store/delete to the same cell. Walk each fetch's token
-     chain downstream (chains are linear: one consumer per token) and
-     prefer scheduling the fetch's consumers no later than the overwriting
-     cluster. When that preference would cycle it is skipped; the allocator
-     then enforces read-before-overwrite with a move deadline. *)
-  let token_successor =
-    let succ = Hashtbl.create 64 in
-    G.iter g (fun n ->
-        match n.G.kind with
-        | G.St _ | G.Del _ -> (
-          match Array.to_list n.G.inputs with
-          | token :: _ -> Hashtbl.replace succ token n.G.id
-          | [] -> ())
-        | _ -> ());
-    fun token -> Hashtbl.find_opt succ token
-  in
-  let overwriter_of fe =
-    let offset = Legalize.const_offset g fe in
-    let rec down token =
-      match token_successor token with
-      | Some next ->
-        if Legalize.const_offset g next = offset then Some next else down next
-      | None -> None
-    in
-    down (List.nth (G.inputs g fe) 0)
-  in
+     subsequent store/delete to the same cell. Prefer scheduling the
+     fetch's consumers no later than the overwriting cluster. When that
+     preference would cycle it is skipped; the allocator then enforces
+     read-before-overwrite with a move deadline. *)
   G.iter g (fun n ->
       match n.G.kind with
       | G.Fe _ -> (
-        match overwriter_of n.G.id with
+        match Legalize.overwriter ctx.versions n.G.id with
         | Some overwriter -> (
           match Hashtbl.find_opt cluster_of overwriter with
           | Some dst -> (
@@ -503,7 +476,10 @@ let rec assemble ctx ~detached value_protos =
   let edges =
     Hashtbl.fold (fun (src, dst) weight acc -> { src; dst; weight } :: acc)
       edge_tbl []
-    |> List.sort compare
+    |> List.sort (fun a b ->
+           match Int.compare a.src b.src with
+           | 0 -> Int.compare a.dst b.dst
+           | c -> c)
   in
   (* A store fused into the cluster producing its value can close a cycle:
      the store's same-cell version edge points in while the root's data
@@ -513,24 +489,8 @@ let rec assemble ctx ~detached value_protos =
      pass-through cluster and reassembling terminates and converges to an
      acyclic cluster DAG. *)
   let cycle_participants =
-    let n = Array.length clusters in
-    let indeg = Array.make n 0 in
-    List.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) edges;
-    let queue = Queue.create () in
-    Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-    let seen = Array.make n false in
-    while not (Queue.is_empty queue) do
-      let c = Queue.pop queue in
-      seen.(c) <- true;
-      List.iter
-        (fun e ->
-          if e.src = c then begin
-            indeg.(e.dst) <- indeg.(e.dst) - 1;
-            if indeg.(e.dst) = 0 then Queue.add e.dst queue
-          end)
-        edges
-    done;
-    List.filter (fun cid -> not seen.(cid)) (List.init n Fun.id)
+    let seen = kahn (Array.length clusters) edges in
+    List.filter (fun cid -> not seen.(cid)) (List.init (Array.length clusters) Fun.id)
   in
   match
     List.find_opt
@@ -566,21 +526,9 @@ let unit_clusters g = run ~caps:Arch.unit_alu g
 
 let inputs_of c = c.cinputs
 
-let preds t cid =
-  List.filter_map
-    (fun e -> if e.dst = cid then Some (e.src, e.weight) else None)
-    t.edges
-
-let succs t cid =
-  List.filter_map
-    (fun e -> if e.src = cid then Some (e.dst, e.weight) else None)
-    t.edges
-
 let validate t caps =
   let g = t.graph in
-  let topo = G.topo_order g in
-  let topo_pos = Hashtbl.create (List.length topo) in
-  List.iteri (fun i id -> Hashtbl.replace topo_pos id i) topo;
+  let topo_pos = topo_positions g (G.topo_order g) in
   Array.iter
     (fun c ->
       if c.ops <> [] then begin
@@ -595,24 +543,8 @@ let validate t caps =
       | _ -> ())
     t.clusters;
   (* Kahn over cluster edges (any cycle, regardless of weight, is fatal). *)
-  let n = Array.length t.clusters in
-  let indeg = Array.make n 0 in
-  List.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) t.edges;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    incr seen;
-    List.iter
-      (fun e ->
-        if e.src = c then begin
-          indeg.(e.dst) <- indeg.(e.dst) - 1;
-          if indeg.(e.dst) = 0 then Queue.add e.dst queue
-        end)
-      t.edges
-  done;
-  if !seen <> n then errorf "cluster dependence graph has a cycle"
+  if Array.exists not (kahn (Array.length t.clusters) t.edges) then
+    errorf "cluster dependence graph has a cycle"
 
 let pp_cluster g fmt c =
   let op_name id =

@@ -61,11 +61,6 @@ val unit_clusters : Cdfg.Graph.t -> t
 val inputs_of : cluster -> Cdfg.Graph.id list
 (** [cluster.cinputs]. *)
 
-val preds : t -> int -> (int * int) list
-(** [(src, weight)] dependency list of a cluster. *)
-
-val succs : t -> int -> (int * int) list
-
 val validate : t -> Fpfa_arch.Arch.alu_caps -> unit
 (** Checks every cluster against the data-path constraints and the edge
     relation for acyclicity (weight-1 cycles are errors; a weight-0 cycle

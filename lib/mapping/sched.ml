@@ -17,7 +17,8 @@ exception Scheduling_error of string
 
 let errorf fmt = Format.kasprintf (fun msg -> raise (Scheduling_error msg)) fmt
 
-let uses_alu (c : Cluster.cluster) = c.Cluster.root <> None
+let uses_alu (c : Cluster.cluster) =
+  match c.Cluster.root with Some _ -> true | None -> false
 
 (* Adjacency arrays: the paper's linearity claim holds only when edges are
    scanned once, not per cluster. *)
@@ -78,6 +79,15 @@ let compute_alap (clustering : Cluster.t) ~preds ~horizon =
 
 type priority = Mobility | Alap_first | Cid_order
 
+(* ALU clusters waiting for a level, as (priority key, cid): the minimum is
+   the next winner. *)
+module Waiting = Set.Make (struct
+  type t = int * int
+
+  let compare (k1, c1) (k2, c2) =
+    match Int.compare k1 k2 with 0 -> Int.compare c1 c2 | c -> c
+end)
+
 let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
   if alu_count <= 0 then errorf "alu_count must be positive";
   let clusters = clustering.Cluster.clusters in
@@ -87,76 +97,90 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
   let horizon = Array.fold_left max 0 asap in
   let alap = compute_alap clustering ~preds ~horizon in
   let level_of = Array.make n (-1) in
-  let placed = Array.make n false in
+  (* Contended levels go to the highest-priority clusters; the paper plays
+     the critical path (least mobility) first. Ties go to the lower cid. *)
+  let key =
+    Array.init n (fun cid ->
+        match priority with
+        | Mobility -> alap.(cid) - asap.(cid)
+        | Alap_first -> alap.(cid)
+        | Cid_order -> 0)
+  in
+  let by_priority a b =
+    match Int.compare key.(a) key.(b) with 0 -> Int.compare a b | c -> c
+  in
   (* Clusters become ready once all predecessors are placed; their earliest
-     feasible level is then fixed, so the pool is bucketed by level and
-     every cluster is touched O(1) times (plus capacity re-queues). *)
-  let unplaced_preds = Array.make n 0 in
-  Array.iteri
-    (fun cid plist -> unplaced_preds.(cid) <- List.length plist)
-    preds;
+     feasible level is then fixed, so newly ready clusters are bucketed by
+     level. ALU clusters that lose a contended level wait in an ordered
+     set until they win one, so each cluster enters and leaves it once:
+     O((clusters + edges) log clusters). *)
+  let unplaced_preds = Array.map List.length preds in
   let earliest cid =
     List.fold_left
       (fun acc (src, weight) -> max acc (level_of.(src) + weight))
       0 preds.(cid)
   in
-  let buckets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let push cid lvl =
-    let old = match Hashtbl.find_opt buckets lvl with Some l -> l | None -> [] in
-    Hashtbl.replace buckets lvl (cid :: old)
+  let max_level = (2 * n) + horizon + 2 in
+  let max_weight =
+    List.fold_left
+      (fun acc (e : Cluster.edge) -> max acc e.Cluster.weight)
+      0 clustering.Cluster.edges
   in
+  (* a cluster readies at most [max_weight] levels below the current one *)
+  let buckets = Array.make (max_level + max_weight + 1) [] in
+  let push cid lvl = buckets.(lvl) <- cid :: buckets.(lvl) in
   Array.iteri (fun cid d -> if d = 0 then push cid 0) unplaced_preds;
+  let waiting = ref Waiting.empty and waiting_count = ref 0 in
   let remaining = ref n in
   let levels = ref [] in
   let level = ref 0 in
   while !remaining > 0 do
-    if !level > (2 * n) + horizon + 2 then
+    if !level > max_level then
       errorf "scheduler failed to place all clusters (internal error)";
     let this_level = ref [] in
     let alus_used = ref 0 in
+    let place cid =
+      level_of.(cid) <- !level;
+      this_level := cid :: !this_level;
+      if uses_alu clusters.(cid) then incr alus_used;
+      decr remaining;
+      List.iter
+        (fun (dst, _) ->
+          unplaced_preds.(dst) <- unplaced_preds.(dst) - 1;
+          if unplaced_preds.(dst) = 0 then push dst (max (earliest dst) !level))
+        succs.(cid)
+    in
     (* Sweep the current bucket; placements can ready weight-0 successors
-       for this same level, which re-fills the bucket. *)
-    let continue_sweeps = ref true in
-    while !continue_sweeps do
-      let ready =
-        match Hashtbl.find_opt buckets !level with Some l -> l | None -> []
+       for this same level, which re-fills the bucket. Each sweep places
+       every memory-only cluster and as many of the best waiting ALU
+       clusters as there are free ALUs, in priority order. Once a level is
+       full, later sweeps only add to the waiting set. *)
+    let rec sweeps () =
+      let fresh = buckets.(!level) in
+      buckets.(!level) <- [];
+      let alu, memory_only = List.partition (fun cid -> uses_alu clusters.(cid)) fresh in
+      List.iter (fun cid -> waiting := Waiting.add (key.(cid), cid) !waiting) alu;
+      waiting_count := !waiting_count + List.length alu;
+      let rec pop k =
+        if k = 0 || !waiting_count = 0 then []
+        else begin
+          let ((_, cid) as best) = Waiting.min_elt !waiting in
+          waiting := Waiting.remove best !waiting;
+          decr waiting_count;
+          cid :: pop (k - 1)
+        end
       in
-      Hashtbl.remove buckets !level;
-      match ready with
-      | [] -> continue_sweeps := false
-      | _ ->
-        (* Contended levels go to the highest-priority clusters; the paper
-           plays the critical path (least mobility) first. *)
-        let key cid =
-          match priority with
-          | Mobility -> (alap.(cid) - asap.(cid), cid)
-          | Alap_first -> (alap.(cid), cid)
-          | Cid_order -> (0, cid)
-        in
-        let ready = List.sort (fun a b -> compare (key a) (key b)) ready in
-        List.iter
-          (fun cid ->
-            let needs_alu = uses_alu clusters.(cid) in
-            if needs_alu && !alus_used >= alu_count then begin
-              (* level full: insert a new level for it (paper Fig. 4) *)
-              Obs.incr c_displacements;
-              push cid (!level + 1)
-            end
-            else begin
-              placed.(cid) <- true;
-              level_of.(cid) <- !level;
-              this_level := cid :: !this_level;
-              if needs_alu then incr alus_used;
-              decr remaining;
-              List.iter
-                (fun (dst, _) ->
-                  unplaced_preds.(dst) <- unplaced_preds.(dst) - 1;
-                  if unplaced_preds.(dst) = 0 then
-                    push dst (max (earliest dst) !level))
-                succs.(cid)
-            end)
-          ready
-    done;
+      let winners = pop (alu_count - !alus_used) in
+      if fresh <> [] || winners <> [] then begin
+        List.iter place
+          (List.merge by_priority winners (List.sort by_priority memory_only));
+        sweeps ()
+      end
+    in
+    sweeps ();
+    (* Every ALU cluster still waiting lost this level (paper Fig. 4: a
+       new level is inserted for it). *)
+    Obs.add c_displacements !waiting_count;
     levels := List.rev !this_level :: !levels;
     incr level
   done;

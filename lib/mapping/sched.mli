@@ -4,8 +4,9 @@
     Clusters are placed level by level: at most [alu_count] ALU-using
     clusters share a level. Critical-path clusters (zero mobility) are
     placed first; off-critical clusters move down within their mobility
-    range, and a new level is inserted whenever a level overflows. The
-    procedure is linear in the number of clusters. *)
+    range, and a new level is inserted whenever a level overflows. Each
+    cluster enters and leaves the queue of clusters waiting for an ALU
+    once, so scheduling takes O((clusters + edges) log clusters) time. *)
 
 type t = {
   clustering : Cluster.t;

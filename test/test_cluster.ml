@@ -169,8 +169,71 @@ let clustering_is_legal =
       (Cluster.validate (Cluster.unit_clusters g) Arch.unit_alu;
        true))
 
+(* The statespace-version index against the token-chain walks it
+   replaces, on random chains of fetches, stores and deletes over four
+   cells. Tokens branch: a token may feed several mutators, and the
+   downward walk then follows the one with the largest id. *)
+let test_version_index_matches_walks () =
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed |] in
+    let g = G.create "chain" in
+    G.declare_region g "r" { G.size = Some 4; implicit = false };
+    let tokens = ref [ G.add g (G.Ss_in "r") [] ] in
+    let accesses = ref [] in
+    for _ = 1 to 2 + Random.State.int rng 30 do
+      let token = List.nth !tokens (Random.State.int rng (List.length !tokens)) in
+      let offset = G.add g (G.Const (Random.State.int rng 4)) [] in
+      let id =
+        match Random.State.int rng 3 with
+        | 0 -> G.add g (G.Fe "r") [ token; offset ]
+        | 1 ->
+          let value = G.add g (G.Const (Random.State.int rng 9)) [] in
+          G.add g (G.St "r") [ token; offset; value ]
+        | _ -> G.add g (G.Del "r") [ token; offset ]
+      in
+      (match G.kind g id with G.Fe _ -> () | _ -> tokens := id :: !tokens);
+      accesses := id :: !accesses
+    done;
+    G.validate g;
+    let v = Mapping.Legalize.versions g in
+    let offset = Mapping.Legalize.const_offset g in
+    let rec up token cell =
+      match G.kind g token with
+      | (G.St _ | G.Del _) when offset token = cell -> Some token
+      | G.St _ | G.Del _ -> up (G.input g token 0) cell
+      | _ -> None
+    in
+    let next = Hashtbl.create 16 in
+    G.iter g (fun n ->
+        match n.G.kind with
+        | G.St _ | G.Del _ -> Hashtbl.replace next n.G.inputs.(0) n.G.id
+        | _ -> ());
+    let rec down token cell =
+      match Hashtbl.find_opt next token with
+      | Some m when offset m = cell -> Some m
+      | Some m -> down m cell
+      | None -> None
+    in
+    List.iter
+      (fun id ->
+        let cell = offset id in
+        let label what = Printf.sprintf "seed %d node %d %s" seed id what in
+        Alcotest.(check int) (label "offset") cell (Mapping.Legalize.offset v id);
+        Alcotest.(check (option int)) (label "latest version")
+          (up (G.input g id 0) cell)
+          (Mapping.Legalize.latest_version v id);
+        match G.kind g id with
+        | G.Fe _ ->
+          Alcotest.(check (option int)) (label "overwriter")
+            (down (G.input g id 0) cell)
+            (Mapping.Legalize.overwriter v id)
+        | _ -> ())
+      !accesses
+  done
+
 let suite =
   [
+    Alcotest.test_case "version index" `Quick test_version_index_matches_walks;
     Alcotest.test_case "fir clusters" `Quick test_fir_clusters;
     Alcotest.test_case "caps respected" `Quick test_caps_respected;
     Alcotest.test_case "unit clusters" `Quick test_unit_clusters_are_singletons;

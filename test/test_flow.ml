@@ -24,6 +24,35 @@ let test_all_variants_verify () =
         (Flow.verify ~memory_init:k.Fpfa_kernels.Kernels.inputs result))
     Baseline.all
 
+(* The interpreter leg of `fpfa_map compile`'s verification line: every
+   kernel's tile memory matches the reference interpreter, and a job
+   checked against another program, or against a program the interpreter
+   faults on, does not. *)
+let test_kernels_conform_to_interp () =
+  List.iter
+    (fun (k : Fpfa_kernels.Kernels.t) ->
+      let result = Flow.map_source k.Fpfa_kernels.Kernels.source in
+      Alcotest.(check bool)
+        (k.Fpfa_kernels.Kernels.name ^ " matches the interpreter")
+        true
+        (Flow.conforms_to_interp ~memory_init:k.Fpfa_kernels.Kernels.inputs
+           result))
+    Fpfa_kernels.Kernels.all
+
+let test_interp_catches_mismatch () =
+  let memory_init = [ ("x", [| 3; 4 |]) ] in
+  let result = Flow.map_source "void main() { y[0] = x[0] + 1; }" in
+  Alcotest.(check bool) "own source" true
+    (Flow.conforms_to_interp ~memory_init result);
+  Alcotest.(check bool) "evaluator and simulator agree" true
+    (Flow.verify ~memory_init result);
+  Alcotest.(check bool) "another program" false
+    (Flow.conforms_to_interp ~memory_init
+       { result with Flow.source = "void main() { y[0] = x[0] + 2; }" });
+  Alcotest.(check bool) "interpreter fault" false
+    (Flow.conforms_to_interp ~memory_init
+       { result with Flow.source = "void main() { y[0] = x[0 - 1]; }" })
+
 let test_deterministic () =
   let k = Fpfa_kernels.Kernels.dct4 in
   let r1 = Flow.map_source k.Fpfa_kernels.Kernels.source in
@@ -131,6 +160,9 @@ let suite =
   [
     Alcotest.test_case "kernels verify" `Quick test_all_kernels_verify;
     Alcotest.test_case "variants verify" `Quick test_all_variants_verify;
+    Alcotest.test_case "kernels match the interpreter" `Quick
+      test_kernels_conform_to_interp;
+    Alcotest.test_case "interpreter mismatch" `Quick test_interp_catches_mismatch;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "speedup" `Quick test_speedup_over_sequential;
     Alcotest.test_case "locality energy" `Quick test_locality_saves_energy;

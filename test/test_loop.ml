@@ -85,6 +85,20 @@ let test_nonlinear_counter_falls_back () =
     (String.length reason > 0);
   check_verified "void main() { for (i = 0; i < 12; i++) { out[i] = i * i; } }"
 
+(* The two parametrised iterations of this body map to jobs of different
+   shape, so the parametric job addresses a cell off the tile: validation
+   must reject it and unroll, not let the simulator's fault escape. *)
+let test_off_tile_parametric_job_falls_back () =
+  let source =
+    "void main() { li = 0; while (li < 5) { arr1[li] = arr1[2]; arr1[li] = \
+     ((s2 ? arr0[6] : 7) ? max(s1, outp[5]) : (1 ? arr1[3] : outp[3])); s2 \
+     = (~(3 >= 3)); li = li + 1; } }"
+  in
+  ignore (expect_fallback source);
+  Alcotest.(check bool) "verifies" true
+    (Loop_flow.verify ~memory_init:Gen.memory_init source
+       (Loop_flow.map_source source))
+
 let test_no_loop_falls_back () =
   let reason = expect_fallback "void main() { x = a[0] + a[1]; }" in
   Alcotest.(check bool) "mentions no loop" true
@@ -238,6 +252,8 @@ let suite =
     Alcotest.test_case "linear counter" `Quick test_linear_counter_use_maps;
     Alcotest.test_case "strided access" `Quick test_strided_access_maps;
     Alcotest.test_case "nonlinear fallback" `Quick test_nonlinear_counter_falls_back;
+    Alcotest.test_case "off-tile parametric job" `Quick
+      test_off_tile_parametric_job_falls_back;
     Alcotest.test_case "no loop" `Quick test_no_loop_falls_back;
     Alcotest.test_case "small trip" `Quick test_small_trip_falls_back;
     Alcotest.test_case "counter written" `Quick test_counter_written_in_body_falls_back;
