@@ -9,7 +9,9 @@
                                               writes BENCH_complexity.json,
                                               gated in CI: us/cluster may
                                               grow at most 4x from 300 to
-                                              3000 ops)
+                                              3000 ops, the simplifier's
+                                              us/raw node at most 4x from
+                                              matmul n=4 to n=10)
      E6  speedup               Section VII  ("maximum parallelism")
      E7  locality_ablation     Section VII  ("locality of reference")
      E8  unroll_sweep          Section V    (unrolling as the enabler)
@@ -243,8 +245,47 @@ let tile_resource_usage () =
    it roughly tenfold from 300 to 3000 ops. *)
 let complexity_growth_limit = 4.0
 
+(* The simplifier's rows: [Simplify.minimize] on a fresh copy of a
+   kernel's raw graph, in us per raw node. Matmul n = 4 to 10 spans 1.3k
+   to 18k raw nodes and is gated like the mapping phases; the fir and corr
+   rows are printed only. *)
+let simplify_gate = ("matmul-4", "matmul-10")
+
+let simplify_kernels =
+  List.map (fun n -> Kernels.matmul ~n) [ 4; 6; 8; 10 ]
+  @ List.map (fun taps -> Kernels.fir ~taps) [ 64; 128; 256; 512 ]
+  @ List.map (fun n -> Kernels.correlation ~lags:8 ~n) [ 16; 32; 64 ]
+
+(* (kernel, raw nodes, minimised nodes, median us per run) *)
+let simplify_rows () =
+  List.map
+    (fun (k : Kernels.t) ->
+      let raw =
+        Flow.Staged.raw_graph
+          (Flow.Staged.of_source ~config:Flow.default_config k.Kernels.source)
+      in
+      (* at least three runs and half a second; the copy is not timed *)
+      let rec runs acc total min_nodes =
+        if List.length acc >= 3 && total >= 0.5 then (acc, min_nodes)
+        else begin
+          let g = Cdfg.Graph.copy raw in
+          let t0 = Unix.gettimeofday () in
+          ignore (Transform.Simplify.minimize ~validate:false g);
+          let dt = Unix.gettimeofday () -. t0 in
+          runs (dt :: acc) (total +. dt) (Cdfg.Graph.node_count g)
+        end
+      in
+      let times, min_nodes = runs [] 0.0 0 in
+      let times = Array.of_list (List.sort compare times) in
+      ( k.Kernels.name,
+        Cdfg.Graph.node_count raw,
+        min_nodes,
+        times.(Array.length times / 2) *. 1e6 ))
+    simplify_kernels
+
 let phase_complexity () =
   section "E5 phase_complexity (Section VI linearity, Bechamel)";
+  let simplify = simplify_rows () in
   let sizes = [ 100; 300; 1000; 3000 ] in
   let gate_base = 300 and gate_top = 3000 in
   (* timing experiment: enlarge the memories so capacity artefacts (scratch
@@ -305,7 +346,19 @@ let phase_complexity () =
         (phase, per_cluster (at phase gate_top) /. per_cluster (at phase gate_base)))
       phases
   in
-  let pass = List.for_all (fun (_, r) -> r <= complexity_growth_limit) growth in
+  let per_node (_, raw, _, us) = us /. float_of_int raw in
+  let simplify_at name =
+    List.find (fun (k, _, _, _) -> String.equal k name) simplify
+  in
+  let simplify_growth =
+    per_node (simplify_at (snd simplify_gate))
+    /. per_node (simplify_at (fst simplify_gate))
+  in
+  let simplify_pass = simplify_growth <= complexity_growth_limit in
+  let pass =
+    simplify_pass
+    && List.for_all (fun (_, r) -> r <= complexity_growth_limit) growth
+  in
   Fpfa_util.Tablefmt.print
     ~header:[ "phase/ops"; "clusters"; "us/run"; "us/cluster" ]
     (List.concat_map
@@ -327,7 +380,22 @@ let phase_complexity () =
         gate_base gate_top r complexity_growth_limit)
     growth;
   Printf.printf
-    "linearity shows as a roughly constant us/cluster column per phase.\n";
+    "linearity shows as a roughly constant us/cluster column per phase.\n\n";
+  Fpfa_util.Tablefmt.print
+    ~header:[ "simplify"; "raw nodes"; "min nodes"; "us/run"; "us/node" ]
+    (List.map
+       (fun ((k, raw, min, us) as r) ->
+         [
+           k;
+           string_of_int raw;
+           string_of_int min;
+           Printf.sprintf "%.0f" us;
+           Printf.sprintf "%.2f" (per_node r);
+         ])
+       simplify);
+  Printf.printf "simplify  us/node %s -> %s: %.2fx (limit %.0fx)\n"
+    (fst simplify_gate) (snd simplify_gate) simplify_growth
+    complexity_growth_limit;
   let module Json = Fpfa_util.Json in
   let json =
     Json.Obj
@@ -352,6 +420,27 @@ let phase_complexity () =
         ("gate_top_ops", Json.Int gate_top);
         ("growth_limit", Json.Float complexity_growth_limit);
         ("growth", Json.Obj (List.map (fun (p, r) -> (p, Json.Float r)) growth));
+        ( "simplify",
+          Json.Obj
+            [
+              ( "rows",
+                Json.List
+                  (List.map
+                     (fun ((k, raw, min, us) as r) ->
+                       Json.Obj
+                         [
+                           ("kernel", Json.Str k);
+                           ("raw_nodes", Json.Int raw);
+                           ("min_nodes", Json.Int min);
+                           ("us_per_run", Json.Float us);
+                           ("us_per_node", Json.Float (per_node r));
+                         ])
+                     simplify) );
+              ("gate_base", Json.Str (fst simplify_gate));
+              ("gate_top", Json.Str (snd simplify_gate));
+              ("growth", Json.Float simplify_growth);
+              ("pass", Json.Bool simplify_pass);
+            ] );
         ("pass", Json.Bool pass);
       ]
   in

@@ -34,12 +34,14 @@ type region_info = { size : int option; implicit : bool }
    edges leaving producer [p] as packed ints [(consumer lsl 2) lor port]
    (arity <= 3 so the port fits in two bits), [ouse.(p)] the consumers
    whose [order_after] lists [p], and [out_uses.(id)] counts named-output
-   references. [ord.(id)] stores the node's own order-after list oldest
-   first; the public [order_after] view reverses it, preserving the
-   newest-first order of the previous representation. Each adjacency array
-   has a separate length ([*_len]); spare capacity is recycled through
-   [pool], a free list of power-of-two int arrays, so the rewrite-heavy
-   passes stop churning the major heap. *)
+   references. [duse] and [ouse] are kept strictly ascending, so readers
+   never sort and deletes find their entry by binary search. [ord.(id)]
+   stores the node's own order-after list oldest first; the public
+   [order_after] view reverses it, preserving the newest-first order of
+   the previous representation. Each adjacency array has a separate
+   length ([*_len]); spare capacity is recycled through [pool], a free
+   list of power-of-two int arrays, so the rewrite-heavy passes stop
+   churning the major heap. *)
 type t = {
   fname : string;
   region_tbl : (string, region_info) Hashtbl.t;
@@ -208,23 +210,34 @@ let release_adj g a =
     if b < pool_buckets then g.pool.(b) <- a :: g.pool.(b)
   end
 
-let adj_push g arrs lens i v =
+(* Adjacency entries are moved with plain loops, not [Array.blit]: the
+   arrays are [int array]s, so a loop stores without a write barrier,
+   while a blit into a major-heap block calls [caml_modify] per element.
+   The helpers are annotated [int] so comparisons stay monomorphic. *)
+
+(* [arrs.(i)], moved to a larger pooled array when it cannot hold [need]
+   entries. *)
+let adj_reserve g (arrs : int array array) lens i need =
   let a = arrs.(i) in
+  if need <= Array.length a then a
+  else begin
+    let len = lens.(i) in
+    let a' = alloc_adj g (max need (2 * len)) in
+    for j = 0 to len - 1 do
+      a'.(j) <- a.(j)
+    done;
+    release_adj g a;
+    arrs.(i) <- a';
+    a'
+  end
+
+let adj_push g arrs lens i (v : int) =
   let len = lens.(i) in
-  let a =
-    if len = Array.length a then begin
-      let a' = alloc_adj g (max 4 (2 * len)) in
-      Array.blit a 0 a' 0 len;
-      release_adj g a;
-      arrs.(i) <- a';
-      a'
-    end
-    else a
-  in
+  let a = adj_reserve g arrs lens i (len + 1) in
   a.(len) <- v;
   lens.(i) <- len + 1
 
-let adj_index arrs lens i v =
+let adj_index (arrs : int array array) lens i (v : int) =
   let a = arrs.(i) in
   let len = lens.(i) in
   let rec find j = if j >= len then -1 else if a.(j) = v then j else find (j + 1) in
@@ -232,25 +245,71 @@ let adj_index arrs lens i v =
 
 let adj_mem arrs lens i v = adj_index arrs lens i v >= 0
 
-(* Unordered delete (the index is sorted on read). No-op when absent. *)
-let adj_remove_swap arrs lens i v =
-  let j = adj_index arrs lens i v in
-  if j >= 0 then begin
-    let a = arrs.(i) in
-    let len = lens.(i) in
-    a.(j) <- a.(len - 1);
-    lens.(i) <- len - 1
-  end
+(* Drops entry [j], shifting the tail down: order-preserving. *)
+let adj_drop (arrs : int array array) lens i j =
+  let a = arrs.(i) in
+  for k = j to lens.(i) - 2 do
+    a.(k) <- a.(k + 1)
+  done;
+  lens.(i) <- lens.(i) - 1
 
-(* Order-preserving delete (for [ord], whose order is observable). *)
+(* For [ord], whose order is observable. *)
 let adj_remove_shift arrs lens i v =
   let j = adj_index arrs lens i v in
-  if j >= 0 then begin
-    let a = arrs.(i) in
-    let len = lens.(i) in
-    Array.blit a (j + 1) a j (len - 1 - j);
-    lens.(i) <- len - 1
+  if j >= 0 then adj_drop arrs lens i j
+
+(* {3 Sorted adjacency ([duse], [ouse])} *)
+
+(* The first position in [a.(0 .. len - 1)] whose entry is >= [v]. *)
+let lower_bound (a : int array) len (v : int) =
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Set insert. A new node's uses sort after every existing entry (ids only
+   grow), so the builder always takes the append path. *)
+let adj_insert g arrs lens i (v : int) =
+  let len = lens.(i) in
+  if len = 0 || arrs.(i).(len - 1) < v then adj_push g arrs lens i v
+  else begin
+    let j = lower_bound arrs.(i) len v in
+    if arrs.(i).(j) <> v then begin
+      let a = adj_reserve g arrs lens i (len + 1) in
+      for k = len downto j + 1 do
+        a.(k) <- a.(k - 1)
+      done;
+      a.(j) <- v;
+      lens.(i) <- len + 1
+    end
   end
+
+(* No-op when absent. *)
+let adj_delete arrs lens i v =
+  let j = lower_bound arrs.(i) lens.(i) v in
+  if j < lens.(i) && arrs.(i).(j) = v then adj_drop arrs lens i j
+
+(* Moves every entry of [arrs.(src)] into [arrs.(dst)]: each source
+   entry, largest first, lands above the destination entries it exceeds.
+   The two lists must share no entry. *)
+let adj_merge_into g arrs lens ~src ~dst =
+  let s = arrs.(src) in
+  let m = lens.(src) and n = lens.(dst) in
+  let d = adj_reserve g arrs lens dst (n + m) in
+  let i = ref (n - 1) and k = ref (n + m - 1) in
+  for j = m - 1 downto 0 do
+    let v = s.(j) in
+    while !i >= 0 && d.(!i) > v do
+      d.(!k) <- d.(!i);
+      decr i;
+      decr k
+    done;
+    d.(!k) <- v;
+    decr k
+  done;
+  lens.(dst) <- n + m
 
 let adj_clear g arrs lens i =
   release_adj g arrs.(i);
@@ -344,25 +403,41 @@ let consumers_of g id =
   if id < 0 || id >= g.next_id then []
   else begin
     let a = g.duse.(id) in
-    let len = g.duse_len.(id) in
-    let entries = Array.sub a 0 len in
-    Array.sort Int.compare entries;
-    Array.fold_right (fun e acc -> (e lsr 2, e land 3) :: acc) entries []
+    let rec build j acc =
+      if j < 0 then acc else build (j - 1) ((a.(j) lsr 2, a.(j) land 3) :: acc)
+    in
+    build (g.duse_len.(id) - 1) []
+  end
+
+let iter_consumers g id f =
+  if id >= 0 && id < g.next_id then begin
+    let a = g.duse.(id) in
+    for j = 0 to g.duse_len.(id) - 1 do
+      f (a.(j) lsr 2) (a.(j) land 3)
+    done
   end
 
 let order_successors g id =
   if id < 0 || id >= g.next_id then []
   else begin
     let a = g.ouse.(id) in
-    let len = g.ouse_len.(id) in
-    let entries = Array.sub a 0 len in
-    Array.sort Int.compare entries;
-    Array.to_list entries
+    let rec build j acc = if j < 0 then acc else build (j - 1) (a.(j) :: acc) in
+    build (g.ouse_len.(id) - 1) []
   end
+
+let data_use_count g id =
+  if id < 0 || id >= g.next_id then 0 else g.duse_len.(id)
+
+let sole_consumer g id =
+  if data_use_count g id = 1 then g.duse.(id).(0) lsr 2 else -1
 
 let use_count g id =
   if id < 0 || id >= g.next_id then 0
   else g.duse_len.(id) + g.out_uses.(id)
+
+let has_order g id ~after =
+  node_exn g id;
+  adj_mem g.ord g.ord_len id after
 
 (* {2 Construction} *)
 
@@ -381,7 +456,7 @@ let add g kind inputs =
   List.iteri
     (fun port producer ->
       g.ins.((3 * id) + port) <- producer;
-      adj_push g g.duse g.duse_len producer ((id lsl 2) lor port))
+      adj_insert g g.duse g.duse_len producer ((id lsl 2) lor port))
     inputs;
   touch g;
   mark_def g id;
@@ -393,10 +468,7 @@ let add_order g id ~after =
   if after <> id && not (adj_mem g.ord g.ord_len id after) then begin
     check_mutable g;
     adj_push g g.ord g.ord_len id after;
-    (* Set semantics on the reverse side, mirroring the Hashtbl.replace of
-       the old index: never index the same order edge twice. *)
-    if not (adj_mem g.ouse g.ouse_len after id) then
-      adj_push g g.ouse g.ouse_len after id;
+    adj_insert g g.ouse g.ouse_len after id;
     touch g;
     mark_def g id
   end
@@ -406,7 +478,7 @@ let remove_order g id ~after =
   if adj_mem g.ord g.ord_len id after then begin
     check_mutable g;
     adj_remove_shift g.ord g.ord_len id after;
-    adj_remove_swap g.ouse g.ouse_len after id;
+    adj_delete g.ouse g.ouse_len after id;
     touch g;
     mark_def g id
   end
@@ -441,13 +513,13 @@ let set_inputs g id inputs =
   let base = 3 * id in
   for port = 0 to a - 1 do
     let old = g.ins.(base + port) in
-    adj_remove_swap g.duse g.duse_len old ((id lsl 2) lor port);
+    adj_delete g.duse g.duse_len old ((id lsl 2) lor port);
     mark_use g old
   done;
   List.iteri
     (fun port producer ->
       g.ins.(base + port) <- producer;
-      adj_push g g.duse g.duse_len producer ((id lsl 2) lor port))
+      adj_insert g g.duse g.duse_len producer ((id lsl 2) lor port))
     inputs;
   touch g;
   mark_def g id
@@ -465,19 +537,20 @@ let replace_uses g old ~by =
   end
   else begin
     (* Data edges: the index lists exactly the affected (consumer, port)
-       pairs, so this is O(degree of [old]), not O(graph). The whole
-       [duse.(old)] bucket moves, entry by entry, to [duse.(by)]. *)
+       pairs, so this is O(degree of [old] + degree of [by]), not
+       O(graph). The whole [duse.(old)] bucket merges into [duse.(by)]. *)
     (if old >= 0 && old < g.next_id then begin
        let a = g.duse.(old) in
        let len = g.duse_len.(old) in
        for j = 0 to len - 1 do
-         let e = a.(j) in
-         let cid = e lsr 2 and port = e land 3 in
-         g.ins.((3 * cid) + port) <- by;
-         adj_push g g.duse g.duse_len by e;
+         let cid = a.(j) lsr 2 in
+         g.ins.((3 * cid) + (a.(j) land 3)) <- by;
          mark_def g cid
        done;
-       if len > 0 then adj_clear g g.duse g.duse_len old
+       if len > 0 then begin
+         adj_merge_into g g.duse g.duse_len ~src:old ~dst:by;
+         adj_clear g g.duse g.duse_len old
+       end
      end);
     (* Order edges: re-point, deduplicate, and never create a self edge. *)
     (if old >= 0 && old < g.next_id then begin
@@ -488,8 +561,7 @@ let replace_uses g old ~by =
          adj_remove_shift g.ord g.ord_len cid old;
          if by <> cid && not (adj_mem g.ord g.ord_len cid by) then begin
            adj_push g g.ord g.ord_len cid by;
-           if not (adj_mem g.ouse g.ouse_len by cid) then
-             adj_push g g.ouse g.ouse_len by cid
+           adj_insert g g.ouse g.ouse_len by cid
          end;
          mark_def g cid
        done;
@@ -534,7 +606,7 @@ let clear_order g id =
     check_mutable g;
     let a = g.ord.(id) in
     for j = 0 to g.ord_len.(id) - 1 do
-      adj_remove_swap g.ouse g.ouse_len a.(j) id
+      adj_delete g.ouse g.ouse_len a.(j) id
     done;
     adj_clear g g.ord g.ord_len id;
     touch g;
@@ -564,12 +636,12 @@ let remove g id =
   let base = 3 * id in
   for port = 0 to a - 1 do
     let producer = g.ins.(base + port) in
-    adj_remove_swap g.duse g.duse_len producer ((id lsl 2) lor port);
+    adj_delete g.duse g.duse_len producer ((id lsl 2) lor port);
     mark_use g producer
   done;
   let oa = g.ord.(id) in
   for j = 0 to g.ord_len.(id) - 1 do
-    adj_remove_swap g.ouse g.ouse_len oa.(j) id
+    adj_delete g.ouse g.ouse_len oa.(j) id
   done;
   adj_clear g g.ord g.ord_len id;
   adj_clear g g.duse g.duse_len id;
@@ -804,10 +876,10 @@ let index_errors g =
   let errs = ref [] in
   let errf fmt = Format.kasprintf (fun msg -> errs := msg :: !errs) fmt in
   let n = g.next_id in
-  (* Group the expected reverse edges by producer in one forward scan, then
-     sort each group against the maintained index and merge-compare. A
-     per-edge [adj_mem] scan is O(E * degree), which a single high-fanout
-     constant turns quadratic; this stays O(E log E) regardless of shape. *)
+  (* Group the expected reverse edges by producer in one forward scan.
+     Consumers are visited in ascending id and port order, so each group
+     comes out descending: the maintained entries, which the index keeps
+     strictly ascending, read backwards. *)
   let exp_data_by = Array.make (max 1 n) [] in
   let exp_order_by = Array.make (max 1 n) [] in
   let exp_data = ref 0 and exp_order = ref 0 in
@@ -821,53 +893,7 @@ let index_errors g =
         if p >= 0 && p < n then
           exp_data_by.(p) <- ((cid lsl 2) lor port) :: exp_data_by.(p)
         else errf "use/def index misses data edge %d -> (%d, port %d)" p cid port
-      done
-    end
-  done;
-  let indexed_sorted arrs lens p =
-    let a = Array.sub arrs.(p) 0 lens.(p) in
-    Array.sort Int.compare a;
-    a
-  in
-  (* Entries of [expected] (sorted) absent from [indexed] (sorted). *)
-  let missing expected indexed =
-    let m = Array.length indexed in
-    let rec walk exp j acc =
-      match exp with
-      | [] -> List.rev acc
-      | e :: rest ->
-        if j < m && indexed.(j) < e then walk exp (j + 1) acc
-        else if j < m && indexed.(j) = e then walk rest (j + 1) acc
-        else walk rest j (e :: acc)
-    in
-    walk expected 0 []
-  in
-  let data_misses = ref [] in
-  for p = 0 to n - 1 do
-    match exp_data_by.(p) with
-    | [] -> ()
-    | expected ->
-      List.iter
-        (fun packed ->
-          data_misses := (packed lsr 2, packed land 3, p) :: !data_misses)
-        (missing
-           (List.sort Int.compare expected)
-           (indexed_sorted g.duse g.duse_len p))
-  done;
-  List.iter
-    (fun (cid, port, p) ->
-      errf "use/def index misses data edge %d -> (%d, port %d)" p cid port)
-    (List.sort compare !data_misses);
-  let idx_data = ref 0 and idx_order = ref 0 in
-  for i = 0 to n - 1 do
-    idx_data := !idx_data + g.duse_len.(i);
-    idx_order := !idx_order + g.ouse_len.(i)
-  done;
-  if !idx_data <> !exp_data then
-    errf "use/def index has stale data edges (%d indexed, %d real)" !idx_data
-      !exp_data;
-  for cid = 0 to n - 1 do
-    if is_alive g cid then begin
+      done;
       let oa = g.ord.(cid) in
       for j = 0 to g.ord_len.(cid) - 1 do
         incr exp_order;
@@ -877,20 +903,44 @@ let index_errors g =
       done
     end
   done;
-  let order_misses = ref [] in
+  (* Calls [miss e] for each entry of [expected] (descending) absent from
+     the first [len] entries of [indexed] (ascending). *)
+  let missing expected (indexed : int array) len miss =
+    let rec walk exp j =
+      match exp with
+      | [] -> ()
+      | e :: rest ->
+        if j >= 0 && indexed.(j) > e then walk exp (j - 1)
+        else if j >= 0 && indexed.(j) = e then walk rest (j - 1)
+        else begin
+          miss e;
+          walk rest j
+        end
+    in
+    walk expected (len - 1)
+  in
+  let idx_data = ref 0 and idx_order = ref 0 in
   for p = 0 to n - 1 do
-    match exp_order_by.(p) with
-    | [] -> ()
-    | expected ->
-      List.iter
-        (fun cid -> order_misses := (cid, p) :: !order_misses)
-        (missing
-           (List.sort Int.compare expected)
-           (indexed_sorted g.ouse g.ouse_len p))
+    let check what (arrs : int array array) lens =
+      let a = arrs.(p) in
+      for j = 1 to lens.(p) - 1 do
+        if a.(j - 1) >= a.(j) then
+          errf "use/def index of node %d has %s entries out of order" p what
+      done
+    in
+    check "data" g.duse g.duse_len;
+    check "order" g.ouse g.ouse_len;
+    idx_data := !idx_data + g.duse_len.(p);
+    idx_order := !idx_order + g.ouse_len.(p);
+    missing exp_data_by.(p) g.duse.(p) g.duse_len.(p) (fun e ->
+        errf "use/def index misses data edge %d -> (%d, port %d)" p (e lsr 2)
+          (e land 3));
+    missing exp_order_by.(p) g.ouse.(p) g.ouse_len.(p) (fun cid ->
+        errf "use/def index misses order edge %d -> %d" p cid)
   done;
-  List.iter
-    (fun (cid, p) -> errf "use/def index misses order edge %d -> %d" p cid)
-    (List.sort compare !order_misses);
+  if !idx_data <> !exp_data then
+    errf "use/def index has stale data edges (%d indexed, %d real)" !idx_data
+      !exp_data;
   if !idx_order <> !exp_order then
     errf "use/def index has stale order edges (%d indexed, %d real)"
       !idx_order !exp_order;

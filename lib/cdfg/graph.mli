@@ -73,9 +73,10 @@ val outputs : t -> (string * id) list
 val set_inputs : t -> id -> id list -> unit
 val replace_uses : t -> id -> by:id -> unit
 (** Rewrites every data input, order edge and named output that references
-    the first node to reference [by] instead. O(degree of the replaced
-    node): the use/def index lists the affected consumers directly. Also
-    records [by] as the node's value forwardee (see {!forwarded_to}). *)
+    the first node to reference [by] instead. O(degree of both nodes):
+    the use/def index lists the affected consumers directly, and merges
+    them into [by]'s sorted entries. Also records [by] as the node's
+    value forwardee (see {!forwarded_to}). *)
 
 val forwarded_to : t -> id -> id option
 (** The live node now computing [id]'s value: [id] itself while it is
@@ -156,12 +157,29 @@ val consumers : t -> (id, (id * int) list) Hashtbl.t
     queries: the snapshot goes stale as soon as the graph mutates. *)
 
 val consumers_of : t -> id -> (id * int) list
-(** Live [(consumer, input port)] list of one producer, read straight from
-    the incrementally maintained use/def index. O(degree), sorted. *)
+(** Live [(consumer, input port)] list of one producer, ascending, read
+    straight from the incrementally maintained use/def index (which keeps
+    it sorted). O(degree): one list cell per use, no sorting. *)
+
+val iter_consumers : t -> id -> (id -> int -> unit) -> unit
+(** [iter_consumers g p f] calls [f consumer port] for every data use of
+    [p], in the order of {!consumers_of}, without building the list. [f]
+    must not change [p]'s uses; adding or removing order edges is fine. *)
+
+val data_use_count : t -> id -> int
+(** Number of data uses ([List.length (consumers_of g id)]). O(1). *)
+
+val sole_consumer : t -> id -> id
+(** The consumer reading the only data use of a node, or [-1] when the
+    node has no data use or several. O(1), allocation-free. *)
 
 val order_successors : t -> id -> id list
 (** Nodes whose [order_after] list references the given node (the reverse
-    of {!order_after}). O(degree), sorted. *)
+    of {!order_after}), ascending. O(degree), no sorting. *)
+
+val has_order : t -> id -> after:id -> bool
+(** [has_order g n ~after:m]: [m] is in [order_after g n]. O(length of
+    that list), allocation-free. *)
 
 val use_count : t -> id -> int
 (** Number of data uses plus named-output references (order edges do not

@@ -101,9 +101,10 @@ let region_of g id =
 let bypass_dead_store g (n : G.node) =
   if not (token_mutator g n.G.id) then false
   else
-    match G.consumers_of g n.G.id with
-    | [ (consumer, 0) ]
-      when G.mem g consumer
+    match G.sole_consumer g n.G.id with
+    | consumer
+      when consumer >= 0
+           && G.input g consumer 0 = n.G.id
            && token_mutator g consumer
            && String.equal (region_of g n.G.id) (region_of g consumer)
            && relate g (offset_of g n.G.id) (offset_of g consumer) = Equal -> (
@@ -156,34 +157,30 @@ let dead_store_rule =
 let canon_node g (n : G.node) =
   let changed = ref false in
   let ensure_edge w ~fe =
-    if not (List.mem fe (G.node g w).G.order_after) then begin
+    if not (G.has_order g w ~after:fe) then begin
       G.add_order g w ~after:fe;
       changed := true
     end
   in
-  (* orders every fetch of token version [t] before writer [w] *)
+  (* orders every fetch of token version [t] before writer [w], in
+     ascending fetch id *)
   let ensure_fetches_precede w ~region ~t =
-    List.iter
-      (fun (c, port) ->
+    G.iter_consumers g t (fun c port ->
         if port = 0 && c <> w then
           match G.kind g c with
           | G.Fe r when String.equal r region -> ensure_edge w ~fe:c
           | _ -> ())
-      (G.consumers_of g t)
   in
   (match n.G.kind with
   | G.Fe region ->
-    let t = n.G.inputs.(0) in
-    List.iter
-      (fun (w, port) ->
+    G.iter_consumers g n.G.inputs.(0) (fun w port ->
         if port = 0 then
           match G.kind g w with
           | (G.St r | G.Del r) when String.equal r region ->
             ensure_edge w ~fe:n.G.id
           | _ -> ())
-      (G.consumers_of g t)
   | G.St region | G.Del region ->
-    let t = List.nth (G.inputs g n.G.id) 0 in
+    let t = n.G.inputs.(0) in
     ensure_fetches_precede n.G.id ~region ~t;
     List.iter
       (fun fe ->

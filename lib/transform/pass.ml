@@ -94,6 +94,21 @@ let settled rname rewrite =
 
 type worklist_report = { steps : int; rewrites : int; peak_queue : int }
 
+(* The ids waiting in one of the engine's queues: a byte per id, grown as
+   rules add nodes. *)
+type pending = { mutable marks : Bytes.t }
+
+let is_pending p id = id < Bytes.length p.marks && Bytes.get p.marks id <> '\000'
+
+let set_pending p id flag =
+  let len = Bytes.length p.marks in
+  if id >= len then begin
+    let marks = Bytes.make (max (id + 1) (2 * len)) '\000' in
+    Bytes.blit p.marks 0 marks 0 len;
+    p.marks <- marks
+  end;
+  Bytes.set p.marks id (if flag then '\001' else '\000')
+
 let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
   Obs.span ~cat:"transform" "worklist"
     ~args:[ ("nodes", Obs.Int (G.node_count g)) ]
@@ -128,18 +143,18 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
      fire on transient counts inflated by not-yet-collected dead trees
      makes them rebuild chains that the next collection invalidates again,
      feeding CSE/DCE fresh dead trees forever. *)
-  let pending_hi : (G.id, unit) Hashtbl.t = Hashtbl.create (G.node_count g) in
-  let pending_lo : (G.id, unit) Hashtbl.t = Hashtbl.create 16 in
+  let pending_hi = { marks = Bytes.make (G.id_bound g) '\000' } in
+  let pending_lo = { marks = Bytes.make (G.id_bound g) '\000' } in
   let queue_hi = Queue.create () and queue_lo = Queue.create () in
   let enqueue id =
     if G.mem g id then begin
-      if not (Hashtbl.mem pending_hi id) then begin
-        Hashtbl.replace pending_hi id ();
+      if not (is_pending pending_hi id) then begin
+        set_pending pending_hi id true;
         Queue.add id queue_hi;
         Obs.incr c_enqueues
       end;
-      if have_settled && not (Hashtbl.mem pending_lo id) then begin
-        Hashtbl.replace pending_lo id ();
+      if have_settled && not (is_pending pending_lo id) then begin
+        set_pending pending_lo id true;
         Queue.add id queue_lo;
         Obs.incr c_enqueues
       end
@@ -175,12 +190,12 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     let id, rewriters =
       if not (Queue.is_empty queue_hi) then begin
         let id = Queue.pop queue_hi in
-        Hashtbl.remove pending_hi id;
+        set_pending pending_hi id false;
         (id, eager_rw)
       end
       else begin
         let id = Queue.pop queue_lo in
-        Hashtbl.remove pending_lo id;
+        set_pending pending_lo id false;
         (id, settled_rw)
       end
     in
@@ -227,7 +242,7 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
         (fun d ->
           enqueue d;
           if G.mem g d then begin
-            List.iter (fun (c, _) -> enqueue c) (G.consumers_of g d);
+            G.iter_consumers g d (fun c _ -> enqueue c);
             List.iter enqueue (G.order_successors g d);
             List.iter enqueue (G.inputs g d)
           end)

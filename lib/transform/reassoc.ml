@@ -71,7 +71,8 @@ let rec canonical_shape g op ~data_uses id ~is_root n =
 
 (* Rebalances the chain rooted at [id] into its canonical balanced shape.
    [data_uses id] must count data consumers; [consumer_of id] must
-   return the single data consumer when there is exactly one. *)
+   return the single data consumer when there is exactly one, and -1
+   otherwise. *)
 let rebalance_root g ~data_uses ~consumer_of id =
   match G.kind g id with
   (* Dead roots (no data uses, no named output) are DCE-bound: rebuilding
@@ -83,14 +84,9 @@ let rebalance_root g ~data_uses ~consumer_of id =
     (* Only rebalance chain roots: nodes whose consumer is not the same
        single-use chain. *)
     let is_chain_interior =
-      match consumer_of id with
-      | Some c when G.mem g c -> (
-        data_uses id = 1
-        &&
-        match G.kind g c with
-        | G.Binop op' -> op' = op
-        | _ -> false)
-      | _ -> false
+      let c = consumer_of id in
+      c >= 0 && G.mem g c
+      && match G.kind g c with G.Binop op' -> op' = op | _ -> false
     in
     if is_chain_interior then false
     else begin
@@ -118,8 +114,8 @@ let run g =
   in
   let consumer_of id =
     match Hashtbl.find_opt consumers id with
-    | Some [ (c, _) ] -> Some c
-    | Some _ | None -> None
+    | Some [ (c, _) ] -> c
+    | Some _ | None -> -1
   in
   List.iter
     (fun id ->
@@ -144,23 +140,19 @@ let pass = { Pass.name = "reassociate"; run }
    handing CSE/DCE fresh duplicates forever (observed on fir-16). *)
 let rule =
   Pass.settled "reassociate" (fun g id ->
-      let data_uses id = List.length (G.consumers_of g id) in
-      let consumer_of id =
-        match G.consumers_of g id with
-        | [ (c, _) ] -> Some c
-        | _ -> None
-      in
+      let data_uses = G.data_use_count g in
+      let consumer_of = G.sole_consumer g in
       let rec root_of id fuel =
         if fuel <= 0 then id
         else
           match G.kind g id with
           | G.Binop op when associative op -> (
-            match consumer_of id with
-            | Some c when data_uses id = 1 && G.mem g c -> (
+            let c = consumer_of id in
+            if c >= 0 && G.mem g c then
               match G.kind g c with
               | G.Binop op' when op' = op -> root_of c (fuel - 1)
-              | _ -> id)
-            | _ -> id)
+              | _ -> id
+            else id)
           | _ -> id
       in
       rebalance_root g ~data_uses ~consumer_of (root_of id (G.node_count g)))

@@ -3,11 +3,13 @@
    remove_order / set_output) are replayed against a naive assoc-list
    reference model, and after {e every} step the graph must agree with
    the model on the node set, kinds, data edges, order edges, the
-   use/def index (consumers, order successors, use counts) and the named
-   outputs — plus the index self-check. The model is deliberately the
-   dumbest possible implementation of the documented semantics; any
-   divergence is an arena bug (tombstones, free-list recycling, packed
-   duse entries, swap-vs-shift removals).
+   use/def index (consumers, order successors, use counts and the point
+   queries over them) and the named outputs — plus the index self-check,
+   which also requires every reverse list to be strictly ascending. The
+   model is deliberately the dumbest possible implementation of the
+   documented semantics; any divergence is an arena bug (tombstones,
+   free-list recycling, packed duse entries, sorted inserts, deletes and
+   merges).
 
    Edges are kept id-ordered (producers and order-predecessors always
    have smaller ids than their consumer), so every generated graph is
@@ -40,8 +42,8 @@ let m_use_count m id =
     0 m.mnodes
   + List.length (List.filter (fun (_, v) -> v = id) m.mouts)
 
-(* (consumer, port) pairs; mnodes ascending + ports ascending = already
-   sorted the way Graph.consumers_of sorts its packed entries. *)
+(* (consumer, port) pairs; mnodes ascending + ports ascending = the
+   ascending order Graph.consumers_of promises. *)
 let m_consumers m id =
   List.concat_map
     (fun (cid, n) ->
@@ -107,11 +109,16 @@ let step g m code =
     end
   | 4 ->
     (* replace_uses old ~by with by <= old (keeps edges id-ordered; by =
-       old exercises the degenerate no-structural-change branch) *)
+       old exercises the degenerate no-structural-change branch). Odd
+       codes prefer a [by] that already has data uses, so its entries
+       and the moved ones interleave by consumer id: the merge path. *)
     if n_live > 0 then begin
       let old = pick ids r in
       let le = List.filter (fun i -> i <= old) ids in
-      let by = pick le (r / 7) in
+      let used = List.filter (fun i -> i < old && m_consumers m i <> []) le in
+      let by =
+        if r mod 2 = 1 && used <> [] then pick used (r / 7) else pick le (r / 7)
+      in
       Graph.replace_uses g old ~by;
       if by <> old then begin
         List.iter
@@ -179,8 +186,24 @@ let check_agreement ~at g m =
       if Graph.use_count g id <> m_use_count m id then
         fail "step %d: use_count of %d: graph %d, model %d" at id
           (Graph.use_count g id) (m_use_count m id);
-      if List.sort compare (Graph.consumers_of g id) <> m_consumers m id then
+      let consumers = m_consumers m id in
+      if Graph.consumers_of g id <> consumers then
         fail "step %d: consumers_of %d" at id;
+      let seen = ref [] in
+      Graph.iter_consumers g id (fun c p -> seen := (c, p) :: !seen);
+      if List.rev !seen <> consumers then
+        fail "step %d: iter_consumers %d" at id;
+      if Graph.data_use_count g id <> List.length consumers then
+        fail "step %d: data_use_count of %d" at id;
+      let sole = match consumers with [ (c, _) ] -> c | _ -> -1 in
+      if Graph.sole_consumer g id <> sole then
+        fail "step %d: sole_consumer of %d: graph %d, model %d" at id
+          (Graph.sole_consumer g id) sole;
+      List.iter
+        (fun after ->
+          if Graph.has_order g id ~after <> List.mem after mn.mord then
+            fail "step %d: has_order %d ~after:%d" at id after)
+        ids;
       if Graph.order_successors g id <> m_order_successors m id then
         fail "step %d: order_successors of %d" at id)
     m.mnodes;
@@ -263,8 +286,50 @@ let test_directed_churn () =
   check_agreement ~at:2 g m;
   Graph.validate g
 
+(* [replace_uses] merges the moved uses into [by]'s sorted entries. The
+   script covers each shape of that merge: consumers interleaving by id,
+   one consumer reading both nodes (adjacent entries), moved uses all
+   below or all above [by]'s, a merge that outgrows [by]'s array, and a
+   [by] with no uses. *)
+let test_interleaved_merge () =
+  let g = Graph.create "merge" in
+  let m = { mnodes = []; mouts = [] } in
+  let add kind inputs =
+    let id = Graph.add g kind inputs in
+    m.mnodes <-
+      m.mnodes @ [ (id, { mkind = kind; minputs = inputs; mord = [] }) ];
+    id
+  in
+  let at = ref 0 in
+  let replace old ~by =
+    Graph.replace_uses g old ~by;
+    List.iter
+      (fun (_, n) ->
+        n.minputs <- List.map (fun i -> if i = old then by else i) n.minputs)
+      m.mnodes;
+    check_agreement ~at:!at g m;
+    incr at
+  in
+  let a = add (Graph.Const 1) [] in
+  let b = add (Graph.Const 2) [] in
+  let c = add (Graph.Const 3) [] in
+  let d = add (Graph.Const 4) [] in
+  let neg x = ignore (add (Graph.Unop Op.Neg) [ x ]) in
+  neg d;
+  (* a: 5, 7, 9 and port 1 of 10; b: 6, 8 and port 0 of 10 *)
+  List.iter neg [ a; b; a; b; a ];
+  ignore (add (Graph.Binop Op.Add) [ b; a ]);
+  replace b ~by:a;
+  neg c;
+  replace a ~by:c;
+  (* eight uses onto [d]'s one, above it: append past its capacity *)
+  replace c ~by:d;
+  replace d ~by:b;
+  Graph.validate g
+
 let suite =
   [
     qcheck_model;
     Alcotest.test_case "directed churn script" `Quick test_directed_churn;
+    Alcotest.test_case "interleaved merge" `Quick test_interleaved_merge;
   ]

@@ -11,7 +11,12 @@
    - the two design-space DAGs (1000 ops at seed 1, 2000 ops at seed 2) at
      two tile points each, under every scheduling priority, and their
      cluster, sched and alloc counters;
-   - the error text of one allocation that runs out of tile memory. *)
+   - the error text of one allocation that runs out of tile memory;
+   - the MD5 of [Cdfg.Serialize.to_string] of the minimised graph of every
+     corpus kernel, the six large kernels and the two DAGs, under the
+     default config and with [incremental] on, plus their jobs where no
+     case above pins them, and the simplifier's counters over the large
+     kernels. Every rewrite the simplifier fires shows up in these. *)
 
 module Flow = Fpfa_core.Flow
 module Arch = Fpfa_arch.Arch
@@ -71,6 +76,47 @@ let dag_cases name clustering =
               digest (Mapping.Alloc.run ~tile:t sched) ))
         priorities)
     dag_tiles
+
+let graph_digest g = Digest.to_hex (Digest.string (Cdfg.Serialize.to_string g))
+
+let incremental = { Flow.default_config with Flow.incremental = true }
+
+(* The kernels of the benchmark's [large] workload. *)
+let large_kernels =
+  [
+    Kernels.fir ~taps:256; Kernels.fir_delay ~taps:128; Kernels.matmul ~n:8;
+    Kernels.correlation ~lags:8 ~n:32; Kernels.crc8 ~bytes:16;
+    Kernels.pack565 ~n:32;
+  ]
+
+let sources ks =
+  List.map
+    (fun (k : Kernels.t) ->
+      (k.Kernels.name, fun config -> Flow.map_source ~config k.Kernels.source))
+    ks
+
+let dags =
+  List.map
+    (fun (ops, seed) ->
+      ( Printf.sprintf "dag-%d" ops,
+        fun config ->
+          Flow.map_graph ~config (Fpfa_kernels.Random_graph.generate ~seed ~ops ())
+      ))
+    [ (1000, 1); (2000, 2) ]
+
+(* One compile per program feeds its graph case and, with [~jobs], its
+   job case. *)
+let flow_cases ~config ~tag ~jobs programs =
+  List.concat_map
+    (fun (name, compile) ->
+      let r = lazy (compile config) in
+      (Printf.sprintf "graph%s/%s" tag name, fun () ->
+          graph_digest (Lazy.force r).Flow.graph)
+      :: (if jobs then
+            [ (Printf.sprintf "job%s/%s" tag name, fun () ->
+                  digest (Lazy.force r).Flow.job) ]
+          else []))
+    programs
 
 let expected =
   [
@@ -293,6 +339,105 @@ let expected =
     ("dag-2000@a3.b2.w1/mobility", "a7f0668fbdbb8f4618c8a39ebcd2d5cd");
     ("dag-2000@a3.b2.w1/alap", "12dcd03842755afa04811d93a8020ca1");
     ("dag-2000@a3.b2.w1/cid", "5b5125cca58c4c62d948b6058642161c");
+    ("graph/fir-paper", "d2526556adc140dfde163355b0dfc978");
+    ("graph/fir-16", "6a8d76a8670b6c8016195725e4839724");
+    ("graph/fir-dl-8", "622d89800c3b87542a6e34a8823d4669");
+    ("graph/dot-8", "c54fb100158f554e018ed72e4e286ada");
+    ("graph/vscale-8", "bbad6a5cb04f3096bbfc157d7c4718c1");
+    ("graph/saxpy-8", "6483a5b859c798c4d0ceae4049789a7a");
+    ("graph/iir-6", "f9b8dd0a539ff002289c28f797d3220a");
+    ("graph/matmul-3", "065f8e9c01e6fd7e1ad8ba6381917509");
+    ("graph/fft-bfly-4", "77e274efae7f7db52c7239bc3c4e5787");
+    ("graph/dct4", "4ad4053cd5e8a31047a37b7176a706e0");
+    ("graph/corr-4-8", "8da66e90984a02b309cc00cd4bc7f624");
+    ("graph/mavg-4-6", "a49904d3d9ec043510d55c6f246f6d5f");
+    ("graph/clip-6", "50ff398a9da75bac108fc53f6a2b7a7c");
+    ("graph/maxabs-8", "2964e4046a9fcdff72c5e66c319ffce3");
+    ("graph/poly-6", "431e0408263f9f2e021e537e5fabe34a");
+    ("graph/cmul-4", "fe647013d8137811bc6192b7421af4fe");
+    ("graph/manhattan-8", "d58c930bef29e5e2f8d8e01d24ebd6ff");
+    ("graph/clipmm-6", "ba9db847b7d3cbe94dc74f5b6a5c655a");
+    ("graph/cumsum-8", "343322f2cfa2609081fe6b8b195b58fa");
+    ("graph/iir1-8", "af43e50a4564fbc5a1c978d2a0723b82");
+    ("graph/mavg-acc-4-8", "5a92bc7f40ca25fe70f2af0c5f350fce");
+    ("graph/crc8-4", "0e8e619c1a5d707a32c55653f9dc0729");
+    ("graph/pack565-4", "ec93ecdf15ee5ba548ffa4f57ea73e2f");
+    ("graph/fir-256", "e598c3ebb9c2b410bec91cd291907a0c");
+    ("job/fir-256", "1f4b9ba94b2429284258aa4f45162e77");
+    ("graph/fir-dl-128", "fe8172cf7409dd190cd90decf801d21e");
+    ("job/fir-dl-128", "d60a455a6b3fa0b83ecf258ca2f9608e");
+    ("graph/matmul-8", "f838c6b88e964a555cecc598af1482fd");
+    ("job/matmul-8", "ded96a781832c2c445809fd48ae0cb89");
+    ("graph/corr-8-32", "7a155995ac1e322f76c998ef7a229d6f");
+    ("job/corr-8-32", "53675016b599de7ffe91c88491c738b8");
+    ("graph/crc8-16", "5e7409f287c36ddc18b63a54c3df657b");
+    ("job/crc8-16", "0ec10ecf404686457c49855dca588f1f");
+    ("graph/pack565-32", "9952cf248f34c36154aefae7d7ec77b3");
+    ("job/pack565-32", "3bd348a58aa0008cf945b02bc235ca5e");
+    ("graph/dag-1000", "803c6047f48a36cee09e3b23c08868ac");
+    ("graph/dag-2000", "59826ac3655b1b4b549370dd647c184a");
+    ("graph-incr/fir-paper", "621b9f2b318bd596b50f2ad4d636c157");
+    ("job-incr/fir-paper", "a968b8af47dcf2dc723587046f37dc9c");
+    ("graph-incr/fir-16", "5f57775f4586c2c84db4810e91621f00");
+    ("job-incr/fir-16", "1d8ad76f3c5b23fca00b8c5df02520da");
+    ("graph-incr/fir-dl-8", "bbf288000bc18c2edc26fb8fe81028e6");
+    ("job-incr/fir-dl-8", "908e3626c4c985f4bbd3d01759bbf6b4");
+    ("graph-incr/dot-8", "b7b1b541663be2aa1fa435f7d2e43a84");
+    ("job-incr/dot-8", "b6b5d45cbd891072d87e2cfd2c8f646d");
+    ("graph-incr/vscale-8", "bc0dcf8dbe0086d613fa7e428584a542");
+    ("job-incr/vscale-8", "afa2d608e457393a7b7eed458dea3689");
+    ("graph-incr/saxpy-8", "0df560b3a7c784f60d625d0ce55224c6");
+    ("job-incr/saxpy-8", "d92d3ee062327366221ae20b30a1fddd");
+    ("graph-incr/iir-6", "6f515a352c8e1fa2d36a1930e0780aa2");
+    ("job-incr/iir-6", "80ca36f1506f65d1336b110e2e139ece");
+    ("graph-incr/matmul-3", "d70884da0805fb7c68b93d66e18320d7");
+    ("job-incr/matmul-3", "efb123d1fcf65e1f8e1747ed83ea07a5");
+    ("graph-incr/fft-bfly-4", "bde53136c9934f801b5003acce5ff718");
+    ("job-incr/fft-bfly-4", "f61dc438cb368b07020c4253939926d5");
+    ("graph-incr/dct4", "e3cffe608484f887c591c3a6c92325f3");
+    ("job-incr/dct4", "04e58b39f6f1fe8f443206659e1233ef");
+    ("graph-incr/corr-4-8", "a88e18c7f9e999125fb899c13a9c1982");
+    ("job-incr/corr-4-8", "f2aa46e10e2d7ae7e187eaf3689aba31");
+    ("graph-incr/mavg-4-6", "975d601fb4c663dab23a9dabcec0f933");
+    ("job-incr/mavg-4-6", "c4946d0270f41baba95e210b81d07947");
+    ("graph-incr/clip-6", "1c466b9a535ac76f19edd20715664c59");
+    ("job-incr/clip-6", "468dd70cbd2bb1dcf140e16a54fa8dd0");
+    ("graph-incr/maxabs-8", "b162dc9c583b53a88849b32cd7f2dc97");
+    ("job-incr/maxabs-8", "03599f651e73d0f8f7d79a898913b593");
+    ("graph-incr/poly-6", "854093e83b39bac22720e53ea7970601");
+    ("job-incr/poly-6", "8a0bbdf96d2a7856ad4b95e9ea94b665");
+    ("graph-incr/cmul-4", "01fb80a7a015a2c9728ce9aa65910fb9");
+    ("job-incr/cmul-4", "cd7993de3fcd4ed4e6ae1c3338a00bc9");
+    ("graph-incr/manhattan-8", "f6e4d47ef1d267646606839fd02bdbea");
+    ("job-incr/manhattan-8", "f28b113c4b2d7cef805f7f493310fb58");
+    ("graph-incr/clipmm-6", "514e3f08edc8798f3d0017dc05d1e344");
+    ("job-incr/clipmm-6", "40829fe46534ae1c4a746c03a2d3080c");
+    ("graph-incr/cumsum-8", "70208dff4afa545c2af8fb24d3fd001a");
+    ("job-incr/cumsum-8", "dddfe26697b4a1d7f1697656e4cb8e99");
+    ("graph-incr/iir1-8", "2358b9892564d1b830b427d73c1fc68c");
+    ("job-incr/iir1-8", "d913b19ee227c0082bfa4ef135dd866f");
+    ("graph-incr/mavg-acc-4-8", "4cf6c3b4eb98f4884729755cb5feec82");
+    ("job-incr/mavg-acc-4-8", "65d668f883755b0e511283c6f68f22f8");
+    ("graph-incr/crc8-4", "768450029d7139f91c80f939d57d02ea");
+    ("job-incr/crc8-4", "58665408a745fb307fc577f03162680a");
+    ("graph-incr/pack565-4", "3714e3658e1945dd9e8275f230ab3eac");
+    ("job-incr/pack565-4", "d78b6540d0cd9530c67c5fdb9f04cf5b");
+    ("graph-incr/fir-256", "e056b0c7db0ee64e6ac0f3156e4c1d08");
+    ("job-incr/fir-256", "e64e255ecb351f5239a3529c5a2810c0");
+    ("graph-incr/fir-dl-128", "8a72240de3dab3a16a48ba07eda56045");
+    ("job-incr/fir-dl-128", "297da6dcb34f397c07deac4bc5414205");
+    ("graph-incr/matmul-8", "2315ee08e599f5a7362752ce9576f6b7");
+    ("job-incr/matmul-8", "5564d4bc428f0f7d3806b4d5cdd830c6");
+    ("graph-incr/corr-8-32", "533f2007977ebb4805f865a248ad9475");
+    ("job-incr/corr-8-32", "460cd61f4c23a279f19fef640e6c69d9");
+    ("graph-incr/crc8-16", "319120e88805ee08cfbf7979f8062aa3");
+    ("job-incr/crc8-16", "d3f481bc7fc36c1d9ddf48afb0c4ec3a");
+    ("graph-incr/pack565-32", "11381704de45a5aca3f91460d315bdf3");
+    ("job-incr/pack565-32", "5e5a6c0be5bfedf3f944158e212cbbc9");
+    ("graph-incr/dag-1000", "9b6c94ab26047ba6ac80bdb329f2b726");
+    ("job-incr/dag-1000", "e266114289853237250143257419a7b2");
+    ("graph-incr/dag-2000", "84a886751acb5767fdce6a698aad8365");
+    ("job-incr/dag-2000", "de3f7e3dd7be5e66be63573686cc643f");
   ]
 
 let check_cases cases () =
@@ -396,6 +541,49 @@ let test_alloc_error () =
   | exception Mapping.Alloc.Allocation_error msg ->
     Alcotest.(check string) "error text" "no tile memory can hold 52 more words" msg
 
+(* The worklist engine's tallies summed over the large kernels: its
+   steps, rewrites and enqueues, and the firings of every rule. *)
+let expected_pass_counters =
+  [
+    ("pass.steps", 50130);
+    ("pass.rewrites", 51915);
+    ("pass.enqueues", 72230);
+    ("pass.fire.const-fold", 4094);
+    ("pass.fire.algebraic", 871);
+    ("pass.fire.cse", 5325);
+    ("pass.fire.store-to-fetch", 8109);
+    ("pass.fire.dead-store", 3246);
+    ("pass.fire.order-canon", 8096);
+    ("pass.fire.dce", 22100);
+    ("pass.fire.reassociate", 74);
+  ]
+
+let test_pass_counters () =
+  let module Obs = Fpfa_obs.Obs in
+  let names =
+    [ "pass.steps"; "pass.rewrites"; "pass.enqueues" ]
+    @ List.map
+        (fun r -> "pass.fire." ^ r.Transform.Pass.rname)
+        Transform.Simplify.default_rules
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let actual =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        List.iter
+          (fun (k : Kernels.t) -> ignore (Flow.map_source k.Kernels.source))
+          large_kernels;
+        List.map
+          (fun name -> (name, Option.value (Obs.find_counter name) ~default:0))
+          names)
+  in
+  Alcotest.(check (list (pair string int))) "every counter as recorded"
+    expected_pass_counters actual
+
 let groups =
   List.map
     (fun (v : Baseline.variant) -> ("kernels " ^ v.Baseline.vname, kernel_cases v))
@@ -408,11 +596,39 @@ let groups =
       ("dag-2000 priorities", dag_cases "dag-2000" dag_2000);
     ]
 
+(* Built when their test runs, so each group's compiles are dropped once
+   it has been checked. The default config's corpus and DAG jobs are
+   pinned above already, as paper/<kernel> and dag-<n>@a5.b10.w4/mobility. *)
+let flow_groups =
+  [
+    ("minimised corpus", fun () ->
+        flow_cases ~config:Flow.default_config ~tag:"" ~jobs:false
+          (sources Kernels.all));
+    ("minimised large", fun () ->
+        flow_cases ~config:Flow.default_config ~tag:"" ~jobs:true
+          (sources large_kernels));
+    ("minimised dags", fun () ->
+        flow_cases ~config:Flow.default_config ~tag:"" ~jobs:false dags);
+    ("incremental corpus", fun () ->
+        flow_cases ~config:incremental ~tag:"-incr" ~jobs:true
+          (sources Kernels.all));
+    ("incremental large", fun () ->
+        flow_cases ~config:incremental ~tag:"-incr" ~jobs:true
+          (sources large_kernels));
+    ("incremental dags", fun () ->
+        flow_cases ~config:incremental ~tag:"-incr" ~jobs:true dags);
+  ]
+
 let suite =
   List.map
     (fun (name, cases) -> Alcotest.test_case name `Quick (check_cases cases))
     groups
+  @ List.map
+      (fun (name, cases) ->
+        Alcotest.test_case name `Quick (fun () -> check_cases (cases ()) ()))
+      flow_groups
   @ [
       Alcotest.test_case "mapping counters" `Quick test_counters;
       Alcotest.test_case "allocation error text" `Quick test_alloc_error;
+      Alcotest.test_case "large pass counters" `Quick test_pass_counters;
     ]
