@@ -23,17 +23,13 @@
                                               two-way array interleaving)
      E12 priority_ablation     Section VI-B  (ready-priority choice in the
                                               level scheduler)
-     E13 pass_engine            (infrastructure) worklist vs legacy
-                                              fixpoint simplification engine;
-                                              run explicitly: it is excluded
-                                              from the no-argument sweep
      E14 obs_overhead           (infrastructure) cost of the lib/obs
                                               null-sink fast path (target:
                                               <2% with obs disabled)
      E15 verify_overhead        (infrastructure) cost of the per-firing
                                               structural verifier
-                                              (--verify-each-pass) on the
-                                              E13 random-DAG sweep
+                                              (--verify-each-pass) on a
+                                              seed-11 random-DAG sweep
                                               (target: <15%)
      E16 par_speedup            (infrastructure) Domain-pool scaling of
                                               corpus compiles and design-
@@ -748,15 +744,10 @@ let priority_ablation () =
      the alternatives, and the differences stay small - the heuristic's\n\
      cheapness is justified.\n"
 
-(* ------------------------------------------------------------------ *)
-(* E13 - pass-engine comparison: the incremental worklist engine vs     *)
-(* the legacy whole-graph fixpoint it replaced as the default.          *)
-(* ------------------------------------------------------------------ *)
-
-(* The paper's own workload shape: a fully unrolled FIR, where the
-   engines do real rewriting work (folding, CSE, forwarding, DCE,
-   rebalancing) rather than scanning an already-minimal DAG. Shared by
-   E13 and E18. *)
+(* The paper's own workload shape for the simplifier: a fully unrolled
+   FIR, where the rules do real rewriting work (folding, CSE, forwarding,
+   DCE, rebalancing) rather than scanning an already-minimal DAG. Used by
+   E18. *)
 let fir_raw taps =
   let k = Kernels.fir ~taps in
   let program = Cfront.Parser.parse_program k.Kernels.source in
@@ -768,142 +759,6 @@ let fir_raw taps =
   in
   let f = Cfront.Unroll.unroll_func ~max_iterations:4096 f in
   Cdfg.Builder.build_func f
-
-let pass_engine () =
-  section "E13 pass_engine (worklist vs legacy fixpoint)";
-  let module Simplify = Transform.Simplify in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* The legacy engine re-runs whole-graph passes (each followed by a
-     whole-graph validation, its historical default) until global
-     quiescence, so it goes super-linear; cap it where a single
-     measurement stays in seconds and report the worklist alone above. *)
-  let legacy_cap = 35_000 in
-  let bench_one g =
-    let legacy =
-      if Cdfg.Graph.node_count g <= legacy_cap then begin
-        let g1 = Cdfg.Graph.copy g in
-        let r, t =
-          time (fun () -> Simplify.minimize ~passes:Simplify.default_passes g1)
-        in
-        Some (r, t)
-      end
-      else None
-    in
-    let g2 = Cdfg.Graph.copy g in
-    let wl, wl_t = time (fun () -> Simplify.minimize g2) in
-    (match legacy with
-    | Some (lr, _) ->
-      (* both engines must agree on the result's shape *)
-      assert (lr.Simplify.after = wl.Simplify.after)
-    | None -> ());
-    (legacy, wl, wl_t)
-  in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"pass_engine\",\n";
-  Buffer.add_string json "  \"seed\": 11,\n  \"random_graphs\": [\n";
-  let sizes = [ 500; 1_000; 2_000; 5_000; 10_000; 20_000; 50_000 ] in
-  let prev = ref None in
-  let rows =
-    List.map
-      (fun ops ->
-        let g = Fpfa_kernels.Random_graph.generate ~seed:11 ~ops () in
-        let before = Cdfg.Graph.node_count g in
-        let legacy, wl, wl_t = bench_one g in
-        let legacy_s, speedup =
-          match legacy with
-          | Some (_, t) -> (Printf.sprintf "%.3f" t, t /. wl_t)
-          | None -> ("-", 0.0)
-        in
-        (* time ratio divided by node ratio vs the previous row: ~1.0 is
-           linear scaling *)
-        let growth =
-          match !prev with
-          | Some (pn, pt) when pt > 0.0 ->
-            Printf.sprintf "%.2f"
-              (wl_t /. pt /. (float_of_int before /. float_of_int pn))
-          | _ -> "-"
-        in
-        prev := Some (before, wl_t);
-        Buffer.add_string json
-          (Printf.sprintf
-             "    {\"ops\": %d, \"nodes\": %d, \"legacy_s\": %s, \
-              \"worklist_s\": %.6f, \"worklist_steps\": %d, \"speedup\": %s}%s\n"
-             ops before
-             (match legacy with
-             | Some (_, t) -> Printf.sprintf "%.6f" t
-             | None -> "null")
-             wl_t wl.Simplify.steps
-             (if speedup > 0.0 then Printf.sprintf "%.2f" speedup else "null")
-             (if ops = List.nth sizes (List.length sizes - 1) then "" else ","));
-        [
-          string_of_int ops;
-          string_of_int before;
-          string_of_int wl.Simplify.after.Cdfg.Graph.total;
-          legacy_s;
-          Printf.sprintf "%.3f" wl_t;
-          (if speedup > 0.0 then Printf.sprintf "%.1fx" speedup else "-");
-          growth;
-        ])
-      sizes
-  in
-  Fpfa_util.Tablefmt.print
-    ~header:
-      [ "ops"; "nodes"; "after"; "legacy s"; "worklist s"; "speedup";
-        "wl scaling" ]
-    rows;
-  Printf.printf
-    "legacy skipped above %d nodes (super-linear); 'wl scaling' is the\n\
-     worklist time ratio over the node ratio vs the previous row - values\n\
-     near 1.0 mean linear scaling.\n"
-    legacy_cap;
-  Buffer.add_string json "  ],\n  \"fir\": [\n";
-  let taps_list = [ 64; 256 ] in
-  let fir_rows =
-    List.map
-      (fun taps ->
-        let g = fir_raw taps in
-        let before = Cdfg.Graph.node_count g in
-        let legacy, wl, wl_t = bench_one g in
-        let legacy_s, speedup =
-          match legacy with
-          | Some (_, t) -> (Printf.sprintf "%.3f" t, t /. wl_t)
-          | None -> ("-", 0.0)
-        in
-        Buffer.add_string json
-          (Printf.sprintf
-             "    {\"taps\": %d, \"nodes\": %d, \"after\": %d, \"legacy_s\": \
-              %s, \"worklist_s\": %.6f, \"speedup\": %s}%s\n"
-             taps before wl.Simplify.after.Cdfg.Graph.total
-             (match legacy with
-             | Some (_, t) -> Printf.sprintf "%.6f" t
-             | None -> "null")
-             wl_t
-             (if speedup > 0.0 then Printf.sprintf "%.2f" speedup else "null")
-             (if taps = List.nth taps_list (List.length taps_list - 1) then ""
-              else ","));
-        [
-          Printf.sprintf "fir-%d" taps;
-          string_of_int before;
-          string_of_int wl.Simplify.after.Cdfg.Graph.total;
-          legacy_s;
-          Printf.sprintf "%.3f" wl_t;
-          (if speedup > 0.0 then Printf.sprintf "%.1fx" speedup else "-");
-        ])
-      taps_list
-  in
-  Printf.printf "\nfully unrolled FIR (real rewriting workload):\n";
-  Fpfa_util.Tablefmt.print
-    ~header:[ "kernel"; "nodes"; "after"; "legacy s"; "worklist s"; "speedup" ]
-    fir_rows;
-  Buffer.add_string json "  ]\n}\n";
-  let oc = open_out "BENCH_pass_engine.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_pass_engine.json\n"
 
 (* ------------------------------------------------------------------ *)
 (* E14 - observability overhead: the null-sink fast path must cost      *)
@@ -1033,7 +888,7 @@ let obs_overhead () =
 (* ------------------------------------------------------------------ *)
 (* E15 - verify-each-pass overhead: the per-firing structural verifier  *)
 (* (--verify-each-pass) audits the touched neighbourhood after every    *)
-(* rule firing; its cost over the E13 random-DAG sweep must stay <15%.  *)
+(* rule firing; its cost over a random-DAG sweep must stay <15%.        *)
 (* ------------------------------------------------------------------ *)
 
 let verify_overhead () =
@@ -1046,9 +901,8 @@ let verify_overhead () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Same workload shape as E13's worklist column: random DAGs, seed 11.
-     Time [reps] alternating blocks per mode and keep the per-mode
-     minimum (noise-robust). *)
+  (* Random DAGs, seed 11. Time [reps] alternating blocks per mode and
+     keep the per-mode minimum (noise-robust). *)
   let sizes = [ 500; 1_000; 2_000; 5_000; 10_000; 20_000; 50_000 ] in
   let json = Buffer.create 1024 in
   Buffer.add_string json "{\n  \"experiment\": \"verify_overhead\",\n";
@@ -1381,10 +1235,9 @@ let arena () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Hashtbl-interior reference times: worklist minimize on the E13
-     workloads (seed-11 random DAGs by op count; fully unrolled FIRs by
-     tap count) and one sequential map+simulate pass over the kernel
-     corpus (min of 5). *)
+  (* Hashtbl-interior reference times: worklist minimize on seed-11
+     random DAGs by op count and fully unrolled FIRs by tap count, and one
+     sequential map+simulate pass over the kernel corpus (min of 5). *)
   let baseline_random =
     [
       (500, 0.005347); (1_000, 0.012605); (2_000, 0.025305);
@@ -1397,7 +1250,7 @@ let arena () =
   let gate_nodes = 30_000 in
   let target = 1.5 in
   (* min-of-reps; each rep minimizes a fresh copy (the copy is outside
-     the timed region, as in E13). *)
+     the timed region). *)
   let wl_time g =
     let best = ref infinity in
     for _ = 1 to reps do
@@ -2441,9 +2294,4 @@ let () =
   run "depend" depend_bench;
   run "incr" incr_bench;
   run "bitopt" bitopt_bench;
-  (* E13 is opt-in: it times multi-second fixpoint runs, so the default
-     no-argument sweep (and anything scripted on top of it) stays fast. *)
-  (match only with
-  | Some names when List.mem "pass_engine" names -> pass_engine ()
-  | Some _ | None -> ());
   Printf.printf "\nall experiments done.\n"

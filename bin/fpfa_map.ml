@@ -627,25 +627,33 @@ let simplify input func =
         string_of_int s.Cdfg.Graph.critical_path;
       ]
     in
-    let rows = ref [ describe "generated" ] in
-    let rec rounds n =
-      if n > 20 then ()
-      else
-        let changed =
-          List.fold_left
-            (fun changed (pass : Transform.Pass.t) ->
-              let fired = pass.Transform.Pass.run g in
-              if fired then
-                rows := describe (Printf.sprintf "round %d: %s" n pass.Transform.Pass.name) :: !rows;
-              fired || changed)
-            false Transform.Simplify.default_passes
-        in
-        if changed then rounds (n + 1)
+    let generated = describe "generated" in
+    (* one counted run: each default rule's pass.fire.<rule> tally *)
+    Obs.reset ();
+    Obs.enable ();
+    let fired =
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.disable ();
+          Obs.reset ())
+        (fun () ->
+          ignore (Transform.Simplify.minimize g);
+          List.map
+            (fun (r : Transform.Pass.rule) ->
+              let name = r.Transform.Pass.rname in
+              [
+                name;
+                string_of_int
+                  (Option.value ~default:0
+                     (Obs.find_counter ("pass.fire." ^ name)));
+              ])
+            Transform.Simplify.default_rules)
     in
-    rounds 1;
     Fpfa_util.Tablefmt.print
-      ~header:[ "after"; "nodes"; "FE"; "ST"; "alu"; "mux"; "cp" ]
-      (List.rev !rows)
+      ~header:[ "graph"; "nodes"; "FE"; "ST"; "alu"; "mux"; "cp" ]
+      [ generated; describe "minimised" ];
+    print_newline ();
+    Fpfa_util.Tablefmt.print ~header:[ "rule"; "fired" ] fired
   | exception e ->
     Printf.eprintf "error: %s\n" (Printexc.to_string e);
     exit 1
@@ -653,7 +661,8 @@ let simplify input func =
 let simplify_cmd =
   Cmd.v
     (Cmd.info "simplify"
-       ~doc:"Show the graph minimisation pass by pass (paper Fig. 3).")
+       ~doc:"Show the graph before and after minimisation (paper Fig. 3) \
+             and how often each simplifier rule fired.")
     Term.(const simplify $ input_arg $ func_arg)
 
 (* {2 serve — the compile-as-a-service daemon} *)

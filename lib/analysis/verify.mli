@@ -64,13 +64,12 @@ val local : Cdfg.Graph.t -> Cdfg.Graph.Id_set.t -> Fpfa_diag.Diag.t list
     for those. *)
 
 val pass_hook : ?full:bool -> unit -> Transform.Pass.verify_hook
-(** A hook for {!Transform.Pass.run_worklist}[ ~verify] /
-    {!Transform.Pass.run_fixpoint}[ ~verify]: after each rule firing it
-    checks the touched nodes with {!local} ([~full:true] substitutes
-    {!structure} on the whole graph — exhaustive and slow, for debugging)
-    and raises {!Fpfa_diag.Diag.Failed} with every error-severity finding,
-    which the engine re-raises as {!Transform.Pass.Verification_failed}
-    blaming the rule that fired. *)
+(** A hook for {!Transform.Pass.run_worklist}[ ~verify]: after each rule
+    firing it checks the touched nodes with {!local} ([~full:true]
+    substitutes {!structure} on the whole graph — exhaustive and slow, for
+    debugging) and raises {!Fpfa_diag.Diag.Failed} with every
+    error-severity finding, which the engine re-raises as
+    {!Transform.Pass.Verification_failed} blaming the rule that fired. *)
 
 val bits :
   ?width:int ->

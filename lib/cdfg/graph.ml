@@ -435,10 +435,6 @@ let use_count g id =
   if id < 0 || id >= g.next_id then 0
   else g.duse_len.(id) + g.out_uses.(id)
 
-let has_order g id ~after =
-  node_exn g id;
-  adj_mem g.ord g.ord_len id after
-
 (* {2 Construction} *)
 
 let add g kind inputs =

@@ -177,10 +177,6 @@ val order_successors : t -> id -> id list
 (** Nodes whose [order_after] list references the given node (the reverse
     of {!order_after}), ascending. O(degree), no sorting. *)
 
-val has_order : t -> id -> after:id -> bool
-(** [has_order g n ~after:m]: [m] is in [order_after g n]. O(length of
-    that list), allocation-free. *)
-
 val use_count : t -> id -> int
 (** Number of data uses plus named-output references (order edges do not
     count as uses for liveness). O(1): two index lookups. *)

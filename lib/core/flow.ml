@@ -3,15 +3,10 @@ module Obs = Fpfa_obs.Obs
 
 let c_maps = Obs.counter "flow.maps"
 
-type simplifier =
-  | Worklist of Transform.Pass.rule list
-  | Fixpoint of Transform.Pass.t list
-
 type config = {
   tile : Arch.tile;
   caps : Arch.alu_caps option;
   cluster_with : caps:Arch.alu_caps -> Cdfg.Graph.t -> Mapping.Cluster.t;
-  simplify : simplifier;
   alloc_options : Mapping.Alloc.options;
   max_unroll : int;
   delete_locals : bool;
@@ -42,7 +37,6 @@ let default_config =
     tile = Arch.paper_tile;
     caps = None;
     cluster_with = (fun ~caps g -> Mapping.Cluster.run ~caps g);
-    simplify = Worklist Transform.Simplify.default_rules;
     alloc_options = Mapping.Alloc.default_options;
     max_unroll = 4096;
     delete_locals = false;
@@ -165,15 +159,9 @@ let bitopt_stage config graph =
                   Some (Fpfa_analysis.Verify.pass_hook ())
                 else None
               in
-              (match config.simplify with
-              | Worklist rules ->
-                ignore
-                  (Transform.Simplify.minimize ~rules ~seed ~validate:false
-                     ?verify graph)
-              | Fixpoint passes ->
-                ignore
-                  (Transform.Simplify.minimize ~passes ~validate:false ?verify
-                     graph));
+              ignore
+                (Transform.Simplify.minimize ~seed ~validate:false ?verify
+                   graph);
               loop (rounds + 1) (Transform.Bitopt.merge_report acc r)
             end
         in
@@ -302,11 +290,7 @@ module Staged = struct
             if config.verify_each then Some (Fpfa_analysis.Verify.pass_hook ())
             else None
           in
-          match config.simplify with
-          | Worklist rules ->
-            Transform.Simplify.minimize ~rules ~validate:false ?verify graph
-          | Fixpoint passes ->
-            Transform.Simplify.minimize ~passes ~validate:false ?verify graph)
+          Transform.Simplify.minimize ~validate:false ?verify graph)
     in
     stage "simplify-validate" (fun () -> Cdfg.Graph.validate graph);
     (* The incremental snapshot is taken before disambiguation on
@@ -452,16 +436,15 @@ module Staged = struct
                             completion first"
               (phase_name (phase s))))
 
-  (* What each phase reads from the config. [simplify] and [cluster_with]
-     carry closures, so those compare physically: configs that share the
-     field value (variant records, [{c with tile = ...}] updates) rewind
-     precisely, a freshly built closure conservatively re-runs. *)
+  (* What each phase reads from the config. [cluster_with] is a closure,
+     so it compares physically: configs that share the field value
+     (variant records, [{c with tile = ...}] updates) rewind precisely, a
+     freshly built closure conservatively re-runs. *)
   let same_frontend a b =
     a.max_unroll = b.max_unroll && a.delete_locals = b.delete_locals
 
   let same_minimise a b =
-    a.simplify == b.simplify
-    && a.verify_each = b.verify_each
+    a.verify_each = b.verify_each
     && a.disambiguate = b.disambiguate
     && a.bitopt = b.bitopt
     && a.bitopt_width = b.bitopt_width
@@ -503,11 +486,10 @@ module Staged = struct
      should compile cold (reason included). *)
   let rewind_patched cached ~fresh =
     let config = fresh.s_config in
-    match (cached.s_preprune, config.simplify, config.incremental) with
-    | None, _, _ -> Error "cached compile kept no incremental snapshot"
-    | _, Fixpoint _, _ -> Error "legacy fixpoint engine cannot run seeded"
-    | _, _, false -> Error "config does not enable incremental compilation"
-    | Some (pre, translate), Worklist rules, true -> (
+    match (cached.s_preprune, config.incremental) with
+    | None, _ -> Error "cached compile kept no incremental snapshot"
+    | _, false -> Error "config does not enable incremental compilation"
+    | Some (pre, translate), true -> (
       match
         Cdfg.Diff.diff ~old_raw:cached.s_raw ~fresh:fresh.s_raw ()
       with
@@ -524,8 +506,8 @@ module Staged = struct
                     Some (Fpfa_analysis.Verify.pass_hook ())
                   else None
                 in
-                Transform.Simplify.minimize ~rules ~seed ~validate:false
-                  ?verify onto)
+                Transform.Simplify.minimize ~seed ~validate:false ?verify
+                  onto)
           in
           stage "simplify-validate" (fun () -> Cdfg.Graph.validate onto);
           let preprune = Some (Cdfg.Graph.copy onto, forward) in
@@ -654,7 +636,31 @@ let conforms_to_interp ?(memory_init = []) result =
   let program =
     Cfront.Inline.program (Cfront.Parser.parse_program result.source)
   in
-  match Cfront.Interp.run_main ~array_init:memory_init program with
+  (* The tile holds a scalar input as a one-cell region; the interpreter
+     reads scalars only from [~scalar_init], so split the inputs by the
+     kinds [main] gives them. *)
+  let scalar_names =
+    match
+      List.find_opt
+        (fun (f : Cfront.Ast.func) -> String.equal f.Cfront.Ast.name "main")
+        program
+    with
+    | Some main ->
+      List.map
+        (fun (s : Cfront.Sema.symbol) -> s.Cfront.Sema.name)
+        (Cfront.Sema.scalars (Cfront.Sema.check_func main))
+    | None -> []
+  in
+  let scalars, arrays =
+    List.partition (fun (name, _) -> List.mem name scalar_names) memory_init
+  in
+  let scalar_init =
+    List.map
+      (fun (name, cells) ->
+        (name, if Array.length cells = 0 then 0 else cells.(0)))
+      scalars
+  in
+  match Cfront.Interp.run_main ~scalar_init ~array_init:arrays program with
   | exception Cfront.Interp.Runtime_error _ -> false
   | state ->
     let memory, _ = Fpfa_sim.Sim.run ~memory_init result.job in

@@ -7,12 +7,6 @@
     for inspection, and {!verify} checks the mapped job against the
     reference interpreter. *)
 
-type simplifier =
-  | Worklist of Transform.Pass.rule list
-      (** incremental worklist engine (default; near-linear) *)
-  | Fixpoint of Transform.Pass.t list
-      (** legacy whole-graph fixpoint (reference oracle) *)
-
 type config = {
   tile : Fpfa_arch.Arch.tile;
   caps : Fpfa_arch.Arch.alu_caps option;
@@ -22,7 +16,6 @@ type config = {
       (** phase-1 algorithm; defaults to {!Mapping.Cluster.run} (greedy
           template matching); {!Mapping.Cluster.sarkar} is the
           edge-zeroing alternative *)
-  simplify : simplifier;  (** simplification pipeline *)
   alloc_options : Mapping.Alloc.options;
   max_unroll : int;
   delete_locals : bool;
@@ -165,10 +158,10 @@ module Staged : sig
       unchanged — compare {!phase} before and after to see where a
       subsequent {!run} re-enters. [None] when the front-end inputs
       ([max_unroll], [delete_locals]) changed: the raw graph itself is
-      stale, start over with [of_source]. Fields holding closures
-      ([simplify], [cluster_with]) compare physically, so sharing the
-      field value rewinds precisely and a fresh closure conservatively
-      re-runs from that phase. *)
+      stale, start over with [of_source]. The closure field
+      [cluster_with] compares physically, so sharing the field value
+      rewinds precisely and a fresh closure conservatively re-runs from
+      that phase. *)
 
   val rewind_patched : t -> fresh:t -> (t * int, string) Stdlib.result
   (** [rewind_patched cached ~fresh] re-enters the flow at [Minimised]
@@ -182,9 +175,9 @@ module Staged : sig
       byte-identical to the cold compile of [fresh]. Returns the staged
       value at [Minimised] plus the dirty-seed size. [Error] (with the
       reason) whenever the incremental license is missing — no snapshot,
-      legacy fixpoint engine, [incremental] off, graphs too different, or
-      a matched boundary producer that minimisation removed — and the
-      caller should compile [fresh] cold. *)
+      [incremental] off, graphs too different, or a matched boundary
+      producer that minimisation removed — and the caller should compile
+      [fresh] cold. *)
 
   val freeze : t -> unit
   (** Freezes the raw, pre-disambiguation-snapshot and minimised graphs
@@ -225,8 +218,10 @@ val conforms_to_interp :
 (** The reference-interpreter leg: runs [main] of the inlined
     [result.source] in {!Cfront.Interp} and compares its final state with
     the tile simulator's memory ({!Cdfg.Eval.conforms_to_interp}); a
-    return value is compared with the evaluator's named output. [false]
-    when the interpreter faults. Meaningful only when [main] is the mapped
-    function. *)
+    return value is compared with the evaluator's named output. An input
+    that [main] uses as a scalar seeds the interpreter's scalar with cell
+    0 of its [memory_init] region; every other input seeds an array.
+    [false] when the interpreter faults. Meaningful only when [main] is
+    the mapped function. *)
 
 val pp_summary : Format.formatter -> result -> unit

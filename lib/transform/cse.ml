@@ -13,34 +13,11 @@ let key_of g (n : G.node) : key option =
     Some (n.G.kind, inputs)
   | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ -> ignore g; None
 
-let run g =
-  let changed = ref false in
-  let seen : (key, int) Hashtbl.t = Hashtbl.create 64 in
-  (* Topological order so that representatives are installed before their
-     consumers are keyed. *)
-  List.iter
-    (fun id ->
-      if G.mem g id then
-        let n = G.node g id in
-        match key_of g n with
-        | None -> ()
-        | Some key -> (
-          match Hashtbl.find_opt seen key with
-          | Some representative when representative <> id ->
-            G.replace_uses g id ~by:representative;
-            changed := true
-          | Some _ -> ()
-          | None -> Hashtbl.replace seen key id))
-    (G.topo_order g);
-  !changed
-
-let pass = { Pass.name = "cse"; run }
-
-(* Worklist variant: the value-number table lives for the whole engine run.
-   Entries go stale when a representative is removed or its inputs change;
-   staleness is detected lazily at lookup time (the representative must
-   still exist and still hash to the key) and the entry is then usurped by
-   the node in hand.
+(* The value-number table lives for the whole engine run. Entries go
+   stale when a representative is removed or its inputs change; staleness
+   is detected lazily at lookup time (the representative must still exist
+   and still hash to the key) and the entry is then usurped by the node in
+   hand.
 
    In a full run the table fills in as the topological seed visits every
    node. A seeded run visits only the dirty region, so [~prime] instead

@@ -6,9 +6,7 @@
     Commutative operators are canonicalised by sorting their operands.
     Stores, deletes and statespace endpoints are never merged. *)
 
-val pass : Pass.t
-
 val rule : Pass.rule
-(** Worklist variant: keeps a value-number table for the whole engine run;
-    stale entries (removed or re-keyed representatives) are detected and
-    replaced lazily at lookup time. *)
+(** Keeps a value-number table for the whole engine run; stale entries
+    (removed or re-keyed representatives) are detected and replaced
+    lazily at lookup time. *)

@@ -6,9 +6,7 @@
     protect a read whose value nobody consumes, so they are dropped with
     the node. *)
 
-val pass : Pass.t
-
 val rule : Pass.rule
-(** Worklist variant: removes one zero-use non-root node per application;
-    the removal marks its producers use-dirty so the engine cascades the
-    sweep upwards without any whole-graph marking. *)
+(** Removes one zero-use non-root node per application; the removal marks
+    its producers use-dirty so the engine cascades the sweep upwards
+    without any whole-graph marking. *)

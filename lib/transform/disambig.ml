@@ -281,16 +281,6 @@ let prune ?verify ~oracle g =
     kept_unknown = !kept_unknown;
   }
 
-let pass ?(on_report = fun _ -> ()) ~oracle_of () =
-  {
-    Pass.name = "disambig";
-    run =
-      (fun g ->
-        let report = prune ~oracle:(oracle_of g) g in
-        on_report report;
-        report.removed + report.retargeted > 0);
-  }
-
 let pp_report fmt r =
   Format.fprintf fmt
     "@[<v>%d fetch(es) examined, %d -> %d order edges@,\

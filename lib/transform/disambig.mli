@@ -76,15 +76,6 @@ val prune : ?verify:Pass.verify_hook -> oracle:oracle -> Cdfg.Graph.t -> report
     rule name ["disambig"] and the touched node set; a hook exception is
     re-raised as {!Pass.Verification_failed}. *)
 
-val pass :
-  ?on_report:(report -> unit) ->
-  oracle_of:(Cdfg.Graph.t -> oracle) ->
-  unit ->
-  Pass.t
-(** The pruning pass packaged for {!Pass.run_fixpoint} composition;
-    [oracle_of] rebuilds the oracle from the current graph each run, so
-    facts never go stale across interleaved rewrites. *)
-
 val order_edge_count : Cdfg.Graph.t -> int
 (** Total order edges in the graph (the [--stats] before/after metric). *)
 

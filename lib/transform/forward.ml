@@ -42,8 +42,7 @@ let resolve g ~offset token =
   in
   walk token
 
-(* One fetch's worth of forwarding; shared by the whole-graph pass and the
-   worklist rule. *)
+(* One fetch's worth of forwarding. *)
 let forward_fetch g (n : G.node) =
   match n.G.kind with
   | G.Fe _ -> (
@@ -64,16 +63,6 @@ let forward_fetch g (n : G.node) =
   | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
   | G.St _ | G.Del _ ->
     false
-
-let run_store_to_fetch g =
-  let changed = ref false in
-  List.iter
-    (fun id ->
-      if G.mem g id && forward_fetch g (G.node g id) then changed := true)
-    (G.node_ids g);
-  !changed
-
-let store_to_fetch = { Pass.name = "store-to-fetch"; run = run_store_to_fetch }
 
 let store_to_fetch_rule =
   Pass.local "store-to-fetch" (fun g id -> forward_fetch g (G.node g id))
@@ -121,104 +110,5 @@ let bypass_dead_store g (n : G.node) =
       | _ -> false)
     | _ -> false
 
-let run_dead_store g =
-  let changed = ref false in
-  List.iter
-    (fun id ->
-      if G.mem g id && bypass_dead_store g (G.node g id) then changed := true)
-    (G.node_ids g);
-  !changed
-
-let dead_store = { Pass.name = "dead-store"; run = run_dead_store }
-
 let dead_store_rule =
   Pass.local "dead-store" (fun g id -> bypass_dead_store g (G.node g id))
-
-(* {2 Token-order canonical form}
-
-   The builder orders every writer of a region after all pending fetches
-   of the version it supersedes. Rewrites erode that shape in
-   firing-order-dependent ways: CSE inherits a merged duplicate's
-   anti-dependence edges, DCE buries a dead fetch's edges with it, and
-   store-to-fetch re-anchors a fetch without revisiting the edges that
-   protected its old position. Left alone, the surviving edge set depends
-   on which of those rules happened to fire first, and the two engines
-   diverge on graphs where a merged fetch's duplicate was dead.
-
-   The canonicaliser restores the builder's invariant for the *current*
-   token anchors: every same-region fetch reading version [t] is ordered
-   before each writer that consumes [t] directly, and an edge to a writer
-   farther down the chain is retargeted to the direct consumer (which
-   implies the original constraint transitively through the chain). The
-   result is a function of the fetch's token anchor alone. No address
-   oracle is consulted: the conservative shape is preserved and
-   {!Transform.Disambig} keeps its entire pruning workload. *)
-
-let canon_node g (n : G.node) =
-  let changed = ref false in
-  let ensure_edge w ~fe =
-    if not (G.has_order g w ~after:fe) then begin
-      G.add_order g w ~after:fe;
-      changed := true
-    end
-  in
-  (* orders every fetch of token version [t] before writer [w], in
-     ascending fetch id *)
-  let ensure_fetches_precede w ~region ~t =
-    G.iter_consumers g t (fun c port ->
-        if port = 0 && c <> w then
-          match G.kind g c with
-          | G.Fe r when String.equal r region -> ensure_edge w ~fe:c
-          | _ -> ())
-  in
-  (match n.G.kind with
-  | G.Fe region ->
-    G.iter_consumers g n.G.inputs.(0) (fun w port ->
-        if port = 0 then
-          match G.kind g w with
-          | (G.St r | G.Del r) when String.equal r region ->
-            ensure_edge w ~fe:n.G.id
-          | _ -> ())
-  | G.St region | G.Del region ->
-    let t = n.G.inputs.(0) in
-    ensure_fetches_precede n.G.id ~region ~t;
-    List.iter
-      (fun fe ->
-        if G.mem g fe then
-          match G.kind g fe with
-          | G.Fe r when String.equal r region -> (
-            let anchor = List.nth (G.inputs g fe) 0 in
-            if t <> anchor then begin
-              (* climb this writer's token chain; the step out of the
-                 anchor is the canonical target *)
-              let rec climb id =
-                match G.kind g id with
-                | (G.St r' | G.Del r') when String.equal r' region ->
-                  let tok = List.nth (G.inputs g id) 0 in
-                  if tok = anchor then Some id else climb tok
-                | _ -> None
-              in
-              match climb n.G.id with
-              | Some w0 when w0 <> n.G.id ->
-                G.remove_order g n.G.id ~after:fe;
-                G.add_order g w0 ~after:fe;
-                changed := true
-              | Some _ | None -> ()
-            end)
-          | _ -> ())
-      n.G.order_after
-  | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _ -> ());
-  !changed
-
-let run_order_canon g =
-  let changed = ref false in
-  List.iter
-    (fun id ->
-      if G.mem g id && canon_node g (G.node g id) then changed := true)
-    (G.node_ids g);
-  !changed
-
-let order_canon = { Pass.name = "order-canon"; run = run_order_canon }
-
-let order_canon_rule =
-  Pass.local "order-canon" (fun g id -> canon_node g (G.node g id))

@@ -13,36 +13,15 @@ val relate :
     aliasing decisions below; exported for analyses and tests that need
     the same notion of "may alias"). *)
 
-val store_to_fetch : Pass.t
+val store_to_fetch_rule : Pass.rule
 (** Each [Fe] walks its token chain towards [Ss_in]: a store to a provably
     equal offset supplies the fetched value directly; stores/deletes to
     provably different offsets are skipped (the fetch is re-anchored on the
     earlier token, exposing parallelism); an unknown offset stops the
     walk. *)
 
-val dead_store : Pass.t
+val dead_store_rule : Pass.rule
 (** A store/delete whose token has exactly one consumer, that consumer
     being a store/delete to a provably equal offset, is bypassed (its
     effect is immediately overwritten). Order edges are preserved by moving
-    them onto the surviving node. *)
-
-val order_canon : Pass.t
-(** Restores the builder's anti-dependence invariant under the current
-    token anchors: every fetch of token version [t] is ordered before
-    each writer consuming [t] directly, and an edge to a writer farther
-    down the chain is retargeted to the direct consumer (which implies
-    it transitively). Without this, the surviving edge set depends on
-    whether CSE merged a dead duplicate fetch (inheriting its edges)
-    before DCE buried it (dropping them), and the two engines diverge.
-    Purely structural — no offset oracle — so {!Disambig} keeps its
-    whole pruning workload. *)
-
-val store_to_fetch_rule : Pass.rule
-(** Worklist variant of {!store_to_fetch}. *)
-
-val dead_store_rule : Pass.rule
-(** Worklist variant of {!dead_store}, reading the live use/def index. *)
-
-val order_canon_rule : Pass.rule
-(** Worklist variant of {!order_canon}; fires from either endpoint (the
-    fetch when it re-anchors, the writer when its edges change). *)
+    them onto the surviving node. Reads the live use/def index. *)

@@ -9,10 +9,10 @@
     - [mux (c, x, mux (c, y, z)) -> mux (c, x, z)] and the symmetric form
       (same condition dominates).
 
-    Fires only when the absorbed operations have no other consumers, so it
-    never duplicates work. An extension pass in the spirit of the paper's
-    "more transformations will be added"; part of
-    {!Simplify.extended_passes} and benched against the if-conversion cost
-    of E10. *)
+    Fires only when the absorbed operations have exactly one data use
+    (read from the live use/def index), so it never duplicates work. An
+    extension rule in the spirit of the paper's "more transformations will
+    be added"; part of {!Simplify.extended_rules}, not of the default
+    rules. *)
 
-val pass : Pass.t
+val rule : Pass.rule

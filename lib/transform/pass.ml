@@ -1,8 +1,6 @@
 module G = Cdfg.Graph
 module Obs = Fpfa_obs.Obs
 
-type t = { name : string; run : Cdfg.Graph.t -> bool }
-
 (* Engine tallies, visible in `fpfa_map ... --stats` (counters are inert
    until Obs.enable). Per-rule firing counters are registered lazily in
    run_worklist under "pass.fire.<rule>". *)
@@ -11,7 +9,6 @@ let c_rewrites = Obs.counter "pass.rewrites"
 let c_enqueues = Obs.counter "pass.enqueues"
 let c_peak_eager = Obs.counter "pass.queue.eager.peak"
 let c_peak_settled = Obs.counter "pass.queue.settled.peak"
-let c_fixpoint_rounds = Obs.counter "pass.fixpoint.rounds"
 let c_verify_checks = Obs.counter "pass.verify.checks"
 let c_verify_failures = Obs.counter "pass.verify.failures"
 
@@ -35,49 +32,6 @@ let run_verify f rule g touched =
   with error ->
     Obs.incr c_verify_failures;
     raise (Verification_failed { rule; error })
-
-let run_fixpoint ?(max_rounds = 100) ?verify passes g =
-  let rec loop rounds =
-    if rounds >= max_rounds then
-      failwith
-        (Printf.sprintf "transformation pipeline did not converge in %d rounds"
-           max_rounds);
-    let changed =
-      List.fold_left
-        (fun changed pass ->
-          let fired =
-            Obs.span ~cat:"transform" pass.name (fun () -> pass.run g)
-          in
-          (match verify with
-          | Some f when fired ->
-            (* Whole-graph passes touch arbitrary nodes, so the verify
-               batch is the full graph. *)
-            Obs.span ~cat:"transform" "verify-each" (fun () ->
-                run_verify f pass.name g
-                  (List.fold_left
-                     (fun s id -> G.Id_set.add id s)
-                     G.Id_set.empty (G.node_ids g)))
-          | Some _ | None -> ());
-          fired || changed)
-        false passes
-    in
-    if changed then loop (rounds + 1) else rounds + 1
-  in
-  let rounds = loop 0 in
-  Obs.add c_fixpoint_rounds rounds;
-  rounds
-
-let checked pass =
-  {
-    pass with
-    run =
-      (fun g ->
-        let changed = pass.run g in
-        Cdfg.Graph.validate g;
-        changed);
-  }
-
-(* {2 Worklist engine} *)
 
 type rule = {
   rname : string;
@@ -161,10 +115,9 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     end
   in
   (* Seed in topological order: producers are simplified before their
-     consumers key on them, mirroring the scan order of the whole-graph
-     passes. A caller-supplied seed restricts the initial frontier to the
-     dirty region; the journal-driven enqueues below still propagate every
-     rewrite's consequences outward from there. *)
+     consumers key on them. A caller-supplied seed restricts the initial
+     frontier to the dirty region; the journal-driven enqueues below still
+     propagate every rewrite's consequences outward from there. *)
   (match seed with
   | None -> List.iter enqueue (G.topo_order g)
   | Some ids ->

@@ -1,22 +1,12 @@
 (** Behaviour-preserving graph transformation framework (paper Section I:
     "minimized using a set of behaviour preserving transformations").
 
-    Two engines share the rewrite rules:
-
-    - the legacy {e whole-graph fixpoint} ({!run_fixpoint}) re-runs every
-      pass over the full CDFG until a round changes nothing — O(rounds x
-      passes x graph), kept as the reference oracle;
-    - the {e worklist engine} ({!run_worklist}) seeds a queue with all
-      nodes in topological order and thereafter re-examines only the
-      neighbourhood of each rewrite, which the graph reports through its
-      mutation journal ({!Cdfg.Graph.drain_dirty}). Validation runs once
-      at the end of the caller (or after every step under [~debug]). *)
-
-type t = {
-  name : string;
-  run : Cdfg.Graph.t -> bool;
-      (** Mutates the graph; returns true when anything changed. *)
-}
+    Every transformation is a {!type-rule}: a rewrite of one node. The
+    {e worklist engine} ({!run_worklist}) seeds a queue with all nodes in
+    topological order and thereafter re-examines only the neighbourhood
+    of each rewrite, which the graph reports through its mutation journal
+    ({!Cdfg.Graph.drain_dirty}). Validation runs once at the end of the
+    caller (or after every step under [~debug]). *)
 
 type verify_hook = string -> Cdfg.Graph.t -> Cdfg.Graph.Id_set.t -> unit
 (** [hook rule g touched] checks the graph right after [rule] fired;
@@ -27,22 +17,6 @@ type verify_hook = string -> Cdfg.Graph.t -> Cdfg.Graph.Id_set.t -> unit
 
 exception Verification_failed of { rule : string; error : exn }
 (** A [~verify] hook rejected the graph right after [rule] fired. *)
-
-val run_fixpoint :
-  ?max_rounds:int -> ?verify:verify_hook -> t list -> Cdfg.Graph.t -> int
-(** Runs the pass list repeatedly until one full round changes nothing.
-    Returns the number of rounds executed. [max_rounds] (default 100)
-    guards against non-terminating rewrite interactions. [~verify] runs
-    after every pass that changed the graph, with the full node set as the
-    touched batch (whole-graph passes have no narrower footprint).
-    @raise Failure when the bound is hit.
-    @raise Verification_failed when [~verify] rejects the graph. *)
-
-val checked : t -> t
-(** Wraps a pass so that the graph is validated after it runs (used by the
-    test suite to catch invariant-breaking rewrites early). *)
-
-(** {2 Worklist engine} *)
 
 type rule = {
   rname : string;

@@ -8,8 +8,7 @@
     trees; the rewrite fires only when it strictly reduces the chain's
     depth, which guarantees termination. *)
 
-val pass : Pass.t
-
 val rule : Pass.rule
-(** Worklist variant: chain membership and single-use tests read the live
-    use/def index instead of a snapshot. *)
+(** A settled rule ({!Pass.settled}): chain membership and single-use
+    tests read the live use/def index, so it fires only once dead code is
+    collected. *)

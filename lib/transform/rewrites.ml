@@ -14,8 +14,7 @@ let redirect g id ~by =
   G.replace_uses g id ~by;
   true
 
-(* One node's worth of constant folding; shared by the whole-graph pass and
-   the worklist rule. *)
+(* One node's worth of constant folding. *)
 let fold_node g (n : G.node) =
   match n.G.kind with
   | G.Binop op -> (
@@ -33,15 +32,6 @@ let fold_node g (n : G.node) =
       redirect g n.G.id ~by:chosen
     | None -> false)
   | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.Fe _ | G.St _ | G.Del _ -> false
-
-let run_const_fold g =
-  let changed = ref false in
-  List.iter
-    (fun id -> if G.mem g id && fold_node g (G.node g id) then changed := true)
-    (G.node_ids g);
-  !changed
-
-let const_fold = { Pass.name = "const-fold"; run = run_const_fold }
 
 let const_fold_rule =
   Pass.local "const-fold" (fun g id -> fold_node g (G.node g id))
@@ -125,16 +115,6 @@ let algebraic_node g (n : G.node) =
     ());
   !changed
 
-let run_algebraic g =
-  let changed = ref false in
-  List.iter
-    (fun id ->
-      if G.mem g id && algebraic_node g (G.node g id) then changed := true)
-    (G.node_ids g);
-  !changed
-
-let algebraic = { Pass.name = "algebraic"; run = run_algebraic }
-
 let algebraic_rule =
   Pass.local "algebraic" (fun g id -> algebraic_node g (G.node g id))
 
@@ -162,16 +142,6 @@ let strength_reduce_node g (n : G.node) =
   | G.Binop _ | G.Unop _ | G.Mux | G.Const _ | G.Ss_in _ | G.Ss_out _
   | G.Fe _ | G.St _ | G.Del _ ->
     false
-
-let run_strength_reduce g =
-  let changed = ref false in
-  List.iter
-    (fun id ->
-      if G.mem g id && strength_reduce_node g (G.node g id) then changed := true)
-    (G.node_ids g);
-  !changed
-
-let strength_reduce = { Pass.name = "strength-reduce"; run = run_strength_reduce }
 
 let strength_reduce_rule =
   Pass.local "strength-reduce" (fun g id -> strength_reduce_node g (G.node g id))

@@ -1,21 +1,17 @@
-(** Local value rewrites: constant folding and algebraic simplification. *)
+(** Local value rewrites: constant folding, algebraic simplification and
+    strength reduction. *)
 
-val const_fold : Pass.t
+val const_fold_rule : Pass.rule
 (** Folds [Binop]/[Unop]/[Mux] nodes whose relevant inputs are constants
     into [Const] nodes. *)
 
-val algebraic : Pass.t
+val algebraic_rule : Pass.rule
 (** Identity/absorption rewrites that need no constant operands on both
     sides: [x+0], [x*1], [x*0], [x-0], [x/1], [x<<0], [x&0], [x|0], [x^0],
     [x-x], [x^x], [Mux (c, a, a)], [Mux (!c, a, b)] and friends. *)
 
-val strength_reduce : Pass.t
-(** Optional extension pass (paper Section VII future work): rewrites
-    multiplications by powers of two into shifts, freeing the ALU multiplier
-    stage. Not part of the default pipeline; benched as an ablation. *)
-
-(** {2 Worklist variants} *)
-
-val const_fold_rule : Pass.rule
-val algebraic_rule : Pass.rule
 val strength_reduce_rule : Pass.rule
+(** Optional extension rule (paper Section VII future work): rewrites
+    multiplications by powers of two into shifts, freeing the ALU
+    multiplier stage. Not part of the default rules; part of
+    {!Simplify.extended_rules}. *)

@@ -1,17 +1,3 @@
-let default_passes =
-  [
-    Rewrites.const_fold;
-    Rewrites.algebraic;
-    Cse.pass;
-    Forward.store_to_fetch;
-    Forward.dead_store;
-    Forward.order_canon;
-    Dce.pass;
-    Reassoc.pass;
-  ]
-
-let extended_passes = default_passes @ [ Rewrites.strength_reduce; Hoist.pass ]
-
 let default_rules =
   [
     Rewrites.const_fold_rule;
@@ -19,41 +5,26 @@ let default_rules =
     Cse.rule;
     Forward.store_to_fetch_rule;
     Forward.dead_store_rule;
-    Forward.order_canon_rule;
     Dce.rule;
     Reassoc.rule;
   ]
 
-let extended_rules = default_rules @ [ Rewrites.strength_reduce_rule ]
+let extended_rules =
+  default_rules @ [ Rewrites.strength_reduce_rule; Hoist.rule ]
 
 type report = {
-  rounds : int;
   steps : int;
   before : Cdfg.Graph.stats;
   after : Cdfg.Graph.stats;
 }
 
-let minimize ?passes ?rules ?seed ?(validate = true) ?(debug = false) ?verify g
-    =
+let minimize ?(rules = default_rules) ?seed ?(validate = true) ?(debug = false)
+    ?verify g =
   let before = Cdfg.Graph.stats g in
-  let rounds, steps =
-    match passes with
-    | Some passes ->
-      (* Legacy whole-graph fixpoint: the reference oracle. [validate]
-         keeps its historical meaning — check invariants after every
-         pass. *)
-      let passes = if validate then List.map Pass.checked passes else passes in
-      let rounds = Pass.run_fixpoint ?verify passes g in
-      (rounds, rounds * List.length passes)
-    | None ->
-      let rules = match rules with Some r -> r | None -> default_rules in
-      let wr = Pass.run_worklist ~debug ?seed ?verify rules g in
-      if validate && not debug then Cdfg.Graph.validate g;
-      (1, wr.Pass.steps)
-  in
-  let after = Cdfg.Graph.stats g in
-  { rounds; steps; before; after }
+  let wr = Pass.run_worklist ~debug ?seed ?verify rules g in
+  if validate && not debug then Cdfg.Graph.validate g;
+  { steps = wr.Pass.steps; before; after = Cdfg.Graph.stats g }
 
-let pp_report fmt { rounds; steps; before; after } =
-  Format.fprintf fmt "@[<v>rounds: %d (%d steps)@,before: %a@,after:  %a@]"
-    rounds steps Cdfg.Graph.pp_stats before Cdfg.Graph.pp_stats after
+let pp_report fmt { steps; before; after } =
+  Format.fprintf fmt "@[<v>steps: %d@,before: %a@,after:  %a@]" steps
+    Cdfg.Graph.pp_stats before Cdfg.Graph.pp_stats after

@@ -1,42 +1,27 @@
 (** The "full simplification" pipeline (paper Fig. 3's caption: "after
     complete loop unrolling and full simplification").
 
-    Two engines are available. The {e worklist engine} (default) visits
-    every node once in topological order and thereafter re-examines only
-    the neighbourhood of each rewrite — near-linear in graph size. The
-    {e legacy fixpoint} re-runs whole-graph passes until global
-    quiescence; it is kept as the reference oracle (the property tests
-    check that both engines produce isomorphic graphs) and is selected by
-    passing an explicit [~passes] list. *)
-
-val default_passes : Pass.t list
-(** Constant folding, algebraic simplification, CSE, store-to-fetch
-    forwarding, dead-store elimination, dead-node elimination, associative
-    rebalancing — run to a fixpoint in that order (legacy engine). *)
-
-val extended_passes : Pass.t list
-(** [default_passes] plus strength reduction and MUX hoisting (future-work
-    extensions). *)
+    One engine runs every rule: {!Pass.run_worklist} visits every node
+    once in topological order and thereafter re-examines only the
+    neighbourhood of each rewrite — near-linear in graph size. *)
 
 val default_rules : Pass.rule list
-(** The worklist-engine counterparts of {!default_passes}, applied in the
-    same order on each visited node. *)
+(** Constant folding, algebraic simplification, CSE, store-to-fetch
+    forwarding, dead-store elimination, dead-node elimination and
+    associative rebalancing, applied in that order on each visited node
+    (rebalancing is settled: it runs once the others quiesce). *)
 
 val extended_rules : Pass.rule list
-(** [default_rules] plus strength reduction. (MUX hoisting has no local
-    form yet; use [~passes:extended_passes] for it.) *)
+(** [default_rules] plus strength reduction and MUX hoisting (future-work
+    extensions). *)
 
 type report = {
-  rounds : int;  (** legacy: fixpoint rounds; worklist: always 1 *)
-  steps : int;
-      (** legacy: pass executions; worklist: node visits (revisits
-          included) *)
+  steps : int;  (** node visits (revisits included) *)
   before : Cdfg.Graph.stats;
   after : Cdfg.Graph.stats;
 }
 
 val minimize :
-  ?passes:Pass.t list ->
   ?rules:Pass.rule list ->
   ?seed:Cdfg.Graph.id list ->
   ?validate:bool ->
@@ -44,19 +29,14 @@ val minimize :
   ?verify:Pass.verify_hook ->
   Cdfg.Graph.t ->
   report
-(** Mutates the graph to its minimised form and reports the shrinkage.
-
-    With [~passes] the legacy whole-graph fixpoint runs over that list;
-    [validate] then keeps its historical meaning (invariants checked after
-    every pass, default true). Without [~passes] the worklist engine runs
-    over [rules] (default {!default_rules}); [validate] checks invariants
-    once at the end, and [~debug:true] re-validates after every visited
-    node instead (slow; for pinpointing an invariant-breaking rule).
-    [~seed] (worklist only) restricts the initial visit to the given
-    dirty nodes — the incremental re-minimisation entry point fed by
-    {!Cdfg.Diff.apply}. [~verify] is forwarded to the engine
-    ({!Pass.run_worklist} / {!Pass.run_fixpoint}): it runs after each
-    rule firing (worklist) or changed pass (fixpoint) and blames the
+(** Mutates the graph to its minimised form under [rules] (default
+    {!default_rules}) and reports the shrinkage. [validate] (default
+    true) checks invariants once at the end; [~debug:true] re-validates
+    after every visited node instead (slow; for pinpointing an
+    invariant-breaking rule). [~seed] restricts the initial visit to the
+    given dirty nodes — the incremental re-minimisation entry point fed
+    by {!Cdfg.Diff.apply}. [~verify] is forwarded to
+    {!Pass.run_worklist}: it runs after each rule firing and blames the
     responsible rule via {!Pass.Verification_failed} — the
     `--verify-each-pass` mode. *)
 

@@ -627,17 +627,6 @@ let worklist_rules_stay_clean =
            ~verify:(Verify.pass_hook ()) g);
       Verify.structure g = [])
 
-let fixpoint_passes_stay_clean =
-  QCheck.Test.make ~name:"fixpoint passes keep random DAGs verifier-clean"
-    ~count:40
-    (QCheck.make QCheck.Gen.(int_range 0 10_000))
-    (fun seed ->
-      let g = Fpfa_kernels.Random_graph.generate ~seed ~ops:40 () in
-      ignore
-        (T.Simplify.minimize ~passes:T.Simplify.extended_passes
-           ~validate:false ~verify:(Verify.pass_hook ()) g);
-      Verify.structure g = [])
-
 let suite =
   [
     Alcotest.test_case "clean corpus has no diagnostics" `Quick
@@ -713,5 +702,4 @@ let suite =
     Alcotest.test_case "verify-each flow stays correct" `Quick
       test_verify_each_clean_flow;
     QCheck_alcotest.to_alcotest worklist_rules_stay_clean;
-    QCheck_alcotest.to_alcotest fixpoint_passes_stay_clean;
   ]

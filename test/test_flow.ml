@@ -135,13 +135,17 @@ let test_unroll_budget_respected () =
   | _ -> Alcotest.fail "unroll budget ignored"
 
 (* Property: the complete flow verifies on random mappable programs — the
-   headline invariant of the whole library. *)
+   headline invariant of the whole library. The reference interpreter, the
+   CDFG evaluator before and after minimisation and the tile simulator
+   agree (Interp = Eval = Sim); the generated programs read scalar inputs
+   as well as arrays. *)
 let flow_verifies_random_programs =
   QCheck.Test.make ~name:"flow verifies on random programs" ~count:120
     Gen.program (fun program ->
       let source = Cfront.Ast.program_to_string program in
       let result = Flow.map_source source in
-      Flow.verify ~memory_init:Gen.memory_init result)
+      Flow.verify ~memory_init:Gen.memory_init result
+      && Flow.conforms_to_interp ~memory_init:Gen.memory_init result)
 
 (* Property: the flow verifies on random DAGs under every variant. *)
 let flow_verifies_random_graphs =

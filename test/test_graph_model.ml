@@ -199,11 +199,6 @@ let check_agreement ~at g m =
       if Graph.sole_consumer g id <> sole then
         fail "step %d: sole_consumer of %d: graph %d, model %d" at id
           (Graph.sole_consumer g id) sole;
-      List.iter
-        (fun after ->
-          if Graph.has_order g id ~after <> List.mem after mn.mord then
-            fail "step %d: has_order %d ~after:%d" at id after)
-        ids;
       if Graph.order_successors g id <> m_order_successors m id then
         fail "step %d: order_successors of %d" at id)
     m.mnodes;

@@ -545,15 +545,14 @@ let test_alloc_error () =
    steps, rewrites and enqueues, and the firings of every rule. *)
 let expected_pass_counters =
   [
-    ("pass.steps", 50130);
-    ("pass.rewrites", 51915);
-    ("pass.enqueues", 72230);
+    ("pass.steps", 50004);
+    ("pass.rewrites", 43819);
+    ("pass.enqueues", 72104);
     ("pass.fire.const-fold", 4094);
     ("pass.fire.algebraic", 871);
     ("pass.fire.cse", 5325);
     ("pass.fire.store-to-fetch", 8109);
     ("pass.fire.dead-store", 3246);
-    ("pass.fire.order-canon", 8096);
     ("pass.fire.dce", 22100);
     ("pass.fire.reassociate", 74);
   ]

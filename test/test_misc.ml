@@ -1,5 +1,6 @@
 (* Coverage for the remaining surfaces: DOT exports, pretty printers, the
-   pass wrapper, kernel reference states, encode versioning. *)
+   simplifier engine's guards, kernel reference states, encode
+   versioning. *)
 
 let contains text needle =
   let n = String.length needle in
@@ -42,40 +43,35 @@ let test_cluster_dot () =
     result.Fpfa_core.Flow.clustering.Mapping.Cluster.clusters
 
 let test_pass_checked_catches_breakage () =
-  (* a deliberately invariant-breaking pass must be caught by [checked] *)
+  (* a deliberately invariant-breaking rule must be caught by the
+     engine's per-visit validation under [~debug] *)
   let vandal =
-    {
-      Transform.Pass.name = "vandal";
-      run =
-        (fun g ->
+    Transform.Pass.local "vandal" (fun g id ->
+        match Cdfg.Graph.kind g id with
+        | Cdfg.Graph.Fe _ ->
           (* point a fetch's token at a value node: type violation *)
-          let victim =
-            Cdfg.Graph.fold g ~init:None ~f:(fun acc n ->
-                match n.Cdfg.Graph.kind with
-                | Cdfg.Graph.Fe _ -> Some n.Cdfg.Graph.id
-                | _ -> acc)
-          in
-          match victim with
-          | Some fe ->
-            let const = Cdfg.Graph.add g (Cdfg.Graph.Const 0) [] in
-            Cdfg.Graph.set_inputs g fe
-              [ const; List.nth (Cdfg.Graph.inputs g fe) 1 ];
-            true
-          | None -> false);
-    }
+          let const = Cdfg.Graph.add g (Cdfg.Graph.Const 0) [] in
+          Cdfg.Graph.set_inputs g id [ const; Cdfg.Graph.input g id 1 ];
+          true
+        | _ -> false)
   in
   let g = Cdfg.Builder.build_program "void main() { x = a[0]; }" in
-  match (Transform.Pass.checked vandal).Transform.Pass.run g with
+  match Transform.Pass.run_worklist ~debug:true [ vandal ] g with
   | exception Cdfg.Graph.Invalid _ -> ()
-  | _ -> Alcotest.fail "checked pass let an invalid graph through"
+  | _ -> Alcotest.fail "debug run let an invalid graph through"
 
 let test_fixpoint_bound () =
-  (* a pass that always reports change must hit the round bound *)
-  let restless = { Transform.Pass.name = "restless"; run = (fun _ -> true) } in
+  (* a rule that adds a node on every visit never quiesces: the engine
+     must stop at its step budget *)
+  let restless =
+    Transform.Pass.local "restless" (fun g _ ->
+        ignore (Cdfg.Graph.add g (Cdfg.Graph.Const 0) []);
+        true)
+  in
   let g = Cdfg.Builder.build_program "void main() { x = 1; }" in
-  match Transform.Pass.run_fixpoint ~max_rounds:5 [ restless ] g with
+  match Transform.Pass.run_worklist ~max_steps:50 [ restless ] g with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "non-converging pipeline not detected"
+  | _ -> Alcotest.fail "non-converging rule set not detected"
 
 let test_kernel_reference_states () =
   (* the corpus's reference states agree with the CDFG evaluator *)

@@ -1,4 +1,4 @@
-(* Unit + property tests for the transformation passes. *)
+(* Unit + property tests for the simplifier's rewrite rules. *)
 
 module G = Cdfg.Graph
 module Op = Cdfg.Op
@@ -6,19 +6,14 @@ module T = Transform
 
 let build = Cdfg.Builder.build_program
 
-let run_pass pass g =
-  let changed = pass.T.Pass.run g in
-  G.validate g;
-  changed
-
-let stats_after passes source =
+let stats_after rules source =
   let g = build source in
-  ignore (T.Simplify.minimize ~passes g);
+  ignore (T.Simplify.minimize ~rules g);
   G.stats g
 
 let test_const_fold_binop () =
   let g = build "void main() { x = 2 + 3 * 4; }" in
-  ignore (T.Simplify.minimize ~passes:[ T.Rewrites.const_fold; T.Dce.pass ] g);
+  ignore (T.Simplify.minimize ~rules:[ T.Rewrites.const_fold_rule; T.Dce.rule ] g);
   let s = G.stats g in
   Alcotest.(check int) "no arithmetic left" 0 (s.G.adds + s.G.multiplies + s.G.other_alu);
   let result = Cdfg.Eval.run g in
@@ -27,7 +22,7 @@ let test_const_fold_binop () =
 
 let test_const_fold_mux () =
   let g = build "void main() { x = 1 ? 5 : 7; }" in
-  ignore (T.Simplify.minimize ~passes:[ T.Rewrites.const_fold; T.Dce.pass ] g);
+  ignore (T.Simplify.minimize ~rules:[ T.Rewrites.const_fold_rule; T.Dce.rule ] g);
   Alcotest.(check int) "mux folded" 0 (G.stats g).G.muxes
 
 let test_algebraic_identities () =
@@ -51,7 +46,10 @@ let test_algebraic_identities () =
     (fun (source, _) ->
       let s =
         stats_after
-          [ T.Rewrites.const_fold; T.Cse.pass; T.Rewrites.algebraic; T.Dce.pass ]
+          [
+            T.Rewrites.const_fold_rule; T.Cse.rule; T.Rewrites.algebraic_rule;
+            T.Dce.rule;
+          ]
           source
       in
       Alcotest.(check int) (source ^ " simplified") 0
@@ -61,23 +59,25 @@ let test_algebraic_identities () =
 let test_mux_same_branches () =
   let g = build "void main() { x = c ? y : y; }" in
   ignore
-    (T.Simplify.minimize ~passes:[ T.Cse.pass; T.Rewrites.algebraic; T.Dce.pass ] g);
+    (T.Simplify.minimize
+       ~rules:[ T.Cse.rule; T.Rewrites.algebraic_rule; T.Dce.rule ]
+       g);
   Alcotest.(check int) "mux gone" 0 (G.stats g).G.muxes
 
 let test_cse_merges_fetches () =
   let g = build "void main() { x = a[0] + a[0]; }" in
   Alcotest.(check int) "two fetches before" 2 (G.stats g).G.fetches;
-  ignore (T.Simplify.minimize ~passes:[ T.Cse.pass; T.Dce.pass ] g);
+  ignore (T.Simplify.minimize ~rules:[ T.Cse.rule; T.Dce.rule ] g);
   Alcotest.(check int) "one fetch after" 1 (G.stats g).G.fetches
 
 let test_cse_commutative () =
   let g = build "void main() { x = a[0] + a[1]; y = a[1] + a[0]; }" in
-  ignore (T.Simplify.minimize ~passes:[ T.Cse.pass; T.Dce.pass ] g);
+  ignore (T.Simplify.minimize ~rules:[ T.Cse.rule; T.Dce.rule ] g);
   Alcotest.(check int) "one add" 1 (G.stats g).G.adds
 
 let test_cse_does_not_merge_noncommutative () =
   let g = build "void main() { x = a[0] - a[1]; y = a[1] - a[0]; }" in
-  ignore (T.Simplify.minimize ~passes:[ T.Cse.pass; T.Dce.pass ] g);
+  ignore (T.Simplify.minimize ~rules:[ T.Cse.rule; T.Dce.rule ] g);
   Alcotest.(check int) "two subs" 2 (G.stats g).G.adds
 
 let test_forwarding_scalar () =
@@ -152,8 +152,7 @@ let test_dce_removes_unused () =
 
 let test_strength_reduction () =
   let g = build "void main() { x = y * 8; z = y * 6; }" in
-  ignore
-    (T.Simplify.minimize ~passes:T.Simplify.extended_passes g);
+  ignore (T.Simplify.minimize ~rules:T.Simplify.extended_rules g);
   let s = G.stats g in
   (* y*8 becomes y<<3 (other_alu); y*6 stays a multiply *)
   Alcotest.(check int) "one multiply left" 1 s.G.multiplies;
@@ -176,7 +175,7 @@ let alu_ops_of (s : G.stats) = s.G.adds + s.G.multiplies + s.G.other_alu
 
 let test_hoist_shared_operand () =
   let g = build "void main() { if (c) { y = a[0] + k; } else { y = a[1] + k; } }" in
-  ignore (T.Simplify.minimize ~passes:T.Simplify.extended_passes g);
+  ignore (T.Simplify.minimize ~rules:T.Simplify.extended_rules g);
   let s = G.stats g in
   Alcotest.(check int) "one mux" 1 s.G.muxes;
   Alcotest.(check int) "one add" 1 (alu_ops_of s);
@@ -188,7 +187,7 @@ let test_hoist_shared_operand () =
 let test_hoist_commutative () =
   (* op (s, t) vs op (f, s): sharing found through commutativity *)
   let g = build "void main() { if (c) { y = k + a[0]; } else { y = a[1] + k; } }" in
-  ignore (T.Simplify.minimize ~passes:T.Simplify.extended_passes g);
+  ignore (T.Simplify.minimize ~rules:T.Simplify.extended_rules g);
   Alcotest.(check int) "one add after hoist" 1 (alu_ops_of (G.stats g));
   let memory_init = [ ("a", [| 5; 9 |]); ("c", [| 0 |]); ("k", [| 100 |]) ] in
   let result = Cdfg.Eval.run ~memory_init g in
@@ -202,12 +201,12 @@ let test_hoist_blocked_by_sharing () =
     build
       "void main() { t0 = a[0] + k; t1 = a[1] + k; y = c ? t0 : t1; }"
   in
-  ignore (T.Simplify.minimize ~passes:T.Simplify.extended_passes g);
+  ignore (T.Simplify.minimize ~rules:T.Simplify.extended_rules g);
   Alcotest.(check int) "both adds kept" 2 (alu_ops_of (G.stats g))
 
 let test_hoist_nested_same_condition () =
   let g = build "void main() { y = c ? a[0] : (c ? a[1] : a[2]); }" in
-  ignore (T.Simplify.minimize ~passes:T.Simplify.extended_passes g);
+  ignore (T.Simplify.minimize ~rules:T.Simplify.extended_rules g);
   Alcotest.(check int) "one mux left" 1 (G.stats g).G.muxes;
   let memory_init = [ ("a", [| 5; 9; 13 |]); ("c", [| 0 |]) ] in
   let result = Cdfg.Eval.run ~memory_init g in
@@ -224,17 +223,6 @@ let test_fir_fig3_shape () =
   Alcotest.(check int) "4 adds" 4 s.G.adds;
   Alcotest.(check int) "no muxes" 0 s.G.muxes
 
-let test_fixpoint_terminates () =
-  List.iter
-    (fun (k : Fpfa_kernels.Kernels.t) ->
-      let g = build k.Fpfa_kernels.Kernels.source in
-      let report = T.Simplify.minimize g in
-      Alcotest.(check bool)
-        (k.Fpfa_kernels.Kernels.name ^ " converges quickly")
-        true
-        (report.T.Simplify.rounds < 20))
-    Fpfa_kernels.Kernels.all
-
 let test_simplify_never_grows () =
   List.iter
     (fun (k : Fpfa_kernels.Kernels.t) ->
@@ -245,47 +233,6 @@ let test_simplify_never_grows () =
         true
         (report.T.Simplify.after.G.total <= report.T.Simplify.before.G.total))
     Fpfa_kernels.Kernels.all
-
-(* Value-structure isomorphism up to node renaming. Roots (named outputs
-   matched by name, Ss_out matched by region) anchor the mapping; data
-   inputs are matched recursively port by port; the mapping must cover
-   both graphs (after DCE every node is data-reachable from the roots).
-   Order-only edges are deliberately NOT compared edge for edge: the
-   builder adds anti-dependences conservatively (every fetch of a token,
-   aliasing or not), and the two engines merge duplicate fetches along
-   different rewrite orders, so their leftover redundant anti-deps differ.
-   What must hold of the order edges is semantic: see
-   {!anti_deps_sound}. *)
-let isomorphic ga gb =
-  let map_ab = Hashtbl.create 64 in
-  let map_ba = Hashtbl.create 64 in
-  let rec match_nodes a b =
-    match (Hashtbl.find_opt map_ab a, Hashtbl.find_opt map_ba b) with
-    | Some b', _ -> b' = b
-    | None, Some _ -> false
-    | None, None ->
-      G.kind ga a = G.kind gb b
-      && begin
-           Hashtbl.replace map_ab a b;
-           Hashtbl.replace map_ba b a;
-           let ia = G.inputs ga a and ib = G.inputs gb b in
-           List.length ia = List.length ib && List.for_all2 match_nodes ia ib
-         end
-  in
-  let oa = G.outputs ga and ob = G.outputs gb in
-  List.length oa = List.length ob
-  && List.for_all2
-       (fun (na, ida) (nb, idb) -> String.equal na nb && match_nodes ida idb)
-       oa ob
-  && List.for_all
-       (fun (r, _) ->
-         match (G.ss_out_of ga r, G.ss_out_of gb r) with
-         | Some a, Some b -> match_nodes a b
-         | None, None -> true
-         | Some _, None | None, Some _ -> false)
-       (G.regions ga)
-  && G.node_count ga = G.node_count gb
-  && Hashtbl.length map_ab = G.node_count ga
 
 (* The soundness requirement on order edges: a store/delete that may
    overwrite the cell a fetch reads (same region, offsets not provably
@@ -340,38 +287,26 @@ let anti_deps_sound g =
       | _ -> ());
   !ok
 
-let minimize_both g =
-  let legacy = G.copy g in
-  let worklist = G.copy g in
-  ignore (T.Simplify.minimize ~passes:T.Simplify.default_passes legacy);
-  ignore (T.Simplify.minimize worklist);
-  (legacy, worklist)
+(* A from-scratch second run of the default rules over a minimised graph
+   must find nothing left to rewrite: the engine stops at a fixpoint of
+   its own rules, not merely when its worklist happens to drain. *)
+let at_sound_fixpoint g =
+  ignore (T.Simplify.minimize g);
+  let again = T.Pass.run_worklist T.Simplify.default_rules g in
+  again.T.Pass.rewrites = 0 && anti_deps_sound g
 
-(* Property: both engines reduce any generated program to isomorphic
-   graphs with identical statistics (the legacy fixpoint is the worklist
-   engine's reference oracle). *)
-let engines_agree_on_programs =
-  QCheck.Test.make ~name:"worklist and legacy engines agree (programs)"
+let fixpoint_on_programs =
+  QCheck.Test.make ~name:"minimise reaches a sound fixpoint (programs)"
     ~count:250 Gen.program (fun program ->
       let unrolled = Cfront.Unroll.unroll_program program in
-      let g = Cdfg.Builder.build_func (List.hd unrolled) in
-      let legacy, worklist = minimize_both g in
-      G.stats legacy = G.stats worklist
-      && isomorphic legacy worklist
-      && anti_deps_sound legacy
-      && anti_deps_sound worklist)
+      at_sound_fixpoint (Cdfg.Builder.build_func (List.hd unrolled)))
 
-let engines_agree_on_random_graphs =
-  QCheck.Test.make ~name:"worklist and legacy engines agree (random DAGs)"
+let fixpoint_on_random_graphs =
+  QCheck.Test.make ~name:"minimise reaches a sound fixpoint (random DAGs)"
     ~count:50
     (QCheck.make QCheck.Gen.(int_range 0 10_000))
     (fun seed ->
-      let g = Fpfa_kernels.Random_graph.generate ~seed ~ops:60 () in
-      let legacy, worklist = minimize_both g in
-      G.stats legacy = G.stats worklist
-      && isomorphic legacy worklist
-      && anti_deps_sound legacy
-      && anti_deps_sound worklist)
+      at_sound_fixpoint (Fpfa_kernels.Random_graph.generate ~seed ~ops:60 ()))
 
 (* Property: the default pipeline preserves evaluation on generated
    programs. *)
@@ -385,29 +320,28 @@ let simplify_preserves_semantics =
       let after = Cdfg.Eval.run ~memory_init:Gen.memory_init g in
       Cdfg.Eval.equal_result before after)
 
-(* Property: each individual pass in isolation preserves evaluation on
-   random mapped graphs. *)
-let each_pass_preserves =
-  let passes =
-    [
-      T.Rewrites.const_fold; T.Rewrites.algebraic; T.Rewrites.strength_reduce;
-      T.Cse.pass; T.Forward.store_to_fetch; T.Forward.dead_store; T.Dce.pass;
-      T.Reassoc.pass; T.Hoist.pass;
-    ]
+(* Property: each rule, run to its fixpoint with only dead-node
+   elimination beside it, preserves evaluation on random mapped graphs.
+   DCE keeps rules that leave dead duplicates behind (CSE, rebalancing)
+   from feeding themselves forever. *)
+let each_rule_preserves =
+  let with_dce (r : T.Pass.rule) =
+    if String.equal r.T.Pass.rname T.Dce.rule.T.Pass.rname then [ r ]
+    else [ r; T.Dce.rule ]
   in
-  QCheck.Test.make ~name:"every pass alone preserves evaluation" ~count:100
+  QCheck.Test.make ~name:"every rule alone preserves evaluation" ~count:100
     (QCheck.make QCheck.Gen.(int_range 0 10_000))
     (fun seed ->
       let g = Fpfa_kernels.Random_graph.generate ~seed ~ops:40 () in
       let inputs = Fpfa_kernels.Random_graph.random_inputs g in
       let before = Cdfg.Eval.run ~memory_init:inputs g in
       List.for_all
-        (fun pass ->
+        (fun rule ->
           let g' = G.copy g in
-          ignore (run_pass pass g');
+          ignore (T.Simplify.minimize ~rules:(with_dce rule) g');
           let after = Cdfg.Eval.run ~memory_init:inputs g' in
           Cdfg.Eval.equal_result before after)
-        passes)
+        T.Simplify.extended_rules)
 
 let suite =
   [
@@ -431,10 +365,9 @@ let suite =
     Alcotest.test_case "hoist blocked" `Quick test_hoist_blocked_by_sharing;
     Alcotest.test_case "hoist nested" `Quick test_hoist_nested_same_condition;
     Alcotest.test_case "FIR Fig.3 shape" `Quick test_fir_fig3_shape;
-    Alcotest.test_case "fixpoint terminates" `Quick test_fixpoint_terminates;
     Alcotest.test_case "simplify never grows" `Quick test_simplify_never_grows;
     QCheck_alcotest.to_alcotest simplify_preserves_semantics;
-    QCheck_alcotest.to_alcotest each_pass_preserves;
-    QCheck_alcotest.to_alcotest engines_agree_on_programs;
-    QCheck_alcotest.to_alcotest engines_agree_on_random_graphs;
+    QCheck_alcotest.to_alcotest each_rule_preserves;
+    QCheck_alcotest.to_alcotest fixpoint_on_programs;
+    QCheck_alcotest.to_alcotest fixpoint_on_random_graphs;
   ]
