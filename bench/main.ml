@@ -64,16 +64,6 @@
                                               their exact RecMII, analysis
                                               cost <15% of compile
 
-     E21 incr                   (infrastructure) incremental recompilation:
-                                              a statement edit outside the
-                                              hot loop resumes via the
-                                              journal-seeded patched rewind
-                                              >=10x faster than a cold
-                                              compile on a >=30k-node raw
-                                              graph, byte-identical job; a
-                                              loop-body edit (replicated by
-                                              the unroller) stays identical
-
      E22 bitopt                 (infrastructure) certified bit-level
                                               optimisation: known-bits x
                                               range facts demote mul/div/mod
@@ -1920,204 +1910,6 @@ let depend_bench () =
   Printf.printf "\nwrote BENCH_depend.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* E21 - incremental recompilation. A near-miss serve diffs the fresh  *)
-(* raw CDFG against a cached ancestor, grafts the changed cone onto    *)
-(* the cached pre-disambiguation snapshot and drains the simplifier    *)
-(* worklist from the dirty seed only (Staged.rewind_patched). Here     *)
-(* the daemon's exact resume path — anchor probe, patched rewind,      *)
-(* remaining phases, soundness guard — races a cold compile on a       *)
-(* fold-heavy workload whose raw graph is hundreds of thousands of     *)
-(* nodes but whose minimised form stays tile-allocatable. Two edit     *)
-(* shapes: a statement edit outside the loop (tiny dirty cone, the     *)
-(* >=10x headline) and a loop-body edit, which the unroller has        *)
-(* replicated into every iteration so the dirty cone is most of the    *)
-(* graph — the bounded case, gated only on byte-identity.              *)
-
-let incr_bench () =
-  section "E21 incr (journal-seeded incremental recompilation)";
-  let module Staged = Flow.Staged in
-  let config = { Flow.default_config with Flow.incremental = true } in
-  let stage src = Staged.of_source ~config ~func:"main" src in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* the guard the daemon runs before trusting a patched result
-     (Serve.incremental_sound): structural verifier, mapping checkers,
-     triple conformance — its cost is charged to the incremental side *)
-  let sound (r : Flow.result) =
-    let caps =
-      match config.Flow.caps with
-      | Some caps -> caps
-      | None -> config.Flow.tile.Arch.alu
-    in
-    let diags =
-      Fpfa_analysis.Verify.structure r.Flow.graph
-      @ Fpfa_analysis.Mapcheck.cluster ~caps r.Flow.clustering
-      @ Fpfa_analysis.Mapcheck.sched ~alu_count:config.Flow.tile.Arch.alu_count
-          r.Flow.schedule
-      @ Fpfa_analysis.Mapcheck.alloc r.Flow.job
-    in
-    Fpfa_diag.Diag.errors diags = [] && Flow.verify r
-  in
-  let job_bytes (r : Flow.result) =
-    Format.asprintf "%a" Mapping.Job.pp r.Flow.job
-  in
-  (* Fold-heavy workload: every unrolled iteration contributes a large
-     expression whose redundant half cancels algebraically ((T - T) *
-     ...), so the raw graph scales with iters*terms while the minimised
-     graph collapses to a handful of constants — which keeps it
-     allocatable (the tile stores every surviving value to memory).
-     [body_c] is the in-loop literal, [k] the one outside the loop. *)
-  let fold_src ~iters ~terms ~body_c k =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "void main() {\n  acc = 0;\n";
-    Buffer.add_string b
-      (Printf.sprintf "  for (i = 0; i < %d; i = i + 1) {\n" iters);
-    Buffer.add_string b (Printf.sprintf "    acc = acc + (i + 1) * %d" body_c);
-    for t = 1 to terms do
-      Buffer.add_string b
-        (Printf.sprintf
-           " + ((i*%d + %d) - (i*%d + %d)) * ((i + %d) * (i + %d))"
-           (t + 2) (t + 5) (t + 2) (t + 5) (t + 7) (t + 11))
-    done;
-    Buffer.add_string b ";\n  }\n";
-    Buffer.add_string b (Printf.sprintf "  bias = acc * %d + 7;\n}\n" k);
-    Buffer.contents b
-  in
-  let measure ~edit ~inc_reps ~base_src ~edited_src =
-    let base, base_s = time (fun () -> Staged.run (stage base_src)) in
-    (* cache-time work: the daemon indexes a cached compile under its
-       raw-graph anchors, which also fills the cone-hash memo *)
-    ignore (Cdfg.Serialize.anchors (Staged.raw_graph base));
-    let cold, cold_s =
-      time (fun () -> Staged.to_result (Staged.run (stage edited_src)))
-    in
-    let inc_s = ref infinity in
-    let dirty = ref 0
-    and raw_nodes = ref 0
-    and patched = ref false
-    and verified = ref false
-    and inc_result = ref None in
-    for _ = 1 to inc_reps do
-      let step, t =
-        time (fun () ->
-            (* the daemon's resume path end to end: fresh front, anchor
-               probe for near-miss routing, patched rewind, remaining
-               phases, soundness guard *)
-            let front = stage edited_src in
-            ignore (Cdfg.Serialize.anchors (Staged.raw_graph front));
-            raw_nodes := Cdfg.Graph.node_count (Staged.raw_graph front);
-            match Staged.rewind_patched base ~fresh:front with
-            | Error e -> Error e
-            | Ok (staged, d) ->
-              let r = Staged.to_result (Staged.run staged) in
-              Ok (r, d, sound r))
-      in
-      (match step with
-      | Error _ -> patched := false
-      | Ok (r, d, ok) ->
-        patched := true;
-        dirty := d;
-        verified := ok;
-        inc_result := Some r);
-      inc_s := Float.min !inc_s t
-    done;
-    let identical =
-      match !inc_result with
-      | None -> false
-      | Some inc ->
-        String.equal (job_bytes inc) (job_bytes cold)
-        && String.equal
-             (Cdfg.Serialize.digest inc.Flow.graph)
-             (Cdfg.Serialize.digest cold.Flow.graph)
-    in
-    let speedup = cold_s /. !inc_s in
-    ( edit,
-      !raw_nodes,
-      Cdfg.Graph.node_count cold.Flow.graph,
-      !dirty,
-      base_s,
-      cold_s,
-      !inc_s,
-      speedup,
-      !patched,
-      identical,
-      !verified )
-  in
-  let stmt =
-    measure ~edit:"stmt" ~inc_reps:3
-      ~base_src:(fold_src ~iters:2048 ~terms:8 ~body_c:3 3)
-      ~edited_src:(fold_src ~iters:2048 ~terms:8 ~body_c:3 5)
-  in
-  let loop =
-    measure ~edit:"loop" ~inc_reps:2
-      ~base_src:(fold_src ~iters:512 ~terms:4 ~body_c:3 3)
-      ~edited_src:(fold_src ~iters:512 ~terms:4 ~body_c:4 3)
-  in
-  let rows = [ stmt; loop ] in
-  Fpfa_util.Tablefmt.print
-    ~header:
-      [
-        "edit"; "raw"; "min"; "dirty"; "cold (s)"; "incr (s)"; "speedup";
-        "identical"; "verified";
-      ]
-    (List.map
-       (fun (edit, raw, min_n, dirty, _, cold_s, inc_s, speedup, _, ident, ver)
-       ->
-         [
-           edit;
-           string_of_int raw;
-           string_of_int min_n;
-           string_of_int dirty;
-           Printf.sprintf "%.3f" cold_s;
-           Printf.sprintf "%.3f" inc_s;
-           Printf.sprintf "%.1fx" speedup;
-           string_of_bool ident;
-           string_of_bool ver;
-         ])
-       rows);
-  let ( stmt_edit, stmt_raw, _, stmt_dirty, _, _, _, stmt_speedup, stmt_patched,
-        stmt_ident, stmt_ver ) =
-    stmt
-  and _, _, _, _, _, _, _, _, loop_patched, loop_ident, loop_ver = loop in
-  ignore stmt_edit;
-  let pass =
-    stmt_patched && stmt_ident && stmt_ver && stmt_raw >= 30000
-    && stmt_dirty > 0 && stmt_speedup >= 10.0 && loop_patched && loop_ident
-    && loop_ver
-  in
-  Printf.printf
-    "statement edit: %d-node raw graph, dirty seed %d, %.1fx vs cold (target \
-     >=10x, byte-identical job both shapes).\n"
-    stmt_raw stmt_dirty stmt_speedup;
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"incr\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i
-         ( edit, raw, min_n, dirty, base_s, cold_s, inc_s, speedup, patched,
-           ident, ver ) ->
-      Buffer.add_string json
-        (Printf.sprintf
-           "    {\"edit\": \"%s\", \"raw_nodes\": %d, \"min_nodes\": %d, \
-            \"dirty\": %d, \"base_s\": %.6f, \"cold_s\": %.6f, \
-            \"incremental_s\": %.6f, \"speedup\": %.2f, \"patched\": %b, \
-            \"identical\": %b, \"verified\": %b}%s\n"
-           edit raw min_n dirty base_s cold_s inc_s speedup patched ident ver
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string json
-    (Printf.sprintf
-       "  ],\n  \"raw_nodes_floor\": 30000,\n  \"speedup_target\": 10.0,\n\
-       \  \"pass\": %b\n}\n"
-       pass);
-  let oc = open_out "BENCH_incr.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_incr.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* E22 - bitopt: certified bit-level optimisation. Over the corpus:    *)
 (* compile with the pass off and on, count the verified rewrites       *)
 (* (folds, mask/mux redirects, multiplier demotions), compare the      *)
@@ -2292,6 +2084,5 @@ let () =
   run "alias" alias_prune;
   run "serve" serve_bench;
   run "depend" depend_bench;
-  run "incr" incr_bench;
   run "bitopt" bitopt_bench;
   Printf.printf "\nall experiments done.\n"

@@ -679,8 +679,8 @@ let serve socket cache_size cache_dir cache_disk_max observe obs_stats jobs =
   Fun.protect
     ~finally:(fun () ->
       Fpfa_serve.Serve.shutdown server;
-      (* --stats: the daemon-lifetime counter report (incr.*, serve.l1/l2
-         cache tallies, per-stage spans) on exit *)
+      (* --stats: the daemon-lifetime counter report (serve.l1/l2 cache
+         tallies, per-stage spans) on exit *)
       if obs_stats then print_string (Obs.stats_report ()))
     (fun () ->
       match socket with

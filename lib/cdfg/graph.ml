@@ -58,22 +58,11 @@ type t = {
   mutable ouse : int array array;
   mutable ouse_len : int array;
   mutable out_uses : int array;
-  mutable moved : int array;
-      (** value-forwarding trail: [moved.(old) = by] after
-          [replace_uses old ~by]; -1 otherwise. Rewrites only redirect
-          uses to a node computing the same value, so chasing the trail
-          from a (possibly removed) node finds where its value lives
-          now — what the incremental differ needs to wire a patched
-          cone to a minimised graph. *)
   pool : int array list array;  (** bucket [b]: spare arrays of length [4 lsl b] *)
   mutable frozen : bool;
   mutable generation : int;
       (** bumped by every structural mutation; stamps the topo cache *)
   mutable topo_cache : (int * id list) option;
-  mutable cone_cache : (int * int array) option;
-      (** memoized forward cone hashes ({!Serialize.down_hashes}),
-          stamped with the generation like the topo cache; the array is
-          shared with readers and must never be mutated *)
   mutable dirty_def : Id_set.t;
       (** nodes whose own definition (inputs / order edges) changed *)
   mutable dirty_use : Id_set.t;
@@ -104,12 +93,10 @@ let create fname =
     ouse = [||];
     ouse_len = [||];
     out_uses = [||];
-    moved = [||];
     pool = Array.make pool_buckets [];
     frozen = false;
     generation = 0;
     topo_cache = None;
-    cone_cache = None;
     dirty_def = Id_set.empty;
     dirty_use = Id_set.empty;
   }
@@ -170,10 +157,7 @@ let grow g cap' =
   g.duse_len <- copy_len g.duse_len;
   g.ouse <- copy_adj g.ouse;
   g.ouse_len <- copy_len g.ouse_len;
-  g.out_uses <- copy_len g.out_uses;
-  let moved' = Array.make cap' (-1) in
-  Array.blit g.moved 0 moved' 0 cap;
-  g.moved <- moved'
+  g.out_uses <- copy_len g.out_uses
 
 let ensure_capacity g n =
   let cap = Array.length g.kinds in
@@ -392,13 +376,6 @@ let drain_dirty g =
 
 let generation g = g.generation
 
-let cone_cache g =
-  match g.cone_cache with
-  | Some (gen, h) when gen = g.generation -> Some h
-  | Some _ | None -> None
-
-let set_cone_cache g h = g.cone_cache <- Some (g.generation, h)
-
 let consumers_of g id =
   if id < 0 || id >= g.next_id then []
   else begin
@@ -571,29 +548,8 @@ let replace_uses g old ~by =
        g.out_uses.(by) <- g.out_uses.(by) + g.out_uses.(old);
        g.out_uses.(old) <- 0
      end);
-    if old >= 0 && old < g.next_id then g.moved.(old) <- by;
     touch g;
     mark_use g old
-  end
-
-(* Chases the [replace_uses] trail from [id] to the node now computing
-   its value: [id] itself when it is still live, otherwise the end of
-   the moved chain if that node is live, [None] when the value was
-   dropped (the node or its final forwardee was removed outright, e.g.
-   by DCE). The fuel bound is defensive — each hop was recorded at a
-   [replace_uses] whose target was live at the time, so a cycle cannot
-   form, but a bound keeps a corrupted trail from hanging the caller. *)
-let forwarded_to g id =
-  if is_alive g id then Some id
-  else begin
-    let rec chase id fuel =
-      if fuel = 0 then None
-      else if id < 0 || id >= g.next_id then None
-      else if is_alive g id then Some id
-      else
-        match g.moved.(id) with -1 -> None | next -> chase next (fuel - 1)
-    in
-    chase id g.next_id
   end
 
 let clear_order g id =
@@ -1082,17 +1038,12 @@ let copy g =
     ouse = copy_adj g.ouse g.ouse_len;
     ouse_len = Array.sub g.ouse_len 0 n;
     out_uses = Array.sub g.out_uses 0 n;
-    moved = Array.sub g.moved 0 n;
     pool = Array.make pool_buckets [];
     frozen = false;
     generation = 0;
     topo_cache =
       (match g.topo_cache with
       | Some (gen, order) when gen = g.generation -> Some (0, order)
-      | Some _ | None -> None);
-    cone_cache =
-      (match g.cone_cache with
-      | Some (gen, h) when gen = g.generation -> Some (0, h)
       | Some _ | None -> None);
     dirty_def = Id_set.empty;
     dirty_use = Id_set.empty;

@@ -75,17 +75,7 @@ val replace_uses : t -> id -> by:id -> unit
 (** Rewrites every data input, order edge and named output that references
     the first node to reference [by] instead. O(degree of both nodes):
     the use/def index lists the affected consumers directly, and merges
-    them into [by]'s sorted entries. Also records [by] as the node's
-    value forwardee (see {!forwarded_to}). *)
-
-val forwarded_to : t -> id -> id option
-(** The live node now computing [id]'s value: [id] itself while it is
-    alive, else the end of the {!replace_uses} forwarding chain — every
-    rewrite only redirects uses to a value-equal node, so the chain
-    tracks where a simplified-away node's value went. [None] when the
-    value was dropped outright (removed with no replacement, e.g. DCE).
-    Survives {!copy} (ids are preserved); meaningless across
-    {!Serialize.renumber}. *)
+    them into [by]'s sorted entries. *)
 
 val remove : t -> id -> unit
 (** Removes a node. @raise Invalid if the node still has uses. *)
@@ -198,16 +188,6 @@ val generation : t -> int
 (** Monotone counter bumped by every structural mutation ([add],
     [set_inputs], [replace_uses], [remove], order-edge changes). Stamps
     the topo-order cache; exposed for tests and cache-aware callers. *)
-
-val cone_cache : t -> int array option
-(** The memoized forward cone hashes ({!Serialize.down_hashes}), if they
-    were computed since the last mutation. Like the topo-order cache the
-    memo is stamped with the generation counter, so a stale entry is
-    never returned. The array is shared — callers must not mutate it. *)
-
-val set_cone_cache : t -> int array -> unit
-(** Stores freshly computed cone hashes under the current generation.
-    Only {!Serialize.down_hashes} should call this. *)
 
 val drain_dirty : t -> Id_set.t * Id_set.t
 (** Returns and clears the mutation journal as [(def_dirty, use_dirty)]:

@@ -125,10 +125,9 @@ let kind_bytes kind =
   B.contents w
 
 (* Cheap 63-bit structural mixing (splitmix-style). The cone hashes only
-   break ties in the canonical order and anchor the structural diff
-   ({!Diff}); the content digest itself stays an MD5 of the canonical
-   bytes. Per-node MD5 contexts dominated digest time on large graphs —
-   int mixing makes both passes allocation-free. *)
+   break ties in the canonical order; the content digest itself stays an
+   MD5 of the canonical bytes. Per-node MD5 contexts dominated digest
+   time on large graphs — int mixing makes both passes allocation-free. *)
 let h_seed = 0x51ed270b
 
 let mix h x =
@@ -145,15 +144,14 @@ let kind_hash kind = mix_string h_seed (kind_bytes kind)
    keys commutative binops on the sorted input multiset: graphs the
    simplifier treats as equal must digest equal, or two compiles could
    settle into mirror orientations of one chain and spuriously miss the
-   mapping cache (and the incremental path's byte-identity gate). *)
+   mapping cache (or renumber to different jobs). *)
 let commutes (kind : Graph.kind) =
   match kind with Graph.Binop op -> Op.commutative op | _ -> false
 
 (* Forward pass: hash of each node's input cone (kind, operand cones in
    port order — sorted for commutative binops — and order-predecessor
-   cones as a multiset). Equal hashes are the diff's evidence that two
-   nodes compute the same value. *)
-let compute_down_hashes g =
+   cones as a multiset). *)
+let down_hashes g =
   let bound = Graph.id_bound g in
   let down = Array.make bound 0 in
   List.iter
@@ -177,18 +175,6 @@ let compute_down_hashes g =
       down.(id) <- h)
     (Graph.topo_order g);
   down
-
-(* Memoized per graph and stamped with the generation counter (like the
-   topo-order cache): the serve daemon hashes the same cached raw graph
-   on every near-miss diff and again for its anchor index, and repeat
-   computations dominate an otherwise-small incremental compile. *)
-let down_hashes g =
-  match Graph.cone_cache g with
-  | Some down -> down
-  | None ->
-    let down = compute_down_hashes g in
-    Graph.set_cone_cache g down;
-    down
 
 let canonical_order g =
   let bound = Graph.id_bound g in
@@ -296,29 +282,11 @@ let canonical g =
 
 let digest g = Digest.to_hex (Digest.string (canonical g))
 
-(* Stable sub-digests for the serve-side near-miss index: one anchor per
-   region statespace sink and per named output. Two compiles of related
-   sources share an anchor exactly when that region/output's whole input
-   cone is structurally unchanged. *)
-let anchors g =
-  let down = down_hashes g in
-  let acc = ref [] in
-  Graph.iter g (fun n ->
-      match n.Graph.kind with
-      | Graph.Ss_out region -> acc := ("ss:" ^ region, down.(n.Graph.id)) :: !acc
-      | Graph.Const _ | Graph.Binop _ | Graph.Unop _ | Graph.Mux
-      | Graph.Ss_in _ | Graph.Fe _ | Graph.St _ | Graph.Del _ ->
-        ());
-  List.iter (fun (name, id) -> acc := ("out:" ^ name, down.(id)) :: !acc)
-    (Graph.outputs g);
-  List.sort compare !acc
-
 (* Rebuilds [g] with ids renumbered along the canonical order, regions and
    outputs sorted by name, and order edges inserted in ascending mapped
    position. Isomorphic graphs renumber to graphs that are equal
-   member-for-member, which is what lets an incrementally re-minimised
-   graph feed the (deterministic) mapping phases and come out with a Job
-   byte-identical to the from-scratch compile. *)
+   member-for-member, so the (deterministic) mapping phases turn them
+   into byte-identical jobs. *)
 let renumber g =
   let order = canonical_order g in
   let out = Graph.create (Graph.name g) in

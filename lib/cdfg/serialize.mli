@@ -39,35 +39,13 @@ val digest : Graph.t -> string
 (** Hex MD5 of {!canonical} — the content-addressed cache key
     (32 lowercase hex characters). *)
 
-(** {2 Structural anchors and incremental support}
-
-    The incremental recompilation path ({!Diff}, the serve near-miss
-    index) needs cheap, id-invariant evidence that two nodes — or two
-    whole regions — compute the same value. The forward cone hashes that
-    already break ties in {!canonical} are exactly that evidence, so they
-    are exposed here. *)
-
-val down_hashes : Graph.t -> int array
-(** Per-id structural hash of each node's input cone (kind, operand cones
-    in port order, order-predecessor cones as a multiset), indexed by
-    node id up to [Graph.id_bound]. Equal hashes mean the nodes compute
-    the same value up to hash collision (63-bit, non-cryptographic — fine
-    for diff anchoring, not for cache keys). *)
-
-val anchors : Graph.t -> (string * int) list
-(** Stable sub-digests, sorted: [("ss:" ^ region, cone hash of the
-    region's statespace sink)] for every region and [("out:" ^ name,
-    cone hash)] for every named output. The serve daemon indexes cached
-    compiles by these to find a close ancestor when the full digest
-    misses. *)
-
 val renumber : Graph.t -> Graph.t
 (** A copy of the graph with ids renumbered along the canonical order,
     regions and named outputs sorted by name, and order-edge lists
     inserted in ascending renumbered position. Isomorphic graphs renumber
     to member-for-member equal graphs, so the deterministic mapping
-    phases behave identically on them — the keystone of the incremental
-    path's byte-identical-[Job] guarantee. *)
+    phases turn them into byte-identical jobs. The serve daemon's
+    compiles rely on this. *)
 
 (** {2 Id-stable variants}
 

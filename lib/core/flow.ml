@@ -24,11 +24,10 @@ type config = {
           Semantics-changing (wider inputs justify fewer rewrites), so
           it keys the serve fingerprint alongside the [bitopt] toggle
           and both the stage and its verification replay use it. *)
-  incremental : bool;
-      (** Keep the pre-disambiguation minimised snapshot for
-          {!Staged.rewind_patched} and canonically renumber the minimised
-          graph ({!Cdfg.Serialize.renumber}) so isomorphic compiles map
-          to byte-identical jobs. The serve daemon turns this on; the
+  renumber : bool;
+      (** Canonically renumber the minimised graph
+          ({!Cdfg.Serialize.renumber}) so isomorphic compiles map to
+          byte-identical jobs. The serve daemon turns this on; the
           one-shot CLI flow leaves it off. *)
 }
 
@@ -44,7 +43,7 @@ let default_config =
     disambiguate = true;
     bitopt = true;
     bitopt_width = 16;
-    incremental = false;
+    renumber = false;
   }
 
 type result = {
@@ -117,15 +116,15 @@ let par2 pool a b =
 let caps_of config =
   match config.caps with Some caps -> caps | None -> config.tile.Arch.alu
 
-(* The certified bit-level optimisation stage, run identically by the
-   cold path ({!Staged.minimise}) and the incremental re-entry
-   ({!Staged.rewind_patched}) so a patched compile stays byte-identical
-   to a cold one. Each round: analyse, derive a claim batch, have
+(* The certified bit-level optimisation stage of {!Staged.minimise}.
+   Each round: analyse, derive a claim batch, have
    {!Fpfa_analysis.Verify.bits} re-prove the whole batch from
    independently recomputed facts (refusal raises, failing the flow
    blaming rule "bitopt"), apply, and let the standard rules clean up
-   the dirty region. The re-proof is unconditional — [verify_each] only
-   adds the structural hook to the cleanup run. *)
+   the dirty region: the worklist is seeded with the nodes the batch
+   touched ({!Transform.Simplify.minimize}[ ~seed]), so the cleanup
+   never revisits the rest of the graph. The re-proof is unconditional —
+   [verify_each] only adds the structural hook to the cleanup run. *)
 let bitopt_stage config graph =
   if not config.bitopt then Transform.Bitopt.empty_report
   else
@@ -197,10 +196,6 @@ module Staged = struct
       * Transform.Bitopt.report
       * Transform.Disambig.report)
       option;
-    s_preprune : (Cdfg.Graph.t * int array) option;
-        (** [config.incremental] only: the minimised graph {e before}
-            disambiguation and renumbering, plus the raw-id ->
-            snapshot-id translation {!Cdfg.Diff.apply} grafts through. *)
     s_clustering : Mapping.Cluster.t option;
     s_schedule : Mapping.Sched.t option;
     s_alloc : (Mapping.Job.t * Mapping.Metrics.t) option;
@@ -232,7 +227,6 @@ module Staged = struct
       s_func = func;
       s_raw = raw;
       s_min = None;
-      s_preprune = None;
       s_clustering = None;
       s_schedule = None;
       s_alloc = None;
@@ -268,7 +262,6 @@ module Staged = struct
       s_func = placeholder;
       s_raw = Cdfg.Graph.copy g;
       s_min = None;
-      s_preprune = None;
       s_clustering = None;
       s_schedule = None;
       s_alloc = None;
@@ -293,19 +286,6 @@ module Staged = struct
           Transform.Simplify.minimize ~validate:false ?verify graph)
     in
     stage "simplify-validate" (fun () -> Cdfg.Graph.validate graph);
-    (* The incremental snapshot is taken before disambiguation on
-       purpose: pruned anti-dependence edges change what the simplifier
-       rules may observe, so grafting onto a pruned graph could
-       re-minimise differently than a cold compile. Surviving ids in the
-       snapshot are raw ids (the simplifier mutates the copy in place and
-       never reuses an id), hence the identity translation. *)
-    let preprune =
-      if config.incremental then
-        Some
-          ( Cdfg.Graph.copy graph,
-            Array.init (Cdfg.Graph.id_bound graph) Fun.id )
-      else None
-    in
     let bitopt_report = bitopt_stage config graph in
     let disambig_report =
       stage "disambig" (fun () ->
@@ -332,10 +312,9 @@ module Staged = struct
     in
     (* Canonical renumbering last: isomorphic minimised graphs become
        member-for-member equal, so the deterministic mapping phases
-       produce byte-identical jobs for them — what makes an incremental
-       re-minimisation indistinguishable from a cold one downstream. *)
+       produce byte-identical jobs for them. *)
     let graph =
-      if config.incremental then
+      if config.renumber then
         stage "renumber" (fun () -> Cdfg.Serialize.renumber graph)
       else graph
     in
@@ -348,7 +327,6 @@ module Staged = struct
     {
       s with
       s_min = Some (graph, simplify_report, bitopt_report, disambig_report);
-      s_preprune = preprune;
     }
 
   (* Each validator only reads the artifact the preceding stage produced,
@@ -448,7 +426,7 @@ module Staged = struct
     && a.disambiguate = b.disambiguate
     && a.bitopt = b.bitopt
     && a.bitopt_width = b.bitopt_width
-    && a.incremental = b.incremental
+    && a.renumber = b.renumber
 
   let same_cluster a b = a.cluster_with == b.cluster_with && caps_of a = caps_of b
   let same_schedule a b = a.tile.Arch.alu_count = b.tile.Arch.alu_count
@@ -467,93 +445,14 @@ module Staged = struct
           s with
           s_config = config;
           s_min = (if keep_min then s.s_min else None);
-          s_preprune = (if keep_min then s.s_preprune else None);
           s_clustering = (if keep_clu then s.s_clustering else None);
           s_schedule = (if keep_sched then s.s_schedule else None);
           s_alloc = (if keep_alloc then s.s_alloc else None);
         }
     end
 
-  (* Incremental re-entry: instead of minimising [fresh.s_raw] from
-     scratch, diff it against the cached compile's raw graph, graft the
-     changed cone onto the cached pre-disambiguation snapshot, and drain
-     the worklist from only the patched region. Everything downstream of
-     Minimised (disambig, renumbering, cluster/schedule/allocate) then
-     runs exactly as in a cold compile — on a graph that is isomorphic to
-     what the cold compile would have minimised, hence (after canonical
-     renumbering) producing a byte-identical job. Returns the re-entered
-     staged value plus the dirty-seed size; [Error] means the caller
-     should compile cold (reason included). *)
-  let rewind_patched cached ~fresh =
-    let config = fresh.s_config in
-    match (cached.s_preprune, config.incremental) with
-    | None, _ -> Error "cached compile kept no incremental snapshot"
-    | _, false -> Error "config does not enable incremental compilation"
-    | Some (pre, translate), true -> (
-      match
-        Cdfg.Diff.diff ~old_raw:cached.s_raw ~fresh:fresh.s_raw ()
-      with
-      | Error e -> Error e
-      | Ok patch -> (
-        let onto = Cdfg.Graph.copy pre in
-        match Cdfg.Diff.apply patch ~fresh:fresh.s_raw ~translate ~onto with
-        | Error e -> Error e
-        | Ok (seed, forward) ->
-          let simplify_report =
-            stage "simplify-incr" (fun () ->
-                let verify =
-                  if config.verify_each then
-                    Some (Fpfa_analysis.Verify.pass_hook ())
-                  else None
-                in
-                Transform.Simplify.minimize ~seed ~validate:false ?verify
-                  onto)
-          in
-          stage "simplify-validate" (fun () -> Cdfg.Graph.validate onto);
-          let preprune = Some (Cdfg.Graph.copy onto, forward) in
-          (* Same certified bit-level stage as a cold minimise — the
-             snapshot above is pre-bitopt on both paths, so the patched
-             graph re-derives the same claims a cold compile would and
-             stays byte-identical downstream. *)
-          let bitopt_report = bitopt_stage config onto in
-          let disambig_report =
-            stage "disambig" (fun () ->
-                if config.disambiguate then begin
-                  let verify =
-                    if config.verify_each then
-                      Some
-                        (fun rule g touched ->
-                          Fpfa_analysis.Verify.pass_hook () rule g touched;
-                          match
-                            Fpfa_diag.Diag.errors
-                              (Fpfa_analysis.Verify.statespace g)
-                          with
-                          | [] -> ()
-                          | errs -> raise (Fpfa_diag.Diag.Failed errs))
-                    else None
-                  in
-                  Fpfa_analysis.Addr.prune ?verify onto
-                end
-                else Transform.Disambig.empty_report)
-          in
-          let graph =
-            stage "renumber" (fun () -> Cdfg.Serialize.renumber onto)
-          in
-          Ok
-            ( {
-                fresh with
-                s_min =
-                  Some (graph, simplify_report, bitopt_report, disambig_report);
-                s_preprune = preprune;
-                s_clustering = None;
-                s_schedule = None;
-                s_alloc = None;
-              },
-              List.length seed )))
-
   let freeze s =
     Cdfg.Graph.freeze s.s_raw;
-    (match s.s_preprune with Some (g, _) -> Cdfg.Graph.freeze g | None -> ());
     match s.s_min with Some (g, _, _, _) -> Cdfg.Graph.freeze g | None -> ()
 end
 

@@ -48,12 +48,11 @@ type config = {
           keys its mapping-cache fingerprint on it alongside the
           [bitopt] toggle. Both the stage and its {!Fpfa_analysis.Verify.bits}
           replay use the same width. *)
-  incremental : bool;
-      (** keep the pre-disambiguation minimised snapshot for
-          {!Staged.rewind_patched} and canonically renumber the minimised
-          graph ({!Cdfg.Serialize.renumber}) so isomorphic minimised
-          graphs map to byte-identical jobs (default false — the serve
-          daemon turns it on) *)
+  renumber : bool;
+      (** canonically renumber the minimised graph
+          ({!Cdfg.Serialize.renumber}) so isomorphic minimised graphs map
+          to byte-identical jobs (default false — the serve daemon turns
+          it on) *)
 }
 
 val default_config : config
@@ -163,27 +162,11 @@ module Staged : sig
       rewinds precisely and a fresh closure conservatively re-runs from
       that phase. *)
 
-  val rewind_patched : t -> fresh:t -> (t * int, string) Stdlib.result
-  (** [rewind_patched cached ~fresh] re-enters the flow at [Minimised]
-      {e incrementally}: the freshly built raw graph ([fresh], at phase
-      [Built]) is structurally diffed against [cached]'s raw graph
-      ({!Cdfg.Diff.diff}), the changed cone is grafted onto a copy of
-      [cached]'s pre-disambiguation minimised snapshot
-      ({!Cdfg.Diff.apply}), and the simplifier worklist drains from only
-      the dirty seed. Disambiguation and canonical renumbering then run
-      as in a cold compile, so a subsequent {!run} produces a job
-      byte-identical to the cold compile of [fresh]. Returns the staged
-      value at [Minimised] plus the dirty-seed size. [Error] (with the
-      reason) whenever the incremental license is missing — no snapshot,
-      [incremental] off, graphs too different, or a matched boundary
-      producer that minimisation removed — and the caller should compile
-      [fresh] cold. *)
-
   val freeze : t -> unit
-  (** Freezes the raw, pre-disambiguation-snapshot and minimised graphs
-      ({!Cdfg.Graph.freeze}) so the value can be shared read-only across
-      domains — what the serve daemon does before caching. Later rewinds
-      still work: re-run phases copy the raw graph, never mutate it. *)
+  (** Freezes the raw and minimised graphs ({!Cdfg.Graph.freeze}) so
+      the value can be shared read-only across domains — what the serve
+      daemon does before caching. Later rewinds still work: re-run phases
+      copy the raw graph, never mutate it. *)
 end
 
 val audit :

@@ -16,9 +16,6 @@ type mapping_entry = {
   e_staged : Staged.t;
   e_digest : string;
   e_result : Json.t;
-  e_anchor_keys : string list;
-      (* this entry's bindings in the near-miss anchor index, kept so
-         eviction can drop exactly them *)
 }
 
 (* Request-cache entries store what the envelope needs beyond [result]. *)
@@ -36,12 +33,6 @@ type t = {
       (* digest -> most recent mapping-cache key with that digest; the
          near-miss index rewinds feed from. Conservative: eviction drops
          the binding only when it still points at the evicted key. *)
-  anchor_index : (string, string) Hashtbl.t;
-      (* fingerprint|anchor -> most recent mapping-cache key whose raw
-         graph carries that structural anchor ({!Cdfg.Serialize.anchors});
-         the incremental near-miss path votes over these to find the
-         closest cached ancestor of a fresh CDFG. Same eviction contract
-         as [by_digest]. *)
   cache_dir : string option;
   cache_disk_max : int option;
       (* disk-store budget in bytes; a sweep after every write (and at
@@ -53,21 +44,13 @@ type t = {
   mutable n_requests : int;
   mutable n_compiles : int;
   mutable n_resumed : int;
-  mutable n_patched : int;
-  mutable n_dirty_nodes : int;
-  mutable n_fallbacks : int;
   mutable n_disk_hits : int;
   mutable n_disk_evictions : int;
   mutable n_errors : int;
 }
 
-(* The incremental-path counters also live in lib/obs so `--stats` (and
-   the observe-mode stats op) report them next to the span aggregates. *)
-let c_patched = Obs.counter "incr.patched"
-let c_dirty = Obs.counter "incr.dirty_nodes"
-let c_fallback = Obs.counter "incr.fallback"
-
-(* Mirror the two LRU levels into Obs counters under the same contract;
+(* Mirror the two LRU levels into Obs counters, so `--stats` (and the
+   observe-mode stats op) report them next to the span aggregates;
    refreshed whenever stats are drained (stats op, shutdown). *)
 let sync_obs_counters t =
   let set prefix (cache : _ Lru.t) =
@@ -129,7 +112,6 @@ let create ?(jobs = 1) ?(cache_size = 256) ?cache_dir ?cache_disk_max
       request_cache = Lru.create ~capacity:(max 0 cache_size);
       mapping_cache = Lru.create ~capacity:(max 0 cache_size);
       by_digest = Hashtbl.create 64;
-      anchor_index = Hashtbl.create 64;
       cache_dir;
       cache_disk_max;
       observe;
@@ -137,9 +119,6 @@ let create ?(jobs = 1) ?(cache_size = 256) ?cache_dir ?cache_disk_max
       n_requests = 0;
       n_compiles = 0;
       n_resumed = 0;
-      n_patched = 0;
-      n_dirty_nodes = 0;
-      n_fallbacks = 0;
       n_disk_hits = 0;
       n_disk_evictions = 0;
       n_errors = 0;
@@ -319,7 +298,9 @@ type computed = {
   c_resumed_from : string option;
 }
 
-let finish_compile ?pool ~program ~verify staged ~resumed_from =
+(* [digest] is {!Cdfg.Serialize.digest} of [staged]'s raw graph; the
+   caller has already computed it to probe the caches. *)
+let finish_compile ?pool ~program ~verify ~digest staged ~resumed_from =
   let staged = Staged.run ?pool staged in
   let result = Staged.to_result staged in
   let verified =
@@ -328,14 +309,15 @@ let finish_compile ?pool ~program ~verify staged ~resumed_from =
   in
   {
     c_staged = staged;
-    c_digest = Cdfg.Serialize.digest (Staged.raw_graph staged);
+    c_digest = digest;
     c_result = compile_result_json ~func:program.p_func ~verified result;
     c_resumed_from = resumed_from;
   }
 
 let compute_compile ?pool ~config ~program ~verify () =
   let staged = Staged.of_source ~config ~func:program.p_func program.p_source in
-  finish_compile ?pool ~program ~verify staged ~resumed_from:None
+  let digest = Cdfg.Serialize.digest (Staged.raw_graph staged) in
+  finish_compile ?pool ~program ~verify ~digest staged ~resumed_from:None
 
 let disk_path t key =
   Option.map
@@ -373,138 +355,31 @@ let disk_write t key value =
 let forget_evicted t evicted =
   List.iter
     (fun (ekey, (e : mapping_entry)) ->
-      (match Hashtbl.find_opt t.by_digest e.e_digest with
+      match Hashtbl.find_opt t.by_digest e.e_digest with
       | Some current when String.equal current ekey ->
         Hashtbl.remove t.by_digest e.e_digest
-      | _ -> ());
-      List.iter
-        (fun ak ->
-          match Hashtbl.find_opt t.anchor_index ak with
-          | Some current when String.equal current ekey ->
-            Hashtbl.remove t.anchor_index ak
-          | _ -> ())
-        e.e_anchor_keys)
+      | _ -> ())
     evicted
-
-let anchor_key ~fingerprint (name, h) = Printf.sprintf "%s|%s:%x" fingerprint name h
 
 (* Insert a computed mapping into the content-addressed level (frozen,
    so later pool workers may share the graphs read-only), refresh the
-   digest and anchor indexes, and persist. Admission-domain only. *)
+   digest index, and persist. Admission-domain only. *)
 let cache_mapping t ~fingerprint computed =
   let key = computed.c_digest ^ "|" ^ fingerprint in
   Staged.freeze computed.c_staged;
-  let anchor_keys =
-    List.map
-      (anchor_key ~fingerprint)
-      (Cdfg.Serialize.anchors (Staged.raw_graph computed.c_staged))
-  in
   let entry =
     {
       e_staged = computed.c_staged;
       e_digest = computed.c_digest;
       e_result = computed.c_result;
-      e_anchor_keys = anchor_keys;
     }
   in
   let evicted = Lru.add t.mapping_cache key entry in
   (* Index after insertion, forget after indexing: a capacity-0 cache
-     evicts the fresh entry itself, which must also drop its bindings. *)
+     evicts the fresh entry itself, which must also drop its binding. *)
   Hashtbl.replace t.by_digest computed.c_digest key;
-  List.iter (fun ak -> Hashtbl.replace t.anchor_index ak key) anchor_keys;
   forget_evicted t evicted;
   disk_write t key computed.c_result
-
-(* Every incrementally produced mapping is re-checked before it is
-   served or cached: the structural verifier on the minimised graph, the
-   three mapping validators replaying cluster/schedule/allocation
-   legality over their outputs, and the triple conformance check
-   (interpreter vs evaluator vs simulator) on the kernel's inputs. A
-   sound patch passes all of them — the check is what licenses trusting
-   a grafted compile exactly as much as a cold one. *)
-let incremental_sound ~config ~program (result : Flow.result) =
-  let caps =
-    match config.Flow.caps with
-    | Some caps -> caps
-    | None -> config.Flow.tile.Arch.alu
-  in
-  let diags =
-    Fpfa_analysis.Verify.structure result.Flow.graph
-    @ Fpfa_analysis.Mapcheck.cluster ~caps result.Flow.clustering
-    @ Fpfa_analysis.Mapcheck.sched ~alu_count:config.Flow.tile.Arch.alu_count
-        result.Flow.schedule
-    @ Fpfa_analysis.Mapcheck.alloc result.Flow.job
-  in
-  Fpfa_diag.Diag.errors diags = []
-  && Flow.verify ~memory_init:program.p_inputs result
-
-(* Near miss, level 2: nothing cached reached this exact CDFG, but the
-   anchor index may name a close ancestor — a cached compile under the
-   same config fingerprint sharing the most per-region/per-output cone
-   anchors with the fresh graph. Diff the fresh raw graph against it,
-   graft the edit onto its pre-disambiguation minimised snapshot, and
-   re-minimise only the dirty region ({!Staged.rewind_patched}). [None]
-   (caller compiles cold) when no candidate exists, the graphs are not
-   close enough, or the re-verified result fails any check. *)
-let incremental_compile t ?pool ~config ~fingerprint ~program ~verify front
-    digest =
-  let votes = Hashtbl.create 8 in
-  List.iter
-    (fun anchor ->
-      match Hashtbl.find_opt t.anchor_index (anchor_key ~fingerprint anchor) with
-      | Some key ->
-        Hashtbl.replace votes key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt votes key))
-      | None -> ())
-    (Cdfg.Serialize.anchors (Staged.raw_graph front));
-  let candidate =
-    Hashtbl.fold
-      (fun key n best ->
-        match best with
-        | Some (bkey, bn) when bn > n || (bn = n && String.compare bkey key <= 0)
-          ->
-          best
-        | _ -> Some (key, n))
-      votes None
-  in
-  match
-    Option.bind candidate (fun (key, _) -> Lru.peek t.mapping_cache key)
-  with
-  | None -> None
-  | Some entry -> (
-    let fallback () =
-      t.n_fallbacks <- t.n_fallbacks + 1;
-      Obs.incr c_fallback;
-      None
-    in
-    match Staged.rewind_patched entry.e_staged ~fresh:front with
-    | Error _ -> fallback ()
-    | exception Flow.Flow_error _ -> fallback ()
-    | Ok (staged, dirty) -> (
-      match Staged.run ?pool staged with
-      | exception Flow.Flow_error _ -> fallback ()
-      | staged ->
-        let result = Staged.to_result staged in
-        if not (incremental_sound ~config ~program result) then fallback ()
-        else begin
-          t.n_patched <- t.n_patched + 1;
-          t.n_dirty_nodes <- t.n_dirty_nodes + dirty;
-          Obs.incr c_patched;
-          Obs.add c_dirty dirty;
-          let verified =
-            if verify then
-              Some (Flow.verify ~memory_init:program.p_inputs result)
-            else None
-          in
-          Some
-            {
-              c_staged = staged;
-              c_digest = digest;
-              c_result =
-                compile_result_json ~func:program.p_func ~verified result;
-              c_resumed_from = Some "patched";
-            }
-        end))
 
 (* The staged compile for one request, consulting the mapping cache:
    returns the payload plus the envelope's digest/cached/resumed_from.
@@ -537,16 +412,11 @@ let mapped_compile t ?pool ~config ~fingerprint ~program ~verify () =
         match resumable with
         | Some staged when Staged.phase staged <> Staged.Built ->
           t.n_resumed <- t.n_resumed + 1;
-          finish_compile ?pool ~program ~verify staged
+          finish_compile ?pool ~program ~verify ~digest staged
             ~resumed_from:(Some (Staged.phase_name (Staged.phase staged)))
-        | _ -> (
-          match
-            incremental_compile t ?pool ~config ~fingerprint ~program ~verify
-              front digest
-          with
-          | Some computed -> computed
-          | None ->
-            finish_compile ?pool ~program ~verify front ~resumed_from:None)
+        | _ ->
+          finish_compile ?pool ~program ~verify ~digest front
+            ~resumed_from:None
       in
       t.n_compiles <- t.n_compiles + 1;
       if not verify then cache_mapping t ~fingerprint computed;
@@ -713,13 +583,6 @@ let op_stats t =
        ("requests", Json.Int t.n_requests);
        ("compiles", Json.Int t.n_compiles);
        ("resumed", Json.Int t.n_resumed);
-       ( "incr",
-         Json.Obj
-           [
-             ("patched", Json.Int t.n_patched);
-             ("dirty_nodes", Json.Int t.n_dirty_nodes);
-             ("fallback", Json.Int t.n_fallbacks);
-           ] );
        ("disk_hits", Json.Int t.n_disk_hits);
        ("disk_evictions", Json.Int t.n_disk_evictions);
        ("errors", Json.Int t.n_errors);
@@ -735,7 +598,6 @@ let op_cache t req =
     Lru.clear t.request_cache;
     Lru.clear t.mapping_cache;
     Hashtbl.reset t.by_digest;
-    Hashtbl.reset t.anchor_index;
     Json.Obj [ ("cleared", Json.Bool true) ]
   | "resize" ->
     let capacity =
@@ -822,10 +684,12 @@ let rec handle_op t ?pool ~op req =
         | "compile" ->
           let program = program_of req in
           let config, fingerprint = config_of req in
-          (* compiles keep the incremental snapshot (and canonical
-             renumbering) so later near-miss edits can patch them;
-             check/sweep stay on the plain config *)
-          let config = { config with Flow.incremental = true } in
+          (* the mapping cache keys on the raw graph's content digest,
+             so sources that build one CDFG up to node ids share an
+             entry; canonical renumbering gives them byte-identical jobs,
+             so a hit answers what a cold compile would. check/sweep stay
+             on the plain config *)
+          let config = { config with Flow.renumber = true } in
           let verify = Option.value ~default:false (bool_field req "verify") in
           let result, digest, cached, resumed_from =
             mapped_compile t ?pool ~config ~fingerprint ~program ~verify ()
@@ -865,7 +729,7 @@ and op_batch t req =
       match
         let program = program_of sub in
         let config, fingerprint = config_of sub in
-        let config = { config with Flow.incremental = true } in
+        let config = { config with Flow.renumber = true } in
         let verify = Option.value ~default:false (bool_field sub "verify") in
         (program, config, fingerprint, verify)
       with

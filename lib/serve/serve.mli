@@ -32,7 +32,8 @@
       requests admitted as one batch: cache hits answer immediately and
       the misses compile in parallel on the daemon's {!Fpfa_exec.Pool}.
     - [{"op": "stats"}] — cache hit/miss/eviction counts, request
-      tallies, and (when observability is on) drained
+      tallies ([requests], [compiles], [resumed], [disk_hits],
+      [disk_evictions], [errors]), and (when observability is on) drained
       {!Fpfa_obs.Obs} counters and per-stage span aggregates.
     - [{"op": "cache", "action": "stats" | "clear" | "resize",
        "capacity": N}] — cache control.
@@ -47,8 +48,7 @@
     - [cached] is [null] (computed), ["request"] (whole-response hit),
       ["mapping"] (content-addressed mapping hit) or ["disk"];
     - [resumed_from] names the {!Fpfa_core.Flow.Staged.phase} a
-      near-miss resumed from, ["patched"] when the incremental path
-      grafted the request onto a cached ancestor compile, else [null];
+      near-miss resumed from, else [null];
     - [result] is the operation's payload — the part that is
       byte-identical cache-on vs cache-off.
 
@@ -74,27 +74,14 @@
     budget. Caches are mutated only from the admission domain; pool
     workers compile but never touch the cache.
 
-    {2 Incremental recompilation}
-
-    Compile requests run with {!Fpfa_core.Flow.config.incremental} on,
-    so every cached mapping keeps its pre-disambiguation minimised
-    snapshot. Alongside the digest index, cached compiles are indexed by
-    the structural anchors of their raw graphs
-    ({!Cdfg.Serialize.anchors}). When a request misses every cache level
-    but an anchor vote finds a close ancestor under the same config
-    fingerprint — the typical shape: the same kernel re-submitted after
-    a small source edit — the daemon diffs the fresh CDFG against the
-    ancestor ({!Cdfg.Diff}), grafts the changed cone onto the cached
-    minimised snapshot, and re-minimises only the dirty region
-    ({!Fpfa_core.Flow.Staged.rewind_patched}); the envelope reports
-    [resumed_from: "patched"]. Every incremental result is re-verified
-    (structural verifier, the three {!Fpfa_analysis.Mapcheck} validators,
-    and the interpreter/evaluator/simulator conformance check) before it
-    is served or cached; any failure — including a diff that refuses —
-    falls back to a cold compile. The [stats] operation reports the
-    tally as [incr.patched] / [incr.dirty_nodes] / [incr.fallback], and
-    the same counters (plus [serve.l1.*] / [serve.l2.*] cache tallies)
-    are mirrored into {!Fpfa_obs.Obs} for [--stats]. *)
+    Compile requests run with {!Fpfa_core.Flow.config.renumber} on, so
+    two sources that build the same CDFG up to node ids map to
+    byte-identical jobs, and a mapping-cache hit answers exactly what a
+    cold compile would. A request that misses every cache level compiles
+    cold, unless a cached checkpoint of the same CDFG under another
+    config can be rewound ({!Fpfa_core.Flow.Staged.rewind}). The
+    [serve.l1.*] / [serve.l2.*] cache tallies are mirrored into
+    {!Fpfa_obs.Obs} counters for [--stats]. *)
 
 type t
 (** A daemon instance (caches + pool + tallies). *)

@@ -20,12 +20,13 @@ let key_of g (n : G.node) : key option =
    hand.
 
    In a full run the table fills in as the topological seed visits every
-   node. A seeded run visits only the dirty region, so [~prime] instead
-   pre-populates the table with every live node (earliest in topological
-   order wins, matching the representative a full run would elect) —
-   without it, a freshly patched-in node could never merge with an
-   unvisited old equal and the seeded result would diverge from a
-   from-scratch compile. *)
+   node. A seeded run (the cleanup after each batch of certified
+   bit-level rewrites, [Flow.bitopt_stage]) visits only the dirty region,
+   so [~prime] instead pre-populates the table with every live node
+   (earliest in topological order wins, matching the representative a
+   full run would elect) — without it, a node a bit-level rewrite just
+   created could never merge with an unvisited old equal, and the
+   cleanup would leave duplicates a full run merges. *)
 let prepare ~prime g =
   let seen : (key, int) Hashtbl.t = Hashtbl.create 64 in
   if prime then

@@ -68,15 +68,15 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     ~args:[ ("nodes", Obs.Int (G.node_count g)) ]
   @@ fun () ->
   (* Forget mutations that predate the run (graph construction, or the
-     patch application that produced [seed]). *)
+     bit-level rewrites that produced [seed]). *)
   ignore (G.drain_dirty g);
   let eager, deferred = List.partition (fun r -> not r.settled) rules in
   let fire_counter r = Obs.counter ("pass.fire." ^ r.rname) in
-  (* A seeded run visits only the dirty region, so rules that accumulate
-     cross-node state lazily (CSE's value-number table) supply a
-     [prepare_seeded] that pre-populates it over the whole graph —
-     otherwise a new node could fail to merge with an unvisited old equal
-     and the seeded result would diverge from a from-scratch run. *)
+  (* A seeded run (the bit-level stage's cleanup) visits only the dirty
+     region, so rules that accumulate cross-node state lazily (CSE's
+     value-number table) supply a [prepare_seeded] that pre-populates it
+     over the whole graph — otherwise a node a bit-level rewrite just
+     created could fail to merge with an unvisited old equal. *)
   let prep r =
     match seed with
     | Some _ -> (Option.value r.prepare_seeded ~default:r.prepare) g

@@ -27,13 +27,14 @@ type rule = {
           graph. It is only ever called on ids that still exist. *)
   prepare_seeded : (Cdfg.Graph.t -> Cdfg.Graph.id -> bool) option;
       (** Used instead of [prepare] when the engine runs from a caller
-          seed ({!run_worklist}[ ?seed]). A seeded run visits only the
-          dirty region, so a rule whose per-run state is normally filled
-          in by visiting every node (CSE's value-number table) must
-          pre-populate it here over the whole graph, or a new node could
-          fail to merge with an unvisited old equal and the seeded result
-          would diverge from a from-scratch run. [None] means [prepare]
-          is seed-safe as is (purely local rules). *)
+          seed ({!run_worklist}[ ?seed]); the seeded caller is the
+          cleanup of the certified bit-level stage ([Flow.bitopt_stage]).
+          A seeded run visits only the dirty region, so a rule whose
+          per-run state is normally filled in by visiting every node
+          (CSE's value-number table) must pre-populate it here over the
+          whole graph, or a node a bit-level rewrite just created could
+          fail to merge with an unvisited old equal. [None] means
+          [prepare] is seed-safe as is (purely local rules). *)
   settled : bool;
       (** Settled rules run only when the eager (non-settled) rules have
           quiesced, at which point dead code has been fully collected.
@@ -75,12 +76,14 @@ val run_worklist :
     incremental checks. [max_steps] (default [100 + 100 * node_count] per
     tier in use) guards against diverging rule sets.
 
-    [?seed] is the incremental entry point ({!Cdfg.Diff}): instead of
-    every node, only the given ids are enqueued initially (still in
-    topological order; ids no longer present are skipped), and rules
-    switch to their [prepare_seeded] variant when they have one. The
-    journal-driven propagation is unchanged, so the run still reaches
-    everything a rewrite cascade touches — it just starts from the dirty
-    region instead of the whole graph.
+    [?seed] is the entry point of the certified bit-level stage's
+    cleanup ([Flow.bitopt_stage]), which re-minimises only the nodes a
+    verified claim batch touched: instead of every node, only the given
+    ids are enqueued initially (still in topological order; ids no longer
+    present are skipped), and rules switch to their [prepare_seeded]
+    variant when they have one. The journal-driven propagation is
+    unchanged, so the run still reaches everything a rewrite cascade
+    touches — it just starts from the dirty region instead of the whole
+    graph.
     @raise Failure when the step budget is hit.
     @raise Verification_failed when [~verify] rejects the graph. *)

@@ -36,9 +36,10 @@ let rec build_balanced g op leaves =
    has one normal form regardless of the shape it starts from. Depth-only
    firing is history-sensitive — an already-balanced subtree extended by
    one more operand can sit at the same depth a from-scratch rebalance
-   would reach with a different shape, which would let an incrementally
-   patched graph settle into a different (equally shallow) tree than the
-   cold compile.
+   would reach with a different shape, so the tree a chain settles into
+   would depend on the order in which earlier rewrites happened to build
+   it. With the shape guard the fixpoint does not depend on rewrite
+   history: every chain minimises to the same tree.
 
    Orientation must be judged modulo commutativity because that is CSE's
    equivalence: CSE keys commutative binops on the sorted input multiset,

@@ -34,8 +34,9 @@ val minimize :
     true) checks invariants once at the end; [~debug:true] re-validates
     after every visited node instead (slow; for pinpointing an
     invariant-breaking rule). [~seed] restricts the initial visit to the
-    given dirty nodes — the incremental re-minimisation entry point fed
-    by {!Cdfg.Diff.apply}. [~verify] is forwarded to
+    given dirty nodes — the entry point of the certified bit-level
+    stage's cleanup ([Flow.bitopt_stage]), which re-minimises only what a
+    verified claim batch touched. [~verify] is forwarded to
     {!Pass.run_worklist}: it runs after each rule firing and blames the
     responsible rule via {!Pass.Verification_failed} — the
     `--verify-each-pass` mode. *)

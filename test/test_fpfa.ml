@@ -36,6 +36,5 @@ let () =
       ("exec", Test_exec.suite);
       ("json", Test_json.suite);
       ("serve", Test_serve.suite);
-      ("incr", Test_incr.suite);
       ("golden", Test_mapping_golden.suite);
     ]

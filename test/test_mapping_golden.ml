@@ -14,9 +14,11 @@
    - the error text of one allocation that runs out of tile memory;
    - the MD5 of [Cdfg.Serialize.to_string] of the minimised graph of every
      corpus kernel, the six large kernels and the two DAGs, under the
-     default config and with [incremental] on, plus their jobs where no
-     case above pins them, and the simplifier's counters over the large
-     kernels. Every rewrite the simplifier fires shows up in these. *)
+     default config and with [renumber] on (the serve daemon's config;
+     those groups keep their [incremental] names and [-incr] keys), plus
+     their jobs where no case above pins them, and the simplifier's
+     counters over the large kernels. Every rewrite the simplifier fires
+     shows up in these. *)
 
 module Flow = Fpfa_core.Flow
 module Arch = Fpfa_arch.Arch
@@ -79,7 +81,7 @@ let dag_cases name clustering =
 
 let graph_digest g = Digest.to_hex (Digest.string (Cdfg.Serialize.to_string g))
 
-let incremental = { Flow.default_config with Flow.incremental = true }
+let renumbered = { Flow.default_config with Flow.renumber = true }
 
 (* The kernels of the benchmark's [large] workload. *)
 let large_kernels =
@@ -609,13 +611,13 @@ let flow_groups =
     ("minimised dags", fun () ->
         flow_cases ~config:Flow.default_config ~tag:"" ~jobs:false dags);
     ("incremental corpus", fun () ->
-        flow_cases ~config:incremental ~tag:"-incr" ~jobs:true
+        flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true
           (sources Kernels.all));
     ("incremental large", fun () ->
-        flow_cases ~config:incremental ~tag:"-incr" ~jobs:true
+        flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true
           (sources large_kernels));
     ("incremental dags", fun () ->
-        flow_cases ~config:incremental ~tag:"-incr" ~jobs:true dags);
+        flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true dags);
   ]
 
 let suite =

@@ -425,11 +425,10 @@ let test_disk_cache_survives_restart () =
         (result_bytes warm);
       Serve.shutdown b)
 
-(* {2 Incremental recompilation: the anchor-vote near-miss path} *)
+(* {2 Cached edit chains} *)
 
-(* Two independent loops: editing the gain constant changes only the
-   second region's cone, so the first loop's [ss:]/[out:] anchors still
-   vote for the cached compile. *)
+(* Two independent loops; the concurrent-client tests give each client
+   its own gain constant. *)
 let two_loop_src k =
   Printf.sprintf
     {|void main() {
@@ -449,63 +448,43 @@ let compile_src ?id src =
     (("op", Json.Str "compile") :: ("source", Json.Str src)
     :: (match id with Some n -> [ ("id", Json.Int n) ] | None -> []))
 
-let incr_stat stats name =
-  match
-    Option.bind
-      (Json.member "incr" (field "result" stats))
-      (Json.member name)
-  with
-  | Some (Json.Int n) -> n
-  | _ -> Alcotest.fail ("stats missing incr." ^ name)
-
-let test_incremental_patch () =
-  let s = Serve.create () in
-  let uncached = Serve.create ~cache_size:0 () in
-  ignore (expect_ok (Serve.handle s (compile_src (two_loop_src 3))));
-  (* one-literal edit: misses every cache level, anchors find the
-     ancestor, the dirty cone re-minimises *)
-  let patched = expect_ok (Serve.handle s (compile_src (two_loop_src 5))) in
-  let fresh = expect_ok (Serve.handle uncached (compile_src (two_loop_src 5))) in
-  Alcotest.(check (option string)) "computed, not a cache hit" None
-    (cached_of patched);
-  Alcotest.(check (option string)) "patched resume" (Some "patched")
-    (resumed_of patched);
-  Alcotest.(check string) "patched result equals cold compile"
-    (result_bytes fresh) (result_bytes patched);
-  (* a second edit grafts against the patched entry (chained compiles) *)
-  let patched2 = expect_ok (Serve.handle s (compile_src (two_loop_src 9))) in
-  let fresh2 = expect_ok (Serve.handle uncached (compile_src (two_loop_src 9))) in
-  Alcotest.(check (option string)) "chained patched resume" (Some "patched")
-    (resumed_of patched2);
-  Alcotest.(check string) "chained result equals cold compile"
-    (result_bytes fresh2) (result_bytes patched2);
-  let stats = expect_ok (Serve.handle s (req {|{"op":"stats"}|})) in
-  Alcotest.(check int) "two patched compiles" 2 (incr_stat stats "patched");
-  Alcotest.(check bool) "dirty nodes counted" true
-    (incr_stat stats "dirty_nodes" > 0);
-  Alcotest.(check int) "no fallbacks" 0 (incr_stat stats "fallback");
-  (* dropping the whole second loop changes the region set: the diff
-     refuses, the daemon falls back to a cold compile, and the answer is
-     still right *)
-  let chopped =
-    {|void main() {
-  sum = 0;
-  for (i = 0; i < 8; i = i + 1) {
-    sum = sum + a[i] * c[i];
-  }
-}|}
+(* [src] with the first occurrence of [sub] replaced by [by]. *)
+let edit ~sub ~by src =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length src then Alcotest.failf "%S not in source" sub
+    else if String.equal (String.sub src i n) sub then i
+    else find (i + 1)
   in
-  let fallback = expect_ok (Serve.handle s (compile_src chopped)) in
-  let fallback_fresh = expect_ok (Serve.handle uncached (compile_src chopped)) in
-  Alcotest.(check (option string)) "refused diff compiles cold" None
-    (resumed_of fallback);
-  Alcotest.(check string) "fallback result equals cold compile"
-    (result_bytes fallback_fresh) (result_bytes fallback);
-  let stats2 = expect_ok (Serve.handle s (req {|{"op":"stats"}|})) in
-  Alcotest.(check bool) "fallback counted" true
-    (incr_stat stats2 "fallback" >= 1);
+  let i = find 0 in
+  String.sub src 0 i ^ by ^ String.sub src (i + n) (String.length src - i - n)
+
+(* Literal edits of one kernel, compiled in order on a daemon that keeps
+   every earlier step cached. The third step edits the original source
+   again, so it misses every cache level next to two cached relatives.
+   Without [verify], each answer must still carry the bytes of a
+   cache-off daemon. *)
+let test_edit_chain_equals_cold () =
+  let source = (Kernels.find "mavg-4-6").Kernels.source in
+  let chain =
+    [
+      source;
+      edit ~sub:"acc = 0;" ~by:"acc = 1;" source;
+      edit ~sub:"i < 6" ~by:"i < 4" source;
+    ]
+  in
+  let s = Serve.create () in
+  let cold = Serve.create ~cache_size:0 () in
+  List.iteri
+    (fun i src ->
+      let got = expect_ok (Serve.handle s (compile_src src)) in
+      let want = expect_ok (Serve.handle cold (compile_src src)) in
+      Alcotest.(check string)
+        (Printf.sprintf "step %d equals a cold compile" (i + 1))
+        (result_bytes want) (result_bytes got))
+    chain;
   Serve.shutdown s;
-  Serve.shutdown uncached
+  Serve.shutdown cold
 
 (* {2 Disk GC: the byte budget holds and evictions are counted} *)
 
@@ -729,7 +708,8 @@ let suite =
     Alcotest.test_case "check via daemon" `Quick test_check_clean_kernel;
     Alcotest.test_case "cache control" `Quick test_cache_control;
     Alcotest.test_case "disk cache" `Quick test_disk_cache_survives_restart;
-    Alcotest.test_case "incremental patch" `Quick test_incremental_patch;
+    Alcotest.test_case "cached edit chains equal cold compiles" `Quick
+      test_edit_chain_equals_cold;
     Alcotest.test_case "disk gc" `Quick test_disk_gc;
     Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
     Alcotest.test_case "socket stress" `Quick test_socket_stress;
