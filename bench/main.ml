@@ -1,82 +1,49 @@
-(* Benchmark harness: regenerates every evaluation artefact of the paper
-   (see DESIGN.md section 4 for the experiment index).
+(* Bench harness: the paper's evaluation (Figs. 1 and 3-5, the Section VI
+   linearity claim, the Section VII sweeps) and the timing bounds of the
+   infrastructure claims. EXPERIMENTS.md holds the measured tables and
+   DESIGN.md section 4 the experiment index.
 
-     E1  fig3_fir_cdfg        paper Fig. 3  (FIR after unroll + simplify)
-     E2  fig4_scheduling      paper Fig. 4  (level insertion on 5 ALUs)
-     E3  fig5_allocation      paper Fig. 5  (heuristic allocation, window)
-     E4  tile_resource_usage  paper Fig. 1  (hardware limits respected)
-     E5  phase_complexity     Section VI    (linear-time phases, Bechamel;
-                                              writes BENCH_complexity.json,
-                                              gated in CI: us/cluster may
-                                              grow at most 4x from 300 to
-                                              3000 ops, the simplifier's
-                                              us/raw node at most 4x from
-                                              matmul n=4 to n=10)
-     E6  speedup               Section VII  ("maximum parallelism")
-     E7  locality_ablation     Section VII  ("locality of reference")
-     E8  unroll_sweep          Section V    (unrolling as the enabler)
-     E9  loop_mapping          Section VII   (future work: loops mapped by
-                                              configuration reuse)
-     E10 branch_cost           Section VII   (future work: branches via
-                                              if-conversion; speculation cost)
-     E11 interleaving          Section II    (memory-port bottleneck fix:
-                                              two-way array interleaving)
-     E12 priority_ablation     Section VI-B  (ready-priority choice in the
-                                              level scheduler)
-     E14 obs_overhead           (infrastructure) cost of the lib/obs
-                                              null-sink fast path (target:
-                                              <2% with obs disabled)
-     E15 verify_overhead        (infrastructure) cost of the per-firing
-                                              structural verifier
-                                              (--verify-each-pass) on a
-                                              seed-11 random-DAG sweep
-                                              (target: <15%)
-     E16 par_speedup            (infrastructure) Domain-pool scaling of
-                                              corpus compiles and design-
-                                              space sweeps at -j 1/2/4/8
-                                              (target: >=2.5x at 4 domains
-                                              on a >=4-core host, results
-                                              identical at every width)
-     E17 alias_prune            (infrastructure) order-edge disambiguation
-                                              via the statespace address
-                                              analysis: false anti-
-                                              dependences removed on the
-                                              delay-line FIR family,
-                                              schedule never deepens,
-                                              analysis cost <15% of flow
+     dune exec bench/main.exe -- [NAME ...]
 
-     E19 serve                  (infrastructure) compile-as-a-service:
-                                              cold vs warm latency through
-                                              the daemon's content-addressed
-                                              cache on a repeated-corpus
-                                              workload (target: warm >=100x
-                                              cold, byte-identical results
-                                              cache-on vs cache-off), plus
-                                              the E16/E18 multi-core
-                                              re-check through the batch
-                                              admission path
+   runs the named experiments in the order below, or all of them with no
+   name. Exit status: 0 when every gate holds, 1 when a gate fails, 2 on
+   an unknown name (the valid names are printed and nothing runs) or an
+   uncaught exception, such as a failed shape assertion in fig3 or fig4.
+   A gate is a bound whose failure fails CI; CI runs `complexity costs`.
 
-     E20 depend                 (infrastructure) loop-carried dependence
-                                              analysis / II lower bounds:
-                                              every corpus loop bounded,
-                                              zero validator refutations,
-                                              the recurrence kernels at
-                                              their exact RecMII, analysis
-                                              cost <15% of compile
+     E1  fig3        paper Fig. 3  (FIR after unroll + simplify)
+     E2  fig4        paper Fig. 4  (level insertion on 5 ALUs)
+     E3  fig5        paper Fig. 5  (heuristic allocation, window)
+     E4  resources   paper Fig. 1  (hardware limits respected)
+     E5  complexity  Section VI    (linear-time phases, Bechamel; writes
+                                    BENCH_complexity.json. Gate: us/cluster
+                                    grows at most 4x from 300 to 3000 ops
+                                    per phase, and the simplifier's us/raw
+                                    node at most 4x from matmul n=4 to
+                                    n=10)
+     E6  speedup     Section VII   ("maximum parallelism")
+     E7  locality    Section VII   ("locality of reference")
+     E8  unroll      Section V     (unrolling as the enabler)
+     E9  loops       Section VII   (future work: loops mapped by
+                                    configuration reuse)
+     E10 branches    Section VII   (future work: branches via
+                                    if-conversion; speculation cost)
+     E11 interleave  Section II    (memory-port bottleneck fix: two-way
+                                    array interleaving)
+     E12 priority    Section VI-B  (ready-priority choice in the level
+                                    scheduler)
+     E14 obs         null-sink cost of lib/obs (target <2%; writes
+                     BENCH_obs_overhead.json)
+     E15 verify      --verify-each-pass cost on a seed-11 random-DAG
+                     sweep (target <15%; writes BENCH_verify_overhead.json)
+         costs       one row per timing bound of an infrastructure claim:
+                     E17 disambiguation, E19 serve cache, E20 dependence
+                     analysis, E22 bit-level pass. The deterministic
+                     halves of those claims are tests.
 
-     E22 bitopt                 (infrastructure) certified bit-level
-                                              optimisation: known-bits x
-                                              range facts demote mul/div/mod
-                                              by powers of two and drop
-                                              redundant masks on >=3 corpus
-                                              kernels, every claim re-proved
-                                              from recomputed facts, Eval
-                                              results identical pass on/off,
-                                              analysis+pass cost <15% of
-                                              compile
-
-   Absolute numbers are ours (the substrate is a simulator, not the
-   CHAMELEON testbed); the shapes are what EXPERIMENTS.md compares. *)
+   E13, E16, E18 and E21 are retired; EXPERIMENTS.md keeps their last
+   tables. Absolute numbers are ours (the substrate is a simulator, not
+   the CHAMELEON testbed); the shapes are what EXPERIMENTS.md compares. *)
 
 module Arch = Fpfa_arch.Arch
 module Flow = Fpfa_core.Flow
@@ -88,6 +55,16 @@ let section title =
 
 let map_kernel ?(variant = Baseline.paper) (k : Kernels.t) =
   Baseline.map_source variant k.Kernels.source
+
+(* Names of the gates that failed; any makes the binary exit 1. *)
+let failed_gates = ref []
+
+let gate name ok = if not ok then failed_gates := name :: !failed_gates
+
+let seconds f =
+  let t0 = Unix.gettimeofday () in
+  ignore (f ());
+  Unix.gettimeofday () -. t0
 
 (* ------------------------------------------------------------------ *)
 (* E1 - Fig. 3: the FIR CDFG before and after full simplification.     *)
@@ -225,7 +202,7 @@ let tile_resource_usage () =
 (* E5 - Section VI: the phases are linear in the number of clusters.   *)
 (* ------------------------------------------------------------------ *)
 
-(* The CI gate: per phase, us/cluster at the largest size may be at most
+(* The gate: per phase, us/cluster at the largest size may be at most
    this multiple of its value at [gate_base] ops. A linear phase keeps the
    ratio near 1 (cache effects drift it upwards); a quadratic one grows
    it roughly tenfold from 300 to 3000 ops. *)
@@ -255,9 +232,9 @@ let simplify_rows () =
         if List.length acc >= 3 && total >= 0.5 then (acc, min_nodes)
         else begin
           let g = Cdfg.Graph.copy raw in
-          let t0 = Unix.gettimeofday () in
-          ignore (Transform.Simplify.minimize ~validate:false g);
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt =
+            seconds (fun () -> Transform.Simplify.minimize ~validate:false g)
+          in
           runs (dt :: acc) (total +. dt) (Cdfg.Graph.node_count g)
         end
       in
@@ -434,7 +411,8 @@ let phase_complexity () =
   output_string oc (Json.to_string json ^ "\n");
   close_out oc;
   Printf.printf "\nwrote BENCH_complexity.json (%s)\n"
-    (if pass then "pass" else "FAIL")
+    (if pass then "pass" else "FAIL");
+  gate "E5 complexity" pass
 
 (* ------------------------------------------------------------------ *)
 (* E6 - Section VII: speed-up over the sequential and unit baselines.  *)
@@ -734,22 +712,6 @@ let priority_ablation () =
      the alternatives, and the differences stay small - the heuristic's\n\
      cheapness is justified.\n"
 
-(* The paper's own workload shape for the simplifier: a fully unrolled
-   FIR, where the rules do real rewriting work (folding, CSE, forwarding,
-   DCE, rebalancing) rather than scanning an already-minimal DAG. Used by
-   E18. *)
-let fir_raw taps =
-  let k = Kernels.fir ~taps in
-  let program = Cfront.Parser.parse_program k.Kernels.source in
-  let program = Cfront.Inline.program program in
-  let f =
-    List.find
-      (fun (f : Cfront.Ast.func) -> String.equal f.Cfront.Ast.name "main")
-      program
-  in
-  let f = Cfront.Unroll.unroll_func ~max_iterations:4096 f in
-  Cdfg.Builder.build_func f
-
 (* ------------------------------------------------------------------ *)
 (* E14 - observability overhead: the null-sink fast path must cost      *)
 (* <2% of a full map+simulate sweep when the subsystem is disabled.     *)
@@ -759,11 +721,6 @@ let obs_overhead () =
   section "E14 obs_overhead (null-sink fast path cost)";
   let module Obs = Fpfa_obs.Obs in
   let reps = 10 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let run_corpus () =
     List.iter
       (fun (k : Kernels.t) ->
@@ -787,12 +744,12 @@ let obs_overhead () =
      standard noise-robust estimator. *)
   let disabled_block () =
     Obs.disable ();
-    time (fun () -> run_corpus ())
+    seconds run_corpus
   in
   let enabled_block () =
     Obs.enable ();
     Obs.reset ();
-    time (fun () -> run_corpus ())
+    seconds run_corpus
   in
   let disabled_s = ref infinity and enabled_s = ref infinity in
   for _ = 1 to reps do
@@ -806,14 +763,14 @@ let obs_overhead () =
   let iters = 5_000_000 in
   let c = Obs.counter "bench.e14" in
   let span_ns =
-    time (fun () ->
+    seconds (fun () ->
         for _ = 1 to iters do
           Obs.span "e14" (fun () -> ())
         done)
     /. float_of_int iters *. 1e9
   in
   let ctr_ns =
-    time (fun () ->
+    seconds (fun () ->
         for _ = 1 to iters do
           Obs.incr c
         done)
@@ -886,11 +843,6 @@ let verify_overhead () =
   let module Simplify = Transform.Simplify in
   let module Verify = Fpfa_analysis.Verify in
   let reps = 5 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Random DAGs, seed 11. Time [reps] alternating blocks per mode and
      keep the per-mode minimum (noise-robust). *)
   let sizes = [ 500; 1_000; 2_000; 5_000; 10_000; 20_000; 50_000 ] in
@@ -908,7 +860,7 @@ let verify_overhead () =
         let checks = ref 0 in
         for _ = 1 to reps do
           let g1 = Cdfg.Graph.copy g in
-          let _, t = time (fun () -> Simplify.minimize ~validate:false g1) in
+          let t = seconds (fun () -> Simplify.minimize ~validate:false g1) in
           plain_s := Float.min !plain_s t;
           let g2 = Cdfg.Graph.copy g in
           let n = ref 0 in
@@ -916,8 +868,8 @@ let verify_overhead () =
             incr n;
             Verify.pass_hook () rule g touched
           in
-          let _, t =
-            time (fun () ->
+          let t =
+            seconds (fun () ->
                 Simplify.minimize ~validate:false ~verify:hook g2)
           in
           verified_s := Float.min !verified_s t;
@@ -962,471 +914,45 @@ let verify_overhead () =
   Printf.printf "\nwrote BENCH_verify_overhead.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* E16 - Domain-pool scaling: corpus compiles and design-space sweeps   *)
-(* distributed over 1/2/4/8 domains through Fpfa_exec.Pool.             *)
+(* costs - the timing bounds of the infrastructure claims: what the     *)
+(* disambiguation, the serve cache, the dependence analysis and the     *)
+(* bit-level pass cost against the compile they serve. Each row keeps   *)
+(* the workloads, timed regions, estimator, aggregate and limit of the  *)
+(* experiment it comes from; the deterministic halves of those claims   *)
+(* are tests, and EXPERIMENTS.md names them.                            *)
 (* ------------------------------------------------------------------ *)
 
-let par_speedup () =
-  section "E16 par_speedup (Domain-pool batch scaling)";
-  let module Pool = Fpfa_exec.Pool in
-  let module Sweep = Fpfa_core.Sweep in
-  let reps = 3 in
-  let cores = Domain.recommended_domain_count () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Workload 1: map + simulate the whole kernel corpus. *)
-  let corpus jobs =
-    Pool.map_ordered ~jobs
-      (fun (k : Kernels.t) ->
-        let r = map_kernel k in
-        let memory, _ =
-          Fpfa_sim.Sim.run ~memory_init:k.Kernels.inputs r.Flow.job
-        in
-        (r.Flow.metrics, memory))
-      Kernels.all
-  in
-  (* Workload 2: the ALU + crossbar design-space sweep on a 16-tap FIR. *)
-  let fir = Kernels.fir ~taps:16 in
-  let sweep_points =
-    Sweep.points Sweep.Alu_count Sweep.default_alus
-    @ Sweep.points Sweep.Buses Sweep.default_buses
-  in
-  let sweep jobs =
-    if jobs <= 1 then Sweep.run ~source:fir.Kernels.source sweep_points
-    else
-      Pool.with_pool ~jobs (fun pool ->
-          Sweep.run ~pool ~source:fir.Kernels.source sweep_points)
-  in
-  (* Alternating min-of-reps per width (the E14/E15 noise-robust
-     estimator); jobs=1 runs first and is the determinism reference. *)
-  let measure workload jobs =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let r, t = time (fun () -> workload jobs) in
-      best := Float.min !best t;
-      last := Some r
-    done;
-    (!best, Option.get !last)
-  in
-  let widths = [ 1; 2; 4; 8 ] in
-  (* A 1-core host serialises the domains: timing the wider widths there
-     measures pool spawn/teardown overhead, not scaling, and the numbers
-     only mislead whoever diffs the artifact. So with one core only
-     jobs=1 is timed - but every width still {e runs} once, because the
-     identity assertion (parallel results = sequential results) is
-     meaningful on any host. *)
-  let timed jobs = cores > 1 || jobs = 1 in
-  let results =
-    List.map
-      (fun jobs ->
-        if timed jobs then begin
-          let corpus_s, corpus_r = measure corpus jobs in
-          let sweep_s, sweep_r = measure sweep jobs in
-          (jobs, Some corpus_s, corpus_r, Some sweep_s, sweep_r)
-        end
-        else begin
-          let corpus_r = corpus jobs in
-          let sweep_r = sweep jobs in
-          (jobs, None, corpus_r, None, sweep_r)
-        end)
-      widths
-  in
-  let _, corpus1_so, corpus1_r, sweep1_so, sweep1_r = List.hd results in
-  let corpus1_s = Option.get corpus1_so in
-  let sweep1_s = Option.get sweep1_so in
-  let all_identical = ref true in
-  let speedup_at = Hashtbl.create 4 in
-  let rows =
-    List.map
-      (fun (jobs, corpus_so, corpus_r, sweep_so, sweep_r) ->
-        let identical = corpus_r = corpus1_r && sweep_r = sweep1_r in
-        if not identical then all_identical := false;
-        (match (corpus_so, sweep_so) with
-        | Some corpus_s, Some sweep_s ->
-          Hashtbl.replace speedup_at jobs
-            (Float.min (corpus1_s /. corpus_s) (sweep1_s /. sweep_s))
-        | _ -> ());
-        let fmt_s = function
-          | Some s -> Printf.sprintf "%.3f" s
-          | None -> "-"
-        in
-        let fmt_x base = function
-          | Some s -> Printf.sprintf "%.2fx" (base /. s)
-          | None -> "-"
-        in
-        [
-          string_of_int jobs;
-          fmt_s corpus_so;
-          fmt_x corpus1_s corpus_so;
-          fmt_s sweep_so;
-          fmt_x sweep1_s sweep_so;
-          (if identical then "yes" else "NO");
-        ])
-      results
-  in
-  Fpfa_util.Tablefmt.print
-    ~header:
-      [ "-j"; "corpus s"; "corpus x"; "sweep s"; "sweep x"; "identical" ]
-    rows;
-  (* The speedup target only makes sense with the cores to back it: a
-     1-core container serialises the domains and measures pure pool
-     overhead instead. Determinism must hold everywhere. *)
-  let assessed = cores >= 4 in
-  let speedup4 = try Hashtbl.find speedup_at 4 with Not_found -> 0.0 in
-  let pass = !all_identical && ((not assessed) || speedup4 >= 2.5) in
-  Printf.printf
-    "host has %d core%s; the >=2.5x-at-4-domains target is %s here.\n\
-     results are %s across widths (corpus metrics+memories, sweep rows).\n"
-    cores
-    (if cores = 1 then "" else "s")
-    (if assessed then "assessed" else "not assessable (needs >= 4 cores)")
-    (if !all_identical then "identical" else "NOT identical");
-  if cores = 1 then
-    Printf.printf
-      "multi-width timing skipped (1 core serialises the pool); widths > 1\n\
-       ran once each, untimed, for the identity assertion.\n";
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"par_speedup\",\n";
-  Buffer.add_string json
-    (Printf.sprintf "  \"reps\": %d,\n  \"cores_detected\": %d,\n" reps cores);
-  Buffer.add_string json
-    (Printf.sprintf "  \"kernels\": %d,\n  \"sweep_points\": %d,\n"
-       (List.length Kernels.all)
-       (List.length sweep_points));
-  Buffer.add_string json "  \"widths\": [\n";
-  List.iteri
-    (fun i (jobs, corpus_so, _, sweep_so, _) ->
-      let num = function
-        | Some s -> Printf.sprintf "%.6f" s
-        | None -> "null"
+(* Min over five reps of two regions timed alternately, [a] first. Each
+   argument does its untimed set-up and returns its timed region's
+   seconds. *)
+let min_of_5 a b =
+  let ta = ref infinity and tb = ref infinity in
+  for _ = 1 to 5 do
+    ta := Float.min !ta (a ());
+    tb := Float.min !tb (b ())
+  done;
+  (!ta, !tb)
+
+let pct part whole = part /. whole *. 100.0
+
+(* E17: the isolated prune, on a copy of the graph the stage sees (the
+   simplified, unpruned CDFG), against the whole flow with pruning on.
+   Returns the worst workload and its percentage. *)
+let disambig_cost () =
+  let off_config = { Flow.default_config with Flow.disambiguate = false } in
+  List.fold_left
+    (fun (worst_k, worst) (k : Kernels.t) ->
+      let off = Flow.map_source ~config:off_config k.Kernels.source in
+      let flow_s, prune_s =
+        min_of_5
+          (fun () -> seconds (fun () -> Flow.map_source k.Kernels.source))
+          (fun () ->
+            let g = Cdfg.Graph.copy off.Flow.graph in
+            seconds (fun () -> Fpfa_analysis.Addr.prune g))
       in
-      let ratio base = function
-        | Some s -> Printf.sprintf "%.3f" (base /. s)
-        | None -> "null"
-      in
-      Buffer.add_string json
-        (Printf.sprintf
-           "    {\"jobs\": %d, \"corpus_s\": %s, \"corpus_speedup\": %s, \
-            \"sweep_s\": %s, \"sweep_speedup\": %s}%s\n"
-           jobs (num corpus_so)
-           (ratio corpus1_s corpus_so)
-           (num sweep_so)
-           (ratio sweep1_s sweep_so)
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string json "  ],\n";
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"identical_across_widths\": %b,\n  \"target_speedup_4\": 2.5,\n"
-       !all_identical);
-  if cores = 1 then
-    Buffer.add_string json
-      "  \"skipped_reason\": \"cores_detected = 1: timing widths > 1 would \
-       measure pool overhead, not scaling; each width still ran once \
-       (untimed) for the identity assertion\",\n";
-  Buffer.add_string json
-    (Printf.sprintf "  \"speedup_assessed\": %b,\n  \"pass\": %b\n}\n"
-       assessed pass);
-  let oc = open_out "BENCH_par_speedup.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_par_speedup.json\n";
-  ignore sweep1_r
-
-(* ------------------------------------------------------------------ *)
-(* corpus - the breadth baseline: per-kernel compile time, mapped       *)
-(* latency and utilisation across the whole lib/kernels corpus          *)
-(* (BENCH_corpus.json), so every future perf PR can diff one artifact   *)
-(* instead of re-deriving numbers kernel by kernel.                     *)
-(* ------------------------------------------------------------------ *)
-
-let corpus_bench () =
-  section "corpus (per-kernel compile / latency / utilisation baseline)";
-  let module Metrics = Mapping.Metrics in
-  let reps = 5 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"corpus\",\n";
-  Buffer.add_string json
-    (Printf.sprintf "  \"reps\": %d,\n  \"kernels\": [\n" reps);
-  let n = List.length Kernels.all in
-  let rows =
-    List.mapi
-      (fun i (k : Kernels.t) ->
-        (* min-of-reps compile time (the E14/E15 noise-robust estimator);
-           metrics come from the last run - the flow is deterministic, so
-           every rep maps identically. *)
-        let best = ref infinity and last = ref None in
-        for _ = 1 to reps do
-          let r, t = time (fun () -> map_kernel k) in
-          best := Float.min !best t;
-          last := Some r
-        done;
-        let r = Option.get !last in
-        let m = r.Flow.metrics in
-        let nodes = Cdfg.Graph.node_count r.Flow.graph in
-        Buffer.add_string json
-          (Printf.sprintf
-             "    {\"kernel\": \"%s\", \"nodes\": %d, \"compile_s\": %.6f, \
-              \"cycles\": %d, \"exec_cycles\": %d, \"levels\": %d, \
-              \"alu_utilisation\": %.4f, \"locality\": %.4f, \
-              \"energy\": %.1f}%s\n"
-             k.Kernels.name nodes !best m.Metrics.cycles m.Metrics.exec_cycles
-             m.Metrics.levels m.Metrics.alu_utilisation m.Metrics.locality
-             m.Metrics.energy
-             (if i = n - 1 then "" else ","));
-        [
-          k.Kernels.name;
-          string_of_int nodes;
-          Printf.sprintf "%.4f" !best;
-          string_of_int m.Metrics.cycles;
-          string_of_int m.Metrics.levels;
-          Printf.sprintf "%.2f" m.Metrics.alu_utilisation;
-          Printf.sprintf "%.2f" m.Metrics.locality;
-        ])
-      Kernels.all
-  in
-  Fpfa_util.Tablefmt.print
-    ~header:
-      [ "kernel"; "nodes"; "compile s"; "cycles"; "levels"; "util"; "locality" ]
-    rows;
-  Buffer.add_string json "  ]\n}\n";
-  let oc = open_out "BENCH_corpus.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_corpus.json (%d kernels)\n" n
-
-(* ------------------------------------------------------------------ *)
-(* E18 - arena: the flat-array CDFG interior vs the Hashtbl interior it *)
-(* replaced. The baseline constants below were measured in the same     *)
-(* container at the pre-arena commit (Hashtbl Graph, identical          *)
-(* workloads and protocol); worklist_steps matched the arena run        *)
-(* byte-for-byte, so the comparison is pure representation cost. The    *)
-(* gate: >=1.5x on every single-thread workload of >= 30k nodes, and    *)
-(* on a >= 4-core host a re-run of the E16 corpus batch at -j 4 with    *)
-(* speedup > 1 (identity asserted on every host).                       *)
-(* ------------------------------------------------------------------ *)
-
-let arena () =
-  section "E18 arena (flat-array CDFG vs Hashtbl baseline)";
-  let module Simplify = Transform.Simplify in
-  let module Pool = Fpfa_exec.Pool in
-  let reps = 3 in
-  let cores = Domain.recommended_domain_count () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Hashtbl-interior reference times: worklist minimize on seed-11
-     random DAGs by op count and fully unrolled FIRs by tap count, and one
-     sequential map+simulate pass over the kernel corpus (min of 5). *)
-  let baseline_random =
-    [
-      (500, 0.005347); (1_000, 0.012605); (2_000, 0.025305);
-      (5_000, 0.095140); (10_000, 0.174430); (20_000, 0.587133);
-      (50_000, 1.444657);
-    ]
-  in
-  let baseline_fir = [ (64, 0.006691); (256, 0.053880) ] in
-  let baseline_corpus_s = 0.051987 in
-  let gate_nodes = 30_000 in
-  let target = 1.5 in
-  (* min-of-reps; each rep minimizes a fresh copy (the copy is outside
-     the timed region). *)
-  let wl_time g =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let g2 = Cdfg.Graph.copy g in
-      let _, t = time (fun () -> Simplify.minimize g2) in
-      best := Float.min !best t
-    done;
-    !best
-  in
-  let gate_ok = ref true in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"arena\",\n";
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"reps\": %d,\n  \"gate_min_nodes\": %d,\n\
-       \  \"target_speedup\": %.1f,\n  \"random_graphs\": [\n"
-       reps gate_nodes target);
-  let emit_row ~label ~nodes ~base_s ~arena_s ~last =
-    let speedup = base_s /. arena_s in
-    let gated = nodes >= gate_nodes in
-    if gated && speedup < target then gate_ok := false;
-    Buffer.add_string json
-      (Printf.sprintf
-         "    {%s, \"nodes\": %d, \"baseline_s\": %.6f, \"arena_s\": %.6f, \
-          \"speedup\": %.2f, \"gated\": %b}%s\n"
-         label nodes base_s arena_s speedup gated
-         (if last then "" else ","))
-  in
-  let random_rows =
-    List.mapi
-      (fun i (ops, base_s) ->
-        let g = Fpfa_kernels.Random_graph.generate ~seed:11 ~ops () in
-        let nodes = Cdfg.Graph.node_count g in
-        let arena_s = wl_time g in
-        emit_row
-          ~label:(Printf.sprintf "\"ops\": %d" ops)
-          ~nodes ~base_s ~arena_s
-          ~last:(i = List.length baseline_random - 1);
-        [
-          string_of_int ops;
-          string_of_int nodes;
-          Printf.sprintf "%.3f" base_s;
-          Printf.sprintf "%.3f" arena_s;
-          Printf.sprintf "%.2fx" (base_s /. arena_s);
-          (if nodes >= gate_nodes then "yes" else "-");
-        ])
-      baseline_random
-  in
-  Buffer.add_string json "  ],\n  \"fir\": [\n";
-  let fir_rows =
-    List.mapi
-      (fun i (taps, base_s) ->
-        let g = fir_raw taps in
-        let nodes = Cdfg.Graph.node_count g in
-        let arena_s = wl_time g in
-        emit_row
-          ~label:(Printf.sprintf "\"taps\": %d" taps)
-          ~nodes ~base_s ~arena_s
-          ~last:(i = List.length baseline_fir - 1);
-        [
-          Printf.sprintf "fir-%d" taps;
-          string_of_int nodes;
-          Printf.sprintf "%.3f" base_s;
-          Printf.sprintf "%.3f" arena_s;
-          Printf.sprintf "%.2fx" (base_s /. arena_s);
-          "-";
-        ])
-      baseline_fir
-  in
-  Fpfa_util.Tablefmt.print
-    ~header:[ "workload"; "nodes"; "hashtbl s"; "arena s"; "speedup"; "gated" ]
-    (random_rows @ fir_rows);
-  (* Corpus single-thread: one sequential map+simulate pass over every
-     kernel, same protocol as the baseline constant. Small graphs, so
-     reported rather than gated - the arena pays off with node count. *)
-  let corpus_once () =
-    List.iter
-      (fun (k : Kernels.t) ->
-        let r = map_kernel k in
-        ignore (Fpfa_sim.Sim.run ~memory_init:k.Kernels.inputs r.Flow.job))
-      Kernels.all
-  in
-  let corpus_s =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let _, t = time corpus_once in
-      best := Float.min !best t
-    done;
-    !best
-  in
-  let corpus_speedup = baseline_corpus_s /. corpus_s in
-  Printf.printf
-    "\ncorpus (sequential map+simulate, %d kernels): hashtbl %.3fs, arena \
-     %.3fs, %.2fx\n"
-    (List.length Kernels.all)
-    baseline_corpus_s corpus_s corpus_speedup;
-  (* E16 re-check: the parallel corpus batch must still be worth it on a
-     real multi-core host, and bit-identical everywhere. *)
-  let corpus_par jobs =
-    Pool.map_ordered ~jobs
-      (fun (k : Kernels.t) ->
-        let r = map_kernel k in
-        let memory, _ =
-          Fpfa_sim.Sim.run ~memory_init:k.Kernels.inputs r.Flow.job
-        in
-        (r.Flow.metrics, memory))
-      Kernels.all
-  in
-  let par_identical = corpus_par 4 = corpus_par 1 in
-  let par_assessed = cores >= 4 in
-  let par_speedup_4 =
-    if not par_assessed then None
-    else begin
-      let measure jobs =
-        let best = ref infinity in
-        for _ = 1 to reps do
-          let _, t = time (fun () -> corpus_par jobs) in
-          best := Float.min !best t
-        done;
-        !best
-      in
-      let t1 = measure 1 in
-      let t4 = measure 4 in
-      Some (t1 /. t4)
-    end
-  in
-  (match par_speedup_4 with
-  | Some s ->
-    Printf.printf "parallel corpus -j4: %.2fx vs -j1 (%d cores); identity %s\n"
-      s cores
-      (if par_identical then "holds" else "BROKEN")
-  | None ->
-    Printf.printf
-      "parallel corpus speedup not assessable (%d core%s < 4); identity %s\n"
-      cores
-      (if cores = 1 then "" else "s")
-      (if par_identical then "holds" else "BROKEN"));
-  let pass =
-    !gate_ok && par_identical
-    && (match par_speedup_4 with Some s -> s > 1.0 | None -> true)
-  in
-  Printf.printf "single-thread gate (>=%.1fx at >=%dk nodes): %s\n" target
-    (gate_nodes / 1000)
-    (if !gate_ok then "PASS" else "FAIL");
-  Buffer.add_string json
-    (Printf.sprintf
-       "  ],\n  \"corpus\": {\"kernels\": %d, \"baseline_s\": %.6f, \
-        \"arena_s\": %.6f, \"speedup\": %.2f},\n"
-       (List.length Kernels.all)
-       baseline_corpus_s corpus_s corpus_speedup);
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"multicore\": {\"cores_detected\": %d, \"assessed\": %b, \
-        \"identical\": %b, %s},\n"
-       cores par_assessed par_identical
-       (match par_speedup_4 with
-       | Some s -> Printf.sprintf "\"corpus_speedup_j4\": %.3f" s
-       | None ->
-         "\"skipped_reason\": \"needs >= 4 cores; identity still asserted\""));
-  Buffer.add_string json
-    (Printf.sprintf "  \"single_thread_gate_ok\": %b,\n  \"pass\": %b\n}\n"
-       !gate_ok pass);
-  let oc = open_out "BENCH_arena.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_arena.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* E17 - alias_prune: the statespace address analysis as an enabler.    *)
-(* Disambiguation deletes provably-false anti-dependence order edges;   *)
-(* on the in-place delay-line FIR family every conservative edge goes,  *)
-(* the schedule never deepens, and the analysis overhead stays <15% of  *)
-(* the flow.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let alias_prune () =
-  section "E17 alias_prune (order-edge disambiguation)";
-  let module Disambig = Transform.Disambig in
-  let module Addr = Fpfa_analysis.Addr in
-  let reps = 5 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let workloads =
+      let p = pct prune_s flow_s in
+      if p > worst then (k.Kernels.name, p) else (worst_k, worst))
+    ("", 0.0)
     [
       Kernels.fir_delay ~taps:16;
       Kernels.fir_delay ~taps:64;
@@ -1435,654 +961,169 @@ let alias_prune () =
       Kernels.fir_paper;
       Kernels.matmul ~n:4;
     ]
-  in
-  let off_config = { Flow.default_config with Flow.disambiguate = false } in
-  let levels_never_deepen = ref true in
-  let worst_overhead = ref 0.0 in
-  let delay_line_removed = ref 0 in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"alias_prune\",\n";
-  Buffer.add_string json
-    (Printf.sprintf "  \"reps\": %d,\n  \"kernels\": [\n" reps);
-  let rows =
-    List.mapi
-      (fun i (k : Kernels.t) ->
-        (* min-of-reps, alternating modes (the E14/E15 estimator) *)
-        let off_s = ref infinity
-        and on_s = ref infinity
-        and prune_s = ref infinity in
-        let r_off = ref None and r_on = ref None in
-        for _ = 1 to reps do
-          let r, t = time (fun () -> Flow.map_source ~config:off_config k.Kernels.source) in
-          off_s := Float.min !off_s t;
-          r_off := Some r;
-          let r, t = time (fun () -> Flow.map_source k.Kernels.source) in
-          on_s := Float.min !on_s t;
-          r_on := Some r;
-          (* the analysis + pruning cost in isolation, on the graph the
-             stage actually sees (the simplified, unpruned CDFG) *)
-          let g = Cdfg.Graph.copy (Option.get !r_off).Flow.graph in
-          let _, t = time (fun () -> Addr.prune g) in
-          prune_s := Float.min !prune_s t
-        done;
-        let r_off = Option.get !r_off and r_on = Option.get !r_on in
-        let rep = r_on.Flow.disambig_report in
-        let levels_off = Mapping.Sched.level_count r_off.Flow.schedule in
-        let levels_on = Mapping.Sched.level_count r_on.Flow.schedule in
-        if levels_on > levels_off then levels_never_deepen := false;
-        let overhead_pct = !prune_s /. !on_s *. 100.0 in
-        worst_overhead := Float.max !worst_overhead overhead_pct;
-        if String.length k.Kernels.name >= 6
-           && String.sub k.Kernels.name 0 6 = "fir-dl"
-        then delay_line_removed := !delay_line_removed + rep.Disambig.removed;
-        Buffer.add_string json
-          (Printf.sprintf
-             "    {\"kernel\": \"%s\", \"order_edges_before\": %d, \
-              \"order_edges_after\": %d, \"removed\": %d, \"retargeted\": %d, \
-              \"kept_unknown\": %d, \"levels_off\": %d, \"levels_on\": %d, \
-              \"flow_s\": %.6f, \"prune_s\": %.6f, \"overhead_pct\": %.2f}%s\n"
-             k.Kernels.name rep.Disambig.order_edges_before
-             rep.Disambig.order_edges_after rep.Disambig.removed
-             rep.Disambig.retargeted rep.Disambig.kept_unknown levels_off
-             levels_on !on_s !prune_s overhead_pct
-             (if i = List.length workloads - 1 then "" else ","));
-        [
-          k.Kernels.name;
-          string_of_int rep.Disambig.order_edges_before;
-          string_of_int rep.Disambig.order_edges_after;
-          string_of_int rep.Disambig.removed;
-          string_of_int rep.Disambig.retargeted;
-          Printf.sprintf "%d -> %d" levels_off levels_on;
-          Printf.sprintf "%.1f %%" overhead_pct;
-        ])
-      workloads
-  in
-  Fpfa_util.Tablefmt.print
-    ~header:
-      [ "kernel"; "edges"; "after"; "removed"; "retarget"; "levels"; "cost" ]
-    rows;
-  let pass =
-    !levels_never_deepen && !delay_line_removed > 0 && !worst_overhead < 15.0
-  in
-  Printf.printf
-    "delay-line FIR family: %d false anti-dependence edges removed.\n\
-     schedule levels %s; worst analysis cost %.1f%% of the flow \
-     (target <15%%).\n"
-    !delay_line_removed
-    (if !levels_never_deepen then "never deepen" else "DEEPENED")
-    !worst_overhead;
-  Buffer.add_string json
-    (Printf.sprintf
-       "  ],\n  \"delay_line_removed\": %d,\n\
-       \  \"levels_never_deepen\": %b,\n\
-       \  \"worst_overhead_pct\": %.2f,\n\
-       \  \"target_pct\": 15.0,\n\
-       \  \"pass\": %b\n}\n"
-       !delay_line_removed !levels_never_deepen !worst_overhead pass);
-  let oc = open_out "BENCH_alias_prune.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_alias_prune.json\n"
 
-(* ------------------------------------------------------------------ *)
-(* E19 - serve: compile-as-a-service latency through the daemon's       *)
-(* content-addressed cache. A repeated-corpus workload measures the     *)
-(* cold path (every request a full compile) against the warm path       *)
-(* (every request a cache hit); results must be byte-identical with     *)
-(* the cache off, near-miss requests must resume mid-flow, and the      *)
-(* batch admission path re-checks the E16/E18 multi-core gates.         *)
-(* ------------------------------------------------------------------ *)
+(* E19: one cold pass of the corpus through a fresh caching daemon, then
+   [warm_passes] passes of the same requests answered from its cache.
+   Both timed passes parse each request and serialise each [result], as
+   a client pays them; leaving the serialisation out would inflate the
+   ratio several-fold. Returns ms per request cold and warm. *)
+let warm_passes = 50
 
-let serve_bench () =
-  section "E19 serve (compile-as-a-service cache)";
+let serve_latency () =
   let module Serve = Fpfa_serve.Serve in
   let module Json = Fpfa_util.Json in
-  let cores = Domain.recommended_domain_count () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let compile_req (k : Kernels.t) =
-    Json.parse
-      (Printf.sprintf {|{"op":"compile","kernel":"%s"}|} k.Kernels.name)
-  in
-  let result_bytes resp =
-    match Json.member "result" resp with
-    | Some v -> Json.to_string v
-    | None -> failwith ("serve response without result: " ^ Json.to_string resp)
-  in
-  let expect_ok resp =
-    (match Json.member "ok" resp with
-    | Some (Json.Bool true) -> ()
-    | _ -> failwith ("serve request failed: " ^ Json.to_string resp));
-    resp
-  in
-  let n_kernels = List.length Kernels.all in
-  (* Cold pass: a fresh daemon, every request is a full compile. *)
   let daemon = Serve.create ~cache_size:256 () in
-  let cold_results, cold_s =
-    time (fun () ->
-        List.map
-          (fun k -> result_bytes (expect_ok (Serve.handle daemon (compile_req k))))
-          Kernels.all)
-  in
-  (* Warm passes: same daemon, same requests, answered from the cache. *)
-  let warm_passes = 50 in
-  let warm_results = ref [] in
-  let _, warm_s =
-    time (fun () ->
-        for _ = 1 to warm_passes do
-          warm_results :=
-            List.map
-              (fun k ->
-                result_bytes (expect_ok (Serve.handle daemon (compile_req k))))
-              Kernels.all
-        done)
-  in
-  let cold_per_req = cold_s /. float_of_int n_kernels in
-  let warm_per_req = warm_s /. float_of_int (n_kernels * warm_passes) in
-  let warm_speedup = cold_per_req /. warm_per_req in
-  (* Byte identity: warm hits and a cache-off daemon must agree with the
-     cold pass on every kernel. *)
-  let uncached = Serve.create ~cache_size:0 () in
-  let off_results =
-    List.map
-      (fun k -> result_bytes (expect_ok (Serve.handle uncached (compile_req k))))
-      Kernels.all
-  in
-  let identical =
-    cold_results = !warm_results && cold_results = off_results
-  in
-  Printf.printf
-    "corpus (%d kernels): cold %.2f ms/req, warm %.4f ms/req, %.0fx; \
-     identity %s\n"
-    n_kernels (cold_per_req *. 1000.0) (warm_per_req *. 1000.0) warm_speedup
-    (if identical then "holds" else "BROKEN");
-  (* Near-miss resumption: a config tweak after the corpus is cached
-     re-enters the staged flow instead of recompiling from source. *)
-  let resumed_count = ref 0 in
-  let resume_reqs =
+  let pass () =
     List.map
       (fun (k : Kernels.t) ->
-        Json.parse
-          (Printf.sprintf {|{"op":"compile","kernel":"%s","alus":3}|}
-             k.Kernels.name))
+        let resp =
+          Serve.handle daemon
+            (Json.parse
+               (Printf.sprintf {|{"op":"compile","kernel":"%s"}|}
+                  k.Kernels.name))
+        in
+        match (Json.member "ok" resp, Json.member "result" resp) with
+        | Some (Json.Bool true), Some v -> Json.to_string v
+        | _ -> failwith ("serve request failed: " ^ Json.to_string resp))
       Kernels.all
   in
-  let resumed_responses, resume_s =
-    time (fun () ->
-        List.map
-          (fun r ->
-            let resumed = expect_ok (Serve.handle daemon r) in
-            (match Json.member "resumed_from" resumed with
-            | Some (Json.Str _) -> incr resumed_count
-            | _ -> ());
-            resumed)
-          resume_reqs)
+  let cold_s = seconds pass in
+  let warm_s =
+    seconds (fun () ->
+        for _ = 1 to warm_passes do
+          ignore (pass ())
+        done)
   in
-  let resume_results_match =
-    ref
-      (List.for_all2
-         (fun r resumed ->
-           let fresh = expect_ok (Serve.handle uncached r) in
-           result_bytes resumed = result_bytes fresh)
-         resume_reqs resumed_responses)
-  in
-  let resume_per_req = resume_s /. float_of_int n_kernels in
-  Printf.printf
-    "near-miss (alus:3 after default): %d/%d resumed mid-flow, %.2f ms/req; \
-     results %s fresh compiles\n"
-    !resumed_count n_kernels
-    (resume_per_req *. 1000.0)
-    (if !resume_results_match then "match" else "DIVERGE from");
-  (* Cache bookkeeping straight from the daemon's stats endpoint. *)
-  let stats = expect_ok (Serve.handle daemon (Json.parse {|{"op":"stats"}|})) in
-  let cache_int level name =
-    match
-      Option.bind (Json.member "result" stats) (fun r ->
-          Option.bind (Json.member "cache" r) (fun c ->
-              Option.bind (Json.member level c) (Json.member name)))
-    with
-    | Some (Json.Int n) -> n
-    | _ -> 0
-  in
-  let req_hits = cache_int "request" "hits" in
-  let req_misses = cache_int "request" "misses" in
-  let hit_rate =
-    if req_hits + req_misses = 0 then 0.0
-    else float_of_int req_hits /. float_of_int (req_hits + req_misses)
-  in
-  Printf.printf "request cache: %d hits / %d misses (%.1f%% hit rate)\n"
-    req_hits req_misses (hit_rate *. 100.0);
   Serve.shutdown daemon;
-  Serve.shutdown uncached;
-  (* E16/E18 re-check through the batch admission path: a cold batch of
-     the whole corpus fanned over the pool must match the sequential
-     daemon byte for byte, and still be worth it on a multi-core host. *)
-  let batch_req =
-    Json.parse
-      (Printf.sprintf {|{"op":"batch","requests":[%s]}|}
-         (String.concat ","
-            (List.map
-               (fun (k : Kernels.t) ->
-                 Printf.sprintf {|{"op":"compile","kernel":"%s"}|}
-                   k.Kernels.name)
-               Kernels.all)))
-  in
-  let batch_results jobs =
-    (* fresh daemon per run so every batch is a cold one *)
-    let s = Serve.create ~jobs ~cache_size:256 () in
-    let r, t = time (fun () -> expect_ok (Serve.handle s batch_req)) in
-    Serve.shutdown s;
-    let rows =
-      match Option.bind (Json.member "result" r) (Json.member "responses") with
-      | Some (Json.List rs) -> List.map (fun r -> result_bytes (expect_ok r)) rs
-      | _ -> failwith "batch result has no responses"
-    in
-    (rows, t)
-  in
-  let rows4, _ = batch_results 4 in
-  let rows1, _ = batch_results 1 in
-  let batch_identical = rows4 = rows1 && rows4 = cold_results in
-  let batch_assessed = cores >= 4 in
-  let batch_speedup_4 =
-    if not batch_assessed then None
-    else begin
-      let measure jobs =
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let _, t = batch_results jobs in
-          best := Float.min !best t
-        done;
-        !best
-      in
-      let t1 = measure 1 in
-      let t4 = measure 4 in
-      Some (t1 /. t4)
-    end
-  in
-  (match batch_speedup_4 with
-  | Some s ->
-    Printf.printf "cold batch -j4: %.2fx vs -j1 (%d cores); identity %s\n" s
-      cores
-      (if batch_identical then "holds" else "BROKEN")
-  | None ->
-    Printf.printf
-      "cold batch speedup not assessable (%d core%s < 4); identity %s\n" cores
-      (if cores = 1 then "" else "s")
-      (if batch_identical then "holds" else "BROKEN"));
-  let target = 100.0 in
-  let pass =
-    identical && !resume_results_match && batch_identical
-    && warm_speedup >= target
-    && (match batch_speedup_4 with Some s -> s > 1.0 | None -> true)
-  in
-  Printf.printf "warm/cold gate (>=%.0fx): %s\n" target
-    (if pass then "PASS" else "FAIL");
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"serve\",\n";
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"kernels\": %d,\n  \"warm_passes\": %d,\n\
-       \  \"cold_s_per_req\": %.6f,\n  \"warm_s_per_req\": %.8f,\n\
-       \  \"warm_speedup\": %.1f,\n  \"target_speedup\": %.1f,\n"
-       n_kernels warm_passes cold_per_req warm_per_req warm_speedup target);
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"identical_cache_on_off\": %b,\n\
-       \  \"resumed\": %d,\n  \"resume_results_match\": %b,\n\
-       \  \"resume_s_per_req\": %.6f,\n\
-       \  \"request_cache_hits\": %d,\n  \"request_cache_misses\": %d,\n\
-       \  \"hit_rate\": %.4f,\n"
-       identical !resumed_count !resume_results_match resume_per_req req_hits
-       req_misses hit_rate);
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"multicore\": {\"cores_detected\": %d, \"assessed\": %b, \
-        \"identical\": %b, %s},\n"
-       cores batch_assessed batch_identical
-       (match batch_speedup_4 with
-       | Some s -> Printf.sprintf "\"batch_speedup_j4\": %.3f" s
-       | None ->
-         "\"skipped_reason\": \"needs >= 4 cores; identity still asserted\""));
-  Buffer.add_string json (Printf.sprintf "  \"pass\": %b\n}\n" pass);
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_serve.json\n"
+  let n = float_of_int (List.length Kernels.all) in
+  (cold_s /. n *. 1e3, warm_s /. (n *. float_of_int warm_passes) *. 1e3)
 
-(* ------------------------------------------------------------------ *)
-(* E20 - depend: loop-carried dependence analysis and II lower bounds. *)
-(* Over the whole corpus: every analysed loop gets an II lower bound,  *)
-(* the differential validator refutes zero must-independent verdicts,  *)
-(* the recurrence kernels report their exact RecMII with a named       *)
-(* cycle, and the analysis costs <15% of the compile it annotates.     *)
-(* ------------------------------------------------------------------ *)
-
-let depend_bench () =
-  section "E20 depend (loop-carried dependence / II lower bounds)";
-  let module Dep = Fpfa_analysis.Depend in
-  let reps = 5 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let kernels = Kernels.all in
-  let loops_total = ref 0
-  and skipped_total = ref 0
-  and refuted_total = ref 0
-  and unchecked_total = ref 0
-  and pairs_total = ref 0
-  and all_bounded = ref true
-  and analysis_total = ref 0.0
-  and compile_total = ref 0.0
-  and worst_overhead = ref 0.0 in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"depend\",\n";
-  Buffer.add_string json
-    (Printf.sprintf "  \"reps\": %d,\n  \"kernels\": [\n" reps);
-  let rows =
-    List.mapi
-      (fun i (k : Kernels.t) ->
-        let analysis_s = ref infinity and compile_s = ref infinity in
-        let report = ref None in
-        for _ = 1 to reps do
-          let r, t = time (fun () -> Dep.analyze_source k.Kernels.source) in
-          analysis_s := Float.min !analysis_s t;
-          report := Some r;
-          let _, t = time (fun () -> Flow.map_source k.Kernels.source) in
-          compile_s := Float.min !compile_s t
-        done;
-        let report = Option.get !report in
-        (* the validator is a heavyweight differential check (it re-unrolls
-           and re-minimises every loop), so it is timed apart from the
-           analysis whose cost the 15% gate bounds *)
-        let validation, validate_s = time (fun () -> Dep.validate report) in
-        let loops = List.length report.Dep.loops in
-        let max_ii =
-          List.fold_left
-            (fun acc (lr : Dep.loop_report) ->
-              if lr.Dep.ii_lower_bound < 1 then all_bounded := false;
-              max acc lr.Dep.ii_lower_bound)
-            0 report.Dep.loops
+(* E20: [Depend.analyze_source] against the full compile, summed over the
+   corpus. The differential validator replays the unrolled flow and is
+   not part of the bound. *)
+let depend_cost () =
+  let analysis_s, compile_s =
+    List.fold_left
+      (fun (sum_a, sum_c) (k : Kernels.t) ->
+        let a, c =
+          min_of_5
+            (fun () ->
+              seconds (fun () ->
+                  Fpfa_analysis.Depend.analyze_source k.Kernels.source))
+            (fun () -> seconds (fun () -> Flow.map_source k.Kernels.source))
         in
-        let overhead_pct = !analysis_s /. !compile_s *. 100.0 in
-        loops_total := !loops_total + loops;
-        skipped_total := !skipped_total + List.length report.Dep.skipped;
-        refuted_total := !refuted_total + List.length validation.Dep.refuted;
-        unchecked_total :=
-          !unchecked_total + List.length validation.Dep.unchecked;
-        pairs_total := !pairs_total + validation.Dep.pairs;
-        analysis_total := !analysis_total +. !analysis_s;
-        compile_total := !compile_total +. !compile_s;
-        worst_overhead := Float.max !worst_overhead overhead_pct;
-        Buffer.add_string json
-          (Printf.sprintf
-             "    {\"kernel\": \"%s\", \"loops\": %d, \"skipped\": %d, \
-              \"max_ii\": %d, \"validated\": %d, \"unchecked\": %d, \
-              \"refuted\": %d, \"pairs\": %d, \"analysis_s\": %.6f, \
-              \"compile_s\": %.6f, \"validate_s\": %.6f, \
-              \"overhead_pct\": %.2f}%s\n"
-             k.Kernels.name loops
-             (List.length report.Dep.skipped)
-             max_ii validation.Dep.checked
-             (List.length validation.Dep.unchecked)
-             (List.length validation.Dep.refuted)
-             validation.Dep.pairs !analysis_s !compile_s validate_s
-             overhead_pct
-             (if i = List.length kernels - 1 then "" else ","));
-        [
-          k.Kernels.name;
-          string_of_int loops;
-          string_of_int max_ii;
-          Printf.sprintf "%d/%d" validation.Dep.checked loops;
-          string_of_int (List.length validation.Dep.refuted);
-          Printf.sprintf "%.1f %%" overhead_pct;
-        ])
-      kernels
+        (sum_a +. a, sum_c +. c))
+      (0.0, 0.0) Kernels.all
   in
-  Fpfa_util.Tablefmt.print
-    ~header:[ "kernel"; "loops"; "max II"; "validated"; "refuted"; "cost" ]
-    rows;
-  (* the recurrence kernels must hit their exact RecMII with a named cycle *)
-  let expected_recurrences =
-    [ ("cumsum-8", 3); ("iir1-8", 5); ("mavg-acc-4-8", 2) ]
-  in
-  let recurrences_exact = ref true in
-  let rec_json =
-    List.map
-      (fun (name, expected) ->
-        let k = Kernels.find name in
-        let r = Dep.analyze_source k.Kernels.source in
-        let rec_mii =
-          List.fold_left
-            (fun acc (lr : Dep.loop_report) -> max acc lr.Dep.rec_mii)
-            0 r.Dep.loops
-        in
-        let cycle =
-          List.fold_left
-            (fun acc (lr : Dep.loop_report) ->
-              match lr.Dep.recurrences with
-              | (r0 : Dep.recurrence) :: _ when lr.Dep.rec_mii = rec_mii ->
-                String.concat " -> " r0.Dep.cycle
-              | _ -> acc)
-            "" r.Dep.loops
-        in
-        if rec_mii <> expected || cycle = "" then recurrences_exact := false;
-        Printf.printf "%-14s RecMII %d (expected %d), cycle: %s\n" name
-          rec_mii expected cycle;
-        Printf.sprintf
-          "    {\"kernel\": \"%s\", \"rec_mii\": %d, \"expected\": %d, \
-           \"cycle\": \"%s\"}"
-          name rec_mii expected cycle)
-      expected_recurrences
-  in
-  let overall_pct = !analysis_total /. !compile_total *. 100.0 in
-  let pass =
-    !all_bounded && !refuted_total = 0 && !recurrences_exact
-    && overall_pct < 15.0
-  in
-  Printf.printf
-    "%d loop(s) over %d kernels, %d skipped; %d collision(s) validated, %d \
-     unchecked loop(s), %d refutation(s).\n\
-     analysis cost: %.1f%% of compile overall, %.1f%% worst kernel (target \
-     <15%% overall).\n"
-    !loops_total (List.length kernels) !skipped_total !pairs_total
-    !unchecked_total !refuted_total overall_pct !worst_overhead;
-  Buffer.add_string json
-    (Printf.sprintf
-       "  ],\n  \"recurrence_kernels\": [\n%s\n  ],\n\
-       \  \"loops_total\": %d,\n  \"skipped_total\": %d,\n\
-       \  \"refuted_total\": %d,\n  \"unchecked_total\": %d,\n\
-       \  \"pairs_total\": %d,\n  \"all_loops_bounded\": %b,\n\
-       \  \"recurrences_exact\": %b,\n  \"overall_overhead_pct\": %.2f,\n\
-       \  \"worst_overhead_pct\": %.2f,\n  \"target_pct\": 15.0,\n\
-       \  \"pass\": %b\n}\n"
-       (String.concat ",\n" rec_json)
-       !loops_total !skipped_total !refuted_total !unchecked_total
-       !pairs_total !all_bounded !recurrences_exact overall_pct
-       !worst_overhead pass);
-  let oc = open_out "BENCH_depend.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_depend.json\n"
+  pct analysis_s compile_s
 
-(* ------------------------------------------------------------------ *)
-(* E22 - bitopt: certified bit-level optimisation. Over the corpus:    *)
-(* compile with the pass off and on, count the verified rewrites       *)
-(* (folds, mask/mux redirects, multiplier demotions), compare the      *)
-(* mapped ALU-op and multiplier-op counts, require identical Eval      *)
-(* results on the kernel's own inputs and a green conformance triple,  *)
-(* and bound the stage's cost (facts + derivation + certified apply,   *)
-(* including the verifier's independent fact recomputation) under 15%  *)
-(* of the compile it rides in.                                         *)
-(* ------------------------------------------------------------------ *)
-
-let bitopt_bench () =
-  section "E22 bitopt (certified bit-level optimisation)";
+(* E22: the bit-level stage as the flow pays it (facts, derivation and the
+   certified apply, the verifier's independent fact recomputation
+   included) on a copy of the bitopt-off graph, against the full compile
+   with the stage on, summed over the corpus. *)
+let bitopt_cost () =
   let module Bitopt = Transform.Bitopt in
-  let reps = 5 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let off_config = { Flow.default_config with Flow.bitopt = false } in
-  let kernels = Kernels.all in
-  let rewritten = ref 0
-  and demoted = ref 0
-  and ops_removed_total = ref 0
-  and all_identical = ref true
-  and all_verified = ref true
-  and pass_total = ref 0.0
-  and compile_total = ref 0.0
-  and worst_overhead = ref 0.0 in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n  \"experiment\": \"bitopt\",\n";
-  Buffer.add_string json
-    (Printf.sprintf "  \"reps\": %d,\n  \"kernels\": [\n" reps);
-  let rows =
-    List.mapi
-      (fun i (k : Kernels.t) ->
+  let stage g =
+    let facts = Transform.Absdom.analyze g in
+    let claims = Bitopt.derive (Transform.Absdom.value facts) g in
+    if claims <> [] then
+      ignore
+        (Bitopt.apply
+           ~verify:(fun g cs -> Fpfa_analysis.Verify.bits g cs)
+           g claims)
+  in
+  let compile_s, stage_s =
+    List.fold_left
+      (fun (sum_c, sum_s) (k : Kernels.t) ->
         let off = Flow.map_source ~config:off_config k.Kernels.source in
-        let compile_s = ref infinity and pass_s = ref infinity in
-        let on_ = ref None in
-        for _ = 1 to reps do
-          let r, t = time (fun () -> Flow.map_source k.Kernels.source) in
-          compile_s := Float.min !compile_s t;
-          on_ := Some r;
-          (* the stage's own cost on the state it sees in-flow: facts,
-             derivation, certified apply — the verifier's independent
-             fact recomputation included, exactly as the flow pays it *)
-          let g = Cdfg.Graph.copy off.Flow.graph in
-          let _, t =
-            time (fun () ->
-                let facts = Transform.Absdom.analyze g in
-                let claims =
-                  Bitopt.derive (Transform.Absdom.value facts) g
-                in
-                if claims <> [] then
-                  ignore
-                    (Bitopt.apply
-                       ~verify:(fun g cs -> Fpfa_analysis.Verify.bits g cs)
-                       g claims))
-          in
-          pass_s := Float.min !pass_s t
-        done;
-        let on_ = Option.get !on_ in
-        let rep = on_.Flow.bitopt_report in
-        let rewrites = rep.Bitopt.folds + rep.Bitopt.redirects + rep.Bitopt.demotes in
-        let m_off = off.Flow.metrics and m_on = on_.Flow.metrics in
-        let ops_removed =
-          m_off.Metrics.alu_ops - m_on.Metrics.alu_ops
-          + (m_off.Metrics.mul_ops - m_on.Metrics.mul_ops)
+        let c, s =
+          min_of_5
+            (fun () -> seconds (fun () -> Flow.map_source k.Kernels.source))
+            (fun () ->
+              let g = Cdfg.Graph.copy off.Flow.graph in
+              seconds (fun () -> stage g))
         in
-        let identical =
-          Cdfg.Eval.equal_result
-            (Cdfg.Eval.run ~memory_init:k.Kernels.inputs on_.Flow.graph)
-            (Cdfg.Eval.run ~memory_init:k.Kernels.inputs off.Flow.graph)
-        in
-        let verified = Flow.verify on_ in
-        let overhead_pct = !pass_s /. !compile_s *. 100.0 in
-        if rewrites > 0 then incr rewritten;
-        if rep.Bitopt.demotes > 0 then incr demoted;
-        ops_removed_total := !ops_removed_total + ops_removed;
-        if not identical then all_identical := false;
-        if not verified then all_verified := false;
-        pass_total := !pass_total +. !pass_s;
-        compile_total := !compile_total +. !compile_s;
-        worst_overhead := Float.max !worst_overhead overhead_pct;
-        Buffer.add_string json
-          (Printf.sprintf
-             "    {\"kernel\": \"%s\", \"folds\": %d, \"redirects\": %d, \
-              \"demotes\": %d, \"rounds\": %d, \"alu_ops_off\": %d, \
-              \"alu_ops_on\": %d, \"mul_ops_off\": %d, \"mul_ops_on\": %d, \
-              \"ops_removed\": %d, \"identical\": %b, \"verified\": %b, \
-              \"pass_s\": %.6f, \"compile_s\": %.6f, \"overhead_pct\": \
-              %.2f}%s\n"
-             k.Kernels.name rep.Bitopt.folds rep.Bitopt.redirects
-             rep.Bitopt.demotes rep.Bitopt.rounds m_off.Metrics.alu_ops
-             m_on.Metrics.alu_ops m_off.Metrics.mul_ops m_on.Metrics.mul_ops
-             ops_removed identical verified !pass_s !compile_s overhead_pct
-             (if i = List.length kernels - 1 then "" else ","));
-        if rewrites > 0 then
-          [
-            k.Kernels.name;
-            string_of_int rep.Bitopt.folds;
-            string_of_int rep.Bitopt.redirects;
-            string_of_int rep.Bitopt.demotes;
-            Printf.sprintf "%d->%d" m_off.Metrics.alu_ops m_on.Metrics.alu_ops;
-            Printf.sprintf "%d->%d" m_off.Metrics.mul_ops m_on.Metrics.mul_ops;
-            string_of_bool identical;
-            Printf.sprintf "%.1f %%" overhead_pct;
-          ]
-        else [])
-      kernels
+        (sum_c +. c, sum_s +. s))
+      (0.0, 0.0) Kernels.all
+  in
+  pct stage_s compile_s
+
+let costs () =
+  section "costs (timing bounds of the infrastructure claims, min of 5)";
+  let worst_k, worst = disambig_cost () in
+  let cold_ms, warm_ms = serve_latency () in
+  let warm_x = cold_ms /. warm_ms in
+  let depend = depend_cost () in
+  let bitopt = bitopt_cost () in
+  let corpus = Printf.sprintf "sum, %d kernels" (List.length Kernels.all) in
+  (* (bound, aggregate, measured, limit, holds, sets the exit status).
+     E17's row sets no exit status: its bound was never enforced, and it
+     fails because [Disambig.prune] walks the store chain again for every
+     hoisted fetch, which is quadratic on the delay-line FIRs. ROADMAP.md
+     lists making that walk linear, after which the row becomes a gate. *)
+  let rows =
+    [
+      ( "E17 disambig prune / flow",
+        "worst of 6 kernels",
+        Printf.sprintf "%.1f%% (%s)" worst worst_k,
+        "< 15%",
+        worst < 15.0,
+        false );
+      ( "E19 serve cold / warm",
+        Printf.sprintf "per request, %d warm passes" warm_passes,
+        Printf.sprintf "%.0fx (%.2f / %.4f ms)" warm_x cold_ms warm_ms,
+        ">= 100x",
+        warm_x >= 100.0,
+        true );
+      ("E20 depend / compile", corpus, Printf.sprintf "%.1f%%" depend, "< 15%",
+        depend < 15.0, true);
+      ("E22 bitopt / compile", corpus, Printf.sprintf "%.1f%%" bitopt, "< 15%",
+        bitopt < 15.0, true);
+    ]
   in
   Fpfa_util.Tablefmt.print
-    ~header:
-      [ "kernel"; "folds"; "redir"; "demote"; "alu ops"; "mul ops"; "same";
-        "cost" ]
-    (List.filter (fun r -> r <> []) rows);
-  let overall_pct = !pass_total /. !compile_total *. 100.0 in
-  let pass =
-    !rewritten >= 3 && !demoted >= 1 && !ops_removed_total > 0
-    && !all_identical && !all_verified && overall_pct < 15.0
-  in
-  Printf.printf
-    "%d kernel(s) rewritten (%d with multiplier demotions), %d op(s) \
-     removed net; identical results: %b, conformance: %b.\n\
-     stage cost: %.1f%% of compile overall, %.1f%% worst kernel (target \
-     <15%% overall).\n"
-    !rewritten !demoted !ops_removed_total !all_identical !all_verified
-    overall_pct !worst_overhead;
-  Buffer.add_string json
-    (Printf.sprintf
-       "  ],\n  \"rewritten_kernels\": %d,\n  \"demoted_kernels\": %d,\n\
-       \  \"ops_removed_total\": %d,\n  \"all_identical\": %b,\n\
-       \  \"all_verified\": %b,\n  \"overall_overhead_pct\": %.2f,\n\
-       \  \"worst_overhead_pct\": %.2f,\n  \"target_pct\": 15.0,\n\
-       \  \"rewritten_floor\": 3,\n  \"pass\": %b\n}\n"
-       !rewritten !demoted !ops_removed_total !all_identical !all_verified
-       overall_pct !worst_overhead pass);
-  let oc = open_out "BENCH_bitopt.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "\nwrote BENCH_bitopt.json\n"
+    ~header:[ "bound"; "aggregate"; "measured"; "limit"; "verdict"; "gate" ]
+    (List.map
+       (fun (name, agg, measured, limit, ok, gated) ->
+         [ name; agg; measured; limit; (if ok then "PASS" else "FAIL");
+           (if gated then "yes" else "no") ])
+       rows);
+  List.iter (fun (name, _, _, _, ok, gated) -> if gated then gate name ok) rows
+
+let experiments =
+  [
+    ("fig3", fig3_fir_cdfg);
+    ("fig4", fig4_scheduling);
+    ("fig5", fig5_allocation);
+    ("resources", tile_resource_usage);
+    ("complexity", phase_complexity);
+    ("speedup", speedup);
+    ("locality", locality_ablation);
+    ("unroll", unroll_sweep);
+    ("loops", loop_mapping);
+    ("branches", branch_cost);
+    ("interleave", interleaving);
+    ("priority", priority_ablation);
+    ("obs", obs_overhead);
+    ("verify", verify_overhead);
+    ("costs", costs);
+  ]
 
 let () =
-  let only =
-    match Array.to_list Sys.argv with
-    | [ _ ] -> None
-    | _ :: names -> Some names
-    | [] -> None
-  in
-  let run name f =
-    match only with
-    | Some names when not (List.mem name names) -> ()
-    | Some _ | None -> f ()
-  in
-  run "fig3" fig3_fir_cdfg;
-  run "fig4" fig4_scheduling;
-  run "fig5" fig5_allocation;
-  run "resources" tile_resource_usage;
-  run "complexity" phase_complexity;
-  run "speedup" speedup;
-  run "locality" locality_ablation;
-  run "unroll" unroll_sweep;
-  run "loops" loop_mapping;
-  run "branches" branch_cost;
-  run "interleave" interleaving;
-  run "priority" priority_ablation;
-  run "obs" obs_overhead;
-  run "verify" verify_overhead;
-  run "par" par_speedup;
-  run "corpus" corpus_bench;
-  run "arena" arena;
-  run "alias" alias_prune;
-  run "serve" serve_bench;
-  run "depend" depend_bench;
-  run "bitopt" bitopt_bench;
-  Printf.printf "\nall experiments done.\n"
+  let names = List.tl (Array.to_list Sys.argv) in
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) names with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment: %s\nvalid names: %s\n"
+      (String.concat ", " unknown)
+      (String.concat " " (List.map fst experiments));
+    exit 2);
+  List.iter
+    (fun (name, run) -> if names = [] || List.mem name names then run ())
+    experiments;
+  match List.rev !failed_gates with
+  | [] -> Printf.printf "\nall experiments done; every gate holds.\n"
+  | failed ->
+    Printf.printf "\nFAILED gates: %s\n" (String.concat ", " failed);
+    exit 1

@@ -342,11 +342,15 @@ let test_pack565_golden () =
   Alcotest.(check int) "no multiplier op mapped" 0
     result.Flow.metrics.Mapping.Metrics.mul_ops
 
+(* The pass changes the mapping, never the meaning: over the corpus it
+   rewrites at least three kernels, demotes multiplier-class ops in at
+   least one and maps fewer ALU plus multiplier ops in total, while every
+   kernel keeps its Eval results and its conformance triple. *)
 let test_bitopt_off_same_behaviour () =
-  (* the pass changes the mapping, never the meaning *)
+  let rewritten = ref 0 and demoted = ref 0 and ops_removed = ref 0 in
   List.iter
-    (fun name ->
-      let k = Kernels.find name in
+    (fun (k : Kernels.t) ->
+      let name = k.Kernels.name in
       let on_ = Flow.map_source k.Kernels.source in
       let off =
         Flow.map_source
@@ -362,8 +366,24 @@ let test_bitopt_off_same_behaviour () =
       Alcotest.(check bool)
         (name ^ ": off-report is empty")
         true
-        (off.Flow.bitopt_report = Bitopt.empty_report))
-    [ "crc8-4"; "pack565-4"; "iir-6" ]
+        (off.Flow.bitopt_report = Bitopt.empty_report);
+      Alcotest.(check bool)
+        (name ^ ": triple conformance with the pass on")
+        true
+        (Flow.verify ~memory_init:k.Kernels.inputs on_);
+      let rep = on_.Flow.bitopt_report in
+      if rep.Bitopt.folds + rep.Bitopt.redirects + rep.Bitopt.demotes > 0 then
+        incr rewritten;
+      if rep.Bitopt.demotes > 0 then incr demoted;
+      let mapped (r : Flow.result) =
+        r.Flow.metrics.Mapping.Metrics.alu_ops
+        + r.Flow.metrics.Mapping.Metrics.mul_ops
+      in
+      ops_removed := !ops_removed + mapped off - mapped on_)
+    Kernels.all;
+  Alcotest.(check bool) "at least 3 kernels rewritten" true (!rewritten >= 3);
+  Alcotest.(check bool) "at least 1 kernel with demotions" true (!demoted >= 1);
+  Alcotest.(check bool) "mapped ops fall net" true (!ops_removed > 0)
 
 (* {2 Properties} *)
 

@@ -147,17 +147,21 @@ let kernel_loops name =
   let k = Fpfa_kernels.Kernels.find name in
   (Dep.analyze_source k.Fpfa_kernels.Kernels.source).Dep.loops
 
+(* A distance-1 recurrence at [mii] names the cycle that carries it. *)
+let check_cycle_named mii (lr : Dep.loop_report) =
+  Alcotest.(check bool) "recurrence cycle named" true
+    (List.exists
+       (fun (r : Dep.recurrence) ->
+         r.Dep.mii = mii && r.Dep.distance = 1
+         && List.exists (fun s -> String.length s > 0) r.Dep.cycle)
+       lr.Dep.recurrences)
+
 let test_cumsum_recurrence () =
   match kernel_loops "cumsum-8" with
   | [ lr ] ->
     Alcotest.(check int) "RecMII 3" 3 lr.Dep.rec_mii;
     Alcotest.(check int) "II >= 3" 3 lr.Dep.ii_lower_bound;
-    Alcotest.(check bool) "recurrence cycle named" true
-      (List.exists
-         (fun (r : Dep.recurrence) ->
-           r.Dep.mii = 3 && r.Dep.distance = 1
-           && List.exists (fun s -> String.length s > 0) r.Dep.cycle)
-         lr.Dep.recurrences);
+    check_cycle_named 3 lr;
     Alcotest.(check bool) "blocked" true (lr.Dep.blockers <> [])
   | loops -> Alcotest.failf "expected one loop, got %d" (List.length loops)
 
@@ -165,7 +169,8 @@ let test_iir1_recurrence () =
   match kernel_loops "iir1-8" with
   | [ lr ] ->
     Alcotest.(check int) "RecMII 5" 5 lr.Dep.rec_mii;
-    Alcotest.(check int) "II >= 5" 5 lr.Dep.ii_lower_bound
+    Alcotest.(check int) "II >= 5" 5 lr.Dep.ii_lower_bound;
+    check_cycle_named 5 lr
   | loops -> Alcotest.failf "expected one loop, got %d" (List.length loops)
 
 let test_mavg_acc_recurrence () =
@@ -174,16 +179,22 @@ let test_mavg_acc_recurrence () =
     Alcotest.(check int) "warm-up loop pipelines at II 1" 1
       warmup.Dep.ii_lower_bound;
     Alcotest.(check int) "sliding loop RecMII 2" 2 slide.Dep.rec_mii;
+    check_cycle_named 2 slide;
     Alcotest.(check bool) "acc is the carried scalar" true
       (List.mem "acc" slide.Dep.loop.L.carries)
   | loops -> Alcotest.failf "expected two loops, got %d" (List.length loops)
 
-(* Every corpus kernel gets a loop report: each loop an II lower bound of
-   at least 1, and the validator refutes no verdict anywhere. *)
+(* Every corpus kernel gets a loop report: no loop skipped, each loop an
+   II lower bound of at least 1, and the validator refutes no verdict
+   anywhere. *)
 let test_corpus_ii_bounds () =
   List.iter
     (fun (k : Fpfa_kernels.Kernels.t) ->
       let r = Dep.analyze_source k.Fpfa_kernels.Kernels.source in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: no loop skipped" k.Fpfa_kernels.Kernels.name)
+        0
+        (List.length r.Dep.skipped);
       List.iter
         (fun (lr : Dep.loop_report) ->
           Alcotest.(check bool)

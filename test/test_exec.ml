@@ -126,7 +126,7 @@ let test_parallel_spans_all_recorded () =
 (* ------------------------- determinism suite ------------------------ *)
 
 (* The contract the CLI's -j flag advertises: identical observable
-   output. Run each batch sequentially and on a 4-wide pool, from the
+   output. Run each batch sequentially and on wider pools, from the
    same obs baseline, and require equality of everything a user can
    drain afterwards. *)
 
@@ -143,9 +143,16 @@ let corpus_batch jobs =
 
 let test_corpus_deterministic () =
   let rows1, counters1 = corpus_batch 1 in
-  let rows4, counters4 = corpus_batch 4 in
-  Alcotest.(check bool) "jobs and metrics identical" true (rows1 = rows4);
-  Alcotest.(check bool) "obs counters identical" true (counters1 = counters4)
+  List.iter
+    (fun jobs ->
+      let rows, counters = corpus_batch jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs and metrics identical at -j %d" jobs)
+        true (rows1 = rows);
+      Alcotest.(check bool)
+        (Printf.sprintf "obs counters identical at -j %d" jobs)
+        true (counters1 = counters))
+    [ 2; 4; 8 ]
 
 let check_batch jobs =
   let module Diag = Fpfa_diag.Diag in
@@ -171,8 +178,13 @@ let test_sweep_deterministic () =
       ~source:k.Kernels.source points
   in
   let seq = run None in
-  let par = Pool.with_pool ~jobs:4 (fun pool -> run (Some pool)) in
-  Alcotest.(check bool) "sweep rows identical" true (seq = par);
+  List.iter
+    (fun jobs ->
+      let par = Pool.with_pool ~jobs (fun pool -> run (Some pool)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "sweep rows identical at -j %d" jobs)
+        true (seq = par))
+    [ 2; 4; 8 ];
   Alcotest.(check bool) "every point verified" true
     (List.for_all (fun r -> r.Sweep.verified = Some true) seq)
 

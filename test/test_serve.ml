@@ -214,25 +214,29 @@ let test_width_keys_cache () =
     (is_ok (Serve.handle s (req {|{"op":"compile","kernel":"fir","width":64}|})));
   Serve.shutdown s
 
+(* An ALU-count tweak after the whole corpus is cached resumes every
+   kernel mid-flow, with the bytes of a fresh compile. *)
 let test_near_miss_resumes () =
   let s = Serve.create () in
   let uncached = Serve.create ~cache_size:0 () in
-  ignore (expect_ok (Serve.handle s (req {|{"op":"compile","kernel":"fir-paper"}|})));
-  let resumed =
-    expect_ok
-      (Serve.handle s (req {|{"op":"compile","kernel":"fir-paper","alus":3}|}))
-  in
-  let fresh =
-    expect_ok
-      (Serve.handle uncached
-         (req {|{"op":"compile","kernel":"fir-paper","alus":3}|}))
-  in
-  Alcotest.(check bool)
-    "resumed from a later phase" true
-    (resumed_of resumed <> None);
-  Alcotest.(check string)
-    "resumed result equals fresh compile"
-    (result_bytes fresh) (result_bytes resumed);
+  List.iter
+    (fun (k : Kernels.t) ->
+      let r = req {|{"op":"compile","kernel":"%s"}|} k.Kernels.name in
+      ignore (expect_ok (Serve.handle s r)))
+    Kernels.all;
+  List.iter
+    (fun (k : Kernels.t) ->
+      let r = req {|{"op":"compile","kernel":"%s","alus":3}|} k.Kernels.name in
+      let resumed = expect_ok (Serve.handle s r) in
+      let fresh = expect_ok (Serve.handle uncached r) in
+      Alcotest.(check bool)
+        (k.Kernels.name ^ " resumed from a later phase")
+        true
+        (resumed_of resumed <> None);
+      Alcotest.(check string)
+        (k.Kernels.name ^ " resumed result equals fresh compile")
+        (result_bytes fresh) (result_bytes resumed))
+    Kernels.all;
   (* Changing only the allocator-facing window resumes even later. The
      digest index tracks the most recent entry, so use a fresh daemon
      whose cached checkpoint has the same ALU count. *)
@@ -261,10 +265,7 @@ let test_near_miss_resumes () =
 (* {2 Batch admission through the pool: the concurrent-clients hammer} *)
 
 let test_batch_hammer_matches_sequential () =
-  let names =
-    List.filteri (fun i _ -> i < 6)
-      (List.map (fun (k : Kernels.t) -> k.Kernels.name) Kernels.all)
-  in
+  let names = List.map (fun (k : Kernels.t) -> k.Kernels.name) Kernels.all in
   (* every kernel twice, interleaved, like impatient clients re-asking *)
   let hammer = names @ names in
   let sub name = Printf.sprintf {|{"op":"compile","kernel":"%s"}|} name in
