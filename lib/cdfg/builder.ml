@@ -186,6 +186,8 @@ let build ?(delete_locals = false) { Ast_in.func; env } =
       ignore (Graph.add graph (Graph.Ss_out sym.name) [ token st sym.name ]))
     env;
   Graph.validate graph;
+  (* The build's own additions are not edits for a pass to revisit. *)
+  ignore (Graph.drain_dirty graph);
   graph
 
 let build_func ?delete_locals func = build ?delete_locals (Ast_in.of_func func)

@@ -21,7 +21,8 @@ val build : ?delete_locals:bool -> Ast_in.func_with_env -> Graph.t
     before the final [Ss_out] (paper Fig. 2's DEL primitive); default
     false so that final local values remain observable.
 
-    The graph is validated before being returned. *)
+    The graph is validated before being returned, and its mutation
+    journal ({!Graph.drain_dirty}) is empty. *)
 
 val build_func : ?delete_locals:bool -> Cfront.Ast.func -> Graph.t
 (** [build] after running {!Cfront.Sema.check_func}. *)

@@ -31,17 +31,22 @@ type region_info = { size : int option; implicit : bool }
    alias a dead node's journal entries.
 
    The use/def index is id-indexed adjacency: [duse.(p)] holds the data
-   edges leaving producer [p] as packed ints [(consumer lsl 2) lor port]
-   (arity <= 3 so the port fits in two bits), [ouse.(p)] the consumers
-   whose [order_after] lists [p], and [out_uses.(id)] counts named-output
-   references. [duse] and [ouse] are kept strictly ascending, so readers
-   never sort and deletes find their entry by binary search. [ord.(id)]
-   stores the node's own order-after list oldest first; the public
-   [order_after] view reverses it, preserving the newest-first order of
-   the previous representation. Each adjacency array has a separate
-   length ([*_len]); spare capacity is recycled through [pool], a free
+   edges leaving producer [p] as packed ints
+   [(consumer lsl 3) lor (port lsl 1)] (arity <= 3 so the port fits in
+   two bits; the low bit marks a {e dead} entry, see the data-use section
+   below), [ouse.(p)] the consumers whose [order_after] lists [p], and
+   [out_uses.(id)] counts named-output references. [ouse] is kept strictly
+   ascending. [ord.(id)] stores the node's own order-after list oldest
+   first; the public [order_after] view reverses it, preserving the
+   newest-first order of the previous representation. [ord] and [ouse]
+   have a separate length array ([*_len]); a [duse] list carries its
+   counts in a header. Spare capacity is recycled through [pool], a free
    list of power-of-two int arrays, so the rewrite-heavy passes stop
-   churning the major heap. *)
+   churning the major heap.
+
+   The dirty journal is a flag byte per id ([dirty]: bit 0 def-dirty,
+   bit 1 use-dirty) plus the marked ids in order of marking ([def_ids],
+   [use_ids]), so a mark is O(1) and allocates nothing. *)
 type t = {
   fname : string;
   region_tbl : (string, region_info) Hashtbl.t;
@@ -53,8 +58,7 @@ type t = {
   mutable ins : int array;  (** 3 cells per slot, [arity kind] in use *)
   mutable ord : int array array;
   mutable ord_len : int array;
-  mutable duse : int array array;
-  mutable duse_len : int array;
+  mutable duse : int array array;  (** a header, then the entries *)
   mutable ouse : int array array;
   mutable ouse_len : int array;
   mutable out_uses : int array;
@@ -63,10 +67,13 @@ type t = {
   mutable generation : int;
       (** bumped by every structural mutation; stamps the topo cache *)
   mutable topo_cache : (int * id list) option;
-  mutable dirty_def : Id_set.t;
+  mutable dirty : Bytes.t;
+  mutable def_ids : int array;
       (** nodes whose own definition (inputs / order edges) changed *)
-  mutable dirty_use : Id_set.t;
+  mutable def_n : int;
+  mutable use_ids : int array;
       (** nodes that lost a use (a consumer was rewired or removed) *)
+  mutable use_n : int;
 }
 
 exception Invalid of string
@@ -74,6 +81,10 @@ exception Invalid of string
 let invalidf fmt = Format.kasprintf (fun msg -> raise (Invalid msg)) fmt
 
 let no_ints : int array = [||]
+
+(* The data-use list of every producer without one (see the data-use
+   section): its header reads zero entries, and nothing writes to it. *)
+let no_uses : int array = [| 0; 0; 0 |]
 let pool_buckets = 16
 
 let create fname =
@@ -89,7 +100,6 @@ let create fname =
     ord = [||];
     ord_len = [||];
     duse = [||];
-    duse_len = [||];
     ouse = [||];
     ouse_len = [||];
     out_uses = [||];
@@ -97,8 +107,11 @@ let create fname =
     frozen = false;
     generation = 0;
     topo_cache = None;
-    dirty_def = Id_set.empty;
-    dirty_use = Id_set.empty;
+    dirty = Bytes.empty;
+    def_ids = no_ints;
+    def_n = 0;
+    use_ids = no_ints;
+    use_n = 0;
   }
 
 let name g = g.fname
@@ -135,14 +148,18 @@ let grow g cap' =
   let kinds' = Array.make cap' Mux in
   Array.blit g.kinds 0 kinds' 0 cap;
   g.kinds <- kinds';
-  let alive' = Bytes.make cap' '\000' in
-  Bytes.blit g.alive 0 alive' 0 cap;
-  g.alive <- alive';
+  let grow_bytes b =
+    let b' = Bytes.make cap' '\000' in
+    Bytes.blit b 0 b' 0 cap;
+    b'
+  in
+  g.alive <- grow_bytes g.alive;
+  g.dirty <- grow_bytes g.dirty;
   let ins' = Array.make (3 * cap') 0 in
   Array.blit g.ins 0 ins' 0 (3 * cap);
   g.ins <- ins';
-  let copy_adj arrs =
-    let a' = Array.make cap' no_ints in
+  let copy_adj ?(empty = no_ints) arrs =
+    let a' = Array.make cap' empty in
     Array.blit arrs 0 a' 0 cap;
     a'
   in
@@ -153,8 +170,7 @@ let grow g cap' =
   in
   g.ord <- copy_adj g.ord;
   g.ord_len <- copy_len g.ord_len;
-  g.duse <- copy_adj g.duse;
-  g.duse_len <- copy_len g.duse_len;
+  g.duse <- copy_adj ~empty:no_uses g.duse;
   g.ouse <- copy_adj g.ouse;
   g.ouse_len <- copy_len g.ouse_len;
   g.out_uses <- copy_len g.out_uses
@@ -242,11 +258,12 @@ let adj_remove_shift arrs lens i v =
   let j = adj_index arrs lens i v in
   if j >= 0 then adj_drop arrs lens i j
 
-(* {3 Sorted adjacency ([duse], [ouse])} *)
+(* {3 Sorted adjacency ([ouse])} *)
 
-(* The first position in [a.(0 .. len - 1)] whose entry is >= [v]. *)
-let lower_bound (a : int array) len (v : int) =
-  let lo = ref 0 and hi = ref len in
+(* The first position in [a.(lo .. hi - 1)] whose entry is >= [v], or
+   [hi]. *)
+let lower_bound (a : int array) lo hi (v : int) =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if a.(mid) < v then lo := mid + 1 else hi := mid
@@ -259,7 +276,7 @@ let adj_insert g arrs lens i (v : int) =
   let len = lens.(i) in
   if len = 0 || arrs.(i).(len - 1) < v then adj_push g arrs lens i v
   else begin
-    let j = lower_bound arrs.(i) len v in
+    let j = lower_bound arrs.(i) 0 len v in
     if arrs.(i).(j) <> v then begin
       let a = adj_reserve g arrs lens i (len + 1) in
       for k = len downto j + 1 do
@@ -272,33 +289,240 @@ let adj_insert g arrs lens i (v : int) =
 
 (* No-op when absent. *)
 let adj_delete arrs lens i v =
-  let j = lower_bound arrs.(i) lens.(i) v in
+  let j = lower_bound arrs.(i) 0 lens.(i) v in
   if j < lens.(i) && arrs.(i).(j) = v then adj_drop arrs lens i j
-
-(* Moves every entry of [arrs.(src)] into [arrs.(dst)]: each source
-   entry, largest first, lands above the destination entries it exceeds.
-   The two lists must share no entry. *)
-let adj_merge_into g arrs lens ~src ~dst =
-  let s = arrs.(src) in
-  let m = lens.(src) and n = lens.(dst) in
-  let d = adj_reserve g arrs lens dst (n + m) in
-  let i = ref (n - 1) and k = ref (n + m - 1) in
-  for j = m - 1 downto 0 do
-    let v = s.(j) in
-    while !i >= 0 && d.(!i) > v do
-      d.(!k) <- d.(!i);
-      decr i;
-      decr k
-    done;
-    d.(!k) <- v;
-    decr k
-  done;
-  lens.(dst) <- n + m
 
 let adj_clear g arrs lens i =
   release_adj g arrs.(i);
   arrs.(i) <- no_ints;
   lens.(i) <- 0
+
+(* {3 Data uses ([duse])}
+
+   A hub — a constant read by thousands of fetches and stores — must not
+   pay for its degree on every rewrite of one of its consumers. A
+   producer's list [duse.(p)] is one int array: a three-cell header (the
+   entries in use, the length of the sorted run, the live entries) and
+   then the entries, a sorted {e run} followed by unsorted {e appends}.
+   Keeping the counts in the list, not in per-id arrays, costs nothing
+   for ids without uses (they share [no_uses]) and keeps the graph's
+   per-id footprint at ten words.
+
+   - The run is non-decreasing. A deleted entry stays in place as a dead
+     entry that readers skip; deletes find their entry by binary search.
+     An insert whose place in the run holds a dead entry reuses that
+     slot: [set_inputs] rewiring a consumer back lands on its own dead
+     entry.
+   - Any other insert is appended after the run, and [replace_uses]
+     appends the moved entries (or hands over the whole list when the
+     target has none). The appends hold no dead entries: deleting one
+     moves the last append into its slot.
+   - The live count makes [data_use_count] and [use_count] O(1).
+
+   Mutators restore a plain sorted run ([duse_normalise]) once dead
+   entries outnumber live ones or the appends outgrow [appends_cap], so
+   each restore is paid for by the operations since the last one. Hence
+   a producer with one use has at most one dead entry before it, which
+   keeps [sole_consumer] O(1). Readers never write: an ordered read of a
+   list with appends sorts a private copy of the appends and merges it
+   with the run on the fly. *)
+
+let header = 3
+let d_len (a : int array) = a.(0)
+let d_run (a : int array) = a.(1)
+let d_live (a : int array) = a.(2)
+let d_appends a = d_len a - d_run a
+let d_dead a = d_run a - (d_live a - d_appends a)
+
+let use_entry consumer port = (consumer lsl 3) lor (port lsl 1)
+let entry_consumer (v : int) = v lsr 3
+let entry_port (v : int) = (v lsr 1) land 3
+
+(* A dead entry is its live value plus one: it sorts exactly where the
+   live entry did, so the run stays in order. *)
+let is_dead (v : int) = v land 1 = 1
+let appends_cap live = 8 + (live lsr 3)
+
+(* Sorts [a.(0 .. n - 1)] in place. Insertion sort for the short or
+   nearly ascending arrays this sees (appends, journal buffers); a copy
+   through the library sort otherwise. *)
+let sort_prefix (a : int array) n =
+  if n <= 32 then
+    for i = 1 to n - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    let s = Array.sub a 0 n in
+    Array.sort Int.compare s;
+    for i = 0 to n - 1 do
+      a.(i) <- s.(i)
+    done
+  end
+
+let duse_clear g p =
+  release_adj g g.duse.(p);
+  g.duse.(p) <- no_uses
+
+(* [p]'s list, moved to a larger pooled array when it cannot hold [need]
+   entries. *)
+let duse_reserve g p need =
+  let a = g.duse.(p) in
+  if header + need <= Array.length a then a
+  else begin
+    let a' = alloc_adj g (header + max need (2 * d_len a)) in
+    for j = 0 to header + d_len a - 1 do
+      a'.(j) <- a.(j)
+    done;
+    release_adj g a;
+    g.duse.(p) <- a';
+    a'
+  end
+
+(* Drops [p]'s dead entries and merges the sorted appends into the run,
+   in place. O(entries). *)
+let duse_normalise g p =
+  let a = g.duse.(p) in
+  let live = d_live a in
+  if live = 0 then duse_clear g p
+  else begin
+    let run = d_run a in
+    let appends = Array.sub a (header + run) (d_appends a) in
+    sort_prefix appends (Array.length appends);
+    let kept = ref header in
+    for j = header to header + run - 1 do
+      if not (is_dead a.(j)) then begin
+        a.(!kept) <- a.(j);
+        incr kept
+      end
+    done;
+    (* Backward merge of the compacted run and the appends. *)
+    let i = ref (!kept - 1) and j = ref (Array.length appends - 1) in
+    for dst = header + live - 1 downto header do
+      if !j < 0 || (!i >= header && a.(!i) > appends.(!j)) then begin
+        a.(dst) <- a.(!i);
+        decr i
+      end
+      else begin
+        a.(dst) <- appends.(!j);
+        decr j
+      end
+    done;
+    a.(0) <- live;
+    a.(1) <- live
+  end
+
+let duse_insert g p (v : int) =
+  let a = g.duse.(p) in
+  let len = d_len a and run = d_run a in
+  let a =
+    if len = run && (run = 0 || a.(header + run - 1) < v) then begin
+      let a = duse_reserve g p (len + 1) in
+      a.(header + len) <- v;
+      a.(0) <- len + 1;
+      a.(1) <- run + 1;
+      a
+    end
+    else begin
+      let j = lower_bound a header (header + run) v in
+      if j < header + run && is_dead a.(j) then begin
+        a.(j) <- v;
+        a
+      end
+      else if j > header && is_dead a.(j - 1) then begin
+        a.(j - 1) <- v;
+        a
+      end
+      else begin
+        let a = duse_reserve g p (len + 1) in
+        a.(header + len) <- v;
+        a.(0) <- len + 1;
+        a
+      end
+    end
+  in
+  a.(2) <- d_live a + 1;
+  if d_appends a > appends_cap (d_live a) then duse_normalise g p
+
+(* No-op when absent. *)
+let duse_delete g p (v : int) =
+  let a = g.duse.(p) in
+  let run = d_run a and len = d_len a in
+  let j = lower_bound a header (header + run) v in
+  let found =
+    if j < header + run && a.(j) = v then begin
+      a.(j) <- v lor 1;
+      true
+    end
+    else begin
+      let k = ref (header + run) in
+      while !k < header + len && a.(!k) <> v do
+        incr k
+      done;
+      if !k < header + len then begin
+        a.(!k) <- a.(header + len - 1);
+        a.(0) <- len - 1
+      end;
+      !k < header + len
+    end
+  in
+  if found then begin
+    a.(2) <- d_live a - 1;
+    if d_dead a > d_live a then duse_normalise g p
+  end
+
+(* Moves every use of [src] onto [dst]; the two must share no entry. *)
+let duse_move g ~src ~dst =
+  let s = g.duse.(src) in
+  if d_live s > 0 then begin
+    if d_len g.duse.(dst) = 0 then begin
+      release_adj g g.duse.(dst);
+      g.duse.(dst) <- s;
+      g.duse.(src) <- no_uses
+    end
+    else begin
+      for j = header to header + d_len s - 1 do
+        if not (is_dead s.(j)) then duse_insert g dst s.(j)
+      done;
+      duse_clear g src
+    end
+  end
+
+(* Writes [p]'s live entries in ascending order to [dst] (which must hold
+   [d_len] entries) and returns their number. Reads [g] only: the appends
+   are sorted in a private copy and merged with the run. *)
+let duse_sorted_into g p (dst : int array) =
+  let a = g.duse.(p) in
+  let run_end = header + d_run a in
+  let appends = Array.sub a run_end (d_appends a) in
+  sort_prefix appends (Array.length appends);
+  let i = ref header and k = ref 0 in
+  let take v =
+    dst.(!k) <- v;
+    incr k
+  in
+  for j = 0 to Array.length appends - 1 do
+    while !i < run_end && a.(!i) < appends.(j) do
+      if not (is_dead a.(!i)) then take a.(!i);
+      incr i
+    done;
+    take appends.(j)
+  done;
+  for j = !i to run_end - 1 do
+    if not (is_dead a.(j)) then take a.(j)
+  done;
+  !k
+
+(* [p]'s live entries, ascending, in a fresh array. *)
+let duse_sorted g p =
+  let dst = Array.make (d_len g.duse.(p)) 0 in
+  let k = duse_sorted_into g p dst in
+  Array.sub dst 0 k
 
 (* {2 Access} *)
 
@@ -365,33 +589,98 @@ let id_bound g = g.next_id
 (* {2 Journal plumbing} *)
 
 let touch g = g.generation <- g.generation + 1
-let mark_def g id = g.dirty_def <- Id_set.add id g.dirty_def
-let mark_use g id = g.dirty_use <- Id_set.add id g.dirty_use
+
+(* [ids] with [id] stored at [n], grown when full. *)
+let push_id (ids : int array) n (id : int) =
+  let ids =
+    if n < Array.length ids then ids
+    else begin
+      let ids' = Array.make (max 16 (2 * n)) 0 in
+      for i = 0 to n - 1 do
+        ids'.(i) <- ids.(i)
+      done;
+      ids'
+    end
+  in
+  ids.(n) <- id;
+  ids
+
+let marked g id bit = Char.code (Bytes.get g.dirty id) land bit <> 0
+
+let set_mark g id bit on =
+  let f = Char.code (Bytes.get g.dirty id) in
+  Bytes.set g.dirty id (Char.chr (if on then f lor bit else f land lnot bit))
+
+let mark_def g id =
+  if id >= 0 && id < g.next_id && not (marked g id 1) then begin
+    set_mark g id 1 true;
+    g.def_ids <- push_id g.def_ids g.def_n id;
+    g.def_n <- g.def_n + 1
+  end
+
+let mark_use g id =
+  if id >= 0 && id < g.next_id && not (marked g id 2) then begin
+    set_mark g id 2 true;
+    g.use_ids <- push_id g.use_ids g.use_n id;
+    g.use_n <- g.use_n + 1
+  end
+
+(* The first [n] ids of [ids] as an ascending list, their [bit] cleared. *)
+let drain_ids g (ids : int array) n bit =
+  sort_prefix ids n;
+  let rec build i acc =
+    if i < 0 then acc
+    else begin
+      set_mark g ids.(i) bit false;
+      build (i - 1) (ids.(i) :: acc)
+    end
+  in
+  build (n - 1) []
+
+(* A drained buffer longer than this is dropped rather than kept, so a
+   graph fresh from the builder does not hold a slot per node. *)
+let journal_keep = 256
 
 let drain_dirty g =
-  let d = g.dirty_def and u = g.dirty_use in
-  g.dirty_def <- Id_set.empty;
-  g.dirty_use <- Id_set.empty;
-  (d, u)
+  if g.def_n = 0 && g.use_n = 0 then ([], [])
+  else begin
+    let defs = drain_ids g g.def_ids g.def_n 1 in
+    let uses = drain_ids g g.use_ids g.use_n 2 in
+    g.def_n <- 0;
+    g.use_n <- 0;
+    if Array.length g.def_ids > journal_keep then g.def_ids <- no_ints;
+    if Array.length g.use_ids > journal_keep then g.use_ids <- no_ints;
+    (defs, uses)
+  end
 
 let generation g = g.generation
 
 let consumers_of g id =
   if id < 0 || id >= g.next_id then []
-  else begin
+  else if d_appends g.duse.(id) = 0 then begin
     let a = g.duse.(id) in
     let rec build j acc =
-      if j < 0 then acc else build (j - 1) ((a.(j) lsr 2, a.(j) land 3) :: acc)
+      if j < header then acc
+      else if is_dead a.(j) then build (j - 1) acc
+      else build (j - 1) ((entry_consumer a.(j), entry_port a.(j)) :: acc)
     in
-    build (g.duse_len.(id) - 1) []
+    build (header + d_run a - 1) []
   end
+  else
+    Array.fold_right
+      (fun v acc -> (entry_consumer v, entry_port v) :: acc)
+      (duse_sorted g id) []
 
 let iter_consumers g id f =
   if id >= 0 && id < g.next_id then begin
     let a = g.duse.(id) in
-    for j = 0 to g.duse_len.(id) - 1 do
-      f (a.(j) lsr 2) (a.(j) land 3)
-    done
+    if d_appends a = 0 then begin
+      for j = header to header + d_run a - 1 do
+        let v = a.(j) in
+        if not (is_dead v) then f (entry_consumer v) (entry_port v)
+      done
+    end
+    else Array.iter (fun v -> f (entry_consumer v) (entry_port v)) (duse_sorted g id)
   end
 
 let order_successors g id =
@@ -402,35 +691,59 @@ let order_successors g id =
     build (g.ouse_len.(id) - 1) []
   end
 
-let data_use_count g id =
-  if id < 0 || id >= g.next_id then 0 else g.duse_len.(id)
+let iter_order_successors g id f =
+  if id >= 0 && id < g.next_id then begin
+    let a = g.ouse.(id) in
+    for j = 0 to g.ouse_len.(id) - 1 do
+      f a.(j)
+    done
+  end
 
+let data_use_count g id =
+  if id < 0 || id >= g.next_id then 0 else d_live g.duse.(id)
+
+(* With one live entry there is at most one dead entry (see
+   [duse_normalise]'s triggers), and the appends hold none. *)
 let sole_consumer g id =
-  if data_use_count g id = 1 then g.duse.(id).(0) lsr 2 else -1
+  if data_use_count g id <> 1 then -1
+  else begin
+    let a = g.duse.(id) in
+    entry_consumer (if is_dead a.(header) then a.(header + 1) else a.(header))
+  end
 
 let use_count g id =
   if id < 0 || id >= g.next_id then 0
-  else g.duse_len.(id) + g.out_uses.(id)
+  else d_live g.duse.(id) + g.out_uses.(id)
 
 (* {2 Construction} *)
+
+(* Points [id]'s input ports at [inputs], indexing each new use. *)
+let rec wire_inputs g id port = function
+  | [] -> ()
+  | producer :: rest ->
+    g.ins.((3 * id) + port) <- producer;
+    duse_insert g producer (use_entry id port);
+    wire_inputs g id (port + 1) rest
+
+let rec check_refs g = function
+  | [] -> ()
+  | id :: rest ->
+    check_ref g id;
+    check_refs g rest
 
 let add g kind inputs =
   check_mutable g;
   if List.length inputs <> arity kind then
     invalidf "wrong input arity for node (expected %d, got %d)" (arity kind)
       (List.length inputs);
-  List.iter (check_ref g) inputs;
+  check_refs g inputs;
   ensure_capacity g (g.next_id + 1);
   let id = g.next_id in
   g.next_id <- id + 1;
   g.live <- g.live + 1;
   Bytes.set g.alive id '\001';
   g.kinds.(id) <- kind;
-  List.iteri
-    (fun port producer ->
-      g.ins.((3 * id) + port) <- producer;
-      adj_insert g g.duse g.duse_len producer ((id lsl 2) lor port))
-    inputs;
+  wire_inputs g id 0 inputs;
   touch g;
   mark_def g id;
   id
@@ -482,18 +795,14 @@ let set_inputs g id inputs =
   let a = arity g.kinds.(id) in
   if List.length inputs <> a then
     invalidf "set_inputs: arity change on node %d" id;
-  List.iter (check_ref g) inputs;
+  check_refs g inputs;
   let base = 3 * id in
   for port = 0 to a - 1 do
     let old = g.ins.(base + port) in
-    adj_delete g.duse g.duse_len old ((id lsl 2) lor port);
+    duse_delete g old (use_entry id port);
     mark_use g old
   done;
-  List.iteri
-    (fun port producer ->
-      g.ins.(base + port) <- producer;
-      adj_insert g g.duse g.duse_len producer ((id lsl 2) lor port))
-    inputs;
+  wire_inputs g id 0 inputs;
   touch g;
   mark_def g id
 
@@ -510,20 +819,18 @@ let replace_uses g old ~by =
   end
   else begin
     (* Data edges: the index lists exactly the affected (consumer, port)
-       pairs, so this is O(degree of [old] + degree of [by]), not
-       O(graph). The whole [duse.(old)] bucket merges into [duse.(by)]. *)
+       pairs, so this is O(degree of [old]), whatever the degree of
+       [by]: the moved entries are appended to [by]'s. *)
     (if old >= 0 && old < g.next_id then begin
        let a = g.duse.(old) in
-       let len = g.duse_len.(old) in
-       for j = 0 to len - 1 do
-         let cid = a.(j) lsr 2 in
-         g.ins.((3 * cid) + (a.(j) land 3)) <- by;
-         mark_def g cid
+       for j = header to header + d_len a - 1 do
+         let v = a.(j) in
+         if not (is_dead v) then begin
+           g.ins.((3 * entry_consumer v) + entry_port v) <- by;
+           mark_def g (entry_consumer v)
+         end
        done;
-       if len > 0 then begin
-         adj_merge_into g g.duse g.duse_len ~src:old ~dst:by;
-         adj_clear g g.duse g.duse_len old
-       end
+       duse_move g ~src:old ~dst:by
      end);
     (* Order edges: re-point, deduplicate, and never create a self edge. *)
     (if old >= 0 && old < g.next_id then begin
@@ -588,7 +895,7 @@ let remove g id =
   let base = 3 * id in
   for port = 0 to a - 1 do
     let producer = g.ins.(base + port) in
-    adj_delete g.duse g.duse_len producer ((id lsl 2) lor port);
+    duse_delete g producer (use_entry id port);
     mark_use g producer
   done;
   let oa = g.ord.(id) in
@@ -596,7 +903,7 @@ let remove g id =
     adj_delete g.ouse g.ouse_len oa.(j) id
   done;
   adj_clear g g.ord g.ord_len id;
-  adj_clear g g.duse g.duse_len id;
+  duse_clear g id;
   adj_clear g g.ouse g.ouse_len id;
   Bytes.set g.alive id '\000';
   g.live <- g.live - 1;
@@ -753,9 +1060,10 @@ let compute_topo_order g =
       out := id :: !out;
       incr count;
       let da = g.duse.(id) in
-      for j = 0 to g.duse_len.(id) - 1 do
-        let c = Array.unsafe_get da j lsr 2 in
-        if Array.unsafe_get stamp2 c <> id then begin
+      for j = header to header + d_len da - 1 do
+        let v = Array.unsafe_get da j in
+        let c = entry_consumer v in
+        if (not (is_dead v)) && Array.unsafe_get stamp2 c <> id then begin
           Array.unsafe_set stamp2 c id;
           let deg = Array.unsafe_get indeg c - 1 in
           Array.unsafe_set indeg c deg;
@@ -788,8 +1096,10 @@ let topo_order g =
 let freeze g =
   if not g.frozen then begin
     (* Fill the topo cache first: frozen readers on other domains then
-       share one precomputed order and never write to the cache. *)
+       share one precomputed order and never write to the cache. A frozen
+       graph allocates no adjacency again, so its spare arrays go. *)
     ignore (topo_order g);
+    Array.fill g.pool 0 pool_buckets [];
     g.frozen <- true
   end
 
@@ -828,68 +1138,104 @@ let index_errors g =
   let errs = ref [] in
   let errf fmt = Format.kasprintf (fun msg -> errs := msg :: !errs) fmt in
   let n = g.next_id in
-  (* Group the expected reverse edges by producer in one forward scan.
-     Consumers are visited in ascending id and port order, so each group
-     comes out descending: the maintained entries, which the index keeps
-     strictly ascending, read backwards. *)
-  let exp_data_by = Array.make (max 1 n) [] in
-  let exp_order_by = Array.make (max 1 n) [] in
-  let exp_data = ref 0 and exp_order = ref 0 in
-  for cid = 0 to n - 1 do
-    if is_alive g cid then begin
-      let a = arity g.kinds.(cid) in
-      let base = 3 * cid in
-      for port = 0 to a - 1 do
-        incr exp_data;
-        let p = g.ins.(base + port) in
-        if p >= 0 && p < n then
-          exp_data_by.(p) <- ((cid lsl 2) lor port) :: exp_data_by.(p)
-        else errf "use/def index misses data edge %d -> (%d, port %d)" p cid port
+  (* The expected reverse edges, grouped by producer with a counting
+     sort over two forward scans: [each emit] calls [emit producer entry]
+     for every edge, consumers in ascending id and port order, so each
+     group [entries.(start.(p) .. start.(p + 1) - 1)] comes out
+     ascending — the order the index yields its live entries in. *)
+  let group each =
+    let start = Array.make (n + 1) 0 in
+    each (fun p _ -> start.(p + 1) <- start.(p + 1) + 1);
+    for p = 1 to n do
+      start.(p) <- start.(p) + start.(p - 1)
+    done;
+    let entries = Array.make start.(n) 0 and fill = Array.sub start 0 n in
+    each (fun p e ->
+        entries.(fill.(p)) <- e;
+        fill.(p) <- fill.(p) + 1);
+    (start, entries)
+  in
+  let each_edge ~data emit =
+    iter_ids g (fun cid ->
+        if data then
+          for port = 0 to arity g.kinds.(cid) - 1 do
+            let p = g.ins.((3 * cid) + port) in
+            if p >= 0 && p < n then emit p (use_entry cid port)
+          done
+        else begin
+          let oa = g.ord.(cid) in
+          for j = 0 to g.ord_len.(cid) - 1 do
+            if oa.(j) >= 0 && oa.(j) < n then emit oa.(j) cid
+          done
+        end)
+  in
+  iter_ids g (fun cid ->
+      for port = 0 to arity g.kinds.(cid) - 1 do
+        let p = g.ins.((3 * cid) + port) in
+        if p < 0 || p >= n then
+          errf "use/def index misses data edge %d -> (%d, port %d)" p cid port
       done;
       let oa = g.ord.(cid) in
       for j = 0 to g.ord_len.(cid) - 1 do
-        incr exp_order;
-        let p = oa.(j) in
-        if p >= 0 && p < n then exp_order_by.(p) <- cid :: exp_order_by.(p)
-        else errf "use/def index misses order edge %d -> %d" p cid
-      done
-    end
-  done;
-  (* Calls [miss e] for each entry of [expected] (descending) absent from
-     the first [len] entries of [indexed] (ascending). *)
-  let missing expected (indexed : int array) len miss =
-    let rec walk exp j =
-      match exp with
-      | [] -> ()
-      | e :: rest ->
-        if j >= 0 && indexed.(j) > e then walk exp (j - 1)
-        else if j >= 0 && indexed.(j) = e then walk rest (j - 1)
-        else begin
-          miss e;
-          walk rest j
-        end
-    in
-    walk expected (len - 1)
+        if oa.(j) < 0 || oa.(j) >= n then
+          errf "use/def index misses order edge %d -> %d" oa.(j) cid
+      done);
+  let data_start, data_exp = group (each_edge ~data:true) in
+  let order_start, order_exp = group (each_edge ~data:false) in
+  (* Calls [miss e] for each expected entry [exp.(lo .. hi - 1)] absent
+     from the ascending [indexed.(0 .. len - 1)]. *)
+  let missing (exp : int array) lo hi (indexed : int array) len miss =
+    let j = ref 0 in
+    for i = lo to hi - 1 do
+      while !j < len && indexed.(!j) < exp.(i) do
+        incr j
+      done;
+      if !j < len && indexed.(!j) = exp.(i) then incr j else miss exp.(i)
+    done
   in
+  let ascending p what (a : int array) len =
+    for j = 1 to len - 1 do
+      if a.(j - 1) >= a.(j) then
+        errf "use/def index of node %d has %s entries out of order" p what
+    done
+  in
+  let live = Array.make (Array.fold_left (fun m a -> max m (d_len a)) 0 g.duse) 0 in
   let idx_data = ref 0 and idx_order = ref 0 in
   for p = 0 to n - 1 do
-    let check what (arrs : int array array) lens =
-      let a = arrs.(p) in
-      for j = 1 to lens.(p) - 1 do
-        if a.(j - 1) >= a.(j) then
-          errf "use/def index of node %d has %s entries out of order" p what
-      done
-    in
-    check "data" g.duse g.duse_len;
-    check "order" g.ouse g.ouse_len;
-    idx_data := !idx_data + g.duse_len.(p);
+    (* Data uses: the run's order (dead entries included), the counts the
+       point queries rely on, then the live entries against the
+       recomputed ones. *)
+    let a = g.duse.(p) in
+    let run_end = header + d_run a and len_end = header + d_len a in
+    for j = header + 1 to run_end - 1 do
+      if a.(j - 1) > a.(j) then
+        errf "use/def index of node %d has data entries out of order" p
+    done;
+    for j = run_end to len_end - 1 do
+      if is_dead a.(j) then
+        errf "use/def index of node %d has a dead appended data entry" p
+    done;
+    let k = duse_sorted_into g p live in
+    ascending p "data" live k;
+    if d_live a <> k then
+      errf "use/def index miscounts the data uses of node %d (%d, real %d)" p
+        (d_live a) k;
+    if d_dead a > k then
+      errf "use/def index of node %d has more dead than live data entries" p;
+    ascending p "order" g.ouse.(p) g.ouse_len.(p);
+    idx_data := !idx_data + k;
     idx_order := !idx_order + g.ouse_len.(p);
-    missing exp_data_by.(p) g.duse.(p) g.duse_len.(p) (fun e ->
-        errf "use/def index misses data edge %d -> (%d, port %d)" p (e lsr 2)
-          (e land 3));
-    missing exp_order_by.(p) g.ouse.(p) g.ouse_len.(p) (fun cid ->
+    missing data_exp data_start.(p) data_start.(p + 1) live k (fun e ->
+        errf "use/def index misses data edge %d -> (%d, port %d)" p
+          (entry_consumer e) (entry_port e));
+    missing order_exp order_start.(p) order_start.(p + 1) g.ouse.(p)
+      g.ouse_len.(p) (fun cid ->
         errf "use/def index misses order edge %d -> %d" p cid)
   done;
+  let exp_data = ref 0 and exp_order = ref 0 in
+  iter_ids g (fun cid ->
+      exp_data := !exp_data + arity g.kinds.(cid);
+      exp_order := !exp_order + g.ord_len.(cid));
   if !idx_data <> !exp_data then
     errf "use/def index has stale data edges (%d indexed, %d real)" !idx_data
       !exp_data;
@@ -920,92 +1266,77 @@ let check_index g =
 
 (* Port typing: for each node kind, which input ports expect a token of the
    node's own region (port 0 of Fe/St/Del/Ss_out) and which expect values. *)
+let expect_value g id port =
+  if not (produces_value g.kinds.(g.ins.((3 * id) + port))) then
+    invalidf "node %d: input port %d expects a value, got a token" id port
+
+let expect_token g id port region =
+  match g.kinds.(g.ins.((3 * id) + port)) with
+  | Ss_in r | St r | Del r ->
+    if not (String.equal r region) then
+      invalidf "node %d: token of region %s flows into region %s" id r region
+  | Const _ | Binop _ | Unop _ | Mux | Ss_out _ | Fe _ ->
+    invalidf "node %d: input port %d expects a statespace token" id port
+
+let check_region g id region =
+  if not (Hashtbl.mem g.region_tbl region) then
+    invalidf "node %d references undeclared region %s" id region
+
 let validate g =
-  iter g (fun n ->
-      if Array.length n.inputs <> arity n.kind then
-        invalidf "node %d: arity mismatch" n.id;
-      Array.iter
-        (fun input ->
-          if not (mem g input) then
-            invalidf "node %d: dangling input %d" n.id input)
-        n.inputs;
-      List.iter
-        (fun input ->
-          if not (mem g input) then
-            invalidf "node %d: dangling order edge %d" n.id input)
-        n.order_after;
-      let expect_value port =
-        let p = n.inputs.(port) in
-        if not (produces_value (kind g p)) then
-          invalidf "node %d: input port %d expects a value, got a token" n.id
-            port
-      in
-      let expect_token port region =
-        let p = n.inputs.(port) in
-        if not (produces_token (kind g p)) then
-          invalidf "node %d: input port %d expects a statespace token" n.id
-            port;
-        match token_region g p with
-        | Some r when String.equal r region -> ()
-        | Some r ->
-          invalidf "node %d: token of region %s flows into region %s" n.id r
-            region
-        | None -> assert false
-      in
-      let check_region region =
-        if region_info g region = None then
-          invalidf "node %d references undeclared region %s" n.id region
-      in
-      match n.kind with
+  (* [Ss_in] / [Ss_out] nodes per region: at most one of each. *)
+  let ss_ins = Hashtbl.create 8 and ss_outs = Hashtbl.create 8 in
+  let count tbl region =
+    Hashtbl.replace tbl region
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl region))
+  in
+  iter_ids g (fun id ->
+      for port = 0 to arity g.kinds.(id) - 1 do
+        let input = g.ins.((3 * id) + port) in
+        if not (mem g input) then invalidf "node %d: dangling input %d" id input
+      done;
+      let oa = g.ord.(id) in
+      for j = g.ord_len.(id) - 1 downto 0 do
+        if not (mem g oa.(j)) then
+          invalidf "node %d: dangling order edge %d" id oa.(j)
+      done;
+      match g.kinds.(id) with
       | Const _ -> ()
       | Binop _ ->
-        expect_value 0;
-        expect_value 1
-      | Unop _ -> expect_value 0
+        expect_value g id 0;
+        expect_value g id 1
+      | Unop _ -> expect_value g id 0
       | Mux ->
-        expect_value 0;
-        expect_value 1;
-        expect_value 2
-      | Ss_in region -> check_region region
+        expect_value g id 0;
+        expect_value g id 1;
+        expect_value g id 2
+      | Ss_in region ->
+        check_region g id region;
+        count ss_ins region
       | Ss_out region ->
-        check_region region;
-        expect_token 0 region
+        check_region g id region;
+        expect_token g id 0 region;
+        count ss_outs region
       | Fe region ->
-        check_region region;
-        expect_token 0 region;
-        expect_value 1
+        check_region g id region;
+        expect_token g id 0 region;
+        expect_value g id 1
       | St region ->
-        check_region region;
-        expect_token 0 region;
-        expect_value 1;
-        expect_value 2
+        check_region g id region;
+        expect_token g id 0 region;
+        expect_value g id 1;
+        expect_value g id 2
       | Del region ->
-        check_region region;
-        expect_token 0 region;
-        expect_value 1);
-  (* At most one Ss_in / Ss_out per region. *)
-  let count_kind test =
-    let tbl = Hashtbl.create 8 in
-    iter g (fun n ->
-        match test n.kind with
-        | Some region ->
-          let old =
-            match Hashtbl.find_opt tbl region with Some c -> c | None -> 0
-          in
-          Hashtbl.replace tbl region (old + 1)
-        | None -> ());
-    tbl
-  in
-  let ins = count_kind (function Ss_in r -> Some r | _ -> None) in
-  let outs = count_kind (function Ss_out r -> Some r | _ -> None) in
+        check_region g id region;
+        expect_token g id 0 region;
+        expect_value g id 1);
   Hashtbl.iter
     (fun region c ->
       if c > 1 then invalidf "region %s has %d Ss_in nodes" region c)
-    ins;
+    ss_ins;
   Hashtbl.iter
     (fun region c ->
       if c > 1 then invalidf "region %s has %d Ss_out nodes" region c)
-    outs;
+    ss_outs;
   List.iter
     (fun (oname, id) ->
       if not (mem g id) then invalidf "named output %s is dangling" oname;
@@ -1022,6 +1353,14 @@ let copy g =
     Array.init n (fun i ->
         if lens.(i) = 0 then no_ints else Array.sub arrs.(i) 0 lens.(i))
   in
+  (* Data uses are copied as plain sorted runs of the live entries. *)
+  let live_uses p =
+    let a = g.duse.(p) in
+    let live = d_live a in
+    if live = 0 then no_uses
+    else if d_run a = live && d_len a = live then Array.sub a 0 (header + live)
+    else Array.append [| live; live; live |] (duse_sorted g p)
+  in
   {
     fname = g.fname;
     region_tbl = Hashtbl.copy g.region_tbl;
@@ -1033,8 +1372,7 @@ let copy g =
     ins = Array.sub g.ins 0 (3 * n);
     ord = copy_adj g.ord g.ord_len;
     ord_len = Array.sub g.ord_len 0 n;
-    duse = copy_adj g.duse g.duse_len;
-    duse_len = Array.sub g.duse_len 0 n;
+    duse = Array.init n live_uses;
     ouse = copy_adj g.ouse g.ouse_len;
     ouse_len = Array.sub g.ouse_len 0 n;
     out_uses = Array.sub g.out_uses 0 n;
@@ -1045,8 +1383,11 @@ let copy g =
       (match g.topo_cache with
       | Some (gen, order) when gen = g.generation -> Some (0, order)
       | Some _ | None -> None);
-    dirty_def = Id_set.empty;
-    dirty_use = Id_set.empty;
+    dirty = Bytes.make n '\000';
+    def_ids = no_ints;
+    def_n = 0;
+    use_ids = no_ints;
+    use_n = 0;
   }
 
 type stats = {
@@ -1064,41 +1405,38 @@ type stats = {
 }
 
 let stats g =
-  let zero =
-    {
-      total = 0;
-      consts = 0;
-      fetches = 0;
-      stores = 0;
-      deletes = 0;
-      muxes = 0;
-      multiplies = 0;
-      adds = 0;
-      other_alu = 0;
-      ss_nodes = 0;
-      critical_path = 0;
-    }
-  in
-  let s =
-    fold g ~init:zero ~f:(fun s n ->
-        let s = { s with total = s.total + 1 } in
-        match n.kind with
-        | Const _ -> { s with consts = s.consts + 1 }
-        | Fe _ -> { s with fetches = s.fetches + 1 }
-        | St _ -> { s with stores = s.stores + 1 }
-        | Del _ -> { s with deletes = s.deletes + 1 }
-        | Mux -> { s with muxes = s.muxes + 1 }
-        | Ss_in _ | Ss_out _ -> { s with ss_nodes = s.ss_nodes + 1 }
-        | Binop op when Op.is_multiplier_class op ->
-          { s with multiplies = s.multiplies + 1 }
-        | Binop (Op.Add | Op.Sub) -> { s with adds = s.adds + 1 }
-        | Binop _ | Unop _ -> { s with other_alu = s.other_alu + 1 })
-  in
+  let total = ref 0 and consts = ref 0 and fetches = ref 0 and stores = ref 0
+  and deletes = ref 0 and muxes = ref 0 and multiplies = ref 0 and adds = ref 0
+  and other_alu = ref 0 and ss_nodes = ref 0 in
+  iter_ids g (fun id ->
+      incr total;
+      incr
+        (match g.kinds.(id) with
+        | Const _ -> consts
+        | Fe _ -> fetches
+        | St _ -> stores
+        | Del _ -> deletes
+        | Mux -> muxes
+        | Ss_in _ | Ss_out _ -> ss_nodes
+        | Binop op when Op.is_multiplier_class op -> multiplies
+        | Binop (Op.Add | Op.Sub) -> adds
+        | Binop _ | Unop _ -> other_alu));
   let depth_of = depth g in
-  let critical_path =
-    fold g ~init:0 ~f:(fun acc n -> max acc (depth_of n.id + 1))
-  in
-  { s with critical_path }
+  let critical_path = ref 0 in
+  iter_ids g (fun id -> critical_path := max !critical_path (depth_of id + 1));
+  {
+    total = !total;
+    consts = !consts;
+    fetches = !fetches;
+    stores = !stores;
+    deletes = !deletes;
+    muxes = !muxes;
+    multiplies = !multiplies;
+    adds = !adds;
+    other_alu = !other_alu;
+    ss_nodes = !ss_nodes;
+    critical_path = !critical_path;
+  }
 
 let pp_stats fmt s =
   Format.fprintf fmt

@@ -73,9 +73,10 @@ val outputs : t -> (string * id) list
 val set_inputs : t -> id -> id list -> unit
 val replace_uses : t -> id -> by:id -> unit
 (** Rewrites every data input, order edge and named output that references
-    the first node to reference [by] instead. O(degree of both nodes):
-    the use/def index lists the affected consumers directly, and merges
-    them into [by]'s sorted entries. *)
+    the first node to reference [by] instead. The use/def index lists the
+    affected consumers directly, and their data-use entries are appended
+    to [by]'s, so the cost follows the first node's data degree, not
+    [by]'s (order edges still cost their degree on both sides). *)
 
 val remove : t -> id -> unit
 (** Removes a node. @raise Invalid if the node still has uses. *)
@@ -148,12 +149,15 @@ val consumers : t -> (id, (id * int) list) Hashtbl.t
 
 val consumers_of : t -> id -> (id * int) list
 (** Live [(consumer, input port)] list of one producer, ascending, read
-    straight from the incrementally maintained use/def index (which keeps
-    it sorted). O(degree): one list cell per use, no sorting. *)
+    straight from the incrementally maintained use/def index. O(degree):
+    one list cell per use; only the entries appended since the list was
+    last put in order are sorted (in a private copy — readers never
+    write). *)
 
 val iter_consumers : t -> id -> (id -> int -> unit) -> unit
 (** [iter_consumers g p f] calls [f consumer port] for every data use of
-    [p], in the order of {!consumers_of}, without building the list. [f]
+    [p], in the order of {!consumers_of}, without building the list (and
+    without allocating, unless [p]'s list holds unsorted appends). [f]
     must not change [p]'s uses; adding or removing order edges is fine. *)
 
 val data_use_count : t -> id -> int
@@ -166,6 +170,10 @@ val sole_consumer : t -> id -> id
 val order_successors : t -> id -> id list
 (** Nodes whose [order_after] list references the given node (the reverse
     of {!order_after}), ascending. O(degree), no sorting. *)
+
+val iter_order_successors : t -> id -> (id -> unit) -> unit
+(** {!order_successors} without building the list. The callback must not
+    change the node's order successors. *)
 
 val use_count : t -> id -> int
 (** Number of data uses plus named-output references (order edges do not
@@ -189,13 +197,14 @@ val generation : t -> int
     [set_inputs], [replace_uses], [remove], order-edge changes). Stamps
     the topo-order cache; exposed for tests and cache-aware callers. *)
 
-val drain_dirty : t -> Id_set.t * Id_set.t
-(** Returns and clears the mutation journal as [(def_dirty, use_dirty)]:
-    nodes whose own definition changed (inputs, order edges, existence)
-    and nodes that lost a use (a consumer was rewired or removed). The
-    worklist pass engine drains this after every rewrite to decide what to
-    re-examine; ids may reference since-removed nodes, so filter with
-    {!mem}. *)
+val drain_dirty : t -> id list * id list
+(** Returns and clears the mutation journal as [(def_dirty, use_dirty)],
+    each an ascending list without duplicates: nodes whose own definition
+    changed (inputs, order edges, existence) and nodes that lost a use (a
+    consumer was rewired or removed). The worklist pass engine drains this
+    after every rewrite to decide what to re-examine; ids may reference
+    since-removed nodes, so filter with {!mem}. Marking is O(1) (a flag
+    byte per id); draining costs O(k log k) for k marked ids. *)
 
 val index_errors : t -> string list
 (** Recomputes the use/def index from scratch and compares it with the
@@ -222,14 +231,16 @@ val freeze : t -> unit
     Freezing first fills the topo-order cache, so on a frozen graph every
     accessor — including {!topo_order} — is a pure read. That is the
     cross-domain sharing contract: a frozen graph may be read from several
-    domains concurrently without copying. Idempotent.
+    domains concurrently without copying. Freezing also drops the spare
+    adjacency arrays kept for later mutations. Idempotent.
     @raise Invalid on a cyclic graph (the cache cannot be filled). *)
 
 val frozen : t -> bool
 
 val copy : t -> t
 (** Independent mutable copy (never frozen, journal empty, generation 0;
-    a valid topo cache is carried over). *)
+    a valid topo cache is carried over). Reads the source only, even when
+    it is frozen. *)
 
 (** {2 Statistics} *)
 

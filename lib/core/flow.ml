@@ -148,11 +148,7 @@ let bitopt_stage config graph =
                   graph claims
               in
               let defs, uses = Cdfg.Graph.drain_dirty graph in
-              let seed =
-                Cdfg.Graph.Id_set.union defs uses
-                |> Cdfg.Graph.Id_set.elements
-                |> List.filter (Cdfg.Graph.mem graph)
-              in
+              let seed = List.filter (Cdfg.Graph.mem graph) (defs @ uses) in
               let verify =
                 if config.verify_each then
                   Some (Fpfa_analysis.Verify.pass_hook ())
@@ -189,7 +185,9 @@ module Staged = struct
     s_config : config;
     s_source : string;
     s_func : Cfront.Ast.func;
-    s_raw : Cdfg.Graph.t;  (** validated at minimise; never mutated *)
+    s_raw : Cdfg.Graph.t;
+        (** validated once where it entered (by the builder, or by
+            [of_graph]); never mutated *)
     s_min :
       (Cdfg.Graph.t
       * Transform.Simplify.report
@@ -248,6 +246,8 @@ module Staged = struct
     { (of_func ~config f) with s_source = source }
 
   let of_graph ~config g =
+    let raw = Cdfg.Graph.copy g in
+    stage "validate" (fun () -> Cdfg.Graph.validate raw);
     let placeholder =
       {
         Cfront.Ast.name = Cdfg.Graph.name g;
@@ -260,7 +260,7 @@ module Staged = struct
       s_config = config;
       s_source = "";
       s_func = placeholder;
-      s_raw = Cdfg.Graph.copy g;
+      s_raw = raw;
       s_min = None;
       s_clustering = None;
       s_schedule = None;
@@ -269,11 +269,7 @@ module Staged = struct
 
   let minimise ?pool s =
     let config = s.s_config in
-    let graph =
-      stage "validate" (fun () ->
-          Cdfg.Graph.validate s.s_raw;
-          Cdfg.Graph.copy s.s_raw)
-    in
+    let graph = Cdfg.Graph.copy s.s_raw in
     let simplify_report =
       stage "simplify" (fun () ->
           (* Under verify_each the structural verifier audits the touched

@@ -128,7 +128,12 @@ module Staged : sig
       @raise Flow_error as {!map_source} would. *)
 
   val of_func : config:config -> Cfront.Ast.func -> t
+
   val of_graph : config:config -> Cdfg.Graph.t -> t
+  (** Validates a copy of the caller's graph (the builder validates the
+      graphs of {!of_source} and {!of_func}), so each entry path validates
+      its raw graph exactly once.
+      @raise Flow_error when the graph is invalid. *)
 
   val phase : t -> phase
   (** Last completed phase. *)

@@ -9,63 +9,55 @@ let relate g a b =
     | G.Const x, G.Const y -> if x = y then Equal else Different
     | _, _ -> Unknown
 
-type resolution =
-  | Value of G.id  (** the fetched value is produced by this node *)
-  | Anchor of G.id  (** walk stopped; re-anchor the fetch on this token *)
+(* Walks the token chain of a fetch of [offset] upwards past provably
+   non-aliasing stores/deletes, to the first token that may alias it (or
+   the chain's start). *)
+let rec anchor g ~offset token =
+  match G.kind g token with
+  | G.St _ | G.Del _ -> (
+    match relate g (G.input g token 1) offset with
+    | Different -> anchor g ~offset (G.input g token 0)
+    | Equal | Unknown -> token)
+  | G.Ss_in _ | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _
+  | G.Fe _ ->
+    token
 
-(* Walks the token chain of [fe] upwards past provably non-aliasing
-   stores/deletes. *)
-let resolve g ~offset token =
-  let rec walk token =
-    match G.kind g token with
-    | G.St _ -> (
-      let inputs = G.inputs g token in
-      match inputs with
-      | [ prev_token; st_offset; st_value ] -> (
-        match relate g st_offset offset with
-        | Equal -> Value st_value
-        | Different -> walk prev_token
-        | Unknown -> Anchor token)
-      | _ -> assert false)
-    | G.Del _ -> (
-      let inputs = G.inputs g token in
-      match inputs with
-      | [ prev_token; del_offset ] -> (
-        match relate g del_offset offset with
-        | Different -> walk prev_token
-        (* Equal would make the fetch a runtime error; leave it visible. *)
-        | Equal | Unknown -> Anchor token)
-      | _ -> assert false)
-    | G.Ss_in _ -> Anchor token
-    | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
-      Anchor token
-  in
-  walk token
-
-(* One fetch's worth of forwarding. *)
-let forward_fetch g (n : G.node) =
-  match n.G.kind with
+(* One fetch's worth of forwarding. A walk that stops at a store to a
+   provably equal offset forwards the stored value; any other stop
+   re-anchors the fetch (a delete of an equal offset would make the fetch
+   a runtime error, so it stays visible). *)
+let forward_fetch g id =
+  match G.kind g id with
   | G.Fe _ -> (
-    let token = n.G.inputs.(0) and offset = n.G.inputs.(1) in
-    match resolve g ~offset token with
-    | Value v ->
+    let token = G.input g id 0 and offset = G.input g id 1 in
+    let stop = anchor g ~offset token in
+    let stored =
+      match G.kind g stop with
+      | G.St _ -> (
+        match relate g (G.input g stop 1) offset with
+        | Equal -> true
+        | Different | Unknown -> false)
+      | G.Del _ | G.Ss_in _ | G.Const _ | G.Binop _ | G.Unop _ | G.Mux
+      | G.Ss_out _ | G.Fe _ ->
+        false
+    in
+    if stored then begin
       (* the read disappears, and with it the anti-dependences that
          protected it *)
-      G.drop_order_references g n.G.id;
-      G.replace_uses g n.G.id ~by:v;
+      G.drop_order_references g id;
+      G.replace_uses g id ~by:(G.input g stop 2);
       true
-    | Anchor anchor ->
-      if anchor <> token then begin
-        G.set_inputs g n.G.id [ anchor; offset ];
-        true
-      end
-      else false)
+    end
+    else if stop <> token then begin
+      G.set_inputs g id [ stop; offset ];
+      true
+    end
+    else false)
   | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
   | G.St _ | G.Del _ ->
     false
 
-let store_to_fetch_rule =
-  Pass.local "store-to-fetch" (fun g id -> forward_fetch g (G.node g id))
+let store_to_fetch_rule = Pass.local "store-to-fetch" forward_fetch
 
 let token_mutator g id =
   match G.kind g id with
@@ -74,10 +66,13 @@ let token_mutator g id =
     ->
     false
 
+(* Stores and deletes both read their offset on port 1. *)
 let offset_of g id =
-  match (G.kind g id, G.inputs g id) with
-  | G.St _, [ _; offset; _ ] | G.Del _, [ _; offset ] -> offset
-  | _, _ -> invalid_arg "offset_of: not a store/delete"
+  match G.kind g id with
+  | G.St _ | G.Del _ -> G.input g id 1
+  | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _ | G.Fe _
+    ->
+    invalid_arg "offset_of: not a store/delete"
 
 let region_of g id =
   match G.kind g id with
@@ -85,30 +80,29 @@ let region_of g id =
   | G.Const _ | G.Binop _ | G.Unop _ | G.Mux ->
     invalid_arg "region_of: node has no region"
 
+let same_offset g a b =
+  match relate g (offset_of g a) (offset_of g b) with
+  | Equal -> true
+  | Different | Unknown -> false
+
 (* One store/delete's worth of dead-store bypassing, reading the live
    use/def index. *)
-let bypass_dead_store g (n : G.node) =
-  if not (token_mutator g n.G.id) then false
-  else
-    match G.sole_consumer g n.G.id with
-    | consumer
-      when consumer >= 0
-           && G.input g consumer 0 = n.G.id
-           && token_mutator g consumer
-           && String.equal (region_of g n.G.id) (region_of g consumer)
-           && relate g (offset_of g n.G.id) (offset_of g consumer) = Equal -> (
-      (* The consumer overwrites this node's cell before anyone fetches
-         it: bypass. Ordering constraints migrate to the consumer. *)
-      match G.inputs g consumer with
-      | prev_token :: rest when prev_token = n.G.id ->
-        let my_token = List.nth (G.inputs g n.G.id) 0 in
-        G.set_inputs g consumer (my_token :: rest);
-        List.iter
-          (fun before -> G.add_order g consumer ~after:before)
-          (G.order_after g n.G.id);
-        true
-      | _ -> false)
-    | _ -> false
+let bypass_dead_store g id =
+  let consumer = if token_mutator g id then G.sole_consumer g id else -1 in
+  if consumer >= 0
+     && G.input g consumer 0 = id
+     && token_mutator g consumer
+     && String.equal (region_of g id) (region_of g consumer)
+     && same_offset g id consumer
+  then begin
+    (* The consumer overwrites this node's cell before anyone fetches it:
+       bypass. Ordering constraints migrate to the consumer. *)
+    G.set_inputs g consumer (G.input g id 0 :: List.tl (G.inputs g consumer));
+    List.iter
+      (fun before -> G.add_order g consumer ~after:before)
+      (G.order_after g id);
+    true
+  end
+  else false
 
-let dead_store_rule =
-  Pass.local "dead-store" (fun g id -> bypass_dead_store g (G.node g id))
+let dead_store_rule = Pass.local "dead-store" bypass_dead_store

@@ -48,20 +48,54 @@ let settled rname rewrite =
 
 type worklist_report = { steps : int; rewrites : int; peak_queue : int }
 
-(* The ids waiting in one of the engine's queues: a byte per id, grown as
-   rules add nodes. *)
-type pending = { mutable marks : Bytes.t }
+(* One of the engine's two queues: a FIFO of ids in a ring buffer (a
+   power-of-two int array, doubled when full) and a byte per id marking
+   the ids waiting in it, grown as rules add nodes. A push stores one int
+   and a byte. *)
+type queue = {
+  mutable ring : int array;
+  mutable head : int;
+  mutable length : int;
+  mutable marks : Bytes.t;
+}
 
-let is_pending p id = id < Bytes.length p.marks && Bytes.get p.marks id <> '\000'
+let queue_create id_bound =
+  { ring = Array.make 64 0; head = 0; length = 0; marks = Bytes.make id_bound '\000' }
 
-let set_pending p id flag =
-  let len = Bytes.length p.marks in
+let is_pending q id = id < Bytes.length q.marks && Bytes.get q.marks id <> '\000'
+
+let set_pending q id flag =
+  let len = Bytes.length q.marks in
   if id >= len then begin
     let marks = Bytes.make (max (id + 1) (2 * len)) '\000' in
-    Bytes.blit p.marks 0 marks 0 len;
-    p.marks <- marks
+    Bytes.blit q.marks 0 marks 0 len;
+    q.marks <- marks
   end;
-  Bytes.set p.marks id (if flag then '\001' else '\000')
+  Bytes.set q.marks id (if flag then '\001' else '\000')
+
+let push q (id : int) =
+  set_pending q id true;
+  let cap = Array.length q.ring in
+  if q.length = cap then begin
+    let ring = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      ring.(i) <- q.ring.((q.head + i) land (cap - 1))
+    done;
+    q.ring <- ring;
+    q.head <- 0
+  end;
+  q.ring.((q.head + q.length) land (Array.length q.ring - 1)) <- id;
+  q.length <- q.length + 1
+
+let pop q =
+  let id = q.ring.(q.head) in
+  q.head <- (q.head + 1) land (Array.length q.ring - 1);
+  q.length <- q.length - 1;
+  set_pending q id false;
+  id
+
+(* Union of two ascending id lists. *)
+let union a b = List.sort_uniq Int.compare (List.rev_append a b)
 
 let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
   Obs.span ~cat:"transform" "worklist"
@@ -82,11 +116,12 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     | Some _ -> (Option.value r.prepare_seeded ~default:r.prepare) g
     | None -> r.prepare g
   in
-  let eager_rw = List.map (fun r -> (r.rname, fire_counter r, prep r)) eager in
-  let settled_rw =
-    List.map (fun r -> (r.rname, fire_counter r, prep r)) deferred
+  let arm rules =
+    Array.of_list (List.map (fun r -> (r.rname, fire_counter r, prep r)) rules)
   in
-  let have_settled = settled_rw <> [] in
+  let eager_rw = arm eager in
+  let settled_rw = arm deferred in
+  let have_settled = Array.length settled_rw > 0 in
   (* Two priority tiers. Eager rules (folding, CSE, forwarding, DCE) run
      from the high queue. Settled rules run from the low queue, which is
      popped only when the high queue is empty — i.e. when the eager rules
@@ -97,21 +132,36 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
      fire on transient counts inflated by not-yet-collected dead trees
      makes them rebuild chains that the next collection invalidates again,
      feeding CSE/DCE fresh dead trees forever. *)
-  let pending_hi = { marks = Bytes.make (G.id_bound g) '\000' } in
-  let pending_lo = { marks = Bytes.make (G.id_bound g) '\000' } in
-  let queue_hi = Queue.create () and queue_lo = Queue.create () in
+  let hi = queue_create (G.id_bound g) and lo = queue_create (G.id_bound g) in
   let enqueue id =
     if G.mem g id then begin
-      if not (is_pending pending_hi id) then begin
-        set_pending pending_hi id true;
-        Queue.add id queue_hi;
+      if not (is_pending hi id) then begin
+        push hi id;
         Obs.incr c_enqueues
       end;
-      if have_settled && not (is_pending pending_lo id) then begin
-        set_pending pending_lo id true;
-        Queue.add id queue_lo;
+      if have_settled && not (is_pending lo id) then begin
+        push lo id;
         Obs.incr c_enqueues
       end
+    end
+  in
+  (* A changed definition can enable rewrites of the node itself, of
+     everything reading it (data or order), and of its direct producers
+     (dead-store bypassing examines a store but keys on its consumer's
+     offset, so the enabling event lands on the consumer). Producers are
+     bounded by arity, so this stays O(degree). A lost use can enable
+     use-count-driven rewrites (DCE, dead-store, chain rebalancing) of the
+     producer alone — crucially NOT of its consumers, or a popular
+     constant would re-enqueue its whole fan-out on every removal. *)
+  let enqueue_consumer c _ = enqueue c in
+  let wake_def d =
+    enqueue d;
+    if G.mem g d then begin
+      G.iter_consumers g d enqueue_consumer;
+      G.iter_order_successors g d enqueue;
+      for port = 0 to G.arity_of g d - 1 do
+        enqueue (G.input g d port)
+      done
     end
   in
   (* Seed in topological order: producers are simplified before their
@@ -121,9 +171,12 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
   (match seed with
   | None -> List.iter enqueue (G.topo_order g)
   | Some ids ->
-    let wanted = List.fold_left (fun s id -> G.Id_set.add id s) G.Id_set.empty ids in
+    let wanted = Bytes.make (G.id_bound g) '\000' in
     List.iter
-      (fun id -> if G.Id_set.mem id wanted then enqueue id)
+      (fun id -> if id >= 0 && id < G.id_bound g then Bytes.set wanted id '\001')
+      ids;
+    List.iter
+      (fun id -> if Bytes.get wanted id <> '\000' then enqueue id)
       (G.topo_order g));
   let max_steps =
     match max_steps with
@@ -131,78 +184,62 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     | None -> 100 + ((if have_settled then 200 else 100) * G.node_count g)
   in
   let steps = ref 0 and rewrites = ref 0 and peak = ref 0 in
-  while not (Queue.is_empty queue_hi && Queue.is_empty queue_lo) do
+  let peak_hi = ref 0 and peak_lo = ref 0 in
+  (* Under [~verify] the journal is drained after every firing so the
+     verifier sees exactly the nodes that firing touched; the drained ids
+     are accumulated for the enqueue phase, which therefore behaves
+     identically with and without verification. *)
+  let verified_defs = ref [] and verified_uses = ref [] in
+  let visit rewriters id =
+    for i = 0 to Array.length rewriters - 1 do
+      let rname, fired, rw = rewriters.(i) in
+      if G.mem g id && rw id then begin
+        incr rewrites;
+        Obs.incr fired;
+        match verify with
+        | Some f ->
+          let defs, uses = G.drain_dirty g in
+          verified_defs := union !verified_defs defs;
+          verified_uses := union !verified_uses uses;
+          let touched =
+            List.fold_left
+              (fun s id -> G.Id_set.add id s)
+              G.Id_set.empty (List.rev_append defs uses)
+          in
+          run_verify f rname g touched
+        | None -> ()
+      end
+    done
+  in
+  while hi.length > 0 || lo.length > 0 do
     if !steps > max_steps then
       failwith
         (Printf.sprintf
            "worklist engine exceeded %d steps (diverging rewrite rules?)"
            max_steps);
-    peak := max !peak (Queue.length queue_hi + Queue.length queue_lo);
-    Obs.record_max c_peak_eager (Queue.length queue_hi);
-    Obs.record_max c_peak_settled (Queue.length queue_lo);
-    let id, rewriters =
-      if not (Queue.is_empty queue_hi) then begin
-        let id = Queue.pop queue_hi in
-        set_pending pending_hi id false;
-        (id, eager_rw)
-      end
-      else begin
-        let id = Queue.pop queue_lo in
-        set_pending pending_lo id false;
-        (id, settled_rw)
-      end
-    in
+    peak := max !peak (hi.length + lo.length);
+    peak_hi := max !peak_hi hi.length;
+    peak_lo := max !peak_lo lo.length;
+    let from_hi = hi.length > 0 in
+    let id = pop (if from_hi then hi else lo) in
     if G.mem g id then begin
       incr steps;
-      (* Under [~verify] the journal is drained after every firing so the
-         verifier sees exactly the nodes that firing touched; the drained
-         sets are accumulated for the enqueue phase below, which therefore
-         behaves identically with and without verification. *)
-      let def_acc = ref G.Id_set.empty and use_acc = ref G.Id_set.empty in
-      let drain_acc () =
-        let d, u = G.drain_dirty g in
-        def_acc := G.Id_set.union !def_acc d;
-        use_acc := G.Id_set.union !use_acc u;
-        G.Id_set.union d u
-      in
-      List.iter
-        (fun (rname, fired, rw) ->
-          if G.mem g id && rw id then begin
-            incr rewrites;
-            Obs.incr fired;
-            match verify with
-            | Some f ->
-              let touched = drain_acc () in
-              run_verify f rname g touched
-            | None -> ()
-          end)
-        rewriters;
+      visit (if from_hi then eager_rw else settled_rw) id;
       if debug then G.validate g;
-      let def_dirty, use_dirty =
-        ignore (drain_acc ());
-        (!def_acc, !use_acc)
-      in
-      (* A changed definition can enable rewrites of the node itself, of
-         everything reading it (data or order), and of its direct
-         producers (dead-store bypassing examines a store but keys on its
-         consumer's offset, so the enabling event lands on the consumer).
-         Producers are bounded by arity, so this stays O(degree). A lost
-         use can enable use-count-driven rewrites (DCE, dead-store, chain
-         rebalancing) of the producer alone — crucially NOT of its
-         consumers, or a popular constant would re-enqueue its whole
-         fan-out on every removal. *)
-      G.Id_set.iter
-        (fun d ->
-          enqueue d;
-          if G.mem g d then begin
-            G.iter_consumers g d (fun c _ -> enqueue c);
-            List.iter enqueue (G.order_successors g d);
-            List.iter enqueue (G.inputs g d)
-          end)
-        def_dirty;
-      G.Id_set.iter enqueue use_dirty
+      let defs, uses = G.drain_dirty g in
+      (match verify with
+      | Some _ ->
+        List.iter wake_def (union !verified_defs defs);
+        List.iter enqueue (union !verified_uses uses);
+        verified_defs := [];
+        verified_uses := []
+      | None ->
+        List.iter wake_def defs;
+        List.iter enqueue uses)
     end
   done;
+  Obs.record_max c_peak_eager !peak_hi;
+  Obs.record_max c_peak_settled !peak_lo;
   Obs.add c_steps !steps;
   Obs.add c_rewrites !rewrites;
   { steps = !steps; rewrites = !rewrites; peak_queue = !peak }

@@ -7,17 +7,28 @@ let associative = function
   | Op.Ge | Op.Eq | Op.Ne | Op.Land | Op.Lor ->
     false
 
-(* Collects the leaves of the maximal single-use chain of [op] rooted at
-   [id], left to right. Single use counts data edges only (named outputs
-   do not make a node a chain boundary: its value is unchanged by
-   rebalancing the root above it). *)
-let rec chain_leaves g op id ~is_root =
+(* Does [id] continue the single-use chain of [op]? Single use counts
+   data edges only (named outputs do not make a node a chain boundary:
+   its value is unchanged by rebalancing the root above it). *)
+let continues g op id ~is_root =
   match G.kind g id with
-  | G.Binop op' when op' = op && (is_root || G.data_use_count g id = 1) ->
-    let inputs = G.inputs g id in
-    let a = List.nth inputs 0 and b = List.nth inputs 1 in
-    chain_leaves g op a ~is_root:false @ chain_leaves g op b ~is_root:false
-  | _ -> [ id ]
+  | G.Binop op' -> op' = op && (is_root || G.data_use_count g id = 1)
+  | _ -> false
+
+(* The number of leaves of the maximal single-use chain of [op] rooted at
+   [id]. *)
+let rec count_leaves g op id ~is_root =
+  if continues g op id ~is_root then
+    count_leaves g op (G.input g id 0) ~is_root:false
+    + count_leaves g op (G.input g id 1) ~is_root:false
+  else 1
+
+(* The same chain's leaves, left to right, consed onto [acc]. *)
+let rec chain_leaves g op id ~is_root acc =
+  if continues g op id ~is_root then
+    chain_leaves g op (G.input g id 0) ~is_root:false
+      (chain_leaves g op (G.input g id 1) ~is_root:false acc)
+  else id :: acc
 
 let rec build_balanced g op leaves =
   match leaves with
@@ -49,22 +60,17 @@ let rec build_balanced g op leaves =
    undoes, forever). A guard at least as coarse as CSE's equivalence
    cannot fire on anything CSE can restore. *)
 let rec canonical_shape g op id ~is_root n =
-  let continues =
-    match G.kind g id with
-    | G.Binop op' -> op' = op && (is_root || G.data_use_count g id = 1)
-    | _ -> false
-  in
-  if n = 1 then not continues
-  else if not continues then false
+  let chained = continues g op id ~is_root in
+  if n = 1 then not chained
+  else if not chained then false
   else begin
-    let inputs = G.inputs g id in
-    let a = List.nth inputs 0 and b = List.nth inputs 1 in
+    let a = G.input g id 0 and b = G.input g id 1 in
     let mid = (n + 1) / 2 in
-    let split x y =
-      canonical_shape g op x ~is_root:false mid
-      && canonical_shape g op y ~is_root:false (n - mid)
-    in
-    split a b || (Op.commutative op && split b a)
+    (canonical_shape g op a ~is_root:false mid
+    && canonical_shape g op b ~is_root:false (n - mid))
+    || Op.commutative op
+       && canonical_shape g op b ~is_root:false mid
+       && canonical_shape g op a ~is_root:false (n - mid)
   end
 
 (* Rebalances the chain rooted at [id] into its canonical balanced shape. *)
@@ -85,10 +91,9 @@ let rebalance_root g id =
     in
     if is_chain_interior then false
     else begin
-      let leaves = chain_leaves g op id ~is_root:true in
-      let n = List.length leaves in
+      let n = count_leaves g op id ~is_root:true in
       if n > 2 && not (canonical_shape g op id ~is_root:true n) then begin
-        let root = build_balanced g op leaves in
+        let root = build_balanced g op (chain_leaves g op id ~is_root:true []) in
         G.replace_uses g id ~by:root;
         true
       end
@@ -108,19 +113,19 @@ let rebalance_root g id =
    rebalancing interleaves with collection at node granularity it keeps
    rebuilding chains whose boundaries were artifacts of dying nodes,
    handing CSE/DCE fresh duplicates forever (observed on fir-16). *)
+let rec root_of g id fuel =
+  if fuel <= 0 then id
+  else
+    match G.kind g id with
+    | G.Binop op when associative op -> (
+      let c = G.sole_consumer g id in
+      if c >= 0 && G.mem g c then
+        match G.kind g c with
+        | G.Binop op' when op' = op -> root_of g c (fuel - 1)
+        | _ -> id
+      else id)
+    | _ -> id
+
 let rule =
   Pass.settled "reassociate" (fun g id ->
-      let rec root_of id fuel =
-        if fuel <= 0 then id
-        else
-          match G.kind g id with
-          | G.Binop op when associative op -> (
-            let c = G.sole_consumer g id in
-            if c >= 0 && G.mem g c then
-              match G.kind g c with
-              | G.Binop op' when op' = op -> root_of c (fuel - 1)
-              | _ -> id
-            else id)
-          | _ -> id
-      in
-      rebalance_root g (root_of id (G.node_count g)))
+      rebalance_root g (root_of g id (G.node_count g)))

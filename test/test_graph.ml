@@ -102,7 +102,7 @@ let test_remove_order () =
   Alcotest.(check bool) "generation bumped" true (G.generation g > g0);
   Alcotest.(check bool) "topo recomputed" true (not (t0 == G.topo_order g));
   let def, _ = G.drain_dirty g in
-  Alcotest.(check bool) "consumer def-dirty" true (G.Id_set.mem st def);
+  Alcotest.(check bool) "consumer def-dirty" true (List.mem st def);
   Alcotest.(check (list int)) "edge gone" [ fe1 ] (G.order_after g st);
   Alcotest.(check (list int)) "reverse index consistent" []
     (G.order_successors g fe0);
@@ -318,17 +318,17 @@ let test_dirty_journal () =
   ignore (G.drain_dirty g);
   G.replace_uses g c1 ~by:c2;
   let def, use = G.drain_dirty g in
-  Alcotest.(check bool) "consumer def-dirty" true (G.Id_set.mem a def);
-  Alcotest.(check bool) "old producer use-dirty" true (G.Id_set.mem c1 use);
+  Alcotest.(check bool) "consumer def-dirty" true (List.mem a def);
+  Alcotest.(check bool) "old producer use-dirty" true (List.mem c1 use);
   let def2, use2 = G.drain_dirty g in
   Alcotest.(check bool) "second drain empty" true
-    (G.Id_set.is_empty def2 && G.Id_set.is_empty use2);
+    (def2 = [] && use2 = []);
   (* removing a node marks its producers use-dirty so a DCE cascade can
      re-examine them *)
   G.remove g a;
   let _, use3 = G.drain_dirty g in
   Alcotest.(check bool) "removal marks producers use-dirty" true
-    (G.Id_set.mem c2 use3)
+    (List.mem c2 use3)
 
 let test_topo_cache_generation () =
   let g = G.create "t" in

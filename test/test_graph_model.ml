@@ -322,9 +322,229 @@ let test_interleaved_merge () =
   replace d ~by:b;
   Graph.validate g
 
+(* {2 Hubs}
+
+   A hub is a producer with thousands of data uses. Its index entries take
+   paths a short list rarely does: dead entries left in place by deletes,
+   entries appended by [replace_uses] merges and by rewiring, and the
+   restores of sorted order once either grows. Each script starts from
+   [hub_uses] uses of one constant, read on every port of consumers of
+   every arity, and interleaves [remove], [set_inputs], [replace_uses]
+   into and out of the hub, new uses and [drain_dirty]. The model keeps
+   each live node's inputs in an id-indexed array (so a producer's
+   consumers come out of one ascending scan) and the journal the
+   documented semantics predict. *)
+
+let hub_uses = 1200
+
+type hub_model = {
+  mutable hins : Graph.id array option array;  (* inputs of live ids *)
+  mutable hdefs : Graph.Id_set.t;  (* expected def-dirty ids *)
+  mutable huses : Graph.Id_set.t;  (* expected use-dirty ids *)
+}
+
+let h_live h =
+  let acc = ref [] in
+  for id = Array.length h.hins - 1 downto 0 do
+    if h.hins.(id) <> None then acc := id :: !acc
+  done;
+  !acc
+
+let h_consumers h p =
+  let acc = ref [] in
+  Array.iteri
+    (fun cid ins ->
+      match ins with
+      | Some ins ->
+        Array.iteri (fun port i -> if i = p then acc := (cid, port) :: !acc) ins
+      | None -> ())
+    h.hins;
+  List.rev !acc
+
+let h_add g h kind inputs =
+  let id = Graph.add g kind inputs in
+  if id >= Array.length h.hins then begin
+    let hins = Array.make (2 * (id + 1)) None in
+    Array.blit h.hins 0 hins 0 (Array.length h.hins);
+    h.hins <- hins
+  end;
+  h.hins.(id) <- Some (Array.of_list inputs);
+  h.hdefs <- Graph.Id_set.add id h.hdefs;
+  id
+
+(* The hub, four other constants, and consumers reading the hub on
+   every port shape until it has [hub_uses] uses. *)
+let hub_setup () =
+  let g = Graph.create "hub" in
+  let h =
+    { hins = [||]; hdefs = Graph.Id_set.empty; huses = Graph.Id_set.empty }
+  in
+  let hub = h_add g h (Graph.Const 0) [] in
+  let others = List.init 4 (fun i -> h_add g h (Graph.Const (i + 1)) []) in
+  let uses = ref 0 and i = ref 0 in
+  while !uses < hub_uses do
+    let other = List.nth others (!i mod 4) in
+    let kind, inputs, n =
+      match !i mod 4 with
+      | 0 -> (Graph.Unop Op.Neg, [ hub ], 1)
+      | 1 -> (Graph.Binop Op.Add, [ hub; other ], 1)
+      | 2 -> (Graph.Binop Op.Sub, [ other; hub ], 1)
+      | _ -> (Graph.Mux, [ other; hub; hub ], 2)
+    in
+    ignore (h_add g h kind inputs);
+    uses := !uses + n;
+    incr i
+  done;
+  (g, h, hub :: others)
+
+let hub_step ~at g h producers code =
+  let op = code mod 10 and r = code / 10 in
+  let live = h_live h in
+  let consumers = List.filter (fun id -> not (List.mem id producers)) live in
+  let pick xs k = List.nth xs (k mod List.length xs) in
+  match op with
+  | 0 | 1 | 2 | 3 ->
+    (* remove a consumer: every consumer is unused *)
+    if consumers <> [] then begin
+      let n = pick consumers r in
+      Graph.remove g n;
+      Array.iter
+        (fun p -> h.huses <- Graph.Id_set.add p h.huses)
+        (Option.get h.hins.(n));
+      h.hins.(n) <- None
+    end
+  | 4 | 5 ->
+    (* rewire a consumer onto constants drawn from the producers *)
+    if consumers <> [] then begin
+      let n = pick consumers r in
+      let old = Option.get h.hins.(n) in
+      let ins = Array.mapi (fun k _ -> pick producers (r / (5 + k))) old in
+      Graph.set_inputs g n (Array.to_list ins);
+      Array.iter (fun p -> h.huses <- Graph.Id_set.add p h.huses) old;
+      h.hdefs <- Graph.Id_set.add n h.hdefs;
+      h.hins.(n) <- Some ins
+    end
+  | 6 | 7 ->
+    (* merge one producer's uses into another: into the hub (6), or the
+       hub's whole list onto another constant (7) *)
+    let old, by =
+      if op = 6 then (pick (List.tl producers) r, List.hd producers)
+      else (List.hd producers, pick (List.tl producers) r)
+    in
+    Graph.replace_uses g old ~by;
+    List.iter
+      (fun (c, port) ->
+        (Option.get h.hins.(c)).(port) <- by;
+        h.hdefs <- Graph.Id_set.add c h.hdefs)
+      (h_consumers h old);
+    h.huses <- Graph.Id_set.add old h.huses
+  | 8 ->
+    let p = pick producers r and q = pick producers (r / 5) in
+    ignore
+      (h_add g h
+         (if r mod 2 = 0 then Graph.Unop Op.Neg else Graph.Binop Op.Add)
+         (if r mod 2 = 0 then [ p ] else [ p; q ]))
+  | _ ->
+    let defs, uses = Graph.drain_dirty g in
+    let expected s = Graph.Id_set.elements s in
+    if defs <> expected h.hdefs || uses <> expected h.huses then
+      fail "step %d: drain_dirty: defs [%s] uses [%s], model defs [%s] uses [%s]"
+        at
+        (String.concat "," (List.map string_of_int defs))
+        (String.concat "," (List.map string_of_int uses))
+        (String.concat "," (List.map string_of_int (expected h.hdefs)))
+        (String.concat "," (List.map string_of_int (expected h.huses)));
+    h.hdefs <- Graph.Id_set.empty;
+    h.huses <- Graph.Id_set.empty
+
+let check_producers ~at g h producers =
+  List.iter
+    (fun p ->
+      let consumers = h_consumers h p in
+      if Graph.consumers_of g p <> consumers then
+        fail "step %d: consumers_of hub %d" at p;
+      let seen = ref [] in
+      Graph.iter_consumers g p (fun c port -> seen := (c, port) :: !seen);
+      if List.rev !seen <> consumers then
+        fail "step %d: iter_consumers hub %d" at p;
+      let n = List.length consumers in
+      if Graph.data_use_count g p <> n || Graph.use_count g p <> n then
+        fail "step %d: use counts of hub %d: %d/%d, model %d" at p
+          (Graph.data_use_count g p) (Graph.use_count g p) n;
+      let sole = match consumers with [ (c, _) ] -> c | _ -> -1 in
+      if Graph.sole_consumer g p <> sole then
+        fail "step %d: sole_consumer of hub %d: graph %d, model %d" at p
+          (Graph.sole_consumer g p) sole)
+    producers;
+  match Graph.index_errors g with
+  | [] -> ()
+  | e :: _ -> fail "step %d: index_errors: %s" at e
+
+let prop_hub codes =
+  let g, h, producers = hub_setup () in
+  if Graph.data_use_count g (List.hd producers) < 1000 then
+    fail "the hub has only %d uses" (Graph.data_use_count g (List.hd producers));
+  check_producers ~at:(-1) g h producers;
+  List.iteri
+    (fun at code ->
+      hub_step ~at g h producers code;
+      check_producers ~at g h producers)
+    codes;
+  Graph.validate g;
+  let c = Graph.copy g in
+  Graph.freeze c;
+  check_producers ~at:(-2) c h producers;
+  true
+
+(* Not shrunk: a script replays 1,200 uses per step, so shrinking a
+   failing one takes minutes; the failure names its step instead. *)
+let qcheck_hub =
+  QCheck_alcotest.to_alcotest
+    (Q.Test.make ~count:12 ~name:"hub index agrees with model"
+       (Q.set_shrink Q.Shrink.nil
+          (Q.list_of_size (Q.Gen.int_range 50 400) (Q.int_bound 1_000_000)))
+       prop_hub)
+
+(* Readers of a frozen graph never write: with the hub's list holding
+   dead entries and unsorted appends, [copy], [validate] and
+   [topo_order] succeed and leave what the graph reads as, and its
+   marshalled bytes, unchanged. *)
+let test_frozen_hub () =
+  let g = Graph.create "frozen-hub" in
+  let hub = Graph.add g (Graph.Const 0) [] and alt = Graph.add g (Graph.Const 1) [] in
+  (* hub readers at even positions, [alt] readers between them *)
+  let readers =
+    List.init 1200 (fun i ->
+        Graph.add g (Graph.Unop Op.Neg) [ (if i mod 40 = 1 then alt else hub) ])
+  in
+  (* dead entries: a few hub readers go *)
+  List.iteri (fun i id -> if i mod 40 = 10 then Graph.remove g id) readers;
+  (* appends: [alt]'s readers interleave with the hub's *)
+  Graph.replace_uses g alt ~by:hub;
+  Graph.validate g;
+  Graph.freeze g;
+  let image = Marshal.to_string g [] in
+  let consumers = Graph.consumers_of g hub in
+  let bytes = Serialize.to_string g in
+  if List.length consumers <> 1200 - 30 then
+    Alcotest.failf "hub has %d uses" (List.length consumers);
+  let c = Graph.copy g in
+  Graph.validate g;
+  ignore (Graph.topo_order g);
+  Alcotest.(check bool) "consumers_of unchanged" true
+    (Graph.consumers_of g hub = consumers);
+  Alcotest.(check string) "serialisation unchanged" bytes (Serialize.to_string g);
+  Alcotest.(check bool) "copy reads the same uses" true
+    (Graph.consumers_of c hub = consumers);
+  Alcotest.(check string) "copy serialises the same" bytes (Serialize.to_string c);
+  Alcotest.(check bool) "no reader wrote to the graph" true
+    (String.equal image (Marshal.to_string g []))
+
 let suite =
   [
     qcheck_model;
     Alcotest.test_case "directed churn script" `Quick test_directed_churn;
     Alcotest.test_case "interleaved merge" `Quick test_interleaved_merge;
+    qcheck_hub;
+    Alcotest.test_case "frozen hub reads write nothing" `Quick test_frozen_hub;
   ]

@@ -343,6 +343,29 @@ let each_rule_preserves =
           Cdfg.Eval.equal_result before after)
         T.Simplify.extended_rules)
 
+(* A worklist step whose node no rule rewrites allocates nothing: a
+   second run over a minimised graph fires no rule, so its allocation is
+   the run's fixed set-up (queues, rule closures, the span). CSE is left
+   out because it stores one key per node on that node's first visit.
+   The set-up comes to about one word per step here; the bound is a
+   small fraction of what a step allocated when the rules built node
+   records and the engine built input and successor lists. *)
+let test_idle_steps_allocate_nothing () =
+  let g = build (Fpfa_kernels.Kernels.matmul ~n:6).Fpfa_kernels.Kernels.source in
+  ignore (T.Simplify.minimize g);
+  let rules =
+    List.filter
+      (fun r -> not (String.equal r.T.Pass.rname "cse"))
+      T.Simplify.default_rules
+  in
+  let before = Gc.minor_words () in
+  let report = T.Pass.run_worklist rules g in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "nothing fires" 0 report.T.Pass.rewrites;
+  if words > 4.0 *. float_of_int report.T.Pass.steps then
+    Alcotest.failf "%.0f minor words over %d idle steps" words
+      report.T.Pass.steps
+
 let suite =
   [
     Alcotest.test_case "const fold binop" `Quick test_const_fold_binop;
@@ -366,6 +389,8 @@ let suite =
     Alcotest.test_case "hoist nested" `Quick test_hoist_nested_same_condition;
     Alcotest.test_case "FIR Fig.3 shape" `Quick test_fir_fig3_shape;
     Alcotest.test_case "simplify never grows" `Quick test_simplify_never_grows;
+    Alcotest.test_case "idle steps allocate nothing" `Quick
+      test_idle_steps_allocate_nothing;
     QCheck_alcotest.to_alcotest simplify_preserves_semantics;
     QCheck_alcotest.to_alcotest each_rule_preserves;
     QCheck_alcotest.to_alcotest fixpoint_on_programs;
