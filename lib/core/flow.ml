@@ -2,6 +2,7 @@ module Arch = Fpfa_arch.Arch
 module Obs = Fpfa_obs.Obs
 
 let c_maps = Obs.counter "flow.maps"
+let c_cluster_reused = Obs.counter "flow.cluster_reused"
 
 type config = {
   tile : Arch.tile;
@@ -192,8 +193,15 @@ module Staged = struct
       (Cdfg.Graph.t
       * Transform.Simplify.report
       * Transform.Bitopt.report
-      * Transform.Disambig.report)
+      * Transform.Disambig.report
+      * (config * Mapping.Cluster.t) option Atomic.t)
       option;
+        (** the minimised graph, its reports, and the last clustering
+            computed from the graph with the config it ran under. The
+            cell is shared by every value [rewind] derives while it keeps
+            [s_min], so tile points that leave the ALU data path alone
+            cluster once; it is atomic because rewinds of one frozen
+            checkpoint advance on several domains. *)
     s_clustering : Mapping.Cluster.t option;
     s_schedule : Mapping.Sched.t option;
     s_alloc : (Mapping.Job.t * Mapping.Metrics.t) option;
@@ -210,7 +218,10 @@ module Staged = struct
   let config s = s.s_config
   let raw_graph s = s.s_raw
 
-  let of_func ~config func =
+  (* Unroll and build. [source] is what [to_result] reports: the caller's
+     text, or (when [None]) the unrolled function rendered back to C for
+     {!conforms_to_interp} and {!audit} to re-parse. *)
+  let front ~config ?source func =
     let func =
       stage "unroll" (fun () ->
           Cfront.Unroll.unroll_func ~max_iterations:config.max_unroll func)
@@ -221,7 +232,10 @@ module Staged = struct
     in
     {
       s_config = config;
-      s_source = Cfront.Ast.program_to_string [ func ];
+      s_source =
+        (match source with
+        | Some source -> source
+        | None -> Cfront.Ast.program_to_string [ func ]);
       s_func = func;
       s_raw = raw;
       s_min = None;
@@ -229,6 +243,8 @@ module Staged = struct
       s_schedule = None;
       s_alloc = None;
     }
+
+  let of_func ~config func = front ~config func
 
   let of_source ~config ?(func = "main") source =
     let program = stage "parse" (fun () -> Cfront.Parser.parse_program source) in
@@ -243,7 +259,7 @@ module Staged = struct
       | None ->
         raise (Flow_error (Printf.sprintf "no function %s in source" func))
     in
-    { (of_func ~config f) with s_source = source }
+    front ~config ~source f
 
   let of_graph ~config g =
     let raw = Cdfg.Graph.copy g in
@@ -322,8 +338,32 @@ module Staged = struct
     (match pool with Some _ -> Cdfg.Graph.freeze graph | None -> ());
     {
       s with
-      s_min = Some (graph, simplify_report, bitopt_report, disambig_report);
+      s_min =
+        Some
+          ( graph,
+            simplify_report,
+            bitopt_report,
+            disambig_report,
+            Atomic.make None );
     }
+
+  (* What each phase reads from the config. [cluster_with] is a closure,
+     so it compares physically: configs that share the field value
+     (variant records, [{c with tile = ...}] updates) rewind precisely, a
+     freshly built closure conservatively re-runs. *)
+  let same_frontend a b =
+    a.max_unroll = b.max_unroll && a.delete_locals = b.delete_locals
+
+  let same_minimise a b =
+    a.verify_each = b.verify_each
+    && a.disambiguate = b.disambiguate
+    && a.bitopt = b.bitopt
+    && a.bitopt_width = b.bitopt_width
+    && a.renumber = b.renumber
+
+  let same_cluster a b = a.cluster_with == b.cluster_with && caps_of a = caps_of b
+  let same_schedule a b = a.tile.Arch.alu_count = b.tile.Arch.alu_count
+  let same_alloc a b = a.alloc_options = b.alloc_options && a.tile = b.tile
 
   (* Each validator only reads the artifact the preceding stage produced,
      so it can run concurrently with the stage that consumes the same
@@ -333,10 +373,20 @@ module Staged = struct
     match phase s with
     | Built -> minimise ?pool s
     | Minimised ->
-      let graph, _, _, _ = Option.get s.s_min in
-      let caps = caps_of s.s_config in
+      let config = s.s_config in
+      let graph, _, _, _, clustered = Option.get s.s_min in
       let clustering =
-        stage "cluster" (fun () -> s.s_config.cluster_with ~caps graph)
+        match Atomic.get clustered with
+        | Some (earlier, clustering) when same_cluster earlier config ->
+          Obs.incr c_cluster_reused;
+          clustering
+        | _ ->
+          let clustering =
+            stage "cluster" (fun () ->
+                config.cluster_with ~caps:(caps_of config) graph)
+          in
+          Atomic.set clustered (Some (config, clustering));
+          clustering
       in
       { s with s_clustering = Some clustering }
     | Clustered ->
@@ -386,7 +436,7 @@ module Staged = struct
 
   let to_result s =
     match (s.s_min, s.s_clustering, s.s_schedule, s.s_alloc) with
-    | ( Some (graph, simplify_report, bitopt_report, disambig_report),
+    | ( Some (graph, simplify_report, bitopt_report, disambig_report, _),
         Some clustering,
         Some schedule,
         Some (job, metrics) ) ->
@@ -410,24 +460,6 @@ module Staged = struct
                             completion first"
               (phase_name (phase s))))
 
-  (* What each phase reads from the config. [cluster_with] is a closure,
-     so it compares physically: configs that share the field value
-     (variant records, [{c with tile = ...}] updates) rewind precisely, a
-     freshly built closure conservatively re-runs. *)
-  let same_frontend a b =
-    a.max_unroll = b.max_unroll && a.delete_locals = b.delete_locals
-
-  let same_minimise a b =
-    a.verify_each = b.verify_each
-    && a.disambiguate = b.disambiguate
-    && a.bitopt = b.bitopt
-    && a.bitopt_width = b.bitopt_width
-    && a.renumber = b.renumber
-
-  let same_cluster a b = a.cluster_with == b.cluster_with && caps_of a = caps_of b
-  let same_schedule a b = a.tile.Arch.alu_count = b.tile.Arch.alu_count
-  let same_alloc a b = a.alloc_options = b.alloc_options && a.tile = b.tile
-
   let rewind s ~config =
     let old = s.s_config in
     if not (same_frontend old config) then None
@@ -449,7 +481,7 @@ module Staged = struct
 
   let freeze s =
     Cdfg.Graph.freeze s.s_raw;
-    match s.s_min with Some (g, _, _, _) -> Cdfg.Graph.freeze g | None -> ()
+    match s.s_min with Some (g, _, _, _, _) -> Cdfg.Graph.freeze g | None -> ()
 end
 
 let map_func ?pool ?(config = default_config) func =

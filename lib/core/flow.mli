@@ -145,7 +145,11 @@ module Staged : sig
       {!Cdfg.Serialize.digest} keys the content-addressed cache on. *)
 
   val advance : ?pool:Fpfa_exec.Pool.t -> t -> t
-  (** Runs exactly the next phase (no-op at [Allocated]). *)
+  (** Runs exactly the next phase (no-op at [Allocated]). From
+      [Minimised] it returns the stored clustering when one was computed
+      under the same [cluster_with] and ALU data path (see {!rewind});
+      such a hit records no ["cluster"] span and bumps the Obs counter
+      ["flow.cluster_reused"]. *)
 
   val run : ?pool:Fpfa_exec.Pool.t -> t -> t
   (** Advances to [Allocated]. Starting from [Built] this is precisely
@@ -165,13 +169,35 @@ module Staged : sig
       stale, start over with [of_source]. The closure field
       [cluster_with] compares physically, so sharing the field value
       rewinds precisely and a fresh closure conservatively re-runs from
-      that phase. *)
+      that phase.
+
+      Re-entry points, one knob at a time: the move window, the bus
+      count or [alloc_options] re-enter at [Scheduled]; the ALU count at
+      [Clustered]; [caps] (or the tile's ALU when [caps] is [None]) or
+      [cluster_with] at [Minimised]; [bitopt], [bitopt_width],
+      [disambiguate], [renumber] or [verify_each] at [Built].
+
+      A minimised checkpoint carries one clustering cell: the last
+      clustering computed from its minimised graph, with the config it
+      ran under. Every value derived by [rewind] while it keeps the
+      minimised graph shares that cell, so advancing any of them from
+      [Minimised] under the same [cluster_with] and ALU data path reuses
+      the clustering instead of computing it again; a miss clusters and
+      replaces the cell's contents. The cell is made, empty, with the
+      minimised graph, so values from {!of_source}, {!of_func} and
+      {!of_graph}, and a rewind that drops the minimised graph, start
+      with none. *)
 
   val freeze : t -> unit
   (** Freezes the raw and minimised graphs ({!Cdfg.Graph.freeze}) so
       the value can be shared read-only across domains — what the serve
       daemon does before caching. Later rewinds still work: re-run phases
-      copy the raw graph, never mutate it. *)
+      copy the raw graph, never mutate it. The one thing a frozen value
+      still writes is its clustering cell (see {!rewind}): it is an
+      [Atomic.t], so rewinds of one frozen checkpoint may advance on
+      several domains at once. They map to the same bytes as a
+      sequential run, and when they all keep the ALU data path each
+      domain clusters at most once. *)
 end
 
 val audit :

@@ -51,8 +51,9 @@ let errorf fmt = Format.kasprintf (fun msg -> raise (Sweep_error msg)) fmt
 let run ?pool ?(config = Flow.default_config) ?base ?func ?(verify = false)
     ?(memory_init = []) ~source points =
   let map_point point =
-    Obs.span ~cat:"sweep"
-      (Printf.sprintf "point:%s=%d" (axis_name point.axis) point.value)
+    Obs.span ~cat:"sweep" "point"
+      ~args:
+        [ ("axis", Obs.Str (axis_name point.axis)); ("value", Obs.Int point.value) ]
     @@ fun () ->
     let config = { config with Flow.tile = tile_of ?base point } in
     let result =

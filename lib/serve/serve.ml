@@ -192,9 +192,8 @@ let variant_of req =
 
 (* The request's flow config plus the fingerprint that, joined with the
    CDFG digest, keys the mapping cache. Variant configs are module-level
-   values, so their closure fields ([simplify], [cluster_with]) stay
-   physically equal across requests — exactly what [Staged.rewind]
-   compares with. *)
+   values, so their closure field [cluster_with] stays physically equal
+   across requests — exactly what [Staged.rewind] compares with. *)
 let config_of req =
   let v = variant_of req in
   let config = v.Baseline.config in
@@ -469,8 +468,10 @@ let values_of req =
       vs
 
 (* Sweep by rewinding one minimised checkpoint per point: the front end
-   and minimisation run once, each point re-enters at clustering (or
-   later, when only the move window changed). Rows match Sweep.run. *)
+   and minimisation run once, and each point re-enters at clustering.
+   A tile point leaves the ALU data path alone, so the points reuse the
+   checkpoint's one clustering (at most one per pool domain). Rows match
+   Sweep.run. *)
 let op_sweep ?pool req =
   let program = program_of req in
   let config, _ = config_of req in

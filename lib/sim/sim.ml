@@ -336,11 +336,11 @@ let run ?(memory_init = []) ?trace_out ?on_event (job : Job.t) =
         Obs.span ~cat:"sim"
           ~args:
             [
+              ("index", Obs.Int index);
               ("alu", Obs.Int (List.length cycle.Job.alu));
               ("moves", Obs.Int (List.length cycle.Job.moves));
             ]
-          ("cycle " ^ string_of_int index)
-          exec_cycle
+          "cycle" exec_cycle
       else exec_cycle ())
     job.Job.cycles;
   Obs.add c_cycles (Array.length job.Job.cycles);

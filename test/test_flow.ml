@@ -134,6 +134,163 @@ let test_unroll_budget_respected () =
   | exception Flow.Flow_error _ -> ()
   | _ -> Alcotest.fail "unroll budget ignored"
 
+(* {2 Staged compilation} *)
+
+module Staged = Flow.Staged
+module Arch = Fpfa_arch.Arch
+
+let job_bytes (r : Flow.result) = Mapping.Encode.to_string r.Flow.job
+let source_of name = (Fpfa_kernels.Kernels.find name).Fpfa_kernels.Kernels.source
+
+let phase_name = function
+  | Some s -> Staged.phase_name (Staged.phase s)
+  | None -> "none"
+
+(* From a finished corpus checkpoint, each knob on its own re-enters at
+   the phase [Staged.rewind] documents, and the rewound run maps to the
+   bytes of a cold compile under the new config. *)
+let test_rewind_reentry () =
+  let source = source_of "mavg-4-6" in
+  let base = Staged.run (Staged.of_source ~config:Flow.default_config source) in
+  Alcotest.(check string) "base" "allocated" (phase_name (Some base));
+  let d = Flow.default_config in
+  let cases =
+    [
+      ("window", { d with Flow.tile = Arch.with_move_window 2 d.Flow.tile }, "scheduled");
+      ("buses", { d with Flow.tile = Arch.with_buses 4 d.Flow.tile }, "scheduled");
+      ( "alloc_options",
+        {
+          d with
+          Flow.alloc_options =
+            { d.Flow.alloc_options with Mapping.Alloc.forwarding = true };
+        },
+        "scheduled" );
+      ("alus", { d with Flow.tile = Arch.with_alu_count 3 d.Flow.tile }, "clustered");
+      ("caps", { d with Flow.caps = Some Arch.unit_alu }, "minimised");
+      ( "cluster_with",
+        { d with Flow.cluster_with = (fun ~caps g -> Mapping.Cluster.sarkar ~caps g) },
+        "minimised" );
+      ("bitopt", { d with Flow.bitopt = false }, "built");
+      ("bitopt_width", { d with Flow.bitopt_width = 8 }, "built");
+      ("disambiguate", { d with Flow.disambiguate = false }, "built");
+      ("renumber", { d with Flow.renumber = true }, "built");
+      ("verify_each", { d with Flow.verify_each = true }, "built");
+      ("max_unroll", { d with Flow.max_unroll = 100 }, "none");
+      ("delete_locals", { d with Flow.delete_locals = true }, "none");
+    ]
+  in
+  List.iter
+    (fun (knob, config, want) ->
+      let rewound = Staged.rewind base ~config in
+      Alcotest.(check string) (knob ^ " re-enters") want (phase_name rewound);
+      Option.iter
+        (fun s ->
+          Alcotest.(check string) (knob ^ " job bytes")
+            (job_bytes (Flow.map_source ~config source))
+            (job_bytes (Staged.to_result (Staged.run s))))
+        rewound)
+    cases
+
+(* A [cluster_with] that counts its calls, domain-safely. *)
+let counting_cluster () =
+  let calls = Atomic.make 0 in
+  ((fun ~caps g -> Atomic.incr calls; Mapping.Cluster.run ~caps g), calls)
+
+let tile_at (alus, buses, window) =
+  Arch.paper_tile |> Arch.with_alu_count alus |> Arch.with_buses buses
+  |> Arch.with_move_window window
+
+(* Tile points leave the ALU data path alone, so the rewinds of one
+   minimised checkpoint cluster once; a caps change clusters again. A
+   reused clustering records no "cluster" span and bumps
+   "flow.cluster_reused". *)
+let test_rewinds_reuse_clustering () =
+  let source = source_of "fir-16" in
+  let cluster_with, calls = counting_cluster () in
+  let config = { Flow.default_config with Flow.cluster_with } in
+  let base = Staged.advance (Staged.of_source ~config source) in
+  Alcotest.(check string) "checkpoint" "minimised" (phase_name (Some base));
+  let points =
+    [ (3, 2, 1); (4, 4, 2); (5, 10, 4); (8, 16, 6); (3, 16, 3); (5, 6, 1) ]
+  in
+  let module Obs = Fpfa_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let rewound =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        List.map
+          (fun p ->
+            let config = { config with Flow.tile = tile_at p } in
+            let s = Option.get (Staged.rewind base ~config) in
+            Alcotest.(check string) "tile point re-enters" "minimised"
+              (phase_name (Some s));
+            (p, job_bytes (Staged.to_result (Staged.run s))))
+          points)
+  in
+  let cluster_spans =
+    List.length
+      (List.filter
+         (fun (sp : Obs.finished_span) ->
+           sp.Obs.scat = "flow" && sp.Obs.sname = "cluster")
+         (Obs.spans ()))
+  in
+  let reused =
+    Option.value ~default:0
+      (List.assoc_opt "flow.cluster_reused" (Obs.counters ()))
+  in
+  Obs.reset ();
+  Alcotest.(check int) "clustered once" 1 (Atomic.get calls);
+  Alcotest.(check int) "one cluster span" 1 cluster_spans;
+  Alcotest.(check int) "five reuses" 5 reused;
+  List.iter
+    (fun (p, bytes) ->
+      let cold = { Flow.default_config with Flow.tile = tile_at p } in
+      Alcotest.(check string) "job bytes"
+        (job_bytes (Flow.map_source ~config:cold source))
+        bytes)
+    rewound;
+  let config = { config with Flow.caps = Some Arch.unit_alu } in
+  let s = Option.get (Staged.rewind base ~config) in
+  ignore (Staged.run s);
+  Alcotest.(check int) "a caps change clusters again" 2 (Atomic.get calls)
+
+(* The remap grid from one frozen checkpoint on a 4-domain pool: the
+   same bytes as a sequential run, and at most one clustering per
+   domain. *)
+let test_pool_rewinds_share_clustering () =
+  let source = source_of "fir-16" in
+  let grid =
+    List.concat_map
+      (fun a ->
+        List.concat_map
+          (fun b -> List.map (fun w -> (a, b, w)) [ 1; 2; 3; 4; 6 ])
+          [ 2; 4; 6; 10; 16 ])
+      [ 3; 4; 5; 8 ]
+  in
+  let sweep pool =
+    let cluster_with, calls = counting_cluster () in
+    let config = { Flow.default_config with Flow.cluster_with } in
+    let base = Staged.advance (Staged.of_source ~config source) in
+    Staged.freeze base;
+    let bytes =
+      Fpfa_exec.Pool.maybe pool
+        (fun p ->
+          let config = { config with Flow.tile = tile_at p } in
+          let s = Option.get (Staged.rewind base ~config) in
+          job_bytes (Staged.to_result (Staged.run s)))
+        grid
+    in
+    (bytes, Atomic.get calls)
+  in
+  let seq, seq_calls = sweep None in
+  let par, par_calls =
+    Fpfa_exec.Pool.with_pool ~jobs:4 (fun pool -> sweep (Some pool))
+  in
+  Alcotest.(check int) "sequential clusters once" 1 seq_calls;
+  Alcotest.(check bool) "pool clusters at most once per domain" true
+    (par_calls >= 1 && par_calls <= 4);
+  Alcotest.(check (list string)) "pool bytes = sequential bytes" seq par
+
 (* Property: the complete flow verifies on random mappable programs — the
    headline invariant of the whole library. The reference interpreter, the
    CDFG evaluator before and after minimisation and the tile simulator
@@ -175,6 +332,11 @@ let suite =
     Alcotest.test_case "missing function" `Quick test_missing_function;
     Alcotest.test_case "map_graph" `Quick test_map_graph_entry;
     Alcotest.test_case "unroll budget" `Quick test_unroll_budget_respected;
+    Alcotest.test_case "rewind re-entry" `Quick test_rewind_reentry;
+    Alcotest.test_case "rewinds reuse clustering" `Quick
+      test_rewinds_reuse_clustering;
+    Alcotest.test_case "pool rewinds share clustering" `Quick
+      test_pool_rewinds_share_clustering;
     QCheck_alcotest.to_alcotest flow_verifies_random_programs;
     QCheck_alcotest.to_alcotest flow_verifies_random_graphs;
   ]

@@ -302,8 +302,12 @@ let test_chrome_trace_kernel () =
       Alcotest.(check bool) ("stage span: " ^ stage) true
         (contains json (Printf.sprintf "{\"name\":\"%s\"" stage)))
     [ "parse"; "simplify"; "cluster"; "schedule"; "allocate"; "verify" ];
+  (* one span name for every cycle, so --stats prints one sim/cycle row;
+     the index travels as an attribute *)
   Alcotest.(check bool) "sim cycle span" true
-    (contains json "{\"name\":\"cycle 0\"");
+    (contains json "{\"name\":\"cycle\",\"cat\":\"sim\"");
+  Alcotest.(check bool) "sim cycle index" true
+    (contains json "\"args\":{\"index\":0,");
   Alcotest.(check bool) "complete events" true (contains json "\"ph\":\"X\"");
   Alcotest.(check bool) "counter events" true (contains json "\"ph\":\"C\"");
   Alcotest.(check bool) "counter: sim.moves" true
