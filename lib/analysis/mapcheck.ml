@@ -116,18 +116,21 @@ let cluster ?(caps = Arch.paper_alu) (c : Cluster.t) =
   in
   G.iter g (fun n ->
       match n.G.kind with
-      | G.Binop _ | G.Unop _ | G.Mux | G.St _ | G.Del _ -> (
-        match Hashtbl.find_opt c.Cluster.cluster_of n.G.id with
-        | None ->
+      | G.Binop _ | G.Unop _ | G.Mux | G.St _ | G.Del _ ->
+        let cid =
+          if n.G.id < Array.length c.Cluster.cluster_of then
+            c.Cluster.cluster_of.(n.G.id)
+          else -1
+        in
+        if cid < 0 then
           add
             (D.error ~node:n.G.id "cluster.coverage"
                "node %d belongs to no cluster" n.G.id)
-        | Some cid ->
-          if not (listed cid n.G.id) then
-            add
-              (D.error ~node:n.G.id "cluster.coverage"
-                 "node %d maps to cluster %d, which does not list it" n.G.id
-                 cid))
+        else if not (listed cid n.G.id) then
+          add
+            (D.error ~node:n.G.id "cluster.coverage"
+               "node %d maps to cluster %d, which does not list it" n.G.id
+               cid)
       | _ -> ());
   (* Cluster dependence relation must be a DAG (weight-0 cycles would
      require two clusters in the same level to precede each other). *)

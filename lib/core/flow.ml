@@ -365,10 +365,11 @@ module Staged = struct
   let same_schedule a b = a.tile.Arch.alu_count = b.tile.Arch.alu_count
   let same_alloc a b = a.alloc_options = b.alloc_options && a.tile = b.tile
 
-  (* Each validator only reads the artifact the preceding stage produced,
-     so it can run concurrently with the stage that consumes the same
-     artifact: cluster-validate with schedule, schedule-validate with
-     allocate. *)
+  (* A clustering is validated once, where it is computed and before it
+     is published to the shared cell, so the rewinds that reuse it skip
+     the check and a failed one is never shared. The schedule validator
+     only reads the schedule, so it runs concurrently with the allocation
+     that consumes it. *)
   let advance ?pool s =
     match phase s with
     | Built -> minimise ?pool s
@@ -381,26 +382,22 @@ module Staged = struct
           Obs.incr c_cluster_reused;
           clustering
         | _ ->
+          let caps = caps_of config in
           let clustering =
-            stage "cluster" (fun () ->
-                config.cluster_with ~caps:(caps_of config) graph)
+            stage "cluster" (fun () -> config.cluster_with ~caps graph)
           in
+          stage "cluster-validate" (fun () ->
+              Mapping.Cluster.validate clustering caps);
           Atomic.set clustered (Some (config, clustering));
           clustering
       in
       { s with s_clustering = Some clustering }
     | Clustered ->
       let clustering = Option.get s.s_clustering in
-      let caps = caps_of s.s_config in
-      let (), schedule =
-        par2 pool
-          (fun () ->
-            stage "cluster-validate" (fun () ->
-                Mapping.Cluster.validate clustering caps))
-          (fun () ->
-            stage "schedule" (fun () ->
-                Mapping.Sched.run ~alu_count:s.s_config.tile.Arch.alu_count
-                  clustering))
+      let schedule =
+        stage "schedule" (fun () ->
+            Mapping.Sched.run ~alu_count:s.s_config.tile.Arch.alu_count
+              clustering)
       in
       { s with s_schedule = Some schedule }
     | Scheduled ->

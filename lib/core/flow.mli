@@ -84,8 +84,8 @@ val map_source :
     is mapped.
 
     With [?pool], independent stages of {e this one compile} overlap on
-    the pool's domains (each validator runs concurrently with the stage
-    consuming the same artifact), and the minimised graph is
+    the pool's domains (the schedule validator runs concurrently with
+    the allocation that consumes the schedule), and the minimised graph is
     {!Cdfg.Graph.freeze}d after disambiguation so domains share it
     without copying — [result.graph] is then immutable. Results and
     raised exceptions are identical to the sequential run. Without a pool
@@ -148,8 +148,11 @@ module Staged : sig
   (** Runs exactly the next phase (no-op at [Allocated]). From
       [Minimised] it returns the stored clustering when one was computed
       under the same [cluster_with] and ALU data path (see {!rewind});
-      such a hit records no ["cluster"] span and bumps the Obs counter
-      ["flow.cluster_reused"]. *)
+      such a hit records no ["cluster"] or ["cluster-validate"] span and
+      bumps the Obs counter ["flow.cluster_reused"]. A clustering it
+      computes is validated against the data path
+      ({!Mapping.Cluster.validate}) before it is stored, so a rejected
+      one raises [Flow_error] and is never reused. *)
 
   val run : ?pool:Fpfa_exec.Pool.t -> t -> t
   (** Advances to [Allocated]. Starting from [Built] this is precisely

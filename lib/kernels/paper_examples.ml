@@ -14,7 +14,6 @@ let fig4_edges =
 
 let fig4_clustering () =
   let g = G.create "fig4" in
-  let cluster_of = Hashtbl.create 16 in
   let clusters =
     Array.init 11 (fun cid ->
         (* Each paper cluster becomes a pass-through of a distinct constant
@@ -27,7 +26,6 @@ let fig4_clustering () =
         let offset = G.add g (G.Const 0) [] in
         let stn = G.add g (G.St region) [ ss; offset; value ] in
         ignore (G.add g (G.Ss_out region) [ stn ]);
-        Hashtbl.replace cluster_of stn cid;
         {
           Mapping.Cluster.cid;
           ops = [];
@@ -42,7 +40,7 @@ let fig4_clustering () =
       (fun (src, dst) -> { Mapping.Cluster.src; dst; weight = 1 })
       fig4_edges
   in
-  { Mapping.Cluster.graph = g; clusters; edges; cluster_of }
+  Mapping.Cluster.make g clusters edges
 
 let fig4_before = [ [ 1; 2; 3; 4; 5; 6 ]; [ 0; 7 ]; [ 8; 9 ]; [ 10 ] ]
 

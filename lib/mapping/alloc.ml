@@ -27,30 +27,61 @@ let errorf fmt = Format.kasprintf (fun msg -> raise (Allocation_error msg)) fmt
 (* ------------------------------------------------------------------ *)
 
 (* Per-cycle use of a resource with [slots] instances per cycle (a port
-   per PP memory, a write port per register bank, ...): one count per
-   (cycle, slot), in an array grown by doubling as later cycles are
-   reached. *)
+   per PP memory, a write port per register bank, the crossbar's lanes):
+   one count per (cycle, slot), in chunks of [chunk_cycles] cycles. A
+   chunk is allocated when a reservation first reaches it and is never
+   copied; only the short array of chunks grows. Counts are bytes, which
+   the GC does not scan, or 8-byte words when the resource's capacity
+   does not fit a byte (a tile may have any number of buses). A count
+   never exceeds the capacity: every reservation first checks for room. *)
 module Usage = struct
-  type t = { slots : int; mutable counts : int array }
+  let chunk_cycles = 128
 
-  let create slots = { slots; counts = Array.make (64 * slots) 0 }
+  type t = {
+    slots : int;
+    wide : bool;
+    mutable chunks : Bytes.t array;  (* [Bytes.empty] until reached *)
+  }
+
+  let create ~capacity slots = { slots; wide = capacity > 255; chunks = [||] }
 
   let get t ~cycle slot =
-    let i = (cycle * t.slots) + slot in
-    if i < Array.length t.counts then t.counts.(i) else 0
+    let k = cycle / chunk_cycles in
+    if k >= Array.length t.chunks then 0
+    else
+      let chunk = t.chunks.(k) in
+      if Bytes.length chunk = 0 then 0
+      else
+        let j = ((cycle - (k * chunk_cycles)) * t.slots) + slot in
+        if t.wide then Int64.to_int (Bytes.get_int64_ne chunk (8 * j))
+        else Bytes.get_uint8 chunk j
+
+  (* Adds [delta] to cell [i = cycle * slots + slot], in a reached chunk. *)
+  let add t i delta =
+    let cells = chunk_cycles * t.slots in
+    let chunk = t.chunks.(i / cells) and j = i mod cells in
+    if t.wide then
+      Bytes.set_int64_ne chunk (8 * j)
+        (Int64.add (Bytes.get_int64_ne chunk (8 * j)) (Int64.of_int delta))
+    else Bytes.set_uint8 chunk j (Bytes.get_uint8 chunk j + delta)
 
   (* Returns the cell it incremented, for the undo log. *)
   let bump t ~cycle slot =
-    let i = (cycle * t.slots) + slot in
-    let len = Array.length t.counts in
-    if i >= len then begin
-      let rec grow n = if i < n then n else grow (2 * n) in
-      let counts = Array.make (grow (2 * len)) 0 in
-      Array.blit t.counts 0 counts 0 len;
-      t.counts <- counts
+    let k = cycle / chunk_cycles in
+    let reached = Array.length t.chunks in
+    if k >= reached then begin
+      let chunks = Array.make (max (2 * reached) (k + 1)) Bytes.empty in
+      Array.blit t.chunks 0 chunks 0 reached;
+      t.chunks <- chunks
     end;
-    t.counts.(i) <- t.counts.(i) + 1;
+    if Bytes.length t.chunks.(k) = 0 then
+      t.chunks.(k) <-
+        Bytes.make (chunk_cycles * t.slots * if t.wide then 8 else 1) '\000';
+    let i = (cycle * t.slots) + slot in
+    add t i 1;
     i
+
+  let unbump t i = add t i (-1)
 end
 
 (* Register banks. An operand occupies its register from its move cycle
@@ -68,162 +99,167 @@ module Regs = struct
 
   let slot t ~pp ~bank index = (((pp * t.banks) + bank) * t.regs_per_bank) + index
 
-  let free_index t ~pp ~bank ~lo =
-    let rec search index =
-      if index >= t.regs_per_bank then None
-      else if t.busy_until.(slot t ~pp ~bank index) >= lo then search (index + 1)
-      else Some index
-    in
-    search 0
+  let rec free_from t base lo index =
+    if index >= t.regs_per_bank then -1
+    else if t.busy_until.(base + index) >= lo then free_from t base lo (index + 1)
+    else index
+
+  (* The lowest register of the bank free for a move at [lo], or -1. *)
+  let free_index t ~pp ~bank ~lo = free_from t (slot t ~pp ~bank 0) lo 0
 end
 
 (* ------------------------------------------------------------------ *)
 
+(* Per-run state. What depends only on the graph and its clustering
+   (versions, cluster index, root externals) lives on the clustering and
+   is shared by every tile point; everything here is dense and indexed by
+   node id, cluster id or memory slot. *)
 type state = {
   tile : Arch.tile;
   options : options;
   graph : G.t;
   sched : Sched.t;
   clustering : Cluster.t;
-  pp_of : int array;
+  cluster_of : int array;
   versions : Legalize.versions;
+  alu_levels : int list array;  (* level -> its ALU-using cids *)
+  pp_of : int array;
   (* resources *)
   bus : Usage.t;  (* cycle -> transfers *)
-  read_port : Usage.t;  (* (cycle, pp * memories + mem) -> reads *)
+  read_port : Usage.t;  (* (cycle, memory slot) -> reads *)
   write_port : Usage.t;
   bank_write : Usage.t;
       (* (cycle, pp * banks + bank) -> register-bank writes; one port per
          bank *)
   regs : Regs.t;
-  cell_last_write : (int * int * int, int) Hashtbl.t;  (* cell -> cycle *)
+  last_write : int array array;
+      (* memory slot -> address -> cycle of the word's last write, -1 when
+         never written; each grown on demand *)
   (* placement *)
   mutable homes : (string * Job.mem_loc list) list;
   mutable sizes : (string * int) list;
-  next_free : (int * int, int) Hashtbl.t;  (* (pp, mem) -> next address *)
-  scratch_of : (int, Job.mem_loc) Hashtbl.t;  (* cid -> scratch cell *)
-  writeback_of : (G.id, int) Hashtbl.t;  (* St node -> commit cycle *)
-  scratch_wb_of : (int, int) Hashtbl.t;  (* cid -> scratch commit cycle *)
+  next_free : int array;  (* memory slot -> next address *)
+  cell : Job.mem_loc array;
+      (* node id -> the word an access reads or writes: its home cell, or
+         a fetch's preservation copy once one is made; [no_cell] until
+         first asked *)
+  preserved : int array;
+      (* fetch -> first cycle its preservation copy is readable, -1 *)
+  commit : int array;  (* St/Del node -> commit cycle, -1 *)
+  scratch : Job.mem_loc array;  (* cid -> scratch cell *)
+  scratch_commit : int array;  (* cid -> scratch commit cycle, -1 *)
   (* output records *)
   mutable rec_moves : (int * Job.move) list;  (* (cycle, move) *)
   mutable rec_alu : (int * Job.alu_work) list;  (* (exec cycle, work) *)
   mutable rec_deletes : (int * Job.delete_work) list;
-  forwards : (int, (int * Job.reg) list) Hashtbl.t;
+  forwards : (int * Job.reg) list array;
       (* producer cid -> extra register destinations *)
   exec_of_level : int array;
   exec_of_cluster : int array;
-  root_has_external : bool array;
-  consumers : (G.id, (G.id * int) list) Hashtbl.t;
-  endangered_by : (G.id, G.id list) Hashtbl.t;
-      (** store/delete -> fetches of the value it destroys *)
-  preserve_of : (G.id, Job.mem_loc * int) Hashtbl.t;
-      (** fetch -> preservation scratch cell and the cycle it is readable *)
   mutable rec_copies : (int * Job.copy) list;
 }
 
-let cell_key (loc : Job.mem_loc) = (loc.Job.mpp, loc.Job.mem, loc.Job.addr)
+let no_cell = { Job.mpp = -1; mem = -1; addr = -1 }
 
 let memory_slot st pp mem = (pp * st.tile.Arch.memories_per_pp) + mem
 let bank_slot st pp bank = (pp * st.tile.Arch.banks_per_pp) + bank
 
+let last_write st (cell : Job.mem_loc) =
+  let words = st.last_write.(memory_slot st cell.Job.mpp cell.Job.mem) in
+  if cell.Job.addr < Array.length words then words.(cell.Job.addr) else -1
+
+let set_last_write st (cell : Job.mem_loc) cycle =
+  let slot = memory_slot st cell.Job.mpp cell.Job.mem in
+  let words = st.last_write.(slot) in
+  let words =
+    if cell.Job.addr < Array.length words then words
+    else begin
+      let grown =
+        Array.make (max (2 * Array.length words) (cell.Job.addr + 1)) (-1)
+      in
+      Array.blit words 0 grown 0 (Array.length words);
+      st.last_write.(slot) <- grown;
+      grown
+    end
+  in
+  words.(cell.Job.addr) <- cycle
+
 (* --------------------------- region homes -------------------------- *)
 
-(* Words of every region: its declared size, else one past the highest
-   offset it is accessed at (one graph scan for all regions). *)
-let region_sizes st =
-  let max_offset = Hashtbl.create 16 in
-  G.iter_ids st.graph (fun id ->
-      match G.kind st.graph id with
-      | G.Fe r | G.St r | G.Del r ->
-        let offset = Legalize.offset st.versions id in
-        if offset > Option.value ~default:(-1) (Hashtbl.find_opt max_offset r)
-        then Hashtbl.replace max_offset r offset
-      | _ -> ());
-  fun region info ->
-    match info.G.size with
-    | Some size -> size
-    | None ->
-      max 1 (Option.value ~default:(-1) (Hashtbl.find_opt max_offset region) + 1)
+(* The least-used memory slot of [pp] (the lower one on a tie) when
+   [words] more fit in it, else -1: if the least-used one is too full,
+   so is every other. *)
+let roomiest st pp words =
+  let best = ref (memory_slot st pp 0) in
+  for mem = 1 to st.tile.Arch.memories_per_pp - 1 do
+    let slot = memory_slot st pp mem in
+    if st.next_free.(slot) < st.next_free.(!best) then best := slot
+  done;
+  if st.next_free.(!best) + words <= st.tile.Arch.memory_size then !best else -1
+
+let take st slot words =
+  let addr = st.next_free.(slot) in
+  st.next_free.(slot) <- addr + words;
+  let mems = st.tile.Arch.memories_per_pp in
+  { Job.mpp = slot / mems; mem = slot mod mems; addr }
+
+(* The PPs after the preferred one, in index order. *)
+let rec alloc_elsewhere st ~preferred_pp words pp =
+  if pp >= st.tile.Arch.alu_count then
+    errorf "no tile memory can hold %d more words" words
+  else
+    let slot = if pp = preferred_pp then -1 else roomiest st pp words in
+    if slot >= 0 then take st slot words
+    else alloc_elsewhere st ~preferred_pp words (pp + 1)
 
 let alloc_words st ~preferred_pp words =
-  let tile = st.tile in
-  let try_loc pp mem =
-    let used =
-      match Hashtbl.find_opt st.next_free (pp, mem) with Some v -> v | None -> 0
-    in
-    if used + words <= tile.Arch.memory_size then begin
-      Hashtbl.replace st.next_free (pp, mem) (used + words);
-      Some { Job.mpp = pp; mem; addr = used }
-    end
-    else None
-  in
-  let pps =
-    preferred_pp
-    :: List.filter (fun p -> p <> preferred_pp)
-         (List.init tile.Arch.alu_count Fun.id)
-  in
-  let rec search = function
-    | [] -> errorf "no tile memory can hold %d more words" words
-    | pp :: rest -> (
-      (* Prefer the least-used memory of the PP for balance. *)
-      let mems =
-        List.init tile.Arch.memories_per_pp Fun.id
-        |> List.sort (fun a b ->
-               compare
-                 (match Hashtbl.find_opt st.next_free (pp, a) with
-                 | Some v -> v
-                 | None -> 0)
-                 (match Hashtbl.find_opt st.next_free (pp, b) with
-                 | Some v -> v
-                 | None -> 0))
-      in
-      match List.find_map (try_loc pp) mems with
-      | Some loc -> Some loc
-      | None -> search rest)
-  in
-  match search pps with Some loc -> loc | None -> assert false
+  let slot = roomiest st preferred_pp words in
+  if slot >= 0 then take st slot words
+  else alloc_elsewhere st ~preferred_pp words 0
 
 let assign_homes st =
   let g = st.graph in
-  let order = ref [] in
   (* Regions in order of first store, then first fetch, by allocation order
      of clusters; locality picks the touching cluster's PP. *)
+  let first_touch = Hashtbl.create 16 in
+  let touch region pp =
+    if not (Hashtbl.mem first_touch region) then Hashtbl.replace first_touch region pp
+  in
   Array.iter
     (fun level_cids ->
       List.iter
         (fun cid ->
           let c = st.clustering.Cluster.clusters.(cid) in
-          let touch region = order := (region, st.pp_of.(cid)) :: !order in
+          let pp = st.pp_of.(cid) in
           List.iter
             (fun stn ->
               match G.kind g stn with
-              | G.St r -> touch r
+              | G.St r -> touch r pp
               | _ -> ())
             c.Cluster.stores;
           List.iter
             (fun del ->
               match G.kind g del with
-              | G.Del r -> touch r
+              | G.Del r -> touch r pp
               | _ -> ())
             c.Cluster.deletes;
           List.iter
             (fun input ->
               match G.kind g input with
-              | G.Fe r -> touch r
+              | G.Fe r -> touch r pp
               | _ -> ())
             c.Cluster.cinputs)
         level_cids)
     st.sched.Sched.levels;
-  let first_touch = Hashtbl.create 16 in
-  List.iter
-    (fun (region, pp) ->
-      if not (Hashtbl.mem first_touch region) then
-        Hashtbl.replace first_touch region pp)
-    (List.rev !order);
   let counter = ref 0 in
-  let region_size = region_sizes st in
   List.iter
     (fun (region, info) ->
-      let words = region_size region info in
+      (* its declared size, else one past the highest offset accessed *)
+      let words =
+        match info.G.size with
+        | Some size -> size
+        | None -> max 1 (Legalize.max_offset st.versions region + 1)
+      in
       let preferred_pp =
         if st.options.locality then
           match Hashtbl.find_opt first_touch region with
@@ -256,10 +292,19 @@ let assign_homes st =
   st.homes <- List.sort compare st.homes;
   st.sizes <- List.sort compare st.sizes
 
-let home_cell st region offset =
-  match List.assoc_opt region st.homes with
-  | Some slices -> Job.interleaved_cell slices offset
-  | None -> errorf "region %s has no home" region
+(* The home cell of access [id] to [region], computed once per run. *)
+let home_cell st id region =
+  let cell = st.cell.(id) in
+  if cell != no_cell then cell
+  else begin
+    let cell =
+      match List.assoc_opt region st.homes with
+      | Some slices -> Job.interleaved_cell slices (Legalize.offset st.versions id)
+      | None -> errorf "region %s has no home" region
+    in
+    st.cell.(id) <- cell;
+    cell
+  end
 
 (* ------------------------ value source lookup ---------------------- *)
 
@@ -275,23 +320,17 @@ let source_of st input =
   let g = st.graph in
   match G.kind g input with
   | G.Const c -> Immediate c
-  | G.Binop _ | G.Unop _ | G.Mux -> (
-    let cid =
-      match Hashtbl.find_opt st.clustering.Cluster.cluster_of input with
-      | Some cid -> cid
-      | None -> errorf "value node %d is unclustered" input
-    in
-    match Hashtbl.find_opt st.scratch_of cid with
-    | Some loc ->
-      let wb = Hashtbl.find st.scratch_wb_of cid in
-      (* scratch words are single-assignment: no deadline *)
-      In_memory (loc, wb + 1, max_int)
-    | None -> errorf "cluster %d produced no scratch word for node %d" cid input)
-  | G.Fe _ when Hashtbl.mem st.preserve_of input ->
-    let cell, ready = Hashtbl.find st.preserve_of input in
-    In_memory (cell, ready, max_int)
+  | G.Binop _ | G.Unop _ | G.Mux ->
+    let cid = st.cluster_of.(input) in
+    if cid < 0 then errorf "value node %d is unclustered" input;
+    let wb = st.scratch_commit.(cid) in
+    if wb < 0 then errorf "cluster %d produced no scratch word for node %d" cid input;
+    (* scratch words are single-assignment: no deadline *)
+    In_memory (st.scratch.(cid), wb + 1, max_int)
+  | G.Fe _ when st.preserved.(input) >= 0 ->
+    In_memory (st.cell.(input), st.preserved.(input), max_int)
   | G.Fe region -> (
-    let cell = home_cell st region (Legalize.offset st.versions input) in
+    let cell = home_cell st input region in
     (* The cell becomes unreadable once an already-committed overwriting
        write-back lands: the move must happen no later than that cycle
        (reads precede the end-of-cycle write commit). An overwriter not yet
@@ -299,22 +338,19 @@ let source_of st input =
        level's moves. *)
     let deadline =
       match Legalize.overwriter st.versions input with
-      | Some d -> (
-        match Hashtbl.find_opt st.writeback_of d with
-        | Some wb -> wb
-        | None -> max_int)
-      | None -> max_int
+      | Some d when st.commit.(d) >= 0 -> st.commit.(d)
+      | Some _ | None -> max_int
     in
     (* The version the fetch reads. *)
     match Legalize.latest_version st.versions input with
     | None -> In_memory (cell, 0, deadline)
     | Some m -> (
       match G.kind g m with
-      | G.St _ -> (
-        match Hashtbl.find_opt st.writeback_of m with
-        | Some wb -> In_memory (cell, wb + 1, deadline)
-        | None ->
-          errorf "fetch %d reads store %d that is not yet allocated" input m)
+      | G.St _ ->
+        let wb = st.commit.(m) in
+        if wb < 0 then
+          errorf "fetch %d reads store %d that is not yet allocated" input m;
+        In_memory (cell, wb + 1, deadline)
       | _ -> errorf "fetch %d reads a deleted tuple" input))
   | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
     errorf "node %d cannot be a cluster operand" input
@@ -324,10 +360,10 @@ let source_of st input =
 let micros_of_cluster st (c : Cluster.cluster) =
   let g = st.graph in
   let ports = List.mapi (fun i input -> (input, i)) c.Cluster.cinputs in
-  let member = Hashtbl.create 8 in
-  List.iter (fun op -> Hashtbl.replace member op ()) c.Cluster.ops;
+  (* An op's operand is a member exactly when the index lists it under
+     this cluster: operands are values, never the cluster's St/Del. *)
   let arg_of input =
-    if Hashtbl.mem member input then Job.Node input
+    if st.cluster_of.(input) = c.Cluster.cid then Job.Node input
     else
       match List.assoc_opt input ports with
       | Some p -> Job.Port p
@@ -383,7 +419,7 @@ let reserve_reg st plan ~pp ~bank index ~until =
 let rollback st plan =
   List.iter
     (function
-      | Use (usage, i) -> usage.Usage.counts.(i) <- usage.Usage.counts.(i) - 1
+      | Use (usage, i) -> Usage.unbump usage i
       | Reg (slot, until) -> st.regs.Regs.busy_until.(slot) <- until)
     plan.undo
 
@@ -394,6 +430,68 @@ let bus_free st cycle = Usage.get st.bus ~cycle 0 < st.tile.Arch.buses
 let bank_write_free st cycle ~pp ~bank =
   Usage.get st.bank_write ~cycle (bank_slot st pp bank) < 1
 
+(* Extension: the cluster producing [input] writes it straight into the
+   consumer's register at its own execute cycle. *)
+let try_forward st plan ~exec ~pp ~port ~cluster input =
+  st.options.forwarding
+  &&
+  match G.kind st.graph input with
+  | G.Binop _ | G.Unop _ | G.Mux ->
+    let pcid = st.cluster_of.(input) in
+    let t_p = st.exec_of_cluster.(pcid) in
+    t_p >= 0
+    && exec - t_p >= 1
+    && exec - t_p <= st.tile.Arch.move_window
+    && bus_free st t_p
+    && bank_write_free st t_p ~pp ~bank:port
+    &&
+    let index = Regs.free_index st.regs ~pp ~bank:port ~lo:t_p in
+    index >= 0
+    && begin
+         let reg = { Job.pp; bank = port; index } in
+         reserve plan st.bus ~cycle:t_p 0;
+         reserve plan st.bank_write ~cycle:t_p (bank_slot st pp port);
+         reserve_reg st plan ~pp ~bank:port index ~until:exec;
+         plan.p_forwards <- (pcid, (t_p, reg)) :: plan.p_forwards;
+         plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
+         true
+       end
+  | _ -> false
+
+(* A move of [input] from [src] at cycle [u] into bank [port] of [pp],
+   reserved when the bus, [src]'s read port, the bank's write port and one
+   of its registers are free then. *)
+let try_move_at st plan ~exec ~pp ~port ~cluster input src u =
+  let read_slot = memory_slot st src.Job.mpp src.Job.mem in
+  bus_free st u
+  && Usage.get st.read_port ~cycle:u read_slot < 1
+  && bank_write_free st u ~pp ~bank:port
+  &&
+  let index = Regs.free_index st.regs ~pp ~bank:port ~lo:u in
+  index >= 0
+  && begin
+       let reg = { Job.pp; bank = port; index } in
+       reserve plan st.bus ~cycle:u 0;
+       reserve plan st.read_port ~cycle:u read_slot;
+       reserve plan st.bank_write ~cycle:u (bank_slot st pp port);
+       reserve_reg st plan ~pp ~bank:port index ~until:exec;
+       plan.p_moves <-
+         (u, { Job.src; dst = reg; carried = input; for_cluster = cluster })
+         :: plan.p_moves;
+       plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
+       true
+     end
+
+let rec upwards st plan ~exec ~pp ~port ~cluster input src u last =
+  u <= last
+  && (try_move_at st plan ~exec ~pp ~port ~cluster input src u
+     || upwards st plan ~exec ~pp ~port ~cluster input src (u + 1) last)
+
+let rec downwards st plan ~exec ~pp ~port ~cluster input src u last =
+  u >= last
+  && (try_move_at st plan ~exec ~pp ~port ~cluster input src u
+     || downwards st plan ~exec ~pp ~port ~cluster input src (u - 1) last)
+
 (* Finds a register move for one operand of a cluster executing at [exec]
    on [pp], bank [port]. Paper order: window steps before first, then
    closer. Returns false when no cycle in the window works. *)
@@ -401,65 +499,12 @@ let plan_operand st plan ~exec ~pp ~port ~cluster input =
   match source_of st input with
   | Immediate _ -> true
   | In_memory (src, avail, deadline) ->
-    let try_forward () =
-      (* Extension: the producing cluster writes straight into the
-         consumer's register at its own execute cycle. *)
-      if not st.options.forwarding then false
-      else
-        match G.kind st.graph input with
-        | G.Binop _ | G.Unop _ | G.Mux -> (
-          let pcid = Hashtbl.find st.clustering.Cluster.cluster_of input in
-          let t_p = st.exec_of_cluster.(pcid) in
-          t_p >= 0
-          && exec - t_p >= 1
-          && exec - t_p <= st.tile.Arch.move_window
-          && bus_free st t_p
-          &&
-          match
-            ( bank_write_free st t_p ~pp ~bank:port,
-              Regs.free_index st.regs ~pp ~bank:port ~lo:t_p )
-          with
-          | true, Some index ->
-            let reg = { Job.pp; bank = port; index } in
-            reserve plan st.bus ~cycle:t_p 0;
-            reserve plan st.bank_write ~cycle:t_p (bank_slot st pp port);
-            reserve_reg st plan ~pp ~bank:port index ~until:exec;
-            plan.p_forwards <- (pcid, (t_p, reg)) :: plan.p_forwards;
-            plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
-            true
-          | _, _ -> false)
-        | _ -> false
-    in
-    let read_slot = memory_slot st src.Job.mpp src.Job.mem in
-    let try_move_at u =
-      bus_free st u
-      && Usage.get st.read_port ~cycle:u read_slot < 1
-      && bank_write_free st u ~pp ~bank:port
-      &&
-      match Regs.free_index st.regs ~pp ~bank:port ~lo:u with
-      | Some index ->
-        let reg = { Job.pp; bank = port; index } in
-        reserve plan st.bus ~cycle:u 0;
-        reserve plan st.read_port ~cycle:u read_slot;
-        reserve plan st.bank_write ~cycle:u (bank_slot st pp port);
-        reserve_reg st plan ~pp ~bank:port index ~until:exec;
-        plan.p_moves <-
-          (u, { Job.src; dst = reg; carried = input; for_cluster = cluster })
-          :: plan.p_moves;
-        plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
-        true
-      | None -> false
-    in
-    try_forward ()
+    try_forward st plan ~exec ~pp ~port ~cluster input
     ||
     let window = st.tile.Arch.move_window in
     (* Feasible move cycles: the value is readable and not yet
        overwritten, and the move precedes the execute cycle. *)
     let lo = max 0 avail and hi = min (exec - 1) deadline in
-    let rec upwards u last = u <= last && (try_move_at u || upwards (u + 1) last) in
-    let rec downwards u last =
-      u >= last && (try_move_at u || downwards (u - 1) last)
-    in
     (* Candidate move cycles, in preference order:
        1. the paper's window (4, 3, 2, 1 steps before the execute cycle);
        2. widening: up to 64 progressively earlier cycles — these are the
@@ -468,75 +513,69 @@ let plan_operand st plan ~exec ~pp ~port ~cluster input =
        3. when an already-committed overwrite imposes a deadline earlier
           than the window, up to 64 cycles just before the deadline.
        All bounded so allocation stays linear. *)
-    upwards (max lo (exec - window)) hi
-    || downwards (min hi (exec - window - 1)) (max lo (exec - window - 64))
-    || (hi < exec - window && downwards hi (max lo (hi - 63)))
+    upwards st plan ~exec ~pp ~port ~cluster input src (max lo (exec - window)) hi
+    || downwards st plan ~exec ~pp ~port ~cluster input src
+         (min hi (exec - window - 1))
+         (max lo (exec - window - 64))
+    || hi < exec - window
+       && downwards st plan ~exec ~pp ~port ~cluster input src hi
+            (max lo (hi - 63))
+
+(* The cluster of the first future reader of fetch [fe]: among its
+   consumers in clusters at levels after [level], the first in
+   descending (consumer, port) order, that is the last one the ascending
+   use index yields; -1 when there is none. *)
+let future_reader st fe ~level =
+  let reader = ref (-1) in
+  G.iter_consumers st.graph fe (fun user _ ->
+      let cid = st.cluster_of.(user) in
+      if cid >= 0 && st.sched.Sched.level_of.(cid) > level then reader := cid);
+  !reader
+
+(* The first cycle from [p] at which [cell] can be read and [scratch]
+   written over a free bus lane. *)
+let rec copy_cycle st ~bound cell scratch p =
+  if p > bound then errorf "preservation copy search exceeded bound";
+  let read_slot = memory_slot st cell.Job.mpp cell.Job.mem in
+  let write_slot = memory_slot st scratch.Job.mpp scratch.Job.mem in
+  if
+    Usage.get st.read_port ~cycle:p read_slot < 1
+    && Usage.get st.write_port ~cycle:p write_slot < 1
+    && bus_free st p
+  then begin
+    ignore (Usage.bump st.read_port ~cycle:p read_slot);
+    ignore (Usage.bump st.write_port ~cycle:p write_slot);
+    ignore (Usage.bump st.bus ~cycle:p 0);
+    set_last_write st scratch p;
+    p
+  end
+  else copy_cycle st ~bound cell scratch (p + 1)
 
 (* Copies the current word of [cell] to a fresh scratch cell before it is
    overwritten, for every fetch of the old value whose consumers sit at
    levels that are not yet allocated. Returns the earliest cycle at which
    the overwrite may commit (no earlier than any preservation read). *)
 let preserve_endangered st ~exec mutator cell =
-  match Hashtbl.find_opt st.endangered_by mutator with
-  | None -> exec
-  | Some fes ->
-    let consumers = st.consumers in
-    let level_of_mutator =
-      match Hashtbl.find_opt st.clustering.Cluster.cluster_of mutator with
-      | Some cid -> st.sched.Sched.level_of.(cid)
-      | None -> 0
+  match Legalize.destroyed_by st.versions mutator with
+  | [] -> exec
+  | fes ->
+    let level =
+      let cid = st.cluster_of.(mutator) in
+      if cid >= 0 then st.sched.Sched.level_of.(cid) else 0
     in
     List.fold_left
       (fun earliest fe ->
-        if Hashtbl.mem st.preserve_of fe then
-          let _, ready = Hashtbl.find st.preserve_of fe in
-          max earliest ready
+        if st.preserved.(fe) >= 0 then max earliest st.preserved.(fe)
         else begin
-          let future_reader (user, _) =
-            match Hashtbl.find_opt st.clustering.Cluster.cluster_of user with
-            | Some cid -> st.sched.Sched.level_of.(cid) > level_of_mutator
-            | None -> false
-          in
-          let users =
-            match Hashtbl.find_opt consumers fe with Some l -> l | None -> []
-          in
-          if not (List.exists future_reader users) then earliest
+          let reader = future_reader st fe ~level in
+          if reader < 0 then earliest
           else begin
             (* Park the old word near its first future reader. *)
-            let preferred_pp =
-              match List.find_opt future_reader users with
-              | Some (user, _) -> (
-                match Hashtbl.find_opt st.clustering.Cluster.cluster_of user with
-                | Some cid -> st.pp_of.(cid)
-                | None -> cell.Job.mpp)
-              | None -> cell.Job.mpp
-            in
-            let scratch = alloc_words st ~preferred_pp 1 in
-            let floor =
-              match Hashtbl.find_opt st.cell_last_write (cell_key cell) with
-              | Some last -> last + 1
-              | None -> 0
-            in
-            let rec search p =
-              if p > floor + 1000 then
-                errorf "preservation copy search exceeded bound";
-              let read_slot = memory_slot st cell.Job.mpp cell.Job.mem in
-              let write_slot = memory_slot st scratch.Job.mpp scratch.Job.mem in
-              if
-                Usage.get st.read_port ~cycle:p read_slot < 1
-                && Usage.get st.write_port ~cycle:p write_slot < 1
-                && bus_free st p
-              then begin
-                ignore (Usage.bump st.read_port ~cycle:p read_slot);
-                ignore (Usage.bump st.write_port ~cycle:p write_slot);
-                ignore (Usage.bump st.bus ~cycle:p 0);
-                Hashtbl.replace st.cell_last_write (cell_key scratch) p;
-                p
-              end
-              else search (p + 1)
-            in
-            let p = search floor in
-            Hashtbl.replace st.preserve_of fe (scratch, p + 1);
+            let scratch = alloc_words st ~preferred_pp:st.pp_of.(reader) 1 in
+            let floor = last_write st cell + 1 in
+            let p = copy_cycle st ~bound:(floor + 1000) cell scratch floor in
+            st.preserved.(fe) <- p + 1;
+            st.cell.(fe) <- scratch;
             st.rec_copies <-
               (p, { Job.csrc = cell; cdst = scratch; kept = fe })
               :: st.rec_copies;
@@ -546,73 +585,60 @@ let preserve_endangered st ~exec mutator cell =
         end)
       exec fes
 
+(* The first cycle from [cycle] at which memory write port [port] is free,
+   and (for a write-back, which crosses the crossbar) a bus lane too. *)
+let rec write_cycle st ~bound ~bus ~what port cycle =
+  if cycle > bound then errorf "%s search exceeded bound" what;
+  if
+    Usage.get st.write_port ~cycle port < 1
+    && ((not bus) || bus_free st cycle)
+  then cycle
+  else write_cycle st ~bound ~bus ~what port (cycle + 1)
+
 (* Schedules a memory write at the earliest cycle >= [earliest] with a free
    write port and bus, preserving per-cell write order. Commits directly
    (write-backs never fail, so they need no rollback). *)
 let commit_write st ~earliest (cell : Job.mem_loc) =
-  let key = cell_key cell in
-  let floor =
-    match Hashtbl.find_opt st.cell_last_write key with
-    | Some last -> max earliest (last + 1)
-    | None -> earliest
-  in
+  let floor = max earliest (last_write st cell + 1) in
   let port = memory_slot st cell.Job.mpp cell.Job.mem in
-  let rec search cycle =
-    if cycle > floor + 1000 then errorf "write-back search exceeded bound";
-    if Usage.get st.write_port ~cycle port < 1 && bus_free st cycle then begin
-      ignore (Usage.bump st.write_port ~cycle port);
-      ignore (Usage.bump st.bus ~cycle 0);
-      Hashtbl.replace st.cell_last_write key cycle;
-      cycle
-    end
-    else search (cycle + 1)
+  let cycle =
+    write_cycle st ~bound:(floor + 1000) ~bus:true ~what:"write-back" port floor
   in
-  search floor
+  ignore (Usage.bump st.write_port ~cycle port);
+  ignore (Usage.bump st.bus ~cycle 0);
+  set_last_write st cell cycle;
+  cycle
 
 let commit_delete st ~earliest (cell : Job.mem_loc) =
-  let key = cell_key cell in
-  let floor =
-    match Hashtbl.find_opt st.cell_last_write key with
-    | Some last -> max earliest (last + 1)
-    | None -> earliest
-  in
+  let floor = max earliest (last_write st cell + 1) in
   let port = memory_slot st cell.Job.mpp cell.Job.mem in
-  let rec search cycle =
-    if cycle > floor + 1000 then errorf "delete search exceeded bound";
-    if Usage.get st.write_port ~cycle port < 1 then begin
-      ignore (Usage.bump st.write_port ~cycle port);
-      Hashtbl.replace st.cell_last_write key cycle;
-      cycle
-    end
-    else search (cycle + 1)
+  let cycle =
+    write_cycle st ~bound:(floor + 1000) ~bus:false ~what:"delete" port floor
   in
-  search floor
+  ignore (Usage.bump st.write_port ~cycle port);
+  set_last_write st cell cycle;
+  cycle
 
 (* --------------------------- level placement ----------------------- *)
 
-let alu_clusters_of_level st level_cids =
-  List.filter
-    (fun cid -> Sched.uses_alu st.clustering.Cluster.clusters.(cid))
-    level_cids
+let rec plan_operands st plan ~exec ~pp ~cluster port = function
+  | [] -> true
+  | input :: rest ->
+    (match G.kind st.graph input with
+    | G.Const _ -> true
+    | _ -> plan_operand st plan ~exec ~pp ~port ~cluster input)
+    && plan_operands st plan ~exec ~pp ~cluster (port + 1) rest
 
 (* Plans the operand moves of a level executing at [exec], reserving as it
    goes; a failed attempt is rolled back. *)
-let try_level st ~exec level_cids =
+let try_level st ~exec level =
   let plan = new_plan () in
   let ok =
     List.for_all
       (fun cid ->
-        let pp = st.pp_of.(cid) in
-        let rec operands port = function
-          | [] -> true
-          | input :: rest ->
-            (match G.kind st.graph input with
-            | G.Const _ -> true
-            | _ -> plan_operand st plan ~exec ~pp ~port ~cluster:cid input)
-            && operands (port + 1) rest
-        in
-        operands 0 st.clustering.Cluster.clusters.(cid).Cluster.cinputs)
-      (alu_clusters_of_level st level_cids)
+        plan_operands st plan ~exec ~pp:st.pp_of.(cid) ~cluster:cid 0
+          st.clustering.Cluster.clusters.(cid).Cluster.cinputs)
+      st.alu_levels.(level)
   in
   if ok then Some plan
   else begin
@@ -625,11 +651,7 @@ let commit_level st ~exec ~level level_cids plan =
   Obs.add c_reg_hits plan.p_regs;
   st.rec_moves <- plan.p_moves @ st.rec_moves;
   List.iter
-    (fun (pcid, dest) ->
-      let old =
-        match Hashtbl.find_opt st.forwards pcid with Some l -> l | None -> []
-      in
-      Hashtbl.replace st.forwards pcid (dest :: old))
+    (fun (pcid, dest) -> st.forwards.(pcid) <- dest :: st.forwards.(pcid))
     plan.p_forwards;
   st.exec_of_level.(level) <- exec;
   List.iter
@@ -644,21 +666,20 @@ let commit_level st ~exec ~level level_cids plan =
             (fun stn ->
               match G.kind g stn with
               | G.St region ->
-                let offset = Legalize.const_offset g stn in
-                let cell = home_cell st region offset in
+                let cell = home_cell st stn region in
                 let earliest = preserve_endangered st ~exec stn cell in
                 let wcycle = commit_write st ~earliest cell in
-                Hashtbl.replace st.writeback_of stn wcycle;
+                st.commit.(stn) <- wcycle;
                 { Job.target = cell; wcycle; source_store = Some stn }
               | _ -> errorf "cluster %d has a non-store write-back" cid)
             c.Cluster.stores
         in
         let writes =
-          if st.root_has_external.(cid) then begin
+          if st.clustering.Cluster.root_external.(cid) then begin
             let scratch = alloc_words st ~preferred_pp:pp 1 in
             let wcycle = commit_write st ~earliest:exec scratch in
-            Hashtbl.replace st.scratch_of cid scratch;
-            Hashtbl.replace st.scratch_wb_of cid wcycle;
+            st.scratch.(cid) <- scratch;
+            st.scratch_commit.(cid) <- wcycle;
             { Job.target = scratch; wcycle; source_store = None } :: writes
           end
           else writes
@@ -695,11 +716,10 @@ let commit_level st ~exec ~level level_cids plan =
         (fun del ->
           match G.kind g del with
           | G.Del region ->
-            let offset = Legalize.const_offset g del in
-            let cell = home_cell st region offset in
+            let cell = home_cell st del region in
             let earliest = preserve_endangered st ~exec del cell in
             let dcycle = commit_delete st ~earliest cell in
-            Hashtbl.replace st.writeback_of del dcycle;
+            st.commit.(del) <- dcycle;
             st.rec_deletes <-
               (dcycle, { Job.dcluster = cid; dloc = cell; dcycle })
               :: st.rec_deletes
@@ -711,11 +731,8 @@ let commit_level st ~exec ~level level_cids plan =
 
 let assign_pps st =
   Array.iter
-    (fun level_cids ->
-      List.iteri
-        (fun position cid -> st.pp_of.(cid) <- position)
-        (alu_clusters_of_level st level_cids))
-    st.sched.Sched.levels
+    (List.iteri (fun position cid -> st.pp_of.(cid) <- position))
+    st.alu_levels
 
 let assign_delete_pps st =
   Array.iter
@@ -732,28 +749,13 @@ let assign_delete_pps st =
         | [] -> ())
     st.clustering.Cluster.clusters
 
-let compute_root_externals clustering consumers =
-  Array.map
-    (fun (c : Cluster.cluster) ->
-      match c.Cluster.root with
-      | None -> false
-      | Some root ->
-        let inside = Hashtbl.create 8 in
-        List.iter (fun op -> Hashtbl.replace inside op ()) c.Cluster.ops;
-        List.iter (fun stn -> Hashtbl.replace inside stn ()) c.Cluster.stores;
-        let uses =
-          match Hashtbl.find_opt consumers root with Some l -> l | None -> []
-        in
-        List.exists (fun (user, _) -> not (Hashtbl.mem inside user)) uses)
-    clustering.Cluster.clusters
-
 let run ?(options = default_options) ~tile (sched : Sched.t) =
   Arch.validate tile;
   let clustering = sched.Sched.clustering in
   let g = clustering.Cluster.graph in
-  Legalize.check g;
-  let n = Array.length clustering.Cluster.clusters in
-  let consumers = G.consumers g in
+  let clusters = clustering.Cluster.clusters in
+  let n = Array.length clusters in
+  let ids = G.id_bound g in
   let memories = tile.Arch.alu_count * tile.Arch.memories_per_pp in
   let st =
     {
@@ -762,48 +764,37 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       graph = g;
       sched;
       clustering;
+      cluster_of = clustering.Cluster.cluster_of;
+      versions = clustering.Cluster.versions;
+      alu_levels =
+        Array.map
+          (List.filter (fun cid -> Sched.uses_alu clusters.(cid)))
+          sched.Sched.levels;
       pp_of = Array.make n 0;
-      versions = Legalize.versions g;
-      bus = Usage.create 1;
-      read_port = Usage.create memories;
-      write_port = Usage.create memories;
-      bank_write = Usage.create (tile.Arch.alu_count * tile.Arch.banks_per_pp);
+      bus = Usage.create ~capacity:tile.Arch.buses 1;
+      read_port = Usage.create ~capacity:1 memories;
+      write_port = Usage.create ~capacity:1 memories;
+      bank_write =
+        Usage.create ~capacity:1 (tile.Arch.alu_count * tile.Arch.banks_per_pp);
       regs = Regs.create tile;
-      cell_last_write = Hashtbl.create 64;
+      last_write = Array.make memories [||];
       homes = [];
       sizes = [];
-      next_free = Hashtbl.create 16;
-      scratch_of = Hashtbl.create 16;
-      writeback_of = Hashtbl.create 64;
-      scratch_wb_of = Hashtbl.create 16;
+      next_free = Array.make memories 0;
+      cell = Array.make ids no_cell;
+      preserved = Array.make ids (-1);
+      commit = Array.make ids (-1);
+      scratch = Array.make n no_cell;
+      scratch_commit = Array.make n (-1);
       rec_moves = [];
       rec_alu = [];
       rec_deletes = [];
-      forwards = Hashtbl.create 16;
+      forwards = Array.make n [];
       exec_of_level = Array.make (Sched.level_count sched) (-1);
       exec_of_cluster = Array.make n (-1);
-      root_has_external = compute_root_externals clustering consumers;
-      consumers;
-      endangered_by = Hashtbl.create 64;
-      preserve_of = Hashtbl.create 16;
       rec_copies = [];
     }
   in
-  (* A fetch's value dies at the first same-cell store/delete downstream of
-     its token. *)
-  G.iter_ids g (fun fe ->
-      match G.kind g fe with
-      | G.Fe _ -> (
-        match Legalize.overwriter st.versions fe with
-        | Some next ->
-          let old =
-            match Hashtbl.find_opt st.endangered_by next with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace st.endangered_by next (fe :: old)
-        | None -> ())
-      | _ -> ());
   assign_pps st;
   assign_homes st;
   assign_delete_pps st;
@@ -815,7 +806,7 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
         if exec > !prev_exec + 1 + 200 then
           errorf "level %d cannot be placed (inserted more than 200 cycles)"
             level;
-        match try_level st ~exec level_cids with
+        match try_level st ~exec level with
         | Some plan ->
           commit_level st ~exec ~level level_cids plan;
           Obs.add c_inserted (exec - first_try);
@@ -832,9 +823,9 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
   let rec_alu =
     List.map
       (fun (cycle, work) ->
-        match Hashtbl.find_opt st.forwards work.Job.wcluster with
-        | Some dests -> (cycle, { work with Job.reg_dests = List.sort compare dests })
-        | None -> (cycle, work))
+        match st.forwards.(work.Job.wcluster) with
+        | [] -> (cycle, work)
+        | dests -> (cycle, { work with Job.reg_dests = List.sort compare dests }))
       st.rec_alu
   in
   let max_cycle =

@@ -25,8 +25,14 @@
     The allocation is linear in the number of clusters (paper VI-C): a
     level is attempted at most 200 times, an operand tries at most
     [move_window] + 128 candidate cycles, and each candidate is checked
-    against dense per-cycle resource tables in O([regs_per_bank]) time.
-    Region placement adds one scan of the graph. *)
+    against per-cycle resource tables in O([regs_per_bank]) time. The
+    tables grow in fixed chunks of cycles that are never copied. What
+    depends only on the graph and its clustering (statespace versions,
+    region extents, the fetches each store or delete destroys, the node
+    to cluster index, which roots are read outside their cluster) comes
+    with the {!Cluster.t}, so a run scans no graph and builds no
+    per-graph table; its own state is dense arrays over node ids,
+    cluster ids and memory slots. *)
 
 type options = {
   locality : bool;
@@ -51,6 +57,7 @@ exception Allocation_error of string
 
 val run : ?options:options -> tile:Fpfa_arch.Arch.tile -> Sched.t -> Job.t
 (** Allocates a scheduled clustering onto the tile.
+    The clustering's graph passed {!Legalize.check} when the clustering
+    was built.
     @raise Allocation_error when a region does not fit in any memory or a
-    conflict cannot be resolved within the search bounds.
-    @raise Legalize.Unmappable on dynamic statespace offsets. *)
+    conflict cannot be resolved within the search bounds. *)

@@ -17,7 +17,9 @@ type t = {
   graph : G.t;
   clusters : cluster array;
   edges : edge list;
-  cluster_of : (G.id, int) Hashtbl.t;
+  cluster_of : int array;
+  versions : Legalize.versions;
+  root_external : bool array;
 }
 
 exception Clustering_error of string
@@ -114,6 +116,43 @@ let make_ctx g =
         G.Id_set.empty (G.outputs g);
     versions = Legalize.versions g;
   }
+
+(* Node id -> cid of the cluster listing it as an op, store or delete;
+   -1 for every other id. *)
+let index g clusters =
+  let cluster_of = Array.make (G.id_bound g) (-1) in
+  Array.iter
+    (fun c ->
+      List.iter (fun id -> cluster_of.(id) <- c.cid) c.ops;
+      List.iter (fun id -> cluster_of.(id) <- c.cid) c.stores;
+      List.iter (fun id -> cluster_of.(id) <- c.cid) c.deletes)
+    clusters;
+  cluster_of
+
+(* The one constructor of [t]: what phase 3 reads of the graph and its
+   clustering is complete before the clustering exists, so every tile
+   point that allocates it (on any domain) shares it read-only. A root's
+   consumers come from the graph's live use index; none is a [Del] (a
+   delete reads only a token and a constant), so "in the cluster" is
+   "listed as one of its ops or stores". *)
+let build ~versions g clusters edges cluster_of =
+  let root_external =
+    Array.map
+      (fun c ->
+        match c.root with
+        | None -> false
+        | Some root ->
+          let external_use = ref false in
+          G.iter_consumers g root (fun user _ ->
+              if cluster_of.(user) <> c.cid then external_use := true);
+          !external_use)
+      clusters
+  in
+  { graph = g; clusters; edges; cluster_of; versions; root_external }
+
+let make g clusters edges =
+  Legalize.check g;
+  build ~versions:(Legalize.versions g) g clusters edges (index g clusters)
 
 (* Greedy data-path template partitioning (the paper's phase 1). *)
 let partition_greedy ctx caps =
@@ -362,13 +401,7 @@ let rec assemble ctx ~detached value_protos =
            })
          ordered)
   in
-  let cluster_of = Hashtbl.create 64 in
-  Array.iter
-    (fun c ->
-      List.iter (fun id -> Hashtbl.replace cluster_of id c.cid) c.ops;
-      List.iter (fun id -> Hashtbl.replace cluster_of id c.cid) c.stores;
-      List.iter (fun id -> Hashtbl.replace cluster_of id c.cid) c.deletes)
-    clusters;
+  let cluster_of = index g clusters in
   (* Dependency edges. *)
   let edge_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let add_edge src dst weight =
@@ -425,18 +458,18 @@ let rec assemble ctx ~detached value_protos =
      per cell by the allocator, so they impose no level constraint. *)
   let version_edge access dst_cid =
     match Legalize.latest_version ctx.versions access with
-    | Some m -> (
-      match Hashtbl.find_opt cluster_of m with
-      | Some src -> add_edge src dst_cid 1
-      | None -> errorf "unclustered store/delete %d" m)
+    | Some m ->
+      let src = cluster_of.(m) in
+      if src >= 0 then add_edge src dst_cid 1
+      else errorf "unclustered store/delete %d" m
     | None -> ()
   in
   let input_edges dst_cid input =
     match G.kind g input with
-    | G.Binop _ | G.Unop _ | G.Mux -> (
-      match Hashtbl.find_opt cluster_of input with
-      | Some src -> add_edge src dst_cid 1
-      | None -> errorf "unclustered value op %d" input)
+    | G.Binop _ | G.Unop _ | G.Mux ->
+      let src = cluster_of.(input) in
+      if src >= 0 then add_edge src dst_cid 1
+      else errorf "unclustered value op %d" input
     | G.Fe _ -> version_edge input dst_cid
     | G.Const _ -> ()
     | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
@@ -457,20 +490,17 @@ let rec assemble ctx ~detached value_protos =
       match n.G.kind with
       | G.Fe _ -> (
         match Legalize.overwriter ctx.versions n.G.id with
-        | Some overwriter -> (
-          match Hashtbl.find_opt cluster_of overwriter with
-          | Some dst -> (
-            match Hashtbl.find_opt consumers n.G.id with
-            | Some uses ->
-              List.iter
-                (fun (user, _) ->
-                  match Hashtbl.find_opt cluster_of user with
-                  | Some src -> add_soft_edge src dst
-                  | None -> ())
-                uses
-            | None -> ())
+        | Some overwriter when cluster_of.(overwriter) >= 0 -> (
+          let dst = cluster_of.(overwriter) in
+          match Hashtbl.find_opt consumers n.G.id with
+          | Some uses ->
+            List.iter
+              (fun (user, _) ->
+                let src = cluster_of.(user) in
+                if src >= 0 then add_soft_edge src dst)
+              uses
           | None -> ())
-        | None -> ())
+        | Some _ | None -> ())
       | _ -> ());
   flush_soft_edges ();
   let edges =
@@ -499,7 +529,7 @@ let rec assemble ctx ~detached value_protos =
       cycle_participants
   with
   | None when cycle_participants = [] ->
-    { graph = g; clusters; edges; cluster_of }
+    build ~versions:ctx.versions g clusters edges cluster_of
   | None -> errorf "cluster dependence graph has an irreducible cycle"
   | Some cid -> (
     match clusters.(cid).stores with

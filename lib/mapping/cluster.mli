@@ -31,20 +31,38 @@ type edge = { src : int; dst : int; weight : int }
 (** [dst] must be scheduled at least [weight] levels after [src]; weight 0
     allows sharing a level (anti-dependences). *)
 
-type t = {
+type t = private {
   graph : Cdfg.Graph.t;
   clusters : cluster array;
   edges : edge list;
-  cluster_of : (Cdfg.Graph.id, int) Hashtbl.t;
-      (** op/St/Del node -> cluster id *)
+  cluster_of : int array;
+      (** node id -> id of the cluster listing it as an op, [St] or [Del];
+          [-1] for every other node. Dense over
+          {!Cdfg.Graph.id_bound} of [graph] when the clustering was built. *)
+  versions : Legalize.versions;
+      (** the statespace versions of [graph], with the largest offset
+          accessed per region and the fetches each [St]/[Del] destroys *)
+  root_external : bool array;
+      (** cid -> whether the cluster's root has a consumer outside the
+          cluster, so phase 3 must spill the result to a scratch word *)
 }
+(** A clustering and the facts phase 3 reads of it. Every field is
+    complete when the value is built ({!make}, or any partitioner below)
+    and read-only afterwards: the rewinds of one checkpoint allocate the
+    same clustering at many tile points, on several domains. *)
 
 exception Clustering_error of string
 
+val make : Cdfg.Graph.t -> cluster array -> edge list -> t
+(** A clustering from given clusters and edges (the paper's worked
+    examples): runs {!Legalize.check} and {!Legalize.versions} on the
+    graph and derives the facts above, as every partitioner does.
+    @raise Legalize.Unmappable *)
+
 val run : ?caps:Fpfa_arch.Arch.alu_caps -> Cdfg.Graph.t -> t
 (** Datapath-template clustering (greedy, deterministic). [caps] defaults
-    to {!Fpfa_arch.Arch.paper_alu}. The graph must pass
-    {!Legalize.check}. *)
+    to {!Fpfa_arch.Arch.paper_alu}.
+    @raise Legalize.Unmappable when the graph fails {!Legalize.check}. *)
 
 val sarkar : ?caps:Fpfa_arch.Arch.alu_caps -> Cdfg.Graph.t -> t
 (** Sarkar-style edge-zeroing clustering (the paper's reference [4]): unit

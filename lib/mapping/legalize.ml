@@ -80,22 +80,55 @@ let check g =
    its token). Walking the chain per query is quadratic in the chain
    length, so both answers come from maps offset -> mutator, one per token
    producer, built once in topological order. The maps are persistent:
-   each mutator adds one binding to its token's map. *)
-type versions = { offsets : int array; latest : int array; overwriter : int array }
+   each mutator adds one binding to its token's map. The same walks
+   record what phase 3 reads per region and per mutator: the largest
+   offset accessed, and the fetches each mutator destroys.
+
+   The answers are kept per access, numbered in topological order: a
+   minimised graph's ids are sparse (matmul-8 keeps 1,234 of 12,802), and
+   the clustering holds these facts for as long as it is shared. *)
+type versions = {
+  rank : int array;  (* node id -> access number, -1 for other nodes *)
+  offsets : int array;  (* by access number, as are the next three *)
+  latest : int array;
+  overwriter : int array;
+  destroys : G.id list array;
+  max_offsets : (string, int) Hashtbl.t;
+}
 
 let versions g =
   let n = G.id_bound g in
-  let offsets = Array.make n (-1) in
-  let latest = Array.make n (-1) in
-  let overwriter = Array.make n (-1) in
   let topo = G.topo_order g in
   let mutator id =
     match G.kind g id with G.St _ | G.Del _ -> true | _ -> false
   in
-  let access id =
-    match G.kind g id with G.Fe _ | G.St _ | G.Del _ -> true | _ -> false
+  let rank = Array.make n (-1) in
+  let accesses =
+    List.fold_left
+      (fun count id ->
+        match G.kind g id with
+        | G.Fe _ | G.St _ | G.Del _ ->
+          rank.(id) <- count;
+          count + 1
+        | _ -> count)
+      0 topo
   in
-  List.iter (fun id -> if access id then offsets.(id) <- const_offset g id) topo;
+  let offsets = Array.make accesses (-1) in
+  let latest = Array.make accesses (-1) in
+  let overwriter = Array.make accesses (-1) in
+  let destroys = Array.make accesses [] in
+  let max_offsets = Hashtbl.create 16 in
+  List.iter
+    (fun id ->
+      match G.kind g id with
+      | G.Fe region | G.St region | G.Del region ->
+        let offset = const_offset g id in
+        offsets.(rank.(id)) <- offset;
+        if offset > Option.value ~default:(-1) (Hashtbl.find_opt max_offsets region)
+        then Hashtbl.replace max_offsets region offset
+      | _ -> ())
+    topo;
+  let offset_of id = offsets.(rank.(id)) in
   let find offset map =
     match G.Id_map.find_opt offset map with Some m -> m | None -> -1
   in
@@ -106,25 +139,40 @@ let versions g =
   let above = Array.make n G.Id_map.empty in
   List.iter
     (fun id ->
-      if access id then begin
+      let r = rank.(id) in
+      if r >= 0 then begin
         let token = G.input g id 0 in
-        latest.(id) <- find offsets.(id) above.(token);
-        if mutator id then above.(id) <- G.Id_map.add offsets.(id) id above.(token)
+        latest.(r) <- find offsets.(r) above.(token);
+        if mutator id then above.(id) <- G.Id_map.add offsets.(r) id above.(token)
       end)
     topo;
   let below = Array.make n G.Id_map.empty in
   List.iter
     (fun id ->
       let m = next.(id) in
-      if m >= 0 then below.(id) <- G.Id_map.add offsets.(m) m below.(m))
+      if m >= 0 then below.(id) <- G.Id_map.add (offset_of m) m below.(m))
     (List.rev topo);
+  (* Ascending ids, each prepended: every [destroys] list is descending. *)
   G.iter_ids g (fun id ->
       match G.kind g id with
-      | G.Fe _ -> overwriter.(id) <- find offsets.(id) below.(G.input g id 0)
+      | G.Fe _ ->
+        let r = rank.(id) in
+        let m = find offsets.(r) below.(G.input g id 0) in
+        overwriter.(r) <- m;
+        if m >= 0 then destroys.(rank.(m)) <- id :: destroys.(rank.(m))
       | _ -> ());
-  { offsets; latest; overwriter }
+  { rank; offsets; latest; overwriter; destroys; max_offsets }
 
-let offset v id = v.offsets.(id)
+(* The answer stored for access [id]; [default] for any other node. *)
+let by_rank v answers default id =
+  let r = if id >= 0 && id < Array.length v.rank then v.rank.(id) else -1 in
+  if r < 0 then default else answers.(r)
+
+let offset v id = by_rank v v.offsets (-1) id
 let opt id = if id < 0 then None else Some id
-let latest_version v id = opt v.latest.(id)
-let overwriter v id = opt v.overwriter.(id)
+let latest_version v id = opt (by_rank v v.latest (-1) id)
+let overwriter v id = opt (by_rank v v.overwriter (-1) id)
+let destroyed_by v id = by_rank v v.destroys [] id
+
+let max_offset v region =
+  Option.value ~default:(-1) (Hashtbl.find_opt v.max_offsets region)

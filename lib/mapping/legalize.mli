@@ -26,8 +26,10 @@ val check : Cdfg.Graph.t -> unit
 
 type versions
 (** Which version of a statespace cell each access sees, for a graph that
-    passes {!check}. Built once per graph in O(n log n); every query is
-    O(1). *)
+    passes {!check}, and what phase 3 reads per region and per mutator
+    ({!max_offset}, {!destroyed_by}). Built once per graph in
+    O(n log n), immutable afterwards (safe to read from several domains);
+    every query is O(1). {!Cluster} builds it with the clustering. *)
 
 val versions : Cdfg.Graph.t -> versions
 (** @raise Unmappable on a dynamic or negative offset (run {!check}
@@ -46,3 +48,12 @@ val overwriter : versions -> Cdfg.Graph.id -> Cdfg.Graph.id option
     following from each token the [St]/[Del] that consumes it (the one
     with the largest id when several do); [None] when the value it read
     is never overwritten. *)
+
+val destroyed_by : versions -> Cdfg.Graph.id -> Cdfg.Graph.id list
+(** For a [St]/[Del] node: the fetches whose {!overwriter} it is, that is
+    whose value it destroys, in descending id order; [[]] for any other
+    node. *)
+
+val max_offset : versions -> string -> int
+(** The largest offset any [Fe]/[St]/[Del] of the region accesses; [-1]
+    when none does. *)

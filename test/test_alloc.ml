@@ -238,12 +238,35 @@ let test_interleaved_config_roundtrip () =
   Alcotest.(check bool) "roundtrip conforms" true
     (Fpfa_sim.Sim.conforms ~memory_init:k.Fpfa_kernels.Kernels.inputs job')
 
+(* A DAG on a one-bus crossbar and on one wider than a byte can count:
+   the per-cycle resource tables hold every count either way, so the
+   validator finds no oversubscribed resource and the tile computes what
+   the graph does. *)
+let test_bus_extremes () =
+  let module Flow = Fpfa_core.Flow in
+  let g = Fpfa_kernels.Random_graph.generate ~seed:5 ~ops:300 () in
+  let memory_init = Fpfa_kernels.Random_graph.random_inputs g in
+  List.iter
+    (fun buses ->
+      let config =
+        { Flow.default_config with Flow.tile = Arch.with_buses buses Arch.paper_tile }
+      in
+      let r = Flow.map_graph ~config g in
+      let name = Printf.sprintf "%d buses" buses in
+      Alcotest.(check (list string)) (name ^ ": no Mapcheck error") []
+        (List.map
+           (fun (d : Fpfa_diag.Diag.t) -> d.Fpfa_diag.Diag.message)
+           (Fpfa_diag.Diag.errors (Fpfa_analysis.Mapcheck.alloc r.Flow.job)));
+      Alcotest.(check bool) (name ^ ": verifies") true (Flow.verify ~memory_init r))
+    [ 1; 300 ]
+
 let suite =
   [
     Alcotest.test_case "job structure" `Quick test_job_structure;
     Alcotest.test_case "levels increase" `Quick test_levels_map_to_increasing_cycles;
     Alcotest.test_case "moves precede exec" `Quick test_moves_precede_exec;
     Alcotest.test_case "bus limit" `Quick test_bus_limit_respected;
+    Alcotest.test_case "bus extremes" `Quick test_bus_extremes;
     Alcotest.test_case "read ports" `Quick test_one_read_port_per_memory;
     Alcotest.test_case "register banks" `Quick test_register_banks_not_overfilled;
     Alcotest.test_case "locality option" `Quick test_locality_option;

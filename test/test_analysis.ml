@@ -461,21 +461,19 @@ let test_corrupt_cluster_empty () =
 let test_corrupt_cluster_coverage () =
   let result = map_kernel "fir-paper" in
   let c = result.Fpfa_core.Flow.clustering in
-  let victim =
-    Hashtbl.fold (fun id _ acc -> max acc id) c.Cluster.cluster_of (-1)
-  in
-  Hashtbl.remove c.Cluster.cluster_of victim;
+  let victim = ref (-1) in
+  Array.iteri (fun id cid -> if cid >= 0 then victim := id) c.Cluster.cluster_of;
+  c.Cluster.cluster_of.(!victim) <- -1;
   flags "unmapped node" "cluster.coverage" (Mapcheck.cluster c)
 
 let test_corrupt_cluster_cycle () =
   let result = map_kernel "fir-paper" in
   let c = result.Fpfa_core.Flow.clustering in
   let c =
-    { c with
-      Cluster.edges =
-        { Cluster.src = 0; dst = 1; weight = 1 }
-        :: { Cluster.src = 1; dst = 0; weight = 1 }
-        :: c.Cluster.edges }
+    Cluster.make c.Cluster.graph c.Cluster.clusters
+      ({ Cluster.src = 0; dst = 1; weight = 1 }
+      :: { Cluster.src = 1; dst = 0; weight = 1 }
+      :: c.Cluster.edges)
   in
   flags "two-cluster cycle" "cluster.cycle" (Mapcheck.cluster c)
 

@@ -172,7 +172,10 @@ let clustering_is_legal =
 (* The statespace-version index against the token-chain walks it
    replaces, on random chains of fetches, stores and deletes over four
    cells. Tokens branch: a token may feed several mutators, and the
-   downward walk then follows the one with the largest id. *)
+   downward walk then follows the one with the largest id. The facts
+   phase 3 reads are checked against their definitions: a mutator
+   destroys exactly the fetches it overwrites, and the region's largest
+   offset is the largest any access uses. *)
 let test_version_index_matches_walks () =
   for seed = 1 to 200 do
     let rng = Random.State.make [| seed |] in
@@ -227,8 +230,18 @@ let test_version_index_matches_walks () =
           Alcotest.(check (option int)) (label "overwriter")
             (down (G.input g id 0) cell)
             (Mapping.Legalize.overwriter v id)
-        | _ -> ())
-      !accesses
+        | _ ->
+          Alcotest.(check (list int)) (label "destroyed fetches")
+            (List.filter
+               (fun fe ->
+                 (match G.kind g fe with G.Fe _ -> true | _ -> false)
+                 && down (G.input g fe 0) (offset fe) = Some id)
+               (List.sort_uniq (fun a b -> compare b a) !accesses))
+            (Mapping.Legalize.destroyed_by v id))
+      !accesses;
+    Alcotest.(check int) (Printf.sprintf "seed %d largest offset" seed)
+      (List.fold_left (fun acc id -> max acc (offset id)) (-1) !accesses)
+      (Mapping.Legalize.max_offset v "r")
   done
 
 let suite =

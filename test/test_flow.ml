@@ -201,9 +201,9 @@ let tile_at (alus, buses, window) =
   |> Arch.with_move_window window
 
 (* Tile points leave the ALU data path alone, so the rewinds of one
-   minimised checkpoint cluster once; a caps change clusters again. A
-   reused clustering records no "cluster" span and bumps
-   "flow.cluster_reused". *)
+   minimised checkpoint cluster and validate once; a caps change clusters
+   again. A reused clustering records no "cluster" or "cluster-validate"
+   span and bumps "flow.cluster_reused". *)
 let test_rewinds_reuse_clustering () =
   let source = source_of "fir-16" in
   let cluster_with, calls = counting_cluster () in
@@ -227,13 +227,14 @@ let test_rewinds_reuse_clustering () =
             (p, job_bytes (Staged.to_result (Staged.run s))))
           points)
   in
-  let cluster_spans =
+  let spans name =
     List.length
       (List.filter
          (fun (sp : Obs.finished_span) ->
-           sp.Obs.scat = "flow" && sp.Obs.sname = "cluster")
+           sp.Obs.scat = "flow" && sp.Obs.sname = name)
          (Obs.spans ()))
   in
+  let cluster_spans = spans "cluster" and validate_spans = spans "cluster-validate" in
   let reused =
     Option.value ~default:0
       (List.assoc_opt "flow.cluster_reused" (Obs.counters ()))
@@ -241,6 +242,7 @@ let test_rewinds_reuse_clustering () =
   Obs.reset ();
   Alcotest.(check int) "clustered once" 1 (Atomic.get calls);
   Alcotest.(check int) "one cluster span" 1 cluster_spans;
+  Alcotest.(check int) "one cluster-validate span" 1 validate_spans;
   Alcotest.(check int) "five reuses" 5 reused;
   List.iter
     (fun (p, bytes) ->
@@ -253,6 +255,31 @@ let test_rewinds_reuse_clustering () =
   let s = Option.get (Staged.rewind base ~config) in
   ignore (Staged.run s);
   Alcotest.(check int) "a caps change clusters again" 2 (Atomic.get calls)
+
+(* A clustering that breaks the configured data path fails where it is
+   computed and is never stored: a later rewind of the same checkpoint
+   clusters again and fails again. *)
+let test_rejected_clustering_not_shared () =
+  let source = source_of "fir-16" in
+  let calls = Atomic.make 0 in
+  (* paper-ALU clusters, validated against one-op ALUs *)
+  let cluster_with ~caps:_ g = Atomic.incr calls; Mapping.Cluster.run g in
+  let config =
+    { Flow.default_config with Flow.cluster_with; caps = Some Arch.unit_alu }
+  in
+  let base = Staged.advance (Staged.of_source ~config source) in
+  let fails s =
+    match Staged.run s with
+    | (_ : Staged.t) -> "mapped"
+    | exception Flow.Flow_error msg ->
+      List.hd (String.split_on_char ':' msg)
+  in
+  Alcotest.(check string) "first run" "cluster-validate" (fails base);
+  let config = { config with Flow.tile = tile_at (3, 2, 1) } in
+  let s = Option.get (Staged.rewind base ~config) in
+  Alcotest.(check string) "rewind re-enters" "minimised" (phase_name (Some s));
+  Alcotest.(check string) "later rewind" "cluster-validate" (fails s);
+  Alcotest.(check int) "nothing was shared" 2 (Atomic.get calls)
 
 (* The remap grid from one frozen checkpoint on a 4-domain pool: the
    same bytes as a sequential run, and at most one clustering per
@@ -291,18 +318,34 @@ let test_pool_rewinds_share_clustering () =
     (par_calls >= 1 && par_calls <= 4);
   Alcotest.(check (list string)) "pool bytes = sequential bytes" seq par
 
+(* A tile point over the remap grid's ALU and window ranges, with a
+   one-bus crossbar and one wider than a byte can count among the bus
+   counts. *)
+let tile_point =
+  QCheck.make
+    ~print:(fun (a, b, w) -> Printf.sprintf "alus %d, buses %d, window %d" a b w)
+    QCheck.Gen.(triple (int_range 3 8) (oneofl [ 1; 2; 16; 300 ]) (int_range 1 6))
+
 (* Property: the complete flow verifies on random mappable programs — the
    headline invariant of the whole library. The reference interpreter, the
    CDFG evaluator before and after minimisation and the tile simulator
-   agree (Interp = Eval = Sim); the generated programs read scalar inputs
-   as well as arrays. *)
+   agree (Interp = Eval = Sim) on the default tile and on a drawn tile
+   point; the generated programs read scalar inputs as well as arrays. *)
 let flow_verifies_random_programs =
   QCheck.Test.make ~name:"flow verifies on random programs" ~count:120
-    Gen.program (fun program ->
+    (QCheck.pair Gen.program tile_point) (fun (program, point) ->
       let source = Cfront.Ast.program_to_string program in
-      let result = Flow.map_source source in
-      Flow.verify ~memory_init:Gen.memory_init result
-      && Flow.conforms_to_interp ~memory_init:Gen.memory_init result)
+      let minimised =
+        Staged.advance (Staged.of_source ~config:Flow.default_config source)
+      in
+      List.for_all
+        (fun config ->
+          let result =
+            Staged.to_result (Staged.run (Option.get (Staged.rewind minimised ~config)))
+          in
+          Flow.verify ~memory_init:Gen.memory_init result
+          && Flow.conforms_to_interp ~memory_init:Gen.memory_init result)
+        [ Flow.default_config; { Flow.default_config with Flow.tile = tile_at point } ])
 
 (* Property: the flow verifies on random DAGs under every variant. *)
 let flow_verifies_random_graphs =
@@ -335,6 +378,8 @@ let suite =
     Alcotest.test_case "rewind re-entry" `Quick test_rewind_reentry;
     Alcotest.test_case "rewinds reuse clustering" `Quick
       test_rewinds_reuse_clustering;
+    Alcotest.test_case "rejected clustering not shared" `Quick
+      test_rejected_clustering_not_shared;
     Alcotest.test_case "pool rewinds share clustering" `Quick
       test_pool_rewinds_share_clustering;
     QCheck_alcotest.to_alcotest flow_verifies_random_programs;

@@ -11,6 +11,8 @@
    - the two design-space DAGs (1000 ops at seed 1, 2000 ops at seed 2) at
      two tile points each, under every scheduling priority, and their
      cluster, sched and alloc counters;
+   - the benchmark's remap grid: five minimised checkpoints (the two DAGs,
+     crc8-16, matmul-8 and fir-256), each rewound to six tile points;
    - the error text of one allocation that runs out of tile memory;
    - the MD5 of [Cdfg.Serialize.to_string] of the minimised graph of every
      corpus kernel, the six large kernels and the two DAGs, under the
@@ -78,6 +80,42 @@ let dag_cases name clustering =
               digest (Mapping.Alloc.run ~tile:t sched) ))
         priorities)
     dag_tiles
+
+(* The benchmark's remap workload: op k rewinds checkpoint k / 6 to grid
+   point 7k mod 100 over alus {3,4,5,8} x buses {2,4,6,10,16} x window
+   {1,2,3,4,6}. The rewinds of one checkpoint share its clustering, as
+   they do there. *)
+let remap_cases () =
+  let alus = [| 3; 4; 5; 8 |] and buses = [| 2; 4; 6; 10; 16 |]
+  and windows = [| 1; 2; 3; 4; 6 |] in
+  let config = Flow.default_config in
+  let dag ~ops ~seed () =
+    Flow.Staged.of_graph ~config (Fpfa_kernels.Random_graph.generate ~seed ~ops ())
+  in
+  let kernel (k : Kernels.t) () = Flow.Staged.of_source ~config k.Kernels.source in
+  let checkpoints =
+    List.map
+      (fun (name, stage) ->
+        let s = Flow.Staged.advance (stage ()) in
+        Flow.Staged.freeze s;
+        (name, s))
+      [ ("dag-1000", dag ~ops:1000 ~seed:1); ("dag-2000", dag ~ops:2000 ~seed:2);
+        ("crc8-16", kernel (Kernels.crc8 ~bytes:16));
+        ("matmul-8", kernel (Kernels.matmul ~n:8));
+        ("fir-256", kernel (Kernels.fir ~taps:256)) ]
+    |> Array.of_list
+  in
+  List.init (Array.length checkpoints * 6) (fun k ->
+      let name, checkpoint = checkpoints.(k / 6) in
+      let g = 7 * k mod 100 in
+      let t =
+        tile ~alus:alus.(g / 25) ~buses:buses.(g / 5 mod 5) ~window:windows.(g mod 5)
+      in
+      ( Printf.sprintf "remap/%s@%s" name (tile_name t),
+        fun () ->
+          let config = { config with Flow.tile = t } in
+          let s = Option.get (Flow.Staged.rewind checkpoint ~config) in
+          digest (Flow.Staged.to_result (Flow.Staged.run s)).Flow.job ))
 
 let graph_digest g = Digest.to_hex (Digest.string (Cdfg.Serialize.to_string g))
 
@@ -440,6 +478,36 @@ let expected =
     ("job-incr/dag-1000", "e266114289853237250143257419a7b2");
     ("graph-incr/dag-2000", "84a886751acb5767fdce6a698aad8365");
     ("job-incr/dag-2000", "de3f7e3dd7be5e66be63573686cc643f");
+    ("remap/dag-1000@a3.b2.w1", "f70073a8c771b36d9ee54093ce2a787a");
+    ("remap/dag-1000@a3.b4.w3", "e83bb08978a237353a74a9d2776e7ceb");
+    ("remap/dag-1000@a3.b6.w6", "716000df25f362331aa406c3f22b4cb3");
+    ("remap/dag-1000@a3.b16.w2", "f8bc9794e36e5efaeabd211ff53bb54e");
+    ("remap/dag-1000@a4.b2.w4", "ea5664ded74124594d18c8422cbb5a80");
+    ("remap/dag-1000@a4.b6.w1", "e130c5f3961d81bcdfda098558146fcb");
+    ("remap/dag-2000@a4.b10.w3", "952e19dd18a1904ae6270d06da9e1f64");
+    ("remap/dag-2000@a4.b16.w6", "73a5d2d29b48bdcae32aeced42607107");
+    ("remap/dag-2000@a5.b4.w2", "0de1567d9d1706bca5e5bc70a63cfd5b");
+    ("remap/dag-2000@a5.b6.w4", "870622843e375c55c855a261708ed097");
+    ("remap/dag-2000@a5.b16.w1", "16668d4fda4dd04ce9a522d074114dd6");
+    ("remap/dag-2000@a8.b2.w3", "8b300d521edc429f8b65998e46c62c3f");
+    ("remap/crc8-16@a8.b4.w6", "91596917c56d6f763551ad23cfabbe77");
+    ("remap/crc8-16@a8.b10.w2", "3d3b5ef06ef3125a7dbcdff66f2f3de9");
+    ("remap/crc8-16@a8.b16.w4", "d93ead7ebcd7011a04621c875a6f8b57");
+    ("remap/crc8-16@a3.b4.w1", "58c947429f58e98fff5b3dddb81d94e4");
+    ("remap/crc8-16@a3.b6.w3", "a7a5f23fd3ecd4fad54f762a8342eecc");
+    ("remap/crc8-16@a3.b10.w6", "8cb9bc5caa183bc7f7fba3a269e7eb51");
+    ("remap/matmul-8@a4.b2.w2", "59aa9bbd87c8b633e1ebaf70588fffe4");
+    ("remap/matmul-8@a4.b4.w4", "3661a402b4a49e33dcd2e68466c40286");
+    ("remap/matmul-8@a4.b10.w1", "4ce19a3053bd4652b11493a43fa3d11a");
+    ("remap/matmul-8@a4.b16.w3", "bbd483822346fbc6ba2a3932b5bb2fe9");
+    ("remap/matmul-8@a5.b2.w6", "ad2d88acda136822a4e027b3a57cf058");
+    ("remap/matmul-8@a5.b6.w2", "f66c3f1f430a58d89105bee56a5d4af3");
+    ("remap/fir-256@a5.b10.w4", "1f4b9ba94b2429284258aa4f45162e77");
+    ("remap/fir-256@a8.b2.w1", "4cba4875865e5f02e4936d6398e18e90");
+    ("remap/fir-256@a8.b4.w3", "c8936e0cf1cda904ed69df95de1e0fb9");
+    ("remap/fir-256@a8.b6.w6", "a6329a004eb129c8d6483415958d263e");
+    ("remap/fir-256@a8.b16.w2", "07b41596a0067df79dbc8b96e9d063e4");
+    ("remap/fir-256@a3.b2.w4", "8f2acaffc305a5b44c870ad420926e61");
   ]
 
 let check_cases cases () =
@@ -618,6 +686,7 @@ let flow_groups =
           (sources large_kernels));
     ("incremental dags", fun () ->
         flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true dags);
+    ("remap grid", remap_cases);
   ]
 
 let suite =
