@@ -679,8 +679,9 @@ let serve socket cache_size cache_dir cache_disk_max observe obs_stats jobs =
   Fun.protect
     ~finally:(fun () ->
       Fpfa_serve.Serve.shutdown server;
-      (* --stats: the daemon-lifetime counter report (serve.l1/l2 cache
-         tallies, per-stage spans) on exit *)
+      (* --stats: the daemon-lifetime counter report (serve.l1,
+         serve.program and serve.l2 cache tallies, per-stage spans) on
+         exit *)
       if obs_stats then print_string (Obs.stats_report ()))
     (fun () ->
       match socket with
@@ -703,8 +704,8 @@ let cache_size_arg =
     value & opt int 256
     & info [ "cache-size" ] ~docv:"N"
         ~doc:
-          "Entries per cache level (request and mapping). 0 disables \
-           caching.")
+          "Entries per cache level (request, program index and mapping). \
+           0 disables caching.")
 
 let cache_dir_arg =
   Arg.(

@@ -40,15 +40,26 @@ let with_alu_count alu_count tile = { tile with alu_count }
 let with_buses buses tile = { tile with buses }
 let with_move_window move_window tile = { tile with move_window }
 
+(* The configuration image writes every count, register coordinate and
+   memory coordinate as one byte, and a word address as two: a tile it
+   cannot describe is not a tile. *)
+let max_field = 0xFF
+let max_memory_size = 0x10000
+
 let validate t =
-  let positive name v =
-    if v <= 0 then invalid_arg (Printf.sprintf "tile: %s must be positive" name)
+  let at_most hi name v =
+    if v > hi then
+      invalid_arg (Printf.sprintf "tile: %s must be at most %d" name hi)
+  in
+  let positive ?(hi = max_field) name v =
+    if v <= 0 then invalid_arg (Printf.sprintf "tile: %s must be positive" name);
+    at_most hi name v
   in
   positive "alu_count" t.alu_count;
   positive "banks_per_pp" t.banks_per_pp;
   positive "regs_per_bank" t.regs_per_bank;
   positive "memories_per_pp" t.memories_per_pp;
-  positive "memory_size" t.memory_size;
+  positive ~hi:max_memory_size "memory_size" t.memory_size;
   positive "buses" t.buses;
   positive "move_window" t.move_window;
   positive "alu.max_inputs" t.alu.max_inputs;
@@ -56,6 +67,7 @@ let validate t =
   positive "alu.max_ops" t.alu.max_ops;
   if t.alu.max_multipliers < 0 then
     invalid_arg "tile: alu.max_multipliers must be non-negative";
+  at_most max_field "alu.max_multipliers" t.alu.max_multipliers;
   if t.alu.max_inputs > t.banks_per_pp then
     invalid_arg "tile: more ALU inputs than register banks"
 

@@ -53,7 +53,11 @@ val with_buses : int -> tile -> tile
 val with_move_window : int -> tile -> tile
 
 val validate : tile -> unit
-(** @raise Invalid_argument when a field is non-positive or the move window
-    exceeds what the register banks can hold. *)
+(** @raise Invalid_argument when a count is non-positive (the multiplier
+    count negative), when the ALU takes more inputs than there are
+    register banks, or when a field exceeds what the configuration image
+    can hold: it writes every count and coordinate as one byte and a
+    word address as two, so each count is at most 255 and [memory_size]
+    at most 65,536 words. *)
 
 val pp_tile : Format.formatter -> tile -> unit

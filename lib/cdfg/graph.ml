@@ -343,27 +343,7 @@ let entry_port (v : int) = (v lsr 1) land 3
 let is_dead (v : int) = v land 1 = 1
 let appends_cap live = 8 + (live lsr 3)
 
-(* Sorts [a.(0 .. n - 1)] in place. Insertion sort for the short or
-   nearly ascending arrays this sees (appends, journal buffers); a copy
-   through the library sort otherwise. *)
-let sort_prefix (a : int array) n =
-  if n <= 32 then
-    for i = 1 to n - 1 do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  else begin
-    let s = Array.sub a 0 n in
-    Array.sort Int.compare s;
-    for i = 0 to n - 1 do
-      a.(i) <- s.(i)
-    done
-  end
+let sort_prefix = Fpfa_util.Intsort.sort_prefix
 
 let duse_clear g p =
   release_adj g g.duse.(p);

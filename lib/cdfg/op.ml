@@ -107,3 +107,25 @@ let all_binops =
   [ Add; Sub; Mul; Div; Mod; Shl; Shr; Band; Bor; Bxor; Lt; Le; Gt; Ge; Eq; Ne; Land; Lor ]
 
 let all_unops = [ Neg; Bnot; Lnot ]
+
+let binop_code = function
+  | Add -> 0
+  | Sub -> 1
+  | Mul -> 2
+  | Div -> 3
+  | Mod -> 4
+  | Shl -> 5
+  | Shr -> 6
+  | Band -> 7
+  | Bor -> 8
+  | Bxor -> 9
+  | Lt -> 10
+  | Le -> 11
+  | Gt -> 12
+  | Ge -> 13
+  | Eq -> 14
+  | Ne -> 15
+  | Land -> 16
+  | Lor -> 17
+
+let unop_code = function Neg -> 0 | Bnot -> 1 | Lnot -> 2

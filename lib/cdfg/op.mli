@@ -45,3 +45,10 @@ val unop_to_string : unop -> string
 
 val all_binops : binop list
 val all_unops : unop list
+
+val binop_code : binop -> int
+(** The operator's position in {!all_binops}: the byte the CDFG and
+    configuration encodings write for it. *)
+
+val unop_code : unop -> int
+(** The operator's position in {!all_unops}. *)

@@ -5,24 +5,10 @@ exception Corrupt of string
 let magic = "FCDF"
 let version = 1
 
-let binop_code op =
-  match
-    Fpfa_util.Listx.index_of (fun candidate -> candidate = op) Op.all_binops
-  with
-  | Some i -> i
-  | None -> assert false
-
 let binop_of_code code =
   match List.nth_opt Op.all_binops code with
   | Some op -> op
   | None -> raise (Corrupt (Printf.sprintf "unknown binop code %d" code))
-
-let unop_code op =
-  match
-    Fpfa_util.Listx.index_of (fun candidate -> candidate = op) Op.all_unops
-  with
-  | Some i -> i
-  | None -> assert false
 
 let unop_of_code code =
   match List.nth_opt Op.all_unops code with
@@ -36,10 +22,10 @@ let write_kind w (kind : Graph.kind) =
     B.i64 w v
   | Graph.Binop op ->
     B.u8 w 1;
-    B.u8 w (binop_code op)
+    B.u8 w (Op.binop_code op)
   | Graph.Unop op ->
     B.u8 w 2;
-    B.u8 w (unop_code op)
+    B.u8 w (Op.unop_code op)
   | Graph.Mux -> B.u8 w 3
   | Graph.Ss_in region ->
     B.u8 w 4;
@@ -107,27 +93,25 @@ let to_string g = fst (to_string_mapped g)
 (* [to_string] renumbers nodes along [topo_order], which breaks ties   *)
 (* by ascending id — so two graphs equal up to id renaming can encode  *)
 (* differently. The canonical form instead orders ready nodes by a     *)
-(* structural key: the MD5 of a node's input cone (computed forward)   *)
-(* concatenated with the MD5 of its use cone (computed backward).      *)
+(* structural key: a hash of a node's input cone (computed forward)    *)
+(* followed by a hash of its use cone (computed backward).             *)
 (* Nodes that tie on both cones are interchangeable for the encoding   *)
 (* (swapping them is an automorphism of everything the bytes record),  *)
 (* so the residual id tie-break cannot leak renaming into the output.  *)
 (* The mapping cache keys on this digest: equal bytes imply the graphs *)
 (* are equal up to renaming, so a cache hit returns a mapping of the   *)
 (* very same graph.                                                    *)
+(*                                                                     *)
+(* Every pass reads the graph's arrays through its point queries and   *)
+(* keeps its own state in id-indexed int arrays: no node records, no   *)
+(* per-node lists or tables.                                           *)
 (* ------------------------------------------------------------------ *)
 
 let canonical_magic = "FCDC"
 
-let kind_bytes kind =
-  let w = B.writer () in
-  write_kind w kind;
-  B.contents w
-
 (* Cheap 63-bit structural mixing (splitmix-style). The cone hashes only
    break ties in the canonical order; the content digest itself stays an
-   MD5 of the canonical bytes. Per-node MD5 contexts dominated digest
-   time on large graphs — int mixing makes both passes allocation-free. *)
+   MD5 of the canonical bytes. *)
 let h_seed = 0x51ed270b
 
 let mix h x =
@@ -137,7 +121,30 @@ let mix h x =
   h lxor (h lsr 31)
 
 let mix_string h s = String.fold_left (fun h c -> mix h (Char.code c)) h s
-let kind_hash kind = mix_string h_seed (kind_bytes kind)
+
+(* A region name as [B.str] writes it: two length bytes, then the name. *)
+let mix_region h tag region =
+  let n = String.length region in
+  mix_string (mix (mix (mix h tag) (n land 0xff)) ((n lsr 8) land 0xff)) region
+
+(* [h_seed] mixed with the bytes [write_kind] emits for the kind, without
+   writing them. *)
+let kind_hash (kind : Graph.kind) =
+  match kind with
+  | Graph.Const v ->
+    let h = ref (mix h_seed 0) in
+    for i = 0 to 7 do
+      h := mix !h ((v asr (8 * i)) land 0xff)
+    done;
+    !h
+  | Graph.Binop op -> mix (mix h_seed 1) (Op.binop_code op)
+  | Graph.Unop op -> mix (mix h_seed 2) (Op.unop_code op)
+  | Graph.Mux -> mix h_seed 3
+  | Graph.Ss_in region -> mix_region h_seed 4 region
+  | Graph.Ss_out region -> mix_region h_seed 5 region
+  | Graph.Fe region -> mix_region h_seed 6 region
+  | Graph.St region -> mix_region h_seed 7 region
+  | Graph.Del region -> mix_region h_seed 8 region
 
 (* The whole canonical apparatus (hashes, canonical bytes, {!renumber})
    quotients by commutative operand order, exactly as {!Transform.Cse}
@@ -148,106 +155,152 @@ let kind_hash kind = mix_string h_seed (kind_bytes kind)
 let commutes (kind : Graph.kind) =
   match kind with Graph.Binop op -> Op.commutative op | _ -> false
 
-(* Forward pass: hash of each node's input cone (kind, operand cones in
-   port order — sorted for commutative binops — and order-predecessor
-   cones as a multiset). *)
-let down_hashes g =
-  let bound = Graph.id_bound g in
-  let down = Array.make bound 0 in
-  List.iter
-    (fun id ->
-      let n = Graph.node g id in
-      let h = kind_hash n.Graph.kind in
-      let h =
-        match n.Graph.inputs with
-        | [| a; b |] when commutes n.Graph.kind ->
-          let ha = down.(a) and hb = down.(b) in
-          let lo = min ha hb and hi = max ha hb in
-          mix (mix h lo) hi
-        | inputs -> Array.fold_left (fun h i -> mix h down.(i)) h inputs
-      in
-      let h = mix h 0x0 in
-      let h =
-        List.fold_left mix h
-          (List.sort Int.compare
-             (List.map (fun i -> down.(i)) n.Graph.order_after))
-      in
-      down.(id) <- h)
-    (Graph.topo_order g);
-  down
+(* A multiset of ints (hashes, positions): filled, then read back in
+   ascending order. Reused from node to node. *)
+type bag = { mutable items : int array; mutable size : int }
 
+let bag () = { items = Array.make 16 0; size = 0 }
+
+let put b v =
+  if b.size = Array.length b.items then begin
+    let items = Array.make (2 * b.size) 0 in
+    Array.blit b.items 0 items 0 b.size;
+    b.items <- items
+  end;
+  b.items.(b.size) <- v;
+  b.size <- b.size + 1
+
+(* Mixes the bag's items into [h] in ascending order and empties it. *)
+let mix_bag h b =
+  Fpfa_util.Intsort.sort_prefix b.items b.size;
+  let h = ref h in
+  for i = 0 to b.size - 1 do
+    h := mix !h b.items.(i)
+  done;
+  b.size <- 0;
+  !h
+
+(* Calls [f] on each order-only predecessor of [id]: [iter_preds] lists
+   the data inputs first. *)
+let iter_order_preds g id f =
+  let skip = ref (Graph.arity_of g id) in
+  Graph.iter_preds g id (fun p -> if !skip > 0 then decr skip else f p)
+
+(* The canonical order as an array of ids. Forward pass: hash of each
+   node's input cone (kind, operand cones in port order — sorted for
+   commutative binops — and order-predecessor cones as a multiset).
+   Backward pass: hash of the use cone (ports distinguish operand
+   positions; named outputs anchor the sinks). Then Kahn's algorithm
+   pops the smallest (down, up, id) from a binary heap of ready ids;
+   every pop is a ready node, so the result is a valid topological
+   order. *)
 let canonical_order g =
   let bound = Graph.id_bound g in
-  let topo = Graph.topo_order g in
-  let down = down_hashes g in
-  (* backward pass: hash of the use cone (ports distinguish operand
-     positions; named outputs anchor the sinks) *)
+  let topo = Array.of_list (Graph.topo_order g) in
+  let n = Array.length topo in
+  let kh = Array.make bound 0 and down = Array.make bound 0 in
+  let indeg = Array.make bound 0 in
+  let b = bag () in
+  let put_down p = put b down.(p) in
+  Array.iter
+    (fun id ->
+      let kind = Graph.kind g id in
+      let k = kind_hash kind in
+      kh.(id) <- k;
+      let h =
+        if commutes kind then begin
+          let ha = down.(Graph.input g id 0) and hb = down.(Graph.input g id 1) in
+          mix (mix k (min ha hb)) (max ha hb)
+        end
+        else begin
+          let h = ref k in
+          for port = 0 to Graph.arity kind - 1 do
+            h := mix !h down.(Graph.input g id port)
+          done;
+          !h
+        end
+      in
+      iter_order_preds g id put_down;
+      indeg.(id) <- Graph.arity kind + b.size;
+      down.(id) <- mix_bag (mix h 0x0) b)
+    topo;
   let out_names = Array.make bound [] in
   List.iter
     (fun (name, id) -> out_names.(id) <- name :: out_names.(id))
     (Graph.outputs g);
   let up = Array.make bound 0 in
-  List.iter
-    (fun id ->
-      let n = Graph.node g id in
-      let h = kind_hash n.Graph.kind in
-      let h =
-        List.fold_left mix h
-          (List.sort Int.compare
-             (List.map
-                (fun (cid, port) ->
-                  (* a commutative consumer sees its operands at
-                     interchangeable ports *)
-                  let port = if commutes (Graph.kind g cid) then 0 else port in
-                  mix (mix h_seed port) up.(cid))
-                (Graph.consumers_of g id)))
-      in
-      let h = mix h 0x1 in
-      let h =
-        List.fold_left mix h
-          (List.sort Int.compare
-             (List.map (fun s -> up.(s)) (Graph.order_successors g id)))
-      in
-      let h = mix h 0x2 in
-      let h =
-        List.fold_left
-          (fun h name -> mix_string h name)
-          h
-          (List.sort String.compare out_names.(id))
-      in
-      up.(id) <- h)
-    (List.rev topo);
-  (* Kahn's algorithm popping the smallest (key, id); every pop is a
-     ready node, so the result is a valid topological order. *)
-  let module Ready = Set.Make (struct
-    type t = int * int * int
-
-    let compare (da, ua, ia) (db, ub, ib) =
-      match Int.compare da db with
-      | 0 -> ( match Int.compare ua ub with 0 -> Int.compare ia ib | c -> c)
-      | c -> c
-  end) in
-  let key id = (down.(id), up.(id), id) in
-  let indeg = Array.make bound 0 in
-  Graph.iter_ids g (fun id ->
-      indeg.(id) <-
-        Graph.arity_of g id + List.length (Graph.order_after g id));
-  let ready = ref Ready.empty in
-  Graph.iter_ids g (fun id ->
-      if indeg.(id) = 0 then ready := Ready.add (key id) !ready);
-  let order = ref [] in
+  (* a commutative consumer sees its operands at interchangeable ports *)
+  let put_use cid port =
+    let port = if commutes (Graph.kind g cid) then 0 else port in
+    put b (mix (mix h_seed port) up.(cid))
+  in
+  let put_up s = put b up.(s) in
+  for i = n - 1 downto 0 do
+    let id = topo.(i) in
+    Graph.iter_consumers g id put_use;
+    let h = mix_bag kh.(id) b in
+    Graph.iter_order_successors g id put_up;
+    let h = mix (mix_bag (mix h 0x1) b) 0x2 in
+    up.(id) <-
+      List.fold_left mix_string h (List.sort String.compare out_names.(id))
+  done;
+  let before a b =
+    let da = down.(a) and db = down.(b) in
+    if da <> db then da < db
+    else
+      let ua = up.(a) and ub = up.(b) in
+      if ua <> ub then ua < ub else a < b
+  in
+  let heap = Array.make n 0 and size = ref 0 in
+  let push id =
+    let i = ref !size in
+    incr size;
+    while
+      !i > 0
+      &&
+      let parent = (!i - 1) / 2 in
+      before id heap.(parent)
+    do
+      let parent = (!i - 1) / 2 in
+      heap.(!i) <- heap.(parent);
+      i := parent
+    done;
+    heap.(!i) <- id
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) in
+    let i = ref 0 and settled = ref false in
+    while not !settled do
+      let l = (2 * !i) + 1 in
+      if l >= !size then settled := true
+      else begin
+        let c = if l + 1 < !size && before heap.(l + 1) heap.(l) then l + 1 else l in
+        if before heap.(c) last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else settled := true
+      end
+    done;
+    heap.(!i) <- last;
+    top
+  in
+  Array.iter (fun id -> if indeg.(id) = 0 then push id) topo;
   let release id =
     indeg.(id) <- indeg.(id) - 1;
-    if indeg.(id) = 0 then ready := Ready.add (key id) !ready
+    if indeg.(id) = 0 then push id
   in
-  while not (Ready.is_empty !ready) do
-    let ((_, _, id) as elt) = Ready.min_elt !ready in
-    ready := Ready.remove elt !ready;
-    order := id :: !order;
-    List.iter (fun (cid, _port) -> release cid) (Graph.consumers_of g id);
-    List.iter release (Graph.order_successors g id)
+  let release_use cid _port = release cid in
+  let order = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let id = pop () in
+    order.(i) <- id;
+    Graph.iter_consumers g id release_use;
+    Graph.iter_order_successors g id release
   done;
-  List.rev !order
+  order
 
 let canonical g =
   let w = B.writer () in
@@ -259,25 +312,39 @@ let canonical g =
       B.option w info.Graph.size B.i32;
       B.u8 w (if info.Graph.implicit then 1 else 0));
   let order = canonical_order g in
-  let position = Hashtbl.create 64 in
-  List.iteri (fun i id -> Hashtbl.replace position id i) order;
-  let pos id = Hashtbl.find position id in
-  B.list w (List.map (Graph.node g) order) (fun w (n : Graph.node) ->
-      write_kind w n.Graph.kind;
-      let input_pos = List.map pos (Array.to_list n.Graph.inputs) in
-      let input_pos =
-        if commutes n.Graph.kind then List.sort Int.compare input_pos
-        else input_pos
-      in
-      B.list w input_pos (fun w p -> B.i32 w p);
-      (* order_after lists carry insertion order; positions sorted so the
+  let pos = Array.make (Graph.id_bound g) (-1) in
+  Array.iteri (fun i id -> pos.(id) <- i) order;
+  let b = bag () in
+  let put_pos p = put b pos.(p) in
+  B.i32 w (Array.length order);
+  Array.iter
+    (fun id ->
+      let kind = Graph.kind g id in
+      write_kind w kind;
+      let arity = Graph.arity kind in
+      B.i32 w arity;
+      if commutes kind then begin
+        let pa = pos.(Graph.input g id 0) and pb = pos.(Graph.input g id 1) in
+        B.i32 w (min pa pb);
+        B.i32 w (max pa pb)
+      end
+      else
+        for port = 0 to arity - 1 do
+          B.i32 w pos.(Graph.input g id port)
+        done;
+      (* order-after lists carry insertion order; positions sorted so the
          bytes only depend on the edge set *)
-      B.list w
-        (List.sort Int.compare (List.map pos n.Graph.order_after))
-        B.i32);
+      iter_order_preds g id put_pos;
+      Fpfa_util.Intsort.sort_prefix b.items b.size;
+      B.i32 w b.size;
+      for i = 0 to b.size - 1 do
+        B.i32 w b.items.(i)
+      done;
+      b.size <- 0)
+    order;
   B.list w (Graph.outputs g) (fun w (name, id) ->
       B.str w name;
-      B.i32 w (pos id));
+      B.i32 w pos.(id));
   B.contents w
 
 let digest g = Digest.to_hex (Digest.string (canonical g))
@@ -294,23 +361,30 @@ let renumber g =
     (fun (region, info) -> Graph.declare_region out region info)
     (List.sort compare (Graph.regions g));
   let map = Array.make (Graph.id_bound g) (-1) in
-  List.iter
+  Array.iter
     (fun id ->
-      let n = Graph.node g id in
-      let inputs = List.map (fun i -> map.(i)) (Array.to_list n.Graph.inputs) in
+      let kind = Graph.kind g id in
       (* commutative operands in ascending renumbered position: mirror
          orientations of one chain rebuild to the very same graph *)
       let inputs =
-        if commutes n.Graph.kind then List.sort Int.compare inputs else inputs
+        if commutes kind then begin
+          let a = map.(Graph.input g id 0) and b = map.(Graph.input g id 1) in
+          [ min a b; max a b ]
+        end
+        else List.init (Graph.arity kind) (fun port -> map.(Graph.input g id port))
       in
-      map.(id) <- Graph.add out n.Graph.kind inputs)
+      map.(id) <- Graph.add out kind inputs)
     order;
-  List.iter
+  let b = bag () in
+  let put_mapped p = put b map.(p) in
+  Array.iter
     (fun id ->
-      List.iter
-        (fun p -> Graph.add_order out map.(id) ~after:p)
-        (List.sort Int.compare
-           (List.map (fun p -> map.(p)) (Graph.order_after g id))))
+      iter_order_preds g id put_mapped;
+      Fpfa_util.Intsort.sort_prefix b.items b.size;
+      for i = 0 to b.size - 1 do
+        Graph.add_order out map.(id) ~after:b.items.(i)
+      done;
+      b.size <- 0)
     order;
   List.iter
     (fun (name, id) -> Graph.set_output out name map.(id))

@@ -350,9 +350,18 @@ module Staged = struct
   (* What each phase reads from the config. [cluster_with] is a closure,
      so it compares physically: configs that share the field value
      (variant records, [{c with tile = ...}] updates) rewind precisely, a
-     freshly built closure conservatively re-runs. *)
-  let same_frontend a b =
-    a.max_unroll = b.max_unroll && a.delete_locals = b.delete_locals
+     freshly built closure conservatively re-runs. The front end's fields
+     are spelled out once, as text, for [same_frontend] and
+     [frontend_key]. *)
+  let frontend_fields c = Printf.sprintf "u%d:l%b" c.max_unroll c.delete_locals
+  let same_frontend a b = String.equal (frontend_fields a) (frontend_fields b)
+
+  (* The function name is length-prefixed, so no (func, source) pair
+     spells another's key. *)
+  let frontend_key ~config ~func source =
+    Digest.string
+      (Printf.sprintf "%s\000%d:%s%s" (frontend_fields config)
+         (String.length func) func source)
 
   let same_minimise a b =
     a.verify_each = b.verify_each

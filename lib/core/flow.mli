@@ -135,6 +135,15 @@ module Staged : sig
       its raw graph exactly once.
       @raise Flow_error when the graph is invalid. *)
 
+  val frontend_key : config:config -> func:string -> string -> Digest.t
+  (** The MD5 of everything {!of_source} reads: the function name, the
+      source text and the config fields the front end uses
+      ([max_unroll], [delete_locals]; {!rewind} keeps the raw graph
+      exactly while these agree). Equal keys build the same raw graph,
+      so a caller may remember what it derived from one (the serve
+      daemon keeps the raw graph's digest) instead of running the front
+      end again. *)
+
   val phase : t -> phase
   (** Last completed phase. *)
 

@@ -41,7 +41,8 @@ let map ?pool ?(config = Flow.default_config) source ~funcs =
   let stages =
     Fpfa_exec.Pool.maybe pool
       (fun name ->
-        Obs.span ~cat:"pipeline" ("map:" ^ name) @@ fun () ->
+        Obs.span ~cat:"pipeline" "map" ~args:[ ("func", Obs.Str name) ]
+        @@ fun () ->
         let f =
           match
             List.find_opt
@@ -90,7 +91,9 @@ let run ?(memory_init = []) t =
   List.fold_left
     (fun memory stage ->
       let stage_memory, _ =
-        Obs.span ~cat:"pipeline" ("run:" ^ stage.stage_name) (fun () ->
+        Obs.span ~cat:"pipeline" "run"
+          ~args:[ ("stage", Obs.Str stage.stage_name) ]
+          (fun () ->
             Fpfa_sim.Sim.run ~memory_init:memory stage.result.Flow.job)
       in
       merge_memory memory stage_memory)
@@ -191,7 +194,8 @@ let map_reuse ?pool ?(config = Flow.default_config) source ~funcs =
   let rstages =
     Fpfa_exec.Pool.maybe pool
       (fun name ->
-        Obs.span ~cat:"pipeline" ("map-reuse:" ^ name) @@ fun () ->
+        Obs.span ~cat:"pipeline" "map-reuse" ~args:[ ("func", Obs.Str name) ]
+        @@ fun () ->
         let outcome =
           match Loop_flow.map_source ~config ~func:name source with
           | outcome -> outcome

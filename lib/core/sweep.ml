@@ -48,24 +48,59 @@ exception Sweep_error of string
 
 let errorf fmt = Format.kasprintf (fun msg -> raise (Sweep_error msg)) fmt
 
-let run ?pool ?(config = Flow.default_config) ?base ?func ?(verify = false)
-    ?(memory_init = []) ~source points =
-  let map_point point =
-    Obs.span ~cat:"sweep" "point"
-      ~args:
-        [ ("axis", Obs.Str (axis_name point.axis)); ("value", Obs.Int point.value) ]
-    @@ fun () ->
-    let config = { config with Flow.tile = tile_of ?base point } in
-    let result =
-      match Flow.map_source ~config ?func source with
-      | result -> result
-      | exception Flow.Flow_error msg ->
-        errorf "point %s=%d: %s" (axis_name point.axis) point.value msg
+(* A failure is reported with the point it hit. Front-end and
+   minimisation failures do not depend on the tile, so they are blamed
+   on the first point, as mapping every point from scratch would. *)
+let blame point f =
+  match f () with
+  | v -> v
+  | exception Flow.Flow_error msg ->
+    errorf "point %s=%d: %s" (axis_name point.axis) point.value msg
+
+let run_staged ?pool ?base ?(verify = false) ?(memory_init = []) staged points
+    =
+  match points with
+  | [] -> []
+  | first :: _ ->
+    let checkpoint =
+      if Flow.Staged.phase staged = Flow.Staged.Built then
+        blame first (fun () -> Flow.Staged.advance ?pool staged)
+      else staged
     in
-    let verified =
-      if verify then Some (Flow.verify ~memory_init result) else None
+    Flow.Staged.freeze checkpoint;
+    let config = Flow.Staged.config checkpoint in
+    let map_point point =
+      Obs.span ~cat:"sweep" "point"
+        ~args:
+          [ ("axis", Obs.Str (axis_name point.axis)); ("value", Obs.Int point.value) ]
+      @@ fun () ->
+      let tile = tile_of ?base point in
+      (match Arch.validate tile with
+      | () -> ()
+      | exception Invalid_argument msg ->
+        errorf "point %s=%d: %s" (axis_name point.axis) point.value msg);
+      (* only the tile changes, so the rewind keeps the front end's and
+         the minimiser's work *)
+      let staged =
+        Option.get (Flow.Staged.rewind checkpoint ~config:{ config with Flow.tile })
+      in
+      let result =
+        blame point (fun () -> Flow.Staged.to_result (Flow.Staged.run staged))
+      in
+      let verified =
+        if verify then Some (Flow.verify ~memory_init result) else None
+      in
+      Obs.incr c_points;
+      { point; metrics = result.Flow.metrics; verified }
     in
-    Obs.incr c_points;
-    { point; metrics = result.Flow.metrics; verified }
-  in
-  Pool.maybe pool map_point points
+    Pool.maybe pool map_point points
+
+let run ?pool ?(config = Flow.default_config) ?base ?func ?verify ?memory_init
+    ~source points =
+  match points with
+  | [] -> []
+  | first :: _ ->
+    let staged =
+      blame first (fun () -> Flow.Staged.of_source ~config ?func source)
+    in
+    run_staged ?pool ?base ?verify ?memory_init staged points

@@ -8,8 +8,9 @@
     {!Fpfa_exec.Pool.t} is supplied, with results in point order either
     way.
 
-    [examples/design_space.ml] and the [fpfa_map sweep] subcommand are
-    both thin renderers over {!run}. *)
+    [examples/design_space.ml], the [fpfa_map sweep] subcommand and the
+    serve daemon's [sweep] operation are all thin renderers over {!run}
+    and {!run_staged}. *)
 
 type axis =
   | Alu_count  (** processing parts per tile (paper: 5) *)
@@ -57,11 +58,30 @@ val run :
   source:string ->
   point list ->
   row list
-(** [run ~source points] maps [source] once per point (the point's tile
-    substituted into [config]) and returns one row per point, in input
-    order. With [~verify:true] each mapped result is additionally
-    checked against the reference interpreter on [memory_init]
-    (default empty). Rows are byte-identical whether or not a pool is
-    supplied — the determinism suite in [test/test_exec.ml] asserts it.
-    @raise Sweep_error wrapping a per-point flow failure with the point
-    that caused it. *)
+(** [run ~source points] runs the front end and the minimiser on
+    [source] once, then maps every point by rewinding that checkpoint to
+    the point's tile (substituted into [config]); see {!run_staged}.
+    Rows come back in input order and are byte-identical to mapping each
+    point from scratch with {!Flow.map_source}, whether or not a pool is
+    supplied — the tests assert both. With [~verify:true] each mapped
+    result is additionally checked ({!Flow.verify}) on [memory_init]
+    (default empty). No point, no compile.
+    @raise Sweep_error wrapping a flow failure or an invalid tile
+    ({!Fpfa_arch.Arch.validate}) with the point that caused it; a
+    front-end or minimisation failure names the first point. *)
+
+val run_staged :
+  ?pool:Fpfa_exec.Pool.t ->
+  ?base:Fpfa_arch.Arch.tile ->
+  ?verify:bool ->
+  ?memory_init:(string * int array) list ->
+  Flow.Staged.t ->
+  point list ->
+  row list
+(** {!run} from a checkpoint the caller built under the sweep's config
+    (the serve daemon digests its raw graph first). A checkpoint at
+    [Built] is minimised once; the checkpoint is then frozen
+    ({!Flow.Staged.freeze}) and each point rewinds it on the pool, so
+    every point that keeps the ALU data path reuses one clustering.
+    Each point runs in a ["sweep"]/["point"] span carrying its axis and
+    value. *)

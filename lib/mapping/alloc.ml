@@ -31,19 +31,18 @@ let errorf fmt = Format.kasprintf (fun msg -> raise (Allocation_error msg)) fmt
    one count per (cycle, slot), in chunks of [chunk_cycles] cycles. A
    chunk is allocated when a reservation first reaches it and is never
    copied; only the short array of chunks grows. Counts are bytes, which
-   the GC does not scan, or 8-byte words when the resource's capacity
-   does not fit a byte (a tile may have any number of buses). A count
-   never exceeds the capacity: every reservation first checks for room. *)
+   the GC does not scan: a count never exceeds the resource's capacity
+   (every reservation first checks for room), and a valid tile has at
+   most 255 of anything ({!Arch.validate}). *)
 module Usage = struct
   let chunk_cycles = 128
 
   type t = {
     slots : int;
-    wide : bool;
     mutable chunks : Bytes.t array;  (* [Bytes.empty] until reached *)
   }
 
-  let create ~capacity slots = { slots; wide = capacity > 255; chunks = [||] }
+  let create slots = { slots; chunks = [||] }
 
   let get t ~cycle slot =
     let k = cycle / chunk_cycles in
@@ -51,19 +50,13 @@ module Usage = struct
     else
       let chunk = t.chunks.(k) in
       if Bytes.length chunk = 0 then 0
-      else
-        let j = ((cycle - (k * chunk_cycles)) * t.slots) + slot in
-        if t.wide then Int64.to_int (Bytes.get_int64_ne chunk (8 * j))
-        else Bytes.get_uint8 chunk j
+      else Bytes.get_uint8 chunk (((cycle - (k * chunk_cycles)) * t.slots) + slot)
 
   (* Adds [delta] to cell [i = cycle * slots + slot], in a reached chunk. *)
   let add t i delta =
     let cells = chunk_cycles * t.slots in
     let chunk = t.chunks.(i / cells) and j = i mod cells in
-    if t.wide then
-      Bytes.set_int64_ne chunk (8 * j)
-        (Int64.add (Bytes.get_int64_ne chunk (8 * j)) (Int64.of_int delta))
-    else Bytes.set_uint8 chunk j (Bytes.get_uint8 chunk j + delta)
+    Bytes.set_uint8 chunk j (Bytes.get_uint8 chunk j + delta)
 
   (* Returns the cell it incremented, for the undo log. *)
   let bump t ~cycle slot =
@@ -75,8 +68,7 @@ module Usage = struct
       t.chunks <- chunks
     end;
     if Bytes.length t.chunks.(k) = 0 then
-      t.chunks.(k) <-
-        Bytes.make (chunk_cycles * t.slots * if t.wide then 8 else 1) '\000';
+      t.chunks.(k) <- Bytes.make (chunk_cycles * t.slots) '\000';
     let i = (cycle * t.slots) + slot in
     add t i 1;
     i
@@ -771,11 +763,11 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
           (List.filter (fun cid -> Sched.uses_alu clusters.(cid)))
           sched.Sched.levels;
       pp_of = Array.make n 0;
-      bus = Usage.create ~capacity:tile.Arch.buses 1;
-      read_port = Usage.create ~capacity:1 memories;
-      write_port = Usage.create ~capacity:1 memories;
+      bus = Usage.create 1;
+      read_port = Usage.create memories;
+      write_port = Usage.create memories;
       bank_write =
-        Usage.create ~capacity:1 (tile.Arch.alu_count * tile.Arch.banks_per_pp);
+        Usage.create (tile.Arch.alu_count * tile.Arch.banks_per_pp);
       regs = Regs.create tile;
       last_write = Array.make memories [||];
       homes = [];

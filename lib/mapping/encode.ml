@@ -30,26 +30,14 @@ let read_loc r : Job.mem_loc =
   let addr = B.read_u16 r in
   { Job.mpp; mem; addr }
 
-let binop_code op =
-  match
-    Fpfa_util.Listx.index_of (fun c -> c = op) Cdfg.Op.all_binops
-  with
-  | Some i -> i
-  | None -> assert false
-
-let unop_code op =
-  match Fpfa_util.Listx.index_of (fun c -> c = op) Cdfg.Op.all_unops with
-  | Some i -> i
-  | None -> assert false
-
 let write_action w (a : Job.action) =
   match a with
   | Job.Bin op ->
     B.u8 w 0;
-    B.u8 w (binop_code op)
+    B.u8 w (Cdfg.Op.binop_code op)
   | Job.Un op ->
     B.u8 w 1;
-    B.u8 w (unop_code op)
+    B.u8 w (Cdfg.Op.unop_code op)
   | Job.Mux3 -> B.u8 w 2
   | Job.Pass -> B.u8 w 3
 
@@ -220,10 +208,9 @@ let read_tile r : Arch.tile =
       alu = { Arch.max_inputs; max_depth; max_multipliers; max_ops };
     }
   in
-  (* A corrupted image must not drive machine allocation: reject anything a
-     plausible tile would never carry before the simulator builds arrays
-     sized by these fields. *)
-  if memory_size > 1 lsl 20 then raise (Corrupt "implausible memory size");
+  (* A corrupted image must not drive machine allocation: validation
+     bounds every field (memory included) before the simulator builds
+     arrays sized by them. *)
   (match Arch.validate tile with
   | () -> ()
   | exception Invalid_argument msg -> raise (Corrupt ("bad tile: " ^ msg)));

@@ -28,6 +28,10 @@ type t = {
   mutable pool : Pool.t option;
   pool_jobs : int;
   request_cache : response_entry Lru.t;
+  program_index : string Lru.t;
+      (* {!Staged.frontend_key} of a program -> digest of the raw graph
+         its front end builds: a request for a known program goes
+         straight to the mapping cache and the near-miss index *)
   mapping_cache : mapping_entry Lru.t;
   by_digest : (string, string) Hashtbl.t;
       (* digest -> most recent mapping-cache key with that digest; the
@@ -49,7 +53,7 @@ type t = {
   mutable n_errors : int;
 }
 
-(* Mirror the two LRU levels into Obs counters, so `--stats` (and the
+(* Mirror the three LRUs into Obs counters, so `--stats` (and the
    observe-mode stats op) report them next to the span aggregates;
    refreshed whenever stats are drained (stats op, shutdown). *)
 let sync_obs_counters t =
@@ -60,6 +64,7 @@ let sync_obs_counters t =
     Obs.set (Obs.counter (prefix ^ ".evictions")) s.Lru.evictions
   in
   set "serve.l1" t.request_cache;
+  set "serve.program" t.program_index;
   set "serve.l2" t.mapping_cache
 
 (* Disk-store GC: when the entry files under [cache_dir] exceed the byte
@@ -110,6 +115,7 @@ let create ?(jobs = 1) ?(cache_size = 256) ?cache_dir ?cache_disk_max
       pool = (if jobs > 1 then Some (Pool.create ~jobs) else None);
       pool_jobs = jobs;
       request_cache = Lru.create ~capacity:(max 0 cache_size);
+      program_index = Lru.create ~capacity:(max 0 cache_size);
       mapping_cache = Lru.create ~capacity:(max 0 cache_size);
       by_digest = Hashtbl.create 64;
       cache_dir;
@@ -384,10 +390,26 @@ let cache_mapping t ~fingerprint computed =
    returns the payload plus the envelope's digest/cached/resumed_from.
    The request cache has already missed when this runs. Verifying
    requests bypass the mapping cache (their payload embeds the check's
-   verdict, which a cached mapping never carries). *)
+   verdict, which a cached mapping never carries). The front end is a
+   pure function of the program, so it runs only for a program the
+   index does not know (to digest its raw graph) or for a compile that
+   must start from [Built]; a program whose front end raises is never
+   indexed. *)
 let mapped_compile t ?pool ~config ~fingerprint ~program ~verify () =
-  let front = Staged.of_source ~config ~func:program.p_func program.p_source in
-  let digest = Cdfg.Serialize.digest (Staged.raw_graph front) in
+  let front =
+    lazy (Staged.of_source ~config ~func:program.p_func program.p_source)
+  in
+  let pkey =
+    Staged.frontend_key ~config ~func:program.p_func program.p_source
+  in
+  let digest =
+    match Lru.find t.program_index pkey with
+    | Some digest -> digest
+    | None ->
+      let digest = Cdfg.Serialize.digest (Staged.raw_graph (Lazy.force front)) in
+      ignore (Lru.add t.program_index pkey digest);
+      digest
+  in
   let key = digest ^ "|" ^ fingerprint in
   match if verify then None else Lru.find t.mapping_cache key with
   | Some entry -> (entry.e_result, digest, Some "mapping", None)
@@ -414,7 +436,7 @@ let mapped_compile t ?pool ~config ~fingerprint ~program ~verify () =
           finish_compile ?pool ~program ~verify ~digest staged
             ~resumed_from:(Some (Staged.phase_name (Staged.phase staged)))
         | _ ->
-          finish_compile ?pool ~program ~verify ~digest front
+          finish_compile ?pool ~program ~verify ~digest (Lazy.force front)
             ~resumed_from:None
       in
       t.n_compiles <- t.n_compiles + 1;
@@ -467,11 +489,9 @@ let values_of req =
         | None -> raise (Bad_request "\"values\" must be integers"))
       vs
 
-(* Sweep by rewinding one minimised checkpoint per point: the front end
-   and minimisation run once, and each point re-enters at clustering.
-   A tile point leaves the ALU data path alone, so the points reuse the
-   checkpoint's one clustering (at most one per pool domain). Rows match
-   Sweep.run. *)
+(* The front end runs here, so the envelope can carry the raw graph's
+   digest; {!Sweep.run_staged} minimises once and rewinds the checkpoint
+   to each point, on the daemon's pool when it has one. *)
 let op_sweep ?pool req =
   let program = program_of req in
   let config, _ = config_of req in
@@ -480,34 +500,21 @@ let op_sweep ?pool req =
   let verify = Option.value ~default:false (bool_field req "verify") in
   let base = Staged.of_source ~config ~func:program.p_func program.p_source in
   let digest = Cdfg.Serialize.digest (Staged.raw_graph base) in
-  let base = Staged.advance ?pool base in
-  Staged.freeze base;
-  let row_of (point : Sweep.point) =
-    let tile = Sweep.tile_of ~base:config.Flow.tile point in
-    let config = { config with Flow.tile } in
-    let staged =
-      match Staged.rewind base ~config with
-      | Some s -> s
-      | None -> Staged.of_source ~config ~func:program.p_func program.p_source
-    in
-    let result = Staged.to_result (Staged.run staged) in
-    let verified =
-      if verify then Some (Flow.verify ~memory_init:program.p_inputs result)
-      else None
-    in
-    (point, result.Flow.metrics, verified)
-  in
   let rows =
-    match Pool.maybe pool row_of points with
+    match
+      Sweep.run_staged ?pool ~base:config.Flow.tile ~verify
+        ~memory_init:program.p_inputs base points
+    with
     | rows -> rows
-    | exception Flow.Flow_error msg ->
+    | exception Sweep.Sweep_error msg ->
       raise (Bad_request ("sweep failed: " ^ msg))
   in
-  let row_json ((point : Sweep.point), (m : Mapping.Metrics.t), verified) =
+  let row_json (row : Sweep.row) =
+    let m = row.Sweep.metrics in
     Json.Obj
       [
-        ("axis", Json.Str (Sweep.axis_name point.Sweep.axis));
-        ("value", Json.Int point.Sweep.value);
+        ("axis", Json.Str (Sweep.axis_name row.Sweep.point.Sweep.axis));
+        ("value", Json.Int row.Sweep.point.Sweep.value);
         ("cycles", Json.Int m.Mapping.Metrics.cycles);
         ("levels", Json.Int m.Mapping.Metrics.levels);
         ("moves", Json.Int m.Mapping.Metrics.moves);
@@ -515,7 +522,9 @@ let op_sweep ?pool req =
         ("utilisation", Json.Float m.Mapping.Metrics.alu_utilisation);
         ("energy", Json.Float m.Mapping.Metrics.energy);
         ( "verified",
-          match verified with Some ok -> Json.Bool ok | None -> Json.Null );
+          match row.Sweep.verified with
+          | Some ok -> Json.Bool ok
+          | None -> Json.Null );
       ]
   in
   (Json.Obj [ ("rows", Json.List (List.map row_json rows)) ], digest)
@@ -535,6 +544,7 @@ let cache_stats_json t =
   Json.Obj
     [
       ("request", lru_stats_json t.request_cache);
+      ("program", lru_stats_json t.program_index);
       ("mapping", lru_stats_json t.mapping_cache);
     ]
 
@@ -597,6 +607,7 @@ let op_cache t req =
   | "stats" -> cache_stats_json t
   | "clear" ->
     Lru.clear t.request_cache;
+    Lru.clear t.program_index;
     Lru.clear t.mapping_cache;
     Hashtbl.reset t.by_digest;
     Json.Obj [ ("cleared", Json.Bool true) ]
@@ -606,6 +617,7 @@ let op_cache t req =
     in
     if capacity < 0 then raise (Bad_request "\"capacity\" must be >= 0");
     ignore (Lru.set_capacity t.request_cache capacity);
+    ignore (Lru.set_capacity t.program_index capacity);
     forget_evicted t (Lru.set_capacity t.mapping_cache capacity);
     Json.Obj [ ("capacity", Json.Int capacity) ]
   | other ->

@@ -26,12 +26,15 @@
     - [{"op": "check", ...}] — same input fields; runs the full
       diagnostic audit ({!Fpfa_core.Flow.audit}).
     - [{"op": "sweep", "kernel": ..., "axis": "alus", "values": [2,3]}]
-      — design-space sweep of one kernel along one axis, resuming each
-      point from the cached minimised graph instead of recompiling.
+      — design-space sweep of one kernel along one axis: one front end
+      and minimisation, then a rewind per point
+      ({!Fpfa_core.Sweep.run_staged}); a bad point (an invalid tile, a
+      failed mapping) fails the request naming the point.
     - [{"op": "batch", "requests": [...]}] — a list of compile/check
       requests admitted as one batch: cache hits answer immediately and
       the misses compile in parallel on the daemon's {!Fpfa_exec.Pool}.
-    - [{"op": "stats"}] — cache hit/miss/eviction counts, request
+    - [{"op": "stats"}] — hit/miss/eviction counts of the request
+      cache, the program index and the mapping cache, request
       tallies ([requests], [compiles], [resumed], [disk_hits],
       [disk_evictions], [errors]), and (when observability is on) drained
       {!Fpfa_obs.Obs} counters and per-stage span aggregates.
@@ -54,11 +57,19 @@
 
     {2 Cache}
 
-    Two levels, both {!Lru}:
+    Three lookups, each an {!Lru} of [cache_size] entries, consulted in
+    order:
 
     - the {e request cache} keys on the MD5 of the canonicalised request
       (fields sorted, ["id"] dropped) and stores finished response
       payloads;
+    - the {e program index} keys on {!Fpfa_core.Flow.Staged.frontend_key}
+      (function, source text and the config fields the front end reads)
+      and stores the digest of the raw CDFG that program builds, so a
+      request for a known program skips the front end and the digest;
+      the front end runs only for an unknown program or a compile that
+      must start from scratch, and a program whose front end fails is
+      never indexed;
     - the {e mapping cache} keys on
       [Cdfg.Serialize.digest graph ^ "|" ^ config fingerprint] and
       stores frozen {!Fpfa_core.Flow.Staged.t} checkpoints, so requests
@@ -80,8 +91,8 @@
     cold compile would. A request that misses every cache level compiles
     cold, unless a cached checkpoint of the same CDFG under another
     config can be rewound ({!Fpfa_core.Flow.Staged.rewind}). The
-    [serve.l1.*] / [serve.l2.*] cache tallies are mirrored into
-    {!Fpfa_obs.Obs} counters for [--stats]. *)
+    [serve.l1.*] / [serve.program.*] / [serve.l2.*] tallies are mirrored
+    into {!Fpfa_obs.Obs} counters for [--stats]. *)
 
 type t
 (** A daemon instance (caches + pool + tallies). *)

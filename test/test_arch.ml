@@ -43,10 +43,26 @@ let test_validation_rejects () =
       Arch.alu = { Arch.paper_alu with Arch.max_inputs = 9 };
     }
 
+(* The configuration image holds a count in one byte and a word address
+   in two: the widest tile it can describe is valid, one past it is not. *)
+let test_validation_bounds () =
+  let rejects what tile =
+    match Arch.validate tile with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" what
+  in
+  Arch.validate (Arch.with_buses 255 Arch.paper_tile);
+  Arch.validate { Arch.paper_tile with Arch.memory_size = 65_536 };
+  rejects "256 buses" (Arch.with_buses 256 Arch.paper_tile);
+  rejects "256 ALUs" (Arch.with_alu_count 256 Arch.paper_tile);
+  rejects "a 256-cycle window" (Arch.with_move_window 256 Arch.paper_tile);
+  rejects "65,537 words" { Arch.paper_tile with Arch.memory_size = 65_537 }
+
 let suite =
   [
     Alcotest.test_case "paper tile" `Quick test_paper_tile_matches_paper;
     Alcotest.test_case "alu caps" `Quick test_alu_caps;
     Alcotest.test_case "with_*" `Quick test_with_updates;
     Alcotest.test_case "validation" `Quick test_validation_rejects;
+    Alcotest.test_case "validation bounds" `Quick test_validation_bounds;
   ]

@@ -319,12 +319,12 @@ let test_pool_rewinds_share_clustering () =
   Alcotest.(check (list string)) "pool bytes = sequential bytes" seq par
 
 (* A tile point over the remap grid's ALU and window ranges, with a
-   one-bus crossbar and one wider than a byte can count among the bus
+   one-bus crossbar and the widest one a tile can have among the bus
    counts. *)
 let tile_point =
   QCheck.make
     ~print:(fun (a, b, w) -> Printf.sprintf "alus %d, buses %d, window %d" a b w)
-    QCheck.Gen.(triple (int_range 3 8) (oneofl [ 1; 2; 16; 300 ]) (int_range 1 6))
+    QCheck.Gen.(triple (int_range 3 8) (oneofl [ 1; 2; 16; 255 ]) (int_range 1 6))
 
 (* Property: the complete flow verifies on random mappable programs — the
    headline invariant of the whole library. The reference interpreter, the

@@ -20,7 +20,10 @@
      those groups keep their [incremental] names and [-incr] keys), plus
      their jobs where no case above pins them, and the simplifier's
      counters over the large kernels. Every rewrite the simplifier fires
-     shows up in these. *)
+     shows up in these;
+   - the canonical digest ([Cdfg.Serialize.digest]) of the raw and
+     minimised graph of every corpus kernel and both DAGs, and of the raw
+     graph of every large kernel. *)
 
 module Flow = Fpfa_core.Flow
 module Arch = Fpfa_arch.Arch
@@ -508,6 +511,62 @@ let expected =
     ("remap/fir-256@a8.b6.w6", "a6329a004eb129c8d6483415958d263e");
     ("remap/fir-256@a8.b16.w2", "07b41596a0067df79dbc8b96e9d063e4");
     ("remap/fir-256@a3.b2.w4", "8f2acaffc305a5b44c870ad420926e61");
+    ("digest-raw/fir-paper", "349995e6baa6f58585d049ebe29804d7");
+    ("digest-min/fir-paper", "1a74d9619a261892ed840aa64df026c5");
+    ("digest-raw/fir-16", "8437ca05cef5467d5a3e245cbc21522c");
+    ("digest-min/fir-16", "da272a4807a96db974effbd426c957e5");
+    ("digest-raw/fir-dl-8", "64c2da0bf94a38a99b4023e7e792d88e");
+    ("digest-min/fir-dl-8", "7886e02d7cd9c8d0180ba0090f6b4b28");
+    ("digest-raw/dot-8", "086862dff0c8b9ba247393426ade339d");
+    ("digest-min/dot-8", "3b5aa5943ca75b4d3fb6d76c85da603d");
+    ("digest-raw/vscale-8", "452fb811a32deb34fe570a985e51ea0d");
+    ("digest-min/vscale-8", "2e74830d3f2e0fc5b829c905933b7a11");
+    ("digest-raw/saxpy-8", "1d2ba5c6dc99f8ee04c52815e13e3c51");
+    ("digest-min/saxpy-8", "5e7a2fc471e6ed3674d77293a3d64e57");
+    ("digest-raw/iir-6", "2b328aff62c09467a4cf568f934232d9");
+    ("digest-min/iir-6", "fb7984f83e9e25188267549e6e18c239");
+    ("digest-raw/matmul-3", "c25d04efb19b74118ac81bbf6d28baaf");
+    ("digest-min/matmul-3", "a422416dcba663d83f8e62204d3d33f1");
+    ("digest-raw/fft-bfly-4", "e420efbc051c75ff7e5466e196b7171f");
+    ("digest-min/fft-bfly-4", "7c9e3b7b43f96fdb5c548bbf680be269");
+    ("digest-raw/dct4", "aca95f64297d4560b977886f713b12f8");
+    ("digest-min/dct4", "b08e84b57a19cf4854cd15f675c2cdcc");
+    ("digest-raw/corr-4-8", "6220e9854c2927dc90dc6d25c0f6a7c5");
+    ("digest-min/corr-4-8", "0f53157c0a9c8a70adae483ea0314731");
+    ("digest-raw/mavg-4-6", "f2f447e27e30f7930c9c1f10b20d7531");
+    ("digest-min/mavg-4-6", "a1eef2cc7891e736211fe67e2649b202");
+    ("digest-raw/clip-6", "f4573d1a85ea8334d0fcc75e2cdb2020");
+    ("digest-min/clip-6", "d3054ad989a3c93b3b65c400715f835a");
+    ("digest-raw/maxabs-8", "a8400f1468c08a052773042ce3eccc73");
+    ("digest-min/maxabs-8", "aad61c75c0ae3b25345df8d54f677214");
+    ("digest-raw/poly-6", "c02ae74cd0d40a91ea1ef6868ecc81b2");
+    ("digest-min/poly-6", "1d83d55a9d0dd576ca87c1d1a93bc191");
+    ("digest-raw/cmul-4", "f5ca5cfd10f8ff72237e5d94d4a4abee");
+    ("digest-min/cmul-4", "944311889d402674769836de8b5854e7");
+    ("digest-raw/manhattan-8", "853f24819cef0684eb7db69253bcd3b7");
+    ("digest-min/manhattan-8", "3ed069e50676e167cfa7b7ecc762ff9c");
+    ("digest-raw/clipmm-6", "45d311930ff5bba01ce3a376f06b5da9");
+    ("digest-min/clipmm-6", "5cb6d60ff83ccff4688f54beb1f1887e");
+    ("digest-raw/cumsum-8", "c58ae0f1a92106db7e7992b80e68b7c6");
+    ("digest-min/cumsum-8", "7f99543da8dc4f7e8f034f9750837b92");
+    ("digest-raw/iir1-8", "9fc664ab048a329cfa61dc28328ce836");
+    ("digest-min/iir1-8", "81987dc30497338ab23513497a3dc8e6");
+    ("digest-raw/mavg-acc-4-8", "f3ef6bd310b2aafbf64adc05d94499e0");
+    ("digest-min/mavg-acc-4-8", "71067222cc255860189b38f11b7bf68b");
+    ("digest-raw/crc8-4", "2d908816d71e466ef5761bdafa9357dd");
+    ("digest-min/crc8-4", "e311637626402c0d74c6a3f98b9379d6");
+    ("digest-raw/pack565-4", "d0df943be588c131d06eedabcd412e4f");
+    ("digest-min/pack565-4", "05f048e3cecc71eb507b3676364c38fa");
+    ("digest-raw/dag-1000", "b2ad88ecd36b81087f45565d7e7c719a");
+    ("digest-min/dag-1000", "a78ca010ce559fdcaef42f2c1d7aa4de");
+    ("digest-raw/dag-2000", "95b6432bbb1abc0f26407eaf8a34dd30");
+    ("digest-min/dag-2000", "e99ba8162847dfda9213315c00c918fa");
+    ("digest-raw/fir-256", "a0cb361fea6b1775645f45e8aca2f28f");
+    ("digest-raw/fir-dl-128", "d6d7f1d27071038fb6ceb2696904c7ff");
+    ("digest-raw/matmul-8", "e7e1481b7086cfeb62228943edb09de5");
+    ("digest-raw/corr-8-32", "9912498f2506290dc759509523b74873");
+    ("digest-raw/crc8-16", "b767c40a61f11c5c20c4a0d4196be673");
+    ("digest-raw/pack565-32", "c835bd87d22f8344661e41dd604f6efb");
   ]
 
 let check_cases cases () =
@@ -665,6 +724,27 @@ let groups =
       ("dag-2000 priorities", dag_cases "dag-2000" dag_2000);
     ]
 
+(* The canonical digest ([Cdfg.Serialize.digest], the serve daemon's
+   cache key) of the raw and minimised graph of every corpus kernel and
+   DAG, and of the raw graph of every large kernel. *)
+let canonical_cases () =
+  let key = Cdfg.Serialize.digest in
+  List.concat_map
+    (fun (name, compile) ->
+      let r = lazy (compile Flow.default_config) in
+      [ ("digest-raw/" ^ name, fun () -> key (Lazy.force r).Flow.raw_graph);
+        ("digest-min/" ^ name, fun () -> key (Lazy.force r).Flow.graph) ])
+    (sources Kernels.all @ dags)
+  @ List.map
+      (fun (k : Kernels.t) ->
+        ( "digest-raw/" ^ k.Kernels.name,
+          fun () ->
+            key
+              (Flow.Staged.raw_graph
+                 (Flow.Staged.of_source ~config:Flow.default_config
+                    k.Kernels.source)) ))
+      large_kernels
+
 (* Built when their test runs, so each group's compiles are dropped once
    it has been checked. The default config's corpus and DAG jobs are
    pinned above already, as paper/<kernel> and dag-<n>@a5.b10.w4/mobility. *)
@@ -687,6 +767,7 @@ let flow_groups =
     ("incremental dags", fun () ->
         flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true dags);
     ("remap grid", remap_cases);
+    ("canonical digests", canonical_cases);
   ]
 
 let suite =

@@ -69,6 +69,16 @@ let commutativity_correct =
           (not (Op.commutative op)) || Op.eval_binop op a b = Op.eval_binop op b a)
         Op.all_binops)
 
+(* The encodings write an operator as its position in the [all_*]
+   lists, which is what their decoders read back. *)
+let test_codes_are_positions () =
+  List.iteri
+    (fun i op -> Alcotest.(check int) "binop code" i (Op.binop_code op))
+    Op.all_binops;
+  List.iteri
+    (fun i op -> Alcotest.(check int) "unop code" i (Op.unop_code op))
+    Op.all_unops
+
 let suite =
   [
     Alcotest.test_case "total semantics" `Quick test_total_semantics;
@@ -76,5 +86,6 @@ let suite =
     Alcotest.test_case "unops" `Quick test_unops;
     Alcotest.test_case "multiplier class" `Quick test_multiplier_class;
     Alcotest.test_case "ast conversion" `Quick test_ast_conversion_total;
+    Alcotest.test_case "codes are positions" `Quick test_codes_are_positions;
     QCheck_alcotest.to_alcotest commutativity_correct;
   ]

@@ -148,6 +148,41 @@ let test_reuse_shrinks_configs () =
   Alcotest.(check bool) "same scaled" true
     (List.assoc "scaled" a = List.assoc "scaled" b)
 
+(* Span names are fixed, so `--stats` aggregates one row per kind of
+   pipeline work; the function or stage name rides in the span's args. *)
+let test_span_names () =
+  let module Obs = Fpfa_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let pipeline = Pipeline.map dsp_source ~funcs:dsp_stages in
+        ignore (Pipeline.run ~memory_init:dsp_inputs pipeline);
+        ignore (Pipeline.map_reuse dsp_source ~funcs:dsp_stages);
+        List.filter_map
+          (fun (sp : Obs.finished_span) ->
+            if sp.Obs.scat <> "pipeline" then None
+            else
+              let arg =
+                match sp.Obs.sargs with
+                | [ (key, Obs.Str v) ] -> key ^ "=" ^ v
+                | _ -> "?"
+              in
+              Some (sp.Obs.sname ^ " " ^ arg))
+          (Obs.spans ()))
+  in
+  let expect name key =
+    List.map (fun stage -> Printf.sprintf "%s %s=%s" name key stage) dsp_stages
+  in
+  Alcotest.(check (list string)) "one fixed name per kind of work"
+    (List.sort compare
+       (expect "map" "func" @ expect "run" "stage" @ expect "map-reuse" "func"))
+    (List.sort compare spans)
+
 let suite =
   [
     Alcotest.test_case "three-stage dsp" `Quick test_three_stage_dsp;
@@ -160,4 +195,5 @@ let suite =
     Alcotest.test_case "stages with calls" `Quick test_pipeline_with_calls;
     Alcotest.test_case "reuse pipeline" `Quick test_reuse_pipeline;
     Alcotest.test_case "reuse shrinks" `Quick test_reuse_shrinks_configs;
+    Alcotest.test_case "span names" `Quick test_span_names;
   ]

@@ -307,18 +307,25 @@ let test_batch_hammer_matches_sequential () =
   Serve.shutdown parallel;
   Serve.shutdown sequential
 
-(* {2 Sweep via rewind matches the reference Sweep.run} *)
+(* {2 Sweep via rewind matches cold compiles} *)
 
 (* The daemon's sweep rewinds one minimised checkpoint per point (on its
-   pool when it has one); [Sweep.run] compiles every point cold. *)
+   pool when it has one); the reference compiles every point from
+   scratch. *)
 let test_sweep_matches_reference () =
+  let module Flow = Fpfa_core.Flow in
+  let module Arch = Fpfa_arch.Arch in
   let source =
     (List.find (fun (k : Kernels.t) -> k.Kernels.name = "dot-8") Kernels.all)
       .Kernels.source
   in
   let expected =
-    Fpfa_core.Sweep.run ~source
-      (Fpfa_core.Sweep.points Fpfa_core.Sweep.Alu_count [ 2; 3; 5 ])
+    List.map
+      (fun alus ->
+        let tile = Arch.with_alu_count alus Arch.paper_tile in
+        (Flow.map_source ~config:{ Flow.default_config with Flow.tile } source)
+          .Flow.metrics)
+      [ 2; 3; 5 ]
   in
   List.iter
     (fun jobs ->
@@ -335,21 +342,40 @@ let test_sweep_matches_reference () =
       in
       Alcotest.(check int) "row count" (List.length expected) (List.length rows);
       List.iter2
-        (fun (row : Fpfa_core.Sweep.row) json ->
+        (fun (m : Mapping.Metrics.t) json ->
           let get name =
             match Json.member name json with
             | Some (Json.Int n) -> n
             | _ -> Alcotest.fail ("row missing " ^ name)
           in
-          Alcotest.(check int) "cycles" row.Fpfa_core.Sweep.metrics.Mapping.Metrics.cycles
-            (get "cycles");
-          Alcotest.(check int) "levels" row.Fpfa_core.Sweep.metrics.Mapping.Metrics.levels
-            (get "levels");
-          Alcotest.(check int) "moves" row.Fpfa_core.Sweep.metrics.Mapping.Metrics.moves
-            (get "moves"))
+          Alcotest.(check int) "cycles" m.Mapping.Metrics.cycles (get "cycles");
+          Alcotest.(check int) "levels" m.Mapping.Metrics.levels (get "levels");
+          Alcotest.(check int) "moves" m.Mapping.Metrics.moves (get "moves");
+          Alcotest.(check int) "stalls" m.Mapping.Metrics.inserted_cycles
+            (get "stalls"))
         expected rows;
       Serve.shutdown s)
     [ 1; 4 ]
+
+(* A tile the configuration image cannot describe is a bad request,
+   whether the request names it or a sweep reaches it. *)
+let test_bad_tiles_rejected () =
+  let s = Serve.create () in
+  let error r =
+    let resp = Serve.handle s r in
+    Alcotest.(check bool) "rejected" false (is_ok resp);
+    match field "error" resp with
+    | Json.Str msg -> msg
+    | _ -> Alcotest.fail "error envelope without text"
+  in
+  Alcotest.(check string) "compile"
+    "bad tile: tile: buses must be at most 255"
+    (error (req {|{"op":"compile","kernel":"dot-8","buses":256}|}));
+  Alcotest.(check string) "sweep"
+    "sweep failed: point buses=300: tile: buses must be at most 255"
+    (error
+       (req {|{"op":"sweep","kernel":"dot-8","axis":"buses","values":[2,300]}|}));
+  Serve.shutdown s
 
 (* {2 Check through the daemon} *)
 
@@ -374,24 +400,31 @@ let test_check_clean_kernel () =
 
 (* {2 Cache control and stats} *)
 
+(* [stat resp level name]: one tally of one cache level in a stats
+   response. *)
+let stat resp level name =
+  match
+    Option.bind
+      (Json.member "cache" (field "result" resp))
+      (fun c -> Option.bind (Json.member level c) (Json.member name))
+  with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "stats missing cache %s %s" level name
+
+let stats_of s = expect_ok (Serve.handle s (req {|{"op":"stats"}|}))
+
 let test_cache_control () =
   let s = Serve.create ~cache_size:8 () in
   ignore (expect_ok (Serve.handle s (req {|{"op":"compile","kernel":"dct4"}|})));
-  let stats1 = expect_ok (Serve.handle s (req {|{"op":"stats"}|})) in
-  let entries resp level =
-    match
-      Option.bind
-        (Json.member "cache" (field "result" resp))
-        (fun c -> Option.bind (Json.member level c) (Json.member "entries"))
-    with
-    | Some (Json.Int n) -> n
-    | _ -> Alcotest.fail "stats missing cache entries"
-  in
+  let stats1 = stats_of s in
+  let entries resp level = stat resp level "entries" in
   Alcotest.(check int) "request entry cached" 1 (entries stats1 "request");
+  Alcotest.(check int) "program indexed" 1 (entries stats1 "program");
   Alcotest.(check int) "mapping entry cached" 1 (entries stats1 "mapping");
   ignore (expect_ok (Serve.handle s (req {|{"op":"cache","action":"clear"}|})));
-  let stats2 = expect_ok (Serve.handle s (req {|{"op":"stats"}|})) in
+  let stats2 = stats_of s in
   Alcotest.(check int) "cleared request" 0 (entries stats2 "request");
+  Alcotest.(check int) "cleared program index" 0 (entries stats2 "program");
   Alcotest.(check int) "cleared mapping" 0 (entries stats2 "mapping");
   let resized =
     expect_ok
@@ -400,9 +433,119 @@ let test_cache_control () =
   Alcotest.(check bool)
     "resize acknowledged" true
     (Json.member "capacity" (field "result" resized) = Some (Json.Int 2));
+  List.iter
+    (fun k ->
+      ignore
+        (expect_ok (Serve.handle s (req {|{"op":"compile","kernel":"%s"}|} k))))
+    [ "dct4"; "dot-8"; "fir-paper" ];
+  let stats3 = stats_of s in
+  Alcotest.(check int) "resized program index" 2 (stat stats3 "program" "capacity");
+  Alcotest.(check int) "program index holds two" 2 (entries stats3 "program");
+  Alcotest.(check int) "program index evicted one" 1
+    (stat stats3 "program" "evictions");
   Alcotest.(check bool)
     "bad action rejected" false
     (is_ok (Serve.handle s (req {|{"op":"cache","action":"defrost"}|})));
+  Serve.shutdown s
+
+(* {2 The program index} *)
+
+let front_end_spans () =
+  List.filter
+    (fun (sp : Fpfa_obs.Obs.finished_span) ->
+      sp.Fpfa_obs.Obs.scat = "flow"
+      && List.mem sp.Fpfa_obs.Obs.sname [ "parse"; "inline"; "unroll"; "build" ])
+    (Fpfa_obs.Obs.spans ())
+
+(* [f ()] with Obs recording, and the front-end spans it recorded. *)
+let observed f =
+  let module Obs = Fpfa_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let v = f () in
+      (v, List.length (front_end_spans ())))
+
+(* A program the daemon has built resolves to its digest without a
+   second front end: a near miss rewinds and a respelling hits the
+   mapping cache, both with the bytes of a cache-off daemon. *)
+let test_index_skips_front_end () =
+  let s = Serve.create () in
+  let off = Serve.create ~cache_size:0 () in
+  let compile = req {|{"op":"compile","kernel":"dct4"}|} in
+  let near = req {|{"op":"compile","kernel":"dct4","alus":3}|} in
+  let respelt = req {|{"op":"compile","kernel":"dct4","alus":5,"buses":10}|} in
+  let _, cold_spans = observed (fun () -> expect_ok (Serve.handle s compile)) in
+  Alcotest.(check int) "a cold compile runs the four front-end stages" 4
+    cold_spans;
+  let (rewound, hit), spans =
+    observed (fun () ->
+        let rewound = expect_ok (Serve.handle s near) in
+        (rewound, expect_ok (Serve.handle s respelt)))
+  in
+  Alcotest.(check int) "no front-end span" 0 spans;
+  Alcotest.(check (option string)) "near miss rewinds" (Some "clustered")
+    (resumed_of rewound);
+  Alcotest.(check (option string)) "respelling hits" (Some "mapping")
+    (cached_of hit);
+  List.iter
+    (fun (name, r, got) ->
+      let want = expect_ok (Serve.handle off r) in
+      Alcotest.(check string) (name ^ " bytes") (result_bytes want)
+        (result_bytes got);
+      Alcotest.(check string) (name ^ " digest")
+        (Json.to_string (field "digest" want))
+        (Json.to_string (field "digest" got)))
+    [ ("near miss", near, rewound); ("respelling", respelt, hit) ];
+  let stats = stats_of s in
+  Alcotest.(check int) "index hits" 2 (stat stats "program" "hits");
+  Alcotest.(check int) "index misses" 1 (stat stats "program" "misses");
+  Serve.shutdown s;
+  Serve.shutdown off
+
+(* A program whose front end raises is never indexed, and every attempt
+   fails with the same text as on a cache-off daemon. *)
+let test_index_skips_failures () =
+  let s = Serve.create () in
+  let off = Serve.create ~cache_size:0 () in
+  let bad = req {|{"op":"compile","source":"void main() { x = ; }"}|} in
+  let error resp =
+    match field "error" resp with
+    | Json.Str msg -> msg
+    | _ -> Alcotest.fail "error envelope without text"
+  in
+  let want = error (Serve.handle off bad) in
+  List.iter
+    (fun attempt ->
+      Alcotest.(check string) (attempt ^ " error text") want
+        (error (Serve.handle s bad)))
+    [ "first"; "second" ];
+  let stats = stats_of s in
+  Alcotest.(check int) "not indexed" 0 (stat stats "program" "entries");
+  Alcotest.(check int) "both attempts missed" 2 (stat stats "program" "misses");
+  Serve.shutdown s;
+  Serve.shutdown off
+
+(* With caches off the index never hits: every compile runs the front
+   end, as the daemon always did. *)
+let test_index_capacity_zero () =
+  let s = Serve.create ~cache_size:0 () in
+  let r = req {|{"op":"compile","kernel":"dct4","alus":3}|} in
+  let (first, second), spans =
+    observed (fun () ->
+        let first = expect_ok (Serve.handle s r) in
+        (first, expect_ok (Serve.handle s r)))
+  in
+  Alcotest.(check int) "two front ends" 8 spans;
+  Alcotest.(check (option string)) "computed" None (cached_of second);
+  Alcotest.(check string) "same bytes" (result_bytes first) (result_bytes second);
+  let stats = stats_of s in
+  Alcotest.(check int) "no index hit" 0 (stat stats "program" "hits");
+  Alcotest.(check int) "index empty" 0 (stat stats "program" "entries");
   Serve.shutdown s
 
 let test_disk_cache_survives_restart () =
@@ -711,8 +854,13 @@ let suite =
     Alcotest.test_case "batch hammer" `Quick test_batch_hammer_matches_sequential;
     Alcotest.test_case "sweep matches reference" `Quick
       test_sweep_matches_reference;
+    Alcotest.test_case "bad tiles rejected" `Quick test_bad_tiles_rejected;
     Alcotest.test_case "check via daemon" `Quick test_check_clean_kernel;
     Alcotest.test_case "cache control" `Quick test_cache_control;
+    Alcotest.test_case "index skips the front end" `Quick
+      test_index_skips_front_end;
+    Alcotest.test_case "index skips failures" `Quick test_index_skips_failures;
+    Alcotest.test_case "index at capacity zero" `Quick test_index_capacity_zero;
     Alcotest.test_case "disk cache" `Quick test_disk_cache_survives_restart;
     Alcotest.test_case "cached edit chains equal cold compiles" `Quick
       test_edit_chain_equals_cold;

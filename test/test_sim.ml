@@ -159,6 +159,110 @@ let test_deleted_read_faults () =
   | exception Sim.Fault _ -> ()
   | _ -> Alcotest.fail "read of deleted word accepted"
 
+(* {2 Hand-built faults}
+
+   Each job below is valid but for one thing, so the fault it raises is
+   the check under test. *)
+
+(* A one-region job on the paper tile running [cycles]. *)
+let tiny_job cycles =
+  let g = Cdfg.Graph.create "t" in
+  Cdfg.Graph.declare_region g "r" { Cdfg.Graph.size = Some 1; implicit = true };
+  let ss = Cdfg.Graph.add g (Cdfg.Graph.Ss_in "r") [] in
+  ignore (Cdfg.Graph.add g (Cdfg.Graph.Ss_out "r") [ ss ]);
+  {
+    Job.tile = Arch.paper_tile;
+    graph = g;
+    cycles = Array.of_list cycles;
+    region_homes = [ ("r", [ { Job.mpp = 0; mem = 0; addr = 0 } ]) ];
+    region_sizes = [ ("r", 1) ];
+    exec_cycle_of_level = [||];
+  }
+
+let cycle ?(moves = []) ?(alu = []) () =
+  { Job.moves; copies = []; alu; deletes = [] }
+
+let loc ?(mem = 0) addr = { Job.mpp = 0; mem; addr }
+let reg ?(bank = 0) index = { Job.pp = 0; bank; index }
+let move ?(index = 0) src = { Job.src; dst = reg index; carried = 0; for_cluster = 0 }
+
+(* One micro-op per node; [pass] copies the bundle's immediate on port 0. *)
+let pass = { Job.node = 0; action = Job.Pass; args = [ Job.Port 0 ] }
+
+let bundle ?(pp = 0) ?(writes = []) ?(reg_dests = []) micros =
+  {
+    Job.wcluster = 0;
+    wpp = pp;
+    port_regs = [];
+    port_imms = [ (0, 7) ];
+    micros;
+    writes;
+    reg_dests;
+  }
+
+let write_at cycle target = { Job.target; wcycle = cycle; source_store = None }
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.equal (String.sub s i n) sub || at (i + 1))
+  in
+  at 0
+
+let expect_fault ~says cycles () =
+  match Sim.run (tiny_job cycles) with
+  | exception Sim.Fault msg ->
+    if not (contains ~sub:says msg) then
+      Alcotest.failf "fault %S does not say %S" msg says
+  | _ -> Alcotest.failf "a job that should fault with %S ran" says
+
+let hand_built_faults =
+  [
+    ( "PP range",
+      "PP 5 out of range",
+      [ cycle ~alu:[ bundle ~pp:5 [ pass ] ] () ] );
+    ( "bank write port",
+      "register-bank write-port conflict",
+      [ cycle ~moves:[ move (loc 0); move ~index:1 (loc ~mem:1 0) ] () ] );
+    ( "memory write port",
+      "memory write-port conflict",
+      [ cycle
+          ~alu:[ bundle ~writes:[ write_at 0 (loc 0); write_at 0 (loc 1) ] [ pass ] ]
+          () ] );
+    ( "forward cycle",
+      "forward scheduled at 1",
+      [ cycle ~alu:[ bundle ~reg_dests:[ (1, reg 0) ] [ pass ] ] (); cycle () ] );
+    ( "late write-back",
+      "write-backs scheduled past the end of the job",
+      [ cycle ~alu:[ bundle ~writes:[ write_at 1 (loc 0) ] [ pass ] ] () ] );
+    ( "register range",
+      "register out of range",
+      [ cycle ~moves:[ move ~index:4 (loc 0) ] () ] );
+    ( "memory range",
+      "memory location out of range",
+      [ cycle ~moves:[ move (loc 512) ] () ] );
+    ( "internal value",
+      "internal value t3 not yet computed",
+      [ cycle ~alu:[ bundle [ { pass with Job.args = [ Job.Node 3 ] } ] ] () ] );
+    ( "micro-op arity",
+      "malformed micro-op arity",
+      [ cycle ~alu:[ bundle [ { pass with Job.action = Job.Bin Cdfg.Op.Add } ] ] () ] );
+    ( "empty bundle",
+      "executes no micro-op",
+      [ cycle ~alu:[ bundle [] ] () ] );
+  ]
+
+(* The hand-built job itself runs: what faults is the one thing changed. *)
+let test_tiny_job_runs () =
+  let memory, _ =
+    Sim.run
+      (tiny_job
+         [ cycle ~moves:[ move (loc 0) ] ();
+           cycle ~alu:[ bundle ~writes:[ write_at 1 (loc 0) ] [ pass ] ] () ])
+  in
+  Alcotest.(check (option (list int))) "the bundle's value lands" (Some [ 7 ])
+    (Option.map Array.to_list (List.assoc_opt "r" memory))
+
 let test_variants_conform () =
   List.iter
     (fun (v : Baseline.variant) ->
@@ -183,4 +287,9 @@ let suite =
     Alcotest.test_case "fault: missing source" `Quick test_fault_missing_port_source;
     Alcotest.test_case "fault: deleted read" `Quick test_deleted_read_faults;
     Alcotest.test_case "variants conform" `Quick test_variants_conform;
+    Alcotest.test_case "hand-built job runs" `Quick test_tiny_job_runs;
   ]
+  @ List.map
+      (fun (name, says, cycles) ->
+        Alcotest.test_case ("fault: " ^ name) `Quick (expect_fault ~says cycles))
+      hand_built_faults
