@@ -43,10 +43,20 @@ let advance_token st region new_token =
   Hashtbl.replace st.pending_reads region [];
   Hashtbl.replace st.tokens region new_token
 
+(* A fetch that the token chain proves reads a stored value is that
+   value ({!Fold.stored_value}): no node is built, and no later store
+   waits for it. *)
 let fetch st region offset =
-  let fe = Graph.add st.graph (Graph.Fe region) [ token st region; offset ] in
-  record_read st region fe;
-  fe
+  let token = token st region in
+  let stored =
+    Fold.stored_value st.graph ~offset (Fold.anchor st.graph ~offset token)
+  in
+  if stored >= 0 then stored
+  else begin
+    let fe = Graph.add st.graph (Graph.Fe region) [ token; offset ] in
+    record_read st region fe;
+    fe
+  end
 
 let store st region offset value =
   let stn =
@@ -58,10 +68,22 @@ let delete st region offset =
   let del = Graph.add st.graph (Graph.Del region) [ token st region; offset ] in
   advance_token st region del
 
-let binop st op a b = Graph.add st.graph (Graph.Binop op) [ a; b ]
-let unop st op a = Graph.add st.graph (Graph.Unop op) [ a ]
+(* An operation on constants is the cached constant of its value, and a
+   mux on a constant select is the input it picks ({!Fold}). *)
+let binop st op a b =
+  match Fold.binop st.graph op a b with
+  | Some v -> const st v
+  | None -> Graph.add st.graph (Graph.Binop op) [ a; b ]
+
+let unop st op a =
+  match Fold.unop st.graph op a with
+  | Some v -> const st v
+  | None -> Graph.add st.graph (Graph.Unop op) [ a ]
+
 let mux st cond if_true if_false =
-  Graph.add st.graph Graph.Mux [ cond; if_true; if_false ]
+  match Fold.mux st.graph ~cond if_true if_false with
+  | Some picked -> picked
+  | None -> Graph.add st.graph Graph.Mux [ cond; if_true; if_false ]
 
 let rec build_expr st (expr : Cfront.Ast.expr) =
   match expr with
@@ -187,7 +209,7 @@ let build ?(delete_locals = false) { Ast_in.func; env } =
     env;
   Graph.validate graph;
   (* The build's own additions are not edits for a pass to revisit. *)
-  ignore (Graph.drain_dirty graph);
+  Graph.clear_dirty graph;
   graph
 
 let build_func ?delete_locals func = build ?delete_locals (Ast_in.of_func func)

@@ -7,9 +7,18 @@
     fully unrolled beforehand ({!Cfront.Unroll}); a residual loop is
     rejected.
 
-    The resulting graph is deliberately naive — one [Fe] per read, one [St]
-    per write, constants shared — exactly the "generated CDFG" of paper
-    Section V. The {!Transform} passes then minimise it. *)
+    The resulting graph is close to the "generated CDFG" of paper
+    Section V — one [St] per write, one [Fe] per read, constants shared —
+    with two rewrites applied as each node is asked for, through the
+    decisions the simplifier's rules use ({!Fold}):
+    - a read that its region's token chain proves to read a stored value
+      (no store in between may alias it) is that value, not a fetch;
+    - an operation on constants is the constant of its result, and a
+      mux on a constant select is the input it picks.
+
+    A node such a rewrite replaces is never built, and the surviving
+    nodes keep their relative id order. The {!Transform} passes then
+    minimise the graph, running every rule as before. *)
 
 exception Unsupported of string
 (** Residual loop, predicated/early [return], or other construct outside the

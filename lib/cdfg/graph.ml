@@ -633,6 +633,18 @@ let drain_dirty g =
     (defs, uses)
   end
 
+let clear_dirty g =
+  for i = 0 to g.def_n - 1 do
+    set_mark g g.def_ids.(i) 1 false
+  done;
+  for i = 0 to g.use_n - 1 do
+    set_mark g g.use_ids.(i) 2 false
+  done;
+  g.def_n <- 0;
+  g.use_n <- 0;
+  if Array.length g.def_ids > journal_keep then g.def_ids <- no_ints;
+  if Array.length g.use_ids > journal_keep then g.use_ids <- no_ints
+
 let generation g = g.generation
 
 let consumers_of g id =

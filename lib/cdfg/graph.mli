@@ -206,6 +206,11 @@ val drain_dirty : t -> id list * id list
     since-removed nodes, so filter with {!mem}. Marking is O(1) (a flag
     byte per id); draining costs O(k log k) for k marked ids. *)
 
+val clear_dirty : t -> unit
+(** Empties the mutation journal exactly as {!drain_dirty} does, without
+    sorting the marked ids or building the lists. O(k) for k marked ids,
+    allocation-free. *)
+
 val index_errors : t -> string list
 (** Recomputes the use/def index from scratch and compares it with the
     incrementally maintained one, returning every divergence found (empty

@@ -503,11 +503,20 @@ let mux cond if_true if_false =
 (* Forward analysis                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Facts are dense per-id arrays sized to the graph's id bound when the
+   analysis ran: [known] marks the ids it reached, [values] holds their
+   abstract values. Ids past the bound (nodes added since) and ids the
+   analysis did not reach (token producers) read as [top]. *)
 type facts = {
-  values : (G.id, t) Hashtbl.t;
+  values : t array;
+  known : Bytes.t;
   regions : (string, t) Hashtbl.t;
   iters : int;
 }
+
+let equal a b =
+  a.bits.zeros = b.bits.zeros && a.bits.ones = b.bits.ones
+  && a.range.lo = b.range.lo && a.range.hi = b.range.hi
 
 let analyze ?(width = 16) ?(input_ranges = []) g =
   let input_fact region =
@@ -515,7 +524,9 @@ let analyze ?(width = 16) ?(input_ranges = []) g =
     | Some r -> of_interval r
     | None -> of_interval (I.full_width width)
   in
-  let values : (G.id, t) Hashtbl.t = Hashtbl.create 64 in
+  let bound = G.id_bound g in
+  let values = Array.make bound top in
+  let known = Bytes.make bound '\000' in
   let regions : (string, t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (region, _) -> Hashtbl.replace regions region (input_fact region))
@@ -524,39 +535,43 @@ let analyze ?(width = 16) ?(input_ranges = []) g =
   let changed = ref true in
   let iterations = ref 0 in
   let max_iterations = 8 in
+  let value id port = values.(G.input g id port) in
+  (* A first fact is taken as is; a different later one is joined in.
+     Either counts as a change. *)
+  let update id v =
+    if Bytes.get known id = '\000' then begin
+      values.(id) <- v;
+      Bytes.set known id '\001';
+      changed := true
+    end
+    else
+      let old = values.(id) in
+      if not (equal old v) then begin
+        values.(id) <- join old v;
+        changed := true
+      end
+  in
+  let sweep id =
+    match G.kind g id with
+    | G.Const v -> update id (const v)
+    | G.Binop op -> update id (binop op (value id 0) (value id 1))
+    | G.Unop op -> update id (unop op (value id 0))
+    | G.Mux -> update id (mux (value id 0) (value id 1) (value id 2))
+    | G.Fe region -> update id (Hashtbl.find regions region)
+    | G.St region ->
+      let stored = value id 2 in
+      let old = Hashtbl.find regions region in
+      let joined = join old stored in
+      if not (equal joined old) then begin
+        Hashtbl.replace regions region joined;
+        changed := true
+      end
+    | G.Ss_in _ | G.Ss_out _ | G.Del _ -> ()
+  in
   while !changed && !iterations < max_iterations do
     changed := false;
     incr iterations;
-    List.iter
-      (fun id ->
-        let n = G.node g id in
-        let value i = Hashtbl.find values n.G.inputs.(i) in
-        let update v =
-          match Hashtbl.find_opt values id with
-          | Some old when old = v -> ()
-          | Some old ->
-            Hashtbl.replace values id (join old v);
-            changed := true
-          | None ->
-            Hashtbl.replace values id v;
-            changed := true
-        in
-        match n.G.kind with
-        | G.Const v -> update (const v)
-        | G.Binop op -> update (binop op (value 0) (value 1))
-        | G.Unop op -> update (unop op (value 0))
-        | G.Mux -> update (mux (value 0) (value 1) (value 2))
-        | G.Fe region -> update (Hashtbl.find regions region)
-        | G.St region ->
-          let stored = value 2 in
-          let old = Hashtbl.find regions region in
-          let joined = join old stored in
-          if joined <> old then begin
-            Hashtbl.replace regions region joined;
-            changed := true
-          end
-        | G.Ss_in _ | G.Ss_out _ | G.Del _ -> ())
-      order
+    List.iter sweep order
   done;
   (* Region feedback still in motion: pin every region at top and
      recompute in one exact feed-forward sweep (same fallback as
@@ -564,31 +579,35 @@ let analyze ?(width = 16) ?(input_ranges = []) g =
      precise, only memory-derived values degrade). *)
   if !changed then begin
     List.iter (fun (region, _) -> Hashtbl.replace regions region top) (G.regions g);
+    let set id v =
+      values.(id) <- v;
+      Bytes.set known id '\001'
+    in
     List.iter
       (fun id ->
-        let n = G.node g id in
-        let value i = Hashtbl.find values n.G.inputs.(i) in
-        let set v = Hashtbl.replace values id v in
-        match n.G.kind with
-        | G.Const v -> set (const v)
-        | G.Binop op -> set (binop op (value 0) (value 1))
-        | G.Unop op -> set (unop op (value 0))
-        | G.Mux -> set (mux (value 0) (value 1) (value 2))
-        | G.Fe _ -> set top
+        match G.kind g id with
+        | G.Const v -> set id (const v)
+        | G.Binop op -> set id (binop op (value id 0) (value id 1))
+        | G.Unop op -> set id (unop op (value id 0))
+        | G.Mux -> set id (mux (value id 0) (value id 1) (value id 2))
+        | G.Fe _ -> set id top
         | G.St _ | G.Ss_in _ | G.Ss_out _ | G.Del _ -> ())
       order
   end;
-  { values; regions; iters = !iterations }
+  { values; known; regions; iters = !iterations }
 
-let value facts id =
-  match Hashtbl.find_opt facts.values id with Some v -> v | None -> top
+let reached facts id =
+  id >= 0 && id < Bytes.length facts.known
+  && Bytes.get facts.known id <> '\000'
+
+let value facts id = if reached facts id then facts.values.(id) else top
 
 let region_fact facts region = Hashtbl.find_opt facts.regions region
 let iterations facts = facts.iters
 
 let fold_values facts ~init ~f =
-  let ids =
-    Hashtbl.fold (fun id _ acc -> id :: acc) facts.values []
-    |> List.sort compare
-  in
-  List.fold_left (fun acc id -> f acc id (Hashtbl.find facts.values id)) init ids
+  let acc = ref init in
+  for id = 0 to Bytes.length facts.known - 1 do
+    if reached facts id then acc := f !acc id facts.values.(id)
+  done;
+  !acc

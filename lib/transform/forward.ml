@@ -1,58 +1,28 @@
 module G = Cdfg.Graph
+module Fold = Cdfg.Fold
 
-type offset_relation = Equal | Different | Unknown
-
-let relate g a b =
-  if a = b then Equal
-  else
-    match (G.kind g a, G.kind g b) with
-    | G.Const x, G.Const y -> if x = y then Equal else Different
-    | _, _ -> Unknown
-
-(* Walks the token chain of a fetch of [offset] upwards past provably
-   non-aliasing stores/deletes, to the first token that may alias it (or
-   the chain's start). *)
-let rec anchor g ~offset token =
-  match G.kind g token with
-  | G.St _ | G.Del _ -> (
-    match relate g (G.input g token 1) offset with
-    | Different -> anchor g ~offset (G.input g token 0)
-    | Equal | Unknown -> token)
-  | G.Ss_in _ | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _
-  | G.Fe _ ->
-    token
-
-(* One fetch's worth of forwarding. A walk that stops at a store to a
-   provably equal offset forwards the stored value; any other stop
-   re-anchors the fetch (a delete of an equal offset would make the fetch
-   a runtime error, so it stays visible). *)
+(* One fetch's worth of forwarding, decided by {!Cdfg.Fold} as the
+   builder decides it. A walk that stops at a store to a provably equal
+   offset forwards the stored value; any other stop re-anchors the
+   fetch. *)
 let forward_fetch g id =
   match G.kind g id with
-  | G.Fe _ -> (
+  | G.Fe _ ->
     let token = G.input g id 0 and offset = G.input g id 1 in
-    let stop = anchor g ~offset token in
-    let stored =
-      match G.kind g stop with
-      | G.St _ -> (
-        match relate g (G.input g stop 1) offset with
-        | Equal -> true
-        | Different | Unknown -> false)
-      | G.Del _ | G.Ss_in _ | G.Const _ | G.Binop _ | G.Unop _ | G.Mux
-      | G.Ss_out _ | G.Fe _ ->
-        false
-    in
-    if stored then begin
+    let stop = Fold.anchor g ~offset token in
+    let stored = Fold.stored_value g ~offset stop in
+    if stored >= 0 then begin
       (* the read disappears, and with it the anti-dependences that
          protected it *)
       G.drop_order_references g id;
-      G.replace_uses g id ~by:(G.input g stop 2);
+      G.replace_uses g id ~by:stored;
       true
     end
     else if stop <> token then begin
       G.set_inputs g id [ stop; offset ];
       true
     end
-    else false)
+    else false
   | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
   | G.St _ | G.Del _ ->
     false
@@ -81,9 +51,9 @@ let region_of g id =
     invalid_arg "region_of: node has no region"
 
 let same_offset g a b =
-  match relate g (offset_of g a) (offset_of g b) with
-  | Equal -> true
-  | Different | Unknown -> false
+  match Fold.relate g (offset_of g a) (offset_of g b) with
+  | Fold.Equal -> true
+  | Fold.Different | Fold.Unknown -> false
 
 (* One store/delete's worth of dead-store bypassing, reading the live
    use/def index. *)

@@ -103,7 +103,7 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
   @@ fun () ->
   (* Forget mutations that predate the run (graph construction, or the
      bit-level rewrites that produced [seed]). *)
-  ignore (G.drain_dirty g);
+  G.clear_dirty g;
   let eager, deferred = List.partition (fun r -> not r.settled) rules in
   let fire_counter r = Obs.counter ("pass.fire." ^ r.rname) in
   (* A seeded run (the bit-level stage's cleanup) visits only the dirty

@@ -1,5 +1,6 @@
 module G = Cdfg.Graph
 module Op = Cdfg.Op
+module Fold = Cdfg.Fold
 
 (* Rules dispatch on [G.kind] and read ports with [G.input]: a visit that
    does not fire allocates nothing. *)
@@ -16,21 +17,23 @@ let redirect g id ~by =
   G.replace_uses g id ~by;
   true
 
-(* One node's worth of constant folding. *)
+(* One node's worth of constant folding, decided by {!Cdfg.Fold} as the
+   builder decides it. *)
 let fold_node g id =
   match G.kind g id with
   | G.Binop op -> (
-    match (G.kind g (G.input g id 0), G.kind g (G.input g id 1)) with
-    | G.Const a, G.Const b -> fold_to_const g id (Op.eval_binop op a b)
-    | _, _ -> false)
+    match Fold.binop g op (G.input g id 0) (G.input g id 1) with
+    | Some v -> fold_to_const g id v
+    | None -> false)
   | G.Unop op -> (
-    match G.kind g (G.input g id 0) with
-    | G.Const a -> fold_to_const g id (Op.eval_unop op a)
-    | _ -> false)
+    match Fold.unop g op (G.input g id 0) with
+    | Some v -> fold_to_const g id v
+    | None -> false)
   | G.Mux -> (
-    match G.kind g (G.input g id 0) with
-    | G.Const c -> redirect g id ~by:(G.input g id (if c <> 0 then 1 else 2))
-    | _ -> false)
+    let cond = G.input g id 0 in
+    match Fold.mux g ~cond (G.input g id 1) (G.input g id 2) with
+    | Some by -> redirect g id ~by
+    | None -> false)
   | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.Fe _ | G.St _ | G.Del _ -> false
 
 let const_fold_rule = Pass.local "const-fold" fold_node

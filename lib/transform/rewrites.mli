@@ -2,8 +2,10 @@
     strength reduction. *)
 
 val const_fold_rule : Pass.rule
-(** Folds [Binop]/[Unop]/[Mux] nodes whose relevant inputs are constants
-    into [Const] nodes. *)
+(** Folds [Binop]/[Unop] nodes with constant inputs into [Const] nodes and
+    a [Mux] with a constant select into the input it picks, as
+    {!Cdfg.Fold} decides (the builder asks the same before it adds such a
+    node). *)
 
 val algebraic_rule : Pass.rule
 (** Identity/absorption rewrites that need no constant operands on both

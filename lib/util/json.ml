@@ -245,21 +245,38 @@ let parse src =
 (* Emitter: compact, field order = list order, one float format.       *)
 (* ------------------------------------------------------------------ *)
 
+(* True when no byte of [s] needs an escape: the common case of keys
+   and names, copied in one blit. *)
+let plain s =
+  let rec go i =
+    i >= String.length s
+    || match s.[i] with
+       | '"' | '\\' -> false
+       | ch -> Char.code ch >= 0x20 && go (i + 1)
+  in
+  go 0
+
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
+  if plain s then Buffer.add_string buf s
+  else
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | ch when Char.code ch < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+        | ch -> Buffer.add_char buf ch)
+      s;
   Buffer.add_char buf '"'
+
+(* The C primitive behind [Printf]'s float conversions: the same bytes,
+   without interpreting a format at run time. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
@@ -267,7 +284,7 @@ let rec emit buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
     if Float.is_finite f then begin
-      let s = Printf.sprintf "%.6g" f in
+      let s = format_float "%.6g" f in
       Buffer.add_string buf s;
       (* "%.6g" can print a bare integer ("3"), which would re-parse as
          Int and break value round-trips *)

@@ -135,6 +135,78 @@ let test_builder_validates () =
       G.validate g)
     Fpfa_kernels.Kernels.all
 
+(* The builder's two folds ({!Cdfg.Fold}). *)
+
+let test_stored_value_forwarded () =
+  (* the fetch of x reads the 5 just stored, and 5 + 1 folds *)
+  let g = build "void main() { x = 5; y = x + 1; }" in
+  Alcotest.(check int) "no fetch" 0 (G.stats g).G.fetches;
+  let stored =
+    G.fold g ~init:None ~f:(fun acc n ->
+        match n.G.kind with
+        | G.St "y" -> Some (G.kind g n.G.inputs.(2))
+        | _ -> acc)
+  in
+  Alcotest.(check bool) "y stores the constant 6" true
+    (stored = Some (G.Const 6))
+
+let test_aliasing_store_keeps_fetch () =
+  (* a[u] may be a[1]: the fetch of a[1] must not read the 4 stored
+     before it *)
+  let source = "void main() { a[1] = 4; a[u] = 5; x = a[1]; }" in
+  let g = build source in
+  Alcotest.(check bool) "fetch kept" true
+    (G.fold g ~init:false ~f:(fun found n ->
+         found || match n.G.kind with G.Fe "a" -> true | _ -> false));
+  let result = Eval.run ~memory_init:[ ("u", [| 1 |]) ] g in
+  Alcotest.(check (list int)) "x reads the aliasing store" [ 5 ]
+    (region result "x")
+
+let test_constant_select_picks () =
+  let g = build "void main() { if (1) { x = a[0]; } else { x = a[1]; } }" in
+  let s = G.stats g in
+  Alcotest.(check int) "no mux" 0 s.G.muxes;
+  Alcotest.(check int) "no logic" 0 s.G.other_alu;
+  let result = Eval.run ~memory_init:[ ("a", [| 4; 9 |]) ] g in
+  Alcotest.(check (list int)) "then branch" [ 4 ] (region result "x")
+
+let fresh_build program =
+  Builder.build_func (List.hd (Cfront.Unroll.unroll_program program))
+
+(* Evaluating a freshly built graph matches the reference interpreter,
+   which shares no code with the builder's folds. *)
+let matches_interp name arb =
+  QCheck.Test.make ~name ~count:300 arb (fun program ->
+      let st =
+        Cfront.Interp.run_main ~array_init:Gen.array_inputs
+          ~scalar_init:Gen.scalar_inputs program
+      in
+      let result = Eval.run ~memory_init:Gen.memory_init (fresh_build program) in
+      Eval.conforms_to_interp ~memory_init:Gen.memory_init st result)
+
+(* Nothing in a fresh build is left for the folds the builder performs:
+   no operation on constants, no mux on a constant select and no fetch
+   whose token chain reaches a store of its offset. *)
+let nothing_to_fold name arb =
+  QCheck.Test.make ~name ~count:300 arb (fun program ->
+      let g = fresh_build program in
+      let input = G.input g in
+      G.fold g ~init:true ~f:(fun ok n ->
+          let id = n.G.id in
+          ok
+          &&
+          match n.G.kind with
+          | G.Binop op -> Cdfg.Fold.binop g op (input id 0) (input id 1) = None
+          | G.Unop op -> Cdfg.Fold.unop g op (input id 0) = None
+          | G.Mux ->
+            Cdfg.Fold.mux g ~cond:(input id 0) (input id 1) (input id 2) = None
+          | G.Fe _ ->
+            let offset = input id 1 in
+            Cdfg.Fold.stored_value g ~offset
+              (Cdfg.Fold.anchor g ~offset (input id 0))
+            < 0
+          | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ -> true))
+
 let suite =
   [
     Alcotest.test_case "regions" `Quick test_regions_declared;
@@ -151,4 +223,16 @@ let suite =
     Alcotest.test_case "delete locals" `Quick test_delete_locals;
     Alcotest.test_case "intrinsics" `Quick test_intrinsics_expand;
     Alcotest.test_case "kernels validate" `Quick test_builder_validates;
+    Alcotest.test_case "stored value forwarded" `Quick test_stored_value_forwarded;
+    Alcotest.test_case "aliasing store keeps fetch" `Quick
+      test_aliasing_store_keeps_fetch;
+    Alcotest.test_case "constant select picks" `Quick test_constant_select_picks;
+    QCheck_alcotest.to_alcotest
+      (matches_interp "CDFG evaluation = interpreter" Gen.program);
+    QCheck_alcotest.to_alcotest
+      (matches_interp "dynamic indices: eval = interpreter" Gen.dyn_program);
+    QCheck_alcotest.to_alcotest
+      (nothing_to_fold "fresh build leaves nothing to fold" Gen.program);
+    QCheck_alcotest.to_alcotest
+      (nothing_to_fold "dynamic indices: nothing to fold" Gen.dyn_program);
   ]

@@ -101,20 +101,6 @@ let test_equal_result_padding () =
   let r3 = { Eval.memory = [ ("a", [| 1; 2 |]) ]; named = [] } in
   Alcotest.(check bool) "differs" false (Eval.equal_result r1 r3)
 
-(* Property: on every generated program, building the CDFG and evaluating
-   it matches the reference interpreter. *)
-let builder_eval_matches_interp =
-  QCheck.Test.make ~name:"CDFG evaluation = interpreter" ~count:300
-    Gen.program (fun program ->
-      let st =
-        Cfront.Interp.run_main ~array_init:Gen.array_inputs
-          ~scalar_init:Gen.scalar_inputs program
-      in
-      let unrolled = Cfront.Unroll.unroll_program program in
-      let g = Cdfg.Builder.build_func (List.hd unrolled) in
-      let result = Eval.run ~memory_init:Gen.memory_init g in
-      Eval.conforms_to_interp ~memory_init:Gen.memory_init st result)
-
 let suite =
   [
     Alcotest.test_case "token snapshot" `Quick test_token_snapshot_semantics;
@@ -125,5 +111,4 @@ let suite =
     Alcotest.test_case "implicit growth" `Quick test_implicit_region_growth;
     Alcotest.test_case "value_of" `Quick test_value_of;
     Alcotest.test_case "equal_result" `Quick test_equal_result_padding;
-    QCheck_alcotest.to_alcotest builder_eval_matches_interp;
   ]

@@ -187,7 +187,8 @@ let test_stats_and_depth () =
       Fpfa_kernels.Kernels.fir_paper.Fpfa_kernels.Kernels.source
   in
   let s = G.stats g in
-  Alcotest.(check int) "fetches" 30 s.G.fetches;
+  (* the builder forwards the 20 reads of values stored before them *)
+  Alcotest.(check int) "fetches" 10 s.G.fetches;
   Alcotest.(check int) "stores" 12 s.G.stores;
   Alcotest.(check int) "multiplies" 5 s.G.multiplies;
   Alcotest.(check bool) "critical path positive" true (s.G.critical_path > 0);
@@ -309,13 +310,15 @@ let test_index_random_mutations () =
 
 (* The journal feeding the worklist engine: a rewrite marks the rewired
    consumers def-dirty and the displaced producer use-dirty, and draining
-   empties it. *)
+   empties it. Clearing empties it too, and unmarks the ids it held: the
+   additions' marks must not hide the rewrite's. *)
 let test_dirty_journal () =
   let g = G.create "t" in
   let c1 = G.add g (G.Const 1) [] in
   let c2 = G.add g (G.Const 2) [] in
   let a = G.add g (G.Binop Op.Add) [ c1; c1 ] in
-  ignore (G.drain_dirty g);
+  G.clear_dirty g;
+  Alcotest.(check bool) "cleared" true (G.drain_dirty g = ([], []));
   G.replace_uses g c1 ~by:c2;
   let def, use = G.drain_dirty g in
   Alcotest.(check bool) "consumer def-dirty" true (List.mem a def);

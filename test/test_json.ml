@@ -74,10 +74,17 @@ let test_emit_deterministic () =
     "fields in list order" "{\"b\":1,\"a\":[null,false],\"s\":\"x\\\"y\"}"
     (Json.to_string v);
   Alcotest.(check string)
-    "stable across calls" (Json.to_string v) (Json.to_string v)
+    "stable across calls" (Json.to_string v) (Json.to_string v);
+  Alcotest.(check string) "control characters" "\"a\\u0001\\nb\\\\\""
+    (Json.to_string (Json.Str "a\001\nb\\"))
 
 let test_emit_floats () =
   Alcotest.(check string) "fractional" "1.5" (Json.to_string (Json.Float 1.5));
+  Alcotest.(check string) "six digits" "0.155556"
+    (Json.to_string (Json.Float 0.1555555));
+  Alcotest.(check string) "exponent" "-1e-07"
+    (Json.to_string (Json.Float (-1e-7)));
+  Alcotest.(check string) "integral" "102.0" (Json.to_string (Json.Float 102.0));
   (* integral floats keep a marker so they re-parse as Float *)
   (match Json.parse (Json.to_string (Json.Float 2.0)) with
   | Json.Float f -> Alcotest.(check (float 0.0)) "value" 2.0 f

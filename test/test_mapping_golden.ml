@@ -163,213 +163,213 @@ let flow_cases ~config ~tag ~jobs programs =
 
 let expected =
   [
-    ("paper/fir-paper", "8e623295b3701552fda5d273d266a718");
-    ("paper/fir-16", "d28a957f43c7750753d9a2dd6fae95c6");
-    ("paper/fir-dl-8", "27f42f6cd20a021a28cee8c97176fc3a");
-    ("paper/dot-8", "8f9b1f82cbedf20feea8d95ca232333f");
-    ("paper/vscale-8", "05aeba10be298097c531fc90c18b395c");
-    ("paper/saxpy-8", "5d64224c161d71048bfc2b0fef5e55d8");
-    ("paper/iir-6", "2afb2a813e1b02891ea46a7bbdab250f");
-    ("paper/matmul-3", "ef808b3701124f032a14c529c90be5e4");
-    ("paper/fft-bfly-4", "c5b70f2b26136ecf2c43a54bee07fa0f");
+    ("paper/fir-paper", "cc6c39085594441228960c0ee9ca73dc");
+    ("paper/fir-16", "6274c5e288b9c25ec49ec7d8c0480c35");
+    ("paper/fir-dl-8", "09401a76d81b602603ed595fdc506f62");
+    ("paper/dot-8", "106c29f4ad57024cee65b56774bdd534");
+    ("paper/vscale-8", "346e51c424b8a6b5e6ec31adab68f5b9");
+    ("paper/saxpy-8", "2c22decb2db9c085499e531011e5e7a9");
+    ("paper/iir-6", "a5a0c3ab7cc5149e283df3417ff0ebab");
+    ("paper/matmul-3", "1372159cc7ed65a62c7ebbdf11913ff6");
+    ("paper/fft-bfly-4", "1c4fb23fc1898dc6f19a110ae1546b30");
     ("paper/dct4", "2b537e0d81b70d9b89401264e2bcffe5");
-    ("paper/corr-4-8", "b86f5c8ac7b096962ab0e0e9e97f7106");
-    ("paper/mavg-4-6", "a9dae3f102d8576c74691bffefefaf9d");
-    ("paper/clip-6", "82e7e62d0d1a20f39d095680e4f500e4");
-    ("paper/maxabs-8", "412d07cf2d4c59d4f559cc036c32dca1");
-    ("paper/poly-6", "217b73db9ebd0db2daadecea7f2fc7d1");
-    ("paper/cmul-4", "45d5a40935c3ada810807eec729285e7");
-    ("paper/manhattan-8", "6dd4232bb5ef7deac934fb752d138fa3");
-    ("paper/clipmm-6", "6460949b09857714b6c80712d1155099");
-    ("paper/cumsum-8", "a67cdfd2df4bdb93a87a585cd2c47f11");
-    ("paper/iir1-8", "723147cf559cb23e0dc34da90ba538db");
-    ("paper/mavg-acc-4-8", "93036317f5f0a92b8c94e11e28c6826d");
-    ("paper/crc8-4", "496c937f33baa67e5e669fbf0fc15eef");
-    ("paper/pack565-4", "588f2103399c230559d98f3b599640c5");
-    ("sequential/fir-paper", "8aeb14e04289f65afbd9c788be7631f1");
-    ("sequential/fir-16", "3bf796567a48e5b2b689471a1b222877");
-    ("sequential/fir-dl-8", "5370c806e4750534bedf919811e6e77c");
-    ("sequential/dot-8", "fdeccb011f57bce0f71f806739d6e1b3");
-    ("sequential/vscale-8", "9766be4e5ed747c746cd61af95b4a70f");
-    ("sequential/saxpy-8", "80262bfac4c151450071b8d51d803c2c");
-    ("sequential/iir-6", "8946f0a3ba8d67ad688531e58bd69919");
-    ("sequential/matmul-3", "93fcad30baa8713e52cd21293cba7e95");
-    ("sequential/fft-bfly-4", "3475dd1a26017a90410c467d2bc25503");
+    ("paper/corr-4-8", "4ae0a80adee1f8c690c22eb16380442e");
+    ("paper/mavg-4-6", "b9192ee9916811993fd45126f850a0a6");
+    ("paper/clip-6", "c9a1bde91fbf7a8d611d7abb77d0a4f8");
+    ("paper/maxabs-8", "617cb3ff5a243cf4e8d9683dcc2b6ccf");
+    ("paper/poly-6", "302f621572151270038401fe1d973ae8");
+    ("paper/cmul-4", "41b27a7ac15d1d62b61b5719b6377a05");
+    ("paper/manhattan-8", "6b57661f3e204ba10c500141ff9b958d");
+    ("paper/clipmm-6", "d615b1a6bf0086ebfd560930e13e18b8");
+    ("paper/cumsum-8", "4bac12d3b2eb925e2964fffdaf00ba65");
+    ("paper/iir1-8", "4128c9309e1ee1e7bd291eb8da97f1df");
+    ("paper/mavg-acc-4-8", "5625f72b9745e89e895eb53cc7c2dd6d");
+    ("paper/crc8-4", "80fe8181997c5367a39d6e809a5f7ff3");
+    ("paper/pack565-4", "bbf37605a54803d8ecbcff2e755d10cd");
+    ("sequential/fir-paper", "987c3f472035b0a61e9c840e1559120c");
+    ("sequential/fir-16", "f85c4ad3c4084bf5cbe0de5cc5982df1");
+    ("sequential/fir-dl-8", "b876e3fda08a0dd18a391c2dd02b2252");
+    ("sequential/dot-8", "6b08263f5caca4ae217382e702c9f044");
+    ("sequential/vscale-8", "fa33612e7258064edeb8ec83090068fa");
+    ("sequential/saxpy-8", "3fecfe4a84aa1334f3038ed2c1d3dc5d");
+    ("sequential/iir-6", "0f046fcef40dfcc7842c1efff69b27d3");
+    ("sequential/matmul-3", "27fb67564ef06cecd763bfeb51f5d333");
+    ("sequential/fft-bfly-4", "728accf53bc2155586328fc26081c3dc");
     ("sequential/dct4", "c0235a7d7b652c859627b959c1e09571");
-    ("sequential/corr-4-8", "c5fcdf8f23849c7dfc911cfd104b20b4");
-    ("sequential/mavg-4-6", "1af6eedb4f692e9bb7e2e10c3ebf1471");
-    ("sequential/clip-6", "68df0145d92ef1ad00e160671f370d9c");
-    ("sequential/maxabs-8", "a16aee928b5747586cab77d6e4506101");
-    ("sequential/poly-6", "30122d8a3b554227c65b86ea60c275df");
-    ("sequential/cmul-4", "ddc679889b5e6ae976a26e71d478de79");
-    ("sequential/manhattan-8", "9071100eb6d4b851b4809f81ba0fa687");
-    ("sequential/clipmm-6", "a7d17367c7b10c452562765851f7a834");
-    ("sequential/cumsum-8", "83a4857aca7d8901255dd156d5baa204");
-    ("sequential/iir1-8", "0d991a3b6e4c45d44e27968715418ac1");
-    ("sequential/mavg-acc-4-8", "f02eaf8fea06d3cb1b4e23c533dbe682");
-    ("sequential/crc8-4", "c929b8888d5a30a82ade160640250cca");
-    ("sequential/pack565-4", "361c41c92d56fa638ea11178bafc4ca8");
-    ("unit-ops/fir-paper", "7cef76a1585133311efb564914f3ac51");
-    ("unit-ops/fir-16", "ae4bfff762c3819e89cda5f7602ae8b1");
-    ("unit-ops/fir-dl-8", "545571ca99e4f929ed1beea2814a0038");
-    ("unit-ops/dot-8", "1fa3a06449f941c46bb9626bd3fbf215");
-    ("unit-ops/vscale-8", "204ba67131ca37c66b7ce4c4b9cba102");
-    ("unit-ops/saxpy-8", "c857b6040c85a3a04c8b2cb57503f845");
-    ("unit-ops/iir-6", "9c0556a970bc81a97b3cb7224e077f76");
-    ("unit-ops/matmul-3", "355039a76347f96a085196e6f6748019");
-    ("unit-ops/fft-bfly-4", "c5b70f2b26136ecf2c43a54bee07fa0f");
+    ("sequential/corr-4-8", "5c69e1dfe29ba433f7bd5bfb5afbe098");
+    ("sequential/mavg-4-6", "e21c98c1adbd78b9a000480d678200ef");
+    ("sequential/clip-6", "dc41a8d422c950ac1538d0740148f49d");
+    ("sequential/maxabs-8", "97c41e2ee97b901ab0307d35c9b2c8da");
+    ("sequential/poly-6", "020614a2743c46c5fe3280118a1bb07b");
+    ("sequential/cmul-4", "63347d23e4a59ff685c3668fb08b2eae");
+    ("sequential/manhattan-8", "2b3286024fa01c4e832f91cc05c9a267");
+    ("sequential/clipmm-6", "673f603c5fb4854f9e085946e355fdf5");
+    ("sequential/cumsum-8", "4175b27982347906372c6d6cea9ac1cf");
+    ("sequential/iir1-8", "a06e1780730445b1db77d83da1dc7391");
+    ("sequential/mavg-acc-4-8", "3d75ce019389e22d13d34fe5c99e497f");
+    ("sequential/crc8-4", "89cc9c539cc68e1e3ca07bd3ab6ef5d1");
+    ("sequential/pack565-4", "cd75bc3fed347b1ff756bcddc0f6b4f0");
+    ("unit-ops/fir-paper", "1d3ad99535a89c5841e13041706efbc9");
+    ("unit-ops/fir-16", "9610e2728e7a38f54af0ce0ec5d4d7a3");
+    ("unit-ops/fir-dl-8", "28642c869e7f9f473bcad76c7d0605ec");
+    ("unit-ops/dot-8", "d8cf7175383637c32f9bca598a5ac0e8");
+    ("unit-ops/vscale-8", "22e60bf2380a36fcf0d214a19cc04717");
+    ("unit-ops/saxpy-8", "82ce56a844383f1c2336aa2c493f1830");
+    ("unit-ops/iir-6", "cb77c92af0993fd00af6a2f6fd7828b0");
+    ("unit-ops/matmul-3", "ce8dea656467c651c8a94fff4b6055e3");
+    ("unit-ops/fft-bfly-4", "1c4fb23fc1898dc6f19a110ae1546b30");
     ("unit-ops/dct4", "b90f6ca71127007e82e88ef188df9276");
-    ("unit-ops/corr-4-8", "0f3158e68f94da8dfaf9c035883313a1");
-    ("unit-ops/mavg-4-6", "cdf4a08546687e0dc48eb50ea22aa6f4");
-    ("unit-ops/clip-6", "c2eac5cc180a2a2f867381b8b3a3c280");
-    ("unit-ops/maxabs-8", "26c62168ae9aa4e0fdc3f2f4bbf16c4b");
-    ("unit-ops/poly-6", "4771fd8a320e38265c0ce5207dc81885");
-    ("unit-ops/cmul-4", "9f595cb8e01032e29d0dc71c7a455b45");
-    ("unit-ops/manhattan-8", "91866ec3af1971de248a5f1300e8dbef");
-    ("unit-ops/clipmm-6", "24bdf9a30049a010860b70ea12dce4a1");
-    ("unit-ops/cumsum-8", "a67cdfd2df4bdb93a87a585cd2c47f11");
-    ("unit-ops/iir1-8", "a796ff71b442f90c09ef4cdb80c4b30a");
-    ("unit-ops/mavg-acc-4-8", "755b0031f68993e86636b2dd871515ed");
-    ("unit-ops/crc8-4", "ccd3c5065da96a5ff5482d8fd73359c7");
-    ("unit-ops/pack565-4", "7c2aaafc3086cf08054dac37e54a1a7d");
-    ("sarkar/fir-paper", "33abe84f81adecfc44dfd7703b1f7e51");
-    ("sarkar/fir-16", "ce17d3314e628fb1d5f6e1e3391d7e08");
-    ("sarkar/fir-dl-8", "ccf402f5e47b6d1b17dd3e8313205fa9");
-    ("sarkar/dot-8", "8f9b1f82cbedf20feea8d95ca232333f");
-    ("sarkar/vscale-8", "05aeba10be298097c531fc90c18b395c");
-    ("sarkar/saxpy-8", "5d64224c161d71048bfc2b0fef5e55d8");
-    ("sarkar/iir-6", "3485c40d6885809f9b1650b4009ad8c0");
-    ("sarkar/matmul-3", "d26ed5d177ebe912867273bcd593b786");
-    ("sarkar/fft-bfly-4", "c5b70f2b26136ecf2c43a54bee07fa0f");
+    ("unit-ops/corr-4-8", "efad30dbbce16e49df3c3e130fd999bf");
+    ("unit-ops/mavg-4-6", "b04f4e10394a041cfeaa58aa765419ce");
+    ("unit-ops/clip-6", "3d789c6560c019da7e287e919678324b");
+    ("unit-ops/maxabs-8", "fd71eb6fd7a255c339fbcac6dc8928a2");
+    ("unit-ops/poly-6", "0ff49a839f5c5c5cfd2b317806b546cd");
+    ("unit-ops/cmul-4", "05a69066ce5e21ad3289bc82deb8e7cd");
+    ("unit-ops/manhattan-8", "03d02c12bc7dfa1de49391a38a42edb6");
+    ("unit-ops/clipmm-6", "b36bf40c526e3031f564060afc49301b");
+    ("unit-ops/cumsum-8", "4bac12d3b2eb925e2964fffdaf00ba65");
+    ("unit-ops/iir1-8", "fddbb81155734c39ad28e78ca8b0aed1");
+    ("unit-ops/mavg-acc-4-8", "20f067732d98f52f2574aa3ac5149e4b");
+    ("unit-ops/crc8-4", "40974cd3b91d6713d258ef7407ed8fc9");
+    ("unit-ops/pack565-4", "4cc0d7a4489af7e6924f3e79be7d9767");
+    ("sarkar/fir-paper", "dd06591ac1bc154462ffcc29ea751ec2");
+    ("sarkar/fir-16", "85b26bcef8ecae2ef086d9aaac13646d");
+    ("sarkar/fir-dl-8", "09401a76d81b602603ed595fdc506f62");
+    ("sarkar/dot-8", "106c29f4ad57024cee65b56774bdd534");
+    ("sarkar/vscale-8", "346e51c424b8a6b5e6ec31adab68f5b9");
+    ("sarkar/saxpy-8", "2c22decb2db9c085499e531011e5e7a9");
+    ("sarkar/iir-6", "b1710357504d3112dd76b3e788fbdb9f");
+    ("sarkar/matmul-3", "498e37b6a6e375545296f4087b76e5f7");
+    ("sarkar/fft-bfly-4", "1c4fb23fc1898dc6f19a110ae1546b30");
     ("sarkar/dct4", "02286332ef6ebd54ccdc2c49a6177a7d");
-    ("sarkar/corr-4-8", "b86f5c8ac7b096962ab0e0e9e97f7106");
-    ("sarkar/mavg-4-6", "6b9ce545e7ac5d6b6cb456de309d6da8");
-    ("sarkar/clip-6", "c3b6f9d1fb6e36892ce2a0774a488c94");
-    ("sarkar/maxabs-8", "412d07cf2d4c59d4f559cc036c32dca1");
-    ("sarkar/poly-6", "217b73db9ebd0db2daadecea7f2fc7d1");
-    ("sarkar/cmul-4", "45d5a40935c3ada810807eec729285e7");
-    ("sarkar/manhattan-8", "851b861672560b3e5a6a6a20b4ee9493");
-    ("sarkar/clipmm-6", "6460949b09857714b6c80712d1155099");
-    ("sarkar/cumsum-8", "a67cdfd2df4bdb93a87a585cd2c47f11");
-    ("sarkar/iir1-8", "35f15a4d97234860478f9897e182b819");
-    ("sarkar/mavg-acc-4-8", "93036317f5f0a92b8c94e11e28c6826d");
-    ("sarkar/crc8-4", "a6e19d407b246ce91fceb5829fa8a370");
-    ("sarkar/pack565-4", "43c52c9d57884cb5a6ff99156c1ab911");
-    ("no-locality/fir-paper", "eb4ff4f6b335296d20c044323ffc20e1");
-    ("no-locality/fir-16", "3fc15f304b60623b2ae3d45434cc0fcf");
-    ("no-locality/fir-dl-8", "d28601898af821dd034630f6127fab88");
-    ("no-locality/dot-8", "35543b1f66230abdcc2ea6398c21f049");
-    ("no-locality/vscale-8", "4d497a3acf7b5fe834f7d3069f8e5205");
-    ("no-locality/saxpy-8", "173f78db80b00eb605969287d1fe92d5");
-    ("no-locality/iir-6", "5eac351b91bff1d47076736c0c298905");
-    ("no-locality/matmul-3", "abef00b01af58aede0a6600aea50f2c4");
-    ("no-locality/fft-bfly-4", "7244b63257e43c668f9eafd11ee36b0f");
+    ("sarkar/corr-4-8", "4ae0a80adee1f8c690c22eb16380442e");
+    ("sarkar/mavg-4-6", "a96a48b53b69a790f64cc2292a370228");
+    ("sarkar/clip-6", "559509ff17e580200262f4c0d1aebbcd");
+    ("sarkar/maxabs-8", "617cb3ff5a243cf4e8d9683dcc2b6ccf");
+    ("sarkar/poly-6", "302f621572151270038401fe1d973ae8");
+    ("sarkar/cmul-4", "41b27a7ac15d1d62b61b5719b6377a05");
+    ("sarkar/manhattan-8", "7d1ddbeab44c5630a10445cdd46f34d7");
+    ("sarkar/clipmm-6", "d615b1a6bf0086ebfd560930e13e18b8");
+    ("sarkar/cumsum-8", "4bac12d3b2eb925e2964fffdaf00ba65");
+    ("sarkar/iir1-8", "d5715b7a18a49cecf750050f4f6183fe");
+    ("sarkar/mavg-acc-4-8", "5625f72b9745e89e895eb53cc7c2dd6d");
+    ("sarkar/crc8-4", "c1965f650c16d18b81ae7fa96853ae2a");
+    ("sarkar/pack565-4", "acf6f9b8dd646d98c24f6279a9da3e57");
+    ("no-locality/fir-paper", "c185cb9711ff66e7ed33b5adc33989ca");
+    ("no-locality/fir-16", "b09b2acc72fc2bcf63bc350348377e9a");
+    ("no-locality/fir-dl-8", "fd718d635eb3fbfa2dbc225845ac9e11");
+    ("no-locality/dot-8", "78399c05f9819fddd0f7492a7122aa30");
+    ("no-locality/vscale-8", "34d1e1e149e7420ec9aae84ded4129ba");
+    ("no-locality/saxpy-8", "3615248c09394452e5b66c4f4c0af423");
+    ("no-locality/iir-6", "96c76efd68203bd0d064512f10bc76cc");
+    ("no-locality/matmul-3", "f91e16d491d7325561c1f7c6c6a6cd42");
+    ("no-locality/fft-bfly-4", "7eed3ae39b01d208a0919581d1fdf011");
     ("no-locality/dct4", "85da68b2abe49cb986a999079435edcd");
-    ("no-locality/corr-4-8", "e8959cbf5808c70c35c9c717095149f2");
-    ("no-locality/mavg-4-6", "cbf7b26aefb99cc48c5b432c65e6c490");
-    ("no-locality/clip-6", "22625944bb5762e09d0a0135571822bd");
-    ("no-locality/maxabs-8", "c2cb3d1ae3934203504f2c3e02281502");
-    ("no-locality/poly-6", "7e96d71b243a9b9b3b5aa111bb926b4f");
-    ("no-locality/cmul-4", "ae4b47c8974da57e1d87186d3bd5bbd3");
-    ("no-locality/manhattan-8", "e678a3b65301067e7a0c2ae90196fedf");
-    ("no-locality/clipmm-6", "7df258bcea98b222541375a69e6dcea3");
-    ("no-locality/cumsum-8", "789f133ecd4d8ba2a0be6b3a338c070a");
-    ("no-locality/iir1-8", "ffed45ab7c1120cf5af8812ef810697e");
-    ("no-locality/mavg-acc-4-8", "6e168e26e2d54b8d3427ee9b2124208a");
-    ("no-locality/crc8-4", "f363cce092b7f082916d3da47bb84f68");
-    ("no-locality/pack565-4", "308b938ba7af4a4827c4ae70ffd9b525");
-    ("forwarding/fir-paper", "d04f002ed39055789ea664074e3c9d81");
-    ("forwarding/fir-16", "c2923a5f2abee70bde8a7a76e8feaf11");
-    ("forwarding/fir-dl-8", "fa236d938aca46bed4a16e57950857c5");
-    ("forwarding/dot-8", "bf4cd33ac1a40f06ba1e7fa6068948b6");
-    ("forwarding/vscale-8", "05aeba10be298097c531fc90c18b395c");
-    ("forwarding/saxpy-8", "5d64224c161d71048bfc2b0fef5e55d8");
-    ("forwarding/iir-6", "4452e7bf9362502e2ff1eec01d8978f2");
-    ("forwarding/matmul-3", "7481a606a26ec87efe77e495750072a1");
-    ("forwarding/fft-bfly-4", "c5b70f2b26136ecf2c43a54bee07fa0f");
+    ("no-locality/corr-4-8", "b90ed62065ce0ef8eb2fb373832070c6");
+    ("no-locality/mavg-4-6", "2d43527f41c2d1f2edff4ebd9c463ea2");
+    ("no-locality/clip-6", "07f2cee32411a862b07ec794c1169258");
+    ("no-locality/maxabs-8", "ac0eaf36ad99ba342276b00d29e52584");
+    ("no-locality/poly-6", "57db0f0ba8159a1a98ca1afe27951905");
+    ("no-locality/cmul-4", "40766a2336091c7001e18c921648fb75");
+    ("no-locality/manhattan-8", "e800f6ec85298f0e40afe752dc2aeb84");
+    ("no-locality/clipmm-6", "4d228dc1058acc531b3713dbac03ec6f");
+    ("no-locality/cumsum-8", "0183677b37431b1ac0ddc23ffc1485c2");
+    ("no-locality/iir1-8", "de652d7d17804a2a120c81c4ffef7c26");
+    ("no-locality/mavg-acc-4-8", "c15b83f1b3c50429c3eee2d8699f4a7c");
+    ("no-locality/crc8-4", "78e933aacde753d48250ae52ab61d509");
+    ("no-locality/pack565-4", "5b7bcaf8198a9ac32a11b0bacc5c75be");
+    ("forwarding/fir-paper", "7bdd108d5fa16f540a7e1995f29fd8ce");
+    ("forwarding/fir-16", "85186394a09ef2384fcb57fc91ab1b97");
+    ("forwarding/fir-dl-8", "71f05b16842272699763ebfbfd472623");
+    ("forwarding/dot-8", "fe36863e5b8e2d7bd0f2f582f1087848");
+    ("forwarding/vscale-8", "346e51c424b8a6b5e6ec31adab68f5b9");
+    ("forwarding/saxpy-8", "2c22decb2db9c085499e531011e5e7a9");
+    ("forwarding/iir-6", "487180af71630f15d942f70f5e8b8f4e");
+    ("forwarding/matmul-3", "7708c5a70e108aac32533c832740dc3e");
+    ("forwarding/fft-bfly-4", "1c4fb23fc1898dc6f19a110ae1546b30");
     ("forwarding/dct4", "f6d0c61071e639975c52e66c7f9ff389");
-    ("forwarding/corr-4-8", "e5cb77cb3578614a3451be7c7b164458");
-    ("forwarding/mavg-4-6", "f73f7b15c69f89ac053169375dc0c225");
-    ("forwarding/clip-6", "41770cddff77bc7e09f72180835ef034");
-    ("forwarding/maxabs-8", "e856e656824c3bd2f580002fdebc06c1");
-    ("forwarding/poly-6", "2da2c269fd929ea295618085317699ba");
-    ("forwarding/cmul-4", "9a076ac1216e10bbee7af9ad89af777a");
-    ("forwarding/manhattan-8", "953704d3eec59c90aae1c3a53f96b89f");
-    ("forwarding/clipmm-6", "2b1c98e34ac3b43d14d82d79ee3f36b6");
-    ("forwarding/cumsum-8", "1fec4ebbeb5be65cfe031d1fdd5efa9e");
-    ("forwarding/iir1-8", "1bc6da26f1c0fb22df889b6342ba01ca");
-    ("forwarding/mavg-acc-4-8", "de04265dd08ec188eae184b65faaf68f");
-    ("forwarding/crc8-4", "b797d00ff82fa1b49a0ebf83baf7a9e8");
-    ("forwarding/pack565-4", "e08459ade239e1d44e4fca4f19139cdf");
-    ("interleaved/fir-paper", "ccbf228a209e5e7b63c9265a393ecdf9");
-    ("interleaved/fir-16", "92b20c51f86563a4f728e5b62c8bf0ae");
-    ("interleaved/fir-dl-8", "edd1a6d2b56022f1df7498a30298a803");
-    ("interleaved/dot-8", "981d2474cd68caa6e173ff472c77aa2c");
-    ("interleaved/vscale-8", "75795c8a1b89d30f42736d58090b601e");
-    ("interleaved/saxpy-8", "8893d8cd7d1e9404f60d4302ac9870a4");
-    ("interleaved/iir-6", "41647a8d64580051f57960bcc8fc7b91");
-    ("interleaved/matmul-3", "e87ce81c8c35123b1222fb2c5e506768");
-    ("interleaved/fft-bfly-4", "b9383625f74c35d63a805e6bd0209125");
+    ("forwarding/corr-4-8", "36fa2fe928d5ea30d9714dbf8fb7263e");
+    ("forwarding/mavg-4-6", "ff0920756b6180d5199c8731eb814070");
+    ("forwarding/clip-6", "3aeb9e9d3a42616006e17060bea7e56c");
+    ("forwarding/maxabs-8", "c18c728787d218f53de899107a70d234");
+    ("forwarding/poly-6", "7165159990a336117712af31e2512520");
+    ("forwarding/cmul-4", "e67012342160d8f35de2d19ce12a6906");
+    ("forwarding/manhattan-8", "8a82922e20320612f314dc47042d331f");
+    ("forwarding/clipmm-6", "96c4f1e047ba931f69a873f3c04eff67");
+    ("forwarding/cumsum-8", "871a19ae425173135a20fc2c87ba496f");
+    ("forwarding/iir1-8", "1d5b042eaf945e6ce3d16cec537ae563");
+    ("forwarding/mavg-acc-4-8", "fbb6fbda59553fa698cd017210541ee1");
+    ("forwarding/crc8-4", "0ca5baa1a28b0c160b1d16135afcb41e");
+    ("forwarding/pack565-4", "7940ccbb6dd39f1377e5ca7b57e3e3ce");
+    ("interleaved/fir-paper", "72f1bb3fbbf7081414e2959fbba7869b");
+    ("interleaved/fir-16", "5571d34311a5d3fe78460c7acfc81fc2");
+    ("interleaved/fir-dl-8", "66f10a34425efff9a7897afcda80789b");
+    ("interleaved/dot-8", "999bf990c222d3fc6da75052f7d5489e");
+    ("interleaved/vscale-8", "6a8d9c4d7f09aeb73527bac9987150c0");
+    ("interleaved/saxpy-8", "79fa5feaa9839d47d2d95ca46db4575a");
+    ("interleaved/iir-6", "9a8b9f4351c615038277d99f4e7e2c05");
+    ("interleaved/matmul-3", "b37b0c6eb4bdffc389c61cc9201c51a4");
+    ("interleaved/fft-bfly-4", "e16838f72f9b3ed4d952cadeb86784ea");
     ("interleaved/dct4", "d50ece57d619ce94c092e8498ea246f0");
-    ("interleaved/corr-4-8", "4dcc380325942e4042084e6de7315105");
-    ("interleaved/mavg-4-6", "2b38130021b96486c545eaf5a5bbe61e");
-    ("interleaved/clip-6", "3c5599e3452551b44991745bd0c9747f");
-    ("interleaved/maxabs-8", "bc4560f28f2fef950e3bb969d70ab36f");
-    ("interleaved/poly-6", "1a8bce74c4c027dbc217b2f13d49f439");
-    ("interleaved/cmul-4", "ba150df6028b1e859e0d7f4d99b0d241");
-    ("interleaved/manhattan-8", "001dabd6501222630a79ae6ba73c1cf9");
-    ("interleaved/clipmm-6", "dc68da9abef8c07c85dc1e282dc895ea");
-    ("interleaved/cumsum-8", "3583241fe5ec489a223dde553317f653");
-    ("interleaved/iir1-8", "e80a0e85d36433e3f5da48574fc4cde3");
-    ("interleaved/mavg-acc-4-8", "c9e60ca9890a17950f9de1d667a435fe");
-    ("interleaved/crc8-4", "5bfac1314fe57518aeb0765bb48e8539");
-    ("interleaved/pack565-4", "6bd72d0f0ea57ca44d4adc12fea1375d");
-    ("paper@a3.b2.w1/fir-paper", "c114d3889a89d9d844e9ea098c94f5a4");
-    ("paper@a3.b2.w1/fir-16", "b3711d2d420ecae76e5b703fd48f6c9b");
-    ("paper@a3.b2.w1/fir-dl-8", "c3e2011fe670927dcbf2507b74db9cec");
-    ("paper@a3.b2.w1/dot-8", "d508f1ba87462db6ba2f13c511b5b360");
-    ("paper@a3.b2.w1/vscale-8", "7a9f75f0063fb77f61e151773315ff4a");
-    ("paper@a3.b2.w1/saxpy-8", "69a06337d6fa275c6f2c0848d8441c63");
-    ("paper@a3.b2.w1/iir-6", "438e0f07576982e993bce735e6fd1454");
-    ("paper@a3.b2.w1/matmul-3", "229b52b7bc40e9d295ff089cba1b434b");
-    ("paper@a3.b2.w1/fft-bfly-4", "708ba9a41c39469002e696caca7427e1");
+    ("interleaved/corr-4-8", "cb6c6221cf4ef125426bb80aa28ce036");
+    ("interleaved/mavg-4-6", "f00de9399d2f5a540a866c860d719c0a");
+    ("interleaved/clip-6", "576737f5795459955dd69ec4186194d3");
+    ("interleaved/maxabs-8", "90aeb70b0872033684cbde10e12d2256");
+    ("interleaved/poly-6", "dfcbe49a0f4d722a3f9500ffb2f98716");
+    ("interleaved/cmul-4", "27c40b96d7db6ea9d98e63be586d7342");
+    ("interleaved/manhattan-8", "450d8ae824b019a111212d7161b2f59b");
+    ("interleaved/clipmm-6", "d90c73d61dede7eb8857947240265b04");
+    ("interleaved/cumsum-8", "8184faa488347cdc4c1bb44dc7b66dff");
+    ("interleaved/iir1-8", "c729c57dc48601f2104e9cb563a606d4");
+    ("interleaved/mavg-acc-4-8", "4c387ace7c1d53247a2a02e97786eb7a");
+    ("interleaved/crc8-4", "e8425f113203dbfaf62a5255b7a15479");
+    ("interleaved/pack565-4", "5a3e507a1259fd6a17e565a7f005789c");
+    ("paper@a3.b2.w1/fir-paper", "bd63bcd8b90c5ba0dc77e17fde64023f");
+    ("paper@a3.b2.w1/fir-16", "b464c0ed867e5dbf4b3df07d289a97bc");
+    ("paper@a3.b2.w1/fir-dl-8", "cd0c97ceab7d32284912da16e3258470");
+    ("paper@a3.b2.w1/dot-8", "635fea6af06d57c6d2c6fb6159dec99f");
+    ("paper@a3.b2.w1/vscale-8", "6efe09c0c1ba4f8c962c57fce9d0896e");
+    ("paper@a3.b2.w1/saxpy-8", "a1653b5433d115495e99281b4bdcd9ac");
+    ("paper@a3.b2.w1/iir-6", "5909169cbce7cc235d97405a23fdff12");
+    ("paper@a3.b2.w1/matmul-3", "6d5571e4c03533192f6691cd17bc627b");
+    ("paper@a3.b2.w1/fft-bfly-4", "52c990f5ab0f39571ce23c7c33f42ae7");
     ("paper@a3.b2.w1/dct4", "5c49b6adbf14d64f31fa4b607a665323");
-    ("paper@a3.b2.w1/corr-4-8", "523813f552e13ed442478a01d75d2397");
-    ("paper@a3.b2.w1/mavg-4-6", "53fe316c011fb53270c8bd0cc1309445");
-    ("paper@a3.b2.w1/clip-6", "3b78861a424fa0279a7a58cb7799b263");
-    ("paper@a3.b2.w1/maxabs-8", "eaf6c534be22ac1b699cc4fe7d90989c");
-    ("paper@a3.b2.w1/poly-6", "f7fad79bffb43c9a1e063e95ca5c0839");
-    ("paper@a3.b2.w1/cmul-4", "40526093d8aede4c87c66e419e449f2e");
-    ("paper@a3.b2.w1/manhattan-8", "e430fd948e0e3e3528c2520a586b407a");
-    ("paper@a3.b2.w1/clipmm-6", "efec6b833fc5d1fd3efcb6038f4e5977");
-    ("paper@a3.b2.w1/cumsum-8", "a7212bb79ec1e672b1d9e49c84c9721c");
-    ("paper@a3.b2.w1/iir1-8", "25f29f4da341bf51fbf439466ce91fd6");
-    ("paper@a3.b2.w1/mavg-acc-4-8", "cb2849bcd33b3b3e331b8c048b159684");
-    ("paper@a3.b2.w1/crc8-4", "f2c4c28dfbd4827e45ac0bfcd061ef59");
-    ("paper@a3.b2.w1/pack565-4", "49bb71dc7cde9d6e0247553bd44f1dda");
-    ("paper@a8.b16.w6/fir-paper", "77461650162873dde916639389d95a48");
-    ("paper@a8.b16.w6/fir-16", "72b9f8e1c0ab0e2066a42d2b63e0202a");
-    ("paper@a8.b16.w6/fir-dl-8", "72028d282b07c8c0a2c531b4b01823ef");
-    ("paper@a8.b16.w6/dot-8", "8ce13e69ea5be4285348dfa863b312e9");
-    ("paper@a8.b16.w6/vscale-8", "468a7d33f001defdd640432e74480047");
-    ("paper@a8.b16.w6/saxpy-8", "c900904c112e8391e836d53279e674bf");
-    ("paper@a8.b16.w6/iir-6", "5db53916f15eebf4f4c9a4642b4c45a7");
-    ("paper@a8.b16.w6/matmul-3", "2cc6c6ede5cec81e74091e830c2b9bd7");
-    ("paper@a8.b16.w6/fft-bfly-4", "9112670e852cef1e8a8db0904a43d945");
+    ("paper@a3.b2.w1/corr-4-8", "0aa3313efc0460debab2ad37a5330357");
+    ("paper@a3.b2.w1/mavg-4-6", "cc6389f6fe2acd3ff0ee12e2c2f3b241");
+    ("paper@a3.b2.w1/clip-6", "1ec42a16a00161d16b996f275632cdc1");
+    ("paper@a3.b2.w1/maxabs-8", "375fba61b2f8c99debeb8533e5edcf4b");
+    ("paper@a3.b2.w1/poly-6", "043a27f229380b108767cd9163c860c2");
+    ("paper@a3.b2.w1/cmul-4", "8b3f44870c2e975c47d8216ab624a601");
+    ("paper@a3.b2.w1/manhattan-8", "c962addfd4166d442914ef43578fab1e");
+    ("paper@a3.b2.w1/clipmm-6", "3dabd2fb95ae080d42b83f09730ab0f1");
+    ("paper@a3.b2.w1/cumsum-8", "49ad4983450f7e7332a3510b7215b529");
+    ("paper@a3.b2.w1/iir1-8", "b0f65b21acdaeed6f1c96976597dafdd");
+    ("paper@a3.b2.w1/mavg-acc-4-8", "859fe29017ad4f633d78f0280fe8b36d");
+    ("paper@a3.b2.w1/crc8-4", "b2ede2e085cec8be3f8214f46db806bc");
+    ("paper@a3.b2.w1/pack565-4", "328bbe99451c3a91aff32cd74eb9f554");
+    ("paper@a8.b16.w6/fir-paper", "67b01f86591595b4277ca90f5db95132");
+    ("paper@a8.b16.w6/fir-16", "0bbdca66079cafd00fee837fb6d30b87");
+    ("paper@a8.b16.w6/fir-dl-8", "2f1e4442d3db88b2524a7b2b46c1c91c");
+    ("paper@a8.b16.w6/dot-8", "b754a6020bcac7c4e6f420a67ad25798");
+    ("paper@a8.b16.w6/vscale-8", "29cd5b365f84be9c6d9cff6f71cc2a07");
+    ("paper@a8.b16.w6/saxpy-8", "cd809a5c9b4389b79b8ca1514210b9db");
+    ("paper@a8.b16.w6/iir-6", "e299c5dd2719f1f9af488278bb7048d6");
+    ("paper@a8.b16.w6/matmul-3", "cebfa8cc8c64e594f22932f0c4b27823");
+    ("paper@a8.b16.w6/fft-bfly-4", "f9a3644690c39b18783cd36b3f17bebe");
     ("paper@a8.b16.w6/dct4", "9fa56e1fda1cbae4a3787a62d1614022");
-    ("paper@a8.b16.w6/corr-4-8", "33e868006333db69dea387faabd3bdbf");
-    ("paper@a8.b16.w6/mavg-4-6", "9f86a262b0897258ef7a5f3db5f61191");
-    ("paper@a8.b16.w6/clip-6", "27710b4db7486f35d0b8e06249bf8a63");
-    ("paper@a8.b16.w6/maxabs-8", "2664a4e7acc7abbb8812f65f34faffd9");
-    ("paper@a8.b16.w6/poly-6", "413e6132293149706921e633a320b244");
-    ("paper@a8.b16.w6/cmul-4", "b139d2a677c0697a3b977b4d30b610c6");
-    ("paper@a8.b16.w6/manhattan-8", "1218ece665280566116b1bde12b8b971");
-    ("paper@a8.b16.w6/clipmm-6", "3f694d1c03c1d6497658920163a5ecd3");
-    ("paper@a8.b16.w6/cumsum-8", "44efcae1e7819757be07ed1e3039cecd");
-    ("paper@a8.b16.w6/iir1-8", "77f0b9175b88979ba7e65a706c543916");
-    ("paper@a8.b16.w6/mavg-acc-4-8", "4c4ddd9a986c9e2dca1d14d444a6b1ce");
-    ("paper@a8.b16.w6/crc8-4", "5c5980154766def5cbcf013bbe08ebdd");
-    ("paper@a8.b16.w6/pack565-4", "1ce20f028e12830f56f6355e5cadaea7");
+    ("paper@a8.b16.w6/corr-4-8", "879464fd0c1618fc0c8b240a964c6ec5");
+    ("paper@a8.b16.w6/mavg-4-6", "8903f46bd6edac90f6e05041e9c5a7fe");
+    ("paper@a8.b16.w6/clip-6", "d7a9c5e87c2f2e270af1c834474f2324");
+    ("paper@a8.b16.w6/maxabs-8", "e278d3a17eb36639fa34c70447e1bc5e");
+    ("paper@a8.b16.w6/poly-6", "f547e1a5233903903a91ac403f195196");
+    ("paper@a8.b16.w6/cmul-4", "4c798e521e85dbf97d425c552205233c");
+    ("paper@a8.b16.w6/manhattan-8", "baa73f3dcc24ed6482a1ed22ca386e61");
+    ("paper@a8.b16.w6/clipmm-6", "bf7bea55231d0a392c98b1b53aea7e9b");
+    ("paper@a8.b16.w6/cumsum-8", "ef18600991d9a2118dee15dc7d130600");
+    ("paper@a8.b16.w6/iir1-8", "7a8e0fff4b6c6b1505cde08d2eff680d");
+    ("paper@a8.b16.w6/mavg-acc-4-8", "0aecba04c898fc502a745c24940da0ea");
+    ("paper@a8.b16.w6/crc8-4", "1e13f1e6c0648d44e25a1191c76ffb20");
+    ("paper@a8.b16.w6/pack565-4", "cc1f6188d664d538b500191e14a504d6");
     ("dag-1000@a5.b10.w4/mobility", "ed08d07753a37ebb30eddc6e7528bcd6");
     ("dag-1000@a5.b10.w4/alap", "7f1c2f888b48f9f0ef67faa55be25d35");
     ("dag-1000@a5.b10.w4/cid", "83ce2282b5bd4f51f1b2b7483440e5a2");
@@ -382,41 +382,41 @@ let expected =
     ("dag-2000@a3.b2.w1/mobility", "a7f0668fbdbb8f4618c8a39ebcd2d5cd");
     ("dag-2000@a3.b2.w1/alap", "12dcd03842755afa04811d93a8020ca1");
     ("dag-2000@a3.b2.w1/cid", "5b5125cca58c4c62d948b6058642161c");
-    ("graph/fir-paper", "d2526556adc140dfde163355b0dfc978");
-    ("graph/fir-16", "6a8d76a8670b6c8016195725e4839724");
-    ("graph/fir-dl-8", "622d89800c3b87542a6e34a8823d4669");
-    ("graph/dot-8", "c54fb100158f554e018ed72e4e286ada");
-    ("graph/vscale-8", "bbad6a5cb04f3096bbfc157d7c4718c1");
-    ("graph/saxpy-8", "6483a5b859c798c4d0ceae4049789a7a");
-    ("graph/iir-6", "f9b8dd0a539ff002289c28f797d3220a");
-    ("graph/matmul-3", "065f8e9c01e6fd7e1ad8ba6381917509");
-    ("graph/fft-bfly-4", "77e274efae7f7db52c7239bc3c4e5787");
+    ("graph/fir-paper", "f55d245198d9c66b36fae7f4566df15b");
+    ("graph/fir-16", "2ab5692a3ca38714a83a43e56be9bcc1");
+    ("graph/fir-dl-8", "53ba555c6b0b2276120342885c83204a");
+    ("graph/dot-8", "3d03817864ad4cf909d062146348dac8");
+    ("graph/vscale-8", "5aa211ee05913a63226afe43683e7ad5");
+    ("graph/saxpy-8", "ff380a106fb7c3be14131dfdd96f9289");
+    ("graph/iir-6", "b7c272fcb304ecc57aacaf00932feb03");
+    ("graph/matmul-3", "b6ffc22d1a0aa6b4fdcc685589203dbc");
+    ("graph/fft-bfly-4", "2c608c7186f2ae5a3917fd30dc45067d");
     ("graph/dct4", "4ad4053cd5e8a31047a37b7176a706e0");
-    ("graph/corr-4-8", "8da66e90984a02b309cc00cd4bc7f624");
-    ("graph/mavg-4-6", "a49904d3d9ec043510d55c6f246f6d5f");
-    ("graph/clip-6", "50ff398a9da75bac108fc53f6a2b7a7c");
-    ("graph/maxabs-8", "2964e4046a9fcdff72c5e66c319ffce3");
-    ("graph/poly-6", "431e0408263f9f2e021e537e5fabe34a");
-    ("graph/cmul-4", "fe647013d8137811bc6192b7421af4fe");
-    ("graph/manhattan-8", "d58c930bef29e5e2f8d8e01d24ebd6ff");
-    ("graph/clipmm-6", "ba9db847b7d3cbe94dc74f5b6a5c655a");
-    ("graph/cumsum-8", "343322f2cfa2609081fe6b8b195b58fa");
-    ("graph/iir1-8", "af43e50a4564fbc5a1c978d2a0723b82");
-    ("graph/mavg-acc-4-8", "5a92bc7f40ca25fe70f2af0c5f350fce");
-    ("graph/crc8-4", "0e8e619c1a5d707a32c55653f9dc0729");
-    ("graph/pack565-4", "ec93ecdf15ee5ba548ffa4f57ea73e2f");
-    ("graph/fir-256", "e598c3ebb9c2b410bec91cd291907a0c");
-    ("job/fir-256", "1f4b9ba94b2429284258aa4f45162e77");
-    ("graph/fir-dl-128", "fe8172cf7409dd190cd90decf801d21e");
-    ("job/fir-dl-128", "d60a455a6b3fa0b83ecf258ca2f9608e");
-    ("graph/matmul-8", "f838c6b88e964a555cecc598af1482fd");
-    ("job/matmul-8", "ded96a781832c2c445809fd48ae0cb89");
-    ("graph/corr-8-32", "7a155995ac1e322f76c998ef7a229d6f");
-    ("job/corr-8-32", "53675016b599de7ffe91c88491c738b8");
-    ("graph/crc8-16", "5e7409f287c36ddc18b63a54c3df657b");
-    ("job/crc8-16", "0ec10ecf404686457c49855dca588f1f");
-    ("graph/pack565-32", "9952cf248f34c36154aefae7d7ec77b3");
-    ("job/pack565-32", "3bd348a58aa0008cf945b02bc235ca5e");
+    ("graph/corr-4-8", "0f2718e7283e1d46b8de1d31a66ea6e1");
+    ("graph/mavg-4-6", "05bb15c8b114839258306b1ef57ed401");
+    ("graph/clip-6", "f6f381726fd9b3a855884211c484ab06");
+    ("graph/maxabs-8", "b371314c79b401fc30e15b1c10b0d587");
+    ("graph/poly-6", "2971ea4e00da0497180dcb545a2e3cd1");
+    ("graph/cmul-4", "9d90fde3dfd2f9f860695d658e9dbeb0");
+    ("graph/manhattan-8", "00a7a81fe25dff20ede4172eb023df9c");
+    ("graph/clipmm-6", "9aac67f182105afc0d01e59fb36df231");
+    ("graph/cumsum-8", "2687d9e1c992bb81055529cdb23f5379");
+    ("graph/iir1-8", "71debc0749a75b09c411a8d7189fd511");
+    ("graph/mavg-acc-4-8", "2e96ee58aa7b5f3401d2af4f35d63524");
+    ("graph/crc8-4", "2070b27b0cdbf765576fc31528cbefea");
+    ("graph/pack565-4", "f851416308b4d60ca2c2a546d5f3cfff");
+    ("graph/fir-256", "de9d86e1b69ad6e0ce95e72bb0e7011b");
+    ("job/fir-256", "4d5d3061d601b0066bb817cf02ad4266");
+    ("graph/fir-dl-128", "3c6635cd20af6c2f00253062c82ebb84");
+    ("job/fir-dl-128", "8e25d4d0aaea2b5aa950a76c64505553");
+    ("graph/matmul-8", "f62ef2262e732312ada39b1b98be6ca8");
+    ("job/matmul-8", "db2f3b951f8a4e69d06a24c890ddfcae");
+    ("graph/corr-8-32", "fddd2365b8794be16c2fed15890f5f10");
+    ("job/corr-8-32", "9028207aa51884699f3d683f572c73ad");
+    ("graph/crc8-16", "ee0c396e3825944649b08603833aa82a");
+    ("job/crc8-16", "f296812e5d941635fd48686e37c5b5f0");
+    ("graph/pack565-32", "f057a143d3cdafdec5a760d9b3f5dbe1");
+    ("job/pack565-32", "cc4e3199366e661afdcc853859521375");
     ("graph/dag-1000", "803c6047f48a36cee09e3b23c08868ac");
     ("graph/dag-2000", "59826ac3655b1b4b549370dd647c184a");
     ("graph-incr/fir-paper", "621b9f2b318bd596b50f2ad4d636c157");
@@ -493,80 +493,80 @@ let expected =
     ("remap/dag-2000@a5.b6.w4", "870622843e375c55c855a261708ed097");
     ("remap/dag-2000@a5.b16.w1", "16668d4fda4dd04ce9a522d074114dd6");
     ("remap/dag-2000@a8.b2.w3", "8b300d521edc429f8b65998e46c62c3f");
-    ("remap/crc8-16@a8.b4.w6", "91596917c56d6f763551ad23cfabbe77");
-    ("remap/crc8-16@a8.b10.w2", "3d3b5ef06ef3125a7dbcdff66f2f3de9");
-    ("remap/crc8-16@a8.b16.w4", "d93ead7ebcd7011a04621c875a6f8b57");
-    ("remap/crc8-16@a3.b4.w1", "58c947429f58e98fff5b3dddb81d94e4");
-    ("remap/crc8-16@a3.b6.w3", "a7a5f23fd3ecd4fad54f762a8342eecc");
-    ("remap/crc8-16@a3.b10.w6", "8cb9bc5caa183bc7f7fba3a269e7eb51");
-    ("remap/matmul-8@a4.b2.w2", "59aa9bbd87c8b633e1ebaf70588fffe4");
-    ("remap/matmul-8@a4.b4.w4", "3661a402b4a49e33dcd2e68466c40286");
-    ("remap/matmul-8@a4.b10.w1", "4ce19a3053bd4652b11493a43fa3d11a");
-    ("remap/matmul-8@a4.b16.w3", "bbd483822346fbc6ba2a3932b5bb2fe9");
-    ("remap/matmul-8@a5.b2.w6", "ad2d88acda136822a4e027b3a57cf058");
-    ("remap/matmul-8@a5.b6.w2", "f66c3f1f430a58d89105bee56a5d4af3");
-    ("remap/fir-256@a5.b10.w4", "1f4b9ba94b2429284258aa4f45162e77");
-    ("remap/fir-256@a8.b2.w1", "4cba4875865e5f02e4936d6398e18e90");
-    ("remap/fir-256@a8.b4.w3", "c8936e0cf1cda904ed69df95de1e0fb9");
-    ("remap/fir-256@a8.b6.w6", "a6329a004eb129c8d6483415958d263e");
-    ("remap/fir-256@a8.b16.w2", "07b41596a0067df79dbc8b96e9d063e4");
-    ("remap/fir-256@a3.b2.w4", "8f2acaffc305a5b44c870ad420926e61");
-    ("digest-raw/fir-paper", "349995e6baa6f58585d049ebe29804d7");
+    ("remap/crc8-16@a8.b4.w6", "748bcb3af4725628f3060c9bf20c563f");
+    ("remap/crc8-16@a8.b10.w2", "9faa69bab0bedf88bfc5fad4493ef934");
+    ("remap/crc8-16@a8.b16.w4", "54e3f86a08c5be73f851a3483fbd52b6");
+    ("remap/crc8-16@a3.b4.w1", "e580bce69486abf96987316a6c9e8651");
+    ("remap/crc8-16@a3.b6.w3", "a26cb267dcacf186ce061395a55d4e16");
+    ("remap/crc8-16@a3.b10.w6", "67d9d1a030a78e8c4c6c6090a6cb086f");
+    ("remap/matmul-8@a4.b2.w2", "80b01917f2232cecd4e12d8c3d1629ed");
+    ("remap/matmul-8@a4.b4.w4", "6e65848c487e43374b62a2604a45d0a6");
+    ("remap/matmul-8@a4.b10.w1", "574905077f8bb0aeaa69fea5b346ded1");
+    ("remap/matmul-8@a4.b16.w3", "987aa416e6e1039304b377a0a48fecff");
+    ("remap/matmul-8@a5.b2.w6", "9d1e810972017788043c98ab0dfa97b3");
+    ("remap/matmul-8@a5.b6.w2", "f213c2d052b9d7e258d409e0780a99f7");
+    ("remap/fir-256@a5.b10.w4", "4d5d3061d601b0066bb817cf02ad4266");
+    ("remap/fir-256@a8.b2.w1", "80e830d31feadc81585f79a5e8787487");
+    ("remap/fir-256@a8.b4.w3", "2d12f6fb86bbc4bf8119f4ab1078b0db");
+    ("remap/fir-256@a8.b6.w6", "ae7092f78a439fe7356936f3be79bbcb");
+    ("remap/fir-256@a8.b16.w2", "809a4175ab2161e333a50e7e1f426508");
+    ("remap/fir-256@a3.b2.w4", "0587c9c7a744386ade18b27093b35415");
+    ("digest-raw/fir-paper", "c1a351f78cecd6eccb7f9be861c3ad2c");
     ("digest-min/fir-paper", "1a74d9619a261892ed840aa64df026c5");
-    ("digest-raw/fir-16", "8437ca05cef5467d5a3e245cbc21522c");
+    ("digest-raw/fir-16", "ec5eb00cfc945c700edd9c4d5785ae1c");
     ("digest-min/fir-16", "da272a4807a96db974effbd426c957e5");
-    ("digest-raw/fir-dl-8", "64c2da0bf94a38a99b4023e7e792d88e");
+    ("digest-raw/fir-dl-8", "26b1f6db31f7cf5e0c08e1a2c1a22d52");
     ("digest-min/fir-dl-8", "7886e02d7cd9c8d0180ba0090f6b4b28");
-    ("digest-raw/dot-8", "086862dff0c8b9ba247393426ade339d");
+    ("digest-raw/dot-8", "236bb6ee85b8d12d46d1b8d4d55c2e7b");
     ("digest-min/dot-8", "3b5aa5943ca75b4d3fb6d76c85da603d");
-    ("digest-raw/vscale-8", "452fb811a32deb34fe570a985e51ea0d");
+    ("digest-raw/vscale-8", "8abc804bb9d6ae650dbe603224127a36");
     ("digest-min/vscale-8", "2e74830d3f2e0fc5b829c905933b7a11");
-    ("digest-raw/saxpy-8", "1d2ba5c6dc99f8ee04c52815e13e3c51");
+    ("digest-raw/saxpy-8", "29c54b96ff75debaf87f3f18e0869aa6");
     ("digest-min/saxpy-8", "5e7a2fc471e6ed3674d77293a3d64e57");
-    ("digest-raw/iir-6", "2b328aff62c09467a4cf568f934232d9");
+    ("digest-raw/iir-6", "be21d872abba336b0acefdc57190c110");
     ("digest-min/iir-6", "fb7984f83e9e25188267549e6e18c239");
-    ("digest-raw/matmul-3", "c25d04efb19b74118ac81bbf6d28baaf");
+    ("digest-raw/matmul-3", "0bf41eea25e15645cbf9056fdef1bbed");
     ("digest-min/matmul-3", "a422416dcba663d83f8e62204d3d33f1");
-    ("digest-raw/fft-bfly-4", "e420efbc051c75ff7e5466e196b7171f");
+    ("digest-raw/fft-bfly-4", "c6bb105ec676cbe4268d3ec69463942b");
     ("digest-min/fft-bfly-4", "7c9e3b7b43f96fdb5c548bbf680be269");
-    ("digest-raw/dct4", "aca95f64297d4560b977886f713b12f8");
+    ("digest-raw/dct4", "82461dd73391b9920ca1aa1f7cf33c9d");
     ("digest-min/dct4", "b08e84b57a19cf4854cd15f675c2cdcc");
-    ("digest-raw/corr-4-8", "6220e9854c2927dc90dc6d25c0f6a7c5");
+    ("digest-raw/corr-4-8", "3bd34072e5e2a36436dc0269b2cbd632");
     ("digest-min/corr-4-8", "0f53157c0a9c8a70adae483ea0314731");
-    ("digest-raw/mavg-4-6", "f2f447e27e30f7930c9c1f10b20d7531");
+    ("digest-raw/mavg-4-6", "c96cf2147d9e2e255a9da3ff0af177c7");
     ("digest-min/mavg-4-6", "a1eef2cc7891e736211fe67e2649b202");
-    ("digest-raw/clip-6", "f4573d1a85ea8334d0fcc75e2cdb2020");
+    ("digest-raw/clip-6", "ced726fdf08bae42d1bf47dfefd4b170");
     ("digest-min/clip-6", "d3054ad989a3c93b3b65c400715f835a");
-    ("digest-raw/maxabs-8", "a8400f1468c08a052773042ce3eccc73");
+    ("digest-raw/maxabs-8", "62f72314efef1f401130f5705f83e3ed");
     ("digest-min/maxabs-8", "aad61c75c0ae3b25345df8d54f677214");
-    ("digest-raw/poly-6", "c02ae74cd0d40a91ea1ef6868ecc81b2");
+    ("digest-raw/poly-6", "b35d32b9649f85c7f161b62b7c101e1c");
     ("digest-min/poly-6", "1d83d55a9d0dd576ca87c1d1a93bc191");
-    ("digest-raw/cmul-4", "f5ca5cfd10f8ff72237e5d94d4a4abee");
+    ("digest-raw/cmul-4", "5fc1adc33c4f0512c87d172c9d91a0e8");
     ("digest-min/cmul-4", "944311889d402674769836de8b5854e7");
-    ("digest-raw/manhattan-8", "853f24819cef0684eb7db69253bcd3b7");
+    ("digest-raw/manhattan-8", "a2883d5cc04daa69d84042fe2484a44d");
     ("digest-min/manhattan-8", "3ed069e50676e167cfa7b7ecc762ff9c");
-    ("digest-raw/clipmm-6", "45d311930ff5bba01ce3a376f06b5da9");
+    ("digest-raw/clipmm-6", "6c6a0b4d8e1288f7f0ab96535221e0f9");
     ("digest-min/clipmm-6", "5cb6d60ff83ccff4688f54beb1f1887e");
-    ("digest-raw/cumsum-8", "c58ae0f1a92106db7e7992b80e68b7c6");
+    ("digest-raw/cumsum-8", "5d8389b6684ff0ece55904eb20c0cb13");
     ("digest-min/cumsum-8", "7f99543da8dc4f7e8f034f9750837b92");
-    ("digest-raw/iir1-8", "9fc664ab048a329cfa61dc28328ce836");
+    ("digest-raw/iir1-8", "c8e574dda32d6e7da98963511c1ad6cf");
     ("digest-min/iir1-8", "81987dc30497338ab23513497a3dc8e6");
-    ("digest-raw/mavg-acc-4-8", "f3ef6bd310b2aafbf64adc05d94499e0");
+    ("digest-raw/mavg-acc-4-8", "860cb5dc3ee6517dac6e6d41d8bcf26e");
     ("digest-min/mavg-acc-4-8", "71067222cc255860189b38f11b7bf68b");
-    ("digest-raw/crc8-4", "2d908816d71e466ef5761bdafa9357dd");
+    ("digest-raw/crc8-4", "ba45411f52863dda6938a65ba4989c2d");
     ("digest-min/crc8-4", "e311637626402c0d74c6a3f98b9379d6");
-    ("digest-raw/pack565-4", "d0df943be588c131d06eedabcd412e4f");
+    ("digest-raw/pack565-4", "94de4edc5edb2484235f851ee10ae3e2");
     ("digest-min/pack565-4", "05f048e3cecc71eb507b3676364c38fa");
     ("digest-raw/dag-1000", "b2ad88ecd36b81087f45565d7e7c719a");
     ("digest-min/dag-1000", "a78ca010ce559fdcaef42f2c1d7aa4de");
     ("digest-raw/dag-2000", "95b6432bbb1abc0f26407eaf8a34dd30");
     ("digest-min/dag-2000", "e99ba8162847dfda9213315c00c918fa");
-    ("digest-raw/fir-256", "a0cb361fea6b1775645f45e8aca2f28f");
-    ("digest-raw/fir-dl-128", "d6d7f1d27071038fb6ceb2696904c7ff");
-    ("digest-raw/matmul-8", "e7e1481b7086cfeb62228943edb09de5");
-    ("digest-raw/corr-8-32", "9912498f2506290dc759509523b74873");
-    ("digest-raw/crc8-16", "b767c40a61f11c5c20c4a0d4196be673");
-    ("digest-raw/pack565-32", "c835bd87d22f8344661e41dd604f6efb");
+    ("digest-raw/fir-256", "9da4a256baf10289f48af4154337f028");
+    ("digest-raw/fir-dl-128", "5ce5db03820a496c21a6aed919952302");
+    ("digest-raw/matmul-8", "78ad3a38539e9991701f33fbffc48eb4");
+    ("digest-raw/corr-8-32", "72032b3379d206c7eeb5279c678265b7");
+    ("digest-raw/crc8-16", "ebd995288706091dc71117fea9e2edb5");
+    ("digest-raw/pack565-32", "0312b7dd72b27cedc1c29dd5f022496f");
   ]
 
 let check_cases cases () =
@@ -674,15 +674,15 @@ let test_alloc_error () =
    steps, rewrites and enqueues, and the firings of every rule. *)
 let expected_pass_counters =
   [
-    ("pass.steps", 50004);
-    ("pass.rewrites", 43819);
-    ("pass.enqueues", 72104);
-    ("pass.fire.const-fold", 4094);
-    ("pass.fire.algebraic", 871);
-    ("pass.fire.cse", 5325);
-    ("pass.fire.store-to-fetch", 8109);
+    ("pass.steps", 25943);
+    ("pass.rewrites", 11599);
+    ("pass.enqueues", 32258);
+    ("pass.fire.const-fold", 0);
+    ("pass.fire.algebraic", 203);
+    ("pass.fire.cse", 1635);
+    ("pass.fire.store-to-fetch", 126);
     ("pass.fire.dead-store", 3246);
-    ("pass.fire.dce", 22100);
+    ("pass.fire.dce", 6315);
     ("pass.fire.reassociate", 74);
   ]
 

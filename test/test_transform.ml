@@ -11,19 +11,47 @@ let stats_after rules source =
   ignore (T.Simplify.minimize ~rules g);
   G.stats g
 
+(* The builder already folds constant operations and forwards stored
+   values ({!Cdfg.Fold}), so the inputs of the tests of those two rules
+   are built node by node: [store_x value] stores the node [value g]
+   adds into the scalar [x]. *)
+let scalar g name =
+  G.declare_region g name { G.size = Some 1; implicit = true };
+  G.add g (G.Ss_in name) []
+
+let store_x value =
+  let g = G.create "main" in
+  let x = scalar g "x" in
+  let zero = G.add g (G.Const 0) [] in
+  let st = G.add g (G.St "x") [ x; zero; value g ] in
+  ignore (G.add g (G.Ss_out "x") [ st ]);
+  g
+
+let const g n = G.add g (G.Const n) []
+
+let cell result name =
+  Option.map (fun a -> a.(0)) (List.assoc_opt name result.Cdfg.Eval.memory)
+
 let test_const_fold_binop () =
-  let g = build "void main() { x = 2 + 3 * 4; }" in
+  (* x = 2 + 3 * 4 *)
+  let g =
+    store_x (fun g ->
+        let product = G.add g (G.Binop Op.Mul) [ const g 3; const g 4 ] in
+        G.add g (G.Binop Op.Add) [ const g 2; product ])
+  in
   ignore (T.Simplify.minimize ~rules:[ T.Rewrites.const_fold_rule; T.Dce.rule ] g);
   let s = G.stats g in
   Alcotest.(check int) "no arithmetic left" 0 (s.G.adds + s.G.multiplies + s.G.other_alu);
-  let result = Cdfg.Eval.run g in
-  Alcotest.(check (option int)) "value" (Some 14)
-    (Option.map (fun a -> a.(0)) (List.assoc_opt "x" result.Cdfg.Eval.memory))
+  Alcotest.(check (option int)) "value" (Some 14) (cell (Cdfg.Eval.run g) "x")
 
 let test_const_fold_mux () =
-  let g = build "void main() { x = 1 ? 5 : 7; }" in
+  (* x = 1 ? 5 : 7 *)
+  let g =
+    store_x (fun g -> G.add g G.Mux [ const g 1; const g 5; const g 7 ])
+  in
   ignore (T.Simplify.minimize ~rules:[ T.Rewrites.const_fold_rule; T.Dce.rule ] g);
-  Alcotest.(check int) "mux folded" 0 (G.stats g).G.muxes
+  Alcotest.(check int) "mux folded" 0 (G.stats g).G.muxes;
+  Alcotest.(check (option int)) "value" (Some 5) (cell (Cdfg.Eval.run g) "x")
 
 let test_algebraic_identities () =
   let cases =
@@ -81,13 +109,24 @@ let test_cse_does_not_merge_noncommutative () =
   Alcotest.(check int) "two subs" 2 (G.stats g).G.adds
 
 let test_forwarding_scalar () =
-  let g = build "void main() { x = 5; y = x + 1; }" in
-  ignore (T.Simplify.minimize g);
+  (* x = 5; y = x + 1, with the fetch of x the builder would forward *)
+  let g = G.create "main" in
+  let x = scalar g "x" and y = scalar g "y" in
+  let zero = const g 0 in
+  let st_x = G.add g (G.St "x") [ x; zero; const g 5 ] in
+  let fe = G.add g (G.Fe "x") [ st_x; zero ] in
+  let sum = G.add g (G.Binop Op.Add) [ fe; const g 1 ] in
+  let st_y = G.add g (G.St "y") [ y; zero; sum ] in
+  ignore (G.add g (G.Ss_out "x") [ st_x ]);
+  ignore (G.add g (G.Ss_out "y") [ st_y ]);
+  ignore
+    (T.Simplify.minimize ~rules:[ T.Forward.store_to_fetch_rule; T.Dce.rule ] g);
   let s = G.stats g in
   (* x's value forwards into y; both stores remain (observable), but no
      fetch is needed. *)
   Alcotest.(check int) "no fetches" 0 s.G.fetches;
-  Alcotest.(check int) "stores remain" 2 s.G.stores
+  Alcotest.(check int) "stores remain" 2 s.G.stores;
+  Alcotest.(check (option int)) "y" (Some 6) (cell (Cdfg.Eval.run g) "y")
 
 let test_forwarding_skips_other_addresses () =
   let g = build "void main() { b[0] = 1; x = b[1]; }" in
@@ -276,9 +315,9 @@ let anti_deps_sound g =
               match G.kind g m with
               | (G.St r | G.Del r) when String.equal r region -> (
                 let m_off = List.nth (G.inputs g m) 1 in
-                match T.Forward.relate g m_off offset with
-                | T.Forward.Different -> chase m
-                | T.Forward.Equal | T.Forward.Unknown ->
+                match Cdfg.Fold.relate g m_off offset with
+                | Cdfg.Fold.Different -> chase m
+                | Cdfg.Fold.Equal | Cdfg.Fold.Unknown ->
                   if not (precedes fe m) then ok := false)
               | _ -> ())
             (token_consumers token)
