@@ -158,6 +158,26 @@ let run_main ?fuel ?array_init ?scalar_init program =
   let main = List.find (fun (f : Ast.func) -> f.Ast.name = "main") program in
   run ?fuel ?array_init ?scalar_init main
 
+(* The tile holds a scalar input as a one-cell region; the interpreter
+   reads scalars only from [scalar_init], so split the inputs by the kinds
+   [main] gives them. *)
+let run_main_on_regions ?fuel inputs program =
+  let scalar_names =
+    match List.find_opt (fun (f : Ast.func) -> f.Ast.name = "main") program with
+    | Some main ->
+      List.map (fun (s : Sema.symbol) -> s.Sema.name) (Sema.scalars (Sema.check_func main))
+    | None -> []
+  in
+  let scalars, arrays =
+    List.partition (fun (name, _) -> List.mem name scalar_names) inputs
+  in
+  let scalar_init =
+    List.map
+      (fun (name, cells) -> (name, if Array.length cells = 0 then 0 else cells.(0)))
+      scalars
+  in
+  run_main ?fuel ~scalar_init ~array_init:arrays program
+
 let equal_state a b =
   a.scalars = b.scalars
   && a.return_value = b.return_value

@@ -40,6 +40,14 @@ val run_main : ?fuel:int -> ?array_init:(string * int array) list ->
 (** Runs the function called ["main"].
     @raise Not_found when the program has no [main]. *)
 
+val run_main_on_regions :
+  ?fuel:int -> (string * int array) list -> Ast.program -> state
+(** Runs ["main"] on inputs given as the tile and the CDFG evaluator take
+    them, one region of cells per name: an input that [main] uses as a
+    scalar seeds the scalar with cell 0 (0 for an empty region); every
+    other input seeds an array.
+    @raise Not_found when the program has no [main]. *)
+
 val equal_state : state -> state -> bool
 
 val pp_state : Format.formatter -> state -> unit

@@ -3,6 +3,7 @@ module Obs = Fpfa_obs.Obs
 
 let c_maps = Obs.counter "flow.maps"
 let c_cluster_reused = Obs.counter "flow.cluster_reused"
+let c_schedule_reused = Obs.counter "flow.schedule_reused"
 
 type config = {
   tile : Arch.tile;
@@ -95,25 +96,6 @@ let stage name f =
          (Printf.sprintf "%s: rule %s broke an invariant: %s" name rule
             (Printexc.to_string error)))
 
-(* Runs [a] and [b], overlapped on the pool when one is supplied. The
-   sequential observable behaviour is preserved: results come back in
-   order and, when both raise, [a]'s exception wins (the pool re-raises
-   the lowest-index failure, which is exactly what [a (); b ()] would
-   surface). *)
-let par2 pool a b =
-  match pool with
-  | None ->
-    let ra = a () in
-    (ra, b ())
-  | Some p -> (
-    match
-      Fpfa_exec.Pool.map p
-        (fun f -> f ())
-        [ (fun () -> `A (a ())); (fun () -> `B (b ())) ]
-    with
-    | [ `A ra; `B rb ] -> (ra, rb)
-    | _ -> assert false)
-
 let caps_of config =
   match config.caps with Some caps -> caps | None -> config.tile.Arch.alu
 
@@ -182,6 +164,16 @@ module Staged = struct
     | Scheduled -> "scheduled"
     | Allocated -> "allocated"
 
+  (* What the rewinds of one minimised checkpoint share: the last
+     clustering computed from its graph, the config that clustering ran
+     under, and the schedules computed from that clustering, at most one
+     per ALU count. Every field is validated before it is published. *)
+  type shared = {
+    sh_config : config;
+    sh_clustering : Mapping.Cluster.t;
+    sh_schedules : (int * Mapping.Sched.t) list;  (** ALU count -> schedule *)
+  }
+
   type t = {
     s_config : config;
     s_source : string;
@@ -194,13 +186,13 @@ module Staged = struct
       * Transform.Simplify.report
       * Transform.Bitopt.report
       * Transform.Disambig.report
-      * (config * Mapping.Cluster.t) option Atomic.t)
+      * shared option Atomic.t)
       option;
-        (** the minimised graph, its reports, and the last clustering
-            computed from the graph with the config it ran under. The
-            cell is shared by every value [rewind] derives while it keeps
-            [s_min], so tile points that leave the ALU data path alone
-            cluster once; it is atomic because rewinds of one frozen
+        (** the minimised graph, its reports, and what its rewinds share.
+            The cell is shared by every value [rewind] derives while it
+            keeps [s_min], so tile points that leave the ALU data path
+            alone cluster once, and those that also keep the ALU count
+            schedule once; it is atomic because rewinds of one frozen
             checkpoint advance on several domains. *)
     s_clustering : Mapping.Cluster.t option;
     s_schedule : Mapping.Sched.t option;
@@ -374,53 +366,91 @@ module Staged = struct
   let same_schedule a b = a.tile.Arch.alu_count = b.tile.Arch.alu_count
   let same_alloc a b = a.alloc_options = b.alloc_options && a.tile = b.tile
 
-  (* A clustering is validated once, where it is computed and before it
-     is published to the shared cell, so the rewinds that reuse it skip
-     the check and a failed one is never shared. The schedule validator
-     only reads the schedule, so it runs concurrently with the allocation
-     that consumes it. *)
+  (* Replaces the cell's contents with [clustering], which ran under
+     [config], and returns it. When another domain has meanwhile
+     published a clustering under an equal config, that one is returned
+     instead, so the rewinds of one checkpoint converge on one clustering
+     and share its schedules. *)
+  let rec publish_clustering cell seen config clustering =
+    let next =
+      Some { sh_config = config; sh_clustering = clustering; sh_schedules = [] }
+    in
+    if Atomic.compare_and_set cell seen next then clustering
+    else
+      match Atomic.get cell with
+      | Some sh when same_cluster sh.sh_config config -> sh.sh_clustering
+      | now -> publish_clustering cell now config clustering
+
+  let schedule_of shared clustering alu_count =
+    match shared with
+    | Some sh when sh.sh_clustering == clustering ->
+      List.assoc_opt alu_count sh.sh_schedules
+    | Some _ | None -> None
+
+  (* Adds [schedule] to the cell while it still holds [clustering] and no
+     schedule for [alu_count]. A lost race re-reads the cell; once another
+     domain has published a schedule for this ALU count, or a clustering
+     has replaced this one, ours is simply not shared. *)
+  let rec publish_schedule cell clustering alu_count schedule =
+    match Atomic.get cell with
+    | Some sh as seen
+      when sh.sh_clustering == clustering
+           && not (List.mem_assoc alu_count sh.sh_schedules) ->
+      let next =
+        Some { sh with sh_schedules = (alu_count, schedule) :: sh.sh_schedules }
+      in
+      if not (Atomic.compare_and_set cell seen next) then
+        publish_schedule cell clustering alu_count schedule
+    | Some _ | None -> ()
+
+  (* A clustering or a schedule is validated once, where it is computed
+     and before it is published to the shared cell, so the rewinds that
+     reuse it skip the check and a failed one is never shared. *)
   let advance ?pool s =
     match phase s with
     | Built -> minimise ?pool s
     | Minimised ->
       let config = s.s_config in
-      let graph, _, _, _, clustered = Option.get s.s_min in
+      let graph, _, _, _, shared = Option.get s.s_min in
       let clustering =
-        match Atomic.get clustered with
-        | Some (earlier, clustering) when same_cluster earlier config ->
+        match Atomic.get shared with
+        | Some sh when same_cluster sh.sh_config config ->
           Obs.incr c_cluster_reused;
-          clustering
-        | _ ->
+          sh.sh_clustering
+        | seen ->
           let caps = caps_of config in
           let clustering =
             stage "cluster" (fun () -> config.cluster_with ~caps graph)
           in
           stage "cluster-validate" (fun () ->
               Mapping.Cluster.validate clustering caps);
-          Atomic.set clustered (Some (config, clustering));
-          clustering
+          publish_clustering shared seen config clustering
       in
       { s with s_clustering = Some clustering }
     | Clustered ->
       let clustering = Option.get s.s_clustering in
+      let alu_count = s.s_config.tile.Arch.alu_count in
+      let _, _, _, _, shared = Option.get s.s_min in
       let schedule =
-        stage "schedule" (fun () ->
-            Mapping.Sched.run ~alu_count:s.s_config.tile.Arch.alu_count
-              clustering)
+        match schedule_of (Atomic.get shared) clustering alu_count with
+        | Some schedule ->
+          Obs.incr c_schedule_reused;
+          schedule
+        | None ->
+          let schedule =
+            stage "schedule" (fun () -> Mapping.Sched.run ~alu_count clustering)
+          in
+          stage "schedule-validate" (fun () ->
+              Mapping.Sched.validate schedule ~alu_count);
+          publish_schedule shared clustering alu_count schedule;
+          schedule
       in
       { s with s_schedule = Some schedule }
     | Scheduled ->
-      let schedule = Option.get s.s_schedule in
-      let (), job =
-        par2 pool
-          (fun () ->
-            stage "schedule-validate" (fun () ->
-                Mapping.Sched.validate schedule
-                  ~alu_count:s.s_config.tile.Arch.alu_count))
-          (fun () ->
-            stage "allocate" (fun () ->
-                Mapping.Alloc.run ~options:s.s_config.alloc_options
-                  ~tile:s.s_config.tile schedule))
+      let job =
+        stage "allocate" (fun () ->
+            Mapping.Alloc.run ~options:s.s_config.alloc_options
+              ~tile:s.s_config.tile (Option.get s.s_schedule))
       in
       { s with s_alloc = Some (job, Mapping.Metrics.of_job job) }
     | Allocated -> s
@@ -569,31 +599,7 @@ let conforms_to_interp ?(memory_init = []) result =
   let program =
     Cfront.Inline.program (Cfront.Parser.parse_program result.source)
   in
-  (* The tile holds a scalar input as a one-cell region; the interpreter
-     reads scalars only from [~scalar_init], so split the inputs by the
-     kinds [main] gives them. *)
-  let scalar_names =
-    match
-      List.find_opt
-        (fun (f : Cfront.Ast.func) -> String.equal f.Cfront.Ast.name "main")
-        program
-    with
-    | Some main ->
-      List.map
-        (fun (s : Cfront.Sema.symbol) -> s.Cfront.Sema.name)
-        (Cfront.Sema.scalars (Cfront.Sema.check_func main))
-    | None -> []
-  in
-  let scalars, arrays =
-    List.partition (fun (name, _) -> List.mem name scalar_names) memory_init
-  in
-  let scalar_init =
-    List.map
-      (fun (name, cells) ->
-        (name, if Array.length cells = 0 then 0 else cells.(0)))
-      scalars
-  in
-  match Cfront.Interp.run_main ~scalar_init ~array_init:arrays program with
+  match Cfront.Interp.run_main_on_regions memory_init program with
   | exception Cfront.Interp.Runtime_error _ -> false
   | state ->
     let memory, _ = Fpfa_sim.Sim.run ~memory_init result.job in

@@ -83,13 +83,12 @@ val map_source :
     inlined first, then the (call-free) function [func] (default ["main"])
     is mapped.
 
-    With [?pool], independent stages of {e this one compile} overlap on
-    the pool's domains (the schedule validator runs concurrently with
-    the allocation that consumes the schedule), and the minimised graph is
-    {!Cdfg.Graph.freeze}d after disambiguation so domains share it
-    without copying — [result.graph] is then immutable. Results and
-    raised exceptions are identical to the sequential run. Without a pool
-    nothing is frozen and behaviour is exactly as before.
+    With [?pool], the minimised graph is {!Cdfg.Graph.freeze}d after
+    disambiguation so the pool's domains share it without copying (as
+    {!audit} does with the same pool) — [result.graph] is then
+    immutable. Results and raised exceptions are identical to the
+    sequential run. Without a pool nothing is frozen and behaviour is
+    exactly as before.
     @raise Flow_error wrapping any stage failure with stage context. *)
 
 val map_func : ?pool:Fpfa_exec.Pool.t -> ?config:config -> Cfront.Ast.func -> result
@@ -161,7 +160,12 @@ module Staged : sig
       bumps the Obs counter ["flow.cluster_reused"]. A clustering it
       computes is validated against the data path
       ({!Mapping.Cluster.validate}) before it is stored, so a rejected
-      one raises [Flow_error] and is never reused. *)
+      one raises [Flow_error] and is never reused. From [Clustered] it
+      likewise returns the stored schedule of this clustering for the
+      tile's ALU count: a hit records no ["schedule"] or
+      ["schedule-validate"] span and bumps ["flow.schedule_reused"]; a
+      schedule it computes is validated ({!Mapping.Sched.validate})
+      before it is stored. *)
 
   val run : ?pool:Fpfa_exec.Pool.t -> t -> t
   (** Advances to [Allocated]. Starting from [Built] this is precisely
@@ -191,12 +195,15 @@ module Staged : sig
 
       A minimised checkpoint carries one clustering cell: the last
       clustering computed from its minimised graph, with the config it
-      ran under. Every value derived by [rewind] while it keeps the
-      minimised graph shares that cell, so advancing any of them from
-      [Minimised] under the same [cluster_with] and ALU data path reuses
-      the clustering instead of computing it again; a miss clusters and
-      replaces the cell's contents. The cell is made, empty, with the
-      minimised graph, so values from {!of_source}, {!of_func} and
+      ran under, and the schedules computed from that clustering, at
+      most one per ALU count. Every value derived by [rewind] while it
+      keeps the minimised graph shares that cell, so advancing any of
+      them from [Minimised] under the same [cluster_with] and ALU data
+      path reuses the clustering instead of computing it again, and
+      advancing from [Clustered] at an ALU count already scheduled
+      reuses the schedule; a clustering miss clusters and replaces the
+      cell's contents, schedules included. The cell is made, empty, with
+      the minimised graph, so values from {!of_source}, {!of_func} and
       {!of_graph}, and a rewind that drops the minimised graph, start
       with none. *)
 
@@ -209,7 +216,8 @@ module Staged : sig
       [Atomic.t], so rewinds of one frozen checkpoint may advance on
       several domains at once. They map to the same bytes as a
       sequential run, and when they all keep the ALU data path each
-      domain clusters at most once. *)
+      domain clusters at most once and schedules at most once per ALU
+      count (schedules are added by compare-and-set). *)
 end
 
 val audit :

@@ -524,4 +524,4 @@ let find name = List.find (fun k -> String.equal k.name name) all
 
 let reference_state k =
   let program = Cfront.Inline.program (Cfront.Parser.parse_program k.source) in
-  Cfront.Interp.run_main ~array_init:k.inputs program
+  Cfront.Interp.run_main_on_regions k.inputs program

@@ -92,4 +92,6 @@ val find : string -> t
 (** @raise Not_found for an unknown kernel name. *)
 
 val reference_state : t -> Cfront.Interp.state
-(** Runs the reference interpreter on the kernel's inputs. *)
+(** Runs the reference interpreter on the kernel's inputs, each a region
+    as the tile takes it ({!Cfront.Interp.run_main_on_regions}: an input
+    [main] reads as a scalar seeds that scalar). *)

@@ -28,48 +28,31 @@ let errorf fmt = Format.kasprintf (fun msg -> raise (Allocation_error msg)) fmt
 
 (* Per-cycle use of a resource with [slots] instances per cycle (a port
    per PP memory, a write port per register bank, the crossbar's lanes):
-   one count per (cycle, slot), in chunks of [chunk_cycles] cycles. A
-   chunk is allocated when a reservation first reaches it and is never
-   copied; only the short array of chunks grows. Counts are bytes, which
-   the GC does not scan: a count never exceeds the resource's capacity
-   (every reservation first checks for room), and a valid tile has at
-   most 255 of anything ({!Arch.validate}). *)
+   one count per (cycle, slot) in one byte string, which doubles when a
+   reservation reaches past its end. Counts are bytes, which the GC does
+   not scan and which copy cheaply: a count never exceeds the resource's
+   capacity (every reservation first checks for room), and a valid tile
+   has at most 255 of anything ({!Arch.validate}). *)
 module Usage = struct
-  let chunk_cycles = 128
+  type t = { slots : int; mutable counts : Bytes.t }
 
-  type t = {
-    slots : int;
-    mutable chunks : Bytes.t array;  (* [Bytes.empty] until reached *)
-  }
-
-  let create slots = { slots; chunks = [||] }
+  let create slots = { slots; counts = Bytes.empty }
 
   let get t ~cycle slot =
-    let k = cycle / chunk_cycles in
-    if k >= Array.length t.chunks then 0
-    else
-      let chunk = t.chunks.(k) in
-      if Bytes.length chunk = 0 then 0
-      else Bytes.get_uint8 chunk (((cycle - (k * chunk_cycles)) * t.slots) + slot)
+    let i = (cycle * t.slots) + slot in
+    if i < Bytes.length t.counts then Bytes.get_uint8 t.counts i else 0
 
-  (* Adds [delta] to cell [i = cycle * slots + slot], in a reached chunk. *)
-  let add t i delta =
-    let cells = chunk_cycles * t.slots in
-    let chunk = t.chunks.(i / cells) and j = i mod cells in
-    Bytes.set_uint8 chunk j (Bytes.get_uint8 chunk j + delta)
+  let add t i delta = Bytes.set_uint8 t.counts i (Bytes.get_uint8 t.counts i + delta)
 
   (* Returns the cell it incremented, for the undo log. *)
   let bump t ~cycle slot =
-    let k = cycle / chunk_cycles in
-    let reached = Array.length t.chunks in
-    if k >= reached then begin
-      let chunks = Array.make (max (2 * reached) (k + 1)) Bytes.empty in
-      Array.blit t.chunks 0 chunks 0 reached;
-      t.chunks <- chunks
-    end;
-    if Bytes.length t.chunks.(k) = 0 then
-      t.chunks.(k) <- Bytes.make (chunk_cycles * t.slots) '\000';
     let i = (cycle * t.slots) + slot in
+    let n = Bytes.length t.counts in
+    if i >= n then begin
+      let grown = Bytes.make (max (2 * n) (max 1024 (i + 1))) '\000' in
+      Bytes.blit t.counts 0 grown 0 n;
+      t.counts <- grown
+    end;
     add t i 1;
     i
 
@@ -98,14 +81,81 @@ module Regs = struct
 
   (* The lowest register of the bank free for a move at [lo], or -1. *)
   let free_index t ~pp ~bank ~lo = free_from t (slot t ~pp ~bank 0) lo 0
+
+  (* The same, for the bank whose first register is slot [base]. *)
+  let free_at t ~base ~lo = free_from t base lo 0
+end
+
+(* Growable stacks. The undo log and the record of the level attempt
+   under way live in a few of these per run, so an attempt that fails
+   leaves nothing for the collector. *)
+module Ints = struct
+  type t = { mutable items : int array; mutable len : int }
+
+  let create () = { items = Array.make 64 0; len = 0 }
+
+  let push t x =
+    if t.len = Array.length t.items then begin
+      let grown = Array.make (2 * t.len) 0 in
+      Array.blit t.items 0 grown 0 t.len;
+      t.items <- grown
+    end;
+    t.items.(t.len) <- x;
+    t.len <- t.len + 1
+end
+
+let no_cell = { Job.mpp = -1; mem = -1; addr = -1 }
+
+(* Grown around [no_cell], not the young [x]: the runtime empties the
+   minor heap before it makes a long array around a young value. *)
+module Cells = struct
+  type t = { mutable items : Job.mem_loc array; mutable len : int }
+
+  let create () = { items = [||]; len = 0 }
+
+  let push t x =
+    if t.len = Array.length t.items then begin
+      let grown = Array.make (max 64 (2 * t.len)) no_cell in
+      Array.blit t.items 0 grown 0 t.len;
+      t.items <- grown
+    end;
+    t.items.(t.len) <- x;
+    t.len <- t.len + 1
+end
+
+(* Per-cycle lists of a job's records; the array grows by doubling as
+   cycles are reached. *)
+module Buckets = struct
+  type 'a t = { mutable lists : 'a list array }
+
+  let create () = { lists = Array.make 64 [] }
+
+  let reach t cycle =
+    let n = Array.length t.lists in
+    if cycle >= n then begin
+      let grown = Array.make (max (2 * n) (cycle + 1)) [] in
+      Array.blit t.lists 0 grown 0 n;
+      t.lists <- grown
+    end
+
+  let set t cycle l =
+    reach t cycle;
+    t.lists.(cycle) <- l
+
+  let get t i = if i < Array.length t.lists then t.lists.(i) else []
+
+  (* Records are [add]ed newest first and read back oldest first. *)
+  let add t cycle x = set t cycle (x :: get t cycle)
+
+  let oldest_first t i = match get t i with ([] | [ _ ]) as l -> l | l -> List.rev l
 end
 
 (* ------------------------------------------------------------------ *)
 
 (* Per-run state. What depends only on the graph and its clustering
-   (versions, cluster index, root externals) lives on the clustering and
-   is shared by every tile point; everything here is dense and indexed by
-   node id, cluster id or memory slot. *)
+   (versions, cluster index, root externals, micro-ops, region touches)
+   lives on the clustering and is shared by every tile point; everything
+   here is dense and indexed by access, cluster id or memory slot. *)
 type state = {
   tile : Arch.tile;
   options : options;
@@ -114,7 +164,6 @@ type state = {
   clustering : Cluster.t;
   cluster_of : int array;
   versions : Legalize.versions;
-  alu_levels : int list array;  (* level -> its ALU-using cids *)
   pp_of : int array;
   (* resources *)
   bus : Usage.t;  (* cycle -> transfers *)
@@ -124,6 +173,7 @@ type state = {
       (* (cycle, pp * banks + bank) -> register-bank writes; one port per
          bank *)
   regs : Regs.t;
+  reg_record : Job.reg array;  (* register slot -> the job's record of it *)
   last_write : int array array;
       (* memory slot -> address -> cycle of the word's last write, -1 when
          never written; each grown on demand *)
@@ -131,27 +181,58 @@ type state = {
   mutable homes : (string * Job.mem_loc list) list;
   mutable sizes : (string * int) list;
   next_free : int array;  (* memory slot -> next address *)
+  (* per access, by {!Legalize.access_index} *)
   cell : Job.mem_loc array;
-      (* node id -> the word an access reads or writes: its home cell, or
-         a fetch's preservation copy once one is made; [no_cell] until
-         first asked *)
+      (* the word an access reads or writes: its home cell, or a fetch's
+         preservation copy once one is made; [no_cell] until first asked *)
   preserved : int array;
       (* fetch -> first cycle its preservation copy is readable, -1 *)
-  commit : int array;  (* St/Del node -> commit cycle, -1 *)
+  commit : int array;  (* St/Del -> commit cycle, -1 *)
   scratch : Job.mem_loc array;  (* cid -> scratch cell *)
   scratch_commit : int array;  (* cid -> scratch commit cycle, -1 *)
+  (* the level attempt under way *)
+  undo : Ints.t;
+      (* reservations, oldest first: a resource cell as [cell * 4 + r]
+         (r: 0 bus, 1 read port, 2 bank write port), or a register as its
+         previous [busy_until] followed by [slot * 4 + 3] *)
+  planned : Ints.t;
+      (* operands placed, [plan_stride] ints each: 1 for a forward else 0,
+         cycle, register slot, input node, consumer cid, port *)
+  planned_src : Cells.t;  (* a planned move's source cell *)
+  mutable src_cell : Job.mem_loc;
+  mutable src_avail : int;
+  mutable src_deadline : int;
+      (* where [locate] found the operand it was asked for *)
+  mutable op_input : int;
+  mutable op_cluster : int;
+  mutable op_port : int;
+  mutable op_exec : int;
+  mutable op_read_slot : int;  (* [src_cell]'s memory *)
+  mutable op_bank_slot : int;  (* the consumer's bank, among all banks *)
+  mutable op_reg_base : int;  (* that bank's first register slot *)
+      (* the operand whose move cycles are being tried *)
   (* output records *)
-  mutable rec_moves : (int * Job.move) list;  (* (cycle, move) *)
-  mutable rec_alu : (int * Job.alu_work) list;  (* (exec cycle, work) *)
-  mutable rec_deletes : (int * Job.delete_work) list;
+  moves : Job.move Buckets.t;
+  copies : Job.copy Buckets.t;
+  alu : Job.alu_work Buckets.t;  (* exec cycle -> its level's work, in order *)
+  deletes : Job.delete_work Buckets.t;
+  mutable last_cycle : int;  (* the latest cycle any record occupies *)
+  port_regs : (int * Job.reg) list array;
+      (* cid -> its operand registers, while its level commits *)
   forwards : (int * Job.reg) list array;
       (* producer cid -> extra register destinations *)
+  mutable forward_count : int;
   exec_of_level : int array;
   exec_of_cluster : int array;
-  mutable rec_copies : (int * Job.copy) list;
 }
 
-let no_cell = { Job.mpp = -1; mem = -1; addr = -1 }
+let plan_stride = 6
+
+let cell_of st id = st.cell.(Legalize.access_index st.versions id)
+let preserved_from st id = st.preserved.(Legalize.access_index st.versions id)
+let committed_at st id = st.commit.(Legalize.access_index st.versions id)
+let no_reg = { Job.pp = -1; bank = -1; index = -1 }
+let empty_cycle = { Job.moves = []; copies = []; alu = []; deletes = [] }
 
 let memory_slot st pp mem = (pp * st.tile.Arch.memories_per_pp) + mem
 let bank_slot st pp bank = (pp * st.tile.Arch.banks_per_pp) + bank
@@ -209,43 +290,30 @@ let alloc_words st ~preferred_pp words =
   if slot >= 0 then take st slot words
   else alloc_elsewhere st ~preferred_pp words 0
 
+(* Marks each region in [touches] that no earlier cluster touched with
+   [pp], the PP of the cluster touching it now. *)
+let rec touch first_touch pp = function
+  | [] -> ()
+  | r :: rest ->
+    if first_touch.(r) < 0 then first_touch.(r) <- pp;
+    touch first_touch pp rest
+
+let rec touch_level st first_touch = function
+  | [] -> ()
+  | cid :: rest ->
+    touch first_touch st.pp_of.(cid) st.clustering.Cluster.region_touches.(cid);
+    touch_level st first_touch rest
+
 let assign_homes st =
   let g = st.graph in
   (* Regions in order of first store, then first fetch, by allocation order
      of clusters; locality picks the touching cluster's PP. *)
-  let first_touch = Hashtbl.create 16 in
-  let touch region pp =
-    if not (Hashtbl.mem first_touch region) then Hashtbl.replace first_touch region pp
-  in
-  Array.iter
-    (fun level_cids ->
-      List.iter
-        (fun cid ->
-          let c = st.clustering.Cluster.clusters.(cid) in
-          let pp = st.pp_of.(cid) in
-          List.iter
-            (fun stn ->
-              match G.kind g stn with
-              | G.St r -> touch r pp
-              | _ -> ())
-            c.Cluster.stores;
-          List.iter
-            (fun del ->
-              match G.kind g del with
-              | G.Del r -> touch r pp
-              | _ -> ())
-            c.Cluster.deletes;
-          List.iter
-            (fun input ->
-              match G.kind g input with
-              | G.Fe r -> touch r pp
-              | _ -> ())
-            c.Cluster.cinputs)
-        level_cids)
-    st.sched.Sched.levels;
+  let regions = G.regions g in
+  let first_touch = Array.make (List.length regions) (-1) in
+  Array.iter (touch_level st first_touch) st.sched.Sched.levels;
   let counter = ref 0 in
-  List.iter
-    (fun (region, info) ->
+  List.iteri
+    (fun i (region, info) ->
       (* its declared size, else one past the highest offset accessed *)
       let words =
         match info.G.size with
@@ -253,13 +321,7 @@ let assign_homes st =
         | None -> max 1 (Legalize.max_offset st.versions region + 1)
       in
       let preferred_pp =
-        if st.options.locality then
-          match Hashtbl.find_opt first_touch region with
-          | Some pp when pp >= 0 -> pp
-          | Some _ | None ->
-            let pp = !counter mod st.tile.Arch.alu_count in
-            incr counter;
-            pp
+        if st.options.locality && first_touch.(i) >= 0 then first_touch.(i)
         else begin
           let pp = !counter mod st.tile.Arch.alu_count in
           incr counter;
@@ -280,13 +342,14 @@ let assign_homes st =
       in
       st.homes <- (region, slices) :: st.homes;
       st.sizes <- (region, words) :: st.sizes)
-    (G.regions g);
+    regions;
   st.homes <- List.sort compare st.homes;
   st.sizes <- List.sort compare st.sizes
 
 (* The home cell of access [id] to [region], computed once per run. *)
 let home_cell st id region =
-  let cell = st.cell.(id) in
+  let a = Legalize.access_index st.versions id in
+  let cell = st.cell.(a) in
   if cell != no_cell then cell
   else begin
     let cell =
@@ -294,33 +357,36 @@ let home_cell st id region =
       | Some slices -> Job.interleaved_cell slices (Legalize.offset st.versions id)
       | None -> errorf "region %s has no home" region
     in
-    st.cell.(id) <- cell;
+    st.cell.(a) <- cell;
     cell
   end
 
 (* ------------------------ value source lookup ---------------------- *)
 
-type source =
-  | Immediate of int
-  | In_memory of Job.mem_loc * int * int
-      (** cell, first readable cycle, last readable cycle (the value may be
-          overwritten by an already-committed write-back after that) *)
+(* Which memory word carries the value of [input] and over which cycles
+   it is readable: sets [src_cell], [src_avail] (the first readable
+   cycle) and [src_deadline] (the last: an already-committed write-back
+   may overwrite the value after it), and returns true; returns false for
+   an immediate. *)
+let found st cell avail deadline =
+  st.src_cell <- cell;
+  st.src_avail <- avail;
+  st.src_deadline <- deadline;
+  true
 
-(* Which memory word carries the value of [input], and from which cycle it
-   is readable. *)
-let source_of st input =
+let locate st input =
   let g = st.graph in
   match G.kind g input with
-  | G.Const c -> Immediate c
+  | G.Const _ -> false
   | G.Binop _ | G.Unop _ | G.Mux ->
     let cid = st.cluster_of.(input) in
     if cid < 0 then errorf "value node %d is unclustered" input;
     let wb = st.scratch_commit.(cid) in
     if wb < 0 then errorf "cluster %d produced no scratch word for node %d" cid input;
     (* scratch words are single-assignment: no deadline *)
-    In_memory (st.scratch.(cid), wb + 1, max_int)
-  | G.Fe _ when st.preserved.(input) >= 0 ->
-    In_memory (st.cell.(input), st.preserved.(input), max_int)
+    found st st.scratch.(cid) (wb + 1) max_int
+  | G.Fe _ when preserved_from st input >= 0 ->
+    found st (cell_of st input) (preserved_from st input) max_int
   | G.Fe region -> (
     let cell = home_cell st input region in
     (* The cell becomes unreadable once an already-committed overwriting
@@ -330,90 +396,67 @@ let source_of st input =
        level's moves. *)
     let deadline =
       match Legalize.overwriter st.versions input with
-      | Some d when st.commit.(d) >= 0 -> st.commit.(d)
+      | Some d when committed_at st d >= 0 -> committed_at st d
       | Some _ | None -> max_int
     in
     (* The version the fetch reads. *)
     match Legalize.latest_version st.versions input with
-    | None -> In_memory (cell, 0, deadline)
+    | None -> found st cell 0 deadline
     | Some m -> (
       match G.kind g m with
       | G.St _ ->
-        let wb = st.commit.(m) in
+        let wb = committed_at st m in
         if wb < 0 then
           errorf "fetch %d reads store %d that is not yet allocated" input m;
-        In_memory (cell, wb + 1, deadline)
+        found st cell (wb + 1) deadline
       | _ -> errorf "fetch %d reads a deleted tuple" input))
   | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
     errorf "node %d cannot be a cluster operand" input
 
-(* --------------------------- micro-ops ----------------------------- *)
-
-let micros_of_cluster st (c : Cluster.cluster) =
-  let g = st.graph in
-  let ports = List.mapi (fun i input -> (input, i)) c.Cluster.cinputs in
-  (* An op's operand is a member exactly when the index lists it under
-     this cluster: operands are values, never the cluster's St/Del. *)
-  let arg_of input =
-    if st.cluster_of.(input) = c.Cluster.cid then Job.Node input
-    else
-      match List.assoc_opt input ports with
-      | Some p -> Job.Port p
-      | None -> errorf "operand %d of cluster %d is not a port" input c.Cluster.cid
-  in
-  match c.Cluster.ops with
-  | [] -> (
-    match c.Cluster.root with
-    | Some src -> [ { Job.node = src; action = Job.Pass; args = [ arg_of src ] } ]
-    | None -> [])
-  | ops ->
-    List.map
-      (fun op ->
-        let args = List.map arg_of (G.inputs g op) in
-        let action =
-          match G.kind g op with
-          | G.Binop b -> Job.Bin b
-          | G.Unop u -> Job.Un u
-          | G.Mux -> Job.Mux3
-          | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.Fe _ | G.St _ | G.Del _ ->
-            errorf "non-value op %d inside cluster %d" op c.Cluster.cid
-        in
-        { Job.node = op; action; args })
-      ops
-
 (* ------------------------------ planning --------------------------- *)
 
-type undo =
-  | Use of Usage.t * int  (* cell incremented *)
-  | Reg of int * int  (* register slot, its previous [busy_until] *)
+let bus_log = 0
+let read_port_log = 1
+let bank_write_log = 2
+let reg_log = 3
 
-type plan = {
-  mutable undo : undo list;  (* reservations made, newest first *)
-  mutable p_regs : int;  (* registers reserved *)
-  mutable p_moves : (int * Job.move) list;
-  mutable p_forwards : (int * (int * Job.reg)) list;  (* producer cid, dest *)
-  mutable p_port_regs : (int * (int * Job.reg)) list;
-      (* consumer cid, (port, register) *)
-}
+let reserve st usage log ~cycle slot =
+  Ints.push st.undo ((Usage.bump usage ~cycle slot * 4) + log)
 
-let new_plan () =
-  { undo = []; p_regs = 0; p_moves = []; p_forwards = []; p_port_regs = [] }
+let reserve_reg st slot ~until =
+  Ints.push st.undo st.regs.Regs.busy_until.(slot);
+  Ints.push st.undo ((slot * 4) + reg_log);
+  st.regs.Regs.busy_until.(slot) <- until
 
-let reserve plan usage ~cycle slot =
-  plan.undo <- Use (usage, Usage.bump usage ~cycle slot) :: plan.undo
+(* Undoes the reservations below [top] in the log, newest first. *)
+let rec rollback st top =
+  if top > 0 then begin
+    let log = st.undo.Ints.items in
+    let entry = log.(top - 1) in
+    let target = entry / 4 and kind = entry land 3 in
+    if kind = reg_log then begin
+      st.regs.Regs.busy_until.(target) <- log.(top - 2);
+      rollback st (top - 2)
+    end
+    else begin
+      Usage.unbump
+        (if kind = bus_log then st.bus
+         else if kind = read_port_log then st.read_port
+         else st.bank_write)
+        target;
+      rollback st (top - 1)
+    end
+  end
 
-let reserve_reg st plan ~pp ~bank index ~until =
-  let slot = Regs.slot st.regs ~pp ~bank index in
-  plan.undo <- Reg (slot, st.regs.Regs.busy_until.(slot)) :: plan.undo;
-  st.regs.Regs.busy_until.(slot) <- until;
-  plan.p_regs <- plan.p_regs + 1
-
-let rollback st plan =
-  List.iter
-    (function
-      | Use (usage, i) -> Usage.unbump usage i
-      | Reg (slot, until) -> st.regs.Regs.busy_until.(slot) <- until)
-    plan.undo
+let plan st ~forward ~cycle ~slot ~cluster ~port input src =
+  let p = st.planned in
+  Ints.push p (if forward then 1 else 0);
+  Ints.push p cycle;
+  Ints.push p slot;
+  Ints.push p input;
+  Ints.push p cluster;
+  Ints.push p port;
+  if not forward then Cells.push st.planned_src src
 
 let bus_free st cycle = Usage.get st.bus ~cycle 0 < st.tile.Arch.buses
 
@@ -424,7 +467,7 @@ let bank_write_free st cycle ~pp ~bank =
 
 (* Extension: the cluster producing [input] writes it straight into the
    consumer's register at its own execute cycle. *)
-let try_forward st plan ~exec ~pp ~port ~cluster input =
+let try_forward st ~exec ~pp ~port ~cluster input =
   st.options.forwarding
   &&
   match G.kind st.graph input with
@@ -440,78 +483,75 @@ let try_forward st plan ~exec ~pp ~port ~cluster input =
     let index = Regs.free_index st.regs ~pp ~bank:port ~lo:t_p in
     index >= 0
     && begin
-         let reg = { Job.pp; bank = port; index } in
-         reserve plan st.bus ~cycle:t_p 0;
-         reserve plan st.bank_write ~cycle:t_p (bank_slot st pp port);
-         reserve_reg st plan ~pp ~bank:port index ~until:exec;
-         plan.p_forwards <- (pcid, (t_p, reg)) :: plan.p_forwards;
-         plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
+         let slot = Regs.slot st.regs ~pp ~bank:port index in
+         reserve st st.bus bus_log ~cycle:t_p 0;
+         reserve st st.bank_write bank_write_log ~cycle:t_p (bank_slot st pp port);
+         reserve_reg st slot ~until:exec;
+         plan st ~forward:true ~cycle:t_p ~slot ~cluster ~port input no_cell;
          true
        end
   | _ -> false
 
-(* A move of [input] from [src] at cycle [u] into bank [port] of [pp],
-   reserved when the bus, [src]'s read port, the bank's write port and one
-   of its registers are free then. *)
-let try_move_at st plan ~exec ~pp ~port ~cluster input src u =
-  let read_slot = memory_slot st src.Job.mpp src.Job.mem in
+(* A move of the operand at cycle [u], reserved when the bus, the source
+   memory's read port, the bank's write port and one of its registers
+   are free then. *)
+let try_move_at st u =
   bus_free st u
-  && Usage.get st.read_port ~cycle:u read_slot < 1
-  && bank_write_free st u ~pp ~bank:port
+  && Usage.get st.read_port ~cycle:u st.op_read_slot < 1
+  && Usage.get st.bank_write ~cycle:u st.op_bank_slot < 1
   &&
-  let index = Regs.free_index st.regs ~pp ~bank:port ~lo:u in
+  let index = Regs.free_at st.regs ~base:st.op_reg_base ~lo:u in
   index >= 0
   && begin
-       let reg = { Job.pp; bank = port; index } in
-       reserve plan st.bus ~cycle:u 0;
-       reserve plan st.read_port ~cycle:u read_slot;
-       reserve plan st.bank_write ~cycle:u (bank_slot st pp port);
-       reserve_reg st plan ~pp ~bank:port index ~until:exec;
-       plan.p_moves <-
-         (u, { Job.src; dst = reg; carried = input; for_cluster = cluster })
-         :: plan.p_moves;
-       plan.p_port_regs <- (cluster, (port, reg)) :: plan.p_port_regs;
+       let slot = st.op_reg_base + index in
+       reserve st st.bus bus_log ~cycle:u 0;
+       reserve st st.read_port read_port_log ~cycle:u st.op_read_slot;
+       reserve st st.bank_write bank_write_log ~cycle:u st.op_bank_slot;
+       reserve_reg st slot ~until:st.op_exec;
+       plan st ~forward:false ~cycle:u ~slot ~cluster:st.op_cluster ~port:st.op_port
+         st.op_input st.src_cell;
        true
      end
 
-let rec upwards st plan ~exec ~pp ~port ~cluster input src u last =
-  u <= last
-  && (try_move_at st plan ~exec ~pp ~port ~cluster input src u
-     || upwards st plan ~exec ~pp ~port ~cluster input src (u + 1) last)
-
-let rec downwards st plan ~exec ~pp ~port ~cluster input src u last =
-  u >= last
-  && (try_move_at st plan ~exec ~pp ~port ~cluster input src u
-     || downwards st plan ~exec ~pp ~port ~cluster input src (u - 1) last)
+let rec upwards st u last = u <= last && (try_move_at st u || upwards st (u + 1) last)
+let rec downwards st u last = u >= last && (try_move_at st u || downwards st (u - 1) last)
 
 (* Finds a register move for one operand of a cluster executing at [exec]
    on [pp], bank [port]. Paper order: window steps before first, then
    closer. Returns false when no cycle in the window works. *)
-let plan_operand st plan ~exec ~pp ~port ~cluster input =
-  match source_of st input with
-  | Immediate _ -> true
-  | In_memory (src, avail, deadline) ->
-    try_forward st plan ~exec ~pp ~port ~cluster input
-    ||
-    let window = st.tile.Arch.move_window in
-    (* Feasible move cycles: the value is readable and not yet
-       overwritten, and the move precedes the execute cycle. *)
-    let lo = max 0 avail and hi = min (exec - 1) deadline in
-    (* Candidate move cycles, in preference order:
-       1. the paper's window (4, 3, 2, 1 steps before the execute cycle);
-       2. widening: up to 64 progressively earlier cycles — these are the
-          "inserted clock cycles before the current one" of Fig. 5, with
-          registers simply holding their operand longer;
-       3. when an already-committed overwrite imposes a deadline earlier
-          than the window, up to 64 cycles just before the deadline.
-       All bounded so allocation stays linear. *)
-    upwards st plan ~exec ~pp ~port ~cluster input src (max lo (exec - window)) hi
-    || downwards st plan ~exec ~pp ~port ~cluster input src
-         (min hi (exec - window - 1))
-         (max lo (exec - window - 64))
-    || hi < exec - window
-       && downwards st plan ~exec ~pp ~port ~cluster input src hi
-            (max lo (hi - 63))
+let plan_operand st ~exec ~pp ~port ~cluster input =
+  (not (locate st input))
+  || try_forward st ~exec ~pp ~port ~cluster input
+  ||
+  let src = st.src_cell in
+  st.op_input <- input;
+  st.op_cluster <- cluster;
+  st.op_port <- port;
+  st.op_exec <- exec;
+  st.op_read_slot <- memory_slot st src.Job.mpp src.Job.mem;
+  st.op_bank_slot <- bank_slot st pp port;
+  st.op_reg_base <- Regs.slot st.regs ~pp ~bank:port 0;
+  let window = st.tile.Arch.move_window in
+  (* Feasible move cycles: the value is readable and not yet
+     overwritten, and the move precedes the execute cycle. *)
+  let lo = max 0 st.src_avail and hi = min (exec - 1) st.src_deadline in
+  (* Candidate move cycles, in preference order:
+     1. the paper's window (4, 3, 2, 1 steps before the execute cycle);
+     2. widening: up to 64 progressively earlier cycles — these are the
+        "inserted clock cycles before the current one" of Fig. 5, with
+        registers simply holding their operand longer;
+     3. when an already-committed overwrite imposes a deadline earlier
+        than the window, up to 64 cycles just before the deadline.
+     All bounded so allocation stays linear. *)
+  upwards st (max lo (exec - window)) hi
+  || downwards st (min hi (exec - window - 1)) (max lo (exec - window - 64))
+  || (hi < exec - window && downwards st hi (max lo (hi - 63)))
+
+(* ------------------------------ commits ---------------------------- *)
+
+let record st buckets cycle item =
+  Buckets.add buckets cycle item;
+  if cycle > st.last_cycle then st.last_cycle <- cycle
 
 (* The cluster of the first future reader of fetch [fe]: among its
    consumers in clusters at levels after [level], the first in
@@ -557,7 +597,7 @@ let preserve_endangered st ~exec mutator cell =
     in
     List.fold_left
       (fun earliest fe ->
-        if st.preserved.(fe) >= 0 then max earliest st.preserved.(fe)
+        if preserved_from st fe >= 0 then max earliest (preserved_from st fe)
         else begin
           let reader = future_reader st fe ~level in
           if reader < 0 then earliest
@@ -566,11 +606,10 @@ let preserve_endangered st ~exec mutator cell =
             let scratch = alloc_words st ~preferred_pp:st.pp_of.(reader) 1 in
             let floor = last_write st cell + 1 in
             let p = copy_cycle st ~bound:(floor + 1000) cell scratch floor in
-            st.preserved.(fe) <- p + 1;
-            st.cell.(fe) <- scratch;
-            st.rec_copies <-
-              (p, { Job.csrc = cell; cdst = scratch; kept = fe })
-              :: st.rec_copies;
+            let a = Legalize.access_index st.versions fe in
+            st.preserved.(a) <- p + 1;
+            st.cell.(a) <- scratch;
+            record st st.copies p { Job.csrc = cell; cdst = scratch; kept = fe };
             (* the overwrite must not land before the copy has read *)
             max earliest p
           end
@@ -613,118 +652,183 @@ let commit_delete st ~earliest (cell : Job.mem_loc) =
 
 (* --------------------------- level placement ----------------------- *)
 
-let rec plan_operands st plan ~exec ~pp ~cluster port = function
+let rec plan_operands st ~exec ~pp ~cluster port = function
   | [] -> true
   | input :: rest ->
     (match G.kind st.graph input with
     | G.Const _ -> true
-    | _ -> plan_operand st plan ~exec ~pp ~port ~cluster input)
-    && plan_operands st plan ~exec ~pp ~cluster (port + 1) rest
+    | _ -> plan_operand st ~exec ~pp ~port ~cluster input)
+    && plan_operands st ~exec ~pp ~cluster (port + 1) rest
+
+let rec plan_clusters st ~exec = function
+  | [] -> true
+  | cid :: rest ->
+    let c = st.clustering.Cluster.clusters.(cid) in
+    ((not (Sched.uses_alu c))
+    || plan_operands st ~exec ~pp:st.pp_of.(cid) ~cluster:cid 0 c.Cluster.cinputs)
+    && plan_clusters st ~exec rest
 
 (* Plans the operand moves of a level executing at [exec], reserving as it
    goes; a failed attempt is rolled back. *)
-let try_level st ~exec level =
-  let plan = new_plan () in
-  let ok =
-    List.for_all
-      (fun cid ->
-        plan_operands st plan ~exec ~pp:st.pp_of.(cid) ~cluster:cid 0
-          st.clustering.Cluster.clusters.(cid).Cluster.cinputs)
-      st.alu_levels.(level)
-  in
-  if ok then Some plan
-  else begin
-    rollback st plan;
-    None
-  end
+let try_level st ~exec level_cids =
+  st.undo.Ints.len <- 0;
+  st.planned.Ints.len <- 0;
+  st.planned_src.Cells.len <- 0;
+  plan_clusters st ~exec level_cids
+  || begin
+       rollback st st.undo.Ints.len;
+       false
+     end
 
-let commit_level st ~exec ~level level_cids plan =
-  let g = st.graph in
-  Obs.add c_reg_hits plan.p_regs;
-  st.rec_moves <- plan.p_moves @ st.rec_moves;
-  List.iter
-    (fun (pcid, dest) -> st.forwards.(pcid) <- dest :: st.forwards.(pcid))
-    plan.p_forwards;
+(* Records the attempt's moves and forwards, and files each planned
+   register under its consumer in port order: a cluster's operands were
+   planned together, ports ascending. *)
+let commit_plan st =
+  let p = st.planned.Ints.items and n = st.planned.Ints.len / plan_stride in
+  Obs.add c_reg_hits n;
+  let src = ref 0 in
+  for i = 0 to n - 1 do
+    let at = i * plan_stride in
+    let cycle = p.(at + 1) and reg = st.reg_record.(p.(at + 2)) in
+    if p.(at) = 1 then begin
+      let pcid = st.cluster_of.(p.(at + 3)) in
+      st.forwards.(pcid) <- (cycle, reg) :: st.forwards.(pcid);
+      st.forward_count <- st.forward_count + 1
+    end
+    else begin
+      record st st.moves cycle
+        { Job.src = st.planned_src.Cells.items.(!src); dst = reg;
+          carried = p.(at + 3); for_cluster = p.(at + 4) };
+      incr src
+    end
+  done;
+  for i = n - 1 downto 0 do
+    let at = i * plan_stride in
+    let cid = p.(at + 4) in
+    st.port_regs.(cid) <- (p.(at + 5), st.reg_record.(p.(at + 2))) :: st.port_regs.(cid)
+  done
+
+(* The write-backs of a cluster's stores, in [stores] order. *)
+let rec store_writes st ~exec ~cid = function
+  | [] -> []
+  | stn :: rest ->
+    let write =
+      match G.kind st.graph stn with
+      | G.St region ->
+        let cell = home_cell st stn region in
+        let earliest = preserve_endangered st ~exec stn cell in
+        let wcycle = commit_write st ~earliest cell in
+        st.commit.(Legalize.access_index st.versions stn) <- wcycle;
+        { Job.target = cell; wcycle; source_store = Some stn }
+      | _ -> errorf "cluster %d has a non-store write-back" cid
+    in
+    write :: store_writes st ~exec ~cid rest
+
+let rec note_writes st = function
+  | [] -> ()
+  | (w : Job.write) :: rest ->
+    if w.Job.wcycle > st.last_cycle then st.last_cycle <- w.Job.wcycle;
+    note_writes st rest
+
+let commit_alu st ~exec cid (c : Cluster.cluster) =
+  let pp = st.pp_of.(cid) in
+  (* write-backs: statespace stores + scratch spill *)
+  let writes = store_writes st ~exec ~cid c.Cluster.stores in
+  let writes =
+    if st.clustering.Cluster.root_external.(cid) then begin
+      let scratch = alloc_words st ~preferred_pp:pp 1 in
+      let wcycle = commit_write st ~earliest:exec scratch in
+      st.scratch.(cid) <- scratch;
+      st.scratch_commit.(cid) <- wcycle;
+      { Job.target = scratch; wcycle; source_store = None } :: writes
+    end
+    else writes
+  in
+  let port_regs = st.port_regs.(cid) in
+  st.port_regs.(cid) <- [];
+  let micros =
+    match st.clustering.Cluster.micros.(cid) with
+    | Ok micros -> micros
+    | Error msg -> raise (Allocation_error msg)
+  in
+  note_writes st writes;
+  {
+    Job.wcluster = cid;
+    wpp = pp;
+    port_regs;
+    port_imms = st.clustering.Cluster.port_imms.(cid);
+    micros;
+    writes;
+    reg_dests = [];
+  }
+
+(* Deletes, memory-only or attached. *)
+let rec commit_deletes st ~exec ~cid = function
+  | [] -> ()
+  | del :: rest ->
+    (match G.kind st.graph del with
+    | G.Del region ->
+      let cell = home_cell st del region in
+      let earliest = preserve_endangered st ~exec del cell in
+      let dcycle = commit_delete st ~earliest cell in
+      st.commit.(Legalize.access_index st.versions del) <- dcycle;
+      record st st.deletes dcycle { Job.dcluster = cid; dloc = cell; dcycle }
+    | _ -> errorf "cluster %d has a non-delete delete" cid);
+    commit_deletes st ~exec ~cid rest
+
+(* Commits the level's clusters in order and returns their ALU work. *)
+let rec commit_clusters st ~exec = function
+  | [] -> []
+  | cid :: rest ->
+    let c = st.clustering.Cluster.clusters.(cid) in
+    st.exec_of_cluster.(cid) <- exec;
+    if Sched.uses_alu c then begin
+      let work = commit_alu st ~exec cid c in
+      commit_deletes st ~exec ~cid c.Cluster.deletes;
+      work :: commit_clusters st ~exec rest
+    end
+    else begin
+      commit_deletes st ~exec ~cid c.Cluster.deletes;
+      commit_clusters st ~exec rest
+    end
+
+let commit_level st ~exec ~level level_cids =
+  commit_plan st;
   st.exec_of_level.(level) <- exec;
-  List.iter
-    (fun cid ->
-      let c = st.clustering.Cluster.clusters.(cid) in
-      st.exec_of_cluster.(cid) <- exec;
-      if Sched.uses_alu c then begin
-        let pp = st.pp_of.(cid) in
-        (* write-backs: statespace stores + scratch spill *)
-        let writes =
-          List.map
-            (fun stn ->
-              match G.kind g stn with
-              | G.St region ->
-                let cell = home_cell st stn region in
-                let earliest = preserve_endangered st ~exec stn cell in
-                let wcycle = commit_write st ~earliest cell in
-                st.commit.(stn) <- wcycle;
-                { Job.target = cell; wcycle; source_store = Some stn }
-              | _ -> errorf "cluster %d has a non-store write-back" cid)
-            c.Cluster.stores
-        in
-        let writes =
-          if st.clustering.Cluster.root_external.(cid) then begin
-            let scratch = alloc_words st ~preferred_pp:pp 1 in
-            let wcycle = commit_write st ~earliest:exec scratch in
-            st.scratch.(cid) <- scratch;
-            st.scratch_commit.(cid) <- wcycle;
-            { Job.target = scratch; wcycle; source_store = None } :: writes
-          end
-          else writes
-        in
-        let port_regs =
-          List.filter_map
-            (fun (consumer, port_reg) ->
-              if consumer = cid then Some port_reg else None)
-            plan.p_port_regs
-          |> List.sort compare
-        in
-        let port_imms =
-          List.mapi (fun i input -> (i, input)) c.Cluster.cinputs
-          |> List.filter_map (fun (i, input) ->
-                 match G.kind g input with
-                 | G.Const v -> Some (i, v)
-                 | _ -> None)
-        in
-        let work =
-          {
-            Job.wcluster = cid;
-            wpp = pp;
-            port_regs;
-            port_imms;
-            micros = micros_of_cluster st c;
-            writes;
-            reg_dests = [];
-          }
-        in
-        st.rec_alu <- (exec, work) :: st.rec_alu
-      end;
-      (* deletes (memory-only or attached) *)
-      List.iter
-        (fun del ->
-          match G.kind g del with
-          | G.Del region ->
-            let cell = home_cell st del region in
-            let earliest = preserve_endangered st ~exec del cell in
-            let dcycle = commit_delete st ~earliest cell in
-            st.commit.(del) <- dcycle;
-            st.rec_deletes <-
-              (dcycle, { Job.dcluster = cid; dloc = cell; dcycle })
-              :: st.rec_deletes
-          | _ -> errorf "cluster %d has a non-delete delete" cid)
-        c.Cluster.deletes)
-    level_cids
+  match commit_clusters st ~exec level_cids with
+  | [] -> ()
+  | works ->
+    Buckets.set st.alu exec works;
+    if exec > st.last_cycle then st.last_cycle <- exec
+
+(* Places a level at the first cycle from [exec] where all its operands
+   can be moved in, and returns that cycle. Attempts start one past the
+   previous level's cycle, [first_try]: the first level can execute at
+   cycle 0 only when it needs no operand moves. *)
+let rec place_level st ~level ~first_try level_cids exec =
+  if exec > first_try + 200 then
+    errorf "level %d cannot be placed (inserted more than 200 cycles)" level;
+  if try_level st ~exec level_cids then begin
+    commit_level st ~exec ~level level_cids;
+    Obs.add c_inserted (exec - first_try);
+    exec
+  end
+  else begin
+    Obs.incr c_retries;
+    place_level st ~level ~first_try level_cids (exec + 1)
+  end
 
 (* ------------------------------- driver ---------------------------- *)
 
-let assign_pps st =
-  Array.iter
-    (List.iteri (fun position cid -> st.pp_of.(cid) <- position))
-    st.alu_levels
+(* A level's ALU clusters take its PPs in placement order. *)
+let rec assign_pps st position = function
+  | [] -> ()
+  | cid :: rest ->
+    if Sched.uses_alu st.clustering.Cluster.clusters.(cid) then begin
+      st.pp_of.(cid) <- position;
+      assign_pps st (position + 1) rest
+    end
+    else assign_pps st position rest
 
 let assign_delete_pps st =
   Array.iter
@@ -741,14 +845,33 @@ let assign_delete_pps st =
         | [] -> ())
     st.clustering.Cluster.clusters
 
+(* Forwarded destinations join their producer's work record once every
+   level is placed. *)
+let with_forwards st (work : Job.alu_work) =
+  match st.forwards.(work.Job.wcluster) with
+  | [] -> work
+  | dests ->
+    let by_cycle_then_register (c1, (r1 : Job.reg)) (c2, (r2 : Job.reg)) =
+      match Int.compare c1 c2 with
+      | 0 -> (
+        match Int.compare r1.Job.pp r2.Job.pp with
+        | 0 -> (
+          match Int.compare r1.Job.bank r2.Job.bank with
+          | 0 -> Int.compare r1.Job.index r2.Job.index
+          | c -> c)
+        | c -> c)
+      | c -> c
+    in
+    { work with Job.reg_dests = List.sort by_cycle_then_register dests }
+
 let run ?(options = default_options) ~tile (sched : Sched.t) =
   Arch.validate tile;
   let clustering = sched.Sched.clustering in
   let g = clustering.Cluster.graph in
-  let clusters = clustering.Cluster.clusters in
-  let n = Array.length clusters in
-  let ids = G.id_bound g in
+  let n = Array.length clustering.Cluster.clusters in
+  let accesses = Legalize.access_count clustering.Cluster.versions in
   let memories = tile.Arch.alu_count * tile.Arch.memories_per_pp in
+  let regs = Regs.create tile in
   let st =
     {
       tile;
@@ -758,112 +881,88 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       clustering;
       cluster_of = clustering.Cluster.cluster_of;
       versions = clustering.Cluster.versions;
-      alu_levels =
-        Array.map
-          (List.filter (fun cid -> Sched.uses_alu clusters.(cid)))
-          sched.Sched.levels;
       pp_of = Array.make n 0;
       bus = Usage.create 1;
       read_port = Usage.create memories;
       write_port = Usage.create memories;
       bank_write =
         Usage.create (tile.Arch.alu_count * tile.Arch.banks_per_pp);
-      regs = Regs.create tile;
+      regs;
+      reg_record = Array.make (Array.length regs.Regs.busy_until) no_reg;
       last_write = Array.make memories [||];
       homes = [];
       sizes = [];
       next_free = Array.make memories 0;
-      cell = Array.make ids no_cell;
-      preserved = Array.make ids (-1);
-      commit = Array.make ids (-1);
+      cell = Array.make accesses no_cell;
+      preserved = Array.make accesses (-1);
+      commit = Array.make accesses (-1);
       scratch = Array.make n no_cell;
       scratch_commit = Array.make n (-1);
-      rec_moves = [];
-      rec_alu = [];
-      rec_deletes = [];
+      undo = Ints.create ();
+      planned = Ints.create ();
+      planned_src = Cells.create ();
+      src_cell = no_cell;
+      src_avail = 0;
+      src_deadline = 0;
+      op_input = 0;
+      op_cluster = 0;
+      op_port = 0;
+      op_exec = 0;
+      op_read_slot = 0;
+      op_bank_slot = 0;
+      op_reg_base = 0;
+      moves = Buckets.create ();
+      copies = Buckets.create ();
+      alu = Buckets.create ();
+      deletes = Buckets.create ();
+      last_cycle = 0;
+      port_regs = Array.make n [];
       forwards = Array.make n [];
+      forward_count = 0;
       exec_of_level = Array.make (Sched.level_count sched) (-1);
       exec_of_cluster = Array.make n (-1);
-      rec_copies = [];
     }
   in
-  assign_pps st;
+  Array.iteri
+    (fun slot (_ : Job.reg) ->
+      st.reg_record.(slot) <-
+        {
+          Job.pp = slot / (regs.Regs.banks * regs.Regs.regs_per_bank);
+          bank = slot / regs.Regs.regs_per_bank mod regs.Regs.banks;
+          index = slot mod regs.Regs.regs_per_bank;
+        })
+    st.reg_record;
+  Array.iter (assign_pps st 0) sched.Sched.levels;
   assign_homes st;
   assign_delete_pps st;
   let prev_exec = ref (-1) in
   Array.iteri
     (fun level level_cids ->
       let first_try = !prev_exec + 1 in
-      let rec attempt exec =
-        if exec > !prev_exec + 1 + 200 then
-          errorf "level %d cannot be placed (inserted more than 200 cycles)"
-            level;
-        match try_level st ~exec level with
-        | Some plan ->
-          commit_level st ~exec ~level level_cids plan;
-          Obs.add c_inserted (exec - first_try);
-          prev_exec := exec
-        | None ->
-          Obs.incr c_retries;
-          attempt (exec + 1)
-      in
-      (* The first level can execute at cycle 0 only when it needs no
-         operand moves; attempts start one past the previous level. *)
-      attempt first_try)
+      prev_exec := place_level st ~level ~first_try level_cids first_try)
     st.sched.Sched.levels;
-  (* Patch forwards into the producing clusters' work records. *)
-  let rec_alu =
-    List.map
-      (fun (cycle, work) ->
-        match st.forwards.(work.Job.wcluster) with
-        | [] -> (cycle, work)
-        | dests -> (cycle, { work with Job.reg_dests = List.sort compare dests }))
-      st.rec_alu
-  in
-  let max_cycle =
-    List.fold_left
-      (fun acc (cycle, work) ->
-        List.fold_left
-          (fun acc (w : Job.write) -> max acc w.Job.wcycle)
-          (max acc cycle) work.Job.writes)
-      0 rec_alu
-  in
-  let max_cycle =
-    List.fold_left (fun acc (cycle, _) -> max acc cycle) max_cycle st.rec_moves
-  in
-  let max_cycle =
-    List.fold_left (fun acc (cycle, _) -> max acc cycle) max_cycle st.rec_deletes
-  in
-  let max_cycle =
-    List.fold_left (fun acc (cycle, _) -> max acc cycle) max_cycle st.rec_copies
-  in
-  let bucket records =
-    let buckets = Array.make (max_cycle + 1) [] in
-    List.iter
-      (fun (cycle, item) -> buckets.(cycle) <- item :: buckets.(cycle))
-      records;
-    buckets
-  in
-  Obs.add c_moves (List.length st.rec_moves);
-  Obs.add c_copies (List.length st.rec_copies);
-  Obs.add c_forwards
-    (Fpfa_util.Listx.sum
-       (List.map
-          (fun ((_ : int), (w : Job.alu_work)) -> List.length w.Job.reg_dests)
-          rec_alu));
-  let move_buckets = bucket (List.rev st.rec_moves) in
-  let copy_buckets = bucket (List.rev st.rec_copies) in
-  let alu_buckets = bucket (List.rev rec_alu) in
-  let delete_buckets = bucket (List.rev st.rec_deletes) in
-  let cycles =
-    Array.init (max_cycle + 1) (fun i ->
-        {
-          Job.moves = List.rev move_buckets.(i);
-          copies = List.rev copy_buckets.(i);
-          alu = List.rev alu_buckets.(i);
-          deletes = List.rev delete_buckets.(i);
-        })
-  in
+  let moves = ref 0 and copies = ref 0 in
+  (* Filled in place, not by [Array.init]: a long array made around a
+     young value makes the runtime empty the minor heap first, which
+     promoted every job while it was still being built. *)
+  let cycles = Array.make (st.last_cycle + 1) empty_cycle in
+  for i = 0 to st.last_cycle do
+    let alu = Buckets.get st.alu i in
+    let cycle =
+      {
+        Job.moves = Buckets.oldest_first st.moves i;
+        copies = Buckets.oldest_first st.copies i;
+        alu = (if st.forward_count = 0 then alu else List.map (with_forwards st) alu);
+        deletes = Buckets.oldest_first st.deletes i;
+      }
+    in
+    moves := !moves + List.length cycle.Job.moves;
+    copies := !copies + List.length cycle.Job.copies;
+    cycles.(i) <- cycle
+  done;
+  Obs.add c_moves !moves;
+  Obs.add c_copies !copies;
+  Obs.add c_forwards st.forward_count;
   {
     Job.tile;
     graph = g;

@@ -25,14 +25,16 @@
     The allocation is linear in the number of clusters (paper VI-C): a
     level is attempted at most 200 times, an operand tries at most
     [move_window] + 128 candidate cycles, and each candidate is checked
-    against per-cycle resource tables in O([regs_per_bank]) time. The
-    tables grow in fixed chunks of cycles that are never copied. What
+    against per-cycle resource tables in O([regs_per_bank]) time. What
     depends only on the graph and its clustering (statespace versions,
     region extents, the fetches each store or delete destroys, the node
-    to cluster index, which roots are read outside their cluster) comes
-    with the {!Cluster.t}, so a run scans no graph and builds no
-    per-graph table; its own state is dense arrays over node ids,
-    cluster ids and memory slots. *)
+    to cluster index, which roots are read outside their cluster, each
+    ALU bundle's micro-ops and immediates) comes with the {!Cluster.t},
+    so a run scans no graph and builds no per-graph table; its own state
+    is dense arrays over accesses, cluster ids and memory slots. A level
+    attempt that fails allocates nothing: its undo log and planned moves
+    are int stacks in that state, and job records are made only when a
+    level commits. *)
 
 type options = {
   locality : bool;

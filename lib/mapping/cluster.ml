@@ -20,6 +20,9 @@ type t = {
   cluster_of : int array;
   versions : Legalize.versions;
   root_external : bool array;
+  micros : (Job.micro list, string) result array;
+  port_imms : (int * int) list array;
+  region_touches : int list array;
 }
 
 exception Clustering_error of string
@@ -129,6 +132,73 @@ let index g clusters =
     clusters;
   cluster_of
 
+exception Malformed of string
+
+(* The micro-ops an ALU runs for [c], in member order: an operand is a
+   member's result exactly when the index lists it under this cluster
+   (operands are values, never the cluster's St/Del), else one of its
+   ports. A cluster no ALU can run yields the text phase 3 raises when
+   it allocates the cluster. *)
+let micro_program g cluster_of c =
+  let fail fmt = Format.kasprintf (fun msg -> raise (Malformed msg)) fmt in
+  let ports = List.mapi (fun i input -> (input, i)) c.cinputs in
+  let arg_of input =
+    if cluster_of.(input) = c.cid then Job.Node input
+    else
+      match List.assoc_opt input ports with
+      | Some p -> Job.Port p
+      | None -> fail "operand %d of cluster %d is not a port" input c.cid
+  in
+  match
+    match c.ops with
+    | [] -> (
+      match c.root with
+      | Some src -> [ { Job.node = src; action = Job.Pass; args = [ arg_of src ] } ]
+      | None -> [])
+    | ops ->
+      List.map
+        (fun op ->
+          let args = List.map arg_of (G.inputs g op) in
+          let action =
+            match G.kind g op with
+            | G.Binop b -> Job.Bin b
+            | G.Unop u -> Job.Un u
+            | G.Mux -> Job.Mux3
+            | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.Fe _ | G.St _ | G.Del _ ->
+              fail "non-value op %d inside cluster %d" op c.cid
+          in
+          { Job.node = op; action; args })
+        ops
+  with
+  | micros -> Ok micros
+  | exception Malformed msg -> Error msg
+
+(* Port -> value of each constant operand. *)
+let immediates g c =
+  List.mapi (fun i input -> (i, input)) c.cinputs
+  |> List.filter_map (fun (i, input) ->
+         match G.kind g input with G.Const v -> Some (i, v) | _ -> None)
+
+(* The regions each cluster's stores, deletes and fetched operands touch,
+   in that order, as positions in [G.regions g]. *)
+let region_touches g clusters =
+  let position = Hashtbl.create 16 in
+  List.iteri (fun i (name, _) -> Hashtbl.replace position name i) (G.regions g);
+  let touched select id =
+    match select (G.kind g id) with
+    | Some name -> Hashtbl.find_opt position name
+    | None -> None
+  in
+  let store = function G.St r -> Some r | _ -> None
+  and delete = function G.Del r -> Some r | _ -> None
+  and fetch = function G.Fe r -> Some r | _ -> None in
+  Array.map
+    (fun c ->
+      List.filter_map (touched store) c.stores
+      @ List.filter_map (touched delete) c.deletes
+      @ List.filter_map (touched fetch) c.cinputs)
+    clusters
+
 (* The one constructor of [t]: what phase 3 reads of the graph and its
    clustering is complete before the clustering exists, so every tile
    point that allocates it (on any domain) shares it read-only. A root's
@@ -148,7 +218,17 @@ let build ~versions g clusters edges cluster_of =
           !external_use)
       clusters
   in
-  { graph = g; clusters; edges; cluster_of; versions; root_external }
+  {
+    graph = g;
+    clusters;
+    edges;
+    cluster_of;
+    versions;
+    root_external;
+    micros = Array.map (micro_program g cluster_of) clusters;
+    port_imms = Array.map (immediates g) clusters;
+    region_touches = region_touches g clusters;
+  }
 
 let make g clusters edges =
   Legalize.check g;

@@ -45,6 +45,19 @@ type t = private {
   root_external : bool array;
       (** cid -> whether the cluster's root has a consumer outside the
           cluster, so phase 3 must spill the result to a scratch word *)
+  micros : (Job.micro list, string) result array;
+      (** cid -> the micro-ops its ALU bundle runs, in [ops] order (a
+          pass-through forwards its root; a delete-only cluster runs
+          none), or the {!Alloc.Allocation_error} text of a cluster no
+          ALU can run. Every job allocated from the clustering shares
+          these lists. *)
+  port_imms : (int * int) list array;
+      (** cid -> (port, value) of each constant operand *)
+  region_touches : int list array;
+      (** cid -> the regions its stores, deletes and fetched operands
+          touch, in that order, as positions in
+          {!Cdfg.Graph.regions}[ graph] (phase 3 homes a region at the
+          first cluster that touches it) *)
 }
 (** A clustering and the facts phase 3 reads of it. Every field is
     complete when the value is built ({!make}, or any partitioner below)
@@ -56,7 +69,8 @@ exception Clustering_error of string
 val make : Cdfg.Graph.t -> cluster array -> edge list -> t
 (** A clustering from given clusters and edges (the paper's worked
     examples): runs {!Legalize.check} and {!Legalize.versions} on the
-    graph and derives the facts above, as every partitioner does.
+    graph and derives the facts above, as every partitioner does. A
+    malformed cluster is accepted here; allocating it raises.
     @raise Legalize.Unmappable *)
 
 val run : ?caps:Fpfa_arch.Arch.alu_caps -> Cdfg.Graph.t -> t

@@ -90,8 +90,10 @@ let check g =
 type versions = {
   rank : int array;  (* node id -> access number, -1 for other nodes *)
   offsets : int array;  (* by access number, as are the next three *)
-  latest : int array;
-  overwriter : int array;
+  latest : G.id option array;
+  overwriter : G.id option array;
+      (* stored as options so that phase 3, which asks on every level
+         attempt, allocates nothing *)
   destroys : G.id list array;
   max_offsets : (string, int) Hashtbl.t;
 }
@@ -161,17 +163,27 @@ let versions g =
         overwriter.(r) <- m;
         if m >= 0 then destroys.(rank.(m)) <- id :: destroys.(rank.(m))
       | _ -> ());
-  { rank; offsets; latest; overwriter; destroys; max_offsets }
+  let opt id = if id < 0 then None else Some id in
+  {
+    rank;
+    offsets;
+    latest = Array.map opt latest;
+    overwriter = Array.map opt overwriter;
+    destroys;
+    max_offsets;
+  }
+
+let access_count v = Array.length v.offsets
+let access_index v id = if id >= 0 && id < Array.length v.rank then v.rank.(id) else -1
 
 (* The answer stored for access [id]; [default] for any other node. *)
 let by_rank v answers default id =
-  let r = if id >= 0 && id < Array.length v.rank then v.rank.(id) else -1 in
+  let r = access_index v id in
   if r < 0 then default else answers.(r)
 
 let offset v id = by_rank v v.offsets (-1) id
-let opt id = if id < 0 then None else Some id
-let latest_version v id = opt (by_rank v v.latest (-1) id)
-let overwriter v id = opt (by_rank v v.overwriter (-1) id)
+let latest_version v id = by_rank v v.latest None id
+let overwriter v id = by_rank v v.overwriter None id
 let destroyed_by v id = by_rank v v.destroys [] id
 
 let max_offset v region =

@@ -35,6 +35,14 @@ val versions : Cdfg.Graph.t -> versions
 (** @raise Unmappable on a dynamic or negative offset (run {!check}
     first for its diagnostics). *)
 
+val access_count : versions -> int
+(** The number of [Fe]/[St]/[Del] nodes. *)
+
+val access_index : versions -> Cdfg.Graph.id -> int
+(** For an [Fe]/[St]/[Del] node, its number among them, below
+    {!access_count}, so a pass can keep per-access state in an array of
+    that size; -1 for any other node. *)
+
 val offset : versions -> Cdfg.Graph.id -> int
 (** {!const_offset} of an [Fe]/[St]/[Del] node. *)
 

@@ -36,133 +36,116 @@ let energy_weights =
     ("mem_write", w_write);
   ]
 
+(* The job's tallies, gathered in one pass over its cycles. *)
+type tally = {
+  mutable exec_cycles : int;
+  mutable alu_firings : int;
+  mutable alu_ops : int;
+  mutable mul_ops : int;
+  mutable moves : int;
+  mutable local_moves : int;
+  mutable copies : int;
+  mutable writes : int;
+  mutable local_writes : int;
+  mutable forwards : int;
+  mutable local_forwards : int;
+  mutable deletes : int;
+}
+
+let rec count_micros t = function
+  | [] -> ()
+  | (m : Job.micro) :: rest ->
+    (match m.Job.action with
+    | Job.Pass -> ()
+    | Job.Bin op ->
+      t.alu_ops <- t.alu_ops + 1;
+      if Cdfg.Op.is_multiplier_class op then t.mul_ops <- t.mul_ops + 1
+    | Job.Un _ | Job.Mux3 -> t.alu_ops <- t.alu_ops + 1);
+    count_micros t rest
+
+let rec count_writes t pp = function
+  | [] -> ()
+  | (wr : Job.write) :: rest ->
+    t.writes <- t.writes + 1;
+    if wr.Job.target.Job.mpp = pp then t.local_writes <- t.local_writes + 1;
+    count_writes t pp rest
+
+let rec count_forwards t pp = function
+  | [] -> ()
+  | ((_ : int), (r : Job.reg)) :: rest ->
+    t.forwards <- t.forwards + 1;
+    if r.Job.pp = pp then t.local_forwards <- t.local_forwards + 1;
+    count_forwards t pp rest
+
+let rec count_works t = function
+  | [] -> ()
+  | (w : Job.alu_work) :: rest ->
+    t.alu_firings <- t.alu_firings + 1;
+    count_micros t w.Job.micros;
+    count_writes t w.Job.wpp w.Job.writes;
+    count_forwards t w.Job.wpp w.Job.reg_dests;
+    count_works t rest
+
+let rec count_moves t = function
+  | [] -> ()
+  | (m : Job.move) :: rest ->
+    t.moves <- t.moves + 1;
+    if m.Job.src.Job.mpp = m.Job.dst.Job.pp then t.local_moves <- t.local_moves + 1;
+    count_moves t rest
+
+let count_cycle t (c : Job.cycle) =
+  (match c.Job.alu with [] -> () | _ :: _ -> t.exec_cycles <- t.exec_cycles + 1);
+  count_works t c.Job.alu;
+  count_moves t c.Job.moves;
+  t.copies <- t.copies + List.length c.Job.copies;
+  t.deletes <- t.deletes + List.length c.Job.deletes
+
 let of_job (job : Job.t) =
+  let t =
+    {
+      exec_cycles = 0;
+      alu_firings = 0;
+      alu_ops = 0;
+      mul_ops = 0;
+      moves = 0;
+      local_moves = 0;
+      copies = 0;
+      writes = 0;
+      local_writes = 0;
+      forwards = 0;
+      local_forwards = 0;
+      deletes = 0;
+    }
+  in
+  Array.iter (count_cycle t) job.Job.cycles;
   let cycles = Job.cycle_count job in
-  let exec_cycles =
-    Array.fold_left
-      (fun acc (c : Job.cycle) -> if c.Job.alu <> [] then acc + 1 else acc)
-      0 job.Job.cycles
-  in
-  let levels = Array.length job.Job.exec_cycle_of_level in
-  let fold f init =
-    Array.fold_left
-      (fun acc (c : Job.cycle) -> f acc c)
-      init job.Job.cycles
-  in
-  let alu_firings = fold (fun acc c -> acc + List.length c.Job.alu) 0 in
-  let alu_ops =
-    fold
-      (fun acc c ->
-        acc
-        + Fpfa_util.Listx.sum
-            (List.map
-               (fun (w : Job.alu_work) ->
-                 List.length
-                   (List.filter
-                      (fun (m : Job.micro) -> m.Job.action <> Job.Pass)
-                      w.Job.micros))
-               c.Job.alu))
-      0
-  in
-  let mul_ops =
-    fold
-      (fun acc c ->
-        acc
-        + Fpfa_util.Listx.sum
-            (List.map
-               (fun (w : Job.alu_work) ->
-                 List.length
-                   (List.filter
-                      (fun (m : Job.micro) ->
-                        match m.Job.action with
-                        | Job.Bin op -> Cdfg.Op.is_multiplier_class op
-                        | _ -> false)
-                      w.Job.micros))
-               c.Job.alu))
-      0
-  in
-  let moves = fold (fun acc c -> acc + List.length c.Job.moves) 0 in
-  let copies = fold (fun acc c -> acc + List.length c.Job.copies) 0 in
-  let local_moves =
-    fold
-      (fun acc c ->
-        acc
-        + List.length
-            (List.filter
-               (fun (m : Job.move) -> m.Job.src.Job.mpp = m.Job.dst.Job.pp)
-               c.Job.moves))
-      0
-  in
-  let writes_of c =
-    Fpfa_util.Listx.sum
-      (List.map (fun (w : Job.alu_work) -> List.length w.Job.writes) c.Job.alu)
-  in
-  let mem_writes = fold (fun acc c -> acc + writes_of c) 0 in
-  let local_writes =
-    fold
-      (fun acc c ->
-        acc
-        + Fpfa_util.Listx.sum
-            (List.map
-               (fun (w : Job.alu_work) ->
-                 List.length
-                   (List.filter
-                      (fun (wr : Job.write) -> wr.Job.target.Job.mpp = w.Job.wpp)
-                      w.Job.writes))
-               c.Job.alu))
-      0
-  in
-  let forwards =
-    fold
-      (fun acc c ->
-        acc
-        + Fpfa_util.Listx.sum
-            (List.map
-               (fun (w : Job.alu_work) -> List.length w.Job.reg_dests)
-               c.Job.alu))
-      0
-  in
-  let local_forwards =
-    fold
-      (fun acc c ->
-        acc
-        + Fpfa_util.Listx.sum
-            (List.map
-               (fun (w : Job.alu_work) ->
-                 List.length
-                   (List.filter
-                      (fun ((_ : int), (r : Job.reg)) -> r.Job.pp = w.Job.wpp)
-                      w.Job.reg_dests))
-               c.Job.alu))
-      0
-  in
-  let deletes = fold (fun acc c -> acc + List.length c.Job.deletes) 0 in
-  let mem_reads = moves + copies in
+  let moves = t.moves and forwards = t.forwards and alu_firings = t.alu_firings in
+  let mem_reads = moves + t.copies in
   (* a preservation copy occupies one crossbar lane and one write port *)
-  let mem_writes = mem_writes + copies in
+  let mem_writes = t.writes + t.copies in
   let bus_transfers = moves + mem_writes + forwards in
-  let local_transfers = local_moves + local_writes + local_forwards in
+  let local_transfers = t.local_moves + t.local_writes + t.local_forwards in
   let global_transfers = bus_transfers - local_transfers in
   let energy =
-    (w_alu *. float_of_int alu_ops)
+    (w_alu *. float_of_int t.alu_ops)
     +. (w_local *. float_of_int local_transfers)
     +. (w_global *. float_of_int global_transfers)
     +. (w_read *. float_of_int mem_reads)
-    +. (w_write *. float_of_int (mem_writes + deletes))
+    +. (w_write *. float_of_int (mem_writes + t.deletes))
   in
   {
     cycles;
-    exec_cycles;
-    inserted_cycles = cycles - exec_cycles;
-    levels;
-    alu_ops;
-    mul_ops;
+    exec_cycles = t.exec_cycles;
+    inserted_cycles = cycles - t.exec_cycles;
+    levels = Array.length job.Job.exec_cycle_of_level;
+    alu_ops = t.alu_ops;
+    mul_ops = t.mul_ops;
     alu_firings;
     moves;
     forwards;
     mem_reads;
     mem_writes;
-    deletes;
+    deletes = t.deletes;
     bus_transfers;
     local_transfers;
     alu_utilisation =

@@ -260,6 +260,37 @@ let test_bus_extremes () =
       Alcotest.(check bool) (name ^ ": verifies") true (Flow.verify ~memory_init r))
     [ 1; 255 ]
 
+(* A one-cluster clustering storing constant 7 to region [out]: a
+   pass-through whose root is node 1, described by [ops] and [cinputs]. *)
+let one_cluster ~ops ~cinputs =
+  let g = G.create "malformed" in
+  G.declare_region g "out" { G.size = Some 1; implicit = false };
+  let ss = G.add g (G.Ss_in "out") [] in
+  let value = G.add g (G.Const 7) [] in
+  let offset = G.add g (G.Const 0) [] in
+  let stn = G.add g (G.St "out") [ ss; offset; value ] in
+  ignore (G.add g (G.Ss_out "out") [ stn ]);
+  let c =
+    { Cluster.cid = 0; ops = ops value; root = Some value; stores = [ stn ];
+      deletes = []; cinputs = cinputs value }
+  in
+  Cluster.make g [| c |] []
+
+(* Micro-ops come with the clustering, yet a cluster no ALU can run is
+   still reported when it is allocated, in the same words. *)
+let test_malformed_cluster_errors () =
+  let error clustering =
+    match Alloc.run ~tile:Arch.paper_tile (Sched.run clustering) with
+    | (_ : Job.t) -> "allocated"
+    | exception Alloc.Allocation_error msg -> msg
+  in
+  Alcotest.(check string) "well-formed" "allocated"
+    (error (one_cluster ~ops:(fun _ -> []) ~cinputs:(fun v -> [ v ])));
+  Alcotest.(check string) "root not a port" "operand 1 of cluster 0 is not a port"
+    (error (one_cluster ~ops:(fun _ -> []) ~cinputs:(fun _ -> [])));
+  Alcotest.(check string) "constant as an op" "non-value op 1 inside cluster 0"
+    (error (one_cluster ~ops:(fun v -> [ v ]) ~cinputs:(fun _ -> [])))
+
 let suite =
   [
     Alcotest.test_case "job structure" `Quick test_job_structure;
@@ -275,6 +306,7 @@ let suite =
     Alcotest.test_case "window=1" `Quick test_window_parameter;
     Alcotest.test_case "single PP" `Quick test_single_pp_tile;
     Alcotest.test_case "regions disjoint" `Quick test_scratch_slots_distinct_from_regions;
+    Alcotest.test_case "malformed cluster errors" `Quick test_malformed_cluster_errors;
   ]
   @ [
       Alcotest.test_case "interleaved cells" `Quick test_interleaved_cells;

@@ -284,16 +284,17 @@ let test_rejected_clustering_not_shared () =
 (* The remap grid from one frozen checkpoint on a 4-domain pool: the
    same bytes as a sequential run, and at most one clustering per
    domain. *)
+let remap_grid =
+  List.concat_map
+    (fun a ->
+      List.concat_map
+        (fun b -> List.map (fun w -> (a, b, w)) [ 1; 2; 3; 4; 6 ])
+        [ 2; 4; 6; 10; 16 ])
+    [ 3; 4; 5; 8 ]
+
 let test_pool_rewinds_share_clustering () =
   let source = source_of "fir-16" in
-  let grid =
-    List.concat_map
-      (fun a ->
-        List.concat_map
-          (fun b -> List.map (fun w -> (a, b, w)) [ 1; 2; 3; 4; 6 ])
-          [ 2; 4; 6; 10; 16 ])
-      [ 3; 4; 5; 8 ]
-  in
+  let grid = remap_grid in
   let sweep pool =
     let cluster_with, calls = counting_cluster () in
     let config = { Flow.default_config with Flow.cluster_with } in
@@ -317,6 +318,85 @@ let test_pool_rewinds_share_clustering () =
   Alcotest.(check bool) "pool clusters at most once per domain" true
     (par_calls >= 1 && par_calls <= 4);
   Alcotest.(check (list string)) "pool bytes = sequential bytes" seq par
+
+(* The same grid: a schedule depends only on the clustering and the ALU
+   count, so the 100 rewinds schedule and validate once per ALU count
+   sequentially, and at most once per ALU count per domain on a 4-domain
+   pool; every other point reuses a stored schedule ("flow.schedule_reused")
+   and maps to the same bytes. *)
+let test_rewinds_share_schedules () =
+  let source = source_of "fir-16" in
+  let module Obs = Fpfa_obs.Obs in
+  let sweep pool =
+    let base = Staged.advance (Staged.of_source ~config:Flow.default_config source) in
+    Staged.freeze base;
+    Obs.reset ();
+    Obs.enable ();
+    let bytes =
+      Fun.protect ~finally:Obs.disable (fun () ->
+          Fpfa_exec.Pool.maybe pool
+            (fun p ->
+              let config = { Flow.default_config with Flow.tile = tile_at p } in
+              let s = Option.get (Staged.rewind base ~config) in
+              job_bytes (Staged.to_result (Staged.run s)))
+            remap_grid)
+    in
+    let spans name =
+      List.length
+        (List.filter
+           (fun (sp : Obs.finished_span) -> sp.Obs.scat = "flow" && sp.Obs.sname = name)
+           (Obs.spans ()))
+    in
+    let scheduled = spans "schedule" and validated = spans "schedule-validate" in
+    let reused =
+      Option.value ~default:0 (List.assoc_opt "flow.schedule_reused" (Obs.counters ()))
+    in
+    Obs.reset ();
+    Alcotest.(check int) "every schedule validated once" scheduled validated;
+    Alcotest.(check int) "every other point reuses one" (100 - scheduled) reused;
+    (bytes, scheduled)
+  in
+  let seq, seq_scheduled = sweep None in
+  let par, par_scheduled =
+    Fpfa_exec.Pool.with_pool ~jobs:4 (fun pool -> sweep (Some pool))
+  in
+  Alcotest.(check int) "sequential schedules once per ALU count" 4 seq_scheduled;
+  Alcotest.(check bool) "pool schedules at most once per ALU count per domain" true
+    (par_scheduled >= 4 && par_scheduled <= 16);
+  Alcotest.(check (list string)) "pool bytes = sequential bytes" seq par;
+  List.iteri
+    (fun i p ->
+      if i mod 7 = 0 then
+        Alcotest.(check string) "reused schedule maps as a cold compile"
+          (job_bytes
+             (Flow.map_source ~config:{ Flow.default_config with Flow.tile = tile_at p }
+                source))
+          (List.nth seq i))
+    remap_grid
+
+(* A kernel with a scalar input, [g]. The tile holds it as a one-cell
+   region; the reference state must seed it as the scalar [main] reads,
+   so the interpreter-against-tile check a benchmark makes from
+   [Kernels.reference_state] agrees with [Flow.conforms_to_interp]. *)
+let test_scalar_kernel_input () =
+  let k =
+    {
+      Fpfa_kernels.Kernels.name = "scale-4";
+      description = "y = x * g over four cells";
+      source = "void main() { i = 0; while (i < 4) { y[i] = x[i] * g; i = i + 1; } }";
+      inputs = [ ("x", [| 1; 2; 3; 4 |]); ("g", [| 5 |]) ];
+    }
+  in
+  let state = Fpfa_kernels.Kernels.reference_state k in
+  Alcotest.(check (option (list int))) "reference y" (Some [ 5; 10; 15; 20 ])
+    (Option.map Array.to_list (List.assoc_opt "y" state.Cfront.Interp.arrays));
+  let memory_init = k.Fpfa_kernels.Kernels.inputs in
+  let result = Flow.map_source k.Fpfa_kernels.Kernels.source in
+  let memory, _ = Fpfa_sim.Sim.run ~memory_init result.Flow.job in
+  Alcotest.(check bool) "tile against the reference state" true
+    (Cdfg.Eval.conforms_to_interp ~memory_init state { Cdfg.Eval.memory; named = [] });
+  Alcotest.(check bool) "Flow.conforms_to_interp" true
+    (Flow.conforms_to_interp ~memory_init result)
 
 (* A tile point over the remap grid's ALU and window ranges, with a
    one-bus crossbar and the widest one a tile can have among the bus
@@ -382,6 +462,8 @@ let suite =
       test_rejected_clustering_not_shared;
     Alcotest.test_case "pool rewinds share clustering" `Quick
       test_pool_rewinds_share_clustering;
+    Alcotest.test_case "rewinds share schedules" `Quick test_rewinds_share_schedules;
+    Alcotest.test_case "scalar kernel input" `Quick test_scalar_kernel_input;
     QCheck_alcotest.to_alcotest flow_verifies_random_programs;
     QCheck_alcotest.to_alcotest flow_verifies_random_graphs;
   ]

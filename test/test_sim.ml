@@ -250,6 +250,23 @@ let hand_built_faults =
     ( "empty bundle",
       "executes no micro-op",
       [ cycle ~alu:[ bundle [] ] () ] );
+    (* Where a job breaks two rules, the fault named is the first the
+       simulator checks: these pin that order. *)
+    ( "write-back into a simulated cycle",
+      "write-backs scheduled past the end of the job",
+      [ cycle (); cycle ~alu:[ bundle ~writes:[ write_at 0 (loc 0) ] [ pass ] ] () ] );
+    ( "bank conflict before read port",
+      "register-bank write-port conflict",
+      [ cycle ~moves:[ move (loc 0); move ~index:1 (loc 1) ] () ] );
+    ( "lanes before banks",
+      "cycle 0: 11 crossbar transfers exceed 10 lanes",
+      [ cycle ~moves:(List.init 11 (fun i -> move ~index:(i mod 4) (loc i))) () ] );
+    ( "duplicate PP before range",
+      "two bundles on one ALU",
+      [ cycle ~alu:[ bundle ~pp:7 [ pass ]; bundle ~pp:7 [ pass ] ] () ] );
+    ( "race before write port",
+      "two writes race on one cell",
+      [ cycle ~alu:[ bundle ~writes:[ write_at 0 (loc 0); write_at 0 (loc 0) ] [ pass ] ] () ] );
   ]
 
 (* The hand-built job itself runs: what faults is the one thing changed. *)
