@@ -36,13 +36,13 @@
                      BENCH_obs_overhead.json)
      E15 verify      --verify-each-pass cost on a seed-11 random-DAG
                      sweep (target <15%; writes BENCH_verify_overhead.json)
-         costs       one row per timing bound of an infrastructure claim:
-                     E17 disambiguation, E19 serve cache, E20 dependence
-                     analysis, E22 bit-level pass. The deterministic
-                     halves of those claims are tests.
+         costs       one gate per timing bound of an infrastructure claim:
+                     E19 serve cache, E20 dependence analysis, E22
+                     bit-level pass. The deterministic halves of those
+                     claims are tests.
 
-   E13, E16, E18 and E21 are retired; EXPERIMENTS.md keeps their last
-   tables. Absolute numbers are ours (the substrate is a simulator, not
+   E13, E16, E17, E18 and E21 are retired; EXPERIMENTS.md keeps their
+   last tables. Absolute numbers are ours (the substrate is a simulator, not
    the CHAMELEON testbed); the shapes are what EXPERIMENTS.md compares. *)
 
 module Arch = Fpfa_arch.Arch
@@ -932,11 +932,11 @@ let verify_overhead () =
 
 (* ------------------------------------------------------------------ *)
 (* costs - the timing bounds of the infrastructure claims: what the     *)
-(* disambiguation, the serve cache, the dependence analysis and the     *)
-(* bit-level pass cost against the compile they serve. Each row keeps   *)
-(* the workloads, timed regions, estimator, aggregate and limit of the  *)
-(* experiment it comes from; the deterministic halves of those claims   *)
-(* are tests, and EXPERIMENTS.md names them.                            *)
+(* serve cache, the dependence analysis and the bit-level pass cost     *)
+(* against the compile they serve. Each row keeps the workloads, timed  *)
+(* regions, estimator, aggregate and limit of the experiment it comes   *)
+(* from; the deterministic halves of those claims are tests, and        *)
+(* EXPERIMENTS.md names them.                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Min over five reps of two regions timed alternately, [a] first. Each
@@ -951,33 +951,6 @@ let min_of_5 a b =
   (!ta, !tb)
 
 let pct part whole = part /. whole *. 100.0
-
-(* E17: the isolated prune, on a copy of the graph the stage sees (the
-   simplified, unpruned CDFG), against the whole flow with pruning on.
-   Returns the worst workload and its percentage. *)
-let disambig_cost () =
-  let off_config = { Flow.default_config with Flow.disambiguate = false } in
-  List.fold_left
-    (fun (worst_k, worst) (k : Kernels.t) ->
-      let off = Flow.map_source ~config:off_config k.Kernels.source in
-      let flow_s, prune_s =
-        min_of_5
-          (fun () -> seconds (fun () -> Flow.map_source k.Kernels.source))
-          (fun () ->
-            let g = Cdfg.Graph.copy off.Flow.graph in
-            seconds (fun () -> Fpfa_analysis.Addr.prune g))
-      in
-      let p = pct prune_s flow_s in
-      if p > worst then (k.Kernels.name, p) else (worst_k, worst))
-    ("", 0.0)
-    [
-      Kernels.fir_delay ~taps:16;
-      Kernels.fir_delay ~taps:64;
-      Kernels.fir_delay ~taps:256;
-      Kernels.fir ~taps:16;
-      Kernels.fir_paper;
-      Kernels.matmul ~n:4;
-    ]
 
 (* E19: one cold pass of the corpus through a fresh caching daemon, then
    [warm_passes] passes of the same requests answered from its cache.
@@ -1068,45 +1041,32 @@ let bitopt_cost () =
 
 let costs () =
   section "costs (timing bounds of the infrastructure claims, min of 5)";
-  let worst_k, worst = disambig_cost () in
   let cold_ms, warm_ms = serve_latency () in
   let warm_x = cold_ms /. warm_ms in
   let depend = depend_cost () in
   let bitopt = bitopt_cost () in
   let corpus = Printf.sprintf "sum, %d kernels" (List.length Kernels.all) in
-  (* (bound, aggregate, measured, limit, holds, sets the exit status).
-     E17's row sets no exit status: its bound was never enforced, and it
-     fails because [Disambig.prune] walks the store chain again for every
-     hoisted fetch, which is quadratic on the delay-line FIRs. ROADMAP.md
-     lists making that walk linear, after which the row becomes a gate. *)
+  (* (bound, aggregate, measured, limit, holds); every row is a gate *)
   let rows =
     [
-      ( "E17 disambig prune / flow",
-        "worst of 6 kernels",
-        Printf.sprintf "%.1f%% (%s)" worst worst_k,
-        "< 15%",
-        worst < 15.0,
-        false );
       ( "E19 serve cold / warm",
         Printf.sprintf "per request, %d warm passes" warm_passes,
         Printf.sprintf "%.0fx (%.2f / %.4f ms)" warm_x cold_ms warm_ms,
         ">= 100x",
-        warm_x >= 100.0,
-        true );
+        warm_x >= 100.0 );
       ("E20 depend / compile", corpus, Printf.sprintf "%.1f%%" depend, "< 15%",
-        depend < 15.0, true);
+        depend < 15.0);
       ("E22 bitopt / compile", corpus, Printf.sprintf "%.1f%%" bitopt, "< 15%",
-        bitopt < 15.0, true);
+        bitopt < 15.0);
     ]
   in
   Fpfa_util.Tablefmt.print
-    ~header:[ "bound"; "aggregate"; "measured"; "limit"; "verdict"; "gate" ]
+    ~header:[ "bound"; "aggregate"; "measured"; "limit"; "verdict" ]
     (List.map
-       (fun (name, agg, measured, limit, ok, gated) ->
-         [ name; agg; measured; limit; (if ok then "PASS" else "FAIL");
-           (if gated then "yes" else "no") ])
+       (fun (name, agg, measured, limit, ok) ->
+         [ name; agg; measured; limit; (if ok then "PASS" else "FAIL") ])
        rows);
-  List.iter (fun (name, _, _, _, ok, gated) -> if gated then gate name ok) rows
+  List.iter (fun (name, _, _, _, ok) -> gate name ok) rows
 
 let experiments =
   [

@@ -228,8 +228,6 @@ let compile inputs variant func show_job show_schedule show_gantt check_width
         Format.printf "%a@." Fpfa_core.Flow.pp_summary result;
         Format.printf "simplification:@.%a@." Transform.Simplify.pp_report
           result.Fpfa_core.Flow.simplify_report;
-        Format.printf "disambiguation:@.%a@." Transform.Disambig.pp_report
-          result.Fpfa_core.Flow.disambig_report;
         if show_schedule then
           Format.printf "schedule:@.%a@." Mapping.Sched.pp
             result.Fpfa_core.Flow.schedule;

@@ -224,10 +224,6 @@ let oracle t : Transform.Disambig.oracle = relation t
 
 let must_disjoint t x y = relation t x y = Transform.Disambig.Disjoint
 
-let prune ?verify ?facts g =
-  let facts = match facts with Some f -> f | None -> analyze g in
-  Transform.Disambig.prune ?verify ~oracle:(oracle facts) g
-
 (* {2 Rendering} *)
 
 let pp_aval fmt av =

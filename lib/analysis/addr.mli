@@ -20,8 +20,10 @@
     same-symbol affine forms collide iff [Δbase + Δstride·v = 0] has a
     solution [v] inside the symbol's interval (checked by divisibility
     and interval membership); disjoint intervals never collide. The
-    result feeds {!Transform.Disambig} as its pruning oracle and
-    {!Verify.statespace} as the legality replay. *)
+    result feeds {!Transform.Disambig.needed_writers}, which the
+    may-alias lint, {!Depend} and {!Verify.statespace} (the legality
+    replay) read. The mapping flow runs none of this: phase 1 orders
+    accesses per cell from {!Mapping.Legalize.versions}. *)
 
 type affine = { base : int; stride : int; sym : Cdfg.Graph.id }
 (** The exact form [base + stride * value(sym)]; [stride <> 0]. *)
@@ -38,7 +40,7 @@ type access = {
 type t
 (** The facts of one analysed graph. Facts depend only on values and
     regions — never on order edges — so they remain valid across
-    {!Transform.Disambig} edits of the same graph. *)
+    order-edge edits of the same graph. *)
 
 val analyze :
   ?width:int ->
@@ -70,17 +72,9 @@ val relation :
     that are not accesses) is [May_alias]. *)
 
 val oracle : t -> Transform.Disambig.oracle
-(** {!relation}, packaged for {!Transform.Disambig.prune}. *)
+(** {!relation}, packaged for {!Transform.Disambig.needed_writers}. *)
 
 val must_disjoint : t -> Cdfg.Graph.id -> Cdfg.Graph.id -> bool
-
-val prune :
-  ?verify:Transform.Pass.verify_hook ->
-  ?facts:t ->
-  Cdfg.Graph.t ->
-  Transform.Disambig.report
-(** Convenience: {!Transform.Disambig.prune} under this module's oracle
-    ([facts] defaults to a fresh {!analyze} of the graph). *)
 
 val pp_aval : Format.formatter -> aval -> unit
 

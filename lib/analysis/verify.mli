@@ -43,8 +43,8 @@ val statespace : ?facts:Addr.t -> Cdfg.Graph.t -> Fpfa_diag.Diag.t list
     token version ({!Transform.Disambig.needed_writers} under the
     {!Addr.oracle}) must be reachable from the fetch through data or
     order edges — otherwise an ["cdfg.statespace-order"] error blames the
-    fetch. This is the audit that catches an illegally removed
-    anti-dependence edge (e.g. a buggy {!Transform.Disambig} oracle).
+    fetch. This is the audit that catches an illegally missing
+    anti-dependence edge.
     Requires a structurally sound, acyclic graph; [facts] defaults to a
     fresh {!Addr.analyze}. Sound on settled graphs (after simplification
     has collected forwarded fetches), which is when anti-dependences are
@@ -83,7 +83,6 @@ val bits :
     claim that cannot be re-derived raises
     {!Transform.Pass.Verification_failed} blaming rule ["bitopt"], with
     a ["bits.unproven-rewrite"] diagnostic anchored at the claimed node
-    — the same refuse-the-batch protocol as the {!statespace} replay
-    behind {!Transform.Disambig} pruning. Pass the hook to
+    — a refuse-the-batch protocol. Pass the hook to
     {!Transform.Bitopt.apply}[ ~verify], which runs it before any
     mutation. *)

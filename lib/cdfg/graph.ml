@@ -761,9 +761,6 @@ let remove_order g id ~after =
     mark_def g id
   end
 
-let remove_order_all g id ~after =
-  List.iter (fun a -> remove_order g id ~after:a) after
-
 let set_output g output_name id =
   check_mutable g;
   check_ref g id;
@@ -849,19 +846,6 @@ let replace_uses g old ~by =
      end);
     touch g;
     mark_use g old
-  end
-
-let clear_order g id =
-  node_exn g id;
-  if g.ord_len.(id) > 0 then begin
-    check_mutable g;
-    let a = g.ord.(id) in
-    for j = 0 to g.ord_len.(id) - 1 do
-      adj_delete g.ouse g.ouse_len a.(j) id
-    done;
-    adj_clear g g.ord g.ord_len id;
-    touch g;
-    mark_def g id
   end
 
 let drop_order_references g id =

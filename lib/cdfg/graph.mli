@@ -86,14 +86,7 @@ val remove_order : t -> id -> after:id -> unit
     execute after [m]; a no-op when no such edge exists (the graph is not
     touched and the topo-order cache stays valid). Stamps the generation
     counter and the dirty journal exactly like {!add_order}. The caller is
-    responsible for the edge being semantically removable — see
-    {!Transform.Disambig}. *)
-
-val remove_order_all : t -> id -> after:id list -> unit
-(** {!remove_order} over a batch of predecessors. *)
-
-val clear_order : t -> id -> unit
-(** Drops all order-only edges of a node. *)
+    responsible for the edge being semantically removable. *)
 
 val drop_order_references : t -> id -> unit
 (** Removes the node from every other node's order-after list. Used when a

@@ -13,7 +13,6 @@ type config = {
   max_unroll : int;
   delete_locals : bool;
   verify_each : bool;
-  disambiguate : bool;
   bitopt : bool;
       (** Certified bit-level optimisation after simplification
           ({!Transform.Bitopt}): every claim batch is re-proved by the
@@ -42,7 +41,6 @@ let default_config =
     max_unroll = 4096;
     delete_locals = false;
     verify_each = false;
-    disambiguate = true;
     bitopt = true;
     bitopt_width = 16;
     renumber = false;
@@ -55,7 +53,6 @@ type result = {
   graph : Cdfg.Graph.t;
   simplify_report : Transform.Simplify.report;
   bitopt_report : Transform.Bitopt.report;
-  disambig_report : Transform.Disambig.report;
   clustering : Mapping.Cluster.t;
   schedule : Mapping.Sched.t;
   job : Mapping.Job.t;
@@ -185,7 +182,6 @@ module Staged = struct
       (Cdfg.Graph.t
       * Transform.Simplify.report
       * Transform.Bitopt.report
-      * Transform.Disambig.report
       * shared option Atomic.t)
       option;
         (** the minimised graph, its reports, and what its rewinds share.
@@ -291,29 +287,6 @@ module Staged = struct
     in
     stage "simplify-validate" (fun () -> Cdfg.Graph.validate graph);
     let bitopt_report = bitopt_stage config graph in
-    let disambig_report =
-      stage "disambig" (fun () ->
-          if config.disambiguate then begin
-            (* Address-analysis pruning of conservative anti-dependence
-               edges. Under verify_each the structural hook is augmented
-               with the whole-graph statespace-legality replay: an illegal
-               edge removal fails the flow blaming rule "disambig". *)
-            let verify =
-              if config.verify_each then
-                Some
-                  (fun rule g touched ->
-                    Fpfa_analysis.Verify.pass_hook () rule g touched;
-                    match
-                      Fpfa_diag.Diag.errors (Fpfa_analysis.Verify.statespace g)
-                    with
-                    | [] -> ()
-                    | errs -> raise (Fpfa_diag.Diag.Failed errs))
-              else None
-            in
-            Fpfa_analysis.Addr.prune ?verify graph
-          end
-          else Transform.Disambig.empty_report)
-    in
     (* Canonical renumbering last: isomorphic minimised graphs become
        member-for-member equal, so the deterministic mapping phases
        produce byte-identical jobs for them. *)
@@ -325,8 +298,8 @@ module Staged = struct
     (* With a pool, no pass mutates the graph beyond this point: freeze it
        so the overlapped validate/advance stages below (and any later
        {!audit}) can read it from several domains without copying. Without
-       a pool the graph stays mutable — callers such as the disambig
-       idempotence tests re-run passes on [result.graph]. *)
+       a pool the graph stays mutable, for callers that re-run passes on
+       [result.graph]. *)
     (match pool with Some _ -> Cdfg.Graph.freeze graph | None -> ());
     {
       s with
@@ -335,7 +308,6 @@ module Staged = struct
           ( graph,
             simplify_report,
             bitopt_report,
-            disambig_report,
             Atomic.make None );
     }
 
@@ -357,7 +329,6 @@ module Staged = struct
 
   let same_minimise a b =
     a.verify_each = b.verify_each
-    && a.disambiguate = b.disambiguate
     && a.bitopt = b.bitopt
     && a.bitopt_width = b.bitopt_width
     && a.renumber = b.renumber
@@ -411,7 +382,7 @@ module Staged = struct
     | Built -> minimise ?pool s
     | Minimised ->
       let config = s.s_config in
-      let graph, _, _, _, shared = Option.get s.s_min in
+      let graph, _, _, shared = Option.get s.s_min in
       let clustering =
         match Atomic.get shared with
         | Some sh when same_cluster sh.sh_config config ->
@@ -430,7 +401,7 @@ module Staged = struct
     | Clustered ->
       let clustering = Option.get s.s_clustering in
       let alu_count = s.s_config.tile.Arch.alu_count in
-      let _, _, _, _, shared = Option.get s.s_min in
+      let _, _, _, shared = Option.get s.s_min in
       let schedule =
         match schedule_of (Atomic.get shared) clustering alu_count with
         | Some schedule ->
@@ -472,7 +443,7 @@ module Staged = struct
 
   let to_result s =
     match (s.s_min, s.s_clustering, s.s_schedule, s.s_alloc) with
-    | ( Some (graph, simplify_report, bitopt_report, disambig_report, _),
+    | ( Some (graph, simplify_report, bitopt_report, _),
         Some clustering,
         Some schedule,
         Some (job, metrics) ) ->
@@ -483,7 +454,6 @@ module Staged = struct
         graph;
         simplify_report;
         bitopt_report;
-        disambig_report;
         clustering;
         schedule;
         job;
@@ -517,7 +487,7 @@ module Staged = struct
 
   let freeze s =
     Cdfg.Graph.freeze s.s_raw;
-    match s.s_min with Some (g, _, _, _, _) -> Cdfg.Graph.freeze g | None -> ()
+    match s.s_min with Some (g, _, _, _) -> Cdfg.Graph.freeze g | None -> ()
 end
 
 let map_func ?pool ?(config = default_config) func =

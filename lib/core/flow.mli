@@ -24,11 +24,6 @@ type config = {
           after every simplification rule firing; an invariant-breaking
           rule surfaces as a [Flow_error] naming the rule (default
           false — the `--verify-each-pass` CLI mode) *)
-  disambiguate : bool;
-      (** prune provably-false anti-dependence order edges after
-          simplification ({!Fpfa_analysis.Addr.prune}; default true).
-          Under [verify_each] every edit batch is additionally audited by
-          the {!Fpfa_analysis.Verify.statespace} replay. *)
   bitopt : bool;
       (** certified bit-level optimisation after simplification
           ({!Transform.Bitopt}; default true): fold constant-bit values,
@@ -66,9 +61,6 @@ type result = {
   simplify_report : Transform.Simplify.report;
   bitopt_report : Transform.Bitopt.report;
       (** bit-level rewrite tallies (all zero when [bitopt] was off) *)
-  disambig_report : Transform.Disambig.report;
-      (** order-edge pruning tallies (all zero when [disambiguate] was
-          off) *)
   clustering : Mapping.Cluster.t;
   schedule : Mapping.Sched.t;
   job : Mapping.Job.t;
@@ -84,7 +76,7 @@ val map_source :
     is mapped.
 
     With [?pool], the minimised graph is {!Cdfg.Graph.freeze}d after
-    disambiguation so the pool's domains share it without copying (as
+    minimisation so the pool's domains share it without copying (as
     {!audit} does with the same pool) — [result.graph] is then
     immutable. Results and raised exceptions are identical to the
     sequential run. Without a pool nothing is frozen and behaviour is
@@ -191,7 +183,7 @@ module Staged : sig
       count or [alloc_options] re-enter at [Scheduled]; the ALU count at
       [Clustered]; [caps] (or the tile's ALU when [caps] is [None]) or
       [cluster_with] at [Minimised]; [bitopt], [bitopt_width],
-      [disambiguate], [renumber] or [verify_each] at [Built].
+      [renumber] or [verify_each] at [Built].
 
       A minimised checkpoint carries one clustering cell: the last
       clustering computed from its minimised graph, with the config it

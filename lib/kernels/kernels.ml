@@ -337,7 +337,8 @@ let fir_delay ~taps =
   (* In-place delay-line FIR: the state shift stores into cells adjacent
      to the ones still being read, so the builder's conservative
      anti-dependence order edges survive simplification — the workload
-     that exercises the address-analysis disambiguation pass. *)
+     that exercises the address analysis and the per-cell versions of
+     phase 1. *)
   {
     name = Printf.sprintf "fir-dl-%d" taps;
     description =

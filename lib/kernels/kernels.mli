@@ -25,7 +25,7 @@ val fir : taps:int -> t
 val fir_delay : taps:int -> t
 (** FIR with an in-place delay-line shift: stores land next to cells
     still being read, so conservative anti-dependence order edges survive
-    simplification — the disambiguation pass's workload. *)
+    simplification — the address analysis's workload. *)
 
 val dot_product : n:int -> t
 val vector_scale : n:int -> t

@@ -1,7 +1,7 @@
 (** Certified bit-level optimisation.
 
     Rewrites justified by the {!Absdom} known-bits x interval facts, in
-    the claim/replay style of {!Disambig}: {!derive} computes a pure list
+    a claim/replay style: {!derive} computes a pure list
     of {e claims} (no mutation), a caller-supplied verifier may replay
     each claim against independently recomputed facts, and {!apply}
     performs the batch. Every rewrite is {e value-preserving}: a claimed

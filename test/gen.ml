@@ -154,7 +154,7 @@ let program =
 (* Programs with masked dynamic array indices: [arr[s & (arr_len - 1)]]
    stays in bounds at runtime but defeats store forwarding and constant
    offset reasoning, so conservative anti-dependence order edges survive
-   simplification — the disambiguation pass's input family. The mask
+   simplification — the address analysis's input family. The mask
    keeps the address analysis interval bounded. *)
 let dyn_index_gen st =
   let open Q.Gen in

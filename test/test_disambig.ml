@@ -1,6 +1,6 @@
-(* Tests for the statespace address analysis (Fpfa_analysis.Addr), the
-   order-edge disambiguation pass (Transform.Disambig), and the
-   cdfg.statespace-order verifier rule that audits it. *)
+(* Tests for the statespace address analysis (Fpfa_analysis.Addr), its
+   disjointness decisions, and the cdfg.statespace-order verifier rule
+   that replays them over a graph's order edges. *)
 
 module G = Cdfg.Graph
 module D = Fpfa_diag.Diag
@@ -151,141 +151,7 @@ let test_relation_across_regions () =
     T.Disambig.Disjoint
     (Addr.relation facts fa fb)
 
-(* {2 Pruning} *)
-
-let test_prune_removes_disjoint_edge () =
-  let g = G.create "p" in
-  G.declare_region g "a" { G.size = Some 8; implicit = true };
-  let tok = G.add g (G.Ss_in "a") [] in
-  let c2 = G.add g (G.Const 2) [] in
-  let c5 = G.add g (G.Const 5) [] in
-  let v = G.add g (G.Const 9) [] in
-  let fe = G.add g (G.Fe "a") [ tok; c2 ] in
-  let st = G.add g (G.St "a") [ tok; c5; v ] in
-  G.add_order g st ~after:fe;
-  let report = Addr.prune g in
-  Alcotest.(check int) "edge removed" 1 report.T.Disambig.removed;
-  Alcotest.(check int) "nothing retargeted" 0 report.T.Disambig.retargeted;
-  Alcotest.(check int) "no order edges left" 0 (T.Disambig.order_edge_count g);
-  Alcotest.(check (list string)) "statespace still legal" []
-    (rules (Verify.statespace g))
-
-let test_prune_keeps_aliasing_edges () =
-  let g = G.create "p" in
-  G.declare_region g "a" { G.size = Some 8; implicit = true };
-  let tok = G.add g (G.Ss_in "a") [] in
-  let zero = G.add g (G.Const 0) [] in
-  let mask = G.add g (G.Const 7) [] in
-  let c5 = G.add g (G.Const 5) [] in
-  let v = G.add g (G.Const 9) [] in
-  let base = G.add g (G.Fe "a") [ tok; zero ] in
-  let x = G.add g (G.Binop Cdfg.Op.Band) [ base; mask ] in
-  let fe_dyn = G.add g (G.Fe "a") [ tok; x ] in
-  let fe_c5 = G.add g (G.Fe "a") [ tok; c5 ] in
-  let st = G.add g (G.St "a") [ tok; c5; v ] in
-  (* the builder's conservatism: the writer after every pending fetch *)
-  G.add_order g st ~after:base;
-  G.add_order g st ~after:fe_dyn;
-  G.add_order g st ~after:fe_c5;
-  let report = Addr.prune g in
-  Alcotest.(check int) "a[0] vs a[5] edge removed" 1 report.T.Disambig.removed;
-  Alcotest.(check int) "a[5] vs a[5] kept" 1 report.T.Disambig.kept_alias;
-  Alcotest.(check int) "a[x] vs a[5] kept" 1 report.T.Disambig.kept_unknown;
-  Alcotest.(check (list int)) "surviving edges" [ fe_dyn; fe_c5 ]
-    (List.sort compare (G.node g st).G.order_after);
-  Alcotest.(check (list string)) "statespace still legal" []
-    (rules (Verify.statespace g))
-
-let test_prune_retargets_transitive_constraint () =
-  let g = G.create "p" in
-  G.declare_region g "a" { G.size = Some 8; implicit = true };
-  let tok = G.add g (G.Ss_in "a") [] in
-  let c2 = G.add g (G.Const 2) [] in
-  let c5 = G.add g (G.Const 5) [] in
-  let v = G.add g (G.Const 9) [] in
-  let f = G.add g (G.Fe "a") [ tok; c5 ] in
-  (* st1 writes a disjoint cell but carries f's only anti-dependence;
-     st2, farther down the chain, writes f's own cell with no direct
-     edge — its ordering is implied through st1. *)
-  let st1 = G.add g (G.St "a") [ tok; c2; v ] in
-  G.add_order g st1 ~after:f;
-  let st2 = G.add g (G.St "a") [ st1; c5; v ] in
-  let report = Addr.prune g in
-  Alcotest.(check int) "disjoint edge removed" 1 report.T.Disambig.removed;
-  Alcotest.(check int) "constraint re-materialised" 1
-    report.T.Disambig.retargeted;
-  Alcotest.(check (list int)) "st1 edge gone" []
-    ((G.node g st1).G.order_after);
-  Alcotest.(check (list int)) "st2 now ordered after the fetch" [ f ]
-    ((G.node g st2).G.order_after);
-  Alcotest.(check (list string)) "statespace still legal" []
-    (rules (Verify.statespace g))
-
-let test_prune_drops_data_implied_edge () =
-  let g = G.create "p" in
-  G.declare_region g "a" { G.size = Some 8; implicit = true };
-  let tok = G.add g (G.Ss_in "a") [] in
-  let c2 = G.add g (G.Const 2) [] in
-  let f = G.add g (G.Fe "a") [ tok; c2 ] in
-  (* read-modify-write of the same cell: the value path f -> st already
-     forces the order, the explicit edge is redundant *)
-  let st = G.add g (G.St "a") [ tok; c2; f ] in
-  G.add_order g st ~after:f;
-  let report = Addr.prune g in
-  Alcotest.(check int) "redundant edge dropped" 1 report.T.Disambig.removed;
-  Alcotest.(check int) "no order edges left" 0 (T.Disambig.order_edge_count g);
-  Alcotest.(check (list string)) "statespace still legal" []
-    (rules (Verify.statespace g))
-
-let test_prune_idempotent () =
-  let result =
-    Fpfa_core.Flow.map_source
-      (Fpfa_kernels.Kernels.find "fir-dl-8").Fpfa_kernels.Kernels.source
-  in
-  (* the flow already pruned once; a second application finds nothing *)
-  let again = Addr.prune result.Fpfa_core.Flow.graph in
-  Alcotest.(check int) "second run removes nothing" 0
-    again.T.Disambig.removed;
-  Alcotest.(check int) "second run retargets nothing" 0
-    again.T.Disambig.retargeted
-
-(* {2 The delay-line FIR family: the pass's headline workload} *)
-
-(* The delay-line family is pruned and verified at every size; the
-   schedule-depth check also covers kernels without false edges. *)
-let test_delay_line_fir_prunes () =
-  let module K = Fpfa_kernels.Kernels in
-  let off =
-    { Fpfa_core.Flow.default_config with Fpfa_core.Flow.disambiguate = false }
-  in
-  let delay_line =
-    List.map (fun taps -> K.fir_delay ~taps) [ 8; 16; 64; 256 ]
-  in
-  List.iter
-    (fun (k : K.t) ->
-      let r_off = Fpfa_core.Flow.map_source ~config:off k.K.source in
-      let r_on = Fpfa_core.Flow.map_source k.K.source in
-      let check what = Alcotest.(check bool) (k.K.name ^ ": " ^ what) true in
-      check "schedule never gets deeper"
-        (Mapping.Sched.level_count r_on.Fpfa_core.Flow.schedule
-        <= Mapping.Sched.level_count r_off.Fpfa_core.Flow.schedule);
-      if List.memq k delay_line then begin
-        check "edges survive simplification"
-          (T.Disambig.order_edge_count r_off.Fpfa_core.Flow.graph > 0);
-        check "a nonzero fraction is removed"
-          (r_on.Fpfa_core.Flow.disambig_report.T.Disambig.removed > 0);
-        check "pruned flow verifies"
-          (Fpfa_core.Flow.verify ~memory_init:k.K.inputs r_on);
-        check "unpruned flow verifies"
-          (Fpfa_core.Flow.verify ~memory_init:k.K.inputs r_off);
-        Alcotest.(check (list string))
-          (k.K.name ^ ": statespace legal after pruning")
-          []
-          (rules (Verify.statespace r_on.Fpfa_core.Flow.graph))
-      end)
-    (delay_line @ [ K.fir ~taps:16; K.fir_paper; K.matmul ~n:4 ])
-
-(* {2 Corruption: the verifier catches illegal edge removal} *)
+(* {2 Corruption: the verifier catches a missing anti-dependence} *)
 
 let aliasing_graph () =
   let g = G.create "c" in
@@ -318,76 +184,6 @@ let test_corrupt_removed_aliasing_edge () =
       d.D.node
   | _ -> Alcotest.fail "expected exactly one diagnostic"
 
-let test_corrupt_oracle_fails_verification () =
-  let g, _, _ = aliasing_graph () in
-  (* an oracle that calls everything disjoint deletes the load-bearing
-     edge; the statespace replay in the verify hook must catch it and
-     blame the pass *)
-  let broken : T.Disambig.oracle = fun _ _ -> T.Disambig.Disjoint in
-  let verify rule g touched =
-    Verify.pass_hook () rule g touched;
-    match D.errors (Verify.statespace g) with
-    | [] -> ()
-    | errs -> raise (D.Failed errs)
-  in
-  match T.Disambig.prune ~verify ~oracle:broken g with
-  | (_ : T.Disambig.report) ->
-    Alcotest.fail "broken oracle escaped verification"
-  | exception T.Pass.Verification_failed { rule; error } -> (
-    Alcotest.(check string) "blamed rule" "disambig" rule;
-    match error with
-    | D.Failed diags ->
-      Alcotest.(check (list string)) "payload names the statespace rule"
-        [ "cdfg.statespace-order" ] (rules diags)
-    | e -> raise e)
-
-(* {2 Properties} *)
-
-(* Static programs go through the full flow twice: pruning must leave
-   evaluation bit-identical, the mapped job conformant, and the schedule
-   no deeper. *)
-let prune_preserves_flow_static =
-  QCheck.Test.make ~name:"disambig on vs off: flow results identical (static)"
-    ~count:100 Gen.program (fun program ->
-      let f = List.hd program in
-      let off =
-        { Fpfa_core.Flow.default_config with
-          Fpfa_core.Flow.disambiguate = false }
-      in
-      let r_on = Fpfa_core.Flow.map_func f in
-      let r_off = Fpfa_core.Flow.map_func ~config:off f in
-      let e_on =
-        Cdfg.Eval.run ~memory_init:Gen.memory_init r_on.Fpfa_core.Flow.graph
-      in
-      let e_off =
-        Cdfg.Eval.run ~memory_init:Gen.memory_init r_off.Fpfa_core.Flow.graph
-      in
-      Cdfg.Eval.equal_result e_on e_off
-      && Fpfa_core.Flow.verify ~memory_init:Gen.memory_init r_on
-      && Mapping.Sched.level_count r_on.Fpfa_core.Flow.schedule
-         <= Mapping.Sched.level_count r_off.Fpfa_core.Flow.schedule)
-
-(* Dynamic (masked) offsets cannot map to the tile, but they are where
-   pruning decisions get interesting: evaluation snapshots must stay
-   bit-identical (order edges are invisible to Eval by construction) and
-   the statespace replay must stay clean after the edits. *)
-let prune_preserves_eval_dynamic =
-  QCheck.Test.make
-    ~name:"disambig preserves evaluation and legality (dynamic)" ~count:250
-    Gen.dyn_program (fun program ->
-      let unrolled = Cfront.Unroll.unroll_program program in
-      let g = Cdfg.Builder.build_func (List.hd unrolled) in
-      ignore (T.Simplify.minimize g);
-      let before = Cdfg.Eval.run ~memory_init:Gen.memory_init g in
-      let legal_before = D.errors (Verify.statespace g) = [] in
-      let report = Addr.prune g in
-      let after = Cdfg.Eval.run ~memory_init:Gen.memory_init g in
-      legal_before
-      && Cdfg.Eval.equal_result before after
-      && D.errors (Verify.statespace g) = []
-      && report.T.Disambig.order_edges_after
-         <= report.T.Disambig.order_edges_before)
-
 let suite =
   [
     Alcotest.test_case "affine forms" `Quick test_affine_forms;
@@ -395,21 +191,6 @@ let suite =
     Alcotest.test_case "relation decisions" `Quick test_relation_decisions;
     Alcotest.test_case "regions never alias" `Quick
       test_relation_across_regions;
-    Alcotest.test_case "prune: disjoint edge removed" `Quick
-      test_prune_removes_disjoint_edge;
-    Alcotest.test_case "prune: aliasing edges kept" `Quick
-      test_prune_keeps_aliasing_edges;
-    Alcotest.test_case "prune: transitive constraint retargeted" `Quick
-      test_prune_retargets_transitive_constraint;
-    Alcotest.test_case "prune: data-implied edge dropped" `Quick
-      test_prune_drops_data_implied_edge;
-    Alcotest.test_case "prune: idempotent" `Quick test_prune_idempotent;
-    Alcotest.test_case "delay-line FIR prunes and verifies" `Quick
-      test_delay_line_fir_prunes;
     Alcotest.test_case "corrupt: removed aliasing edge" `Quick
       test_corrupt_removed_aliasing_edge;
-    Alcotest.test_case "corrupt: broken oracle blamed" `Quick
-      test_corrupt_oracle_fails_verification;
-    QCheck_alcotest.to_alcotest prune_preserves_flow_static;
-    QCheck_alcotest.to_alcotest prune_preserves_eval_dynamic;
   ]

@@ -109,11 +109,11 @@ let test_remove_order () =
   Alcotest.(check (list int)) "other edge indexed" [ st ]
     (G.order_successors g fe1);
   Alcotest.(check (list string)) "use/def index clean" [] (G.index_errors g);
-  G.remove_order_all g st ~after:(G.order_after g st);
+  G.remove_order g st ~after:fe1;
   Alcotest.(check (list int)) "all edges gone" [] (G.order_after g st);
   Alcotest.(check (list int)) "fe1 successors empty" []
     (G.order_successors g fe1);
-  Alcotest.(check (list string)) "index clean after batch" []
+  Alcotest.(check (list string)) "index clean after the last edge" []
     (G.index_errors g);
   G.validate g
 

@@ -165,7 +165,7 @@ let expected =
   [
     ("paper/fir-paper", "cc6c39085594441228960c0ee9ca73dc");
     ("paper/fir-16", "6274c5e288b9c25ec49ec7d8c0480c35");
-    ("paper/fir-dl-8", "09401a76d81b602603ed595fdc506f62");
+    ("paper/fir-dl-8", "ffd899ec707fcdcf50bf6cbfff1ed3b7");
     ("paper/dot-8", "106c29f4ad57024cee65b56774bdd534");
     ("paper/vscale-8", "346e51c424b8a6b5e6ec31adab68f5b9");
     ("paper/saxpy-8", "2c22decb2db9c085499e531011e5e7a9");
@@ -188,7 +188,7 @@ let expected =
     ("paper/pack565-4", "bbf37605a54803d8ecbcff2e755d10cd");
     ("sequential/fir-paper", "987c3f472035b0a61e9c840e1559120c");
     ("sequential/fir-16", "f85c4ad3c4084bf5cbe0de5cc5982df1");
-    ("sequential/fir-dl-8", "b876e3fda08a0dd18a391c2dd02b2252");
+    ("sequential/fir-dl-8", "47e58993fabdd02b9be538c21077d2ad");
     ("sequential/dot-8", "6b08263f5caca4ae217382e702c9f044");
     ("sequential/vscale-8", "fa33612e7258064edeb8ec83090068fa");
     ("sequential/saxpy-8", "3fecfe4a84aa1334f3038ed2c1d3dc5d");
@@ -211,7 +211,7 @@ let expected =
     ("sequential/pack565-4", "cd75bc3fed347b1ff756bcddc0f6b4f0");
     ("unit-ops/fir-paper", "1d3ad99535a89c5841e13041706efbc9");
     ("unit-ops/fir-16", "9610e2728e7a38f54af0ce0ec5d4d7a3");
-    ("unit-ops/fir-dl-8", "28642c869e7f9f473bcad76c7d0605ec");
+    ("unit-ops/fir-dl-8", "df6baec3472cf5bb3eebc17fdecbcb76");
     ("unit-ops/dot-8", "d8cf7175383637c32f9bca598a5ac0e8");
     ("unit-ops/vscale-8", "22e60bf2380a36fcf0d214a19cc04717");
     ("unit-ops/saxpy-8", "82ce56a844383f1c2336aa2c493f1830");
@@ -234,7 +234,7 @@ let expected =
     ("unit-ops/pack565-4", "4cc0d7a4489af7e6924f3e79be7d9767");
     ("sarkar/fir-paper", "dd06591ac1bc154462ffcc29ea751ec2");
     ("sarkar/fir-16", "85b26bcef8ecae2ef086d9aaac13646d");
-    ("sarkar/fir-dl-8", "09401a76d81b602603ed595fdc506f62");
+    ("sarkar/fir-dl-8", "ffd899ec707fcdcf50bf6cbfff1ed3b7");
     ("sarkar/dot-8", "106c29f4ad57024cee65b56774bdd534");
     ("sarkar/vscale-8", "346e51c424b8a6b5e6ec31adab68f5b9");
     ("sarkar/saxpy-8", "2c22decb2db9c085499e531011e5e7a9");
@@ -257,7 +257,7 @@ let expected =
     ("sarkar/pack565-4", "acf6f9b8dd646d98c24f6279a9da3e57");
     ("no-locality/fir-paper", "c185cb9711ff66e7ed33b5adc33989ca");
     ("no-locality/fir-16", "b09b2acc72fc2bcf63bc350348377e9a");
-    ("no-locality/fir-dl-8", "fd718d635eb3fbfa2dbc225845ac9e11");
+    ("no-locality/fir-dl-8", "a7b17a59b2ec7f230b2a5404b02a4d8b");
     ("no-locality/dot-8", "78399c05f9819fddd0f7492a7122aa30");
     ("no-locality/vscale-8", "34d1e1e149e7420ec9aae84ded4129ba");
     ("no-locality/saxpy-8", "3615248c09394452e5b66c4f4c0af423");
@@ -280,7 +280,7 @@ let expected =
     ("no-locality/pack565-4", "5b7bcaf8198a9ac32a11b0bacc5c75be");
     ("forwarding/fir-paper", "7bdd108d5fa16f540a7e1995f29fd8ce");
     ("forwarding/fir-16", "85186394a09ef2384fcb57fc91ab1b97");
-    ("forwarding/fir-dl-8", "71f05b16842272699763ebfbfd472623");
+    ("forwarding/fir-dl-8", "74e2e090f521caacbacc4a6bf40f4065");
     ("forwarding/dot-8", "fe36863e5b8e2d7bd0f2f582f1087848");
     ("forwarding/vscale-8", "346e51c424b8a6b5e6ec31adab68f5b9");
     ("forwarding/saxpy-8", "2c22decb2db9c085499e531011e5e7a9");
@@ -303,7 +303,7 @@ let expected =
     ("forwarding/pack565-4", "7940ccbb6dd39f1377e5ca7b57e3e3ce");
     ("interleaved/fir-paper", "72f1bb3fbbf7081414e2959fbba7869b");
     ("interleaved/fir-16", "5571d34311a5d3fe78460c7acfc81fc2");
-    ("interleaved/fir-dl-8", "66f10a34425efff9a7897afcda80789b");
+    ("interleaved/fir-dl-8", "bfe52c9117197964277a93595c30e156");
     ("interleaved/dot-8", "999bf990c222d3fc6da75052f7d5489e");
     ("interleaved/vscale-8", "6a8d9c4d7f09aeb73527bac9987150c0");
     ("interleaved/saxpy-8", "79fa5feaa9839d47d2d95ca46db4575a");
@@ -326,7 +326,7 @@ let expected =
     ("interleaved/pack565-4", "5a3e507a1259fd6a17e565a7f005789c");
     ("paper@a3.b2.w1/fir-paper", "bd63bcd8b90c5ba0dc77e17fde64023f");
     ("paper@a3.b2.w1/fir-16", "b464c0ed867e5dbf4b3df07d289a97bc");
-    ("paper@a3.b2.w1/fir-dl-8", "cd0c97ceab7d32284912da16e3258470");
+    ("paper@a3.b2.w1/fir-dl-8", "e3ae97cfd6542ecaece27f7a45a61a46");
     ("paper@a3.b2.w1/dot-8", "635fea6af06d57c6d2c6fb6159dec99f");
     ("paper@a3.b2.w1/vscale-8", "6efe09c0c1ba4f8c962c57fce9d0896e");
     ("paper@a3.b2.w1/saxpy-8", "a1653b5433d115495e99281b4bdcd9ac");
@@ -349,7 +349,7 @@ let expected =
     ("paper@a3.b2.w1/pack565-4", "328bbe99451c3a91aff32cd74eb9f554");
     ("paper@a8.b16.w6/fir-paper", "67b01f86591595b4277ca90f5db95132");
     ("paper@a8.b16.w6/fir-16", "0bbdca66079cafd00fee837fb6d30b87");
-    ("paper@a8.b16.w6/fir-dl-8", "2f1e4442d3db88b2524a7b2b46c1c91c");
+    ("paper@a8.b16.w6/fir-dl-8", "d70745ac246150a30be8fbf304532f81");
     ("paper@a8.b16.w6/dot-8", "b754a6020bcac7c4e6f420a67ad25798");
     ("paper@a8.b16.w6/vscale-8", "29cd5b365f84be9c6d9cff6f71cc2a07");
     ("paper@a8.b16.w6/saxpy-8", "cd809a5c9b4389b79b8ca1514210b9db");
@@ -384,7 +384,7 @@ let expected =
     ("dag-2000@a3.b2.w1/cid", "5b5125cca58c4c62d948b6058642161c");
     ("graph/fir-paper", "f55d245198d9c66b36fae7f4566df15b");
     ("graph/fir-16", "2ab5692a3ca38714a83a43e56be9bcc1");
-    ("graph/fir-dl-8", "53ba555c6b0b2276120342885c83204a");
+    ("graph/fir-dl-8", "41853c7ca2c8ccad157c539ebbf0be82");
     ("graph/dot-8", "3d03817864ad4cf909d062146348dac8");
     ("graph/vscale-8", "5aa211ee05913a63226afe43683e7ad5");
     ("graph/saxpy-8", "ff380a106fb7c3be14131dfdd96f9289");
@@ -407,8 +407,8 @@ let expected =
     ("graph/pack565-4", "f851416308b4d60ca2c2a546d5f3cfff");
     ("graph/fir-256", "de9d86e1b69ad6e0ce95e72bb0e7011b");
     ("job/fir-256", "4d5d3061d601b0066bb817cf02ad4266");
-    ("graph/fir-dl-128", "3c6635cd20af6c2f00253062c82ebb84");
-    ("job/fir-dl-128", "8e25d4d0aaea2b5aa950a76c64505553");
+    ("graph/fir-dl-128", "fc9a4c9bd80ab1b5bbcb515d0e03c5a5");
+    ("job/fir-dl-128", "be5e68e405d4fafeb8aa9483d19cfde5");
     ("graph/matmul-8", "f62ef2262e732312ada39b1b98be6ca8");
     ("job/matmul-8", "db2f3b951f8a4e69d06a24c890ddfcae");
     ("graph/corr-8-32", "fddd2365b8794be16c2fed15890f5f10");
@@ -423,8 +423,8 @@ let expected =
     ("job-incr/fir-paper", "a968b8af47dcf2dc723587046f37dc9c");
     ("graph-incr/fir-16", "5f57775f4586c2c84db4810e91621f00");
     ("job-incr/fir-16", "1d8ad76f3c5b23fca00b8c5df02520da");
-    ("graph-incr/fir-dl-8", "bbf288000bc18c2edc26fb8fe81028e6");
-    ("job-incr/fir-dl-8", "908e3626c4c985f4bbd3d01759bbf6b4");
+    ("graph-incr/fir-dl-8", "29e61169263b1a3e10b7624dc5898e85");
+    ("job-incr/fir-dl-8", "318df7f6a4ec8591f4d636298794162f");
     ("graph-incr/dot-8", "b7b1b541663be2aa1fa435f7d2e43a84");
     ("job-incr/dot-8", "b6b5d45cbd891072d87e2cfd2c8f646d");
     ("graph-incr/vscale-8", "bc0dcf8dbe0086d613fa7e428584a542");
@@ -467,8 +467,8 @@ let expected =
     ("job-incr/pack565-4", "d78b6540d0cd9530c67c5fdb9f04cf5b");
     ("graph-incr/fir-256", "e056b0c7db0ee64e6ac0f3156e4c1d08");
     ("job-incr/fir-256", "e64e255ecb351f5239a3529c5a2810c0");
-    ("graph-incr/fir-dl-128", "8a72240de3dab3a16a48ba07eda56045");
-    ("job-incr/fir-dl-128", "297da6dcb34f397c07deac4bc5414205");
+    ("graph-incr/fir-dl-128", "00b0812cd0bdbf12580d617b80d1e2bd");
+    ("job-incr/fir-dl-128", "96ca310da0ec14b122a992f67d8d642d");
     ("graph-incr/matmul-8", "2315ee08e599f5a7362752ce9576f6b7");
     ("job-incr/matmul-8", "5564d4bc428f0f7d3806b4d5cdd830c6");
     ("graph-incr/corr-8-32", "533f2007977ebb4805f865a248ad9475");
@@ -516,7 +516,7 @@ let expected =
     ("digest-raw/fir-16", "ec5eb00cfc945c700edd9c4d5785ae1c");
     ("digest-min/fir-16", "da272a4807a96db974effbd426c957e5");
     ("digest-raw/fir-dl-8", "26b1f6db31f7cf5e0c08e1a2c1a22d52");
-    ("digest-min/fir-dl-8", "7886e02d7cd9c8d0180ba0090f6b4b28");
+    ("digest-min/fir-dl-8", "2a3d0e3423e0c030c9e3ef06a55fc7b9");
     ("digest-raw/dot-8", "236bb6ee85b8d12d46d1b8d4d55c2e7b");
     ("digest-min/dot-8", "3b5aa5943ca75b4d3fb6d76c85da603d");
     ("digest-raw/vscale-8", "8abc804bb9d6ae650dbe603224127a36");
