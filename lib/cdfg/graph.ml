@@ -771,7 +771,8 @@ let set_output g output_name id =
   | None -> ());
   g.out_uses.(id) <- g.out_uses.(id) + 1;
   g.named_outputs <-
-    (output_name, id) :: List.remove_assoc output_name g.named_outputs
+    (output_name, id) :: List.remove_assoc output_name g.named_outputs;
+  touch g
 
 let outputs g =
   List.sort (fun (a, _) (b, _) -> String.compare a b) g.named_outputs

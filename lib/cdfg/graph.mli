@@ -187,8 +187,10 @@ val topo_order : t -> id list
 
 val generation : t -> int
 (** Monotone counter bumped by every structural mutation ([add],
-    [set_inputs], [replace_uses], [remove], order-edge changes). Stamps
-    the topo-order cache; exposed for tests and cache-aware callers. *)
+    [set_inputs], [replace_uses], [remove], [set_output], order-edge
+    changes), so any fact read off the graph stays valid while it is
+    unchanged. Stamps the topo-order cache and {!Transform.Reassoc}'s
+    per-run record of examined chain roots. *)
 
 val drain_dirty : t -> id list * id list
 (** Returns and clears the mutation journal as [(def_dirty, use_dirty)],

@@ -1,6 +1,10 @@
 module G = Cdfg.Graph
 module Op = Cdfg.Op
 
+(* Nodes the rule walks: the steps up to a chain root, plus the [2n - 1]
+   nodes of each [n]-leaf chain it examines. *)
+let c_walked = Fpfa_obs.Obs.counter "reassoc.walked"
+
 let associative = function
   | Op.Add | Op.Mul | Op.Band | Op.Bor | Op.Bxor -> true
   | Op.Sub | Op.Div | Op.Mod | Op.Shl | Op.Shr | Op.Lt | Op.Le | Op.Gt
@@ -92,6 +96,7 @@ let rebalance_root g id =
     if is_chain_interior then false
     else begin
       let n = count_leaves g op id ~is_root:true in
+      Fpfa_obs.Obs.add c_walked ((2 * n) - 1);
       if n > 2 && not (canonical_shape g op id ~is_root:true n) then begin
         let root = build_balanced g op (chain_leaves g op id ~is_root:true []) in
         G.replace_uses g id ~by:root;
@@ -108,24 +113,50 @@ let rebalance_root g id =
    the rebalance fires — the engine's dirty journal only wakes immediate
    neighbours.
 
+   Every node of a chain is visited, so examining the chain at each visit
+   would walk it once per member: quadratic in the chain length. The
+   rule's answer for a root depends only on the graph, and every mutation
+   that can change a chain's shape or its use counts ([add], [set_inputs],
+   [replace_uses], [remove], [set_output]) bumps [G.generation]. So each
+   run records the generation at which it last examined each root and
+   walks a root again only once the graph has changed since.
+
    The rule is [settled]: chain boundaries are use-count-driven, and use
    counts are only meaningful once DCE has collected every dead tree. If
    rebalancing interleaves with collection at node granularity it keeps
    rebuilding chains whose boundaries were artifacts of dying nodes,
    handing CSE/DCE fresh duplicates forever (observed on fir-16). *)
-let rec root_of g id fuel =
-  if fuel <= 0 then id
-  else
-    match G.kind g id with
-    | G.Binop op when associative op -> (
-      let c = G.sole_consumer g id in
-      if c >= 0 && G.mem g c then
-        match G.kind g c with
-        | G.Binop op' when op' = op -> root_of g c (fuel - 1)
-        | _ -> id
-      else id)
-    | _ -> id
+let rec root_of g id fuel steps =
+  let up =
+    if fuel <= 0 then -1
+    else
+      match G.kind g id with
+      | G.Binop op when associative op -> (
+        let c = G.sole_consumer g id in
+        if c >= 0 && G.mem g c then
+          match G.kind g c with G.Binop op' when op' = op -> c | _ -> -1
+        else -1)
+      | _ -> -1
+  in
+  if up >= 0 then root_of g up (fuel - 1) (steps + 1)
+  else begin
+    Fpfa_obs.Obs.add c_walked steps;
+    id
+  end
 
 let rule =
-  Pass.settled "reassociate" (fun g id ->
-      rebalance_root g (root_of g id (G.node_count g)))
+  Pass.settled "reassociate" (fun g ->
+      let examined = ref (Array.make (G.id_bound g) (-1)) in
+      fun id ->
+        let root = root_of g id (G.node_count g) 0 in
+        let generation = G.generation g in
+        if root >= Array.length !examined then begin
+          let grown = Array.make (max (root + 1) (2 * Array.length !examined)) (-1) in
+          Array.blit !examined 0 grown 0 (Array.length !examined);
+          examined := grown
+        end;
+        if !examined.(root) = generation then false
+        else begin
+          !examined.(root) <- generation;
+          rebalance_root g root
+        end)
