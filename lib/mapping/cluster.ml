@@ -45,51 +45,60 @@ let topo_positions g topo =
   List.iteri (fun i id -> pos.(id) <- i) topo;
   pos
 
-(* Member ids in ascending topo position. Positions are unique, so the
-   pairs sort without an id tie-break. *)
-let in_topo_order topo_pos ids =
-  List.map (fun id -> (topo_pos.(id), id)) ids
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+(* Per-run marks over node ids for the data-path check: [mark.(id)] holds
+   the current stamp for the members of the set under test, [seen.(id)]
+   for the external inputs counted so far, so a fresh stamp empties both
+   without clearing an array. *)
+type marks = { mark : int array; seen : int array; mutable stamp : int }
 
-(* Distinct external operands of a member set, in deterministic first-use
-   order (scanning members in ascending topo position, ports left to
-   right). *)
-let external_inputs g topo_pos members =
-  let member_list = in_topo_order topo_pos (G.Id_set.elements members) in
-  (* a data path has a handful of operands: a list is the cheapest set *)
-  let acc = ref [] in
+let marks g =
+  { mark = Array.make (G.id_bound g) 0; seen = Array.make (G.id_bound g) 0; stamp = 0 }
+
+(* Longest path within the marked members below [id], counted in
+   operations. *)
+let rec member_depth g m s id =
+  if m.mark.(id) <> s then 0
+  else begin
+    let d = ref 0 in
+    for port = 0 to G.arity_of g id - 1 do
+      d := max !d (member_depth g m s (G.input g id port))
+    done;
+    1 + !d
+  end
+
+(* Whether [members] fit one ALU: operation count, multiplier-class
+   count, internal depth and distinct external operands, counted without
+   building a set or a list. *)
+let satisfies_caps g m (caps : Arch.alu_caps) members =
+  m.stamp <- m.stamp + 1;
+  let s = m.stamp in
+  let ops = ref 0 and mults = ref 0 and depth = ref 0 and inputs = ref 0 in
   List.iter
-    (fun m ->
-      List.iter
-        (fun input ->
-          if (not (G.Id_set.mem input members)) && not (List.mem input !acc)
-          then acc := input :: !acc)
-        (G.inputs g m))
-    member_list;
-  List.rev !acc
-
-(* Longest path within the member subgraph, counted in operations. *)
-let internal_depth g members =
-  let rec depth id =
-    if not (G.Id_set.mem id members) then 0
-    else
-      1
-      + List.fold_left (fun acc input -> max acc (depth input)) 0 (G.inputs g id)
-  in
-  G.Id_set.fold (fun id acc -> max acc (depth id)) members 0
-
-let satisfies_caps g topo_pos (caps : Arch.alu_caps) members =
-  G.Id_set.cardinal members <= caps.Arch.max_ops
-  && G.Id_set.fold
-       (fun id acc -> acc + if is_mult_class g id then 1 else 0)
-       members 0
-     <= caps.Arch.max_multipliers
-  && internal_depth g members <= caps.Arch.max_depth
-  && List.length (external_inputs g topo_pos members) <= caps.Arch.max_inputs
+    (fun id ->
+      if m.mark.(id) <> s then begin
+        m.mark.(id) <- s;
+        incr ops;
+        if is_mult_class g id then incr mults
+      end)
+    members;
+  List.iter
+    (fun id ->
+      depth := max !depth (member_depth g m s id);
+      for port = 0 to G.arity_of g id - 1 do
+        let input = G.input g id port in
+        if m.mark.(input) <> s && m.seen.(input) <> s then begin
+          m.seen.(input) <- s;
+          incr inputs
+        end
+      done)
+    members;
+  !ops <= caps.Arch.max_ops
+  && !mults <= caps.Arch.max_multipliers
+  && !depth <= caps.Arch.max_depth
+  && !inputs <= caps.Arch.max_inputs
 
 type proto = {
-  p_ops : G.Id_set.t;
+  p_ops : G.id list;  (** distinct, in no particular order *)
   p_root : G.id;
   mutable p_stores : G.id list;
   p_deletes : G.id list;
@@ -100,25 +109,30 @@ type ctx = {
   cg : G.t;
   topo : G.id list;
   topo_pos : int array;
-  consumers : (G.id, (G.id * int) list) Hashtbl.t;
-  named_output_ids : G.Id_set.t;
+  is_output : Bytes.t;  (** node id -> whether it is a named output *)
+  marks : marks;
   versions : Legalize.versions;
 }
 
 let make_ctx g =
   Legalize.check g;
   let topo = G.topo_order g in
+  let is_output = Bytes.make (G.id_bound g) '\000' in
+  List.iter (fun (_, id) -> Bytes.set is_output id '\001') (G.outputs g);
   {
     cg = g;
     topo;
     topo_pos = topo_positions g topo;
-    consumers = G.consumers g;
-    named_output_ids =
-      List.fold_left
-        (fun s (_, id) -> G.Id_set.add id s)
-        G.Id_set.empty (G.outputs g);
+    is_output;
+    marks = marks g;
     versions = Legalize.versions g;
   }
+
+(* Whether every data consumer of [p] satisfies [inside]. *)
+let consumers_all g p inside =
+  let all = ref true in
+  G.iter_consumers g p (fun c _ -> if not (inside c) then all := false);
+  !all
 
 (* Node id -> cid of the cluster listing it as an op, store or delete;
    -1 for every other id. *)
@@ -180,23 +194,23 @@ let immediates g c =
          match G.kind g input with G.Const v -> Some (i, v) | _ -> None)
 
 (* The regions each cluster's stores, deletes and fetched operands touch,
-   in that order, as positions in [G.regions g]. *)
-let region_touches g clusters =
-  let position = Hashtbl.create 16 in
-  List.iteri (fun i (name, _) -> Hashtbl.replace position name i) (G.regions g);
-  let touched select id =
-    match select (G.kind g id) with
-    | Some name -> Hashtbl.find_opt position name
-    | None -> None
+   in that order, as positions in [G.regions g]: one index per access,
+   computed with the versions. *)
+let region_touches g versions clusters =
+  let touched ids acc =
+    List.fold_right
+      (fun id acc ->
+        let r = Legalize.region_index versions id in
+        if r >= 0 then r :: acc else acc)
+      ids acc
   in
-  let store = function G.St r -> Some r | _ -> None
-  and delete = function G.Del r -> Some r | _ -> None
-  and fetch = function G.Fe r -> Some r | _ -> None in
   Array.map
     (fun c ->
-      List.filter_map (touched store) c.stores
-      @ List.filter_map (touched delete) c.deletes
-      @ List.filter_map (touched fetch) c.cinputs)
+      let fetched =
+        List.filter (fun id -> match G.kind g id with G.Fe _ -> true | _ -> false)
+          c.cinputs
+      in
+      touched c.stores (touched c.deletes (touched fetched [])))
     clusters
 
 (* The one constructor of [t]: what phase 3 reads of the graph and its
@@ -211,11 +225,7 @@ let build ~versions g clusters edges cluster_of =
       (fun c ->
         match c.root with
         | None -> false
-        | Some root ->
-          let external_use = ref false in
-          G.iter_consumers g root (fun user _ ->
-              if cluster_of.(user) <> c.cid then external_use := true);
-          !external_use)
+        | Some root -> not (consumers_all g root (fun user -> cluster_of.(user) = c.cid)))
       clusters
   in
   {
@@ -227,66 +237,65 @@ let build ~versions g clusters edges cluster_of =
     root_external;
     micros = Array.map (micro_program g cluster_of) clusters;
     port_imms = Array.map (immediates g) clusters;
-    region_touches = region_touches g clusters;
+    region_touches = region_touches g versions clusters;
   }
 
 let make g clusters edges =
   Legalize.check g;
   build ~versions:(Legalize.versions g) g clusters edges (index g clusters)
 
-(* Greedy data-path template partitioning (the paper's phase 1). *)
+(* Greedy data-path template partitioning (the paper's phase 1). Each
+   growth absorbs, of the unclaimed value operands of its members, the
+   one with the smallest id that fits; [claimed] marks every node some
+   growth has taken, [growing] the members of the current one. *)
 let partition_greedy ctx caps =
   let g = ctx.cg in
-  let topo_pos = ctx.topo_pos in
-  let consumers = ctx.consumers in
-  let named_output_ids = ctx.named_output_ids in
-  let clustered : (G.id, unit) Hashtbl.t = Hashtbl.create 64 in
-  let protos : proto list ref = ref [] in
+  let claimed = Bytes.make (G.id_bound g) '\000' in
+  let growing = Array.make (G.id_bound g) (-1) in
+  let protos = ref [] in
+  let candidate id = is_value_op g id && Bytes.get claimed id = '\000' in
+  (* the smallest unclaimed value operand of [members] above [floor] *)
+  let next_candidate members floor =
+    List.fold_left
+      (fun best m ->
+        let best = ref best in
+        for port = 0 to G.arity_of g m - 1 do
+          let input = G.input g m port in
+          if input > floor && (!best < 0 || input < !best) && candidate input then
+            best := input
+        done;
+        !best)
+      (-1) members
+  in
   (* Greedy growth from roots, visiting value ops in reverse topo order so
      consumers claim their producers first. *)
   let grow root =
-    let members = ref (G.Id_set.singleton root) in
-    Hashtbl.replace clustered root ();
-    let rec absorb () =
-      let candidates =
-        G.Id_set.fold
-          (fun m acc ->
-            List.fold_left
-              (fun acc input ->
-                if
-                  is_value_op g input
-                  && (not (Hashtbl.mem clustered input))
-                  && not (G.Id_set.mem input !members)
-                then input :: acc
-                else acc)
-              acc (G.inputs g m))
-          !members []
-        |> Fpfa_util.Listx.uniq compare
-      in
-      let absorbable p =
-        (* every consumer of p must already be a member, and p must not be
-           a named output (its value is observable outside) *)
-        (not (G.Id_set.mem p named_output_ids))
-        && (match Hashtbl.find_opt consumers p with
-           | Some uses ->
-             List.for_all (fun (c, _) -> G.Id_set.mem c !members) uses
-           | None -> true)
-        && satisfies_caps g topo_pos caps (G.Id_set.add p !members)
-      in
-      match List.find_opt absorbable candidates with
-      | Some p ->
-        members := G.Id_set.add p !members;
-        Hashtbl.replace clustered p ();
-        absorb ()
-      | None -> ()
+    let members = ref [ root ] in
+    Bytes.set claimed root '\001';
+    growing.(root) <- root;
+    let absorbable p =
+      (* every consumer of p must already be a member, and p must not be
+         a named output (its value is observable outside) *)
+      Bytes.get ctx.is_output p = '\000'
+      && consumers_all g p (fun c -> growing.(c) = root)
+      && satisfies_caps g ctx.marks caps (p :: !members)
     in
-    absorb ();
-    protos :=
-      { p_ops = !members; p_root = root; p_stores = []; p_deletes = [] }
-      :: !protos
+    let rec absorb floor =
+      let p = next_candidate !members floor in
+      if p >= 0 then
+        if absorbable p then begin
+          members := p :: !members;
+          Bytes.set claimed p '\001';
+          growing.(p) <- root;
+          absorb (-1)
+        end
+        else absorb p
+    in
+    absorb (-1);
+    protos := { p_ops = !members; p_root = root; p_stores = []; p_deletes = [] } :: !protos
   in
   List.iter
-    (fun id -> if is_value_op g id && not (Hashtbl.mem clustered id) then grow id)
+    (fun id -> if candidate id then grow id)
     (List.rev ctx.topo);
   !protos
 
@@ -297,73 +306,64 @@ let partition_greedy ctx caps =
    path, so Sarkar's completion-time guard reduces to the cap check. *)
 let partition_sarkar ctx caps =
   let g = ctx.cg in
+  let n = G.id_bound g in
   let topo_pos = ctx.topo_pos in
-  let find_pos id = topo_pos.(id) in
-  let cluster_ref : (G.id, G.id) Hashtbl.t = Hashtbl.create 64 in
-  let members_of : (G.id, G.Id_set.t) Hashtbl.t = Hashtbl.create 64 in
-  let roots : (G.id, G.id) Hashtbl.t = Hashtbl.create 64 in
-  let value_ops = List.filter (is_value_op g) (G.node_ids g) in
-  List.iter
-    (fun id ->
-      Hashtbl.replace cluster_ref id id;
-      Hashtbl.replace members_of id (G.Id_set.singleton id);
-      Hashtbl.replace roots id id)
-    value_ops;
+  let by_pos = Array.make (List.length ctx.topo) (-1) in
+  List.iteri (fun i id -> by_pos.(i) <- id) ctx.topo;
+  (* union-find over value ops: [parent] links, and at each
+     representative its members. A merge keeps the consumer's
+     representative, so a representative is its cluster's root. *)
+  let parent = Array.init n Fun.id in
+  let members = Array.make n [] in
+  G.iter_ids g (fun id -> if is_value_op g id then members.(id) <- [ id ]);
   let rec find id =
-    let parent = Hashtbl.find cluster_ref id in
-    if parent = id then id
+    let p = parent.(id) in
+    if p = id then id
     else begin
-      let root = find parent in
-      Hashtbl.replace cluster_ref id root;
+      let root = find p in
+      parent.(id) <- root;
       root
     end
   in
-  let edges =
-    List.concat_map
-      (fun v ->
-        match Hashtbl.find_opt ctx.consumers v with
-        | Some uses ->
-          List.filter_map
-            (fun (u, _) -> if is_value_op g u then Some (v, u) else None)
-            uses
-        | None -> [])
-      value_ops
-    |> Fpfa_util.Listx.uniq compare
-    |> List.sort (fun (v1, u1) (v2, u2) ->
-           compare (find_pos v1, find_pos u1) (find_pos v2, find_pos u2))
-  in
+  (* data edges between value ops, each once, by (producer, consumer)
+     topo position *)
+  let width = Array.length by_pos in
+  let keys = ref [] in
+  G.iter_ids g (fun v ->
+      if is_value_op g v then
+        G.iter_consumers g v (fun u _ ->
+            if is_value_op g u then
+              keys := (topo_pos.(v) * width) + topo_pos.(u) :: !keys));
+  let keys = List.sort_uniq Int.compare !keys in
   List.iter
-    (fun (v, u) ->
+    (fun key ->
+      let v = by_pos.(key / width) and u = by_pos.(key mod width) in
       let cv = find v and cu = find u in
       if cv <> cu then begin
-        let mv = Hashtbl.find members_of cv and mu = Hashtbl.find members_of cu in
-        let producer_root = Hashtbl.find roots cv in
-        let external_ok =
-          (not (G.Id_set.mem producer_root ctx.named_output_ids))
-          && (match Hashtbl.find_opt ctx.consumers producer_root with
-             | Some uses ->
-               List.for_all
-                 (fun (user, _) -> G.Id_set.mem user mu || G.Id_set.mem user mv)
-                 uses
-             | None -> true)
+        let inside user =
+          is_value_op g user
+          && let c = find user in
+             c = cu || c = cv
         in
-        let merged = G.Id_set.union mv mu in
-        if external_ok && satisfies_caps g topo_pos caps merged then begin
-          Hashtbl.replace cluster_ref cv cu;
-          Hashtbl.replace members_of cu merged
+        let merged = List.rev_append members.(cv) members.(cu) in
+        if
+          Bytes.get ctx.is_output cv = '\000'
+          && consumers_all g cv inside
+          && satisfies_caps g ctx.marks caps merged
+        then begin
+          parent.(cv) <- cu;
+          members.(cu) <- merged
         end
       end)
-    edges;
-  let reps = Fpfa_util.Listx.uniq compare (List.map find value_ops) in
-  List.map
-    (fun rep ->
-      {
-        p_ops = Hashtbl.find members_of rep;
-        p_root = Hashtbl.find roots rep;
-        p_stores = [];
-        p_deletes = [];
-      })
-    reps
+    keys;
+  let protos = ref [] in
+  for id = n - 1 downto 0 do
+    if G.mem g id && is_value_op g id && find id = id then
+      protos :=
+        { p_ops = members.(id); p_root = id; p_stores = []; p_deletes = [] }
+        :: !protos
+  done;
+  !protos
 
 (* Kahn's algorithm over cluster edges: which of [n] clusters are reached
    from the sources without passing through a cycle. *)
@@ -395,15 +395,14 @@ let kahn n edges =
 let rec assemble ctx ~detached value_protos =
   let g = ctx.cg in
   let topo_pos = ctx.topo_pos in
-  let consumers = ctx.consumers in
   List.iter (fun p -> p.p_stores <- []) value_protos;
   let protos : proto list ref = ref value_protos in
   (* Attach stores: a store joins the cluster producing its value; a store
      of a constant or fetched value gets a pass-through cluster (shared per
      source). *)
-  let proto_of_op : (G.id, proto) Hashtbl.t = Hashtbl.create 64 in
+  let proto_of_op = Array.make (G.id_bound g) None in
   List.iter
-    (fun p -> G.Id_set.iter (fun id -> Hashtbl.replace proto_of_op id p) p.p_ops)
+    (fun p -> List.iter (fun id -> proto_of_op.(id) <- Some p) p.p_ops)
     !protos;
   (* One store per cluster. A second store of the same value must not join
      the producing cluster: two multi-store clusters can hold interleaved
@@ -411,126 +410,107 @@ let rec assemble ctx ~detached value_protos =
      extra stores become pass-through clusters that re-emit the value. *)
   let attach_store st value =
     let fresh_passthrough () =
-      let p =
-        { p_ops = G.Id_set.empty; p_root = value; p_stores = [ st ];
-          p_deletes = [] }
-      in
+      let p = { p_ops = []; p_root = value; p_stores = [ st ]; p_deletes = [] } in
       protos := p :: !protos
     in
-    if G.Id_set.mem st detached then fresh_passthrough ()
+    if List.mem st detached then fresh_passthrough ()
     else
-      match Hashtbl.find_opt proto_of_op value with
+      match proto_of_op.(value) with
       | Some p ->
         if p.p_root <> value then
           errorf "store %d reads interior node %d of a cluster" st value;
         if p.p_stores = [] then p.p_stores <- [ st ] else fresh_passthrough ()
       | None -> fresh_passthrough ()
   in
-  G.iter g (fun n ->
-      match n.G.kind with
-      | G.St _ -> attach_store n.G.id n.G.inputs.(2)
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.St _ -> attach_store id (G.input g id 2)
       | G.Del _ ->
         protos :=
-          { p_ops = G.Id_set.empty; p_root = n.G.id; p_stores = [];
-            p_deletes = [ n.G.id ] }
-          :: !protos
+          { p_ops = []; p_root = id; p_stores = []; p_deletes = [ id ] } :: !protos
       | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
       | G.Fe _ ->
         ());
   (* Deterministic numbering: by minimum topo position over all attached
-     nodes. The sort is stable: pass-through clusters of one fetched value
-     share their position. *)
+     nodes, ties in list order (pass-through clusters of one fetched
+     value share their position): one bucket per position. *)
   let position p =
     let pos = ref max_int in
     let see id = if topo_pos.(id) >= 0 then pos := min !pos topo_pos.(id) in
-    G.Id_set.iter see p.p_ops;
+    List.iter see p.p_ops;
     List.iter see p.p_stores;
     List.iter see p.p_deletes;
-    if G.Id_set.is_empty p.p_ops then see p.p_root;
+    if p.p_ops = [] then see p.p_root;
     !pos
   in
-  let ordered =
-    List.map (fun p -> (position p, p)) !protos
-    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
+  let buckets = Array.make (List.length ctx.topo) [] in
+  List.iter
+    (fun p ->
+      let at = position p in
+      buckets.(at) <- p :: buckets.(at))
+    !protos;
+  let ordered = Array.of_list (List.concat_map List.rev (Array.to_list buckets)) in
+  let n = Array.length ordered in
+  let cluster_of = Array.make (G.id_bound g) (-1) in
+  Array.iteri
+    (fun cid p ->
+      List.iter (fun id -> cluster_of.(id) <- cid) p.p_ops;
+      List.iter (fun id -> cluster_of.(id) <- cid) p.p_stores;
+      List.iter (fun id -> cluster_of.(id) <- cid) p.p_deletes)
+    ordered;
+  (* every cluster's ops in topo order, from one walk of the order *)
+  let ops = Array.make n [] in
+  List.iter
+    (fun id ->
+      if is_value_op g id then
+        let cid = cluster_of.(id) in
+        ops.(cid) <- id :: ops.(cid))
+    (List.rev ctx.topo);
+  (* distinct external operands in first-use order (members in topo
+     order, ports left to right); operands are values, so an operand is a
+     member exactly when it is listed under the cluster *)
+  let seen = Array.make (G.id_bound g) (-1) in
+  let external_inputs cid =
+    let acc = ref [] in
+    List.iter
+      (fun m ->
+        for port = 0 to G.arity_of g m - 1 do
+          let input = G.input g m port in
+          if cluster_of.(input) <> cid && seen.(input) <> cid then begin
+            seen.(input) <- cid;
+            acc := input :: !acc
+          end
+        done)
+      ops.(cid);
+    List.rev !acc
   in
   let clusters =
-    Array.of_list
-      (List.mapi
-         (fun cid p ->
-           let ops = in_topo_order topo_pos (G.Id_set.elements p.p_ops) in
-           let root =
-             if p.p_deletes <> [] && G.Id_set.is_empty p.p_ops then None
-             else Some p.p_root
-           in
-           let cinputs =
-             if ops <> [] then
-               external_inputs g topo_pos
-                 (List.fold_left
-                    (fun s id -> G.Id_set.add id s)
-                    G.Id_set.empty ops)
-             else match root with Some v -> [ v ] | None -> []
-           in
-           {
-             cid;
-             ops;
-             root;
-             stores = List.sort compare p.p_stores;
-             deletes = List.sort compare p.p_deletes;
-             cinputs;
-           })
-         ordered)
+    Array.mapi
+      (fun cid p ->
+        let root =
+          if p.p_deletes <> [] && p.p_ops = [] then None else Some p.p_root
+        in
+        let cinputs =
+          if ops.(cid) <> [] then external_inputs cid
+          else match root with Some v -> [ v ] | None -> []
+        in
+        { cid; ops = ops.(cid); root; stores = p.p_stores; deletes = p.p_deletes;
+          cinputs })
+      ordered
   in
-  let cluster_of = index g clusters in
-  (* Dependency edges. *)
-  let edge_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let add_edge src dst weight =
-    if src <> dst then
-      let key = (src, dst) in
-      match Hashtbl.find_opt edge_tbl key with
-      | Some w when w >= weight -> ()
-      | Some _ | None -> Hashtbl.replace edge_tbl key weight
+  (* Dependency edges, per destination: [into.(dst)] holds (src, weight),
+     [succ.(src)] the destinations, for the cycle checks below. *)
+  let into = Array.make n [] and succ = Array.make n [] in
+  let rec has_src src = function
+    | [] -> false
+    | (s, _) :: rest -> s = src || has_src src rest
   in
-  (* Anti-dependence (weight-0) edges are a scheduling preference, not a
-     hard dataflow constraint: when the reader also consumes the
-     overwriting cluster's value, the preference would create a cycle. The
-     allocator then guarantees read-before-overwrite with a move deadline
-     instead, so such edges are simply skipped. *)
-  let soft_candidates : (int * int) list ref = ref [] in
-  let add_soft_edge src dst =
-    if src <> dst then soft_candidates := (src, dst) :: !soft_candidates
+  let link src dst weight =
+    into.(dst) <- (src, weight) :: into.(dst);
+    succ.(src) <- dst :: succ.(src)
   in
-  let flush_soft_edges () =
-    (* adjacency snapshot of the hard edges, extended as soft edges land *)
-    let succ : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-    let link src dst =
-      let old = match Hashtbl.find_opt succ src with Some l -> l | None -> [] in
-      Hashtbl.replace succ src (dst :: old)
-    in
-    Hashtbl.iter (fun (src, dst) _ -> link src dst) edge_tbl;
-    let reaches start goal =
-      let visited = Hashtbl.create 16 in
-      let rec walk node =
-        node = goal
-        || (not (Hashtbl.mem visited node))
-           && begin
-                Hashtbl.replace visited node ();
-                List.exists walk
-                  (match Hashtbl.find_opt succ node with
-                  | Some l -> l
-                  | None -> [])
-              end
-      in
-      walk start
-    in
-    List.iter
-      (fun (src, dst) ->
-        if (not (Hashtbl.mem edge_tbl (src, dst))) && not (reaches dst src)
-        then begin
-          add_edge src dst 0;
-          link src dst
-        end)
-      (List.rev !soft_candidates)
+  let add_edge src dst =
+    if src <> dst && not (has_src src into.(dst)) then link src dst 1
   in
   (* Links [dst_cid] after the cluster of the store/delete that made the
      version of the cell an access interacts with. Stores to other cells of
@@ -540,7 +520,7 @@ let rec assemble ctx ~detached value_protos =
     match Legalize.latest_version ctx.versions access with
     | Some m ->
       let src = cluster_of.(m) in
-      if src >= 0 then add_edge src dst_cid 1
+      if src >= 0 then add_edge src dst_cid
       else errorf "unclustered store/delete %d" m
     | None -> ()
   in
@@ -548,7 +528,7 @@ let rec assemble ctx ~detached value_protos =
     match G.kind g input with
     | G.Binop _ | G.Unop _ | G.Mux ->
       let src = cluster_of.(input) in
-      if src >= 0 then add_edge src dst_cid 1
+      if src >= 0 then add_edge src dst_cid
       else errorf "unclustered value op %d" input
     | G.Fe _ -> version_edge input dst_cid
     | G.Const _ -> ()
@@ -563,34 +543,49 @@ let rec assemble ctx ~detached value_protos =
     clusters;
   (* Anti-dependences: a fetch must not be overtaken by the first
      subsequent store/delete to the same cell. Prefer scheduling the
-     fetch's consumers no later than the overwriting cluster. When that
-     preference would cycle it is skipped; the allocator then enforces
-     read-before-overwrite with a move deadline. *)
-  G.iter g (fun n ->
-      match n.G.kind with
+     fetch's consumers no later than the overwriting cluster: a weight-0
+     edge, a scheduling preference rather than a dataflow constraint.
+     When the reader also consumes the overwriting cluster's value, the
+     preference would close a cycle: it is skipped, and the allocator
+     guarantees read-before-overwrite with a move deadline instead.
+     Candidates are tried by fetch, ascending, and per fetch by consumer,
+     descending; each sees the hard edges and the soft edges taken so
+     far. *)
+  let visited = Array.make n (-1) in
+  let rec reaches stamp goal node =
+    node = goal
+    || visited.(node) <> stamp
+       && begin
+            visited.(node) <- stamp;
+            List.exists (reaches stamp goal) succ.(node)
+          end
+  in
+  let tries = ref 0 in
+  let soft_edge dst src =
+    if src >= 0 && src <> dst && not (List.mem dst succ.(src)) then begin
+      incr tries;
+      if not (reaches !tries src dst) then link src dst 0
+    end
+  in
+  G.iter_ids g (fun id ->
+      match G.kind g id with
       | G.Fe _ -> (
-        match Legalize.overwriter ctx.versions n.G.id with
-        | Some overwriter when cluster_of.(overwriter) >= 0 -> (
-          let dst = cluster_of.(overwriter) in
-          match Hashtbl.find_opt consumers n.G.id with
-          | Some uses ->
-            List.iter
-              (fun (user, _) ->
-                let src = cluster_of.(user) in
-                if src >= 0 then add_soft_edge src dst)
-              uses
-          | None -> ())
+        match Legalize.overwriter ctx.versions id with
+        | Some overwriter when cluster_of.(overwriter) >= 0 ->
+          let users = ref [] in
+          G.iter_consumers g id (fun user _ -> users := user :: !users);
+          List.iter
+            (fun user -> soft_edge cluster_of.(overwriter) cluster_of.(user))
+            !users
         | Some _ | None -> ())
       | _ -> ());
-  flush_soft_edges ();
-  let edges =
-    Hashtbl.fold (fun (src, dst) weight acc -> { src; dst; weight } :: acc)
-      edge_tbl []
-    |> List.sort (fun a b ->
-           match Int.compare a.src b.src with
-           | 0 -> Int.compare a.dst b.dst
-           | c -> c)
-  in
+  (* sorted by (src, dst): bucketed by source in descending destination
+     order, so each source's edges come out ascending *)
+  let out = Array.make n [] in
+  for dst = n - 1 downto 0 do
+    List.iter (fun (src, weight) -> out.(src) <- { src; dst; weight } :: out.(src)) into.(dst)
+  done;
+  let edges = List.concat (Array.to_list out) in
   (* A store fused into the cluster producing its value can close a cycle:
      the store's same-cell version edge points in while the root's data
      edges point out. Every cycle must traverse such a fused store (data
@@ -598,22 +593,20 @@ let rec assemble ctx ~detached value_protos =
      edges alone form chains), so detaching one store per round into a
      pass-through cluster and reassembling terminates and converges to an
      acyclic cluster DAG. *)
-  let cycle_participants =
-    let seen = kahn (Array.length clusters) edges in
-    List.filter (fun cid -> not seen.(cid)) (List.init (Array.length clusters) Fun.id)
+  let seen = kahn n edges in
+  let rec first_fused cid =
+    if cid >= n then None
+    else if (not seen.(cid)) && clusters.(cid).ops <> [] && clusters.(cid).stores <> []
+    then Some cid
+    else first_fused (cid + 1)
   in
-  match
-    List.find_opt
-      (fun cid ->
-        clusters.(cid).ops <> [] && clusters.(cid).stores <> [])
-      cycle_participants
-  with
-  | None when cycle_participants = [] ->
+  match first_fused 0 with
+  | None when Array.for_all Fun.id seen ->
     build ~versions:ctx.versions g clusters edges cluster_of
   | None -> errorf "cluster dependence graph has an irreducible cycle"
   | Some cid -> (
     match clusters.(cid).stores with
-    | st :: _ -> assemble ctx ~detached:(G.Id_set.add st detached) value_protos
+    | st :: _ -> assemble ctx ~detached:(st :: detached) value_protos
     | [] -> assert false)
 
 let c_clusters = Fpfa_obs.Obs.counter "cluster.clusters"
@@ -626,11 +619,11 @@ let tally t =
 
 let run ?(caps = Arch.paper_alu) g =
   let ctx = make_ctx g in
-  tally (assemble ctx ~detached:G.Id_set.empty (partition_greedy ctx caps))
+  tally (assemble ctx ~detached:[] (partition_greedy ctx caps))
 
 let sarkar ?(caps = Arch.paper_alu) g =
   let ctx = make_ctx g in
-  tally (assemble ctx ~detached:G.Id_set.empty (partition_sarkar ctx caps))
+  tally (assemble ctx ~detached:[] (partition_sarkar ctx caps))
 
 let unit_clusters g = run ~caps:Arch.unit_alu g
 
@@ -638,16 +631,11 @@ let inputs_of c = c.cinputs
 
 let validate t caps =
   let g = t.graph in
-  let topo_pos = topo_positions g (G.topo_order g) in
+  let m = marks g in
   Array.iter
     (fun c ->
-      if c.ops <> [] then begin
-        let members =
-          List.fold_left (fun s id -> G.Id_set.add id s) G.Id_set.empty c.ops
-        in
-        if not (satisfies_caps g topo_pos caps members) then
-          errorf "cluster %d violates the ALU data-path constraints" c.cid
-      end;
+      if c.ops <> [] && not (satisfies_caps g m caps c.ops) then
+        errorf "cluster %d violates the ALU data-path constraints" c.cid;
       match (c.ops, c.root, c.deletes) with
       | [], None, [] -> errorf "cluster %d is empty" c.cid
       | _ -> ())

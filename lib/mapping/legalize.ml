@@ -5,15 +5,13 @@ exception Unmappable of string
 
 let unmappablef fmt = Format.kasprintf (fun msg -> raise (Unmappable msg)) fmt
 
+let is_access = function G.Fe _ | G.St _ | G.Del _ -> true | _ -> false
+
+(* Every access reads its offset at port 1. *)
 let const_offset g node_id =
-  let offset_input =
-    match (G.kind g node_id, G.inputs g node_id) with
-    | G.Fe _, [ _; offset ] | G.Del _, [ _; offset ] | G.St _, [ _; offset; _ ]
-      ->
-      offset
-    | _, _ -> unmappablef "node %d is not a statespace access" node_id
-  in
-  match G.kind g offset_input with
+  if not (is_access (G.kind g node_id)) then
+    unmappablef "node %d is not a statespace access" node_id;
+  match G.kind g (G.input g node_id 1) with
   | G.Const c ->
     if c < 0 then unmappablef "negative statespace offset %d" c;
     c
@@ -28,39 +26,33 @@ let const_offset g node_id =
 let check_diags g =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let offset_diag (n : G.node) =
-    match (n.G.kind, Array.to_list n.G.inputs) with
-    | G.Fe _, [ _; offset ] | G.Del _, [ _; offset ]
-    | G.St _, [ _; offset; _ ] -> (
-      match G.kind g offset with
-      | G.Const c when c >= 0 -> ()
-      | G.Const c ->
-        add
-          (D.error ~node:n.G.id "ss.offset-negative"
-             "negative statespace offset %d" c)
-      | _ ->
-        add
-          (D.error ~node:n.G.id "ss.offset-dynamic"
-             "node %d has a dynamic statespace offset (unroll and simplify \
-              first)"
-             n.G.id))
-    | _ -> ()
-  in
-  (* The set of value ids some store writes back: one graph scan instead of
-     one full-graph fold per named output. *)
-  let stored =
-    G.fold g ~init:G.Id_set.empty ~f:(fun acc n ->
-        offset_diag n;
-        match n.G.kind with
-        | G.St _ when Array.length n.G.inputs = 3 ->
-          G.Id_set.add n.G.inputs.(2) acc
-        | _ -> acc)
-  in
+  (* The values some store writes back, marked in one graph scan instead
+     of one full-graph fold per named output. *)
+  let stored = Bytes.make (G.id_bound g) '\000' in
+  G.iter_ids g (fun id ->
+      let kind = G.kind g id in
+      if is_access kind then begin
+        match G.kind g (G.input g id 1) with
+        | G.Const c when c >= 0 -> ()
+        | G.Const c ->
+          add
+            (D.error ~node:id "ss.offset-negative"
+               "negative statespace offset %d" c)
+        | _ ->
+          add
+            (D.error ~node:id "ss.offset-dynamic"
+               "node %d has a dynamic statespace offset (unroll and simplify \
+                first)"
+               id)
+      end;
+      match kind with
+      | G.St _ -> Bytes.set stored (G.input g id 2) '\001'
+      | _ -> ());
   List.iter
     (fun (name, id) ->
       (* A named output must reach memory through some store, otherwise the
          tile has nowhere observable to leave it. *)
-      if not (G.Id_set.mem id stored) then
+      if Bytes.get stored id = '\000' then
         add
           (D.error ~node:id "ss.output-not-stored"
              "named output %s is not stored to any region" name))
@@ -89,13 +81,15 @@ let check g =
    the clustering holds these facts for as long as it is shared. *)
 type versions = {
   rank : int array;  (* node id -> access number, -1 for other nodes *)
-  offsets : int array;  (* by access number, as are the next three *)
+  offsets : int array;  (* by access number, as are the next four *)
+  regions : int array;  (* position in [G.regions], -1 if undeclared *)
   latest : G.id option array;
   overwriter : G.id option array;
       (* stored as options so that phase 3, which asks on every level
          attempt, allocates nothing *)
   destroys : G.id list array;
-  max_offsets : (string, int) Hashtbl.t;
+  region_names : string array;  (* [G.regions], by position *)
+  max_offsets : int array;  (* by region position *)
 }
 
 let versions g =
@@ -116,18 +110,26 @@ let versions g =
       0 topo
   in
   let offsets = Array.make accesses (-1) in
+  let regions = Array.make accesses (-1) in
   let latest = Array.make accesses (-1) in
   let overwriter = Array.make accesses (-1) in
   let destroys = Array.make accesses [] in
-  let max_offsets = Hashtbl.create 16 in
+  let region_names = Array.of_list (List.map fst (G.regions g)) in
+  let max_offsets = Array.make (Array.length region_names) (-1) in
+  let position = Hashtbl.create 16 in
+  Array.iteri (fun i name -> Hashtbl.replace position name i) region_names;
   List.iter
     (fun id ->
       match G.kind g id with
       | G.Fe region | G.St region | G.Del region ->
+        let r = rank.(id) in
         let offset = const_offset g id in
-        offsets.(rank.(id)) <- offset;
-        if offset > Option.value ~default:(-1) (Hashtbl.find_opt max_offsets region)
-        then Hashtbl.replace max_offsets region offset
+        offsets.(r) <- offset;
+        Option.iter
+          (fun p ->
+            regions.(r) <- p;
+            if offset > max_offsets.(p) then max_offsets.(p) <- offset)
+          (Hashtbl.find_opt position region)
       | _ -> ())
     topo;
   let offset_of id = offsets.(rank.(id)) in
@@ -167,9 +169,11 @@ let versions g =
   {
     rank;
     offsets;
+    regions;
     latest = Array.map opt latest;
     overwriter = Array.map opt overwriter;
     destroys;
+    region_names;
     max_offsets;
   }
 
@@ -182,9 +186,15 @@ let by_rank v answers default id =
   if r < 0 then default else answers.(r)
 
 let offset v id = by_rank v v.offsets (-1) id
+let region_index v id = by_rank v v.regions (-1) id
 let latest_version v id = by_rank v v.latest None id
 let overwriter v id = by_rank v v.overwriter None id
 let destroyed_by v id = by_rank v v.destroys [] id
 
 let max_offset v region =
-  Option.value ~default:(-1) (Hashtbl.find_opt v.max_offsets region)
+  let rec find p =
+    if p >= Array.length v.region_names then -1
+    else if String.equal v.region_names.(p) region then v.max_offsets.(p)
+    else find (p + 1)
+  in
+  find 0

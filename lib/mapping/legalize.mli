@@ -46,6 +46,11 @@ val access_index : versions -> Cdfg.Graph.id -> int
 val offset : versions -> Cdfg.Graph.id -> int
 (** {!const_offset} of an [Fe]/[St]/[Del] node. *)
 
+val region_index : versions -> Cdfg.Graph.id -> int
+(** For an [Fe]/[St]/[Del] node, the position of its region in
+    {!Cdfg.Graph.regions}; -1 for any other node or an undeclared
+    region. *)
+
 val latest_version : versions -> Cdfg.Graph.id -> Cdfg.Graph.id option
 (** For an [Fe]/[St]/[Del] node: the nearest [St]/[Del] of the same cell
     at or above its token (walking the token inputs towards [Ss_in]);
