@@ -45,57 +45,81 @@ let topo_positions g topo =
   List.iteri (fun i id -> pos.(id) <- i) topo;
   pos
 
-(* Per-run marks over node ids for the data-path check: [mark.(id)] holds
-   the current stamp for the members of the set under test, [seen.(id)]
-   for the external inputs counted so far, so a fresh stamp empties both
-   without clearing an array. *)
-type marks = { mark : int array; seen : int array; mutable stamp : int }
+(* Per-run state of the data-path check, over node ids: [mark.(id)]
+   holds the current stamp for the members of the set under test,
+   [seen.(id)] for the external inputs counted so far, so a fresh stamp
+   empties both without clearing an array. The counts are the set's. *)
+type marks = {
+  mark : int array;
+  seen : int array;
+  mutable stamp : int;
+  mutable members : int;
+  mutable mults : int;
+  mutable depth : int;
+  mutable inputs : int;
+}
 
 let marks g =
-  { mark = Array.make (G.id_bound g) 0; seen = Array.make (G.id_bound g) 0; stamp = 0 }
+  {
+    mark = Array.make (G.id_bound g) 0;
+    seen = Array.make (G.id_bound g) 0;
+    stamp = 0;
+    members = 0;
+    mults = 0;
+    depth = 0;
+    inputs = 0;
+  }
 
 (* Longest path within the marked members below [id], counted in
    operations. *)
-let rec member_depth g m s id =
-  if m.mark.(id) <> s then 0
+let rec member_depth g m id =
+  if m.mark.(id) <> m.stamp then 0
   else begin
     let d = ref 0 in
     for port = 0 to G.arity_of g id - 1 do
-      d := max !d (member_depth g m s (G.input g id port))
+      d := Int.max !d (member_depth g m (G.input g id port))
     done;
     1 + !d
   end
+
+let rec mark_members g m = function
+  | [] -> ()
+  | id :: rest ->
+    if m.mark.(id) <> m.stamp then begin
+      m.mark.(id) <- m.stamp;
+      m.members <- m.members + 1;
+      if is_mult_class g id then m.mults <- m.mults + 1
+    end;
+    mark_members g m rest
+
+let rec measure_members g m = function
+  | [] -> ()
+  | id :: rest ->
+    m.depth <- Int.max m.depth (member_depth g m id);
+    for port = 0 to G.arity_of g id - 1 do
+      let input = G.input g id port in
+      if m.mark.(input) <> m.stamp && m.seen.(input) <> m.stamp then begin
+        m.seen.(input) <- m.stamp;
+        m.inputs <- m.inputs + 1
+      end
+    done;
+    measure_members g m rest
 
 (* Whether [members] fit one ALU: operation count, multiplier-class
    count, internal depth and distinct external operands, counted without
    building a set or a list. *)
 let satisfies_caps g m (caps : Arch.alu_caps) members =
   m.stamp <- m.stamp + 1;
-  let s = m.stamp in
-  let ops = ref 0 and mults = ref 0 and depth = ref 0 and inputs = ref 0 in
-  List.iter
-    (fun id ->
-      if m.mark.(id) <> s then begin
-        m.mark.(id) <- s;
-        incr ops;
-        if is_mult_class g id then incr mults
-      end)
-    members;
-  List.iter
-    (fun id ->
-      depth := max !depth (member_depth g m s id);
-      for port = 0 to G.arity_of g id - 1 do
-        let input = G.input g id port in
-        if m.mark.(input) <> s && m.seen.(input) <> s then begin
-          m.seen.(input) <- s;
-          incr inputs
-        end
-      done)
-    members;
-  !ops <= caps.Arch.max_ops
-  && !mults <= caps.Arch.max_multipliers
-  && !depth <= caps.Arch.max_depth
-  && !inputs <= caps.Arch.max_inputs
+  m.members <- 0;
+  m.mults <- 0;
+  m.depth <- 0;
+  m.inputs <- 0;
+  mark_members g m members;
+  measure_members g m members;
+  m.members <= caps.Arch.max_ops
+  && m.mults <= caps.Arch.max_multipliers
+  && m.depth <= caps.Arch.max_depth
+  && m.inputs <= caps.Arch.max_inputs
 
 type proto = {
   p_ops : G.id list;  (** distinct, in no particular order *)
@@ -155,13 +179,13 @@ exception Malformed of string
    it allocates the cluster. *)
 let micro_program g cluster_of c =
   let fail fmt = Format.kasprintf (fun msg -> raise (Malformed msg)) fmt in
-  let ports = List.mapi (fun i input -> (input, i)) c.cinputs in
+  let rec port_of input p = function
+    | [] -> fail "operand %d of cluster %d is not a port" input c.cid
+    | x :: rest -> if x = input then Job.Port p else port_of input (p + 1) rest
+  in
   let arg_of input =
     if cluster_of.(input) = c.cid then Job.Node input
-    else
-      match List.assoc_opt input ports with
-      | Some p -> Job.Port p
-      | None -> fail "operand %d of cluster %d is not a port" input c.cid
+    else port_of input 0 c.cinputs
   in
   match
     match c.ops with
@@ -436,7 +460,7 @@ let rec assemble ctx ~detached value_protos =
      value share their position): one bucket per position. *)
   let position p =
     let pos = ref max_int in
-    let see id = if topo_pos.(id) >= 0 then pos := min !pos topo_pos.(id) in
+    let see id = if topo_pos.(id) >= 0 then pos := Int.min !pos topo_pos.(id) in
     List.iter see p.p_ops;
     List.iter see p.p_stores;
     List.iter see p.p_deletes;

@@ -70,11 +70,13 @@ let check g =
    latest same-cell mutator at or above its token) and, for a fetch, which
    mutator destroys the value it read (the first same-cell mutator below
    its token). Walking the chain per query is quadratic in the chain
-   length, so both answers come from maps offset -> mutator, one per token
-   producer, built once in topological order. The maps are persistent:
-   each mutator adds one binding to its token's map. The same walks
-   record what phase 3 reads per region and per mutator: the largest
-   offset accessed, and the fetches each mutator destroys.
+   length, so both answers come from two walks of the token chains that
+   keep one array cell per offset: down each region's tree of tokens, a
+   mutator holds its cell while the walk is below it; back up each path
+   of consuming mutators, a mutator takes its cell for the tokens above
+   it. The same walks record what phase 3 reads per region and per
+   mutator: the largest offset accessed, and the fetches each mutator
+   destroys.
 
    The answers are kept per access, numbered in topological order: a
    minimised graph's ids are sparse (matmul-8 keeps 1,234 of 12,802), and
@@ -133,36 +135,65 @@ let versions g =
       | _ -> ())
     topo;
   let offset_of id = offsets.(rank.(id)) in
-  let find offset map =
-    match G.Id_map.find_opt offset map with Some m -> m | None -> -1
+  (* One cell per offset, for every region in turn: each walk below
+     leaves the cells it set at -1 again. *)
+  let cell = Array.make (1 + Array.fold_left max (-1) offsets) (-1) in
+  (* Down from a token: each access consuming it sees the cell's mutator
+     at or above the token, and a mutator holds its cell for the walk
+     below it. *)
+  let rec down token =
+    G.iter_consumers g token (fun c port ->
+        let r = rank.(c) in
+        if port = 0 && r >= 0 then begin
+          let offset = offsets.(r) in
+          latest.(r) <- cell.(offset);
+          if mutator c then begin
+            let above = cell.(offset) in
+            cell.(offset) <- c;
+            down c;
+            cell.(offset) <- above
+          end
+        end)
   in
-  (* Downwards: walkers follow, from each token, the mutator that consumes
-     it, and when two do, the one with the larger id. *)
+  (* From each token, walkers follow the mutator that consumes it, and
+     when two do, the one with the larger id; so the tokens lie on
+     disjoint paths. Back up a path, the cells hold the first mutator
+     below the current token, which each fetch of it reads. *)
   let next = Array.make n (-1) in
   G.iter_ids g (fun id -> if mutator id then next.(G.input g id 0) <- id);
-  let above = Array.make n G.Id_map.empty in
-  List.iter
-    (fun id ->
-      let r = rank.(id) in
-      if r >= 0 then begin
-        let token = G.input g id 0 in
-        latest.(r) <- find offsets.(r) above.(token);
-        if mutator id then above.(id) <- G.Id_map.add offsets.(r) id above.(token)
-      end)
-    topo;
-  let below = Array.make n G.Id_map.empty in
-  List.iter
-    (fun id ->
-      let m = next.(id) in
-      if m >= 0 then below.(id) <- G.Id_map.add (offset_of m) m below.(m))
-    (List.rev topo);
+  let rec up token =
+    let m = next.(token) in
+    if m >= 0 then begin
+      up m;
+      cell.(offset_of m) <- m
+    end;
+    G.iter_consumers g token (fun c port ->
+        match G.kind g c with
+        | G.Fe _ when port = 0 -> overwriter.(rank.(c)) <- cell.(offset_of c)
+        | _ -> ())
+  in
+  let rec clear token =
+    let m = next.(token) in
+    if m >= 0 then begin
+      cell.(offset_of m) <- -1;
+      clear m
+    end
+  in
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.Ss_in _ ->
+        down id;
+        up id;
+        clear id
+      | (G.St _ | G.Del _) when next.(G.input g id 0) <> id ->
+        up id;
+        clear id
+      | _ -> ());
   (* Ascending ids, each prepended: every [destroys] list is descending. *)
   G.iter_ids g (fun id ->
       match G.kind g id with
       | G.Fe _ ->
-        let r = rank.(id) in
-        let m = find offsets.(r) below.(G.input g id 0) in
-        overwriter.(r) <- m;
+        let m = overwriter.(rank.(id)) in
         if m >= 0 then destroys.(rank.(m)) <- id :: destroys.(rank.(m))
       | _ -> ());
   let opt id = if id < 0 then None else Some id in
