@@ -2,9 +2,12 @@ module G = Cdfg.Graph
 module Arch = Fpfa_arch.Arch
 module Obs = Fpfa_obs.Obs
 
-(* Allocator tallies for `--stats` (inert until Obs.enable). "alloc.moves"
-   and "alloc.forwards" must reconcile with Mapping.Metrics on the mapped
-   job; the test suite checks exactly that. *)
+(* Allocator tallies for `--stats` (inert until Obs.enable).
+   "alloc.moves", "alloc.forwards" and "alloc.inserted_cycles" must
+   reconcile with Mapping.Metrics on the mapped job; the test suite checks
+   exactly that. "alloc.level_retries" counts the failed level attempts,
+   which insert most cycles but not those before a level that needs no
+   ALU or after the last level. *)
 let c_moves = Obs.counter "alloc.moves"
 let c_forwards = Obs.counter "alloc.forwards"
 let c_copies = Obs.counter "alloc.preserve_copies"
@@ -810,7 +813,6 @@ let rec place_level st ~level ~first_try level_cids exec =
     errorf "level %d cannot be placed (inserted more than 200 cycles)" level;
   if try_level st ~exec level_cids then begin
     commit_level st ~exec ~level level_cids;
-    Obs.add c_inserted (exec - first_try);
     exec
   end
   else begin
@@ -941,7 +943,7 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       let first_try = !prev_exec + 1 in
       prev_exec := place_level st ~level ~first_try level_cids first_try)
     st.sched.Sched.levels;
-  let moves = ref 0 and copies = ref 0 in
+  let moves = ref 0 and copies = ref 0 and exec_cycles = ref 0 in
   (* Filled in place, not by [Array.init]: a long array made around a
      young value makes the runtime empty the minor heap first, which
      promoted every job while it was still being built. *)
@@ -958,8 +960,11 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
     in
     moves := !moves + List.length cycle.Job.moves;
     copies := !copies + List.length cycle.Job.copies;
+    if alu <> [] then incr exec_cycles;
     cycles.(i) <- cycle
   done;
+  (* every cycle that fires no ALU was inserted *)
+  Obs.add c_inserted (Array.length cycles - !exec_cycles);
   Obs.add c_moves !moves;
   Obs.add c_copies !copies;
   Obs.add c_forwards st.forward_count;

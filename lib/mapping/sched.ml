@@ -132,7 +132,9 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
   Array.iteri (fun cid d -> if d = 0 then push cid 0) unplaced_preds;
   let waiting = ref Waiting.empty and waiting_count = ref 0 in
   let remaining = ref n in
-  let levels = ref [] in
+  (* filled in place: an array made from a list of more than 256 young
+     levels would first empty the minor heap *)
+  let levels = Array.make (max_level + 1) [] in
   let level = ref 0 in
   while !remaining > 0 do
     if !level > max_level then
@@ -181,26 +183,21 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
     (* Every ALU cluster still waiting lost this level (paper Fig. 4: a
        new level is inserted for it). *)
     Obs.add c_displacements !waiting_count;
-    levels := List.rev !this_level :: !levels;
+    levels.(!level) <- List.rev !this_level;
     incr level
   done;
   (* Trim trailing empty levels. *)
-  let levels = List.rev !levels in
-  let levels =
-    let rec trim = function
-      | [] -> []
-      | [ [] ] -> []
-      | x :: rest -> (
-        match trim rest with [] when x = [] -> [] | rest -> x :: rest)
-    in
-    trim levels
+  let rec used count =
+    if count = 0 then 0
+    else match levels.(count - 1) with [] -> used (count - 1) | _ -> count
   in
+  let count = used !level in
   (* record_max, not set: a parallel corpus batch must report the same
      value as a sequential one, and last-writer-wins is not
      deterministic across domains. *)
-  Obs.record_max c_levels (List.length levels);
-  Obs.add c_levels_inserted (max 0 (List.length levels - (horizon + 1)));
-  { clustering; level_of; levels = Array.of_list levels; asap; alap }
+  Obs.record_max c_levels count;
+  Obs.add c_levels_inserted (max 0 (count - (horizon + 1)));
+  { clustering; level_of; levels = Array.sub levels 0 count; asap; alap }
 
 let level_count t = Array.length t.levels
 

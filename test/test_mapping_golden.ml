@@ -587,7 +587,7 @@ let check_cases cases () =
 let expected_counters =
   [
     ("dag-1000@a3.b2.w1/alloc.forwards", 0);
-    ("dag-1000@a3.b2.w1/alloc.inserted_cycles", 1003);
+    ("dag-1000@a3.b2.w1/alloc.inserted_cycles", 1004);
     ("dag-1000@a3.b2.w1/alloc.level_retries", 1003);
     ("dag-1000@a3.b2.w1/alloc.moves", 1704);
     ("dag-1000@a3.b2.w1/alloc.preserve_copies", 0);
@@ -598,7 +598,7 @@ let expected_counters =
     ("dag-1000@a3.b2.w1/sched.levels", 263);
     ("dag-1000@a3.b2.w1/sched.levels_inserted", 245);
     ("dag-1000@a5.b10.w4/alloc.forwards", 0);
-    ("dag-1000@a5.b10.w4/alloc.inserted_cycles", 337);
+    ("dag-1000@a5.b10.w4/alloc.inserted_cycles", 342);
     ("dag-1000@a5.b10.w4/alloc.level_retries", 337);
     ("dag-1000@a5.b10.w4/alloc.moves", 1704);
     ("dag-1000@a5.b10.w4/alloc.preserve_copies", 0);
@@ -609,7 +609,7 @@ let expected_counters =
     ("dag-1000@a5.b10.w4/sched.levels", 158);
     ("dag-1000@a5.b10.w4/sched.levels_inserted", 140);
     ("dag-2000@a3.b2.w1/alloc.forwards", 0);
-    ("dag-2000@a3.b2.w1/alloc.inserted_cycles", 1945);
+    ("dag-2000@a3.b2.w1/alloc.inserted_cycles", 1946);
     ("dag-2000@a3.b2.w1/alloc.level_retries", 1945);
     ("dag-2000@a3.b2.w1/alloc.moves", 3350);
     ("dag-2000@a3.b2.w1/alloc.preserve_copies", 0);
@@ -620,7 +620,7 @@ let expected_counters =
     ("dag-2000@a3.b2.w1/sched.levels", 519);
     ("dag-2000@a3.b2.w1/sched.levels_inserted", 503);
     ("dag-2000@a5.b10.w4/alloc.forwards", 0);
-    ("dag-2000@a5.b10.w4/alloc.inserted_cycles", 590);
+    ("dag-2000@a5.b10.w4/alloc.inserted_cycles", 601);
     ("dag-2000@a5.b10.w4/alloc.level_retries", 590);
     ("dag-2000@a5.b10.w4/alloc.moves", 3350);
     ("dag-2000@a5.b10.w4/alloc.preserve_copies", 0);

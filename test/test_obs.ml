@@ -355,6 +355,9 @@ let test_counters_match_metrics () =
         (get "alloc.preserve_copies");
       Alcotest.(check int) (name ^ " sched.levels") m.Mapping.Metrics.levels
         (get "sched.levels");
+      Alcotest.(check int)
+        (name ^ " alloc.inserted_cycles")
+        m.Mapping.Metrics.inserted_cycles (get "alloc.inserted_cycles");
       (* the simulator counts as it executes; metrics derive from the job *)
       let _ =
         Fpfa_sim.Sim.run ~memory_init:k.Fpfa_kernels.Kernels.inputs
