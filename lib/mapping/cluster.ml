@@ -332,8 +332,7 @@ let partition_sarkar ctx caps =
   let g = ctx.cg in
   let n = G.id_bound g in
   let topo_pos = ctx.topo_pos in
-  let by_pos = Array.make (List.length ctx.topo) (-1) in
-  List.iteri (fun i id -> by_pos.(i) <- id) ctx.topo;
+  let by_pos = Array.of_list ctx.topo in
   (* union-find over value ops: [parent] links, and at each
      representative its members. A merge keeps the consumer's
      representative, so a representative is its cluster's root. *)
@@ -528,7 +527,7 @@ let rec assemble ctx ~detached value_protos =
   let rec has_src src = function
     | [] -> false
     | (s, _) :: rest -> s = src || has_src src rest
-  in
+  and has_dst dst = function [] -> false | d :: rest -> d = dst || has_dst dst rest in
   let link src dst weight =
     into.(dst) <- (src, weight) :: into.(dst);
     succ.(src) <- dst :: succ.(src)
@@ -586,7 +585,7 @@ let rec assemble ctx ~detached value_protos =
   in
   let tries = ref 0 in
   let soft_edge dst src =
-    if src >= 0 && src <> dst && not (List.mem dst succ.(src)) then begin
+    if src >= 0 && src <> dst && not (has_dst dst succ.(src)) then begin
       incr tries;
       if not (reaches !tries src dst) then link src dst 0
     end
