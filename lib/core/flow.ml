@@ -298,8 +298,7 @@ module Staged = struct
     (* With a pool, no pass mutates the graph beyond this point: freeze it
        so the overlapped validate/advance stages below (and any later
        {!audit}) can read it from several domains without copying. Without
-       a pool the graph stays mutable, for callers that re-run passes on
-       [result.graph]. *)
+       a pool the graph stays mutable, as [map_source] documents. *)
     (match pool with Some _ -> Cdfg.Graph.freeze graph | None -> ());
     {
       s with

@@ -210,10 +210,10 @@ let test_reassociation_balances () =
   Alcotest.(check bool) "depth reduced" true (s.G.critical_path < before);
   Alcotest.(check bool) "balanced" true (s.G.critical_path <= 7)
 
-(* Every member of a chain is visited, and each visit used to walk the
-   whole chain again: on fir-512 the rule walked 147 nodes per raw node,
-   8x what it walked per raw node on fir-64. Examining each chain root
-   once per graph state keeps the walk per raw node nearly flat. *)
+(* Every member of a chain is visited. A rule that walks the whole chain
+   at each visit walks 147 nodes per raw node on fir-512, 8x what it
+   walks per raw node on fir-64; examining each chain root once per
+   graph state keeps the walk per raw node nearly flat. *)
 let test_reassociation_walk_linear () =
   let module Obs = Fpfa_obs.Obs in
   let walked taps =
