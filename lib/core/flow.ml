@@ -111,7 +111,7 @@ let bitopt_stage config graph =
     stage "bitopt" (fun () ->
         let max_rounds = 4 in
         let rec loop rounds acc =
-          if rounds >= max_rounds then acc
+          if rounds >= max_rounds then (rounds, acc)
           else
             let facts =
               Transform.Absdom.analyze ~width:config.bitopt_width graph
@@ -119,7 +119,7 @@ let bitopt_stage config graph =
             let claims =
               Transform.Bitopt.derive (Transform.Absdom.value facts) graph
             in
-            if claims = [] then acc
+            if claims = [] then (rounds, acc)
             else begin
               let r =
                 Transform.Bitopt.apply
@@ -140,8 +140,10 @@ let bitopt_stage config graph =
               loop (rounds + 1) (Transform.Bitopt.merge_report acc r)
             end
         in
-        let report = loop 0 Transform.Bitopt.empty_report in
-        Cdfg.Graph.validate graph;
+        let rounds, report = loop 0 Transform.Bitopt.empty_report in
+        (* only an applied batch changes the graph; an unchanged one has
+           passed "simplify-validate" already *)
+        if rounds > 0 then Cdfg.Graph.validate graph;
         report)
 
 (* A compilation as a value: the flow's checkpoints (minimised graph,

@@ -270,58 +270,58 @@ let make g clusters edges =
 
 (* Greedy data-path template partitioning (the paper's phase 1). Each
    growth absorbs, of the unclaimed value operands of its members, the
-   one with the smallest id that fits; [claimed] marks every node some
-   growth has taken, [growing] the members of the current one. *)
+   one with the smallest id that fits. [growing.(id)] is the root of the
+   growth that claimed [id], -1 while no growth has. *)
+let unclaimed g growing id = is_value_op g id && growing.(id) < 0
+
+(* the smallest unclaimed value operand of [members] above [floor] *)
+let rec next_candidate g growing floor best = function
+  | [] -> best
+  | m :: rest ->
+    let best = ref best in
+    for port = 0 to G.arity_of g m - 1 do
+      let input = G.input g m port in
+      if input > floor && (!best < 0 || input < !best) && unclaimed g growing input
+      then best := input
+    done;
+    next_candidate g growing floor !best rest
+
+(* every data consumer of [p] is in the growth of [root] *)
+let consumers_in g growing root p =
+  let all = ref true in
+  G.iter_consumers g p (fun c _ -> if growing.(c) <> root then all := false);
+  !all
+
+(* [p] joins the growth when its value is observable nowhere else: not a
+   named output, every consumer a member; and the members still fit. *)
+let rec absorb ctx caps growing root members floor =
+  let g = ctx.cg in
+  let p = next_candidate g growing floor (-1) members in
+  if p < 0 then members
+  else if
+    Bytes.get ctx.is_output p = '\000'
+    && consumers_in g growing root p
+    && satisfies_caps g ctx.marks caps (p :: members)
+  then begin
+    growing.(p) <- root;
+    absorb ctx caps growing root (p :: members) (-1)
+  end
+  else absorb ctx caps growing root members p
+
+(* Growth starts from roots in reverse topo order, so consumers claim
+   their producers first. *)
 let partition_greedy ctx caps =
   let g = ctx.cg in
-  let claimed = Bytes.make (G.id_bound g) '\000' in
   let growing = Array.make (G.id_bound g) (-1) in
-  let protos = ref [] in
-  let candidate id = is_value_op g id && Bytes.get claimed id = '\000' in
-  (* the smallest unclaimed value operand of [members] above [floor] *)
-  let next_candidate members floor =
-    List.fold_left
-      (fun best m ->
-        let best = ref best in
-        for port = 0 to G.arity_of g m - 1 do
-          let input = G.input g m port in
-          if input > floor && (!best < 0 || input < !best) && candidate input then
-            best := input
-        done;
-        !best)
-      (-1) members
-  in
-  (* Greedy growth from roots, visiting value ops in reverse topo order so
-     consumers claim their producers first. *)
-  let grow root =
-    let members = ref [ root ] in
-    Bytes.set claimed root '\001';
-    growing.(root) <- root;
-    let absorbable p =
-      (* every consumer of p must already be a member, and p must not be
-         a named output (its value is observable outside) *)
-      Bytes.get ctx.is_output p = '\000'
-      && consumers_all g p (fun c -> growing.(c) = root)
-      && satisfies_caps g ctx.marks caps (p :: !members)
-    in
-    let rec absorb floor =
-      let p = next_candidate !members floor in
-      if p >= 0 then
-        if absorbable p then begin
-          members := p :: !members;
-          Bytes.set claimed p '\001';
-          growing.(p) <- root;
-          absorb (-1)
-        end
-        else absorb p
-    in
-    absorb (-1);
-    protos := { p_ops = !members; p_root = root; p_stores = []; p_deletes = [] } :: !protos
-  in
-  List.iter
-    (fun id -> if candidate id then grow id)
-    (List.rev ctx.topo);
-  !protos
+  List.fold_left
+    (fun protos root ->
+      if unclaimed g growing root then begin
+        growing.(root) <- root;
+        let members = absorb ctx caps growing root [ root ] (-1) in
+        { p_ops = members; p_root = root; p_stores = []; p_deletes = [] } :: protos
+      end
+      else protos)
+    [] (List.rev ctx.topo)
 
 (* Sarkar-style edge zeroing: start from unit clusters and merge along data
    edges (in deterministic topological edge order) whenever the fused
@@ -466,14 +466,27 @@ let rec assemble ctx ~detached value_protos =
     if p.p_ops = [] then see p.p_root;
     !pos
   in
-  let buckets = Array.make (List.length ctx.topo) [] in
-  List.iter
-    (fun p ->
-      let at = position p in
-      buckets.(at) <- p :: buckets.(at))
-    !protos;
-  let ordered = Array.of_list (List.concat_map List.rev (Array.to_list buckets)) in
-  let n = Array.length ordered in
+  let buckets = Array.make (G.node_count g) [] in
+  let n =
+    List.fold_left
+      (fun n p ->
+        let at = position p in
+        buckets.(at) <- p :: buckets.(at);
+        n + 1)
+      0 !protos
+  in
+  let ordered =
+    Array.make n { p_ops = []; p_root = -1; p_stores = []; p_deletes = [] }
+  in
+  let next = ref 0 in
+  Array.iter
+    (fun bucket ->
+      List.iter
+        (fun p ->
+          ordered.(!next) <- p;
+          incr next)
+        (List.rev bucket))
+    buckets;
   let cluster_of = Array.make (G.id_bound g) (-1) in
   Array.iteri
     (fun cid p ->
