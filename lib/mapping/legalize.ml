@@ -134,10 +134,23 @@ let versions g =
           (Hashtbl.find_opt position region)
       | _ -> ())
     topo;
-  let offset_of id = offsets.(rank.(id)) in
-  (* One cell per offset, for every region in turn: each walk below
-     leaves the cells it set at -1 again. *)
-  let cell = Array.make (1 + Array.fold_left max (-1) offsets) (-1) in
+  (* One cell per distinct offset, numbered densely (offsets can be
+     large and sparse), for every region in turn: each walk below leaves
+     the cells it set at -1 again. *)
+  let numbers = Hashtbl.create 64 in
+  let cells =
+    Array.map
+      (fun offset ->
+        match Hashtbl.find_opt numbers offset with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length numbers in
+          Hashtbl.add numbers offset k;
+          k)
+      offsets
+  in
+  let cell = Array.make (Hashtbl.length numbers) (-1) in
+  let cell_of id = cells.(rank.(id)) in
   (* Down from a token: each access consuming it sees the cell's mutator
      at or above the token, and a mutator holds its cell for the walk
      below it. *)
@@ -145,13 +158,13 @@ let versions g =
     G.iter_consumers g token (fun c port ->
         let r = rank.(c) in
         if port = 0 && r >= 0 then begin
-          let offset = offsets.(r) in
-          latest.(r) <- cell.(offset);
+          let k = cells.(r) in
+          latest.(r) <- cell.(k);
           if mutator c then begin
-            let above = cell.(offset) in
-            cell.(offset) <- c;
+            let above = cell.(k) in
+            cell.(k) <- c;
             down c;
-            cell.(offset) <- above
+            cell.(k) <- above
           end
         end)
   in
@@ -165,17 +178,17 @@ let versions g =
     let m = next.(token) in
     if m >= 0 then begin
       up m;
-      cell.(offset_of m) <- m
+      cell.(cell_of m) <- m
     end;
     G.iter_consumers g token (fun c port ->
         match G.kind g c with
-        | G.Fe _ when port = 0 -> overwriter.(rank.(c)) <- cell.(offset_of c)
+        | G.Fe _ when port = 0 -> overwriter.(rank.(c)) <- cell.(cell_of c)
         | _ -> ())
   in
   let rec clear token =
     let m = next.(token) in
     if m >= 0 then begin
-      cell.(offset_of m) <- -1;
+      cell.(cell_of m) <- -1;
       clear m
     end
   in

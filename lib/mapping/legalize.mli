@@ -27,9 +27,10 @@ val check : Cdfg.Graph.t -> unit
 type versions
 (** Which version of a statespace cell each access sees, for a graph that
     passes {!check}, and what phase 3 reads per region and per mutator
-    ({!max_offset}, {!destroyed_by}). Built once per graph in
-    O(n log n), immutable afterwards (safe to read from several domains);
-    every query is O(1). {!Cluster} builds it with the clustering. *)
+    ({!max_offset}, {!destroyed_by}). Built once per graph in linear
+    time, immutable afterwards (safe to read from several domains);
+    every query is O(1) but {!max_offset}, which is linear in the number
+    of regions. {!Cluster} builds it with the clustering. *)
 
 val versions : Cdfg.Graph.t -> versions
 (** @raise Unmappable on a dynamic or negative offset (run {!check}
