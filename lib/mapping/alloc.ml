@@ -960,7 +960,7 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
     in
     moves := !moves + List.length cycle.Job.moves;
     copies := !copies + List.length cycle.Job.copies;
-    if alu <> [] then incr exec_cycles;
+    (match alu with [] -> () | _ :: _ -> incr exec_cycles);
     cycles.(i) <- cycle
   done;
   (* every cycle that fires no ALU was inserted *)

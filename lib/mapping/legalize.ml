@@ -71,12 +71,12 @@ let check g =
    mutator destroys the value it read (the first same-cell mutator below
    its token). Walking the chain per query is quadratic in the chain
    length, so both answers come from two walks of the token chains that
-   keep one array cell per offset: down each region's tree of tokens, a
-   mutator holds its cell while the walk is below it; back up each path
-   of consuming mutators, a mutator takes its cell for the tokens above
-   it. The same walks record what phase 3 reads per region and per
-   mutator: the largest offset accessed, and the fetches each mutator
-   destroys.
+   keep one array cell per distinct offset: down each region's tree of
+   tokens, a mutator holds its cell while the walk is below it; back up
+   each path of consuming mutators, a mutator takes its cell for the
+   tokens above it. The same walks record what phase 3 reads per region
+   and per mutator: the largest offset accessed, and the fetches each
+   mutator destroys.
 
    The answers are kept per access, numbered in topological order: a
    minimised graph's ids are sparse (matmul-8 keeps 1,234 of 12,802), and
