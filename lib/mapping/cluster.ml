@@ -219,8 +219,8 @@ let immediates g c =
 
 (* The regions each cluster's stores, deletes and fetched operands touch,
    in that order, as positions in [G.regions g]: one index per access,
-   computed with the versions. *)
-let region_touches g versions clusters =
+   computed with the versions (an operand that is no access has none). *)
+let region_touches versions clusters =
   let touched ids acc =
     List.fold_right
       (fun id acc ->
@@ -229,12 +229,7 @@ let region_touches g versions clusters =
       ids acc
   in
   Array.map
-    (fun c ->
-      let fetched =
-        List.filter (fun id -> match G.kind g id with G.Fe _ -> true | _ -> false)
-          c.cinputs
-      in
-      touched c.stores (touched c.deletes (touched fetched [])))
+    (fun c -> touched c.stores (touched c.deletes (touched c.cinputs [])))
     clusters
 
 (* The one constructor of [t]: what phase 3 reads of the graph and its
@@ -261,7 +256,7 @@ let build ~versions g clusters edges cluster_of =
     root_external;
     micros = Array.map (micro_program g cluster_of) clusters;
     port_imms = Array.map (immediates g) clusters;
-    region_touches = region_touches g versions clusters;
+    region_touches = region_touches versions clusters;
   }
 
 let make g clusters edges =
