@@ -160,8 +160,9 @@ let check_width_arg =
     & opt (some int) None
     & info [ "check-width" ] ~docv:"BITS"
         ~doc:
-          "Run value-range analysis and report values that may exceed a \
-           signed BITS-bit datapath (the FPFA is 16-bit).")
+          "Report the values the bit analysis cannot prove fit a signed \
+           BITS-bit datapath (the FPFA is 16-bit), assuming BITS-bit \
+           region inputs.")
 
 let obs_trace_arg =
   Arg.(
@@ -237,12 +238,21 @@ let compile inputs variant func show_job show_schedule show_gantt check_width
           Format.printf "%a@." Mapping.Job.pp_gantt result.Fpfa_core.Flow.job;
         (match check_width with
         | Some width ->
-          let report =
-            Transform.Range.analyze ~width result.Fpfa_core.Flow.graph
+          (* the bit analysis' datapath-width lint, at [width] *)
+          let g = result.Fpfa_core.Flow.graph in
+          let facts = Fpfa_analysis.Bits.analyze ~width g in
+          let over =
+            List.filter
+              (fun d ->
+                String.equal d.Fpfa_diag.Diag.rule "bits.widening-overflow")
+              (Fpfa_analysis.Bits.diagnostics ~width ~facts g)
           in
-          Format.printf "%a@."
-            (Transform.Range.pp_report result.Fpfa_core.Flow.graph)
-            report
+          Format.printf "%d-bit datapath check (%d iteration(s)): %s@." width
+            (Fpfa_analysis.Bits.iterations facts)
+            (match List.length over with
+            | 0 -> "all values fit"
+            | n -> Printf.sprintf "%d value(s) may exceed it" n);
+          List.iter (fun d -> Format.printf "  %a@." Fpfa_diag.Diag.pp d) over
         | None -> ());
         Format.printf "verification (%s): %s@."
           (if with_interp then "interp = eval = simulator"
@@ -749,22 +759,25 @@ module Diag = Fpfa_diag.Diag
 
 (* All diagnostics for one program, via Fpfa_core.Flow.audit (structural
    verifier on raw and minimised graphs, mappability + statespace
-   legality + lints, mapping validators; one shared address analysis).
-   With ?pool both the compile stages and the diagnostic families run on
-   the pool's domains. *)
+   legality + lints, mapping validators; one shared Absdom fixpoint,
+   whose bit facts --bits reports). With ?pool both the compile stages
+   and the diagnostic families run on the pool's domains. *)
 let check_one ?pool ~config ~bits source ~func =
   match Fpfa_core.Flow.map_source ?pool ~config ~func source with
   | result ->
     let diags, facts = Fpfa_core.Flow.audit ?pool ~config result in
     let bits_out =
-      if not bits then None
-      else
+      match facts with
+      | Some (_, t) when bits ->
         Some
-          ( Fpfa_analysis.Bits.analyze result.Fpfa_core.Flow.graph,
+          ( t,
             result.Fpfa_core.Flow.graph,
             result.Fpfa_core.Flow.bitopt_report )
+      | _ -> None
     in
-    (diags, Option.map Fpfa_analysis.Addr.facts_to_json facts, bits_out)
+    ( diags,
+      Option.map (fun (addr, _) -> Fpfa_analysis.Addr.facts_to_json addr) facts,
+      bits_out )
   | exception Fpfa_core.Flow.Flow_error msg ->
     ([ Diag.error "flow.error" "%s" msg ], None, None)
 

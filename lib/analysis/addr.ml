@@ -6,17 +6,21 @@ module Obs = Fpfa_obs.Obs
 
    Every value node is assigned an abstract value with two components:
 
-   - an interval (from Transform.Range's cell-precise fixpoint), and
+   - an interval (the interval half of the Transform.Absdom facts), and
    - an optional affine form [base + stride * sym], where [sym] is an
      opaque value node (e.g. a fetch result) and the equation is EXACT:
      it holds for the node's concrete value on every execution.
 
-   Exactness is what makes the disjointness oracle sound, so derived
-   forms are only produced when the node's interval is finite — a finite
-   saturating interval certifies that the concrete operation did not wrap
-   the 63-bit machine integer, hence arithmetic over ℤ describes it. A
-   node we cannot (or must not) derive a form for becomes its own symbol:
-   [0 + 1 * itself] is exact unconditionally. *)
+   Exactness is what makes the disjointness oracle sound, so a form is
+   derived through [+], [-], [*], [<<] or unary [-] only when the
+   saturating Fpfa_util.Interval transfer of the operands' intervals is
+   finite: every finite Absdom bound is a genuine bound, and a finite
+   saturating result stays inside +-2^59, so the concrete operation did
+   not wrap the 63-bit machine integer and arithmetic over ℤ describes
+   it. The node's own Absdom interval is no such certificate: known bits
+   can bound a value that wrapped. A node we cannot (or must not) derive
+   a form for becomes its own symbol: [0 + 1 * itself] is exact
+   unconditionally. *)
 
 type affine = { base : int; stride : int; sym : G.id }
 type aval = { itv : I.t; affine : affine option }
@@ -31,7 +35,6 @@ type t = {
   values : (G.id, aval) Hashtbl.t;
   access_tbl : (G.id, access) Hashtbl.t;
   access_list : access list;  (** sorted by node id *)
-  range_report : Transform.Range.report;
 }
 
 (* Affine coefficients beyond this magnitude saturate interval arithmetic
@@ -61,28 +64,40 @@ let scale_affine k = function
     mk_affine (k * a.base) (k * a.stride) a.sym
   | _ -> None
 
-let analyze ?(width = 16) ?input_ranges g =
+let of_facts facts g =
   Obs.span ~cat:"analysis" "addr"
     ~args:[ ("nodes", Obs.Int (G.node_count g)) ]
   @@ fun () ->
-  let report = Transform.Range.analyze ~width ?input_ranges g in
-  let itvs : (G.id, I.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (id, r) -> Hashtbl.replace itvs id r) report.Transform.Range.ranges;
-  let itv_of id =
-    match Hashtbl.find_opt itvs id with Some r -> r | None -> I.top
-  in
   let values : (G.id, aval) Hashtbl.t = Hashtbl.create 64 in
   let value id = Hashtbl.find values id in
   List.iter
     (fun id ->
       let n = G.node g id in
       if G.produces_value n.G.kind then begin
-        let itv = itv_of id in
+        let itv = (Transform.Absdom.value facts id).Transform.Absdom.range in
         let operand i = value n.G.inputs.(i) in
+        let const_operand i = const_of (operand i) in
+        (* the saturating transfer of the operands' intervals; finite
+           certifies no machine wrap (see header comment) *)
+        let transfer =
+          match n.G.kind with
+          | G.Binop Cdfg.Op.Add -> I.add (operand 0).itv (operand 1).itv
+          | G.Binop Cdfg.Op.Sub -> I.sub (operand 0).itv (operand 1).itv
+          | G.Binop Cdfg.Op.Mul -> (
+            match (const_operand 0, const_operand 1) with
+            | Some c, _ -> I.scale c (operand 1).itv
+            | None, Some c -> I.scale c (operand 0).itv
+            | None, None -> I.top)
+          | G.Binop Cdfg.Op.Shl -> (
+            match const_operand 1 with
+            | Some k when k >= 0 && k <= 40 -> I.scale (1 lsl k) (operand 0).itv
+            | _ -> I.top)
+          | G.Unop Cdfg.Op.Neg -> I.neg (operand 0).itv
+          | _ -> I.top
+        in
         let derived =
-          (* only trust ℤ-arithmetic derivations when the result interval
-             is finite (no machine wrap possible; see header comment) *)
-          if not (I.is_bounded itv) then None
+          (* only trust ℤ-arithmetic derivations whose transfer is finite *)
+          if not (I.is_bounded transfer) then None
           else
             match n.G.kind with
             | G.Const _ -> None
@@ -155,12 +170,14 @@ let analyze ?(width = 16) ?input_ranges g =
       (fun a b -> compare a.node b.node)
       (Hashtbl.fold (fun _ a acc -> a :: acc) access_tbl [])
   in
-  { values; access_tbl; access_list; range_report = report }
+  { values; access_tbl; access_list }
+
+let analyze ?width ?input_ranges g =
+  of_facts (Transform.Absdom.analyze ?width ?input_ranges g) g
 
 let value t id = Hashtbl.find_opt t.values id
 let access t id = Hashtbl.find_opt t.access_tbl id
 let accesses t = t.access_list
-let range_report t = t.range_report
 
 (* {2 The disjointness decision procedure} *)
 

@@ -4,16 +4,18 @@
 
     Each value node gets an {!aval}:
 
-    - [itv] — a saturating interval from the cell-precise
-      {!Transform.Range} fixpoint (constants are exact singletons);
+    - [itv] — the interval half of the {!Transform.Absdom} facts
+      (constants are exact singletons);
     - [affine] — optionally an {e exact} linear form
       [base + stride * sym] over an opaque symbol node (e.g. a fetch
       result): the equation holds for the concrete value on every
       execution. Derived forms (through [+], [-], constant [*], [<<],
-      unary [-]) are only built when the node's interval is finite, which
-      certifies the concrete arithmetic did not wrap the machine integer;
-      any other value node is its own symbol ([0 + 1*itself]), which is
-      exact unconditionally.
+      unary [-]) are only built when the {!Fpfa_util.Interval} saturating
+      transfer of the operands' intervals is finite, which certifies the
+      concrete arithmetic did not wrap the machine integer (the node's
+      own Absdom interval does not: known bits can bound a wrapped
+      value); any other value node is its own symbol ([0 + 1*itself]),
+      which is exact unconditionally.
 
     On top of the facts, {!relation} decides whether two statespace
     accesses (Fe/St/Del) can collide: different regions never do;
@@ -42,14 +44,18 @@ type t
     regions — never on order edges — so they remain valid across
     order-edge edits of the same graph. *)
 
+val of_facts : Transform.Absdom.facts -> Cdfg.Graph.t -> t
+(** One topological sweep for the affine forms over the given
+    {!Transform.Absdom} facts of the graph — the facts
+    [Fpfa_core.Flow.audit] shares with the lints and {!Bits}. *)
+
 val analyze :
   ?width:int ->
   ?input_ranges:(string * Fpfa_util.Interval.t) list ->
   Cdfg.Graph.t ->
   t
-(** One {!Transform.Range} fixpoint plus one topological sweep for the
-    affine forms. [width] (default 16) bounds unknown region contents, as
-    in {!Transform.Range.analyze}. *)
+(** {!of_facts} over a fresh {!Transform.Absdom.analyze}; [width]
+    (default 16) bounds unknown region contents. *)
 
 val value : t -> Cdfg.Graph.id -> aval option
 (** The abstract value of a value-producing node. *)
@@ -59,11 +65,6 @@ val access : t -> Cdfg.Graph.id -> access option
 
 val accesses : t -> access list
 (** Every statespace access, sorted by node id. *)
-
-val range_report : t -> Transform.Range.report
-(** The underlying {!Transform.Range} fixpoint (its width violations feed
-    the range lint; re-exposed so clients need not run the analysis
-    twice). *)
 
 val relation :
   t -> Cdfg.Graph.id -> Cdfg.Graph.id -> Transform.Disambig.relation

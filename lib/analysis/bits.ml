@@ -109,6 +109,7 @@ let analyze ?(width = 16) ?input_ranges g =
   let dem = demanded_pass forward g in
   { forward; dem; bound = G.id_bound g }
 
+let forward t = t.forward
 let value t id = A.value t.forward id
 let lookup t = value t
 let demanded t id = if id >= 0 && id < t.bound then t.dem.(id) else -1

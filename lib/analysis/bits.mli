@@ -21,11 +21,11 @@
     - ["bits.always-taken-select"] (warning): a select whose condition
       is provably zero or provably nonzero (the certified pass folds
       these when enabled; the lint catches graphs audited without it);
-    - ["bits.widening-overflow"]: the bit-refined value still escapes
-      the signed datapath width — the sharper variant of
-      ["lint.range-overflow"] (values whose known bits prove they fit
-      are not reported; a value with contradictory high bits is an
-      error, an undecided one a warning). *)
+    - ["bits.widening-overflow"] (warning): the value may escape the signed
+      datapath width — the repository's one datapath-width check. Its
+      interval is outside the width and its known bits do not prove it
+      sign-extends a [width]-bit word; a value with contradictory high
+      bits (some known 0, some known 1) provably exceeds the width. *)
 
 type t
 (** Forward facts plus the demanded-bits masks of one graph. *)
@@ -35,8 +35,11 @@ val analyze :
   ?input_ranges:(string * Fpfa_util.Interval.t) list ->
   Cdfg.Graph.t ->
   t
-(** [width] (default 16) bounds undeclared region inputs, as in
-    {!Transform.Range.analyze}. *)
+(** One {!Transform.Absdom.analyze} fixpoint and one demanded-bits sweep.
+    [width] (default 16) bounds undeclared region inputs. *)
+
+val forward : t -> Transform.Absdom.facts
+(** The forward facts, to share with {!Addr.of_facts}. *)
 
 val value : t -> Cdfg.Graph.id -> Transform.Absdom.t
 (** {!Transform.Absdom.top} for unanalysed ids. *)

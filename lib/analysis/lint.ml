@@ -317,15 +317,4 @@ let run ?(width = 16) ?facts g =
            region count
            (if count = 1 then "" else "s")))
     unknown_pairs;
-  (* Datapath-width overflow, via the interval analysis (reusing the
-     fixpoint already run for the address facts). *)
-  let report = Addr.range_report facts in
-  List.iter
-    (fun (v : Transform.Range.violation) ->
-      add
-        (D.warning ~node:v.Transform.Range.node "lint.range-overflow"
-           "node %d value range [%d, %d] exceeds the signed %d-bit datapath"
-           v.Transform.Range.node v.Transform.Range.range.Transform.Range.lo
-           v.Transform.Range.range.Transform.Range.hi width))
-    report.Transform.Range.violations;
   List.rev !diags

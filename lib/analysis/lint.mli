@@ -2,16 +2,15 @@
     certainly not what the programmer meant.
 
     Warning rule ids: ["lint.dead-node"], ["lint.dead-store"],
-    ["lint.fetch-uninit"], ["lint.range-overflow"],
-    ["addr.out-of-region"]. Info rule ids: ["lint.suppressed"],
-    ["addr.overlap-unknown"] — a graph with lint findings still maps and
-    simulates correctly.
+    ["lint.fetch-uninit"], ["addr.out-of-region"]. Info rule ids:
+    ["lint.suppressed"], ["addr.overlap-unknown"] — a graph with lint
+    findings still maps and simulates correctly.
 
     The store/fetch lints are clients of the {!Dataflow} framework,
     sharpened by the {!Addr} address analysis: a dynamic offset with a
     bounded interval confines the access to its band of cells instead of
-    defeating cell-precise reasoning for the whole region. The range lint
-    wraps the interval analysis of {!Transform.Range}. *)
+    defeating cell-precise reasoning for the whole region. Datapath-width
+    overflow is {!Bits}' ["bits.widening-overflow"]. *)
 
 val liveness : Cdfg.Graph.t -> Cdfg.Graph.id -> bool
 (** Backward boolean analysis over data edges: a node is live when it is
@@ -32,8 +31,8 @@ val reaching_stores :
 val run :
   ?width:int -> ?facts:Addr.t -> Cdfg.Graph.t -> Fpfa_diag.Diag.t list
 (** Every lint over the graph ([facts] defaults to a fresh
-    {!Addr.analyze}; pass it to share one analysis across verifier, lints
-    and reporting):
+    {!Addr.analyze} at [width], default 16; pass it to share one analysis
+    across verifier, lints and reporting):
 
     - ["lint.dead-node"]: a value-producing node no named output or
       statespace effect transitively depends on (what DCE would remove);
@@ -50,13 +49,11 @@ val run :
       (and anchored to the first), so [check --json] can total the
       suppression it would otherwise hide;
     - ["addr.out-of-region"]: an access whose offset interval is finite,
-      strictly narrower than the full datapath range, and still escapes
+      strictly narrower than the signed [width]-bit range, and still escapes
       the region's declared size (implicit and unsized regions exempt);
     - ["addr.overlap-unknown"] (info): per-region count of fetch/writer
       pairs the address analysis keeps conservatively ordered because it
-      can neither prove aliasing nor disjointness;
-    - ["lint.range-overflow"]: {!Transform.Range} proves the node's value
-      may exceed the signed [width]-bit datapath (default 16).
+      can neither prove aliasing nor disjointness.
 
     The graph must be structurally valid and acyclic (run
     {!Verify.structure} first). *)

@@ -503,10 +503,11 @@ let map_graph ?pool ?(config = default_config) g =
 (* All diagnostics for one mapped program: structural verifier on the raw
    and minimised graphs, mappability + statespace legality + lints on the
    minimised graph, and the mapping validators replaying cluster /
-   schedule / allocation legality. One address analysis is shared by the
-   verifier and the lints. The six diagnostic families are independent
-   reads of the (frozen) result, so with a pool they run concurrently;
-   [Diag.sort] makes the merged output order-independent. *)
+   schedule / allocation legality. One Absdom fixpoint per graph: its
+   facts feed the bit lints and give the address analysis, shared by the
+   verifier and the lints, its intervals. The diagnostic families are
+   independent reads of the (frozen) result, so with a pool they run
+   concurrently; [Diag.sort] makes the merged output order-independent. *)
 let audit ?pool ~config result =
   Obs.span ~cat:"flow" "audit" @@ fun () ->
   let caps =
@@ -520,15 +521,21 @@ let audit ?pool ~config result =
   let structure = Fpfa_analysis.Verify.structure result.graph in
   let facts =
     if Fpfa_diag.Diag.errors structure = [] then
-      Some (Fpfa_analysis.Addr.analyze result.graph)
+      let bits = Fpfa_analysis.Bits.analyze result.graph in
+      Some
+        ( Fpfa_analysis.Addr.of_facts
+            (Fpfa_analysis.Bits.forward bits)
+            result.graph,
+          bits )
     else None
   in
+  let addr = Option.map fst facts in
   let families : (unit -> Fpfa_diag.Diag.t list) list =
     [
       (fun () -> Fpfa_analysis.Verify.structure result.raw_graph);
-      (fun () -> Fpfa_analysis.Verify.all ?facts result.graph);
+      (fun () -> Fpfa_analysis.Verify.all ?facts:addr result.graph);
       (fun () ->
-        match facts with
+        match addr with
         | Some facts -> Fpfa_analysis.Lint.run ~facts result.graph
         | None -> []);
       (fun () -> Fpfa_analysis.Mapcheck.cluster ~caps result.clustering);
@@ -548,8 +555,11 @@ let audit ?pool ~config result =
                ~func:result.func.Cfront.Ast.name result.source));
       (fun () ->
         (* bit-level family: masked-away known-set bits at stores,
-           decided select conditions, bit-refined width overflows *)
-        Fpfa_analysis.Bits.diagnostics result.graph);
+           decided select conditions, datapath-width overflows *)
+        match facts with
+        | Some (_, bits) ->
+          Fpfa_analysis.Bits.diagnostics ~facts:bits result.graph
+        | None -> []);
     ]
   in
   let diags =

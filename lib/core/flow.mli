@@ -216,21 +216,27 @@ val audit :
   ?pool:Fpfa_exec.Pool.t ->
   config:config ->
   result ->
-  Fpfa_diag.Diag.t list * Fpfa_analysis.Addr.t option
+  Fpfa_diag.Diag.t list
+  * (Fpfa_analysis.Addr.t * Fpfa_analysis.Bits.t) option
 (** Every static diagnostic for a mapped result in one sorted list:
     structural verifier on the raw and minimised graphs, mappability +
-    statespace legality + lints on the minimised graph (sharing one
-    address analysis, returned as the second component when structure is
-    sound), the {!Fpfa_analysis.Mapcheck} validators replaying
-    cluster/schedule/allocation legality, and the
-    {!Fpfa_analysis.Depend} loop-carried dependence analysis re-run from
-    the pre-unroll source (skipped for graph-only results with no
-    source), and the {!Fpfa_analysis.Bits} bit-level lints
-    (dead-masked stores, decided selects, bit-refined width overflows)
-    on the minimised graph. The eight diagnostic families are
-    independent, so with
-    [?pool] they run concurrently — the result graphs are frozen first
-    (see {!map_source}); output is identical to the sequential run. *)
+    statespace legality + lints on the minimised graph, the
+    {!Fpfa_analysis.Mapcheck} validators replaying
+    cluster/schedule/allocation legality, the {!Fpfa_analysis.Depend}
+    loop-carried dependence analysis re-run from the pre-unroll source
+    (skipped for graph-only results with no source), and the
+    {!Fpfa_analysis.Bits} bit-level lints (dead-masked stores, decided
+    selects, datapath-width overflows) on the minimised graph.
+
+    When the minimised graph's structure is sound, one
+    {!Transform.Absdom} fixpoint serves the whole audit: the
+    {!Fpfa_analysis.Bits} facts built on it and the address facts
+    {!Fpfa_analysis.Addr.of_facts} derives from them are shared by the
+    verifier, the lints and the bit lints, and returned as the second
+    component for reporting. The diagnostic families are independent,
+    so with [?pool] they run concurrently — the result graphs are frozen
+    first (see {!map_source}); output is identical to the sequential
+    run. *)
 
 val verify :
   ?memory_init:(string * int array) list -> result -> bool

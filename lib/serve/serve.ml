@@ -454,8 +454,8 @@ let op_check ?pool req =
   | result ->
     let diags, facts = Flow.audit ?pool ~config result in
     let facts_json =
-      match Option.map Fpfa_analysis.Addr.facts_to_json facts with
-      | Some text -> Json.parse text
+      match facts with
+      | Some (addr, _) -> Json.parse (Fpfa_analysis.Addr.facts_to_json addr)
       | None -> Json.Null
     in
     let payload =

@@ -93,7 +93,7 @@ let pp_bits fmt b =
   else Format.pp_print_string fmt s
 
 (* ------------------------------------------------------------------ *)
-(* Interval transfers (shared with Transform.Range)                    *)
+(* Interval transfers                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let is_inf = I.is_inf
@@ -519,6 +519,9 @@ let equal a b =
   && a.range.lo = b.range.lo && a.range.hi = b.range.hi
 
 let analyze ?(width = 16) ?(input_ranges = []) g =
+  Fpfa_obs.Obs.span ~cat:"analysis" "absdom"
+    ~args:[ ("nodes", Fpfa_obs.Obs.Int (G.node_count g)) ]
+  @@ fun () ->
   let input_fact region =
     match List.assoc_opt region input_ranges with
     | Some r -> of_interval r
@@ -574,9 +577,8 @@ let analyze ?(width = 16) ?(input_ranges = []) g =
     List.iter sweep order
   done;
   (* Region feedback still in motion: pin every region at top and
-     recompute in one exact feed-forward sweep (same fallback as
-     Transform.Range.analyze — constants and arithmetic over them stay
-     precise, only memory-derived values degrade). *)
+     recompute in one exact feed-forward sweep (constants and arithmetic
+     over them stay precise, only memory-derived values degrade). *)
   if !changed then begin
     List.iter (fun (region, _) -> Hashtbl.replace regions region top) (G.regions g);
     let set id v =

@@ -1,13 +1,15 @@
 (** Shared product abstract domain: known bits x saturating interval.
 
-    The single home of the per-[Cdfg.Op] transfer functions. The interval
-    half is the historical {!Transform.Range} arithmetic (moved here
-    verbatim so Range, the address analysis and the bit analysis agree by
-    construction); the bits half is a tri-state bit vector over the native
-    63-bit word tracking, for every bit position, whether it is known-0,
-    known-1 or unknown. Every transfer matches {!Cdfg.Eval}'s total
-    word/wrap semantics exactly: shifts out of [0, 62] yield 0, division
-    and modulo by zero yield 0, multiplication wraps mod 2^63.
+    The repository's one interval engine and the single home of the
+    per-[Cdfg.Op] transfer functions: bitopt, its replay, the bit
+    analysis with its datapath-width lint, and the address analysis
+    ({!Fpfa_analysis.Addr}) all read these facts. The interval half is
+    wrap-aware saturating arithmetic over {!Fpfa_util.Interval}; the bits
+    half is a tri-state bit vector over the native 63-bit word tracking,
+    for every bit position, whether it is known-0, known-1 or unknown.
+    Every transfer matches {!Cdfg.Eval}'s total word/wrap semantics
+    exactly: shifts out of [0, 62] yield 0, division and modulo by zero
+    yield 0, multiplication wraps mod 2^63.
 
     Soundness contract (what {!Fpfa_analysis.Verify}[.bits] replays): for
     every node, the abstract value {!mem}-contains the concrete value
@@ -85,7 +87,7 @@ val refine : t -> t
 
 val pp : Format.formatter -> t -> unit
 
-(** {2 Interval-only transfers (Range's historical API)} *)
+(** {2 Interval-only transfers} *)
 
 val binop_interval : Cdfg.Op.binop -> I.t -> I.t -> I.t
 val unop_interval : Cdfg.Op.unop -> I.t -> I.t
@@ -111,9 +113,10 @@ val analyze :
   ?width:int -> ?input_ranges:(string * I.t) list -> Cdfg.Graph.t -> facts
 (** Product fixpoint in topological order with region-content feedback
     (bounded iterations; if feedback has not settled, regions are pinned
-    at top and one exact feed-forward sweep recomputes every value, the
-    same fallback {!Transform.Range.analyze} uses). [width] (default 16)
-    bounds undeclared region inputs to the signed [width]-bit interval. *)
+    at top and one exact feed-forward sweep recomputes every value).
+    [width] (default 16) bounds undeclared region inputs to the signed
+    [width]-bit interval. Each call records one ["absdom"] span, so
+    [--stats] counts the fixpoints a run paid for. *)
 
 val value : facts -> Cdfg.Graph.id -> t
 (** {!top} for ids the analysis did not reach (token producers). *)

@@ -235,52 +235,3 @@ let apply ?verify g claims =
         report := { !report with demotes = !report.demotes + 1 })
     claims;
   !report
-
-let rule ?(width = 16) ?input_ranges () =
-  let prepare g =
-    (* Screening facts once per engine run, at first firing: per-id
-       facts stay valid under the engine's value-preserving rewrites,
-       and ids are never reused, so staleness only ever loses precision
-       (new nodes look up as top). The screen never justifies a rewrite
-       by itself — a firing that passes it re-derives its claims from
-       facts recomputed against the current graph, and the batch is
-       re-proved by a second independent recompute before the graph is
-       touched, the same protocol as the flow stage. *)
-    let screen = lazy (Absdom.analyze ~width ?input_ranges g) in
-    let replay g claims =
-      let fresh = Absdom.value (Absdom.analyze ~width ?input_ranges g) in
-      List.iter
-        (fun claim ->
-          match check_claim fresh g claim with
-          | Ok () -> ()
-          | Error msg ->
-            raise
-              (Pass.Verification_failed
-                 { rule = "bitopt"; error = Failure msg }))
-        claims
-    in
-    fun id ->
-      (* A claimed node is rewritten by redirecting its uses and left to
-         dead-code elimination; with none of the engine's other rules
-         collecting it, the claim would re-derive on every revisit. A
-         use-less node makes every claim a no-op — skip it (this is also
-         the engine's termination argument for this rule: each firing
-         strictly decreases the total use count of claimable nodes). *)
-      if G.use_count g id = 0 then false
-      else
-        match derive_node (Absdom.value (Lazy.force screen)) g id with
-        | [] -> false
-        | _ -> (
-          let current = Absdom.value (Absdom.analyze ~width ?input_ranges g) in
-          match derive_node current g id with
-          | [] -> false
-          | claims ->
-            let r = apply ~verify:replay g claims in
-            r.folds + r.redirects + r.demotes > 0)
-  in
-  {
-    Pass.rname = "bitopt";
-    prepare;
-    prepare_seeded = None;
-    settled = true;
-  }

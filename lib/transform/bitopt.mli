@@ -70,19 +70,3 @@ val apply :
     scratch there and raises on any claim it cannot re-derive, which
     aborts the whole batch before any mutation. Replaced nodes are left
     to dead-code elimination. *)
-
-val rule : ?width:int -> ?input_ranges:(string * Absdom.I.t) list -> unit -> Pass.rule
-(** The pass packaged for {!Pass.run_worklist} composition. Screening
-    facts are computed once per engine run (lazily, at first firing) and
-    only gate whether a node is worth a closer look; any firing that
-    passes the screen re-derives its claims from facts recomputed
-    against the current graph and re-proves the batch against a second
-    independent recompute before applying — the same claim/replay
-    protocol the flow stage runs, so no unverified rewrite path exists.
-    A claim the replay cannot re-derive raises
-    {!Pass.Verification_failed} blaming rule ["bitopt"]. Sound under
-    interleaving because every rule in the engine is value-preserving
-    and ids are never reused; nodes created mid-run have no facts and
-    are skipped. The certified flow path ({!derive} / replay / {!apply})
-    is what [Fpfa_core.Flow] runs; this rule serves opt-in rule lists
-    and equivalence tests. *)

@@ -1,5 +1,5 @@
-(* Saturating integer intervals — the shared numeric core of the
-   value-range analysis (Transform.Range) and the address analysis
+(* Saturating integer intervals — the numeric core of the interval half
+   of Transform.Absdom and of the address analysis' no-wrap certificate
    (Fpfa_analysis.Addr). *)
 
 type t = { lo : int; hi : int }

@@ -1,7 +1,7 @@
 (** Saturating integer intervals.
 
-    The shared numeric core of the value-range analysis
-    ({!Transform.Range}) and the address analysis
+    The numeric core of the interval half of {!Transform.Absdom} and of
+    the no-wrap certificate of the address analysis
     ({!Fpfa_analysis.Addr}). Bounds saturate at [±(1 lsl 59)]: outside
     that band a bound collapses to {!neg_inf}/{!pos_inf}, which behave as
     infinities under every operation, so interval arithmetic itself can

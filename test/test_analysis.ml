@@ -231,7 +231,8 @@ let test_lint_fetch_uninit () =
 
 let test_lint_range_overflow () =
   let g = Cdfg.Builder.build_program "void main() { x = a * b; }" in
-  flags "16-bit product" "lint.range-overflow" (Lint.run g)
+  flags "16-bit product" "bits.widening-overflow"
+    (Fpfa_analysis.Bits.diagnostics g)
 
 (* An opaque-but-masked index: Fe of an implicit region, & with a
    constant. The address analysis bounds it to [0, mask]. *)
@@ -612,6 +613,72 @@ let test_verify_each_clean_flow () =
        ~memory_init:(Fpfa_kernels.Kernels.find "fir-paper").Fpfa_kernels.Kernels.inputs
        result)
 
+(* {2 The audit}
+
+   (kernel, overflow warnings, sum of their node ids): the audit reports
+   each datapath overflow of the corpus once, as bits.widening-overflow,
+   on these nodes. *)
+let corpus_overflows =
+  [
+    ("fir-paper", 9, 253); ("fir-16", 31, 2828); ("fir-dl-8", 15, 1064);
+    ("dot-8", 15, 708); ("vscale-8", 16, 447); ("saxpy-8", 16, 534);
+    ("iir-6", 29, 1831); ("matmul-3", 45, 5337); ("fft-bfly-4", 12, 384);
+    ("dct4", 14, 414); ("corr-4-8", 60, 10016); ("mavg-4-6", 22, 2154);
+    ("clip-6", 0, 0); ("maxabs-8", 24, 980); ("poly-6", 12, 342);
+    ("cmul-4", 24, 1836); ("manhattan-8", 31, 2247); ("clipmm-6", 0, 0);
+    ("cumsum-8", 7, 168); ("iir1-8", 21, 1011); ("mavg-acc-4-8", 27, 1803);
+    ("crc8-4", 0, 0); ("pack565-4", 12, 1142);
+  ]
+
+let test_corpus_overflow_once () =
+  let config = Fpfa_core.Flow.default_config in
+  let seen =
+    List.map
+      (fun (k : Fpfa_kernels.Kernels.t) ->
+        let name = k.Fpfa_kernels.Kernels.name in
+        let diags, _ = Fpfa_core.Flow.audit ~config (map_kernel name) in
+        Alcotest.(check bool)
+          (name ^ ": no second overflow rule")
+          false
+          (D.has_rule "lint.range-overflow" diags);
+        let nodes =
+          List.filter_map
+            (fun d ->
+              if String.equal d.D.rule "bits.widening-overflow" then d.D.node
+              else None)
+            diags
+        in
+        (name, List.length nodes, List.fold_left ( + ) 0 nodes))
+      Fpfa_kernels.Kernels.all
+  in
+  Alcotest.(check (list (triple string int int)))
+    "overflow warnings per kernel" corpus_overflows seen;
+  Alcotest.(check int) "442 in all" 442
+    (List.fold_left (fun acc (_, n, _) -> acc + n) 0 seen)
+
+(* One Absdom fixpoint serves the whole audit: the bit lints, and the
+   address facts the verifier and the lints share. *)
+let test_audit_one_fixpoint () =
+  let result = map_kernel "fir-16" in
+  let module Obs = Fpfa_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let _, facts =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Fpfa_core.Flow.audit ~config:Fpfa_core.Flow.default_config result)
+  in
+  let spans name =
+    List.length
+      (List.filter
+         (fun (sp : Obs.finished_span) -> sp.Obs.sname = name)
+         (Obs.spans ()))
+  in
+  let absdom = spans "absdom" and addr = spans "addr" in
+  Obs.reset ();
+  Alcotest.(check int) "one Absdom fixpoint" 1 absdom;
+  Alcotest.(check int) "one address sweep" 1 addr;
+  Alcotest.(check bool) "facts returned" true (facts <> None)
+
 (* {2 Properties} *)
 
 let worklist_rules_stay_clean =
@@ -656,6 +723,8 @@ let suite =
     Alcotest.test_case "lint: fetch uninitialised" `Quick
       test_lint_fetch_uninit;
     Alcotest.test_case "lint: range overflow" `Quick test_lint_range_overflow;
+    Alcotest.test_case "corpus overflow once" `Quick test_corpus_overflow_once;
+    Alcotest.test_case "audit one fixpoint" `Quick test_audit_one_fixpoint;
     Alcotest.test_case "lint: band fetch uninitialised" `Quick
       test_lint_band_fetch_uninit;
     Alcotest.test_case "lint: band store not dead" `Quick

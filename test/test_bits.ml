@@ -248,21 +248,23 @@ let test_wrapping_dividend_not_demoted () =
        (function Bitopt.Demote _ -> false | _ -> true)
        claims)
 
-let test_rule_worklist_certified () =
-  (* the worklist-engine packaging of the pass: fires, demotes, and runs
-     the same derive/replay/apply protocol as the flow stage *)
-  let g =
-    build
+let test_flow_stage_certified () =
+  (* the pass as the flow runs it: derive, independent replay, apply and
+     cleanup, to a fixpoint *)
+  let result =
+    Flow.map_source
       "void main() { p = a[0] & 4095; out[0] = p / 16; out[1] = a[1] * 8; }"
   in
-  let before = G.copy g in
-  let report = Transform.Pass.run_worklist [ Bitopt.rule () ] g in
-  Alcotest.(check bool) "rule fired" true
-    (report.Transform.Pass.rewrites >= 1);
-  ignore (Transform.Simplify.minimize g);
-  Alcotest.(check bool) "behaviour preserved" true (eval_equal before g);
+  let r = result.Flow.bitopt_report in
+  Alcotest.(check bool) "stage fired" true
+    (r.Bitopt.folds + r.Bitopt.redirects + r.Bitopt.demotes >= 1);
+  let memory_init = [ ("a", [| 4000; -3 |]) ] in
+  Alcotest.(check bool) "behaviour preserved" true
+    (Cdfg.Eval.equal_result
+       (Cdfg.Eval.run ~memory_init result.Flow.raw_graph)
+       (Cdfg.Eval.run ~memory_init result.Flow.graph));
   Alcotest.(check int) "no multiplier-class op left" 0
-    (G.stats g).G.multiplies
+    (G.stats result.Flow.graph).G.multiplies
 
 let test_verify_refuses_bogus_claim () =
   let g = build "void main() { out[0] = a[0] + a[1]; }" in
@@ -385,6 +387,129 @@ let test_bitopt_off_same_behaviour () =
   Alcotest.(check bool) "at least 1 kernel with demotions" true (!demoted >= 1);
   Alcotest.(check bool) "mapped ops fall net" true (!ops_removed > 0)
 
+(* {2 Value ranges and the datapath width}
+
+   The [range] group: interval facts and the [bits.widening-overflow]
+   lint, the datapath-width check, on small programs. Region inputs
+   default to the signed 16-bit range. *)
+
+let widening ?width ?input_ranges g =
+  let facts = Bits.analyze ?width ?input_ranges g in
+  List.filter_map
+    (fun (d : Fpfa_diag.Diag.t) ->
+      if String.equal d.Fpfa_diag.Diag.rule "bits.widening-overflow" then
+        d.Fpfa_diag.Diag.node
+      else None)
+    (Bits.diagnostics ?width ~facts g)
+
+let fits ?width ?input_ranges source =
+  widening ?width ?input_ranges (build source) = []
+
+let itv = Fpfa_util.Interval.make
+
+let bounds (p : A.t) = (p.A.range.A.I.lo, p.A.range.A.I.hi)
+
+(* The interval of the value stored to [region]. *)
+let stored ?input_ranges source region =
+  let g = build source in
+  let st = find_node g (fun n -> n.G.kind = G.St region) in
+  bounds (A.value (A.analyze ?input_ranges g) (G.input g st 2))
+
+let test_constants_exact () =
+  let g = build "void main() { x = 12345; }" in
+  let c = find_node g (fun n -> n.G.kind = G.Const 12345) in
+  Alcotest.(check (pair int int)) "exact" (12345, 12345)
+    (bounds (A.value (A.analyze g) c))
+
+let test_default_inputs_are_16bit () =
+  Alcotest.(check bool) "two full-width inputs overflow" false
+    (fits "void main() { x = a[0] + a[1]; }")
+
+let test_narrow_inputs_fit () =
+  Alcotest.(check bool) "no overflow" true
+    (fits ~input_ranges:[ ("a", itv (-100) 100) ]
+       "void main() { x = a[0] + a[1]; }")
+
+let test_multiply_squares_range () =
+  let square r =
+    fits ~input_ranges:[ ("a", r) ] "void main() { x = a[0] * a[1]; }"
+  in
+  Alcotest.(check bool) "300*300 = 90000 flagged" false
+    (square (itv (-300) 300));
+  Alcotest.(check bool) "100*100 fits" true (square (itv (-100) 100))
+
+let test_comparisons_are_boolean () =
+  Alcotest.(check bool) "fits trivially" true
+    (fits "void main() { x = a[0] < a[1]; }")
+
+let test_shift_scaling () =
+  let shifted k =
+    fits ~input_ranges:[ ("a", itv 0 255) ]
+      (Printf.sprintf "void main() { x = a[0] << %d; }" k)
+  in
+  Alcotest.(check bool) "<<7 fits (255*128 = 32640)" true (shifted 7);
+  Alcotest.(check bool) "<<8 overflows (255*256 = 65280)" false (shifted 8)
+
+let test_division_bounded_by_numerator () =
+  (* -32768 / -1 = 32768 genuinely overflows a full-width datapath *)
+  let source = "void main() { x = a[0] / a[1]; }" in
+  Alcotest.(check bool) "asymmetric minimum flagged" false (fits source);
+  Alcotest.(check bool) "symmetric inputs fit" true
+    (fits ~input_ranges:[ ("a", itv (-32767) 32767) ] source)
+
+let test_mod_bounded_by_divisor () =
+  Alcotest.(check bool) "|x| < 7 whatever a is" true
+    (fits ~input_ranges:[ ("b", itv 0 7) ] "void main() { x = a[0] % b[0]; }")
+
+let test_mux_hull () =
+  let source = "void main() { x = c ? a[0] : 100; }" in
+  let input_ranges = [ ("a", itv 0 5) ] in
+  Alcotest.(check bool) "fits" true (fits ~input_ranges source);
+  Alcotest.(check (pair int int)) "hull of both branches" (0, 100)
+    (stored ~input_ranges source "x")
+
+let test_store_feeds_fetch () =
+  (* a wide product stored to t reaches a later fetch of t through the
+     region's contents: the product and the fetch are both flagged *)
+  let g = G.create "st" in
+  G.declare_region g "a" { G.size = Some 1; implicit = true };
+  G.declare_region g "t" { G.size = Some 1; implicit = false };
+  let ta = G.add g (G.Ss_in "a") [] and tt = G.add g (G.Ss_in "t") [] in
+  let c0 = G.add g (G.Const 0) [] and c4 = G.add g (G.Const 4) [] in
+  let x = G.add g (G.Fe "a") [ ta; c0 ] in
+  let product = G.add g (G.Binop Op.Mul) [ x; c4 ] in
+  let st = G.add g (G.St "t") [ tt; c0; product ] in
+  let fe = G.add g (G.Fe "t") [ st; c0 ] in
+  Alcotest.(check (list int)) "stored overflow flagged" [ product; fe ]
+    (List.sort compare (widening ~input_ranges:[ ("a", itv 0 30000) ] g))
+
+let test_accumulator_grows () =
+  (* an 8-tap accumulation of 16-bit products overflows the datapath —
+     the classic fixed-point pitfall the lint must expose *)
+  let source = (Kernels.fir ~taps:8).Kernels.source in
+  Alcotest.(check bool) "flagged at full-scale inputs" false (fits source);
+  (* with enough headroom (8 products of 60*60 = 28800 < 32767) it fits *)
+  let narrow = itv (-60) 60 in
+  Alcotest.(check bool) "narrow inputs fit" true
+    (fits ~input_ranges:[ ("a", narrow); ("c", narrow) ] source)
+
+let test_descending_intervals () =
+  (* downward-loop address arithmetic: 7 - i and 0 - i keep exact
+     descending intervals through Sub/Neg *)
+  let source = "void main() { x = 7 - a[0]; y = 0 - a[0]; }" in
+  let input_ranges = [ ("a", itv 0 7) ] in
+  Alcotest.(check (pair int int)) "7 - i over [0, 7]" (0, 7)
+    (stored ~input_ranges source "x");
+  Alcotest.(check (pair int int)) "0 - i over [-7, 0]" (-7, 0)
+    (stored ~input_ranges source "y")
+
+let test_width_parameter () =
+  let g = build "void main() { x = a[0] * a[1]; }" in
+  let input_ranges = [ ("a", itv (-300) 300) ] in
+  Alcotest.(check bool) "fails at 16" true (widening ~input_ranges g <> []);
+  Alcotest.(check (list int)) "fits at 32" []
+    (widening ~width:32 ~input_ranges g)
+
 (* {2 Properties} *)
 
 let value_kinds_of g =
@@ -479,8 +604,8 @@ let suite =
       test_signed_divide_not_demoted;
     Alcotest.test_case "wrapping dividend kept" `Quick
       test_wrapping_dividend_not_demoted;
-    Alcotest.test_case "rule worklist certified" `Quick
-      test_rule_worklist_certified;
+    Alcotest.test_case "flow stage certified" `Quick
+      test_flow_stage_certified;
     Alcotest.test_case "verify refuses bogus claim" `Quick
       test_verify_refuses_bogus_claim;
     Alcotest.test_case "verify accepts derivable claims" `Quick
@@ -491,4 +616,21 @@ let suite =
       test_bitopt_off_same_behaviour;
     QCheck_alcotest.to_alcotest facts_are_sound;
     QCheck_alcotest.to_alcotest bitopt_preserves_eval;
+  ]
+
+let range_suite =
+  [
+    Alcotest.test_case "constants exact" `Quick test_constants_exact;
+    Alcotest.test_case "16-bit defaults" `Quick test_default_inputs_are_16bit;
+    Alcotest.test_case "narrow inputs" `Quick test_narrow_inputs_fit;
+    Alcotest.test_case "multiply" `Quick test_multiply_squares_range;
+    Alcotest.test_case "comparisons" `Quick test_comparisons_are_boolean;
+    Alcotest.test_case "shifts" `Quick test_shift_scaling;
+    Alcotest.test_case "division" `Quick test_division_bounded_by_numerator;
+    Alcotest.test_case "modulo" `Quick test_mod_bounded_by_divisor;
+    Alcotest.test_case "mux hull" `Quick test_mux_hull;
+    Alcotest.test_case "store to fetch" `Quick test_store_feeds_fetch;
+    Alcotest.test_case "FIR accumulator" `Quick test_accumulator_grows;
+    Alcotest.test_case "descending intervals" `Quick test_descending_intervals;
+    Alcotest.test_case "width parameter" `Quick test_width_parameter;
   ]

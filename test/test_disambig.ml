@@ -151,6 +151,56 @@ let test_relation_across_regions () =
     T.Disambig.Disjoint
     (Addr.relation facts fa fb)
 
+(* {2 The no-wrap certificate}
+
+   Known bits can keep the Absdom interval of a wrapped value finite, so
+   Addr must not read it as a no-wrap proof. With
+   x = (a[0] & 255) | (max_int - 255), x + x wraps to 2x - 2^63, inside
+   [-512, -2]; with y = (a[0] & (2^29 - 1)) | 2^40, y << 30 shifts bit 40
+   off the word. Over ℤ the forms 2x and 2^30 * y would be wrong: the
+   second would put cell 2^30 at y = 1, outside y's interval, and so call
+   it Disjoint from y << 30, which reaches that cell at a[0] = 1. *)
+let test_wrap_certificate () =
+  let g = G.create "wrap" in
+  G.declare_region g "a" { G.size = None; implicit = true };
+  let tok = G.add g (G.Ss_in "a") [] in
+  let const v = G.add g (G.Const v) [] in
+  let base = G.add g (G.Fe "a") [ tok; const 0 ] in
+  let masked m = G.add g (G.Binop Cdfg.Op.Band) [ base; const m ] in
+  let x =
+    G.add g (G.Binop Cdfg.Op.Bor) [ masked 255; const (max_int - 255) ]
+  in
+  let xx = G.add g (G.Binop Cdfg.Op.Add) [ x; x ] in
+  let y =
+    G.add g (G.Binop Cdfg.Op.Bor)
+      [ masked ((1 lsl 29) - 1); const (1 lsl 40) ]
+  in
+  let y30 = G.add g (G.Binop Cdfg.Op.Shl) [ y; const 30 ] in
+  let at a0 id = Cdfg.Eval.value_of ~memory_init:[ ("a", [| a0 |]) ] g id in
+  Alcotest.(check int) "x + x wraps" (-2) (at 255 xx);
+  Alcotest.(check int) "y << 30 wraps" (1 lsl 30) (at 1 y30);
+  let fe off = G.add g (G.Fe "a") [ tok; off ] in
+  let f_xx = fe xx and f_y30 = fe y30 and f_cell = fe (const (1 lsl 30)) in
+  let facts = Addr.analyze g in
+  List.iter
+    (fun (what, f, node) ->
+      match Addr.access facts f with
+      | Some a ->
+        Alcotest.(check bool)
+          (what ^ ": finite Absdom interval")
+          true
+          (Fpfa_util.Interval.is_bounded a.Addr.offset.Addr.itv);
+        Alcotest.(check (option (triple int int int)))
+          (what ^ " is its own symbol")
+          (Some (0, 1, node))
+          (Option.map
+             (fun { Addr.base; stride; sym } -> (base, stride, sym))
+             a.Addr.offset.Addr.affine)
+      | None -> Alcotest.fail "fetch has no access fact")
+    [ ("x + x", f_xx, xx); ("y << 30", f_y30, y30) ];
+  Alcotest.check relation "y << 30 vs its cell 2^30" T.Disambig.May_alias
+    (Addr.relation facts f_y30 f_cell)
+
 (* {2 Corruption: the verifier catches a missing anti-dependence} *)
 
 let aliasing_graph () =
@@ -191,6 +241,7 @@ let suite =
     Alcotest.test_case "relation decisions" `Quick test_relation_decisions;
     Alcotest.test_case "regions never alias" `Quick
       test_relation_across_regions;
+    Alcotest.test_case "wrap certificate" `Quick test_wrap_certificate;
     Alcotest.test_case "corrupt: removed aliasing edge" `Quick
       test_corrupt_removed_aliasing_edge;
   ]

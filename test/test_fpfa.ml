@@ -16,7 +16,7 @@ let () =
       ("builder", Test_builder.suite);
       ("eval", Test_eval.suite);
       ("transform", Test_transform.suite);
-      ("range", Test_range.suite);
+      ("range", Test_bits.range_suite);
       ("bits", Test_bits.suite);
       ("arch", Test_arch.suite);
       ("cluster", Test_cluster.suite);
