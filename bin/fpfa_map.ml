@@ -47,34 +47,22 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Kernel names may be abbreviated to a prefix ("fir" -> "fir-paper");
-   exact matches always win, and an ambiguous prefix resolves to the
+(* Kernel names may be abbreviated to a prefix ("fir" -> "fir-paper",
+   {!Fpfa_kernels.Kernels.resolve}); an ambiguous prefix resolves to the
    first kernel in corpus order with a note on stderr. *)
 let find_kernel ?(quiet = false) input =
-  match Fpfa_kernels.Kernels.find input with
-  | k -> Some k
-  | exception Not_found -> (
-    let matches =
-      List.filter
-        (fun (k : Fpfa_kernels.Kernels.t) ->
-          let name = k.Fpfa_kernels.Kernels.name in
-          String.length input <= String.length name
-          && String.equal input (String.sub name 0 (String.length input)))
-        Fpfa_kernels.Kernels.all
-    in
-    match matches with
-    | [] -> None
-    | [ k ] -> Some k
-    | k :: _ ->
-      if not quiet then
-        Printf.eprintf "note: %s is ambiguous (%s); using %s\n" input
-          (String.concat ", "
-             (List.map
-                (fun (k : Fpfa_kernels.Kernels.t) ->
-                  k.Fpfa_kernels.Kernels.name)
-                matches))
-          k.Fpfa_kernels.Kernels.name;
-      Some k)
+  match Fpfa_kernels.Kernels.resolve input with
+  | [] -> None
+  | [ k ] -> Some k
+  | k :: _ as matches ->
+    if not quiet then
+      Printf.eprintf "note: %s is ambiguous (%s); using %s\n" input
+        (String.concat ", "
+           (List.map
+              (fun (k : Fpfa_kernels.Kernels.t) -> k.Fpfa_kernels.Kernels.name)
+              matches))
+        k.Fpfa_kernels.Kernels.name;
+    Some k
 
 let load_source input =
   if Sys.file_exists input then read_file input
@@ -87,12 +75,7 @@ let load_source input =
       exit 2
 
 let variant_of_name name =
-  match
-    List.find_opt
-      (fun (v : Baseline.variant) ->
-        String.equal v.Baseline.vname name)
-      Baseline.all
-  with
+  match Baseline.find name with
   | Some v -> v
   | None ->
     Printf.eprintf "error: unknown variant %s (try: %s)\n" name

@@ -1,44 +1,13 @@
-(** Mapping-phase validators: replay the legality constraints of
-    clustering, scheduling and allocation over their outputs as
-    diagnostics.
+(** Allocation legality as diagnostics.
 
-    Each phase already raises on illegal input it produces itself
-    ({!Mapping.Cluster.validate}, {!Mapping.Sched.validate}, the
-    simulator's dynamic faults); these checkers accept the phase outputs
-    as untrusted data and report {e every} violation, so `fpfa_map check`
-    can audit a full mapping in one run and tests can corrupt results and
+    Clustering and scheduling each state their rules once, in
+    {!Mapping.Cluster.check_diags} and {!Mapping.Sched.check_diags}, whose
+    first finding the flow raises. Allocation is different: its run-time
+    twin is the simulator, which faults on the first broken resource
+    constraint while a job runs. This checker accepts a job as untrusted
+    data and reports {e every} violation statically, so [fpfa_map check]
+    can audit a full mapping in one run and tests can corrupt a job and
     watch the specific rule fire. *)
-
-val cluster :
-  ?caps:Fpfa_arch.Arch.alu_caps -> Mapping.Cluster.t -> Fpfa_diag.Diag.t list
-(** Cluster legality against the ALU data path ([caps] defaults to
-    {!Fpfa_arch.Arch.paper_alu}). Rule ids (anchored to the cluster id):
-
-    - ["cluster.datapath"]: more distinct operands than [max_inputs],
-      more fused ops than [max_ops], more multiplier-class ops than
-      [max_multipliers], or an op chain deeper than [max_depth];
-    - ["cluster.empty"]: a cluster with no ops, stores, deletes or root;
-    - ["cluster.coverage"]: a clusterable node ([Binop]/[Unop]/[Mux]/
-      [St]/[Del]) missing from the cluster map, a map entry the owning
-      cluster does not list, or a root that is neither a member op nor a
-      pass-through source;
-    - ["cluster.cycle"]: the cluster dependence relation has a directed
-      cycle (any weight). *)
-
-val sched : ?alu_count:int -> Mapping.Sched.t -> Fpfa_diag.Diag.t list
-(** Schedule legality ([alu_count] defaults to 5, one tile). Rule ids
-    (anchored to the cluster id, or the level for capacity):
-
-    - ["sched.unplaced"]: a cluster with no level, a level out of range,
-      or a cluster missing from its level's placement list;
-    - ["sched.dependence"]: an edge with
-      [level(src) + weight > level(dst)];
-    - ["sched.capacity"]: a level with more than [alu_count] ALU-using
-      clusters;
-    - ["sched.asap"]: a cluster placed before its ASAP level, or after
-      its ALAP level plus the slack the scheduler inserted
-      ([level_count - critical_path_levels]) — outside any legal mobility
-      window. *)
 
 val alloc : Mapping.Job.t -> Fpfa_diag.Diag.t list
 (** Allocation legality: the per-cycle resource constraints the simulator

@@ -8,174 +8,9 @@ let record diags =
   Obs.add c_diags (List.length diags);
   diags
 
-(* {2 Per-node structure checks} *)
-
-let node g (n : G.node) =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let expected = G.arity n.G.kind in
-  if Array.length n.G.inputs <> expected then
-    add
-      (D.error ~node:n.G.id "cdfg.arity" "node %d: %d inputs where %s takes %d"
-         n.G.id (Array.length n.G.inputs)
-         (match n.G.kind with
-         | G.Const _ -> "Const"
-         | G.Binop _ -> "Binop"
-         | G.Unop _ -> "Unop"
-         | G.Mux -> "Mux"
-         | G.Ss_in _ -> "Ss_in"
-         | G.Ss_out _ -> "Ss_out"
-         | G.Fe _ -> "Fe"
-         | G.St _ -> "St"
-         | G.Del _ -> "Del")
-         expected);
-  Array.iteri
-    (fun port input ->
-      if not (G.mem g input) then
-        add
-          (D.error ~node:n.G.id "cdfg.dangling-ref"
-             "node %d: input port %d references removed node %d" n.G.id port
-             input))
-    n.G.inputs;
-  List.iter
-    (fun input ->
-      if not (G.mem g input) then
-        add
-          (D.error ~node:n.G.id "cdfg.dangling-ref"
-             "node %d: order edge references removed node %d" n.G.id input))
-    n.G.order_after;
-  (* Port typing — only meaningful for ports that exist and resolve. *)
-  let port_ok port = port < Array.length n.G.inputs && G.mem g n.G.inputs.(port) in
-  let expect_value port =
-    if port_ok port then
-      let p = n.G.inputs.(port) in
-      if not (G.produces_value (G.kind g p)) then
-        add
-          (D.error ~node:n.G.id "cdfg.port-type"
-             "node %d: input port %d expects a value, got a token (node %d)"
-             n.G.id port p)
-  in
-  let expect_token port region =
-    if port_ok port then begin
-      let p = n.G.inputs.(port) in
-      if not (G.produces_token (G.kind g p)) then
-        add
-          (D.error ~node:n.G.id "cdfg.port-type"
-             "node %d: input port %d expects a statespace token, got a value \
-              (node %d)"
-             n.G.id port p)
-      else
-        match G.token_region g p with
-        | Some r when String.equal r region -> ()
-        | Some r ->
-          add
-            (D.error ~node:n.G.id "cdfg.token-region"
-               "node %d: token of region %s flows into region %s" n.G.id r
-               region)
-        | None -> ()
-    end
-  in
-  let check_region region =
-    if G.region_info g region = None then
-      add
-        (D.error ~node:n.G.id "cdfg.region-undeclared"
-           "node %d references undeclared region %s" n.G.id region)
-  in
-  (match n.G.kind with
-  | G.Const _ -> ()
-  | G.Binop _ ->
-    expect_value 0;
-    expect_value 1
-  | G.Unop _ -> expect_value 0
-  | G.Mux ->
-    expect_value 0;
-    expect_value 1;
-    expect_value 2
-  | G.Ss_in region -> check_region region
-  | G.Ss_out region ->
-    check_region region;
-    expect_token 0 region
-  | G.Fe region ->
-    check_region region;
-    expect_token 0 region;
-    expect_value 1
-  | G.St region ->
-    check_region region;
-    expect_token 0 region;
-    expect_value 1;
-    expect_value 2
-  | G.Del region ->
-    check_region region;
-    expect_token 0 region;
-    expect_value 1);
-  List.rev !diags
-
-(* {2 Whole-graph structure checks} *)
-
-let output_diags g ~only =
-  List.filter_map
-    (fun (oname, id) ->
-      let relevant =
-        match only with None -> true | Some set -> G.Id_set.mem id set
-      in
-      if not relevant then None
-      else if not (G.mem g id) then
-        Some
-          (D.error ~node:id "cdfg.dangling-ref"
-             "named output %s references removed node %d" oname id)
-      else if not (G.produces_value (G.kind g id)) then
-        Some
-          (D.error ~node:id "cdfg.output-invalid"
-             "named output %s is bound to node %d, which produces no value"
-             oname id)
-      else None)
-    (G.outputs g)
-
 let structure g =
   Obs.span ~cat:"analysis" "verify-structure" @@ fun () ->
-  let per_node = G.fold g ~init:[] ~f:(fun acc n -> node g n :: acc) in
-  let per_node = List.concat (List.rev per_node) in
-  let duplicate_ss =
-    let count tbl region =
-      Hashtbl.replace tbl region
-        (1 + match Hashtbl.find_opt tbl region with Some c -> c | None -> 0)
-    in
-    let ins = Hashtbl.create 8 and outs = Hashtbl.create 8 in
-    G.iter g (fun n ->
-        match n.G.kind with
-        | G.Ss_in r -> count ins r
-        | G.Ss_out r -> count outs r
-        | _ -> ());
-    let report what tbl =
-      Hashtbl.fold
-        (fun region c acc ->
-          if c > 1 then
-            D.error "cdfg.region-duplicate-ss" "region %s has %d %s nodes"
-              region c what
-            :: acc
-          else acc)
-        tbl []
-    in
-    report "Ss_in" ins @ report "Ss_out" outs
-  in
-  let index =
-    List.map (fun msg -> D.error "cdfg.index-divergence" "%s" msg)
-      (G.index_errors g)
-  in
-  let have_dangling =
-    List.exists (fun d -> String.equal d.D.rule "cdfg.dangling-ref") per_node
-  in
-  let cycle =
-    (* A dangling reference makes reachability ill-defined; report it alone
-       rather than a misleading cycle/crash on top. *)
-    if have_dangling then []
-    else
-      match G.topo_order g with
-      | (_ : G.id list) -> []
-      | exception G.Invalid msg -> [ D.error "cdfg.cycle" "%s" msg ]
-  in
-  record
-    (per_node @ output_diags g ~only:None @ duplicate_ss @ index @ cycle)
+  record (G.check_diags g)
 
 let mappability g =
   Obs.span ~cat:"analysis" "verify-mappability" @@ fun () ->
@@ -223,23 +58,9 @@ let statespace ?facts g =
       | _ -> ());
   record (List.rev !diags)
 
-let all ?facts g =
-  let s = structure g in
-  (* The statespace replay needs a structurally sound graph (the address
-     analysis walks data edges and topological order); skip it rather
-     than crash on top of structure errors. *)
-  let ss = if D.errors s = [] then statespace ?facts g else [] in
-  D.sort (s @ mappability g @ ss)
-
 (* {2 Incremental checks for the pass-engine hook} *)
 
-let local g touched =
-  let per_node =
-    G.Id_set.fold
-      (fun id acc -> if G.mem g id then node g (G.node g id) :: acc else acc)
-      touched []
-  in
-  record (List.concat (List.rev per_node) @ output_diags g ~only:(Some touched))
+let local g touched = record (G.check_local_diags g touched)
 
 let pass_hook ?(full = false) () : Transform.Pass.verify_hook =
  fun _rule g touched ->

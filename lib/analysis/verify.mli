@@ -1,37 +1,32 @@
-(** Structural CDFG verifier: every graph invariant as a diagnostic.
+(** CDFG verifier: the graph's legality rules as diagnostics.
 
-    {!Cdfg.Graph.validate} raises on the first violation — right for
-    construction-time assertions, useless for reporting. This module
-    re-states the same invariants (plus the mapping-phase legality rules)
-    as checks that {e accumulate} {!Fpfa_diag.Diag.t} findings, so one run
-    reports every problem and each finding carries a stable rule id.
+    Each rule set has one implementation, which returns every finding as
+    a {!Fpfa_diag.Diag.t} with a stable rule id; the flow's raising
+    checks read the same code and raise its first finding. This module
+    is the reporting side: one run reports every problem, so
+    [fpfa_map check], {!Fpfa_core.Flow.audit} and the verify-each-pass
+    hook see them all.
 
-    Two rule groups, because they hold at different times:
+    Three rule groups, because they hold at different times:
 
-    - {e structure} rules hold on every well-formed CDFG, including
-      mid-simplification — safe for the pass engine's verify-each-pass
-      hook;
-    - {e mappability} rules (constant statespace offsets, named outputs
-      stored) only hold after full simplification; raw graphs violate them
-      legitimately.
+    - {e structure} rules ({!Cdfg.Graph.check_diags}, whose first finding
+      {!Cdfg.Graph.validate} raises) hold on every well-formed CDFG,
+      including mid-simplification — safe for the pass engine's
+      verify-each-pass hook;
+    - {e mappability} rules ({!Mapping.Legalize.check_diags}, raised by
+      {!Mapping.Legalize.check}: constant statespace offsets, named
+      outputs stored) only hold after full simplification; raw graphs
+      violate them legitimately;
+    - {e statespace order} ({!statespace}) replays the anti-dependences
+      against the address analysis on a settled graph.
 
-    Structure rule ids: ["cdfg.arity"], ["cdfg.dangling-ref"],
-    ["cdfg.port-type"], ["cdfg.token-region"], ["cdfg.region-undeclared"],
+    Structure rule ids: ["cdfg.dangling-ref"], ["cdfg.port-type"],
+    ["cdfg.token-region"], ["cdfg.region-undeclared"],
     ["cdfg.region-duplicate-ss"], ["cdfg.output-invalid"], ["cdfg.cycle"],
-    ["cdfg.index-divergence"]. Mappability rule ids are those of
-    {!Mapping.Legalize.check_diags}. *)
-
-val node : Cdfg.Graph.t -> Cdfg.Graph.node -> Fpfa_diag.Diag.t list
-(** The purely local structure checks of one node (arity, dangling data /
-    order references, port value/token typing, token region matching,
-    region declared). O(degree); no whole-graph invariants. *)
+    ["cdfg.index-divergence"]. *)
 
 val structure : Cdfg.Graph.t -> Fpfa_diag.Diag.t list
-(** {!node} over every node, plus the whole-graph structure invariants:
-    at most one [Ss_in]/[Ss_out] per region, named outputs resolve to
-    value nodes, the incremental use/def index matches a recomputation
-    ({!Cdfg.Graph.index_errors}), and acyclicity (skipped, as meaningless,
-    while dangling references are present). *)
+(** {!Cdfg.Graph.check_diags}: every structure finding of the graph. *)
 
 val mappability : Cdfg.Graph.t -> Fpfa_diag.Diag.t list
 (** {!Mapping.Legalize.check_diags}: constant non-negative statespace
@@ -50,15 +45,11 @@ val statespace : ?facts:Addr.t -> Cdfg.Graph.t -> Fpfa_diag.Diag.t list
     has collected forwarded fetches), which is when anti-dependences are
     meaningful. *)
 
-val all : ?facts:Addr.t -> Cdfg.Graph.t -> Fpfa_diag.Diag.t list
-(** [structure] followed by [mappability] and — when [structure] found no
-    errors — {!statespace}, sorted with {!Fpfa_diag.Diag.sort}. [facts]
-    is forwarded to {!statespace}. *)
-
 val local : Cdfg.Graph.t -> Cdfg.Graph.Id_set.t -> Fpfa_diag.Diag.t list
-(** {!node} on the still-live members of a touched set, plus validity of
-    any named output anchored in the set. O(set size x degree) — the
-    incremental core of the verify-each-pass hook. Whole-graph invariants
+(** {!Cdfg.Graph.check_local_diags}: the per-node structure rules on the
+    still-live members of a touched set, plus validity of any named
+    output anchored in the set. O(set size x degree) — the incremental
+    core of the verify-each-pass hook. Whole-graph invariants
     (acyclicity, duplicate [Ss_in], index consistency) are deliberately
     not re-checked here; run {!structure} once after the engine returns
     for those. *)

@@ -68,6 +68,8 @@ let all =
   [ paper; sequential; unit_ops; sarkar; no_locality; with_forwarding;
     interleaved ]
 
+let find name = List.find_opt (fun v -> String.equal v.vname name) all
+
 let map_source ?pool v ?func source =
   Flow.map_source ?pool ~config:v.config ?func source
 

@@ -35,6 +35,10 @@ val interleaved : variant
 val all : variant list
 (** All variants, [paper] first. *)
 
+val find : string -> variant option
+(** The variant of {!all} called exactly [name]: how the command line
+    and the serve daemon resolve a variant name. *)
+
 val map_source :
   ?pool:Fpfa_exec.Pool.t ->
   variant ->

@@ -1241,25 +1241,109 @@ let index_errors g =
 let check_index g =
   match index_errors g with [] -> () | msg :: _ -> raise (Invalid msg)
 
-(* Port typing: for each node kind, which input ports expect a token of the
-   node's own region (port 0 of Fe/St/Del/Ss_out) and which expect values. *)
-let expect_value g id port =
-  if not (produces_value g.kinds.(g.ins.((3 * id) + port))) then
-    invalidf "node %d: input port %d expects a value, got a token" id port
+(* {2 Structure checks}
 
-let expect_token g id port region =
-  match g.kinds.(g.ins.((3 * id) + port)) with
-  | Ss_in r | St r | Del r ->
-    if not (String.equal r region) then
-      invalidf "node %d: token of region %s flows into region %s" id r region
-  | Const _ | Binop _ | Unop _ | Mux | Ss_out _ | Fe _ ->
-    invalidf "node %d: input port %d expects a statespace token" id port
+   One checker states every structure rule; [validate] raises its first
+   finding and the verifier in lib/analysis reports them all. It reads
+   the arena directly, so a clean graph costs one scan and no record per
+   node. Port typing: port 0 of [Ss_out]/[Fe]/[St]/[Del] takes a token
+   of the node's own region, every other port a value; a port whose
+   producer is gone is reported as a dangling reference only. *)
 
-let check_region g id region =
+module D = Fpfa_diag.Diag
+
+let report acc d = acc := d :: !acc
+
+let expect_value g acc id port =
+  let p = g.ins.((3 * id) + port) in
+  if is_alive g p && not (produces_value g.kinds.(p)) then
+    report acc
+      (D.error ~node:id "cdfg.port-type"
+         "node %d: input port %d expects a value, got a token (node %d)" id
+         port p)
+
+let expect_token g acc id port region =
+  let p = g.ins.((3 * id) + port) in
+  if is_alive g p then
+    match g.kinds.(p) with
+    | Ss_in r | St r | Del r ->
+      if not (String.equal r region) then
+        report acc
+          (D.error ~node:id "cdfg.token-region"
+             "node %d: token of region %s flows into region %s" id r region)
+    | Const _ | Binop _ | Unop _ | Mux | Ss_out _ | Fe _ ->
+      report acc
+        (D.error ~node:id "cdfg.port-type"
+           "node %d: input port %d expects a statespace token, got a value \
+            (node %d)"
+           id port p)
+
+let check_region g acc id region =
   if not (Hashtbl.mem g.region_tbl region) then
-    invalidf "node %d references undeclared region %s" id region
+    report acc
+      (D.error ~node:id "cdfg.region-undeclared"
+         "node %d references undeclared region %s" id region)
 
-let validate g =
+(* The rules local to one live node: its data and order references
+   resolve, its ports carry the right type, its region is declared. *)
+let check_node g acc id =
+  for port = 0 to arity g.kinds.(id) - 1 do
+    let input = g.ins.((3 * id) + port) in
+    if not (is_alive g input) then
+      report acc
+        (D.error ~node:id "cdfg.dangling-ref"
+           "node %d: input port %d references removed node %d" id port input)
+  done;
+  let oa = g.ord.(id) in
+  for j = g.ord_len.(id) - 1 downto 0 do
+    if not (is_alive g oa.(j)) then
+      report acc
+        (D.error ~node:id "cdfg.dangling-ref"
+           "node %d: order edge references removed node %d" id oa.(j))
+  done;
+  match g.kinds.(id) with
+  | Const _ -> ()
+  | Ss_in region -> check_region g acc id region
+  | Binop _ ->
+    expect_value g acc id 0;
+    expect_value g acc id 1
+  | Unop _ -> expect_value g acc id 0
+  | Mux ->
+    expect_value g acc id 0;
+    expect_value g acc id 1;
+    expect_value g acc id 2
+  | Ss_out region ->
+    check_region g acc id region;
+    expect_token g acc id 0 region
+  | Fe region | Del region ->
+    check_region g acc id region;
+    expect_token g acc id 0 region;
+    expect_value g acc id 1
+  | St region ->
+    check_region g acc id region;
+    expect_token g acc id 0 region;
+    expect_value g acc id 1;
+    expect_value g acc id 2
+
+(* Named outputs ([only] restricts the check to outputs bound to those
+   ids): each must name a live value node. *)
+let check_outputs g acc only =
+  List.iter
+    (fun (oname, id) ->
+      if only id then
+        if not (is_alive g id) then
+          report acc
+            (D.error ~node:id "cdfg.dangling-ref"
+               "named output %s references removed node %d" oname id)
+        else if not (produces_value g.kinds.(id)) then
+          report acc
+            (D.error ~node:id "cdfg.output-invalid"
+               "named output %s is bound to node %d, which produces no value"
+               oname id))
+    (outputs g)
+
+let check_diags g =
+  let acc = ref [] in
   (* [Ss_in] / [Ss_out] nodes per region: at most one of each. *)
   let ss_ins = Hashtbl.create 8 and ss_outs = Hashtbl.create 8 in
   let count tbl region =
@@ -1267,62 +1351,45 @@ let validate g =
       (1 + Option.value ~default:0 (Hashtbl.find_opt tbl region))
   in
   iter_ids g (fun id ->
-      for port = 0 to arity g.kinds.(id) - 1 do
-        let input = g.ins.((3 * id) + port) in
-        if not (mem g input) then invalidf "node %d: dangling input %d" id input
-      done;
-      let oa = g.ord.(id) in
-      for j = g.ord_len.(id) - 1 downto 0 do
-        if not (mem g oa.(j)) then
-          invalidf "node %d: dangling order edge %d" id oa.(j)
-      done;
+      check_node g acc id;
       match g.kinds.(id) with
-      | Const _ -> ()
-      | Binop _ ->
-        expect_value g id 0;
-        expect_value g id 1
-      | Unop _ -> expect_value g id 0
-      | Mux ->
-        expect_value g id 0;
-        expect_value g id 1;
-        expect_value g id 2
-      | Ss_in region ->
-        check_region g id region;
-        count ss_ins region
-      | Ss_out region ->
-        check_region g id region;
-        expect_token g id 0 region;
-        count ss_outs region
-      | Fe region ->
-        check_region g id region;
-        expect_token g id 0 region;
-        expect_value g id 1
-      | St region ->
-        check_region g id region;
-        expect_token g id 0 region;
-        expect_value g id 1;
-        expect_value g id 2
-      | Del region ->
-        check_region g id region;
-        expect_token g id 0 region;
-        expect_value g id 1);
-  Hashtbl.iter
-    (fun region c ->
-      if c > 1 then invalidf "region %s has %d Ss_in nodes" region c)
-    ss_ins;
-  Hashtbl.iter
-    (fun region c ->
-      if c > 1 then invalidf "region %s has %d Ss_out nodes" region c)
-    ss_outs;
+      | Ss_in region -> count ss_ins region
+      | Ss_out region -> count ss_outs region
+      | Const _ | Binop _ | Unop _ | Mux | Fe _ | St _ | Del _ -> ());
+  (* A dangling reference makes reachability ill-defined: it is reported
+     alone rather than with a misleading cycle on top. *)
+  let dangling =
+    List.exists (fun d -> String.equal d.D.rule "cdfg.dangling-ref") !acc
+  in
+  check_outputs g acc (fun _ -> true);
+  let duplicates what tbl =
+    Hashtbl.fold (fun region c l -> if c > 1 then (region, c) :: l else l) tbl []
+    |> List.sort compare
+    |> List.iter (fun (region, c) ->
+           report acc
+             (D.error "cdfg.region-duplicate-ss" "region %s has %d %s nodes"
+                region c what))
+  in
+  duplicates "Ss_in" ss_ins;
+  duplicates "Ss_out" ss_outs;
   List.iter
-    (fun (oname, id) ->
-      if not (mem g id) then invalidf "named output %s is dangling" oname;
-      if not (produces_value (kind g id)) then
-        invalidf "named output %s is not a value" oname)
-    g.named_outputs;
-  check_index g;
-  (* Acyclicity (raises on cycles). *)
-  ignore (topo_order g)
+    (fun msg -> report acc (D.error "cdfg.index-divergence" "%s" msg))
+    (index_errors g);
+  if not dangling then begin
+    match topo_order g with
+    | (_ : id list) -> ()
+    | exception Invalid msg -> report acc (D.error "cdfg.cycle" "%s" msg)
+  end;
+  List.rev !acc
+
+let check_local_diags g touched =
+  let acc = ref [] in
+  Id_set.iter (fun id -> if is_alive g id then check_node g acc id) touched;
+  check_outputs g acc (fun id -> Id_set.mem id touched);
+  List.rev !acc
+
+let validate g =
+  match check_diags g with [] -> () | d :: _ -> raise (Invalid d.D.message)
 
 let copy g =
   let n = g.next_id in

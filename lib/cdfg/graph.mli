@@ -39,7 +39,8 @@ type region_info = { size : int option; implicit : bool }
 type t
 
 exception Invalid of string
-(** Raised by {!validate} and by construction-time arity checks. *)
+(** Raised by {!validate} and by the checks every mutation makes (arity,
+    references, a frozen graph). *)
 
 val create : string -> t
 (** [create name] is an empty graph for function [name]. *)
@@ -210,21 +211,49 @@ val index_errors : t -> string list
 (** Recomputes the use/def index from scratch and compares it with the
     incrementally maintained one, returning every divergence found (empty
     when consistent). The single implementation behind {!check_index},
-    the [lib/analysis] verifier and the index-invariant tests. *)
+    the ["cdfg.index-divergence"] rule of {!check_diags} and the
+    index-invariant tests. *)
 
 val check_index : t -> unit
-(** [index_errors], raising on the first divergence (also run as part of
-    {!validate}). @raise Invalid on any divergence. *)
+(** [index_errors], raising on the first divergence.
+    @raise Invalid on any divergence. *)
 
 val depth : t -> (id -> int)
 (** Longest-path depth of each node (sources at 0), over data + order
     edges. *)
 
+(** {2 Structure rules}
+
+    One checker states every structure invariant. {!validate} raises its
+    first finding; the [lib/analysis] verifier reports all of them. Arity
+    is not among the rules: {!add} and {!set_inputs} enforce it when an
+    edge is made, and the arena stores exactly [arity kind] inputs. *)
+
+val check_diags : t -> Fpfa_diag.Diag.t list
+(** Every structure violation as a diagnostic, in one scan of the arena:
+    per live node (in ascending id order) data and order references that
+    resolve (["cdfg.dangling-ref"]), value ports fed by values and token
+    ports by tokens (["cdfg.port-type"]) of the node's own region
+    (["cdfg.token-region"]), and a declared region
+    (["cdfg.region-undeclared"]); then named outputs bound to live value
+    nodes (["cdfg.dangling-ref"], ["cdfg.output-invalid"]), at most one
+    [Ss_in] and one [Ss_out] per region (["cdfg.region-duplicate-ss"]),
+    the use/def index against a recomputation
+    (["cdfg.index-divergence"], {!index_errors}), and acyclicity
+    (["cdfg.cycle"], skipped while a dangling reference is reported).
+    Empty when the graph is well formed. Node-anchored findings carry the
+    node id. *)
+
+val check_local_diags : t -> Id_set.t -> Fpfa_diag.Diag.t list
+(** The per-node rules of {!check_diags} on the live members of a set,
+    plus the named outputs bound to a member. O(set size x degree): the
+    incremental check of the pass engine's verify hook. Whole-graph rules
+    (acyclicity, duplicate [Ss_in]/[Ss_out], index consistency) are not
+    re-checked. *)
+
 val validate : t -> unit
-(** Full invariant check: arities, no dangling references, acyclicity,
-    token/value port typing, at most one [Ss_in]/[Ss_out] per region, every
-    region referenced by a primitive is declared.
-    @raise Invalid with a diagnostic otherwise. *)
+(** {!check_diags}, raising the first finding.
+    @raise Invalid with its message when the graph breaks a rule. *)
 
 val freeze : t -> unit
 (** Makes the graph immutable: every subsequent mutation raises {!Invalid}.
@@ -266,7 +295,7 @@ val produces_value : kind -> bool
 
 val arity : kind -> int
 (** Number of data inputs each node kind takes (the invariant {!add} and
-    {!validate} enforce; exposed for the [lib/analysis] verifier). *)
+    {!set_inputs} enforce). *)
 
 val token_region : t -> id -> string option
 (** The region whose token the node produces ([Ss_in]/[St]/[Del]), [None]

@@ -500,19 +500,19 @@ let map_source ?pool ?(config = default_config) ?(func = "main") source =
 let map_graph ?pool ?(config = default_config) g =
   Staged.to_result (Staged.run ?pool (Staged.of_graph ~config g))
 
-(* All diagnostics for one mapped program: structural verifier on the raw
-   and minimised graphs, mappability + statespace legality + lints on the
-   minimised graph, and the mapping validators replaying cluster /
-   schedule / allocation legality. One Absdom fixpoint per graph: its
-   facts feed the bit lints and give the address analysis, shared by the
-   verifier and the lints, its intervals. The diagnostic families are
-   independent reads of the (frozen) result, so with a pool they run
-   concurrently; [Diag.sort] makes the merged output order-independent. *)
+(* All diagnostics for one mapped program: the structure rules on the
+   raw and minimised graphs, mappability + statespace legality + lints on
+   the minimised graph, and the cluster, schedule and allocation rules.
+   Each graph's structure is checked once; the minimised graph's result
+   also decides whether the facts can be built. One Absdom fixpoint per
+   graph: its facts feed the bit lints and give the address analysis,
+   shared by the statespace replay and the lints, its intervals. The
+   diagnostic families are independent reads of the (frozen) result, so
+   with a pool they run concurrently; [Diag.sort] makes the merged output
+   order-independent. *)
 let audit ?pool ~config result =
   Obs.span ~cat:"flow" "audit" @@ fun () ->
-  let caps =
-    match config.caps with Some caps -> caps | None -> config.tile.Arch.alu
-  in
+  let caps = caps_of config in
   (match pool with
   | Some _ ->
     Cdfg.Graph.freeze result.raw_graph;
@@ -533,15 +533,25 @@ let audit ?pool ~config result =
   let families : (unit -> Fpfa_diag.Diag.t list) list =
     [
       (fun () -> Fpfa_analysis.Verify.structure result.raw_graph);
-      (fun () -> Fpfa_analysis.Verify.all ?facts:addr result.graph);
+      (fun () -> structure);
+      (fun () -> Fpfa_analysis.Verify.mappability result.graph);
+      (fun () ->
+        (* the replay walks data edges in topological order: only a
+           structurally sound graph has the facts it needs *)
+        match addr with
+        | Some facts -> Fpfa_analysis.Verify.statespace ~facts result.graph
+        | None -> []);
       (fun () ->
         match addr with
         | Some facts -> Fpfa_analysis.Lint.run ~facts result.graph
         | None -> []);
-      (fun () -> Fpfa_analysis.Mapcheck.cluster ~caps result.clustering);
       (fun () ->
-        Fpfa_analysis.Mapcheck.sched ~alu_count:config.tile.Arch.alu_count
-          result.schedule);
+        Obs.span ~cat:"analysis" "mapcheck-cluster" @@ fun () ->
+        Mapping.Cluster.check_diags result.clustering caps);
+      (fun () ->
+        Obs.span ~cat:"analysis" "mapcheck-sched" @@ fun () ->
+        Mapping.Sched.check_diags result.schedule
+          ~alu_count:config.tile.Arch.alu_count);
       (fun () -> Fpfa_analysis.Mapcheck.alloc result.job);
       (fun () ->
         (* loop-carried dependence family: needs the pre-unroll source

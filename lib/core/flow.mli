@@ -219,10 +219,12 @@ val audit :
   Fpfa_diag.Diag.t list
   * (Fpfa_analysis.Addr.t * Fpfa_analysis.Bits.t) option
 (** Every static diagnostic for a mapped result in one sorted list:
-    structural verifier on the raw and minimised graphs, mappability +
-    statespace legality + lints on the minimised graph, the
-    {!Fpfa_analysis.Mapcheck} validators replaying
-    cluster/schedule/allocation legality, the {!Fpfa_analysis.Depend}
+    the structure rules on the raw and minimised graphs (each checked
+    once), mappability + statespace legality + lints on the minimised
+    graph, every finding of the cluster and schedule rules
+    ({!Mapping.Cluster.check_diags}, {!Mapping.Sched.check_diags}, whose
+    first finding the flow's validate stages raise) and of
+    {!Fpfa_analysis.Mapcheck.alloc}, the {!Fpfa_analysis.Depend}
     loop-carried dependence analysis re-run from the pre-unroll source
     (skipped for graph-only results with no source), and the
     {!Fpfa_analysis.Bits} bit-level lints (dead-masked stores, decided
@@ -232,7 +234,7 @@ val audit :
     {!Transform.Absdom} fixpoint serves the whole audit: the
     {!Fpfa_analysis.Bits} facts built on it and the address facts
     {!Fpfa_analysis.Addr.of_facts} derives from them are shared by the
-    verifier, the lints and the bit lints, and returned as the second
+    statespace replay, the lints and the bit lints, and returned as the second
     component for reporting. The diagnostic families are independent,
     so with [?pool] they run concurrently — the result graphs are frozen
     first (see {!map_source}); output is identical to the sequential

@@ -523,6 +523,12 @@ let all =
 
 let find name = List.find (fun k -> String.equal k.name name) all
 
+let resolve name =
+  match find name with
+  | k -> [ k ]
+  | exception Not_found ->
+    List.filter (fun k -> String.starts_with ~prefix:name k.name) all
+
 let reference_state k =
   let program = Cfront.Inline.program (Cfront.Parser.parse_program k.source) in
   Cfront.Interp.run_main_on_regions k.inputs program

@@ -91,6 +91,14 @@ val all : t list
 val find : string -> t
 (** @raise Not_found for an unknown kernel name. *)
 
+val resolve : string -> t list
+(** The kernels a name given by a user resolves to: [[k]] when [k] is
+    called exactly that, else every kernel whose name starts with it, in
+    the order of {!all}. The first is the one to use ("fir" resolves to
+    {!fir_paper}); more than one means the prefix is ambiguous, none that
+    the name is unknown. The command line and the serve daemon both
+    resolve kernel names here. *)
+
 val reference_state : t -> Cfront.Interp.state
 (** Runs the reference interpreter on the kernel's inputs, each a region
     as the tile takes it ({!Cfront.Interp.run_main_on_regions}: an input

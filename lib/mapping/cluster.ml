@@ -105,17 +105,21 @@ let rec measure_members g m = function
     done;
     measure_members g m rest
 
-(* Whether [members] fit one ALU: operation count, multiplier-class
-   count, internal depth and distinct external operands, counted without
-   building a set or a list. *)
-let satisfies_caps g m (caps : Arch.alu_caps) members =
+(* Counts [members] into [m]: operation count, multiplier-class count,
+   internal depth and distinct external operands, without building a set
+   or a list. *)
+let measure g m members =
   m.stamp <- m.stamp + 1;
   m.members <- 0;
   m.mults <- 0;
   m.depth <- 0;
   m.inputs <- 0;
   mark_members g m members;
-  measure_members g m members;
+  measure_members g m members
+
+(* Whether [members] fit one ALU. *)
+let satisfies_caps g m (caps : Arch.alu_caps) members =
+  measure g m members;
   m.members <= caps.Arch.max_ops
   && m.mults <= caps.Arch.max_multipliers
   && m.depth <= caps.Arch.max_depth
@@ -660,20 +664,153 @@ let unit_clusters g = run ~caps:Arch.unit_alu g
 
 let inputs_of c = c.cinputs
 
-let validate t caps =
+(* {2 Legality}
+
+   One checker states every clustering rule; [validate] raises its first
+   finding and [fpfa_map check] reports them all. The data-path counts
+   reuse the partitioners' marks and the coverage rule one flag per node,
+   so a legal clustering costs one measurement per cluster and one scan
+   of the graph. *)
+
+module D = Fpfa_diag.Diag
+
+let rec all_live g = function
+  | [] -> true
+  | id :: rest -> G.mem g id && all_live g rest
+
+(* Flags each of [ids] whose [cluster_of] entry names [cid]. *)
+let rec mark_owned owned cluster_of cid = function
+  | [] -> ()
+  | id :: rest ->
+    if id >= 0 && id < Bytes.length owned && cluster_of.(id) = cid then
+      Bytes.unsafe_set owned id '\001';
+    mark_owned owned cluster_of cid rest
+
+let check_diags t (caps : Arch.alu_caps) =
   let g = t.graph in
   let m = marks g in
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  let nclusters = Array.length t.clusters in
+  (* [owned.(id)]: the cluster [cluster_of] names for [id] lists it. *)
+  let owned = Bytes.make (Array.length t.cluster_of) '\000' in
   Array.iter
     (fun c ->
-      if c.ops <> [] && not (satisfies_caps g m caps c.ops) then
-        errorf "cluster %d violates the ALU data-path constraints" c.cid;
-      match (c.ops, c.root, c.deletes) with
-      | [], None, [] -> errorf "cluster %d is empty" c.cid
-      | _ -> ())
+      let cid = c.cid in
+      mark_owned owned t.cluster_of cid c.ops;
+      mark_owned owned t.cluster_of cid c.stores;
+      mark_owned owned t.cluster_of cid c.deletes;
+      mark_owned owned t.cluster_of cid (Option.to_list c.root);
+      (match (c.ops, c.root, c.deletes) with
+      | [], None, [] ->
+        add (D.error ~node:cid "cluster.empty" "cluster %d is empty" cid)
+      | _ -> ());
+      let live = all_live g c.ops in
+      if live then measure g m c.ops;
+      (* The measurement counts each op once: an op listed twice makes
+         the node <-> cluster map ambiguous. *)
+      let n_ops = List.length c.ops in
+      if live && m.members < n_ops then
+        add
+          (D.error ~node:cid "cluster.coverage"
+             "cluster %d lists an operation more than once" cid);
+      (* Operands are counted as recorded and as recounted from the
+         member ops; the larger count must fit the ALU's input ports. *)
+      let inputs =
+        Int.max (List.length c.cinputs) (if live then m.inputs else 0)
+      in
+      if inputs > caps.Arch.max_inputs then
+        add
+          (D.error ~node:cid "cluster.datapath"
+             "cluster %d reads %d distinct operands (ALU has %d input ports)"
+             cid inputs caps.Arch.max_inputs);
+      if n_ops > caps.Arch.max_ops then
+        add
+          (D.error ~node:cid "cluster.datapath"
+             "cluster %d fuses %d operations (data path allows %d)" cid n_ops
+             caps.Arch.max_ops);
+      if live && m.mults > caps.Arch.max_multipliers then
+        add
+          (D.error ~node:cid "cluster.datapath"
+             "cluster %d uses %d multiplier-class operations (data path has \
+              %d)"
+             cid m.mults caps.Arch.max_multipliers);
+      if live && m.depth > caps.Arch.max_depth then
+        add
+          (D.error ~node:cid "cluster.datapath"
+             "cluster %d chains %d operation levels (data path allows %d)" cid
+             m.depth caps.Arch.max_depth);
+      if not live then
+        List.iter
+          (fun id ->
+            if not (G.mem g id) then
+              add
+                (D.error ~node:cid "cluster.coverage"
+                   "cluster %d lists removed node %d" cid id))
+          c.ops;
+      match c.root with
+      | Some r when not (G.mem g r) ->
+        add
+          (D.error ~node:cid "cluster.coverage"
+             "cluster %d roots at removed node %d" cid r)
+      | Some r when c.ops <> [] && live && m.mark.(r) <> m.stamp ->
+        add
+          (D.error ~node:cid "cluster.coverage"
+             "cluster %d roots at node %d, which is not a member op" cid r)
+      | Some _ | None -> ())
     t.clusters;
-  (* Kahn over cluster edges (any cycle, regardless of weight, is fatal). *)
-  if Array.exists not (kahn (Array.length t.clusters) t.edges) then
-    errorf "cluster dependence graph has a cycle"
+  (* Node <-> cluster map consistency, both directions: every clusterable
+     node maps to a cluster, and that cluster lists it. *)
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.Binop _ | G.Unop _ | G.Mux | G.St _ | G.Del _ ->
+        let cid =
+          if id < Array.length t.cluster_of then t.cluster_of.(id) else -1
+        in
+        if cid < 0 then
+          add
+            (D.error ~node:id "cluster.coverage"
+               "node %d belongs to no cluster" id)
+        else if Bytes.get owned id = '\000' then
+          add
+            (D.error ~node:id "cluster.coverage"
+               "node %d maps to cluster %d, which does not list it" id cid)
+      | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.Fe _ -> ());
+  (* The dependence relation must be a DAG whatever the weights: a
+     weight-0 cycle would need two clusters of one level to precede each
+     other. *)
+  let stray =
+    List.fold_left
+      (fun stray e ->
+        if e.src >= 0 && e.src < nclusters && e.dst >= 0 && e.dst < nclusters
+        then stray
+        else begin
+          add
+            (D.error "cluster.coverage"
+               "edge %d -> %d references a cluster out of range" e.src e.dst);
+          stray + 1
+        end)
+      0 t.edges
+  in
+  if stray = 0 then begin
+    let unreached =
+      Array.fold_left
+        (fun n seen -> if seen then n else n + 1)
+        0 (kahn nclusters t.edges)
+    in
+    if unreached > 0 then
+      add
+        (D.error "cluster.cycle"
+           "cluster dependence relation has a cycle (%d of %d clusters \
+            unreachable from sources)"
+           unreached nclusters)
+  end;
+  List.rev !diags
+
+let validate t caps =
+  match check_diags t caps with
+  | [] -> ()
+  | d :: _ -> raise (Clustering_error d.D.message)
 
 let pp_cluster g fmt c =
   let op_name id =

@@ -11,7 +11,10 @@
     memory-only clusters.
 
     Fetch ([Fe]) and constant nodes are not clustered: they are cluster
-    {e inputs}, handled by phase 3 as register moves and immediates. *)
+    {e inputs}, handled by phase 3 as register moves and immediates.
+
+    The legality rules of a clustering are stated once, in
+    {!check_diags}; {!validate} raises its first finding. *)
 
 type cluster = {
   cid : int;
@@ -93,10 +96,35 @@ val unit_clusters : Cdfg.Graph.t -> t
 val inputs_of : cluster -> Cdfg.Graph.id list
 (** [cluster.cinputs]. *)
 
+(** {2 Legality}
+
+    One checker states every clustering rule: {!validate} raises its
+    first finding, [fpfa_map check] and {!Fpfa_core.Flow.audit} report
+    them all. *)
+
+val check_diags : t -> Fpfa_arch.Arch.alu_caps -> Fpfa_diag.Diag.t list
+(** Every violation of the clustering rules against the ALU data path
+    [caps], in cluster order and then graph order, each anchored to the
+    cluster id (a coverage finding about a node, to the node id). Empty
+    when the clustering is legal. Rule ids:
+
+    - ["cluster.datapath"]: more distinct operands than [max_inputs]
+      (the larger of the recorded [cinputs] and a recount from the member
+      ops), more fused ops than [max_ops], more multiplier-class ops than
+      [max_multipliers], or an op chain deeper than [max_depth];
+    - ["cluster.empty"]: a cluster with no ops, root or deletes;
+    - ["cluster.coverage"]: a member op or root that is no live node, a
+      root that is neither a member op nor a pass-through source, a
+      clusterable node ([Binop]/[Unop]/[Mux]/[St]/[Del]) missing from
+      [cluster_of], a [cluster_of] entry the named cluster does not list,
+      or an edge naming a cluster out of range;
+    - ["cluster.cycle"]: the dependence relation has a directed cycle of
+      any weight (a weight-0 cycle would need two clusters of one level
+      to precede each other). *)
+
 val validate : t -> Fpfa_arch.Arch.alu_caps -> unit
-(** Checks every cluster against the data-path constraints and the edge
-    relation for acyclicity (weight-1 cycles are errors; a weight-0 cycle
-    is also rejected). @raise Clustering_error *)
+(** {!check_diags}, raising the first finding.
+    @raise Clustering_error with its message. *)
 
 val pp_cluster : Cdfg.Graph.t -> Format.formatter -> cluster -> unit
 

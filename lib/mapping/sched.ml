@@ -1,4 +1,5 @@
 module Obs = Fpfa_obs.Obs
+module D = Fpfa_diag.Diag
 
 type t = {
   clustering : Cluster.t;
@@ -205,29 +206,99 @@ let critical_path_levels t = Array.fold_left max 0 t.asap + 1
 
 let mobility t cid = t.alap.(cid) - t.asap.(cid)
 
-let validate t ~alu_count =
-  List.iter
-    (fun (e : Cluster.edge) ->
-      if t.level_of.(e.Cluster.src) + e.Cluster.weight > t.level_of.(e.Cluster.dst)
-      then
-        errorf "dependence violated: Clu%d(+%d) -> Clu%d" e.Cluster.src
-          e.Cluster.weight e.Cluster.dst)
-    t.clustering.Cluster.edges;
+(* The level of a cluster placed inside the schedule, else -1. *)
+let[@inline] placed_level t cid =
+  if cid < 0 || cid >= Array.length t.level_of then -1
+  else
+    let lvl = t.level_of.(cid) in
+    if lvl >= 0 && lvl < Array.length t.levels then lvl else -1
+
+(* One checker states every scheduling rule; [validate] raises its first
+   finding and [fpfa_map check] reports them all. It makes one pass over
+   the levels, one over the clusters and one over the edges, and lists
+   the findings by rule: placement, dependence, capacity, then the
+   mobility window. *)
+let check_diags t ~alu_count =
+  let clusters = t.clustering.Cluster.clusters in
+  let nclusters = Array.length clusters in
+  let unplaced = ref [] and misplaced = ref [] and dependence = ref []
+  and capacity = ref [] and window = ref [] in
+  let add l d = l := d :: !l in
+  (* Per level: the clusters it lists are placed there (counted in
+     [listed]), and its ALU clusters fit the tile. *)
+  let listed = Array.make (Array.length t.level_of) 0 in
   Array.iteri
-    (fun level cids ->
+    (fun lvl cids ->
       let alus =
-        List.length
-          (List.filter
-             (fun cid -> uses_alu t.clustering.Cluster.clusters.(cid))
-             cids)
+        List.fold_left
+          (fun alus cid ->
+            if cid >= 0 && cid < Array.length t.level_of then
+              if t.level_of.(cid) = lvl then listed.(cid) <- listed.(cid) + 1
+              else
+                add misplaced
+                  (D.error ~node:cid "sched.unplaced"
+                     "level %d lists cluster %d, which is placed at level %d"
+                     lvl cid t.level_of.(cid));
+            if cid >= 0 && cid < nclusters && uses_alu clusters.(cid) then
+              alus + 1
+            else alus)
+          0 cids
       in
       if alus > alu_count then
-        errorf "level %d uses %d ALUs (limit %d)" level alus alu_count)
+        add capacity
+          (D.error ~node:lvl "sched.capacity"
+             "level %d runs %d ALU clusters on a %d-ALU tile" lvl alus
+             alu_count))
     t.levels;
-  Array.iteri
-    (fun cid level ->
-      if level < 0 then errorf "cluster %d was never placed" cid)
-    t.level_of
+  (* Per cluster: a level, listed once there, inside its mobility window.
+     ASAP is a hard lower bound; ALAP shifts down by the slack the
+     scheduler inserted for capacity overflows. *)
+  let slack = Int.max 0 (Array.length t.levels - critical_path_levels t) in
+  for cid = 0 to nclusters - 1 do
+    let lvl = placed_level t cid in
+    if lvl < 0 then
+      add unplaced
+        (D.error ~node:cid "sched.unplaced"
+           "cluster %d has no level inside the schedule" cid)
+    else begin
+      if listed.(cid) <> 1 then
+        add unplaced
+          (D.error ~node:cid "sched.unplaced"
+             "cluster %d appears %d times in its level's placement list" cid
+             listed.(cid));
+      if cid < Array.length t.asap && cid < Array.length t.alap then begin
+        if lvl < t.asap.(cid) then
+          add window
+            (D.error ~node:cid "sched.asap"
+               "cluster %d at level %d precedes its ASAP level %d" cid lvl
+               t.asap.(cid));
+        if lvl > t.alap.(cid) + slack then
+          add window
+            (D.error ~node:cid "sched.asap"
+               "cluster %d at level %d exceeds its ALAP level %d plus \
+                inserted slack %d"
+               cid lvl t.alap.(cid) slack)
+      end
+    end
+  done;
+  List.iter
+    (fun (e : Cluster.edge) ->
+      let src = placed_level t e.Cluster.src
+      and dst = placed_level t e.Cluster.dst in
+      if src >= 0 && dst >= 0 && src + e.Cluster.weight > dst then
+        add dependence
+          (D.error ~node:e.Cluster.dst "sched.dependence"
+             "cluster %d at level %d violates dependence on cluster %d at \
+              level %d (weight %d)"
+             e.Cluster.dst dst e.Cluster.src src e.Cluster.weight))
+    t.clustering.Cluster.edges;
+  List.concat_map List.rev
+    [ !unplaced; !misplaced; !dependence; !capacity; !window ]
+
+let validate t ~alu_count =
+  match check_diags t ~alu_count with
+  | [] -> ()
+  | d :: _ -> raise (Scheduling_error d.D.message)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

@@ -6,7 +6,10 @@
     placed first; off-critical clusters move down within their mobility
     range, and a new level is inserted whenever a level overflows. Each
     cluster enters and leaves the queue of clusters waiting for an ALU
-    once, so scheduling takes O((clusters + edges) log clusters) time. *)
+    once, so scheduling takes O((clusters + edges) log clusters) time.
+
+    The legality rules of a schedule are stated once, in {!check_diags};
+    {!validate} raises its first finding. *)
 
 type t = {
   clustering : Cluster.t;
@@ -40,9 +43,27 @@ val mobility : t -> int -> int
 val uses_alu : Cluster.cluster -> bool
 (** Delete-only clusters occupy memory ports but no ALU slot. *)
 
+val check_diags : t -> alu_count:int -> Fpfa_diag.Diag.t list
+(** Every violation of the scheduling rules on an [alu_count]-ALU tile,
+    anchored to the cluster id (the level, for capacity). Empty when the
+    schedule is legal. One checker states the rules: {!validate} raises
+    its first finding, [fpfa_map check] and {!Fpfa_core.Flow.audit}
+    report them all. Rule ids:
+
+    - ["sched.unplaced"]: a cluster with no level, a level out of range,
+      a cluster listed other than once in its level's placement list, or
+      a level listing a cluster placed elsewhere;
+    - ["sched.dependence"]: an edge with
+      [level(src) + weight > level(dst)];
+    - ["sched.capacity"]: a level with more than [alu_count] ALU-using
+      clusters;
+    - ["sched.asap"]: a cluster placed before its ASAP level, or after
+      its ALAP level plus the slack the scheduler inserted
+      ([level_count - critical_path_levels]). *)
+
 val validate : t -> alu_count:int -> unit
-(** Dependences respected (level(src)+weight <= level(dst)), level capacity
-    never exceeded. @raise Scheduling_error *)
+(** {!check_diags}, raising the first finding.
+    @raise Scheduling_error with its message. *)
 
 val pp : Format.formatter -> t -> unit
 (** Fig. 4-style level table. *)

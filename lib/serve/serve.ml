@@ -151,22 +151,6 @@ let require what = function
   | Some v -> v
   | None -> raise (Bad_request what)
 
-(* Kernel names resolve exactly, then by prefix — the CLI's rule, minus
-   the stderr note (a daemon answers in-band). *)
-let find_kernel name =
-  match Kernels.find name with
-  | k -> Some k
-  | exception Not_found -> (
-    let matches =
-      List.filter
-        (fun (k : Kernels.t) ->
-          String.length name <= String.length k.Kernels.name
-          && String.equal name
-               (String.sub k.Kernels.name 0 (String.length name)))
-        Kernels.all
-    in
-    match matches with [] -> None | k :: _ -> Some k)
-
 type program = {
   p_source : string;
   p_func : string;
@@ -179,20 +163,18 @@ let program_of req =
   | Some _, Some _ ->
     raise (Bad_request "give either \"kernel\" or \"source\", not both")
   | Some name, None -> (
-    match find_kernel name with
-    | Some k ->
+    (* an ambiguous prefix takes the first match, as on the command
+       line, but without the note: a daemon answers in-band *)
+    match Kernels.resolve name with
+    | k :: _ ->
       { p_source = k.Kernels.source; p_func = func; p_inputs = k.Kernels.inputs }
-    | None -> raise (Bad_request (Printf.sprintf "unknown kernel %S" name)))
+    | [] -> raise (Bad_request (Printf.sprintf "unknown kernel %S" name)))
   | None, Some source -> { p_source = source; p_func = func; p_inputs = [] }
   | None, None -> raise (Bad_request "request needs \"kernel\" or \"source\"")
 
 let variant_of req =
   let name = Option.value ~default:"paper" (str_field req "variant") in
-  match
-    List.find_opt
-      (fun (v : Baseline.variant) -> String.equal v.Baseline.vname name)
-      Baseline.all
-  with
+  match Baseline.find name with
   | Some v -> v
   | None -> raise (Bad_request (Printf.sprintf "unknown variant %S" name))
 

@@ -97,7 +97,7 @@ let pop q =
 (* Union of two ascending id lists. *)
 let union a b = List.sort_uniq Int.compare (List.rev_append a b)
 
-let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
+let run_worklist ?max_steps ?seed ?verify rules g =
   Obs.span ~cat:"transform" "worklist"
     ~args:[ ("nodes", Obs.Int (G.node_count g)) ]
   @@ fun () ->
@@ -225,7 +225,6 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     if G.mem g id then begin
       incr steps;
       visit (if from_hi then eager_rw else settled_rw) id;
-      if debug then G.validate g;
       let defs, uses = G.drain_dirty g in
       (match verify with
       | Some _ ->

@@ -6,7 +6,7 @@
     topological order and thereafter re-examines only the neighbourhood
     of each rewrite, which the graph reports through its mutation journal
     ({!Cdfg.Graph.drain_dirty}). Validation runs once at the end of the
-    caller (or after every step under [~debug]). *)
+    caller; a [~verify] hook checks the graph after every rule firing. *)
 
 type verify_hook = string -> Cdfg.Graph.t -> Cdfg.Graph.Id_set.t -> unit
 (** [hook rule g touched] checks the graph right after [rule] fired;
@@ -57,7 +57,6 @@ type worklist_report = {
 }
 
 val run_worklist :
-  ?debug:bool ->
   ?max_steps:int ->
   ?seed:Cdfg.Graph.id list ->
   ?verify:verify_hook ->
@@ -69,11 +68,10 @@ val run_worklist :
     neighbourhood — the rewritten nodes, their consumers (data and order),
     their producers, and producers that lost a use. Rules are applied in
     list order on each visit; settled rules run in a lower-priority tier
-    drained only when the eager tier is empty. [~debug] validates the
-    graph after every visited node (slow; for debugging
-    invariant-breaking rules). [~verify] runs after every individual rule
-    firing with exactly the nodes that firing dirtied, enabling O(degree)
-    incremental checks. [max_steps] (default [100 + 100 * node_count] per
+    drained only when the eager tier is empty. [~verify] runs after every
+    individual rule firing with exactly the nodes that firing dirtied,
+    enabling O(degree) incremental checks (or, for pinpointing an
+    invariant-breaking rule, a whole-graph check). [max_steps] (default [100 + 100 * node_count] per
     tier in use) guards against diverging rule sets.
 
     [?seed] is the entry point of the certified bit-level stage's

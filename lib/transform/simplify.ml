@@ -18,11 +18,10 @@ type report = {
   after : Cdfg.Graph.stats;
 }
 
-let minimize ?(rules = default_rules) ?seed ?(validate = true) ?(debug = false)
-    ?verify g =
+let minimize ?(rules = default_rules) ?seed ?(validate = true) ?verify g =
   let before = Cdfg.Graph.stats g in
-  let wr = Pass.run_worklist ~debug ?seed ?verify rules g in
-  if validate && not debug then Cdfg.Graph.validate g;
+  let wr = Pass.run_worklist ?seed ?verify rules g in
+  if validate then Cdfg.Graph.validate g;
   { steps = wr.Pass.steps; before; after = Cdfg.Graph.stats g }
 
 let pp_report fmt { steps; before; after } =

@@ -25,18 +25,16 @@ val minimize :
   ?rules:Pass.rule list ->
   ?seed:Cdfg.Graph.id list ->
   ?validate:bool ->
-  ?debug:bool ->
   ?verify:Pass.verify_hook ->
   Cdfg.Graph.t ->
   report
 (** Mutates the graph to its minimised form under [rules] (default
     {!default_rules}) and reports the shrinkage. [validate] (default
-    true) checks invariants once at the end; [~debug:true] re-validates
-    after every visited node instead (slow; for pinpointing an
-    invariant-breaking rule). [~seed] restricts the initial visit to the
-    given dirty nodes — the entry point of the certified bit-level
-    stage's cleanup ([Flow.bitopt_stage]), which re-minimises only what a
-    verified claim batch touched. [~verify] is forwarded to
+    true) checks invariants once at the end ({!Cdfg.Graph.validate}).
+    [~seed] restricts the initial visit to the given dirty nodes — the
+    entry point of the certified bit-level stage's cleanup
+    ([Flow.bitopt_stage]), which re-minimises only what a verified claim
+    batch touched. [~verify] is forwarded to
     {!Pass.run_worklist}: it runs after each rule firing and blames the
     responsible rule via {!Pass.Verification_failed} — the
     `--verify-each-pass` mode. *)

@@ -9,6 +9,7 @@ module Verify = Fpfa_analysis.Verify
 module Lint = Fpfa_analysis.Lint
 module Mapcheck = Fpfa_analysis.Mapcheck
 module Dataflow = Fpfa_analysis.Dataflow
+module Arch = Fpfa_arch.Arch
 module Cluster = Mapping.Cluster
 module Sched = Mapping.Sched
 module Job = Mapping.Job
@@ -25,6 +26,47 @@ let flags what rule diags =
 
 let rules diags = List.sort_uniq compare (List.map (fun d -> d.D.rule) diags)
 
+(* Each rule set has one checker and a raising entry point that raises
+   the checker's first finding: [raise_of] builds the expected exception
+   from its message. *)
+let raises_first what diags raise_of f =
+  match diags with
+  | [] -> Alcotest.failf "%s: no finding" what
+  | d :: _ ->
+    Alcotest.check_raises (what ^ " raises the first finding")
+      (raise_of d.D.message) f
+
+(* A corrupted graph: [Verify.structure] flags [rule], and
+   [Graph.validate] raises the same checker's first finding. *)
+let graph_flags what rule g =
+  let diags = Verify.structure g in
+  flags what rule diags;
+  raises_first what diags (fun m -> G.Invalid m) (fun () -> G.validate g)
+
+let mappability_flags what rule g =
+  let diags = Verify.mappability g in
+  flags what rule diags;
+  raises_first what diags
+    (fun m -> Mapping.Legalize.Unmappable m)
+    (fun () -> Mapping.Legalize.check g)
+
+(* A corrupted clustering (checked against the paper ALU) or schedule (on
+   the 5-ALU tile), likewise. *)
+let cluster_flags what rule c =
+  let diags = Cluster.check_diags c Arch.paper_alu in
+  flags what rule diags;
+  raises_first what diags
+    (fun m -> Cluster.Clustering_error m)
+    (fun () -> Cluster.validate c Arch.paper_alu)
+
+let sched_flags what rule s =
+  let diags = Sched.check_diags s ~alu_count:5 in
+  flags what rule diags;
+  raises_first what diags
+    (fun m -> Sched.Scheduling_error m)
+    (fun () -> Sched.validate s ~alu_count:5);
+  diags
+
 (* {2 Clean artefacts produce no error diagnostics} *)
 
 let test_clean_corpus () =
@@ -37,16 +79,21 @@ let test_clean_corpus () =
         (rules (Verify.structure result.Fpfa_core.Flow.raw_graph));
       Alcotest.(check (list string))
         (name ^ " minimised verifier") []
-        (rules (Verify.all graph));
+        (rules
+           (Verify.structure graph @ Verify.mappability graph
+           @ Verify.statespace graph));
       Alcotest.(check (list string))
         (name ^ " lint errors") []
         (rules (D.errors (Lint.run graph)));
       Alcotest.(check (list string))
         (name ^ " cluster") []
-        (rules (Mapcheck.cluster result.Fpfa_core.Flow.clustering));
+        (rules
+           (Cluster.check_diags result.Fpfa_core.Flow.clustering
+              Arch.paper_alu));
       Alcotest.(check (list string))
         (name ^ " sched") []
-        (rules (Mapcheck.sched result.Fpfa_core.Flow.schedule));
+        (rules
+           (Sched.check_diags result.Fpfa_core.Flow.schedule ~alu_count:5));
       Alcotest.(check (list string))
         (name ^ " alloc") []
         (rules (Mapcheck.alloc result.Fpfa_core.Flow.job)))
@@ -60,26 +107,10 @@ let test_index_errors_exported () =
 
 (* {2 Seeded CDFG corruptions, one per structure rule} *)
 
-(* set_inputs/add/remove guard arity and references at mutation time, so
-   those two corruptions use fabricated node records against the per-node
-   checker; everything else corrupts a real graph through the public API. *)
-
-let test_corrupt_arity () =
-  let g = G.create "c" in
-  let a = G.add g (G.Const 1) [] in
-  let fake = { G.id = 99; kind = G.Mux; inputs = [| a |]; order_after = [] } in
-  flags "1-input Mux" "cdfg.arity" (Verify.node g fake)
-
-let test_corrupt_dangling () =
-  let g = G.create "c" in
-  let a = G.add g (G.Const 1) [] in
-  let fake =
-    { G.id = 99; kind = G.Unop Cdfg.Op.Neg; inputs = [| a + 77 |];
-      order_after = [ a + 78 ] }
-  in
-  let diags = Verify.node g fake in
-  flags "unknown input id" "cdfg.dangling-ref" diags;
-  Alcotest.(check int) "both references reported" 2 (List.length diags)
+(* add/set_inputs/add_order guard arity and references at mutation time
+   ([graph] > [arity] and [dangling]), and the arena stores exactly
+   [arity kind] inputs, so the corruptions below break the rules the
+   mutators leave to the checker. *)
 
 let test_corrupt_port_type () =
   let g = G.create "c" in
@@ -88,7 +119,7 @@ let test_corrupt_port_type () =
   let c = G.add g (G.Const 1) [] in
   (* add checks arity, not port typing: a token flows into an adder. *)
   let _bad = G.add g (G.Binop Cdfg.Op.Add) [ tok; c ] in
-  flags "token into Binop" "cdfg.port-type" (Verify.structure g)
+  graph_flags "token into Binop" "cdfg.port-type" g
 
 let test_corrupt_token_region () =
   let g = G.create "c" in
@@ -97,20 +128,19 @@ let test_corrupt_token_region () =
   let tok_a = G.add g (G.Ss_in "a") [] in
   let off = G.add g (G.Const 0) [] in
   let _bad = G.add g (G.Fe "b") [ tok_a; off ] in
-  flags "region-a token into region-b fetch" "cdfg.token-region"
-    (Verify.structure g)
+  graph_flags "region-a token into region-b fetch" "cdfg.token-region" g
 
 let test_corrupt_region_undeclared () =
   let g = G.create "c" in
   let _bad = G.add g (G.Ss_in "ghost") [] in
-  flags "undeclared region" "cdfg.region-undeclared" (Verify.structure g)
+  graph_flags "undeclared region" "cdfg.region-undeclared" g
 
 let test_corrupt_duplicate_ss () =
   let g = G.create "c" in
   G.declare_region g "a" { G.size = Some 1; implicit = true };
   let _t1 = G.add g (G.Ss_in "a") [] in
   let _t2 = G.add g (G.Ss_in "a") [] in
-  flags "two Ss_in" "cdfg.region-duplicate-ss" (Verify.structure g)
+  graph_flags "two Ss_in" "cdfg.region-duplicate-ss" g
 
 let test_corrupt_output_invalid () =
   let g = G.create "c" in
@@ -121,7 +151,7 @@ let test_corrupt_output_invalid () =
   let st = G.add g (G.St "a") [ tok; off; v ] in
   (* set_output checks existence, not valueness: bind a token producer. *)
   G.set_output g "x" st;
-  flags "token as named output" "cdfg.output-invalid" (Verify.structure g)
+  graph_flags "token as named output" "cdfg.output-invalid" g
 
 let test_corrupt_cycle () =
   let g = G.create "c" in
@@ -129,7 +159,7 @@ let test_corrupt_cycle () =
   let b = G.add g (G.Const 2) [] in
   G.add_order g a ~after:b;
   G.add_order g b ~after:a;
-  flags "order-edge 2-cycle" "cdfg.cycle" (Verify.structure g)
+  graph_flags "order-edge 2-cycle" "cdfg.cycle" g
 
 (* {2 Mappability corruptions} *)
 
@@ -149,21 +179,21 @@ let ss_graph ~offset_kind =
 
 let test_corrupt_offset_dynamic () =
   let g = ss_graph ~offset_kind:`Dynamic in
-  flags "computed offset" "ss.offset-dynamic" (Verify.mappability g);
+  mappability_flags "computed offset" "ss.offset-dynamic" g;
   Alcotest.check_raises "check still raises"
     (Mapping.Legalize.Unmappable
        "node 3 has a dynamic statespace offset (unroll and simplify first)")
     (fun () -> Mapping.Legalize.check g)
 
 let test_corrupt_offset_negative () =
-  flags "negative offset" "ss.offset-negative"
-    (Verify.mappability (ss_graph ~offset_kind:`Negative))
+  mappability_flags "negative offset" "ss.offset-negative"
+    (ss_graph ~offset_kind:`Negative)
 
 let test_corrupt_output_not_stored () =
   let g = G.create "m" in
   let v = G.add g (G.Const 3) [] in
   G.set_output g "x" v;
-  flags "unstored output" "ss.output-not-stored" (Verify.mappability g)
+  mappability_flags "unstored output" "ss.output-not-stored" g
 
 (* {2 Lints} *)
 
@@ -448,7 +478,7 @@ let test_corrupt_cluster_datapath () =
     | [] -> List.init 5 (fun _ -> Option.get cl.Cluster.root)
   in
   c.Cluster.clusters.(0) <- { cl with Cluster.cinputs = fat };
-  flags "5-operand cluster" "cluster.datapath" (Mapcheck.cluster c)
+  cluster_flags "5-operand cluster" "cluster.datapath" c
 
 let test_corrupt_cluster_empty () =
   let result = map_kernel "fir-paper" in
@@ -457,7 +487,7 @@ let test_corrupt_cluster_empty () =
   c.Cluster.clusters.(0) <-
     { cl with Cluster.ops = []; root = None; stores = []; deletes = [];
       cinputs = [] };
-  flags "hollowed-out cluster" "cluster.empty" (Mapcheck.cluster c)
+  cluster_flags "hollowed-out cluster" "cluster.empty" c
 
 let test_corrupt_cluster_coverage () =
   let result = map_kernel "fir-paper" in
@@ -465,7 +495,7 @@ let test_corrupt_cluster_coverage () =
   let victim = ref (-1) in
   Array.iteri (fun id cid -> if cid >= 0 then victim := id) c.Cluster.cluster_of;
   c.Cluster.cluster_of.(!victim) <- -1;
-  flags "unmapped node" "cluster.coverage" (Mapcheck.cluster c)
+  cluster_flags "unmapped node" "cluster.coverage" c
 
 let test_corrupt_cluster_cycle () =
   let result = map_kernel "fir-paper" in
@@ -476,13 +506,13 @@ let test_corrupt_cluster_cycle () =
       :: { Cluster.src = 1; dst = 0; weight = 1 }
       :: c.Cluster.edges)
   in
-  flags "two-cluster cycle" "cluster.cycle" (Mapcheck.cluster c)
+  cluster_flags "two-cluster cycle" "cluster.cycle" c
 
 let test_corrupt_sched_unplaced () =
   let result = map_kernel "fir-paper" in
   let s = result.Fpfa_core.Flow.schedule in
   s.Sched.level_of.(0) <- -1;
-  flags "negative level" "sched.unplaced" (Mapcheck.sched s)
+  ignore (sched_flags "negative level" "sched.unplaced" s)
 
 let test_corrupt_sched_dependence_and_capacity () =
   let result = map_kernel "fir-paper" in
@@ -493,8 +523,7 @@ let test_corrupt_sched_dependence_and_capacity () =
   Array.iteri (fun cid _ -> s.Sched.level_of.(cid) <- 0) s.Sched.level_of;
   Array.iteri (fun lvl _ -> s.Sched.levels.(lvl) <- []) s.Sched.levels;
   s.Sched.levels.(0) <- all;
-  let diags = Mapcheck.sched s in
-  flags "flattened schedule" "sched.dependence" diags;
+  let diags = sched_flags "flattened schedule" "sched.dependence" s in
   flags "flattened schedule" "sched.capacity" diags
 
 let test_corrupt_sched_asap () =
@@ -511,7 +540,7 @@ let test_corrupt_sched_asap () =
   s.Sched.level_of.(cid) <- 0;
   s.Sched.levels.(old) <- List.filter (fun c -> c <> cid) s.Sched.levels.(old);
   s.Sched.levels.(0) <- cid :: s.Sched.levels.(0);
-  flags "cluster before its ASAP level" "sched.asap" (Mapcheck.sched s)
+  ignore (sched_flags "cluster before its ASAP level" "sched.asap" s)
 
 let cycle_with ~pred job =
   let found = ref None in
@@ -657,7 +686,8 @@ let test_corpus_overflow_once () =
     (List.fold_left (fun acc (_, n, _) -> acc + n) 0 seen)
 
 (* One Absdom fixpoint serves the whole audit: the bit lints, and the
-   address facts the verifier and the lints share. *)
+   address facts the statespace replay and the lints share. The raw and
+   the minimised graph's structure are each checked once. *)
 let test_audit_one_fixpoint () =
   let result = map_kernel "fir-16" in
   let module Obs = Fpfa_obs.Obs in
@@ -674,9 +704,11 @@ let test_audit_one_fixpoint () =
          (Obs.spans ()))
   in
   let absdom = spans "absdom" and addr = spans "addr" in
+  let structure = spans "verify-structure" in
   Obs.reset ();
   Alcotest.(check int) "one Absdom fixpoint" 1 absdom;
   Alcotest.(check int) "one address sweep" 1 addr;
+  Alcotest.(check int) "each graph's structure checked once" 2 structure;
   Alcotest.(check bool) "facts returned" true (facts <> None)
 
 (* {2 Properties} *)
@@ -687,10 +719,11 @@ let worklist_rules_stay_clean =
     (QCheck.make QCheck.Gen.(int_range 0 10_000))
     (fun seed ->
       let g = Fpfa_kernels.Random_graph.generate ~seed ~ops:60 () in
+      (* [minimize] ends with [Graph.validate]: the full structure rules *)
       ignore
-        (T.Simplify.minimize ~rules:T.Simplify.extended_rules ~validate:false
+        (T.Simplify.minimize ~rules:T.Simplify.extended_rules
            ~verify:(Verify.pass_hook ()) g);
-      Verify.structure g = [])
+      true)
 
 let suite =
   [
@@ -698,8 +731,6 @@ let suite =
       test_clean_corpus;
     Alcotest.test_case "index_errors exported and empty" `Quick
       test_index_errors_exported;
-    Alcotest.test_case "corrupt: arity" `Quick test_corrupt_arity;
-    Alcotest.test_case "corrupt: dangling ref" `Quick test_corrupt_dangling;
     Alcotest.test_case "corrupt: port type" `Quick test_corrupt_port_type;
     Alcotest.test_case "corrupt: token region" `Quick
       test_corrupt_token_region;

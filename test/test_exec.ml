@@ -162,7 +162,9 @@ let check_batch jobs =
       ( k.Kernels.name,
         Diag.sort
           (Fpfa_analysis.Verify.structure r.Flow.raw_graph
-          @ Fpfa_analysis.Verify.all r.Flow.graph
+          @ Fpfa_analysis.Verify.structure r.Flow.graph
+          @ Fpfa_analysis.Verify.mappability r.Flow.graph
+          @ Fpfa_analysis.Verify.statespace r.Flow.graph
           @ Fpfa_analysis.Lint.run r.Flow.graph) ))
     Kernels.all
 

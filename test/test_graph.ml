@@ -29,9 +29,12 @@ let test_arity_checked () =
 let test_dangling_rejected () =
   let g = G.create "t" in
   let c = G.add g (G.Const 1) [] in
-  match G.add g (G.Binop Op.Add) [ c; 999 ] with
+  (match G.add g (G.Binop Op.Add) [ c; 999 ] with
   | exception G.Invalid _ -> ()
-  | _ -> Alcotest.fail "dangling input accepted"
+  | _ -> Alcotest.fail "dangling input accepted");
+  match G.add_order g c ~after:998 with
+  | exception G.Invalid _ -> ()
+  | _ -> Alcotest.fail "dangling order edge accepted"
 
 let test_replace_uses () =
   let g = G.create "t" in

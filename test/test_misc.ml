@@ -44,7 +44,7 @@ let test_cluster_dot () =
 
 let test_pass_checked_catches_breakage () =
   (* a deliberately invariant-breaking rule must be caught by the
-     engine's per-visit validation under [~debug] *)
+     whole-graph verify hook, which blames it *)
   let vandal =
     Transform.Pass.local "vandal" (fun g id ->
         match Cdfg.Graph.kind g id with
@@ -56,9 +56,13 @@ let test_pass_checked_catches_breakage () =
         | _ -> false)
   in
   let g = Cdfg.Builder.build_program "void main() { x = a[0]; }" in
-  match Transform.Pass.run_worklist ~debug:true [ vandal ] g with
-  | exception Cdfg.Graph.Invalid _ -> ()
-  | _ -> Alcotest.fail "debug run let an invalid graph through"
+  match
+    Transform.Pass.run_worklist
+      ~verify:(Fpfa_analysis.Verify.pass_hook ~full:true ())
+      [ vandal ] g
+  with
+  | exception Transform.Pass.Verification_failed { rule = "vandal"; _ } -> ()
+  | _ -> Alcotest.fail "checked run let an invalid graph through"
 
 let test_fixpoint_bound () =
   (* a rule that adds a node on every visit never quiesces: the engine

@@ -108,6 +108,35 @@ let test_serve_ping_and_errors () =
   Alcotest.(check bool) "stopped" false (Serve.running s);
   Serve.shutdown s
 
+(* The command line and the daemon resolve names by one rule each:
+   kernels by [Kernels.resolve] (an exact name, else the first prefix
+   match in corpus order), variants by [Baseline.find]. *)
+let test_name_resolution () =
+  let names = List.map (fun (k : Kernels.t) -> k.Kernels.name) in
+  let fir = names (Kernels.resolve "fir") in
+  Alcotest.(check string) "the prefix fir takes the first match" "fir-paper"
+    (List.hd fir);
+  Alcotest.(check bool) "and is ambiguous" true (List.length fir > 1);
+  Alcotest.(check (list string)) "an exact name wins" [ "fir-16" ]
+    (names (Kernels.resolve "fir-16"));
+  Alcotest.(check (list string)) "an unknown name matches nothing" []
+    (names (Kernels.resolve "nope-nope"));
+  Alcotest.(check (option string)) "variant by name" (Some "sarkar")
+    (Option.map
+       (fun (v : Baseline.variant) -> v.Baseline.vname)
+       (Baseline.find "sarkar"));
+  Alcotest.(check bool) "unknown variant" true (Baseline.find "sark" = None);
+  let s = Serve.create ~cache_size:0 () in
+  let compile fields = Serve.handle s (req {|{"op":"compile",%s}|} fields) in
+  Alcotest.(check string) "serve maps the prefix to the same kernel"
+    (result_bytes (expect_ok (compile {|"kernel":"fir-paper"|})))
+    (result_bytes (expect_ok (compile {|"kernel":"fir"|})));
+  Alcotest.(check bool) "serve rejects the unknown kernel" false
+    (is_ok (compile {|"kernel":"nope-nope"|}));
+  Alcotest.(check bool) "serve rejects the unknown variant" false
+    (is_ok (compile {|"kernel":"fir","variant":"sark"|}));
+  Serve.shutdown s
+
 (* {2 Cache semantics: hit equals miss, byte for byte, whole corpus} *)
 
 let test_corpus_hit_equals_miss () =
@@ -845,6 +874,7 @@ let suite =
     Alcotest.test_case "lru capacity zero" `Quick test_lru_capacity_zero;
     Alcotest.test_case "lru set capacity" `Quick test_lru_set_capacity;
     Alcotest.test_case "ping and errors" `Quick test_serve_ping_and_errors;
+    Alcotest.test_case "name resolution" `Quick test_name_resolution;
     Alcotest.test_case "corpus hit equals miss" `Quick
       test_corpus_hit_equals_miss;
     Alcotest.test_case "mapping-level hit" `Quick test_mapping_level_hit;
