@@ -388,27 +388,46 @@ let partition_sarkar ctx caps =
   !protos
 
 (* Kahn's algorithm over cluster edges: which of [n] clusters are reached
-   from the sources without passing through a cycle. *)
+   from the sources without passing through a cycle. The successors are
+   packed by source ([succ.(start.(c) .. start.(c + 1) - 1)]) and the
+   queue is an array, since each cluster enters it at most once. *)
 let kahn n edges =
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
+  let indeg = Array.make n 0 and start = Array.make (n + 1) 0 in
+  (* an edge from outside the clusters is never released *)
+  let inside e = e.src >= 0 && e.src < n in
   List.iter
     (fun e ->
       indeg.(e.dst) <- indeg.(e.dst) + 1;
-      (* an edge from outside the clusters is never released *)
-      if e.src >= 0 && e.src < n then succs.(e.src) <- e.dst :: succs.(e.src))
+      if inside e then start.(e.src + 1) <- start.(e.src + 1) + 1)
     edges;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+  for c = 1 to n do
+    start.(c) <- start.(c) + start.(c - 1)
+  done;
+  let succ = Array.make start.(n) 0 and fill = Array.sub start 0 n in
+  List.iter
+    (fun e ->
+      if inside e then begin
+        succ.(fill.(e.src)) <- e.dst;
+        fill.(e.src) <- fill.(e.src) + 1
+      end)
+    edges;
+  let queue = Array.make n 0 and tail = ref 0 in
+  let push c =
+    queue.(!tail) <- c;
+    incr tail
+  in
+  Array.iteri (fun c d -> if d = 0 then push c) indeg;
   let seen = Array.make n false in
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
+  let head = ref 0 in
+  while !head < !tail do
+    let c = queue.(!head) in
+    incr head;
     seen.(c) <- true;
-    List.iter
-      (fun dst ->
-        indeg.(dst) <- indeg.(dst) - 1;
-        if indeg.(dst) = 0 then Queue.add dst queue)
-      succs.(c)
+    for j = start.(c) to start.(c + 1) - 1 do
+      let dst = succ.(j) in
+      indeg.(dst) <- indeg.(dst) - 1;
+      if indeg.(dst) = 0 then push dst
+    done
   done;
   seen
 
