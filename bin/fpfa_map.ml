@@ -178,8 +178,8 @@ let compile inputs variant func show_job show_schedule show_gantt check_width
   (* The interpreter runs [main]; another mapped function is checked
      against the evaluator only. *)
   let with_interp = String.equal func "main" in
-  let compile_one ?pool (input, source) =
-    match Baseline.map_source ?pool v ~func source with
+  let compile_one (input, source) =
+    match Baseline.map_source v ~func source with
     | result ->
       let memory_init = inputs_for input in
       let ok =
@@ -190,14 +190,9 @@ let compile inputs variant func show_job show_schedule show_gantt check_width
       Ok (result, ok)
     | exception Fpfa_core.Flow.Flow_error msg -> Error msg
   in
+  (* One domain per input at most: a compile runs on one domain. *)
   let outcomes =
-    match targets with
-    | [ one ] when jobs > 1 ->
-      (* A single input cannot be parallelised across items, so spend the
-         domains inside the compile: overlapped validate/advance stages
-         (Flow.map_prepared with ?pool). *)
-      Pool.with_pool ~jobs (fun pool -> [ compile_one ~pool one ])
-    | _ -> Pool.map_ordered ~jobs (fun t -> compile_one t) targets
+    Pool.map_ordered ~jobs:(min jobs (List.length targets)) compile_one targets
   in
   let many = List.length targets > 1 in
   let failed = ref false in
@@ -743,10 +738,10 @@ module Diag = Fpfa_diag.Diag
 (* All diagnostics for one program, via Fpfa_core.Flow.audit (structural
    verifier on raw and minimised graphs, mappability + statespace
    legality + lints, mapping validators; one shared Absdom fixpoint,
-   whose bit facts --bits reports). With ?pool both the compile stages
-   and the diagnostic families run on the pool's domains. *)
+   whose bit facts --bits reports). With ?pool the diagnostic families
+   run on the pool's domains. *)
 let check_one ?pool ~config ~bits source ~func =
-  match Fpfa_core.Flow.map_source ?pool ~config ~func source with
+  match Fpfa_core.Flow.map_source ~config ~func source with
   | result ->
     let diags, facts = Fpfa_core.Flow.audit ?pool ~config result in
     let bits_out =
@@ -842,8 +837,8 @@ let check input func json verify_each no_lint loops bits all jobs obs_trace
   let checked =
     match targets with
     | [ one ] when jobs > 1 ->
-      (* One target: run the diagnostic families (and the compile's
-         overlappable stages) on the pool instead of a one-item batch. *)
+      (* One target: run the diagnostic families on the pool instead of a
+         one-item batch. *)
       Pool.with_pool ~jobs (fun pool -> [ process ~pool one ])
     | _ -> Pool.map_ordered ~jobs (fun t -> process t) targets
   in

@@ -70,7 +70,6 @@ let all =
 
 let find name = List.find_opt (fun v -> String.equal v.vname name) all
 
-let map_source ?pool v ?func source =
-  Flow.map_source ?pool ~config:v.config ?func source
+let map_source v ?func source = Flow.map_source ~config:v.config ?func source
 
 let map_graph v g = Flow.map_graph ~config:v.config g

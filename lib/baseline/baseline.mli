@@ -39,14 +39,6 @@ val find : string -> variant option
 (** The variant of {!all} called exactly [name]: how the command line
     and the serve daemon resolve a variant name. *)
 
-val map_source :
-  ?pool:Fpfa_exec.Pool.t ->
-  variant ->
-  ?func:string ->
-  string ->
-  Fpfa_core.Flow.result
-(** [?pool] is forwarded to {!Fpfa_core.Flow.map_source} (intra-compile
-    stage overlap; the result graphs come back frozen). *)
-
+val map_source : variant -> ?func:string -> string -> Fpfa_core.Flow.result
 
 val map_graph : variant -> Cdfg.Graph.t -> Fpfa_core.Flow.result

@@ -273,7 +273,7 @@ module Staged = struct
       s_alloc = None;
     }
 
-  let minimise ?pool s =
+  let minimise s =
     let config = s.s_config in
     let graph = Cdfg.Graph.copy s.s_raw in
     let simplify_report =
@@ -297,11 +297,6 @@ module Staged = struct
         stage "renumber" (fun () -> Cdfg.Serialize.renumber graph)
       else graph
     in
-    (* With a pool, no pass mutates the graph beyond this point: freeze it
-       so the overlapped validate/advance stages below (and any later
-       {!audit}) can read it from several domains without copying. Without
-       a pool the graph stays mutable, as [map_source] documents. *)
-    (match pool with Some _ -> Cdfg.Graph.freeze graph | None -> ());
     {
       s with
       s_min =
@@ -378,9 +373,9 @@ module Staged = struct
   (* A clustering or a schedule is validated once, where it is computed
      and before it is published to the shared cell, so the rewinds that
      reuse it skip the check and a failed one is never shared. *)
-  let advance ?pool s =
+  let advance s =
     match phase s with
-    | Built -> minimise ?pool s
+    | Built -> minimise s
     | Minimised ->
       let config = s.s_config in
       let graph, _, _, shared = Option.get s.s_min in
@@ -427,7 +422,7 @@ module Staged = struct
       { s with s_alloc = Some (job, Mapping.Metrics.of_job job) }
     | Allocated -> s
 
-  let run ?pool s =
+  let run s =
     if phase s = Allocated then s
     else begin
       Obs.incr c_maps;
@@ -438,7 +433,7 @@ module Staged = struct
             ("nodes", Obs.Int (Cdfg.Graph.node_count s.s_raw));
           ]
       @@ fun () ->
-      let rec go s = if phase s = Allocated then s else go (advance ?pool s) in
+      let rec go s = if phase s = Allocated then s else go (advance s) in
       go s
     end
 
@@ -491,14 +486,14 @@ module Staged = struct
     match s.s_min with Some (g, _, _, _) -> Cdfg.Graph.freeze g | None -> ()
 end
 
-let map_func ?pool ?(config = default_config) func =
-  Staged.to_result (Staged.run ?pool (Staged.of_func ~config func))
+let map_func ?(config = default_config) func =
+  Staged.to_result (Staged.run (Staged.of_func ~config func))
 
-let map_source ?pool ?(config = default_config) ?(func = "main") source =
-  Staged.to_result (Staged.run ?pool (Staged.of_source ~config ~func source))
+let map_source ?(config = default_config) ?(func = "main") source =
+  Staged.to_result (Staged.run (Staged.of_source ~config ~func source))
 
-let map_graph ?pool ?(config = default_config) g =
-  Staged.to_result (Staged.run ?pool (Staged.of_graph ~config g))
+let map_graph ?(config = default_config) g =
+  Staged.to_result (Staged.run (Staged.of_graph ~config g))
 
 (* All diagnostics for one mapped program: the structure rules on the
    raw and minimised graphs, mappability + statespace legality + lints on
@@ -552,7 +547,9 @@ let audit ?pool ~config result =
         Obs.span ~cat:"analysis" "mapcheck-sched" @@ fun () ->
         Mapping.Sched.check_diags result.schedule
           ~alu_count:config.tile.Arch.alu_count);
-      (fun () -> Fpfa_analysis.Mapcheck.alloc result.job);
+      (fun () ->
+        Obs.span ~cat:"analysis" "mapcheck-alloc" @@ fun () ->
+        Fpfa_sim.Sim.check_diags result.job);
       (fun () ->
         (* loop-carried dependence family: needs the pre-unroll source
            (the mapped func is already unrolled flat), so graph-only

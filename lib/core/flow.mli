@@ -69,23 +69,15 @@ type result = {
 
 exception Flow_error of string
 
-val map_source :
-  ?pool:Fpfa_exec.Pool.t -> ?config:config -> ?func:string -> string -> result
+val map_source : ?config:config -> ?func:string -> string -> result
 (** Runs the full flow on C source text: user-defined function calls are
     inlined first, then the (call-free) function [func] (default ["main"])
     is mapped.
-
-    With [?pool], the minimised graph is {!Cdfg.Graph.freeze}d after
-    minimisation so the pool's domains share it without copying (as
-    {!audit} does with the same pool) — [result.graph] is then
-    immutable. Results and raised exceptions are identical to the
-    sequential run. Without a pool nothing is frozen and behaviour is
-    exactly as before.
     @raise Flow_error wrapping any stage failure with stage context. *)
 
-val map_func : ?pool:Fpfa_exec.Pool.t -> ?config:config -> Cfront.Ast.func -> result
+val map_func : ?config:config -> Cfront.Ast.func -> result
 
-val map_graph : ?pool:Fpfa_exec.Pool.t -> ?config:config -> Cdfg.Graph.t -> result
+val map_graph : ?config:config -> Cdfg.Graph.t -> result
 (** Entry point for callers that build CDFGs directly (e.g. random-DAG
     benchmarks). The graph is copied, minimised, and mapped; [source] and
     [func] hold placeholders. *)
@@ -144,7 +136,7 @@ module Staged : sig
   (** The CDFG the mapping phases start from — what
       {!Cdfg.Serialize.digest} keys the content-addressed cache on. *)
 
-  val advance : ?pool:Fpfa_exec.Pool.t -> t -> t
+  val advance : t -> t
   (** Runs exactly the next phase (no-op at [Allocated]). From
       [Minimised] it returns the stored clustering when one was computed
       under the same [cluster_with] and ALU data path (see {!rewind});
@@ -159,7 +151,7 @@ module Staged : sig
       schedule it computes is validated ({!Mapping.Sched.validate})
       before it is stored. *)
 
-  val run : ?pool:Fpfa_exec.Pool.t -> t -> t
+  val run : t -> t
   (** Advances to [Allocated]. Starting from [Built] this is precisely
       the mapping pipeline of {!map_source} (one ["map"] span wrapping
       the remaining stages); resuming later re-runs only what is
@@ -223,8 +215,9 @@ val audit :
     once), mappability + statespace legality + lints on the minimised
     graph, every finding of the cluster and schedule rules
     ({!Mapping.Cluster.check_diags}, {!Mapping.Sched.check_diags}, whose
-    first finding the flow's validate stages raise) and of
-    {!Fpfa_analysis.Mapcheck.alloc}, the {!Fpfa_analysis.Depend}
+    first finding the flow's validate stages raise) and of the allocation
+    rules ({!Fpfa_sim.Sim.check_diags}, whose first finding the simulator
+    raises), the {!Fpfa_analysis.Depend}
     loop-carried dependence analysis re-run from the pre-unroll source
     (skipped for graph-only results with no source), and the
     {!Fpfa_analysis.Bits} bit-level lints (dead-masked stores, decided
@@ -236,8 +229,8 @@ val audit :
     {!Fpfa_analysis.Addr.of_facts} derives from them are shared by the
     statespace replay, the lints and the bit lints, and returned as the second
     component for reporting. The diagnostic families are independent,
-    so with [?pool] they run concurrently — the result graphs are frozen
-    first (see {!map_source}); output is identical to the sequential
+    so with [?pool] they run concurrently on the result graphs, frozen
+    first ({!Cdfg.Graph.freeze}); output is identical to the sequential
     run. *)
 
 val verify :

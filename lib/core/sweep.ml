@@ -64,7 +64,7 @@ let run_staged ?pool ?base ?(verify = false) ?(memory_init = []) staged points
   | first :: _ ->
     let checkpoint =
       if Flow.Staged.phase staged = Flow.Staged.Built then
-        blame first (fun () -> Flow.Staged.advance ?pool staged)
+        blame first (fun () -> Flow.Staged.advance staged)
       else staged
     in
     Flow.Staged.freeze checkpoint;

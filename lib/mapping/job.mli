@@ -3,8 +3,11 @@
 
     A job is a cycle-indexed program for the whole tile: register moves
     issued over the crossbar, ALU configurations with their operand
-    sources, memory write-backs and deletes. The {!Fpfa_sim} simulator
-    executes jobs and re-checks every hardware constraint dynamically. *)
+    sources, memory write-backs and deletes. A job is also untrusted data
+    (a decoded configuration image may hold anything): the allocation
+    rules every job must keep are stated once, in the {!Fpfa_sim}
+    simulator's walk, whose [run] raises the first broken one and whose
+    [check_diags] reports them all. *)
 
 type reg = { pp : int; bank : int; index : int }
 type mem_loc = { mpp : int; mem : int; addr : int }

@@ -287,8 +287,8 @@ type computed = {
 
 (* [digest] is {!Cdfg.Serialize.digest} of [staged]'s raw graph; the
    caller has already computed it to probe the caches. *)
-let finish_compile ?pool ~program ~verify ~digest staged ~resumed_from =
-  let staged = Staged.run ?pool staged in
+let finish_compile ~program ~verify ~digest staged ~resumed_from =
+  let staged = Staged.run staged in
   let result = Staged.to_result staged in
   let verified =
     if verify then Some (Flow.verify ~memory_init:program.p_inputs result)
@@ -301,10 +301,10 @@ let finish_compile ?pool ~program ~verify ~digest staged ~resumed_from =
     c_resumed_from = resumed_from;
   }
 
-let compute_compile ?pool ~config ~program ~verify () =
+let compute_compile ~config ~program ~verify () =
   let staged = Staged.of_source ~config ~func:program.p_func program.p_source in
   let digest = Cdfg.Serialize.digest (Staged.raw_graph staged) in
-  finish_compile ?pool ~program ~verify ~digest staged ~resumed_from:None
+  finish_compile ~program ~verify ~digest staged ~resumed_from:None
 
 let disk_path t key =
   Option.map
@@ -377,7 +377,7 @@ let cache_mapping t ~fingerprint computed =
    index does not know (to digest its raw graph) or for a compile that
    must start from [Built]; a program whose front end raises is never
    indexed. *)
-let mapped_compile t ?pool ~config ~fingerprint ~program ~verify () =
+let mapped_compile t ~config ~fingerprint ~program ~verify () =
   let front =
     lazy (Staged.of_source ~config ~func:program.p_func program.p_source)
   in
@@ -415,10 +415,10 @@ let mapped_compile t ?pool ~config ~fingerprint ~program ~verify () =
         match resumable with
         | Some staged when Staged.phase staged <> Staged.Built ->
           t.n_resumed <- t.n_resumed + 1;
-          finish_compile ?pool ~program ~verify ~digest staged
+          finish_compile ~program ~verify ~digest staged
             ~resumed_from:(Some (Staged.phase_name (Staged.phase staged)))
         | _ ->
-          finish_compile ?pool ~program ~verify ~digest (Lazy.force front)
+          finish_compile ~program ~verify ~digest (Lazy.force front)
             ~resumed_from:None
       in
       t.n_compiles <- t.n_compiles + 1;
@@ -431,7 +431,7 @@ let op_check ?pool req =
   let program = program_of req in
   let config, _ = config_of req in
   match
-    Flow.map_source ?pool ~config ~func:program.p_func program.p_source
+    Flow.map_source ~config ~func:program.p_func program.p_source
   with
   | result ->
     let diags, facts = Flow.audit ?pool ~config result in
@@ -687,7 +687,7 @@ let rec handle_op t ?pool ~op req =
           let config = { config with Flow.renumber = true } in
           let verify = Option.value ~default:false (bool_field req "verify") in
           let result, digest, cached, resumed_from =
-            mapped_compile t ?pool ~config ~fingerprint ~program ~verify ()
+            mapped_compile t ~config ~fingerprint ~program ~verify ()
           in
           (result, Some digest, cached, resumed_from)
         | "check" ->

@@ -1,4 +1,5 @@
 module Arch = Fpfa_arch.Arch
+module D = Fpfa_diag.Diag
 module Job = Mapping.Job
 module Obs = Fpfa_obs.Obs
 
@@ -43,105 +44,144 @@ let c_bus_peak = Obs.counter "sim.bus.peak"
 
 exception Fault of string
 
-let faultf fmt = Format.kasprintf (fun msg -> raise (Fault msg)) fmt
-
+(* Registers and memory words live in flat arrays, indexed per the tile's
+   geometry (see [reg_slot] and [mem_slot]). *)
 type machine = {
-  regs : int array array array;  (* pp, bank, index *)
-  words : int array array array;  (* pp, mem, addr *)
-  deleted : Bytes.t array array;
-      (* pp, mem -> one byte per address, set while the word is deleted *)
+  pps : int;
+  banks : int;
+  regs_per_bank : int;
+  memories : int;
+  memory_size : int;
+  regs : int array;
+  words : int array;
+  deleted : Bytes.t;  (* one byte per word, set while the word is deleted *)
 }
 
-(* All machine accesses are bounds-checked so that a malformed job (e.g. a
-   corrupted configuration image) faults cleanly instead of crashing. *)
-let check_reg m (r : Job.reg) =
-  if
-    r.Job.pp < 0
-    || r.Job.pp >= Array.length m.regs
-    || r.Job.bank < 0
-    || r.Job.bank >= Array.length m.regs.(r.Job.pp)
-    || r.Job.index < 0
-    || r.Job.index >= Array.length m.regs.(r.Job.pp).(r.Job.bank)
-  then
-    faultf "register out of range: %s" (Format.asprintf "%a" Job.pp_reg r)
-
-let check_mem m (loc : Job.mem_loc) =
-  if
-    loc.Job.mpp < 0
-    || loc.Job.mpp >= Array.length m.words
-    || loc.Job.mem < 0
-    || loc.Job.mem >= Array.length m.words.(loc.Job.mpp)
-    || loc.Job.addr < 0
-    || loc.Job.addr >= Array.length m.words.(loc.Job.mpp).(loc.Job.mem)
-  then
-    faultf "memory location out of range: %s"
-      (Format.asprintf "%a" Job.pp_mem_loc loc)
-
 let create_machine (tile : Arch.tile) =
-  let per_memory f =
-    Array.init tile.Arch.alu_count (fun _ ->
-        Array.init tile.Arch.memories_per_pp (fun _ -> f tile.Arch.memory_size))
-  in
+  let words = tile.Arch.alu_count * tile.Arch.memories_per_pp * tile.Arch.memory_size in
   {
+    pps = tile.Arch.alu_count;
+    banks = tile.Arch.banks_per_pp;
+    regs_per_bank = tile.Arch.regs_per_bank;
+    memories = tile.Arch.memories_per_pp;
+    memory_size = tile.Arch.memory_size;
     regs =
-      Array.init tile.Arch.alu_count (fun _ ->
-          Array.init tile.Arch.banks_per_pp (fun _ ->
-              Array.make tile.Arch.regs_per_bank 0));
-    words = per_memory (fun size -> Array.make size 0);
-    deleted = per_memory (fun size -> Bytes.make size '\000');
+      Array.make
+        (tile.Arch.alu_count * tile.Arch.banks_per_pp * tile.Arch.regs_per_bank)
+        0;
+    words = Array.make words 0;
+    deleted = Bytes.make words '\000';
   }
-
-let is_deleted m (loc : Job.mem_loc) =
-  Bytes.get m.deleted.(loc.Job.mpp).(loc.Job.mem) loc.Job.addr <> '\000'
-
-let read_mem m (loc : Job.mem_loc) =
-  check_mem m loc;
-  if is_deleted m loc then
-    faultf "read of deleted word at %s" (Format.asprintf "%a" Job.pp_mem_loc loc);
-  m.words.(loc.Job.mpp).(loc.Job.mem).(loc.Job.addr)
-
-let write_mem m (loc : Job.mem_loc) v =
-  check_mem m loc;
-  m.words.(loc.Job.mpp).(loc.Job.mem).(loc.Job.addr) <- v;
-  Bytes.set m.deleted.(loc.Job.mpp).(loc.Job.mem) loc.Job.addr '\000'
-
-let delete_mem m (loc : Job.mem_loc) =
-  check_mem m loc;
-  Bytes.set m.deleted.(loc.Job.mpp).(loc.Job.mem) loc.Job.addr '\001'
-
-let read_reg m (r : Job.reg) =
-  check_reg m r;
-  m.regs.(r.Job.pp).(r.Job.bank).(r.Job.index)
-
-let write_reg m (r : Job.reg) v =
-  check_reg m r;
-  m.regs.(r.Job.pp).(r.Job.bank).(r.Job.index) <- v
 
 (* A write-back or delete waiting for the end of its cycle. *)
 type commit = { loc : Job.mem_loc; value : int; delete : bool }
 
-(* The state of one run. *)
+(* The state of one walk over a job's cycles. *)
 type run = {
   job : Job.t;
   m : machine;
   pending : commit list array;  (* cycle -> its commits, newest first *)
   lanes : int array;  (* cycle -> commits that take a crossbar lane *)
-  mutable stray : int;
+  mutable strays : Job.mem_loc list;
       (* commits for a cycle already simulated or past the end *)
   mutable temp_node : int array;
   mutable temp_value : int array;
   mutable temps : int;  (* the bundle's computed values, oldest first *)
   mutable moves_executed : int;
-  mutable writes_executed : int;
+  mutable copies : int;
+  mutable alu_firings : int;
+  mutable writebacks : int;
+  mutable deletes : int;
   mutable max_bus : int;
+  mutable now : int;  (* the cycle being walked; -1 outside the cycles *)
+  collect : bool;
+  mutable findings : D.t list;  (* newest first; only when [collect] *)
   emit : (event -> unit) option;  (* [None] when no one consumes events *)
 }
+
+(* {2 Findings}
+
+   Every allocation rule is checked once, in this walk. A broken rule is
+   reported here: [run] raises it as [Fault], [check_diags] records it
+   and walks on, with a neutral value (0) where the broken rule left
+   none. No check reads a value the job computes, so a walk on zero
+   inputs finds what any run would. *)
+let fault r rule fmt =
+  Format.kasprintf
+    (fun msg ->
+      if not r.collect then raise (Fault msg);
+      let node = if r.now < 0 then None else Some r.now in
+      r.findings <- D.error ?node rule "%s" msg :: r.findings)
+    fmt
+
+(* All machine accesses are bounds-checked, so that a malformed job (e.g.
+   a corrupted configuration image) faults cleanly instead of crashing. *)
+let reg_exists m (r : Job.reg) =
+  r.Job.pp >= 0
+  && r.Job.pp < m.pps
+  && r.Job.bank >= 0
+  && r.Job.bank < m.banks
+  && r.Job.index >= 0
+  && r.Job.index < m.regs_per_bank
+
+let mem_exists m (loc : Job.mem_loc) =
+  loc.Job.mpp >= 0
+  && loc.Job.mpp < m.pps
+  && loc.Job.mem >= 0
+  && loc.Job.mem < m.memories
+  && loc.Job.addr >= 0
+  && loc.Job.addr < m.memory_size
+
+let reg_slot m (r : Job.reg) = (((r.Job.pp * m.banks) + r.Job.bank) * m.regs_per_bank) + r.Job.index
+
+let mem_slot m (loc : Job.mem_loc) =
+  (((loc.Job.mpp * m.memories) + loc.Job.mem) * m.memory_size) + loc.Job.addr
+
+let reg_fault r reg =
+  fault r "alloc.reg-bounds" "register out of range: %a" Job.pp_reg reg
+
+let mem_ok r loc =
+  mem_exists r.m loc
+  || (fault r "alloc.mem-bounds" "memory location out of range: %a"
+        Job.pp_mem_loc loc;
+      false)
+
+let read_mem r (loc : Job.mem_loc) =
+  if not (mem_ok r loc) then 0
+  else begin
+    let slot = mem_slot r.m loc in
+    if Bytes.get r.m.deleted slot <> '\000' then
+      fault r "alloc.deleted-read" "read of deleted word at %a" Job.pp_mem_loc
+        loc;
+    r.m.words.(slot)
+  end
+
+let write_mem r (loc : Job.mem_loc) v =
+  if mem_ok r loc then begin
+    let slot = mem_slot r.m loc in
+    r.m.words.(slot) <- v;
+    Bytes.set r.m.deleted slot '\000'
+  end
+
+let delete_mem r (loc : Job.mem_loc) =
+  if mem_ok r loc then Bytes.set r.m.deleted (mem_slot r.m loc) '\001'
+
+let read_reg r (reg : Job.reg) =
+  if reg_exists r.m reg then r.m.regs.(reg_slot r.m reg)
+  else begin
+    reg_fault r reg;
+    0
+  end
+
+let write_reg r (reg : Job.reg) v =
+  if reg_exists r.m reg then r.m.regs.(reg_slot r.m reg) <- v else reg_fault r reg
 
 (* Queues a commit for the end of [cycle], seen from cycle [now]. A
    preservation copy already counted its lane when it read, so its commit
    does not. *)
 let defer r ~now ~lane cycle loc value delete =
-  if cycle < now || cycle >= Array.length r.pending then r.stray <- r.stray + 1
+  if cycle < now || cycle >= Array.length r.pending then
+    r.strays <- loc :: r.strays
   else begin
     r.pending.(cycle) <- { loc; value; delete } :: r.pending.(cycle);
     if lane then r.lanes.(cycle) <- r.lanes.(cycle) + 1
@@ -230,38 +270,37 @@ let rec port_conflict = function
   | [] -> false
   | c :: rest -> memory_in c.loc rest || port_conflict rest
 
-let rec check_pp_range tile index = function
+let rec check_pp_range r index = function
   | [] -> ()
   | (w : Job.alu_work) :: rest ->
-    if w.Job.wpp < 0 || w.Job.wpp >= tile.Arch.alu_count then
-      faultf "cycle %d: PP %d out of range" index w.Job.wpp;
-    check_pp_range tile index rest
-
-let check_static_constraints tile (cycle : Job.cycle) index =
-  (* one ALU bundle per PP *)
-  if two_bundles_one_pp cycle.Job.alu then
-    faultf "cycle %d: two bundles on one ALU" index;
-  check_pp_range tile index cycle.Job.alu
+    if w.Job.wpp < 0 || w.Job.wpp >= r.job.Job.tile.Arch.alu_count then
+      fault r "alloc.pp-conflict" "cycle %d: PP %d out of range" index w.Job.wpp;
+    check_pp_range r index rest
 
 (* {2 ALU bundles} *)
 
-let rec imm_value (work : Job.alu_work) p = function
-  | (q, v) :: rest -> if q = p then v else imm_value work p rest
-  | [] -> faultf "cluster %d: port %d has no source" work.Job.wcluster p
+let rec imm_value r (work : Job.alu_work) p = function
+  | (q, v) :: rest -> if q = p then v else imm_value r work p rest
+  | [] ->
+    fault r "alloc.bundle" "cluster %d: port %d has no source" work.Job.wcluster p;
+    0
 
-let rec port_value m (work : Job.alu_work) p = function
-  | (q, r) :: rest -> if q = p then read_reg m r else port_value m work p rest
-  | [] -> imm_value work p work.Job.port_imms
+let rec port_value r (work : Job.alu_work) p = function
+  | (q, reg) :: rest -> if q = p then read_reg r reg else port_value r work p rest
+  | [] -> imm_value r work p work.Job.port_imms
 
 (* The latest value computed for node [id] in the bundle. *)
 let rec temp r (work : Job.alu_work) id i =
-  if i < 0 then
-    faultf "cluster %d: internal value t%d not yet computed" work.Job.wcluster id
+  if i < 0 then begin
+    fault r "alloc.bundle" "cluster %d: internal value t%d not yet computed"
+      work.Job.wcluster id;
+    0
+  end
   else if r.temp_node.(i) = id then r.temp_value.(i)
   else temp r work id (i - 1)
 
 let arg_value r work = function
-  | Job.Port p -> port_value r.m work p work.Job.port_regs
+  | Job.Port p -> port_value r work p work.Job.port_regs
   | Job.Node id -> temp r work id (r.temps - 1)
 
 let keep_temp r id v =
@@ -293,19 +332,43 @@ let exec_micro r work (micro : Job.micro) =
   | Job.Pass, [ a ] -> arg_value r work a
   | (Job.Bin _ | Job.Un _ | Job.Mux3 | Job.Pass), args ->
     List.iter (fun a -> ignore (arg_value r work a)) args;
-    faultf "cluster %d: malformed micro-op arity" work.Job.wcluster
+    fault r "alloc.bundle" "cluster %d: malformed micro-op arity" work.Job.wcluster;
+    0
 
 let rec exec_micros r work = function
-  | [] -> faultf "cluster %d executes no micro-op" work.Job.wcluster
+  | [] ->
+    fault r "alloc.bundle" "cluster %d executes no micro-op" work.Job.wcluster;
+    0
   | [ micro ] -> exec_micro r work micro
   | (micro : Job.micro) :: rest ->
     keep_temp r micro.Job.node (exec_micro r work micro);
     exec_micros r work rest
 
+(* Whether a micro-op read this entry of the port list: [port_value]
+   takes the first register listed for a port. *)
+let entry_read (work : Job.alu_work) p reg =
+  (match List.assoc_opt p work.Job.port_regs with
+  | Some first -> first == reg
+  | None -> false)
+  && List.exists
+       (fun (micro : Job.micro) -> List.mem (Job.Port p) micro.Job.args)
+       work.Job.micros
+
+(* A port is configured whether or not a micro-op reads it, so its
+   register must exist. Checked once the bundle ran, so that the reads
+   fault first, in operand order; a register read there already did. *)
+let rec check_ports r (work : Job.alu_work) = function
+  | [] -> ()
+  | (p, reg) :: rest ->
+    if not (reg_exists r.m reg || entry_read work p reg) then reg_fault r reg;
+    check_ports r work rest
+
 (* Evaluates one ALU bundle from its register/immediate ports. *)
 let exec_alu r (work : Job.alu_work) =
   r.temps <- 0;
-  exec_micros r work work.Job.micros
+  let v = exec_micros r work work.Job.micros in
+  check_ports r work work.Job.port_regs;
+  v
 
 (* {2 One cycle} *)
 
@@ -320,18 +383,17 @@ let rec run_moves r index = function
   | [] -> ()
   | (mv : Job.move) :: rest ->
     r.moves_executed <- r.moves_executed + 1;
-    Obs.incr c_moves;
-    let v = read_mem r.m mv.Job.src in
+    let v = read_mem r mv.Job.src in
     if emitting r then
       emit r (Move { cycle = index; src = mv.Job.src; dst = mv.Job.dst; value = v });
-    write_reg r.m mv.Job.dst v;
+    write_reg r mv.Job.dst v;
     run_moves r index rest
 
 let rec run_copies r index = function
   | [] -> ()
   | (cp : Job.copy) :: rest ->
-    Obs.incr c_copies;
-    let v = read_mem r.m cp.Job.csrc in
+    r.copies <- r.copies + 1;
+    let v = read_mem r cp.Job.csrc in
     if emitting r then
       emit r (Keep { cycle = index; src = cp.Job.csrc; dst = cp.Job.cdst; value = v });
     defer r ~now:index ~lane:false index cp.Job.cdst v false;
@@ -346,15 +408,16 @@ let rec queue_writes r index v = function
 let rec forward r index v = function
   | [] -> ()
   | (fcycle, dst) :: rest ->
-    if fcycle <> index then faultf "cycle %d: forward scheduled at %d" index fcycle;
-    write_reg r.m dst v;
+    if fcycle <> index then
+      fault r "alloc.bus-capacity" "cycle %d: forward scheduled at %d" index fcycle;
+    write_reg r dst v;
     forward r index v rest
 
 let rec run_bundles r index = function
   | [] -> ()
   | (work : Job.alu_work) :: rest ->
     let v = exec_alu r work in
-    Obs.incr c_alu;
+    r.alu_firings <- r.alu_firings + 1;
     if emitting r then
       emit r (Alu { cycle = index; pp = work.Job.wpp; cluster = work.Job.wcluster; value = v });
     queue_writes r index v work.Job.writes;
@@ -370,22 +433,24 @@ let rec queue_deletes r index = function
 let rec run_commits r index = function
   | [] -> ()
   | c :: rest ->
-    r.writes_executed <- r.writes_executed + 1;
     if c.delete then begin
-      Obs.incr c_deletes;
+      r.deletes <- r.deletes + 1;
       if emitting r then emit r (Delete { cycle = index; loc = c.loc });
-      delete_mem r.m c.loc
+      delete_mem r c.loc
     end
     else begin
-      Obs.incr c_writebacks;
+      r.writebacks <- r.writebacks + 1;
       if emitting r then emit r (Writeback { cycle = index; loc = c.loc; value = c.value });
-      write_mem r.m c.loc c.value
+      write_mem r c.loc c.value
     end;
     run_commits r index rest
 
 let step r index (cycle : Job.cycle) =
   let tile = r.job.Job.tile in
-  check_static_constraints tile cycle index;
+  (* one ALU bundle per PP *)
+  if two_bundles_one_pp cycle.Job.alu then
+    fault r "alloc.pp-conflict" "cycle %d: two bundles on one ALU" index;
+  check_pp_range r index cycle.Job.alu;
   (* Crossbar usage this cycle: moves issued now + writes/forwards that
      commit now (they were counted by the allocator at their commit
      cycle). *)
@@ -394,16 +459,15 @@ let step r index (cycle : Job.cycle) =
     + count_forwards 0 cycle.Job.alu
   in
   r.max_bus <- max r.max_bus bus_now;
-  Obs.record_max c_bus_peak bus_now;
   if bus_now > tile.Arch.buses then
-    faultf "cycle %d: %d crossbar transfers exceed %d lanes" index bus_now
-      tile.Arch.buses;
+    fault r "alloc.bus-capacity" "cycle %d: %d crossbar transfers exceed %d lanes"
+      index bus_now tile.Arch.buses;
   (* register banks: one write port per (pp, bank) per cycle *)
   if bank_conflict cycle.Job.moves cycle.Job.alu then
-    faultf "cycle %d: register-bank write-port conflict" index;
+    fault r "alloc.write-conflict" "cycle %d: register-bank write-port conflict" index;
   (* memory read ports: one read per memory per cycle *)
   if read_conflict cycle.Job.moves cycle.Job.copies then
-    faultf "cycle %d: memory read-port conflict" index;
+    fault r "alloc.read-conflict" "cycle %d: memory read-port conflict" index;
   (* 1. moves and preservation copies read memory (state before this
      cycle's writes) *)
   run_moves r index cycle.Job.moves;
@@ -416,17 +480,99 @@ let step r index (cycle : Job.cycle) =
   match r.pending.(index) with
   | [] -> ()
   | commits ->
-    if race commits then faultf "cycle %d: two writes race on one cell" index;
-    if port_conflict commits then faultf "cycle %d: memory write-port conflict" index;
+    if race commits then
+      fault r "alloc.write-conflict" "cycle %d: two writes race on one cell" index;
+    if port_conflict commits then
+      fault r "alloc.write-conflict" "cycle %d: memory write-port conflict" index;
     run_commits r index commits;
     r.pending.(index) <- []
+
+(* {2 The walk} *)
+
+let region_init memory_init region =
+  match List.assoc_opt region memory_init with Some arr -> arr | None -> [||]
+
+(* Seeds region contents at their home cells. Every slice base must
+   exist, even one no cell reaches. Past a region's first missing cell
+   the rest of that slice is missing too, so the region stops there with
+   one finding: a corrupted size cannot make the walk loop. *)
+let seed r memory_init =
+  List.iter
+    (fun (region, slices) ->
+      let words = Job.size_of r.job region in
+      let init = region_init memory_init region in
+      let bases_ok = List.fold_left (fun ok loc -> mem_ok r loc && ok) true slices in
+      if words > 0 && slices = [] then
+        fault r "alloc.mem-bounds" "region %s has no home" region
+      else if bases_ok then begin
+        let rec fill offset =
+          if offset < words then begin
+            let loc = Job.interleaved_cell slices offset in
+            if mem_ok r loc then begin
+              write_mem r loc (if offset < Array.length init then init.(offset) else 0);
+              fill (offset + 1)
+            end
+          end
+        in
+        fill 0
+      end)
+    r.job.Job.region_homes
+
+let walk ?(memory_init = []) ?emit ~collect (job : Job.t) =
+  let cycles = Array.length job.Job.cycles in
+  let r =
+    {
+      job;
+      m = create_machine job.Job.tile;
+      pending = Array.make cycles [];
+      lanes = Array.make cycles 0;
+      strays = [];
+      temp_node = Array.make 8 0;
+      temp_value = Array.make 8 0;
+      temps = 0;
+      moves_executed = 0;
+      copies = 0;
+      alu_firings = 0;
+      writebacks = 0;
+      deletes = 0;
+      max_bus = 0;
+      now = -1;
+      collect;
+      findings = [];
+      emit;
+    }
+  in
+  seed r memory_init;
+  Array.iteri
+    (fun index (cycle : Job.cycle) ->
+      r.now <- index;
+      if Obs.enabled () && not collect then
+        Obs.span ~cat:"sim"
+          ~args:
+            [
+              ("index", Obs.Int index);
+              ("alu", Obs.Int (List.length cycle.Job.alu));
+              ("moves", Obs.Int (List.length cycle.Job.moves));
+            ]
+          "cycle"
+          (fun () -> step r index cycle)
+      else step r index cycle)
+    job.Job.cycles;
+  r.now <- -1;
+  (match r.strays with
+  | [] -> ()
+  | strays ->
+    fault r "alloc.write-conflict" "write-backs scheduled past the end of the job";
+    (* never committed, but still configured *)
+    List.iter (fun loc -> ignore (mem_ok r loc)) (List.rev strays));
+  r
+
+let check_diags job = List.rev (walk ~collect:true job).findings
 
 let run ?(memory_init = []) ?trace_out ?on_event (job : Job.t) =
   Obs.span ~cat:"sim" "run"
     ~args:[ ("cycles", Obs.Int (Array.length job.Job.cycles)) ]
   @@ fun () ->
-  let m = create_machine job.Job.tile in
-  let cycles = Array.length job.Job.cycles in
   (* Events are only materialised when someone consumes them; the common
      no-trace path must not allocate per action. *)
   let emit =
@@ -440,61 +586,21 @@ let run ?(memory_init = []) ?trace_out ?on_event (job : Job.t) =
           | None -> ());
           match on_event with Some f -> f ev | None -> ())
   in
-  let r =
-    {
-      job;
-      m;
-      pending = Array.make cycles [];
-      lanes = Array.make cycles 0;
-      stray = 0;
-      temp_node = Array.make 8 0;
-      temp_value = Array.make 8 0;
-      temps = 0;
-      moves_executed = 0;
-      writes_executed = 0;
-      max_bus = 0;
-      emit;
-    }
-  in
-  (* Seed region contents at their home cells. *)
-  List.iter
-    (fun (region, slices) ->
-      let words = Job.size_of job region in
-      let init =
-        match List.assoc_opt region memory_init with
-        | Some arr -> arr
-        | None -> [||]
-      in
-      for offset = 0 to words - 1 do
-        let v = if offset < Array.length init then init.(offset) else 0 in
-        write_mem m (Job.interleaved_cell slices offset) v
-      done)
-    job.Job.region_homes;
-  Array.iteri
-    (fun index (cycle : Job.cycle) ->
-      if Obs.enabled () then
-        Obs.span ~cat:"sim"
-          ~args:
-            [
-              ("index", Obs.Int index);
-              ("alu", Obs.Int (List.length cycle.Job.alu));
-              ("moves", Obs.Int (List.length cycle.Job.moves));
-            ]
-          "cycle"
-          (fun () -> step r index cycle)
-      else step r index cycle)
-    job.Job.cycles;
+  let r = walk ~memory_init ?emit ~collect:false job in
+  let cycles = Array.length job.Job.cycles in
   Obs.add c_cycles cycles;
-  if r.stray > 0 then faultf "write-backs scheduled past the end of the job";
+  Obs.add c_moves r.moves_executed;
+  Obs.add c_copies r.copies;
+  Obs.add c_alu r.alu_firings;
+  Obs.add c_writebacks r.writebacks;
+  Obs.add c_deletes r.deletes;
+  Obs.record_max c_bus_peak r.max_bus;
+  let m = r.m in
   let memory =
     List.map
       (fun (region, slices) ->
         let words = Job.size_of job region in
-        let init =
-          match List.assoc_opt region memory_init with
-          | Some arr -> arr
-          | None -> [||]
-        in
+        let init = region_init memory_init region in
         (* Cells past the statically-touched span never reach the tile:
            they keep their initial (host) contents. *)
         let total = max words (Array.length init) in
@@ -502,9 +608,8 @@ let run ?(memory_init = []) ?trace_out ?on_event (job : Job.t) =
           Array.init total (fun offset ->
               if offset >= words then init.(offset)
               else
-                let loc = Job.interleaved_cell slices offset in
-                if is_deleted m loc then 0
-                else m.words.(loc.Job.mpp).(loc.Job.mem).(loc.Job.addr)) ))
+                let slot = mem_slot m (Job.interleaved_cell slices offset) in
+                if Bytes.get m.deleted slot <> '\000' then 0 else m.words.(slot)) ))
       job.Job.region_homes
   in
   ( memory,
@@ -512,7 +617,7 @@ let run ?(memory_init = []) ?trace_out ?on_event (job : Job.t) =
       cycles_run = cycles;
       max_bus_per_cycle = r.max_bus;
       moves_executed = r.moves_executed;
-      writes_executed = r.writes_executed;
+      writes_executed = r.writebacks + r.deletes;
     } )
 
 let conforms ?memory_init job =

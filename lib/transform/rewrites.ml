@@ -111,30 +111,3 @@ let algebraic_node g id =
     false
 
 let algebraic_rule = Pass.local "algebraic" algebraic_node
-
-let log2_exact n =
-  let rec loop v k = if v = n then Some k else if v > n || k > 61 then None else loop (v * 2) (k + 1) in
-  if n <= 0 then None else loop 1 0
-
-let strength_reduce_node g id =
-  match G.kind g id with
-  | G.Binop Op.Mul -> (
-    let try_shift value_input const_input =
-      match G.kind g const_input with
-      | G.Const c -> (
-        match log2_exact c with
-        | Some k when k > 0 ->
-          let amount = G.add g (G.Const k) [] in
-          let shift = G.add g (G.Binop Op.Shl) [ value_input; amount ] in
-          G.replace_uses g id ~by:shift;
-          true
-        | Some _ | None -> false)
-      | _ -> false
-    in
-    let a = G.input g id 0 and b = G.input g id 1 in
-    try_shift a b || try_shift b a)
-  | G.Binop _ | G.Unop _ | G.Mux | G.Const _ | G.Ss_in _ | G.Ss_out _
-  | G.Fe _ | G.St _ | G.Del _ ->
-    false
-
-let strength_reduce_rule = Pass.local "strength-reduce" strength_reduce_node

@@ -1,5 +1,4 @@
-(** Local value rewrites: constant folding, algebraic simplification and
-    strength reduction. *)
+(** Local value rewrites: constant folding and algebraic simplification. *)
 
 val const_fold_rule : Pass.rule
 (** Folds [Binop]/[Unop] nodes with constant inputs into [Const] nodes and
@@ -11,9 +10,3 @@ val algebraic_rule : Pass.rule
 (** Identity/absorption rewrites that need no constant operands on both
     sides: [x+0], [x*1], [x*0], [x-0], [x/1], [x<<0], [x&0], [x|0], [x^0],
     [x-x], [x^x], [Mux (c, a, a)], [Mux (!c, a, b)] and friends. *)
-
-val strength_reduce_rule : Pass.rule
-(** Optional extension rule (paper Section VII future work): rewrites
-    multiplications by powers of two into shifts, freeing the ALU
-    multiplier stage. Not part of the default rules; part of
-    {!Simplify.extended_rules}. *)

@@ -9,9 +9,6 @@ let default_rules =
     Reassoc.rule;
   ]
 
-let extended_rules =
-  default_rules @ [ Rewrites.strength_reduce_rule; Hoist.rule ]
-
 type report = {
   steps : int;
   before : Cdfg.Graph.stats;

@@ -11,10 +11,6 @@ val default_rules : Pass.rule list
     associative rebalancing, applied in that order on each visited node
     (rebalancing is settled: it runs once the others quiesce). *)
 
-val extended_rules : Pass.rule list
-(** [default_rules] plus strength reduction and MUX hoisting (future-work
-    extensions). *)
-
 type report = {
   steps : int;  (** node visits (revisits included) *)
   before : Cdfg.Graph.stats;

@@ -253,10 +253,10 @@ let test_bus_extremes () =
       in
       let r = Flow.map_graph ~config g in
       let name = Printf.sprintf "%d buses" buses in
-      Alcotest.(check (list string)) (name ^ ": no Mapcheck error") []
+      Alcotest.(check (list string)) (name ^ ": no allocation error") []
         (List.map
            (fun (d : Fpfa_diag.Diag.t) -> d.Fpfa_diag.Diag.message)
-           (Fpfa_diag.Diag.errors (Fpfa_analysis.Mapcheck.alloc r.Flow.job)));
+           (Fpfa_diag.Diag.errors (Fpfa_sim.Sim.check_diags r.Flow.job)));
       Alcotest.(check bool) (name ^ ": verifies") true (Flow.verify ~memory_init r))
     [ 1; 255 ]
 

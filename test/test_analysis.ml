@@ -7,12 +7,12 @@ module D = Fpfa_diag.Diag
 module T = Transform
 module Verify = Fpfa_analysis.Verify
 module Lint = Fpfa_analysis.Lint
-module Mapcheck = Fpfa_analysis.Mapcheck
 module Dataflow = Fpfa_analysis.Dataflow
 module Arch = Fpfa_arch.Arch
 module Cluster = Mapping.Cluster
 module Sched = Mapping.Sched
 module Job = Mapping.Job
+module Sim = Fpfa_sim.Sim
 
 let kernel name =
   (Fpfa_kernels.Kernels.find name).Fpfa_kernels.Kernels.source
@@ -67,6 +67,14 @@ let sched_flags what rule s =
     (fun () -> Sched.validate s ~alu_count:5);
   diags
 
+(* A corrupted job: the simulator's walk reports [rule], and a run
+   raises its first finding. *)
+let alloc_flags what rule job =
+  let diags = Sim.check_diags job in
+  flags what rule diags;
+  raises_first what diags (fun m -> Sim.Fault m) (fun () -> ignore (Sim.run job));
+  diags
+
 (* {2 Clean artefacts produce no error diagnostics} *)
 
 let test_clean_corpus () =
@@ -96,7 +104,7 @@ let test_clean_corpus () =
            (Sched.check_diags result.Fpfa_core.Flow.schedule ~alu_count:5));
       Alcotest.(check (list string))
         (name ^ " alloc") []
-        (rules (Mapcheck.alloc result.Fpfa_core.Flow.job)))
+        (rules (Sim.check_diags result.Fpfa_core.Flow.job)))
     [ "fir-paper"; "dot-8"; "iir-6" ]
 
 let test_index_errors_exported () =
@@ -555,7 +563,7 @@ let test_corrupt_alloc_pp_conflict () =
   let cyc = job.Job.cycles.(i) in
   job.Job.cycles.(i) <-
     { cyc with Job.alu = List.hd cyc.Job.alu :: cyc.Job.alu };
-  flags "doubled ALU bundle" "alloc.pp-conflict" (Mapcheck.alloc job)
+  ignore (alloc_flags "doubled ALU bundle" "alloc.pp-conflict" job)
 
 let test_corrupt_alloc_bus_capacity () =
   let job = (map_kernel "fir-paper").Fpfa_core.Flow.job in
@@ -566,7 +574,7 @@ let test_corrupt_alloc_bus_capacity () =
     List.init (job.Job.tile.Fpfa_arch.Arch.buses + 1) (fun _ -> mv)
   in
   job.Job.cycles.(i) <- { cyc with Job.moves = flood };
-  flags "flooded crossbar" "alloc.bus-capacity" (Mapcheck.alloc job)
+  ignore (alloc_flags "flooded crossbar" "alloc.bus-capacity" job)
 
 let test_corrupt_alloc_reg_bounds () =
   let job = (map_kernel "fir-paper").Fpfa_core.Flow.job in
@@ -575,7 +583,7 @@ let test_corrupt_alloc_reg_bounds () =
   let mv = List.hd cyc.Job.moves in
   let bad = { mv with Job.dst = { mv.Job.dst with Job.index = 999 } } in
   job.Job.cycles.(i) <- { cyc with Job.moves = bad :: List.tl cyc.Job.moves };
-  flags "register index 999" "alloc.reg-bounds" (Mapcheck.alloc job)
+  ignore (alloc_flags "register index 999" "alloc.reg-bounds" job)
 
 let test_corrupt_alloc_mem_bounds () =
   let job = (map_kernel "fir-paper").Fpfa_core.Flow.job in
@@ -584,7 +592,7 @@ let test_corrupt_alloc_mem_bounds () =
   let mv = List.hd cyc.Job.moves in
   let bad = { mv with Job.src = { mv.Job.src with Job.addr = 99_999 } } in
   job.Job.cycles.(i) <- { cyc with Job.moves = bad :: List.tl cyc.Job.moves };
-  flags "memory address 99999" "alloc.mem-bounds" (Mapcheck.alloc job)
+  ignore (alloc_flags "memory address 99999" "alloc.mem-bounds" job)
 
 let test_corrupt_alloc_conflicts () =
   let job = (map_kernel "fir-paper").Fpfa_core.Flow.job in
@@ -592,8 +600,7 @@ let test_corrupt_alloc_conflicts () =
   let cyc = job.Job.cycles.(i) in
   let mv = List.hd cyc.Job.moves in
   job.Job.cycles.(i) <- { cyc with Job.moves = [ mv; mv ] };
-  let diags = Mapcheck.alloc job in
-  flags "duplicated move (bank port)" "alloc.write-conflict" diags;
+  let diags = alloc_flags "duplicated move (bank port)" "alloc.write-conflict" job in
   flags "duplicated move (memory port)" "alloc.read-conflict" diags
 
 (* {2 The verify-each-pass hook} *)
@@ -721,8 +728,7 @@ let worklist_rules_stay_clean =
       let g = Fpfa_kernels.Random_graph.generate ~seed ~ops:60 () in
       (* [minimize] ends with [Graph.validate]: the full structure rules *)
       ignore
-        (T.Simplify.minimize ~rules:T.Simplify.extended_rules
-           ~verify:(Verify.pass_hook ()) g);
+        (T.Simplify.minimize ~verify:(Verify.pass_hook ()) g);
       true)
 
 let suite =

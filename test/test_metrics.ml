@@ -66,7 +66,8 @@ let test_gantt_renders () =
 
 (* Fuzz: bit-flipped configuration images must decode, raise Corrupt, or
    produce a job whose simulation faults — never crash with anything
-   else. *)
+   else. The simulator's reporting walk must return on every decoded
+   image. *)
 let encode_fuzz =
   QCheck.Test.make ~name:"corrupt configs never crash" ~count:200
     QCheck.(pair (int_range 0 10_000) (int_range 0 255))
@@ -77,6 +78,7 @@ let encode_fuzz =
       Bytes.set image position (Char.chr byte);
       match Mapping.Encode.of_string (Bytes.to_string image) with
       | job' -> (
+        ignore (Fpfa_sim.Sim.check_diags job');
         (* decoded: it must either run or fault cleanly *)
         match Fpfa_sim.Sim.run job' with
         | _ -> true
