@@ -44,8 +44,9 @@ let c_bus_peak = Obs.counter "sim.bus.peak"
 
 exception Fault of string
 
-(* Registers and memory words live in flat arrays, indexed per the tile's
-   geometry (see [reg_slot] and [mem_slot]). *)
+(* Registers and memory words live in flat arrays indexed by the tile's
+   geometry ([reg_slot], [mem_slot]), so a bounds check compares against
+   the geometry instead of loading nested arrays. *)
 type machine = {
   pps : int;
   banks : int;

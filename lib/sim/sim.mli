@@ -53,8 +53,9 @@ val pp_event : Format.formatter -> event -> unit
     ["@0 move M0.1[2] -> PP1.Ra[0] = 5"]). *)
 
 exception Fault of string
-(** Constraint violation or semantic error (read of a deleted word, two
-    writes racing on one cell in one cycle, port or lane overflow...). *)
+(** The first broken allocation rule, with the message {!check_diags}
+    gives it (read of a deleted word, two writes racing on one cell in
+    one cycle, port or lane overflow...). *)
 
 val run :
   ?memory_init:(string * int array) list ->
