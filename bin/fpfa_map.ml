@@ -690,8 +690,8 @@ let cache_size_arg =
     value & opt int 256
     & info [ "cache-size" ] ~docv:"N"
         ~doc:
-          "Entries per cache level (request, program index and mapping). \
-           0 disables caching.")
+          "Entries per cache level (request and mapping). 0 disables \
+           caching.")
 
 let cache_dir_arg =
   Arg.(
@@ -726,7 +726,8 @@ let serve_cmd =
        ~doc:
          "Run the mapping flow as a persistent daemon: newline-delimited \
           JSON requests (compile/check/sweep/stats/cache) on stdin or a \
-          Unix socket, answered through a content-addressed mapping cache.")
+          Unix socket, answered through a mapping cache keyed on the \
+          program; every answer maps what $(b,compile) maps.")
     Term.(
       const serve $ socket_arg $ cache_size_arg $ cache_dir_arg
       $ cache_disk_max_arg $ observe_arg $ stats_arg $ jobs_arg)

@@ -8,9 +8,22 @@ let record diags =
   Obs.add c_diags (List.length diags);
   diags
 
+(* The graph's rules plus the use/def index against a recomputation,
+   which [Graph.validate] leaves out as [Graph]'s own bookkeeping. Index
+   findings go ahead of a cycle finding, which [check_diags] lists last:
+   its acyclicity walk follows the index, so a divergent index can be
+   what made the graph look cyclic. *)
 let structure g =
   Obs.span ~cat:"analysis" "verify-structure" @@ fun () ->
-  record (G.check_diags g)
+  let index =
+    List.map (D.error "cdfg.index-divergence" "%s") (G.index_errors g)
+  in
+  let cycle, rest =
+    List.partition
+      (fun d -> String.equal d.D.rule "cdfg.cycle")
+      (G.check_diags g)
+  in
+  record (rest @ index @ cycle)
 
 let mappability g =
   Obs.span ~cat:"analysis" "verify-mappability" @@ fun () ->

@@ -10,9 +10,10 @@
     Three rule groups, because they hold at different times:
 
     - {e structure} rules ({!Cdfg.Graph.check_diags}, whose first finding
-      {!Cdfg.Graph.validate} raises) hold on every well-formed CDFG,
-      including mid-simplification — safe for the pass engine's
-      verify-each-pass hook;
+      {!Cdfg.Graph.validate} raises, plus the use/def index check this
+      module adds) hold on every well-formed CDFG, including
+      mid-simplification — safe for the pass engine's verify-each-pass
+      hook;
     - {e mappability} rules ({!Mapping.Legalize.check_diags}, raised by
       {!Mapping.Legalize.check}: constant statespace offsets, named
       outputs stored) only hold after full simplification; raw graphs
@@ -26,7 +27,12 @@
     ["cdfg.index-divergence"]. *)
 
 val structure : Cdfg.Graph.t -> Fpfa_diag.Diag.t list
-(** {!Cdfg.Graph.check_diags}: every structure finding of the graph. *)
+(** {!Cdfg.Graph.check_diags}: every structure finding of the graph,
+    plus ["cdfg.index-divergence"] for each divergence of the use/def
+    index from a recomputation ({!Cdfg.Graph.index_errors}). The flow's
+    raising check, {!Cdfg.Graph.validate}, leaves the index out: it is
+    [Graph]'s bookkeeping, which the graph-model tests replay against a
+    naive model. *)
 
 val mappability : Cdfg.Graph.t -> Fpfa_diag.Diag.t list
 (** {!Mapping.Legalize.check_diags}: constant non-negative statespace

@@ -1106,11 +1106,10 @@ let token_region g id =
   | Const _ | Binop _ | Unop _ | Mux | Ss_out _ | Fe _ -> None
 
 (* Recomputes the use/def index from the forward structure and compares it
-   with the maintained adjacency. O(V + E); used by [validate], the
-   verifier in lib/analysis and the index-invariant tests to catch any
-   mutation path that forgets an index update. Accumulates every
-   divergence so the diagnostic-producing callers report them all in one
-   run. *)
+   with the maintained adjacency. O(V + E); used by the verifier in
+   lib/analysis and the index-invariant tests to catch any mutation path
+   that forgets an index update. Accumulates every divergence so the
+   verifier reports them all in one run. *)
 let index_errors g =
   let errs = ref [] in
   let errf fmt = Format.kasprintf (fun msg -> errs := msg :: !errs) fmt in
@@ -1372,9 +1371,6 @@ let check_diags g =
   in
   duplicates "Ss_in" ss_ins;
   duplicates "Ss_out" ss_outs;
-  List.iter
-    (fun msg -> report acc (D.error "cdfg.index-divergence" "%s" msg))
-    (index_errors g);
   if not dangling then begin
     match topo_order g with
     | (_ : id list) -> ()

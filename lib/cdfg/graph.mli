@@ -210,9 +210,11 @@ val clear_dirty : t -> unit
 val index_errors : t -> string list
 (** Recomputes the use/def index from scratch and compares it with the
     incrementally maintained one, returning every divergence found (empty
-    when consistent). The single implementation behind {!check_index},
-    the ["cdfg.index-divergence"] rule of {!check_diags} and the
-    index-invariant tests. *)
+    when consistent). The index is this module's own bookkeeping, not a
+    property of the program, so {!check_diags} and {!validate} leave it
+    out. The single implementation behind {!check_index}, the
+    verifier's ["cdfg.index-divergence"] rule
+    ([Fpfa_analysis.Verify.structure]) and the index-invariant tests. *)
 
 val check_index : t -> unit
 (** [index_errors], raising on the first divergence.
@@ -238,18 +240,16 @@ val check_diags : t -> Fpfa_diag.Diag.t list
     (["cdfg.region-undeclared"]); then named outputs bound to live value
     nodes (["cdfg.dangling-ref"], ["cdfg.output-invalid"]), at most one
     [Ss_in] and one [Ss_out] per region (["cdfg.region-duplicate-ss"]),
-    the use/def index against a recomputation
-    (["cdfg.index-divergence"], {!index_errors}), and acyclicity
-    (["cdfg.cycle"], skipped while a dangling reference is reported).
-    Empty when the graph is well formed. Node-anchored findings carry the
-    node id. *)
+    and acyclicity (["cdfg.cycle"], skipped while a dangling reference
+    is reported, and always last). Empty when the graph is well formed.
+    Node-anchored findings carry the node id. The use/def index is not
+    checked here; see {!index_errors}. *)
 
 val check_local_diags : t -> Id_set.t -> Fpfa_diag.Diag.t list
 (** The per-node rules of {!check_diags} on the live members of a set,
     plus the named outputs bound to a member. O(set size x degree): the
-    incremental check of the pass engine's verify hook. Whole-graph rules
-    (acyclicity, duplicate [Ss_in]/[Ss_out], index consistency) are not
-    re-checked. *)
+    incremental check of the pass engine's verify hook. The whole-graph
+    rules (acyclicity, duplicate [Ss_in]/[Ss_out]) are not re-checked. *)
 
 val validate : t -> unit
 (** {!check_diags}, raising the first finding.

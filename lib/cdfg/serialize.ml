@@ -98,9 +98,7 @@ let to_string g = fst (to_string_mapped g)
 (* Nodes that tie on both cones are interchangeable for the encoding   *)
 (* (swapping them is an automorphism of everything the bytes record),  *)
 (* so the residual id tie-break cannot leak renaming into the output.  *)
-(* The mapping cache keys on this digest: equal bytes imply the graphs *)
-(* are equal up to renaming, so a cache hit returns a mapping of the   *)
-(* very same graph.                                                    *)
+(* Equal bytes imply the graphs are equal up to renaming.              *)
 (*                                                                     *)
 (* Every pass reads the graph's arrays through its point queries and   *)
 (* keeps its own state in id-indexed int arrays: no node records, no   *)
@@ -146,12 +144,11 @@ let kind_hash (kind : Graph.kind) =
   | Graph.St region -> mix_region h_seed 7 region
   | Graph.Del region -> mix_region h_seed 8 region
 
-(* The whole canonical apparatus (hashes, canonical bytes, {!renumber})
-   quotients by commutative operand order, exactly as {!Transform.Cse}
-   keys commutative binops on the sorted input multiset: graphs the
-   simplifier treats as equal must digest equal, or two compiles could
-   settle into mirror orientations of one chain and spuriously miss the
-   mapping cache (or renumber to different jobs). *)
+(* The whole canonical apparatus (hashes and canonical bytes) quotients
+   by commutative operand order, exactly as {!Transform.Cse} keys
+   commutative binops on the sorted input multiset: graphs the
+   simplifier treats as equal must digest equal, or two compiles that
+   settle into mirror orientations of one chain would digest apart. *)
 let commutes (kind : Graph.kind) =
   match kind with Graph.Binop op -> Op.commutative op | _ -> false
 
@@ -348,48 +345,6 @@ let canonical g =
   B.contents w
 
 let digest g = Digest.to_hex (Digest.string (canonical g))
-
-(* Rebuilds [g] with ids renumbered along the canonical order, regions and
-   outputs sorted by name, and order edges inserted in ascending mapped
-   position. Isomorphic graphs renumber to graphs that are equal
-   member-for-member, so the (deterministic) mapping phases turn them
-   into byte-identical jobs. *)
-let renumber g =
-  let order = canonical_order g in
-  let out = Graph.create (Graph.name g) in
-  List.iter
-    (fun (region, info) -> Graph.declare_region out region info)
-    (List.sort compare (Graph.regions g));
-  let map = Array.make (Graph.id_bound g) (-1) in
-  Array.iter
-    (fun id ->
-      let kind = Graph.kind g id in
-      (* commutative operands in ascending renumbered position: mirror
-         orientations of one chain rebuild to the very same graph *)
-      let inputs =
-        if commutes kind then begin
-          let a = map.(Graph.input g id 0) and b = map.(Graph.input g id 1) in
-          [ min a b; max a b ]
-        end
-        else List.init (Graph.arity kind) (fun port -> map.(Graph.input g id port))
-      in
-      map.(id) <- Graph.add out kind inputs)
-    order;
-  let b = bag () in
-  let put_mapped p = put b map.(p) in
-  Array.iter
-    (fun id ->
-      iter_order_preds g id put_mapped;
-      Fpfa_util.Intsort.sort_prefix b.items b.size;
-      for i = 0 to b.size - 1 do
-        Graph.add_order out map.(id) ~after:b.items.(i)
-      done;
-      b.size <- 0)
-    order;
-  List.iter
-    (fun (name, id) -> Graph.set_output out name map.(id))
-    (List.sort compare (Graph.outputs g));
-  out
 
 let of_string_mapped data =
   try

@@ -18,11 +18,14 @@ val of_file : string -> Graph.t
 
 (** {2 Canonical form and content digest}
 
-    The mapping cache of the serve daemon keys on graph {e content}:
-    two graphs that differ only in node ids (insertion order, journal
-    history, serialisation round-trips) must produce the same key, and
-    any structural difference — a node, an edge, a constant, a region
-    size, an output name — must change it. *)
+    A name for graph {e content}: two graphs that differ only in node
+    ids (insertion order, journal history, serialisation round-trips)
+    get the same digest, and any structural difference — a node, an
+    edge, a constant, a region size, an output name — changes it. The
+    serve daemon reports the raw graph's digest with every answer, and
+    the golden suite pins the digests of the corpus graphs. Mapping
+    reads node ids, so isomorphic graphs with one digest may still map
+    to different jobs. *)
 
 val canonical : Graph.t -> string
 (** A canonical byte encoding: nodes are renumbered along a Kahn order
@@ -31,21 +34,12 @@ val canonical : Graph.t -> string
     are equal up to id renaming; graphs built in different orders (or
     decoded from {!of_string}, which renumbers) encode identically.
     Pathologically symmetric graphs whose automorphism a one-round cone
-    hash cannot certify may canonicalise differently — that direction
-    only costs a cache miss, never a wrong hit. Not decodable; use
+    hash cannot certify may canonicalise differently: two digests for
+    one graph, never one digest for two. Not decodable; use
     {!to_string} for persistence. *)
 
 val digest : Graph.t -> string
-(** Hex MD5 of {!canonical} — the content-addressed cache key
-    (32 lowercase hex characters). *)
-
-val renumber : Graph.t -> Graph.t
-(** A copy of the graph with ids renumbered along the canonical order,
-    regions and named outputs sorted by name, and order-edge lists
-    inserted in ascending renumbered position. Isomorphic graphs renumber
-    to member-for-member equal graphs, so the deterministic mapping
-    phases turn them into byte-identical jobs. The serve daemon's
-    compiles rely on this. *)
+(** Hex MD5 of {!canonical} (32 lowercase hex characters). *)
 
 (** {2 Id-stable variants}
 

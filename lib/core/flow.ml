@@ -25,11 +25,6 @@ type config = {
           Semantics-changing (wider inputs justify fewer rewrites), so
           it keys the serve fingerprint alongside the [bitopt] toggle
           and both the stage and its verification replay use it. *)
-  renumber : bool;
-      (** Canonically renumber the minimised graph
-          ({!Cdfg.Serialize.renumber}) so isomorphic compiles map to
-          byte-identical jobs. The serve daemon turns this on; the
-          one-shot CLI flow leaves it off. *)
 }
 
 let default_config =
@@ -43,7 +38,6 @@ let default_config =
     verify_each = false;
     bitopt = true;
     bitopt_width = 16;
-    renumber = false;
   }
 
 type result = {
@@ -289,14 +283,6 @@ module Staged = struct
     in
     stage "simplify-validate" (fun () -> Cdfg.Graph.validate graph);
     let bitopt_report = bitopt_stage config graph in
-    (* Canonical renumbering last: isomorphic minimised graphs become
-       member-for-member equal, so the deterministic mapping phases
-       produce byte-identical jobs for them. *)
-    let graph =
-      if config.renumber then
-        stage "renumber" (fun () -> Cdfg.Serialize.renumber graph)
-      else graph
-    in
     {
       s with
       s_min =
@@ -327,7 +313,6 @@ module Staged = struct
     a.verify_each = b.verify_each
     && a.bitopt = b.bitopt
     && a.bitopt_width = b.bitopt_width
-    && a.renumber = b.renumber
 
   let same_cluster a b = a.cluster_with == b.cluster_with && caps_of a = caps_of b
   let same_schedule a b = a.tile.Arch.alu_count = b.tile.Arch.alu_count

@@ -43,11 +43,6 @@ type config = {
           keys its mapping-cache fingerprint on it alongside the
           [bitopt] toggle. Both the stage and its {!Fpfa_analysis.Verify.bits}
           replay use the same width. *)
-  renumber : bool;
-      (** canonically renumber the minimised graph
-          ({!Cdfg.Serialize.renumber}) so isomorphic minimised graphs map
-          to byte-identical jobs (default false — the serve daemon turns
-          it on) *)
 }
 
 val default_config : config
@@ -123,9 +118,9 @@ module Staged : sig
       source text and the config fields the front end uses
       ([max_unroll], [delete_locals]; {!rewind} keeps the raw graph
       exactly while these agree). Equal keys build the same raw graph,
-      so a caller may remember what it derived from one (the serve
-      daemon keeps the raw graph's digest) instead of running the front
-      end again. *)
+      so a caller may key what it derives from a program on it instead
+      of running the front end again: the serve daemon keys its mapping
+      cache on it, joined with the rest of the config. *)
 
   val phase : t -> phase
   (** Last completed phase. *)
@@ -133,8 +128,8 @@ module Staged : sig
   val config : t -> config
 
   val raw_graph : t -> Cdfg.Graph.t
-  (** The CDFG the mapping phases start from — what
-      {!Cdfg.Serialize.digest} keys the content-addressed cache on. *)
+  (** The CDFG the mapping phases start from; the serve daemon reports
+      its {!Cdfg.Serialize.digest}. *)
 
   val advance : t -> t
   (** Runs exactly the next phase (no-op at [Allocated]). From
@@ -174,8 +169,8 @@ module Staged : sig
       Re-entry points, one knob at a time: the move window, the bus
       count or [alloc_options] re-enter at [Scheduled]; the ALU count at
       [Clustered]; [caps] (or the tile's ALU when [caps] is [None]) or
-      [cluster_with] at [Minimised]; [bitopt], [bitopt_width],
-      [renumber] or [verify_each] at [Built].
+      [cluster_with] at [Minimised]; [bitopt], [bitopt_width] or
+      [verify_each] at [Built].
 
       A minimised checkpoint carries one clustering cell: the last
       clustering computed from its minimised graph, with the config it

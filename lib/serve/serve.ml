@@ -10,10 +10,12 @@ module Diag = Fpfa_diag.Diag
 
 exception Bad_request of string
 
-(* A finished mapping: the frozen staged checkpoint (for rewinds) plus
-   the response payload it rendered to. *)
+(* A finished mapping: the frozen staged checkpoint (for rewinds), the
+   program it maps, the digest of that program's raw graph (for the
+   envelope) and the response payload it rendered to. *)
 type mapping_entry = {
   e_staged : Staged.t;
+  e_program : string;
   e_digest : string;
   e_result : Json.t;
 }
@@ -28,15 +30,12 @@ type t = {
   mutable pool : Pool.t option;
   pool_jobs : int;
   request_cache : response_entry Lru.t;
-  program_index : string Lru.t;
-      (* {!Staged.frontend_key} of a program -> digest of the raw graph
-         its front end builds: a request for a known program goes
-         straight to the mapping cache and the near-miss index *)
   mapping_cache : mapping_entry Lru.t;
-  by_digest : (string, string) Hashtbl.t;
-      (* digest -> most recent mapping-cache key with that digest; the
-         near-miss index rewinds feed from. Conservative: eviction drops
-         the binding only when it still points at the evicted key. *)
+  by_program : (string, string) Hashtbl.t;
+      (* program key -> most recent mapping-cache key of that program;
+         the near-miss index rewinds feed from. Conservative: eviction
+         drops the binding only when it still points at the evicted
+         key. *)
   cache_dir : string option;
   cache_disk_max : int option;
       (* disk-store budget in bytes; a sweep after every write (and at
@@ -53,7 +52,7 @@ type t = {
   mutable n_errors : int;
 }
 
-(* Mirror the three LRUs into Obs counters, so `--stats` (and the
+(* Mirror the two LRUs into Obs counters, so `--stats` (and the
    observe-mode stats op) report them next to the span aggregates;
    refreshed whenever stats are drained (stats op, shutdown). *)
 let sync_obs_counters t =
@@ -64,7 +63,6 @@ let sync_obs_counters t =
     Obs.set (Obs.counter (prefix ^ ".evictions")) s.Lru.evictions
   in
   set "serve.l1" t.request_cache;
-  set "serve.program" t.program_index;
   set "serve.l2" t.mapping_cache
 
 (* Disk-store GC: when the entry files under [cache_dir] exceed the byte
@@ -115,9 +113,8 @@ let create ?(jobs = 1) ?(cache_size = 256) ?cache_dir ?cache_disk_max
       pool = (if jobs > 1 then Some (Pool.create ~jobs) else None);
       pool_jobs = jobs;
       request_cache = Lru.create ~capacity:(max 0 cache_size);
-      program_index = Lru.create ~capacity:(max 0 cache_size);
       mapping_cache = Lru.create ~capacity:(max 0 cache_size);
-      by_digest = Hashtbl.create 64;
+      by_program = Hashtbl.create 64;
       cache_dir;
       cache_disk_max;
       observe;
@@ -179,7 +176,7 @@ let variant_of req =
   | None -> raise (Bad_request (Printf.sprintf "unknown variant %S" name))
 
 (* The request's flow config plus the fingerprint that, joined with the
-   CDFG digest, keys the mapping cache. Variant configs are module-level
+   program key, keys the mapping cache. Variant configs are module-level
    values, so their closure field [cluster_with] stays physically equal
    across requests — exactly what [Staged.rewind] compares with. *)
 let config_of req =
@@ -277,6 +274,19 @@ let diag_json (d : Diag.t) =
 
 (* {2 The compile path and its caches} *)
 
+(* The mapping cache's name for a program: the hex of
+   {!Staged.frontend_key}, which covers the function, the source text and
+   the config fields the front end reads. Equal keys build one raw
+   graph. *)
+let program_key ~config program =
+  Digest.to_hex
+    (Staged.frontend_key ~config ~func:program.p_func program.p_source)
+
+let front_end ~config program =
+  Staged.of_source ~config ~func:program.p_func program.p_source
+
+let raw_digest staged = Cdfg.Serialize.digest (Staged.raw_graph staged)
+
 (* One fully computed compile — pool workers run this cache-free. *)
 type computed = {
   c_staged : Staged.t;  (** Allocated *)
@@ -285,8 +295,7 @@ type computed = {
   c_resumed_from : string option;
 }
 
-(* [digest] is {!Cdfg.Serialize.digest} of [staged]'s raw graph; the
-   caller has already computed it to probe the caches. *)
+(* [digest] is {!Cdfg.Serialize.digest} of [staged]'s raw graph. *)
 let finish_compile ~program ~verify ~digest staged ~resumed_from =
   let staged = Staged.run staged in
   let result = Staged.to_result staged in
@@ -302,9 +311,9 @@ let finish_compile ~program ~verify ~digest staged ~resumed_from =
   }
 
 let compute_compile ~config ~program ~verify () =
-  let staged = Staged.of_source ~config ~func:program.p_func program.p_source in
-  let digest = Cdfg.Serialize.digest (Staged.raw_graph staged) in
-  finish_compile ~program ~verify ~digest staged ~resumed_from:None
+  let staged = front_end ~config program in
+  finish_compile ~program ~verify ~digest:(raw_digest staged) staged
+    ~resumed_from:None
 
 let disk_path t key =
   Option.map
@@ -342,21 +351,22 @@ let disk_write t key value =
 let forget_evicted t evicted =
   List.iter
     (fun (ekey, (e : mapping_entry)) ->
-      match Hashtbl.find_opt t.by_digest e.e_digest with
+      match Hashtbl.find_opt t.by_program e.e_program with
       | Some current when String.equal current ekey ->
-        Hashtbl.remove t.by_digest e.e_digest
+        Hashtbl.remove t.by_program e.e_program
       | _ -> ())
     evicted
 
-(* Insert a computed mapping into the content-addressed level (frozen,
-   so later pool workers may share the graphs read-only), refresh the
-   digest index, and persist. Admission-domain only. *)
-let cache_mapping t ~fingerprint computed =
-  let key = computed.c_digest ^ "|" ^ fingerprint in
+(* Insert a computed mapping of the program [pkey] into the mapping cache
+   (frozen, so later pool workers may share the graphs read-only),
+   refresh the near-miss index, and persist. Admission-domain only. *)
+let cache_mapping t ~pkey ~fingerprint computed =
+  let key = pkey ^ "|" ^ fingerprint in
   Staged.freeze computed.c_staged;
   let entry =
     {
       e_staged = computed.c_staged;
+      e_program = pkey;
       e_digest = computed.c_digest;
       e_result = computed.c_result;
     }
@@ -364,66 +374,54 @@ let cache_mapping t ~fingerprint computed =
   let evicted = Lru.add t.mapping_cache key entry in
   (* Index after insertion, forget after indexing: a capacity-0 cache
      evicts the fresh entry itself, which must also drop its binding. *)
-  Hashtbl.replace t.by_digest computed.c_digest key;
+  Hashtbl.replace t.by_program pkey key;
   forget_evicted t evicted;
   disk_write t key computed.c_result
 
 (* The staged compile for one request, consulting the mapping cache:
    returns the payload plus the envelope's digest/cached/resumed_from.
-   The request cache has already missed when this runs. Verifying
-   requests bypass the mapping cache (their payload embeds the check's
-   verdict, which a cached mapping never carries). The front end is a
-   pure function of the program, so it runs only for a program the
-   index does not know (to digest its raw graph) or for a compile that
-   must start from [Built]; a program whose front end raises is never
-   indexed. *)
+   The request cache has already missed when this runs. The mapping
+   cache keys on the program and the config fingerprint, so an entry
+   holds what a cold compile of the request computes, and it carries
+   its raw graph's digest for the envelope. Verifying requests bypass
+   it (their payload embeds the check's verdict, which a cached mapping
+   never carries). The front end runs for a disk hit, to digest the raw
+   graph, and for a compile that must start from [Built]. *)
 let mapped_compile t ~config ~fingerprint ~program ~verify () =
-  let front =
-    lazy (Staged.of_source ~config ~func:program.p_func program.p_source)
-  in
-  let pkey =
-    Staged.frontend_key ~config ~func:program.p_func program.p_source
-  in
-  let digest =
-    match Lru.find t.program_index pkey with
-    | Some digest -> digest
-    | None ->
-      let digest = Cdfg.Serialize.digest (Staged.raw_graph (Lazy.force front)) in
-      ignore (Lru.add t.program_index pkey digest);
-      digest
-  in
-  let key = digest ^ "|" ^ fingerprint in
+  let pkey = program_key ~config program in
+  let key = pkey ^ "|" ^ fingerprint in
   match if verify then None else Lru.find t.mapping_cache key with
-  | Some entry -> (entry.e_result, digest, Some "mapping", None)
+  | Some entry -> (entry.e_result, entry.e_digest, Some "mapping", None)
   | None -> (
     match if verify then None else disk_read t key with
     | Some result ->
       t.n_disk_hits <- t.n_disk_hits + 1;
-      (result, digest, Some "disk", None)
+      (result, raw_digest (front_end ~config program), Some "disk", None)
     | None ->
-      (* Near miss: another config reached this same CDFG — rewind its
-         checkpoint to the first phase this config dirties. *)
+      (* Near miss: this program is cached under another config — rewind
+         its checkpoint to the first phase this config dirties. *)
       let resumable =
-        match Hashtbl.find_opt t.by_digest digest with
+        match Hashtbl.find_opt t.by_program pkey with
         | Some other_key -> (
           match Lru.peek t.mapping_cache other_key with
-          | Some entry -> Staged.rewind entry.e_staged ~config
+          | Some entry ->
+            Option.map
+              (fun staged -> (staged, entry.e_digest))
+              (Staged.rewind entry.e_staged ~config)
           | None -> None)
         | None -> None
       in
       let computed =
         match resumable with
-        | Some staged when Staged.phase staged <> Staged.Built ->
+        | Some (staged, digest) when Staged.phase staged <> Staged.Built ->
           t.n_resumed <- t.n_resumed + 1;
           finish_compile ~program ~verify ~digest staged
             ~resumed_from:(Some (Staged.phase_name (Staged.phase staged)))
-        | _ ->
-          finish_compile ~program ~verify ~digest (Lazy.force front)
-            ~resumed_from:None
+        | _ -> compute_compile ~config ~program ~verify ()
       in
       t.n_compiles <- t.n_compiles + 1;
-      if not verify then cache_mapping t ~fingerprint computed;
-      (computed.c_result, digest, None, computed.c_resumed_from))
+      if not verify then cache_mapping t ~pkey ~fingerprint computed;
+      (computed.c_result, computed.c_digest, None, computed.c_resumed_from))
 
 (* {2 Non-compile operations} *)
 
@@ -480,8 +478,8 @@ let op_sweep ?pool req =
   let axis = axis_of req in
   let points = Sweep.points axis (values_of req) in
   let verify = Option.value ~default:false (bool_field req "verify") in
-  let base = Staged.of_source ~config ~func:program.p_func program.p_source in
-  let digest = Cdfg.Serialize.digest (Staged.raw_graph base) in
+  let base = front_end ~config program in
+  let digest = raw_digest base in
   let rows =
     match
       Sweep.run_staged ?pool ~base:config.Flow.tile ~verify
@@ -526,7 +524,6 @@ let cache_stats_json t =
   Json.Obj
     [
       ("request", lru_stats_json t.request_cache);
-      ("program", lru_stats_json t.program_index);
       ("mapping", lru_stats_json t.mapping_cache);
     ]
 
@@ -589,9 +586,8 @@ let op_cache t req =
   | "stats" -> cache_stats_json t
   | "clear" ->
     Lru.clear t.request_cache;
-    Lru.clear t.program_index;
     Lru.clear t.mapping_cache;
-    Hashtbl.reset t.by_digest;
+    Hashtbl.reset t.by_program;
     Json.Obj [ ("cleared", Json.Bool true) ]
   | "resize" ->
     let capacity =
@@ -599,7 +595,6 @@ let op_cache t req =
     in
     if capacity < 0 then raise (Bad_request "\"capacity\" must be >= 0");
     ignore (Lru.set_capacity t.request_cache capacity);
-    ignore (Lru.set_capacity t.program_index capacity);
     forget_evicted t (Lru.set_capacity t.mapping_cache capacity);
     Json.Obj [ ("capacity", Json.Int capacity) ]
   | other ->
@@ -679,12 +674,6 @@ let rec handle_op t ?pool ~op req =
         | "compile" ->
           let program = program_of req in
           let config, fingerprint = config_of req in
-          (* the mapping cache keys on the raw graph's content digest,
-             so sources that build one CDFG up to node ids share an
-             entry; canonical renumbering gives them byte-identical jobs,
-             so a hit answers what a cold compile would. check/sweep stay
-             on the plain config *)
-          let config = { config with Flow.renumber = true } in
           let verify = Option.value ~default:false (bool_field req "verify") in
           let result, digest, cached, resumed_from =
             mapped_compile t ~config ~fingerprint ~program ~verify ()
@@ -724,7 +713,6 @@ and op_batch t req =
       match
         let program = program_of sub in
         let config, fingerprint = config_of sub in
-        let config = { config with Flow.renumber = true } in
         let verify = Option.value ~default:false (bool_field sub "verify") in
         (program, config, fingerprint, verify)
       with
@@ -780,7 +768,10 @@ and op_batch t req =
       (match outcome with
       | Ok c ->
         t.n_compiles <- t.n_compiles + 1;
-        if not m.a_verify then cache_mapping t ~fingerprint:m.a_fingerprint c;
+        if not m.a_verify then
+          cache_mapping t
+            ~pkey:(program_key ~config:m.a_config m.a_program)
+            ~fingerprint:m.a_fingerprint c;
         ignore
           (Lru.add t.request_cache key
              { r_digest = Some c.c_digest; r_result = c.c_result })

@@ -34,7 +34,7 @@
       requests admitted as one batch: cache hits answer immediately and
       the misses compile in parallel on the daemon's {!Fpfa_exec.Pool}.
     - [{"op": "stats"}] — hit/miss/eviction counts of the request
-      cache, the program index and the mapping cache, request
+      cache and the mapping cache, request
       tallies ([requests], [compiles], [resumed], [disk_hits],
       [disk_evictions], [errors]), and (when observability is on) drained
       {!Fpfa_obs.Obs} counters and per-stage span aggregates.
@@ -47,9 +47,9 @@
     latency_us]:
 
     - [id] echoes the request's ["id"] (or [null]);
-    - [digest] is {!Cdfg.Serialize.digest} of the request's CDFG;
+    - [digest] is {!Cdfg.Serialize.digest} of the request's raw CDFG;
     - [cached] is [null] (computed), ["request"] (whole-response hit),
-      ["mapping"] (content-addressed mapping hit) or ["disk"];
+      ["mapping"] (mapping-cache hit) or ["disk"];
     - [resumed_from] names the {!Fpfa_core.Flow.Staged.phase} a
       near-miss resumed from, else [null];
     - [result] is the operation's payload — the part that is
@@ -57,42 +57,39 @@
 
     {2 Cache}
 
-    Three lookups, each an {!Lru} of [cache_size] entries, consulted in
+    Two lookups, each an {!Lru} of [cache_size] entries, consulted in
     order:
 
     - the {e request cache} keys on the MD5 of the canonicalised request
       (fields sorted, ["id"] dropped) and stores finished response
       payloads;
-    - the {e program index} keys on {!Fpfa_core.Flow.Staged.frontend_key}
-      (function, source text and the config fields the front end reads)
-      and stores the digest of the raw CDFG that program builds, so a
-      request for a known program skips the front end and the digest;
-      the front end runs only for an unknown program or a compile that
-      must start from scratch, and a program whose front end fails is
-      never indexed;
-    - the {e mapping cache} keys on
-      [Cdfg.Serialize.digest graph ^ "|" ^ config fingerprint] and
-      stores frozen {!Fpfa_core.Flow.Staged.t} checkpoints, so requests
-      that reach the same CDFG under a different spelling still hit, and
-      a request whose config differs only in late-phase knobs rewinds
-      the cached checkpoint to the first dirty phase
+    - the {e mapping cache} keys on the program — the hex of
+      {!Fpfa_core.Flow.Staged.frontend_key} (function, source text and
+      the config fields the front end reads) — joined with the config
+      fingerprint, and stores frozen {!Fpfa_core.Flow.Staged.t}
+      checkpoints with the digest of their raw graph, so a request that
+      names a known program under a different spelling of its config
+      hits without running the front end, and a request whose config
+      differs only in late-phase knobs rewinds a cached checkpoint of the
+      same program to the first dirty phase
       ({!Fpfa_core.Flow.Staged.rewind}) instead of remapping.
 
     With [cache_dir] set, computed mapping payloads also persist as JSON
-    files named by cache key, surviving restarts; with [cache_disk_max]
+    files named by cache key, surviving restarts; a disk hit runs the
+    front end to report the raw graph's digest. With [cache_disk_max]
     additionally set, an LRU sweep (reads stamp file mtime; a sweep runs
     at startup and after every write) keeps the directory under the byte
     budget. Caches are mutated only from the admission domain; pool
     workers compile but never touch the cache.
 
-    Compile requests run with {!Fpfa_core.Flow.config.renumber} on, so
-    two sources that build the same CDFG up to node ids map to
-    byte-identical jobs, and a mapping-cache hit answers exactly what a
-    cold compile would. A request that misses every cache level compiles
-    cold, unless a cached checkpoint of the same CDFG under another
-    config can be rewound ({!Fpfa_core.Flow.Staged.rewind}). The
-    [serve.l1.*] / [serve.program.*] / [serve.l2.*] tallies are mirrored
-    into {!Fpfa_obs.Obs} counters for [--stats]. *)
+    Compile requests run with the request's config as it stands, so
+    every answer carries the bytes [fpfa_map compile] maps for the same
+    program and config, whether it was computed, rewound or found in a
+    cache. A request that misses every cache level compiles cold, unless
+    a cached checkpoint of the same program under another config can be
+    rewound ({!Fpfa_core.Flow.Staged.rewind}). The [serve.l1.*] (request)
+    and [serve.l2.*] (mapping) tallies are mirrored into
+    {!Fpfa_obs.Obs} counters for [--stats]. *)
 
 type t
 (** A daemon instance (caches + pool + tallies). *)

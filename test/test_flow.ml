@@ -172,7 +172,6 @@ let test_rewind_reentry () =
         "minimised" );
       ("bitopt", { d with Flow.bitopt = false }, "built");
       ("bitopt_width", { d with Flow.bitopt_width = 8 }, "built");
-      ("renumber", { d with Flow.renumber = true }, "built");
       ("verify_each", { d with Flow.verify_each = true }, "built");
       ("max_unroll", { d with Flow.max_unroll = 100 }, "none");
       ("delete_locals", { d with Flow.delete_locals = true }, "none");

@@ -195,55 +195,76 @@ let test_mixed_qualifying_loops () =
     (List.length (Loop_flow.loops staged));
   check_verified source
 
+(* A generated counted loop: [li = 0; while (li < bound) { body; li =
+   li + 1; }] with a body of one to three statements. *)
+let counted_loop_gen =
+  QCheck.Gen.(
+    pair (int_range 4 8)
+      (list_size (int_range 1 3) (Gen.stmt_gen ~depth:1 ~loop_var:(Some "li"))))
+
+let counted_loop_source (bound, body) =
+  let open Cfront.Ast in
+  let li = Var "li" in
+  program_to_string
+    [
+      {
+        name = "main";
+        params = [];
+        body =
+          [
+            Assign (Lvar "li", Int_lit 0);
+            While
+              ( Binop (Lt, li, Int_lit bound),
+                body @ [ Assign (Lvar "li", Binop (Add, li, Int_lit 1)) ] );
+          ];
+        returns_value = false;
+      };
+    ]
+
 (* Property: whatever the outcome (looped or fallback), the mapping always
    verifies against the reference interpreter on generated counted loops. *)
 let loop_flow_always_verifies =
   QCheck.Test.make ~name:"loop flow verifies on random loops" ~count:60
-    (QCheck.make
-       ~print:(fun (bound, body) ->
-         Printf.sprintf "bound=%d body=%s" bound
-           (Cfront.Ast.program_to_string
-              [
-                {
-                  Cfront.Ast.name = "main"; params = []; body;
-                  returns_value = false;
-                };
-              ]))
-       QCheck.Gen.(
-         pair (int_range 4 8)
-           (list_size (int_range 1 3)
-              (Gen.stmt_gen ~depth:1 ~loop_var:(Some "li")))))
-    (fun (bound, body) ->
-      let program =
-        [
-          {
-            Cfront.Ast.name = "main";
-            params = [];
-            body =
-              [
-                Cfront.Ast.Assign (Cfront.Ast.Lvar "li", Cfront.Ast.Int_lit 0);
-                Cfront.Ast.While
-                  ( Cfront.Ast.Binop
-                      ( Cfront.Ast.Lt,
-                        Cfront.Ast.Var "li",
-                        Cfront.Ast.Int_lit bound ),
-                    body
-                    @ [
-                        Cfront.Ast.Assign
-                          ( Cfront.Ast.Lvar "li",
-                            Cfront.Ast.Binop
-                              ( Cfront.Ast.Add,
-                                Cfront.Ast.Var "li",
-                                Cfront.Ast.Int_lit 1 ) );
-                      ] );
-              ];
-            returns_value = false;
-          };
-        ]
-      in
-      let source = Cfront.Ast.program_to_string program in
+    (QCheck.make ~print:counted_loop_source counted_loop_gen)
+    (fun loop ->
+      let source = counted_loop_source loop in
       let outcome = Loop_flow.map_source source in
       Loop_flow.verify ~memory_init:Gen.memory_init source outcome)
+
+(* Inputs of the generated programs' shapes (every region of
+   [Gen.memory_init], at its length) holding random values of the
+   bit-level stage's default input width, 16 signed bits. *)
+let random_inputs =
+  QCheck.Gen.(
+    flatten_l
+      (List.map
+         (fun (region, cells) ->
+           map
+             (fun values -> (region, values))
+             (array_repeat (Array.length cells) (int_range (-32768) 32767)))
+         Gen.memory_init))
+
+(* Property: a [Looped] outcome, which [Loop_flow.validate] checked on
+   zero inputs only, verifies on random inputs too, and the simulator
+   never faults on them. Fallbacks are discarded. *)
+let looped_verifies_on_random_inputs =
+  QCheck.Test.make ~name:"looped outcomes verify on random inputs" ~count:200
+    ~max_gen:1000
+    (QCheck.make
+       ~print:(fun (loop, _) -> counted_loop_source loop)
+       QCheck.Gen.(pair counted_loop_gen (list_repeat 5 random_inputs)))
+    (fun (loop, inputs) ->
+      let source = counted_loop_source loop in
+      match Loop_flow.map_source source with
+      | Loop_flow.Unrolled _ -> QCheck.assume_fail ()
+      | Loop_flow.Looped _ as outcome ->
+        List.for_all
+          (fun memory_init ->
+            match Loop_flow.verify ~memory_init source outcome with
+            | ok -> ok
+            | exception Fpfa_sim.Sim.Fault msg ->
+              QCheck.Test.fail_reportf "Sim.Fault: %s" msg)
+          inputs)
 
 let suite =
   [
@@ -264,4 +285,5 @@ let suite =
     Alcotest.test_case "multiple loops" `Quick test_multiple_loops_staged;
     Alcotest.test_case "mixed loops" `Quick test_mixed_qualifying_loops;
     QCheck_alcotest.to_alcotest loop_flow_always_verifies;
+    QCheck_alcotest.to_alcotest looped_verifies_on_random_inputs;
   ]

@@ -15,12 +15,10 @@
      crc8-16, matmul-8 and fir-256), each rewound to six tile points;
    - the error text of one allocation that runs out of tile memory;
    - the MD5 of [Cdfg.Serialize.to_string] of the minimised graph of every
-     corpus kernel, the six large kernels and the two DAGs, under the
-     default config and with [renumber] on (the serve daemon's config;
-     those groups keep their [incremental] names and [-incr] keys), plus
-     their jobs where no case above pins them, and the simplifier's
-     counters over the large kernels. Every rewrite the simplifier fires
-     shows up in these;
+     corpus kernel, the six large kernels and the two DAGs under the
+     default config, plus the large kernels' jobs, which no case above
+     pins, and the simplifier's counters over the large kernels. Every
+     rewrite the simplifier fires shows up in these;
    - the canonical digest ([Cdfg.Serialize.digest]) of the raw and
      minimised graph of every corpus kernel and both DAGs, and of the raw
      graph of every large kernel. *)
@@ -122,8 +120,6 @@ let remap_cases () =
 
 let graph_digest g = Digest.to_hex (Digest.string (Cdfg.Serialize.to_string g))
 
-let renumbered = { Flow.default_config with Flow.renumber = true }
-
 (* The kernels of the benchmark's [large] workload. *)
 let large_kernels =
   [
@@ -135,30 +131,28 @@ let large_kernels =
 let sources ks =
   List.map
     (fun (k : Kernels.t) ->
-      (k.Kernels.name, fun config -> Flow.map_source ~config k.Kernels.source))
+      (k.Kernels.name, fun () -> Flow.map_source k.Kernels.source))
     ks
 
 let dags =
   List.map
     (fun (ops, seed) ->
       ( Printf.sprintf "dag-%d" ops,
-        fun config ->
-          Flow.map_graph ~config (Fpfa_kernels.Random_graph.generate ~seed ~ops ())
-      ))
+        fun () ->
+          Flow.map_graph (Fpfa_kernels.Random_graph.generate ~seed ~ops ()) ))
     [ (1000, 1); (2000, 2) ]
 
 (* One compile per program feeds its graph case and, with [~jobs], its
    job case. *)
-let flow_cases ~config ~tag ~jobs programs =
+let flow_cases ~jobs programs =
   List.concat_map
     (fun (name, compile) ->
-      let r = lazy (compile config) in
-      (Printf.sprintf "graph%s/%s" tag name, fun () ->
-          graph_digest (Lazy.force r).Flow.graph)
-      :: (if jobs then
-            [ (Printf.sprintf "job%s/%s" tag name, fun () ->
-                  digest (Lazy.force r).Flow.job) ]
-          else []))
+      let r = lazy (compile ()) in
+      ("graph/" ^ name, fun () -> graph_digest (Lazy.force r).Flow.graph)
+      ::
+      (if jobs then
+         [ ("job/" ^ name, fun () -> digest (Lazy.force r).Flow.job) ]
+       else []))
     programs
 
 let expected =
@@ -419,68 +413,6 @@ let expected =
     ("job/pack565-32", "cc4e3199366e661afdcc853859521375");
     ("graph/dag-1000", "803c6047f48a36cee09e3b23c08868ac");
     ("graph/dag-2000", "59826ac3655b1b4b549370dd647c184a");
-    ("graph-incr/fir-paper", "621b9f2b318bd596b50f2ad4d636c157");
-    ("job-incr/fir-paper", "a968b8af47dcf2dc723587046f37dc9c");
-    ("graph-incr/fir-16", "5f57775f4586c2c84db4810e91621f00");
-    ("job-incr/fir-16", "1d8ad76f3c5b23fca00b8c5df02520da");
-    ("graph-incr/fir-dl-8", "29e61169263b1a3e10b7624dc5898e85");
-    ("job-incr/fir-dl-8", "318df7f6a4ec8591f4d636298794162f");
-    ("graph-incr/dot-8", "b7b1b541663be2aa1fa435f7d2e43a84");
-    ("job-incr/dot-8", "b6b5d45cbd891072d87e2cfd2c8f646d");
-    ("graph-incr/vscale-8", "bc0dcf8dbe0086d613fa7e428584a542");
-    ("job-incr/vscale-8", "afa2d608e457393a7b7eed458dea3689");
-    ("graph-incr/saxpy-8", "0df560b3a7c784f60d625d0ce55224c6");
-    ("job-incr/saxpy-8", "d92d3ee062327366221ae20b30a1fddd");
-    ("graph-incr/iir-6", "6f515a352c8e1fa2d36a1930e0780aa2");
-    ("job-incr/iir-6", "80ca36f1506f65d1336b110e2e139ece");
-    ("graph-incr/matmul-3", "d70884da0805fb7c68b93d66e18320d7");
-    ("job-incr/matmul-3", "efb123d1fcf65e1f8e1747ed83ea07a5");
-    ("graph-incr/fft-bfly-4", "bde53136c9934f801b5003acce5ff718");
-    ("job-incr/fft-bfly-4", "f61dc438cb368b07020c4253939926d5");
-    ("graph-incr/dct4", "e3cffe608484f887c591c3a6c92325f3");
-    ("job-incr/dct4", "04e58b39f6f1fe8f443206659e1233ef");
-    ("graph-incr/corr-4-8", "a88e18c7f9e999125fb899c13a9c1982");
-    ("job-incr/corr-4-8", "f2aa46e10e2d7ae7e187eaf3689aba31");
-    ("graph-incr/mavg-4-6", "975d601fb4c663dab23a9dabcec0f933");
-    ("job-incr/mavg-4-6", "c4946d0270f41baba95e210b81d07947");
-    ("graph-incr/clip-6", "1c466b9a535ac76f19edd20715664c59");
-    ("job-incr/clip-6", "468dd70cbd2bb1dcf140e16a54fa8dd0");
-    ("graph-incr/maxabs-8", "b162dc9c583b53a88849b32cd7f2dc97");
-    ("job-incr/maxabs-8", "03599f651e73d0f8f7d79a898913b593");
-    ("graph-incr/poly-6", "854093e83b39bac22720e53ea7970601");
-    ("job-incr/poly-6", "8a0bbdf96d2a7856ad4b95e9ea94b665");
-    ("graph-incr/cmul-4", "01fb80a7a015a2c9728ce9aa65910fb9");
-    ("job-incr/cmul-4", "cd7993de3fcd4ed4e6ae1c3338a00bc9");
-    ("graph-incr/manhattan-8", "f6e4d47ef1d267646606839fd02bdbea");
-    ("job-incr/manhattan-8", "f28b113c4b2d7cef805f7f493310fb58");
-    ("graph-incr/clipmm-6", "514e3f08edc8798f3d0017dc05d1e344");
-    ("job-incr/clipmm-6", "40829fe46534ae1c4a746c03a2d3080c");
-    ("graph-incr/cumsum-8", "70208dff4afa545c2af8fb24d3fd001a");
-    ("job-incr/cumsum-8", "dddfe26697b4a1d7f1697656e4cb8e99");
-    ("graph-incr/iir1-8", "2358b9892564d1b830b427d73c1fc68c");
-    ("job-incr/iir1-8", "d913b19ee227c0082bfa4ef135dd866f");
-    ("graph-incr/mavg-acc-4-8", "4cf6c3b4eb98f4884729755cb5feec82");
-    ("job-incr/mavg-acc-4-8", "65d668f883755b0e511283c6f68f22f8");
-    ("graph-incr/crc8-4", "768450029d7139f91c80f939d57d02ea");
-    ("job-incr/crc8-4", "58665408a745fb307fc577f03162680a");
-    ("graph-incr/pack565-4", "3714e3658e1945dd9e8275f230ab3eac");
-    ("job-incr/pack565-4", "d78b6540d0cd9530c67c5fdb9f04cf5b");
-    ("graph-incr/fir-256", "e056b0c7db0ee64e6ac0f3156e4c1d08");
-    ("job-incr/fir-256", "e64e255ecb351f5239a3529c5a2810c0");
-    ("graph-incr/fir-dl-128", "00b0812cd0bdbf12580d617b80d1e2bd");
-    ("job-incr/fir-dl-128", "96ca310da0ec14b122a992f67d8d642d");
-    ("graph-incr/matmul-8", "2315ee08e599f5a7362752ce9576f6b7");
-    ("job-incr/matmul-8", "5564d4bc428f0f7d3806b4d5cdd830c6");
-    ("graph-incr/corr-8-32", "533f2007977ebb4805f865a248ad9475");
-    ("job-incr/corr-8-32", "460cd61f4c23a279f19fef640e6c69d9");
-    ("graph-incr/crc8-16", "319120e88805ee08cfbf7979f8062aa3");
-    ("job-incr/crc8-16", "d3f481bc7fc36c1d9ddf48afb0c4ec3a");
-    ("graph-incr/pack565-32", "11381704de45a5aca3f91460d315bdf3");
-    ("job-incr/pack565-32", "5e5a6c0be5bfedf3f944158e212cbbc9");
-    ("graph-incr/dag-1000", "9b6c94ab26047ba6ac80bdb329f2b726");
-    ("job-incr/dag-1000", "e266114289853237250143257419a7b2");
-    ("graph-incr/dag-2000", "84a886751acb5767fdce6a698aad8365");
-    ("job-incr/dag-2000", "de3f7e3dd7be5e66be63573686cc643f");
     ("remap/dag-1000@a3.b2.w1", "f70073a8c771b36d9ee54093ce2a787a");
     ("remap/dag-1000@a3.b4.w3", "e83bb08978a237353a74a9d2776e7ceb");
     ("remap/dag-1000@a3.b6.w6", "716000df25f362331aa406c3f22b4cb3");
@@ -724,14 +656,14 @@ let groups =
       ("dag-2000 priorities", dag_cases "dag-2000" dag_2000);
     ]
 
-(* The canonical digest ([Cdfg.Serialize.digest], the serve daemon's
-   cache key) of the raw and minimised graph of every corpus kernel and
-   DAG, and of the raw graph of every large kernel. *)
+(* The canonical digest ([Cdfg.Serialize.digest], which the serve
+   daemon reports) of the raw and minimised graph of every corpus kernel
+   and DAG, and of the raw graph of every large kernel. *)
 let canonical_cases () =
   let key = Cdfg.Serialize.digest in
   List.concat_map
     (fun (name, compile) ->
-      let r = lazy (compile Flow.default_config) in
+      let r = lazy (compile ()) in
       [ ("digest-raw/" ^ name, fun () -> key (Lazy.force r).Flow.raw_graph);
         ("digest-min/" ^ name, fun () -> key (Lazy.force r).Flow.graph) ])
     (sources Kernels.all @ dags)
@@ -750,22 +682,11 @@ let canonical_cases () =
    pinned above already, as paper/<kernel> and dag-<n>@a5.b10.w4/mobility. *)
 let flow_groups =
   [
-    ("minimised corpus", fun () ->
-        flow_cases ~config:Flow.default_config ~tag:"" ~jobs:false
-          (sources Kernels.all));
-    ("minimised large", fun () ->
-        flow_cases ~config:Flow.default_config ~tag:"" ~jobs:true
-          (sources large_kernels));
-    ("minimised dags", fun () ->
-        flow_cases ~config:Flow.default_config ~tag:"" ~jobs:false dags);
-    ("incremental corpus", fun () ->
-        flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true
-          (sources Kernels.all));
-    ("incremental large", fun () ->
-        flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true
-          (sources large_kernels));
-    ("incremental dags", fun () ->
-        flow_cases ~config:renumbered ~tag:"-incr" ~jobs:true dags);
+    ("minimised corpus",
+     fun () -> flow_cases ~jobs:false (sources Kernels.all));
+    ("minimised large",
+     fun () -> flow_cases ~jobs:true (sources large_kernels));
+    ("minimised dags", fun () -> flow_cases ~jobs:false dags);
     ("remap grid", remap_cases);
     ("canonical digests", canonical_cases);
   ]

@@ -291,6 +291,91 @@ let test_near_miss_resumes () =
   Serve.shutdown s2;
   Serve.shutdown uncached
 
+(* {2 The daemon maps what compile maps} *)
+
+(* [m] as the fields of a compile answer's [result.metrics]. *)
+let metric_fields (m : Mapping.Metrics.t) =
+  let open Mapping.Metrics in
+  [
+    ("cycles", Json.Int m.cycles);
+    ("exec_cycles", Json.Int m.exec_cycles);
+    ("inserted_cycles", Json.Int m.inserted_cycles);
+    ("levels", Json.Int m.levels);
+    ("alu_ops", Json.Int m.alu_ops);
+    ("mul_ops", Json.Int m.mul_ops);
+    ("alu_firings", Json.Int m.alu_firings);
+    ("moves", Json.Int m.moves);
+    ("forwards", Json.Int m.forwards);
+    ("mem_reads", Json.Int m.mem_reads);
+    ("mem_writes", Json.Int m.mem_writes);
+    ("deletes", Json.Int m.deletes);
+    ("bus_transfers", Json.Int m.bus_transfers);
+    ("local_transfers", Json.Int m.local_transfers);
+    ("alu_utilisation", Json.Float m.alu_utilisation);
+    ("locality", Json.Float m.locality);
+    ("energy", Json.Float m.energy);
+  ]
+
+(* Every corpus and large kernel at the default tile and at 3 ALUs: each
+   answer's metrics equal [Flow.map_source]'s under the same config,
+   from a cache-off daemon and from a warm one, whose answers come from
+   cold compiles, near-miss rewinds and mapping-cache hits. *)
+let test_maps_what_compile_maps () =
+  let module Flow = Fpfa_core.Flow in
+  let module Arch = Fpfa_arch.Arch in
+  let alus n = ("alus", Json.Int n) and buses n = ("buses", Json.Int n) in
+  let off = Serve.create ~cache_size:0 () in
+  let warm = Serve.create () in
+  let differ = ref [] in
+  List.iter
+    (fun (k : Kernels.t) ->
+      let source = k.Kernels.source in
+      let want tile =
+        let config = { Flow.default_config with Flow.tile } in
+        metric_fields (Flow.map_source ~config source).Flow.metrics
+      in
+      let default = want Arch.paper_tile
+      and at3 = want (Arch.with_alu_count 3 Arch.paper_tile) in
+      (* [path] is the (cached, resumed_from) pair a warm answer must
+         carry *)
+      let answer daemon label fields want path =
+        let name = k.Kernels.name ^ " " ^ label in
+        let request =
+          Json.Obj
+            (("op", Json.Str "compile")
+            :: ("source", Json.Str source)
+            :: fields)
+        in
+        let resp = expect_ok (Serve.handle daemon request) in
+        let metrics =
+          Option.value ~default:Json.Null
+            (Json.member "metrics" (field "result" resp))
+        in
+        let same (f, v) = Json.member f metrics = Some v in
+        if not (List.for_all same want) then differ := name :: !differ;
+        Option.iter
+          (fun (cached, resumed) ->
+            Alcotest.(check (option string)) (name ^ " cached") cached
+              (cached_of resp);
+            Alcotest.(check (option string)) (name ^ " resumed from") resumed
+              (resumed_of resp))
+          path
+      in
+      answer off "cold default" [] default None;
+      answer off "cold alus 3" [ alus 3 ] at3 None;
+      answer warm "warm default" [] default (Some (None, None));
+      answer warm "near-miss alus 3" [ alus 3 ] at3
+        (Some (None, Some "clustered"));
+      answer warm "respelt default" [ alus 5; buses 10 ] default
+        (Some (Some "mapping", None));
+      answer warm "respelt alus 3" [ alus 3; buses 10 ] at3
+        (Some (Some "mapping", None)))
+    (Kernels.all @ Test_mapping_golden.large_kernels);
+  Alcotest.(check (list string)) "answers that differ from compile" []
+    (List.rev !differ);
+  Serve.shutdown off;
+  Serve.shutdown warm
+
 (* {2 Batch admission through the pool: the concurrent-clients hammer} *)
 
 let test_batch_hammer_matches_sequential () =
@@ -448,12 +533,10 @@ let test_cache_control () =
   let stats1 = stats_of s in
   let entries resp level = stat resp level "entries" in
   Alcotest.(check int) "request entry cached" 1 (entries stats1 "request");
-  Alcotest.(check int) "program indexed" 1 (entries stats1 "program");
   Alcotest.(check int) "mapping entry cached" 1 (entries stats1 "mapping");
   ignore (expect_ok (Serve.handle s (req {|{"op":"cache","action":"clear"}|})));
   let stats2 = stats_of s in
   Alcotest.(check int) "cleared request" 0 (entries stats2 "request");
-  Alcotest.(check int) "cleared program index" 0 (entries stats2 "program");
   Alcotest.(check int) "cleared mapping" 0 (entries stats2 "mapping");
   let resized =
     expect_ok
@@ -467,17 +550,12 @@ let test_cache_control () =
       ignore
         (expect_ok (Serve.handle s (req {|{"op":"compile","kernel":"%s"}|} k))))
     [ "dct4"; "dot-8"; "fir-paper" ];
-  let stats3 = stats_of s in
-  Alcotest.(check int) "resized program index" 2 (stat stats3 "program" "capacity");
-  Alcotest.(check int) "program index holds two" 2 (entries stats3 "program");
-  Alcotest.(check int) "program index evicted one" 1
-    (stat stats3 "program" "evictions");
   Alcotest.(check bool)
     "bad action rejected" false
     (is_ok (Serve.handle s (req {|{"op":"cache","action":"defrost"}|})));
   Serve.shutdown s
 
-(* {2 The program index} *)
+(* {2 Front-end work} *)
 
 let front_end_spans () =
   List.filter
@@ -499,10 +577,10 @@ let observed f =
       let v = f () in
       (v, List.length (front_end_spans ())))
 
-(* A program the daemon has built resolves to its digest without a
-   second front end: a near miss rewinds and a respelling hits the
-   mapping cache, both with the bytes of a cache-off daemon. *)
-let test_index_skips_front_end () =
+(* A program the daemon has mapped is not built again: a near miss
+   rewinds and a respelling hits the mapping cache, both with the bytes
+   and the digest of a cache-off daemon. *)
+let test_known_program_skips_front_end () =
   let s = Serve.create () in
   let off = Serve.create ~cache_size:0 () in
   let compile = req {|{"op":"compile","kernel":"dct4"}|} in
@@ -530,15 +608,12 @@ let test_index_skips_front_end () =
         (Json.to_string (field "digest" want))
         (Json.to_string (field "digest" got)))
     [ ("near miss", near, rewound); ("respelling", respelt, hit) ];
-  let stats = stats_of s in
-  Alcotest.(check int) "index hits" 2 (stat stats "program" "hits");
-  Alcotest.(check int) "index misses" 1 (stat stats "program" "misses");
   Serve.shutdown s;
   Serve.shutdown off
 
-(* A program whose front end raises is never indexed, and every attempt
-   fails with the same text as on a cache-off daemon. *)
-let test_index_skips_failures () =
+(* A program whose front end raises fails every attempt with the same
+   text as on a cache-off daemon. *)
+let test_failures_repeat () =
   let s = Serve.create () in
   let off = Serve.create ~cache_size:0 () in
   let bad = req {|{"op":"compile","source":"void main() { x = ; }"}|} in
@@ -553,15 +628,11 @@ let test_index_skips_failures () =
       Alcotest.(check string) (attempt ^ " error text") want
         (error (Serve.handle s bad)))
     [ "first"; "second" ];
-  let stats = stats_of s in
-  Alcotest.(check int) "not indexed" 0 (stat stats "program" "entries");
-  Alcotest.(check int) "both attempts missed" 2 (stat stats "program" "misses");
   Serve.shutdown s;
   Serve.shutdown off
 
-(* With caches off the index never hits: every compile runs the front
-   end, as the daemon always did. *)
-let test_index_capacity_zero () =
+(* With caches off every compile runs the front end. *)
+let test_cache_off_runs_front_end () =
   let s = Serve.create ~cache_size:0 () in
   let r = req {|{"op":"compile","kernel":"dct4","alus":3}|} in
   let (first, second), spans =
@@ -572,9 +643,6 @@ let test_index_capacity_zero () =
   Alcotest.(check int) "two front ends" 8 spans;
   Alcotest.(check (option string)) "computed" None (cached_of second);
   Alcotest.(check string) "same bytes" (result_bytes first) (result_bytes second);
-  let stats = stats_of s in
-  Alcotest.(check int) "no index hit" 0 (stat stats "program" "hits");
-  Alcotest.(check int) "index empty" 0 (stat stats "program" "entries");
   Serve.shutdown s
 
 let test_disk_cache_survives_restart () =
@@ -601,6 +669,9 @@ let test_disk_cache_survives_restart () =
         (cached_of warm);
       Alcotest.(check string) "disk result identical" (result_bytes cold)
         (result_bytes warm);
+      Alcotest.(check string) "disk hit reports the digest"
+        (Json.to_string (field "digest" cold))
+        (Json.to_string (field "digest" warm));
       Serve.shutdown b)
 
 (* {2 Cached edit chains} *)
@@ -881,16 +952,19 @@ let suite =
     Alcotest.test_case "bitopt keys cache" `Quick test_bitopt_keys_cache;
     Alcotest.test_case "width keys cache" `Quick test_width_keys_cache;
     Alcotest.test_case "near-miss resumes" `Quick test_near_miss_resumes;
+    Alcotest.test_case "maps what compile maps" `Quick
+      test_maps_what_compile_maps;
     Alcotest.test_case "batch hammer" `Quick test_batch_hammer_matches_sequential;
     Alcotest.test_case "sweep matches reference" `Quick
       test_sweep_matches_reference;
     Alcotest.test_case "bad tiles rejected" `Quick test_bad_tiles_rejected;
     Alcotest.test_case "check via daemon" `Quick test_check_clean_kernel;
     Alcotest.test_case "cache control" `Quick test_cache_control;
-    Alcotest.test_case "index skips the front end" `Quick
-      test_index_skips_front_end;
-    Alcotest.test_case "index skips failures" `Quick test_index_skips_failures;
-    Alcotest.test_case "index at capacity zero" `Quick test_index_capacity_zero;
+    Alcotest.test_case "known program skips the front end" `Quick
+      test_known_program_skips_front_end;
+    Alcotest.test_case "front-end failures repeat" `Quick test_failures_repeat;
+    Alcotest.test_case "cache off runs every front end" `Quick
+      test_cache_off_runs_front_end;
     Alcotest.test_case "disk cache" `Quick test_disk_cache_survives_restart;
     Alcotest.test_case "cached edit chains equal cold compiles" `Quick
       test_edit_chain_equals_cold;
